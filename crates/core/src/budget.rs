@@ -119,6 +119,94 @@ impl BudgetMeter {
     }
 }
 
+/// What one native structure build actually paid — the measured side
+/// of the ⟨preprocessing, access⟩ guarantee, reported through
+/// [`Explain::build_cost`](crate::Explain::build_cost). Recorded once
+/// at build time (a handful of clock reads per build); nothing on the
+/// access path touches it.
+///
+/// The phases follow the pipeline of [`lexda`](crate::lexda):
+/// `prep` is normalization plus FD checks and extension, `reduce` the
+/// free-connex-to-full reduction, `layers` the per-layer projection,
+/// assigned-edge semijoins and the layered full reducer, `sort` the
+/// bucket sorts, `dp` the counting DP that fills the arenas. The
+/// [`sumda`](crate::sumda) build maps onto the same rows: `reduce` is
+/// its full reducer, `layers` the covering-atom projection, `sort` the
+/// weighing and weight sort, `dp` the answer-column materialization.
+/// A sharded build reports the sum over its shards.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BuildCost {
+    /// Nanoseconds in normalization, FD checks and FD extension.
+    pub prep_ns: u64,
+    /// Nanoseconds in the full reduction of the (extended) query.
+    pub reduce_ns: u64,
+    /// Nanoseconds materializing the per-layer relations.
+    pub layers_ns: u64,
+    /// Nanoseconds sorting (buckets for lex, weights for sum).
+    pub sort_ns: u64,
+    /// Nanoseconds filling the final arenas / answer columns.
+    pub dp_ns: u64,
+    /// Entries in the finished structure (arena entries over all
+    /// layers for lex, answer rows for sum).
+    pub arena_entries: u64,
+    /// Bytes of the finished structure's answer-proportional storage.
+    pub arena_bytes: u64,
+}
+
+impl BuildCost {
+    /// Nanoseconds over all five phases.
+    pub fn total_ns(&self) -> u64 {
+        self.prep_ns + self.reduce_ns + self.layers_ns + self.sort_ns + self.dp_ns
+    }
+
+    /// Fold another build's cost into this one (per-shard builds).
+    pub(crate) fn absorb(&mut self, other: &BuildCost) {
+        self.prep_ns += other.prep_ns;
+        self.reduce_ns += other.reduce_ns;
+        self.layers_ns += other.layers_ns;
+        self.sort_ns += other.sort_ns;
+        self.dp_ns += other.dp_ns;
+        self.arena_entries += other.arena_entries;
+        self.arena_bytes += other.arena_bytes;
+    }
+}
+
+impl std::fmt::Display for BuildCost {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ms = |ns: u64| ns as f64 / 1e6;
+        write!(
+            f,
+            "{:.3} ms (prep {:.3}, reduce {:.3}, layers {:.3}, sort {:.3}, dp {:.3}); \
+             {} entries, {} bytes",
+            ms(self.total_ns()),
+            ms(self.prep_ns),
+            ms(self.reduce_ns),
+            ms(self.layers_ns),
+            ms(self.sort_ns),
+            ms(self.dp_ns),
+            self.arena_entries,
+            self.arena_bytes
+        )
+    }
+}
+
+/// Lap timer for the build phases: each [`PhaseClock::lap`] returns the
+/// nanoseconds since the previous one.
+pub(crate) struct PhaseClock(std::time::Instant);
+
+impl PhaseClock {
+    pub(crate) fn start() -> Self {
+        PhaseClock(std::time::Instant::now())
+    }
+
+    pub(crate) fn lap(&mut self) -> u64 {
+        let now = std::time::Instant::now();
+        let ns = now.duration_since(self.0).as_nanos() as u64;
+        self.0 = now;
+        ns
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -806,6 +806,7 @@ fn prepare_lex(
         if let Some(sv) = sharded.filter(|_| budget.is_unlimited()) {
             let da = LexDirectAccess::build_on_sharded(q, sv, &lex, fds, budget)?;
             let routing = ShardRouting::contiguous(da.shard_offsets().to_vec());
+            let build = da.build_cost();
             return Ok(AccessPlan::new(
                 RankedAnswers::ShardedLex(da),
                 Explain {
@@ -816,10 +817,12 @@ fn prepare_lex(
                     witness,
                     backend: Backend::LexDirectAccess,
                     routing: Some(routing),
+                    build: Some(build),
                 },
             ));
         }
         let da = LexDirectAccess::build_on_budgeted(q, snap, &lex, fds, budget)?;
+        let build = *da.build_cost();
         return Ok(AccessPlan::new(
             RankedAnswers::Lex(da),
             Explain {
@@ -830,6 +833,7 @@ fn prepare_lex(
                 witness,
                 backend: Backend::LexDirectAccess,
                 routing: None,
+                build: Some(build),
             },
         ));
     }
@@ -847,6 +851,7 @@ fn prepare_lex(
                 witness,
                 backend: Backend::SelectionLex,
                 routing: None,
+                build: None,
             },
         ));
     }
@@ -866,6 +871,7 @@ fn prepare_lex(
                     witness,
                     backend: Backend::Materialized,
                     routing: None,
+                    build: None,
                 },
             ))
         }
@@ -896,6 +902,7 @@ fn prepare_sum(
         // the build is unmetered.
         if let Some(sv) = sharded.filter(|_| budget.is_unlimited()) {
             let (da, rows) = SumDirectAccess::build_on_sharded(q, sv, &weights, fds, budget)?;
+            let build = *da.build_cost();
             return Ok(AccessPlan::new(
                 RankedAnswers::Sum(da),
                 Explain {
@@ -906,10 +913,12 @@ fn prepare_sum(
                     witness,
                     backend: Backend::SumDirectAccess,
                     routing: Some(ShardRouting::merged(rows)),
+                    build: Some(build),
                 },
             ));
         }
         let da = SumDirectAccess::build_on_budgeted(q, snap, &weights, fds, budget)?;
+        let build = *da.build_cost();
         return Ok(AccessPlan::new(
             RankedAnswers::Sum(da),
             Explain {
@@ -920,6 +929,7 @@ fn prepare_sum(
                 witness,
                 backend: Backend::SumDirectAccess,
                 routing: None,
+                build: Some(build),
             },
         ));
     }
@@ -937,6 +947,7 @@ fn prepare_sum(
                 witness,
                 backend: Backend::SelectionSum,
                 routing: None,
+                build: None,
             },
         ));
     }
@@ -956,6 +967,7 @@ fn prepare_sum(
                     witness,
                     backend: Backend::Materialized,
                     routing: None,
+                    build: None,
                 },
             ))
         }
@@ -982,6 +994,7 @@ fn prepare_sum(
                     witness,
                     backend: Backend::RankedEnum,
                     routing: None,
+                    build: None,
                 },
             ))
         }

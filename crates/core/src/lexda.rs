@@ -10,11 +10,20 @@
 //!    variables (Proposition 2.3 / Lemma 3.10);
 //! 4. complete the partial order (Lemma 4.4) and build the layered join
 //!    tree (Definition 3.4 / Lemma 3.9);
-//! 5. intern the active domain into an order-preserving dictionary,
-//!    materialize one dictionary-encoded relation per layer, remove
-//!    dangling tuples (Yannakakis), bucket by the preceding variables,
-//!    sort each bucket by the layer variable, and run the counting DP
-//!    (Figure 4);
+//! 5. over the snapshot's order-preserving dictionary codes,
+//!    materialize one encoded relation per layer, remove dangling
+//!    tuples (Yannakakis), bucket by the preceding variables, order
+//!    each bucket by the layer variable, and run the counting DP
+//!    (Figure 4). Codes are dense ranks, and every kernel of this step
+//!    leans on that: single-column semijoins test a membership bitmap,
+//!    wider ones merge packed integer keys, projections and bucket
+//!    orders first check — in one linear scan — whether the rows
+//!    already ascend (snapshot relations arrive normalized, so they
+//!    mostly do) and sort packed `(key, row)` words only when not, and
+//!    the DP links a row to its child bucket through a dense
+//!    `code → bucket` table when the child's bucket key is one
+//!    variable. What each phase cost is kept on the structure
+//!    ([`LexDirectAccess::build_cost`]);
 //! 6. answer accesses with Algorithm 1 (binary search per layer) and
 //!    inverted/next-answer accesses with Algorithm 2 / Remark 3.
 //!
@@ -33,7 +42,7 @@
 //! Values reappear only when an answer is emitted, decoded through the
 //! [`Dictionary`].
 
-use crate::budget::{BudgetMeter, BuildBudget};
+use crate::budget::{BudgetMeter, BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::fault;
 use crate::instance::{full_reduce, positions_of, sorted_vars};
@@ -43,7 +52,6 @@ use crate::snapprep::{
     reduce_to_full_encoded, Derivation,
 };
 use crate::window::WindowBuf;
-use rda_db::parallel;
 use rda_db::{Database, Dictionary, EncodedRelation, Snapshot, Tuple, Value};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::connex::complete_order;
@@ -195,6 +203,18 @@ struct Entry {
 }
 
 impl Layer {
+    /// Bytes of heap storage behind this layer's arrays.
+    fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        (self.entries.len() * size_of::<Entry>()
+            + self.buckets.len() * size_of::<BucketMeta>()
+            + 4 * (self.value_codes.len()
+                + self.extra_children.len()
+                + self.dir_pool.len()
+                + self.value_tree_pool.len()
+                + self.key_cols.iter().map(Vec::len).sum::<usize>())) as u64
+    }
+
     /// Binary-search the bucket whose key codes equal `probe(j)` for
     /// every key position `j`. Allocation-free.
     fn find_bucket(&self, probe: impl Fn(usize) -> u32) -> Option<usize> {
@@ -229,6 +249,64 @@ impl Layer {
     }
 }
 
+/// Marks a key code no bucket of the child carries in a
+/// [`ChildLink::Dense`] table.
+const NO_BUCKET: u32 = u32::MAX;
+
+/// How the counting DP finds, for a row of a parent layer, the bucket
+/// of one child layer that agrees with it on the child's bucket key.
+/// Build-time scratch: dropped when the parent layer is done.
+struct ChildLink<'a> {
+    child: &'a Layer,
+    lookup: ChildLookup<'a>,
+}
+
+enum ChildLookup<'a> {
+    /// The child's bucket key is one variable: `table[code]` is the
+    /// bucket whose key is `code` (or [`NO_BUCKET`]), indexed by the
+    /// parent's column of that variable. Codes are dense dictionary
+    /// ranks, so the table is no longer than the dictionary.
+    Dense { col: &'a [u32], table: Vec<u32> },
+    /// Any other key width: binary search over the child's sorted
+    /// bucket keys, probing the parent's columns `cols`.
+    Search { cols: Vec<&'a [u32]> },
+}
+
+impl<'a> ChildLink<'a> {
+    /// Link rows of `parent` to `child`; `positions` are the parent's
+    /// columns holding the child's bucket-key variables, in key order.
+    fn new(child: &'a Layer, parent: &'a EncodedRelation, positions: &[usize]) -> Self {
+        let lookup = match (positions, child.key_cols.as_slice()) {
+            (&[p], [keys]) => {
+                // Bucket keys ascend, so the last one is the largest.
+                let mut table = vec![NO_BUCKET; keys.last().map_or(0, |&k| k as usize + 1)];
+                for (b, &k) in keys.iter().enumerate() {
+                    table[k as usize] = b as u32;
+                }
+                ChildLookup::Dense {
+                    col: parent.col(p),
+                    table,
+                }
+            }
+            _ => ChildLookup::Search {
+                cols: positions.iter().map(|&p| parent.col(p)).collect(),
+            },
+        };
+        ChildLink { child, lookup }
+    }
+
+    /// The child bucket agreeing with `row` of the parent, if any.
+    fn bucket_of(&self, row: usize) -> Option<usize> {
+        match &self.lookup {
+            ChildLookup::Dense { col, table } => table
+                .get(col[row] as usize)
+                .filter(|&&b| b != NO_BUCKET)
+                .map(|&b| b as usize),
+            ChildLookup::Search { cols } => self.child.find_bucket(|j| cols[j][row]),
+        }
+    }
+}
+
 /// Everything the preprocessing pipeline (steps 1–4 plus the encoded
 /// layer materialization of step 5) produces — the input of the arena
 /// construction in [`LexDirectAccess::from_prep`]. All relations are in
@@ -251,6 +329,9 @@ pub(crate) struct LayerPrep {
     pub(crate) children: Vec<Vec<usize>>,
     /// Answer count for the boolean case (`enc_layers.is_empty()`).
     pub(crate) trivial_total: u64,
+    /// Phase times of the preparation so far (`dp` and the arena
+    /// figures are filled in by [`LexDirectAccess::from_prep`]).
+    pub(crate) cost: BuildCost,
 }
 
 /// Sort-key positions of layer `i`: the bucket-key columns (every
@@ -272,15 +353,19 @@ fn layer_sort_keys(vars: &[VarId], layer_var: VarId) -> Vec<usize> {
 /// in the snapshot's code space. No relation is re-encoded: the only
 /// encoding happened at [`Database::freeze`] time.
 ///
-/// The per-layer stages (projection + semijoin chains, and the final
-/// bucket sorts) touch disjoint data and are fanned out over
-/// [`std::thread::scope`] workers.
+/// The per-layer stages run one after another on the calling thread:
+/// a layer costs tens to hundreds of microseconds on the benchmark
+/// tiers, less than a scoped-thread spawn per layer pays back (and a
+/// fan-out measured no gain up to 400 k tuples per relation on the
+/// 2-vCPU reference host).
 pub(crate) fn prepare_layers(
     q: &Cq,
     snap: &Snapshot,
     lex: &[VarId],
     fds: &FdSet,
 ) -> Result<LayerPrep, BuildError> {
+    let mut clock = PhaseClock::start();
+    let mut cost = BuildCost::default();
     validate_lex(q, lex)?;
     if !fds.is_empty() && !q.is_self_join_free() {
         return Err(BuildError::InvalidOrder(
@@ -299,9 +384,11 @@ pub(crate) fn prepare_layers(
     let qp = ext.query.clone();
     let l_plus = fd_reordered_order(&ext, lex);
     let derivations = build_derivations_encoded(&ext, &rels)?;
+    cost.prep_ns = clock.lap();
 
     let red = reduce_to_full_encoded(&qp, &rels)
         .expect("classification guarantees the extension is free-connex");
+    cost.reduce_ns = clock.lap();
 
     // Boolean (or fully-implied) case: no order variables at all.
     let order =
@@ -317,13 +404,13 @@ pub(crate) fn prepare_layers(
             layer_vars: Vec::new(),
             children: Vec::new(),
             trivial_total: u64::from(!red.known_empty),
+            cost,
         });
     }
 
     // Layered join tree over the reduced full query; materialize one
     // encoded relation per layer: project the defining edge, then
-    // semijoin-filter by every assigned edge — all in code space, one
-    // independent worker per layer.
+    // semijoin-filter by every assigned edge — all in code space.
     let enc_atoms = &red.rels;
     let edges: Vec<_> = red.query.atoms().iter().map(|a| a.var_set()).collect();
     let layered = layered_join_tree(&edges, &order)
@@ -334,20 +421,22 @@ pub(crate) fn prepare_layers(
         .iter()
         .map(|node| sorted_vars(node.vars))
         .collect();
-    let mut enc_layers: Vec<EncodedRelation> = parallel::map_indexed(f, |i| {
-        let node = &layered.layers[i];
-        let vars = &layer_vars[i];
-        let def = &red.query.atoms()[node.defining_edge];
-        let mut rel = enc_atoms[node.defining_edge].project(&positions_of(&def.terms, vars));
-        for &e in &node.assigned_edges {
-            let atom = &red.query.atoms()[e];
-            let e_vars = sorted_vars(atom.var_set());
-            let self_keys = positions_of(vars, &e_vars);
-            let other_keys = positions_of(&atom.terms, &e_vars);
-            rel.semijoin(&self_keys, &enc_atoms[e], &other_keys);
-        }
-        rel
-    });
+    let mut enc_layers: Vec<EncodedRelation> = (0..f)
+        .map(|i| {
+            let node = &layered.layers[i];
+            let vars = &layer_vars[i];
+            let def = &red.query.atoms()[node.defining_edge];
+            let mut rel = enc_atoms[node.defining_edge].project(&positions_of(&def.terms, vars));
+            for &e in &node.assigned_edges {
+                let atom = &red.query.atoms()[e];
+                let e_vars = sorted_vars(atom.var_set());
+                let self_keys = positions_of(vars, &e_vars);
+                let other_keys = positions_of(&atom.terms, &e_vars);
+                rel.semijoin(&self_keys, &enc_atoms[e], &other_keys);
+            }
+            rel
+        })
+        .collect();
 
     // Remove dangling tuples across the layered tree so every stored
     // tuple has positive weight (Figure 4's invariant). The reducer
@@ -363,12 +452,15 @@ pub(crate) fn prepare_layers(
         }
     }
     full_reduce(&jt, &layer_vars, &mut enc_layers);
+    cost.layers_ns = clock.lap();
 
-    // Bucket-sort every layer — the O(n log n) half of construction —
-    // again one independent worker per layer.
-    parallel::for_each_mut(&mut enc_layers, |i, enc| {
+    // Bucket-sort every layer: a linear scan when the layer variable is
+    // the node's last column (the projection left the rows in exactly
+    // this order), one packed-key sort otherwise.
+    for (i, enc) in enc_layers.iter_mut().enumerate() {
         enc.sort_by_cols(&layer_sort_keys(&layer_vars[i], order[i]));
-    });
+    }
+    cost.sort_ns = clock.lap();
 
     let children: Vec<Vec<usize>> = (0..f).map(|i| layered.children(i)).collect();
     Ok(LayerPrep {
@@ -380,6 +472,7 @@ pub(crate) fn prepare_layers(
         layer_vars,
         children,
         trivial_total: 0,
+        cost,
     })
 }
 
@@ -493,6 +586,8 @@ pub struct LexDirectAccess {
     layers: Vec<Layer>,
     derivations: Vec<Derivation>,
     total: u64,
+    /// What the build paid, per phase (see [`BuildCost`]).
+    cost: BuildCost,
 }
 
 impl LexDirectAccess {
@@ -579,6 +674,7 @@ impl LexDirectAccess {
         budget: BuildBudget,
         layout: ArenaLayout,
     ) -> Result<Self, BuildError> {
+        let mut clock = PhaseClock::start();
         let mut meter = budget.meter();
         let LayerPrep {
             out_vars,
@@ -589,6 +685,7 @@ impl LexDirectAccess {
             layer_vars,
             children,
             trivial_total,
+            mut cost,
         } = prep;
 
         // Inverted access derives every order variable from the probe
@@ -632,12 +729,13 @@ impl LexDirectAccess {
                 layers: Vec::new(),
                 derivations,
                 total: trivial_total,
+                cost,
             });
         }
 
         // Counting DP, deepest layer first (children have larger index):
         // each encoded layer arrives sorted by (bucket key, layer value)
-        // from the parallel sort stage of `prepare_layers`; walk it
+        // from the sort stage of `prepare_layers`; walk it
         // once, linking every entry to its child buckets and closing
         // buckets at key boundaries. All weights accumulate in u128 and
         // construction fails rather than store a count above u64::MAX.
@@ -653,14 +751,15 @@ impl LexDirectAccess {
             let key_positions: Vec<usize> = (0..vars.len()).filter(|&p| p != value_pos).collect();
             let key_vars: Vec<VarId> = key_positions.iter().map(|&p| vars[p]).collect();
             let kids = children[i].clone();
-            // Per child: the positions (within this layer's columns) of
-            // the child's bucket-key variables — contained here by the
-            // running intersection property.
-            let child_pos: Vec<Vec<usize>> = kids
+            // Per child: how a row of this layer finds its agreeing
+            // bucket there. The child's bucket-key variables are
+            // contained in this layer's by the running intersection
+            // property.
+            let links: Vec<ChildLink<'_>> = kids
                 .iter()
                 .map(|&c| {
-                    let ck = &layers[c].as_ref().expect("children already built").key_vars;
-                    positions_of(vars, ck)
+                    let child = layers[c].as_ref().expect("children already built");
+                    ChildLink::new(child, &enc, &positions_of(vars, &child.key_vars))
                 })
                 .collect();
 
@@ -681,50 +780,50 @@ impl LexDirectAccess {
                 key_cols: key_positions.iter().map(|_| Vec::new()).collect(),
             };
             let extra = layer.children.len().saturating_sub(1);
+            let value_col = enc.col(value_pos);
+            let key_src: Vec<&[u32]> = key_positions.iter().map(|&p| enc.col(p)).collect();
             // Scratch for one row's child-bucket indices, and the open
             // bucket's entry weights (u128: the per-bucket prefix sums
             // are checked on close).
             let mut row_children: Vec<u32> = Vec::with_capacity(layer.children.len());
             let mut bucket_ws: Vec<u128> = Vec::new();
-            let mut open = false;
+            // The row that opened the current bucket, if one is open.
+            let mut opened_by: Option<usize> = None;
             for row in 0..enc.len() {
                 // Weight = product over children of the agreeing
                 // bucket's total; zero (dangling) entries are dropped.
                 let mut w: u128 = 1;
                 row_children.clear();
                 let mut dangling = false;
-                for (ci, &c) in layer.children.iter().enumerate() {
-                    let child = layers[c].as_ref().expect("children already built");
-                    let Some(b) = child.find_bucket(|j| enc.code(row, child_pos[ci][j])) else {
+                for link in &links {
+                    let Some(b) = link.bucket_of(row) else {
                         dangling = true;
                         break;
                     };
                     w = w
-                        .checked_mul(child.buckets[b].total as u128)
+                        .checked_mul(link.child.buckets[b].total as u128)
                         .ok_or(BuildError::CountOverflow)?;
                     row_children.push(b as u32);
                 }
                 if dangling || w == 0 {
                     continue;
                 }
-                let key_changed = !open
-                    || key_positions.iter().enumerate().any(|(j, &p)| {
-                        enc.code(row, p) != *layer.key_cols[j].last().expect("open")
-                    });
+                let key_changed =
+                    opened_by.is_none_or(|first| key_src.iter().any(|c| c[row] != c[first]));
                 if key_changed {
-                    if open {
+                    if opened_by.is_some() {
                         close_bucket(&mut layer, &mut bucket_ws, &mut meter, layout)?;
                     }
-                    open = true;
-                    for (j, &p) in key_positions.iter().enumerate() {
-                        layer.key_cols[j].push(enc.code(row, p));
+                    opened_by = Some(row);
+                    for (dst, src) in layer.key_cols.iter_mut().zip(&key_src) {
+                        dst.push(src[row]);
                     }
                 }
                 // Budget charge precedes the arena growth it accounts
                 // for: a capped build stops before the allocation that
                 // would cross the cap, not after.
                 meter.charge((std::mem::size_of::<Entry>() + 4 + extra * 4) as u64, 1)?;
-                let value = enc.code(row, value_pos);
+                let value = value_col[row];
                 layer.entries.push(Entry {
                     start: 0, // prefix sums are filled in at bucket close
                     value,
@@ -737,13 +836,17 @@ impl LexDirectAccess {
                 debug_assert_eq!(layer.extra_children.len(), layer.entries.len() * extra);
                 bucket_ws.push(w);
             }
-            if open {
+            if opened_by.is_some() {
                 close_bucket(&mut layer, &mut bucket_ws, &mut meter, layout)?;
             }
+            drop(links);
             layers[i] = Some(layer);
         }
         let layers: Vec<Layer> = layers.into_iter().map(|l| l.expect("all built")).collect();
         let total = layers[0].buckets.first().map_or(0, |b| b.total);
+        cost.dp_ns = clock.lap();
+        cost.arena_entries = layers.iter().map(|l| l.entries.len() as u64).sum();
+        cost.arena_bytes = layers.iter().map(Layer::heap_bytes).sum();
 
         Ok(LexDirectAccess {
             out_vars,
@@ -754,7 +857,15 @@ impl LexDirectAccess {
             layers,
             derivations,
             total,
+            cost,
         })
+    }
+
+    /// What this structure's build paid: nanoseconds per phase, arena
+    /// entries and bytes. Recorded at build time; reading it costs
+    /// nothing.
+    pub fn build_cost(&self) -> &BuildCost {
+        &self.cost
     }
 
     /// Number of answers (`|Q(I)|`).
@@ -1205,8 +1316,8 @@ impl LexDirectAccess {
             if !exact {
                 return false;
             }
-            match d.lookup.get(&from) {
-                Some(&c) => var_bound[d.var.index()] = (c, true),
+            match d.image(from) {
+                Some(c) => var_bound[d.var.index()] = (c, true),
                 None => return false,
             }
         }

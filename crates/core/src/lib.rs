@@ -82,7 +82,7 @@ pub mod tupleweights;
 pub mod weights;
 pub mod window;
 
-pub use budget::{BudgetMeter, BuildBudget};
+pub use budget::{BudgetMeter, BuildBudget, BuildCost};
 pub use decompose::{lex_direct_access_decomposed, rewrite_by_decomposition};
 pub use engine::{
     canonical_request_key, plan_dependencies, Engine, OpenError, OrderSpec, PlanError, Policy,

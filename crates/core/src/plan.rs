@@ -37,6 +37,7 @@
 //! assert_eq!(plan.stream().count() as u64, plan.len());    // … or a stream
 //! ```
 
+use crate::budget::BuildCost;
 use crate::error::BuildError;
 use crate::lexsel::selection_lex_impl;
 use crate::shardlex::ShardedLexAccess;
@@ -1047,6 +1048,7 @@ pub struct Explain {
     pub(crate) witness: Option<String>,
     pub(crate) backend: Backend,
     pub(crate) routing: Option<ShardRouting>,
+    pub(crate) build: Option<BuildCost>,
 }
 
 impl Explain {
@@ -1081,6 +1083,14 @@ impl Explain {
     /// snapshot; `None` for unsharded builds and non-native backends.
     pub fn routing(&self) -> Option<&ShardRouting> {
         self.routing.as_ref()
+    }
+
+    /// What building the structure behind this plan paid — nanoseconds
+    /// per phase, arena entries and bytes — for the native
+    /// direct-access backends; `None` for the lazy selection handles
+    /// and the fallbacks, which build nothing up front.
+    pub fn build_cost(&self) -> Option<&BuildCost> {
+        self.build.as_ref()
     }
 }
 
@@ -1294,6 +1304,9 @@ impl fmt::Display for Explain {
                     "weight-merged"
                 }
             )?;
+        }
+        if let Some(b) = &self.build {
+            write!(f, "\nbuild:    {b}")?;
         }
         Ok(())
     }

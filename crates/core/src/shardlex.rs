@@ -27,7 +27,7 @@
 //! occurrences), or a boolean/empty completed order (nothing to route
 //! by).
 
-use crate::budget::BuildBudget;
+use crate::budget::{BuildBudget, BuildCost};
 use crate::error::BuildError;
 use crate::fault;
 use crate::instance::normalize_query;
@@ -213,6 +213,15 @@ impl ShardedLexAccess {
     /// `s`'s first global rank, and the final entry is [`Self::len`].
     pub fn shard_offsets(&self) -> &[u64] {
         &self.offsets
+    }
+
+    /// What the build paid, summed over the per-shard builds.
+    pub fn build_cost(&self) -> BuildCost {
+        let mut cost = BuildCost::default();
+        for da in &self.shards {
+            cost.absorb(da.build_cost());
+        }
+        cost
     }
 
     /// The complete internal order (identical across shards — the

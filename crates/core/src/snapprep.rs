@@ -38,7 +38,7 @@ use crate::error::BuildError;
 use crate::instance::{full_reduce, normalize_query, positions_of, sorted_vars};
 use rda_db::{EncodedRelation, Snapshot};
 use rda_query::connex::{ext_connex_tree, ExtConnexTree};
-use rda_query::fd::{ExtensionStep, FdExtension, FdSet};
+use rda_query::fd::{ExtensionStep, Fd, FdExtension, FdSet};
 use rda_query::query::{Atom, Cq};
 use rda_query::{VarId, VarSet};
 use std::borrow::Cow;
@@ -49,14 +49,49 @@ use std::collections::HashMap;
 /// extension produced new rows.
 pub(crate) type EncRel<'a> = Cow<'a, EncodedRelation>;
 
-/// Code-keyed FD derivation: `lookup[code(u)] = code(v)` for the FD
-/// `u → v`, under the snapshot's shared dictionary. Probing is one
-/// integer-keyed map hit, allocation-free.
+/// Marks, in a dense FD table, a determinant code no row carries.
+const NO_CODE: u32 = u32::MAX;
+
+/// The FD `lhs → rhs` of `rel` (columns `lp`, `rp`) as a dense
+/// code-indexed table: `table[code(u)] = code(v)` for every row
+/// `(u, v)`, [`NO_CODE`] elsewhere. Codes are dense dictionary ranks,
+/// so the table is no longer than the dictionary and a lookup is one
+/// array read. Fails with [`BuildError::FdViolated`] when two rows
+/// disagree on a determinant's image.
+fn fd_table(rel: &EncodedRelation, lp: usize, rp: usize, fd: &Fd) -> Result<Vec<u32>, BuildError> {
+    let (lhs, rhs) = (rel.col(lp), rel.col(rp));
+    let mut table = vec![NO_CODE; lhs.iter().max().map_or(0, |&m| m as usize + 1)];
+    for (&u, &v) in lhs.iter().zip(rhs) {
+        let slot = &mut table[u as usize];
+        if *slot != NO_CODE && *slot != v {
+            return Err(BuildError::FdViolated(fd.clone()));
+        }
+        *slot = v;
+    }
+    Ok(table)
+}
+
+/// The image of determinant code `u` under a table of [`fd_table`].
+fn fd_image(table: &[u32], u: u32) -> Option<u32> {
+    table.get(u as usize).copied().filter(|&v| v != NO_CODE)
+}
+
+/// Code-keyed FD derivation for the FD `from → var`, under the
+/// snapshot's shared dictionary: a dense table indexed by `from`'s
+/// code. Probing is one array read, allocation- and hash-free.
 #[derive(Debug, Clone)]
 pub(crate) struct Derivation {
     pub(crate) var: VarId,
     pub(crate) from: VarId,
-    pub(crate) lookup: HashMap<u32, u32>,
+    table: Vec<u32>,
+}
+
+impl Derivation {
+    /// The code of `var` implied by the code `from_code` of `from`, or
+    /// `None` when no row carries that determinant.
+    pub(crate) fn image(&self, from_code: u32) -> Option<u32> {
+        fd_image(&self.table, from_code)
+    }
 }
 
 /// The code-space half of [`crate::instance::normalize_instance`]:
@@ -131,20 +166,7 @@ pub(crate) fn check_fds_encoded(
             .ok_or_else(|| BuildError::MissingRelation(fd.relation.clone()))?;
         let lp = atom.position_of(fd.lhs).expect("FD lhs occurs in atom");
         let rp = atom.position_of(fd.rhs).expect("FD rhs occurs in atom");
-        let rel = &rels[ai];
-        let mut seen: HashMap<u32, u32> = HashMap::with_capacity(rel.len());
-        for row in 0..rel.len() {
-            match seen.entry(rel.code(row, lp)) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(rel.code(row, rp));
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if *e.get() != rel.code(row, rp) {
-                        return Err(BuildError::FdViolated(fd.clone()));
-                    }
-                }
-            }
-        }
+        fd_table(&rels[ai], lp, rp, fd)?;
     }
     Ok(())
 }
@@ -184,14 +206,7 @@ pub(crate) fn extend_instance_encoded<'a>(
             .iter()
             .position(|&t| t == via.rhs)
             .expect("FD rhs in relation schema");
-        let mut lookup: HashMap<u32, u32> = HashMap::with_capacity(rels[vi].len());
-        for row in 0..rels[vi].len() {
-            if let Some(prev) = lookup.insert(rels[vi].code(row, vlp), rels[vi].code(row, vrp)) {
-                if prev != rels[vi].code(row, vrp) {
-                    return Err(BuildError::FdViolated(via.clone()));
-                }
-            }
-        }
+        let lookup = fd_table(&rels[vi], vlp, vrp, via)?;
 
         let ti = *index_of
             .get(atom.as_str())
@@ -205,7 +220,7 @@ pub(crate) fn extend_instance_encoded<'a>(
         let mut out = EncodedRelation::new(src.arity() + 1);
         let mut row_buf: Vec<u32> = Vec::with_capacity(src.arity() + 1);
         for row in 0..src.len() {
-            if let Some(&rhs) = lookup.get(&src.code(row, lp)) {
+            if let Some(rhs) = fd_image(&lookup, src.code(row, lp)) {
                 row_buf.clear();
                 row_buf.extend((0..src.arity()).map(|p| src.code(row, p)));
                 row_buf.push(rhs);
@@ -256,15 +271,10 @@ pub(crate) fn build_derivations_encoded(
             .ok_or_else(|| BuildError::MissingRelation(fd.relation.clone()))?;
         let lp = atom.position_of(fd.lhs).expect("lhs in atom");
         let rp = atom.position_of(fd.rhs).expect("rhs in atom");
-        let rel = &rels[ai];
-        let mut lookup = HashMap::with_capacity(rel.len());
-        for row in 0..rel.len() {
-            lookup.insert(rel.code(row, lp), rel.code(row, rp));
-        }
         out.push(Derivation {
             var: *var,
             from: fd.lhs,
-            lookup,
+            table: fd_table(&rels[ai], lp, rp, fd)?,
         });
         known = known.with(*var);
     }
@@ -440,7 +450,9 @@ mod tests {
             dict.code(&1.into()).unwrap(),
             dict.code(&10.into()).unwrap(),
         );
-        assert_eq!(d.lookup.get(&c1), Some(&c10));
+        assert_eq!(d.image(c1), Some(c10));
+        assert_eq!(d.image(c10), None, "10 is no determinant");
+        assert_eq!(d.image(u32::MAX - 1), None, "beyond the table");
     }
 
     #[test]

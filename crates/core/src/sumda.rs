@@ -15,7 +15,7 @@
 //! O(log n), no tuple hashing, no heap allocation (the pre-arena layout
 //! kept a `HashMap<Tuple, u64>` shadow copy of every answer).
 
-use crate::budget::BuildBudget;
+use crate::budget::{BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::fault;
 use crate::instance::{full_reduce, positions_of};
@@ -63,6 +63,15 @@ pub struct SumDirectAccess {
     /// Row indices sorted by the encoded tuple — the binary-search
     /// index behind [`SumDirectAccess::inverted_access`].
     by_tuple: Vec<u32>,
+    /// What the build paid, per phase (see [`BuildCost`]).
+    cost: BuildCost,
+}
+
+/// Bytes a finished structure of `len` answers over `arity` head
+/// positions holds: one weight, one tuple-index slot and `arity` codes
+/// per answer.
+fn answer_bytes(len: usize, arity: usize) -> u64 {
+    len as u64 * (std::mem::size_of::<TotalF64>() as u64 + 4 + 4 * arity as u64)
 }
 
 impl SumDirectAccess {
@@ -197,6 +206,7 @@ impl SumDirectAccess {
         parts: Vec<SumDirectAccess>,
         base: Arc<Snapshot>,
     ) -> Result<(Self, Vec<u64>), BuildError> {
+        let mut clock = PhaseClock::start();
         let n = parts.len();
         let total = parts
             .iter()
@@ -244,6 +254,15 @@ impl SumDirectAccess {
             by_tuple[tuple_base[s] + inv[s][i] as usize] = out_k as u32;
         }
         let rows = parts.iter().map(|p| p.len as u64).collect();
+        // Per-shard phase times summed, the merge counted as `dp`; the
+        // arena figures describe the one merged structure.
+        let mut cost = BuildCost::default();
+        for p in &parts {
+            cost.absorb(&p.cost);
+        }
+        cost.dp_ns += clock.lap();
+        cost.arena_entries = total as u64;
+        cost.arena_bytes = answer_bytes(total, arity);
         Ok((
             SumDirectAccess {
                 snap: base,
@@ -251,6 +270,7 @@ impl SumDirectAccess {
                 cols,
                 weights,
                 by_tuple,
+                cost,
             },
             rows,
         ))
@@ -265,6 +285,8 @@ impl SumDirectAccess {
         fds: &FdSet,
         budget: BuildBudget,
     ) -> Result<Self, BuildError> {
+        let mut clock = PhaseClock::start();
+        let mut cost = BuildCost::default();
         if !fds.is_empty() && !q.is_self_join_free() {
             return Err(BuildError::InvalidOrder(
                 "functional dependencies require a self-join-free query".to_string(),
@@ -280,6 +302,7 @@ impl SumDirectAccess {
         let ext = fd_extension(&nq, fds);
         let mut rels = extend_instance_encoded(&ext, &nq, rels)?;
         let qp = ext.query;
+        cost.prep_ns = clock.lap();
 
         // Full reducer over the extension's join tree, copy-on-write:
         // a semijoin pass that removes nothing leaves the borrowed
@@ -287,11 +310,14 @@ impl SumDirectAccess {
         let tree = gyo::join_tree(&qp.hypergraph()).expect("classification guarantees acyclicity");
         let atom_vars: Vec<Vec<VarId>> = qp.atoms().iter().map(|a| a.terms.clone()).collect();
         full_reduce(&tree, &atom_vars, &mut rels);
+        cost.reduce_ns = clock.lap();
 
         // Boolean queries: one empty answer iff the join is non-empty.
         let out_vars = q.free().to_vec();
         if out_vars.is_empty() {
             let empty = rels.iter().any(|r| r.is_empty());
+            cost.arena_entries = u64::from(!empty);
+            cost.arena_bytes = answer_bytes(usize::from(!empty), 0);
             return Ok(SumDirectAccess {
                 snap: Arc::clone(snap),
                 len: usize::from(!empty),
@@ -302,6 +328,7 @@ impl SumDirectAccess {
                     vec![TotalF64(0.0)]
                 },
                 by_tuple: if empty { Vec::new() } else { vec![0] },
+                cost,
             });
         }
 
@@ -317,6 +344,7 @@ impl SumDirectAccess {
             .position(|a| free_plus.is_subset(a.var_set()))
             .expect("classification guarantees a covering atom");
         let answers = rels[cover].project(&positions_of(&atom_vars[cover], &out_vars));
+        cost.layers_ns = clock.lap();
 
         // Weigh each answer by decoding codes *by reference* through the
         // shared dictionary, then sort a permutation by (weight, row).
@@ -343,6 +371,7 @@ impl SumDirectAccess {
             .collect();
         let mut perm: Vec<u32> = (0..len as u32).collect();
         perm.sort_unstable_by_key(|&r| (row_weights[r as usize], r));
+        cost.sort_ns = clock.lap();
 
         let cols: Vec<Vec<u32>> = (0..out_vars.len())
             .map(|p| perm.iter().map(|&r| answers.code(r as usize, p)).collect())
@@ -354,13 +383,23 @@ impl SumDirectAccess {
         for (k, &r) in perm.iter().enumerate() {
             by_tuple[r as usize] = k as u32;
         }
+        cost.dp_ns = clock.lap();
+        cost.arena_entries = len as u64;
+        cost.arena_bytes = answer_bytes(len, out_vars.len());
         Ok(SumDirectAccess {
             snap: Arc::clone(snap),
             len,
             cols,
             weights,
             by_tuple,
+            cost,
         })
+    }
+
+    /// What this structure's build paid: nanoseconds per phase, answer
+    /// rows and bytes. Recorded at build time; reading it costs nothing.
+    pub fn build_cost(&self) -> &BuildCost {
+        &self.cost
     }
 
     /// Convenience for one-shot builds from a value-level [`Database`]:

@@ -102,6 +102,135 @@ impl PartialEq for Column {
 
 impl Eq for Column {}
 
+/// A row's codes over a column list, packed row-major into one
+/// comparable word: sorting and merging then run over a contiguous
+/// vector of integers instead of chasing a row index through the
+/// columns in a comparator. Words of equal width compare exactly as
+/// the code tuples they pack.
+trait PackedKey: Ord {
+    fn pack(cols: &[&[u32]], row: usize) -> Self;
+}
+
+/// Up to two columns.
+impl PackedKey for u64 {
+    fn pack(cols: &[&[u32]], row: usize) -> u64 {
+        cols.iter().fold(0, |k, c| (k << 32) | u64::from(c[row]))
+    }
+}
+
+/// Up to four columns.
+impl PackedKey for u128 {
+    fn pack(cols: &[&[u32]], row: usize) -> u128 {
+        cols.iter().fold(0, |k, c| (k << 32) | u128::from(c[row]))
+    }
+}
+
+/// Any width: the same kernels, one heap word-string per row.
+impl PackedKey for Vec<u32> {
+    fn pack(cols: &[&[u32]], row: usize) -> Vec<u32> {
+        cols.iter().map(|c| c[row]).collect()
+    }
+}
+
+/// Call `$f::<K>($args)` with the narrowest [`PackedKey`] that holds
+/// `$width` columns.
+macro_rules! by_key_width {
+    ($width:expr, $f:ident($($arg:expr),*)) => {
+        match $width {
+            0..=2 => $f::<u64>($($arg),*),
+            3..=4 => $f::<u128>($($arg),*),
+            _ => $f::<Vec<u32>>($($arg),*),
+        }
+    };
+}
+
+/// The rows `0..rows` in ascending order of their keys over `cols`
+/// (equal keys in row order), one row per distinct key when `dedup`.
+fn sorted_rows<K: PackedKey>(cols: &[&[u32]], rows: usize, dedup: bool) -> Vec<u32> {
+    let mut keyed: Vec<(K, u32)> = (0..rows).map(|r| (K::pack(cols, r), r as u32)).collect();
+    keyed.sort_unstable();
+    if dedup {
+        keyed.dedup_by(|later, first| later.0 == first.0);
+    }
+    keyed.into_iter().map(|(_, r)| r).collect()
+}
+
+/// The set bits of `bits`, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
+    bits.iter().enumerate().flat_map(|(i, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                (i as u32) << 6 | bit
+            })
+        })
+    })
+}
+
+/// A membership bitmap of the non-empty `codes`, sized by their largest.
+fn code_bitmap(codes: &[u32]) -> Vec<u64> {
+    let max = *codes.iter().max().expect("caller checked non-empty");
+    let mut bits = vec![0u64; (max as usize >> 6) + 1];
+    for &c in codes {
+        bits[c as usize >> 6] |= 1 << (c & 63);
+    }
+    bits
+}
+
+/// The distinct codes of a non-empty column, ascending — sort-free.
+fn distinct_codes(codes: &[u32]) -> Vec<u32> {
+    ones(&code_bitmap(codes)).collect()
+}
+
+/// The rows of `0..rows` that `hit` (called once per row, in row
+/// order), or `None` when every row does — found without allocating.
+fn surviving_rows(rows: usize, mut hit: impl FnMut(usize) -> bool) -> Option<Vec<u32>> {
+    let first_miss = (0..rows).find(|&r| !hit(r))?;
+    let mut keep: Vec<u32> = (0..first_miss as u32).collect();
+    keep.extend((first_miss + 1..rows).filter(|&r| hit(r)).map(|r| r as u32));
+    Some(keep)
+}
+
+/// Single-column semijoin: mark `build`'s codes in a bitmap sized by
+/// its largest code, then test one bit per `probe` row.
+fn bitmap_survivors(probe: &[u32], build: &[u32]) -> Option<Vec<u32>> {
+    let bits = code_bitmap(build);
+    surviving_rows(probe.len(), |r| {
+        let c = probe[r];
+        bits.get(c as usize >> 6)
+            .is_some_and(|word| word >> (c & 63) & 1 == 1)
+    })
+}
+
+/// Multi-column semijoin over packed keys: sort `build`'s words unless
+/// they already ascend, then merge `probe` against them when its words
+/// ascend too, or binary-search each of them otherwise.
+fn merge_survivors<K: PackedKey>(
+    probe: &[&[u32]],
+    n: usize,
+    build: &[&[u32]],
+    m: usize,
+) -> Option<Vec<u32>> {
+    let mut keys: Vec<K> = (0..m).map(|r| K::pack(build, r)).collect();
+    if !keys.is_sorted() {
+        keys.sort_unstable();
+    }
+    let probes: Vec<K> = (0..n).map(|r| K::pack(probe, r)).collect();
+    if probes.is_sorted() {
+        let mut j = 0;
+        surviving_rows(n, |r| {
+            while j < m && keys[j] < probes[r] {
+                j += 1;
+            }
+            j < m && keys[j] == probes[r]
+        })
+    } else {
+        surviving_rows(n, |r| keys.binary_search(&probes[r]).is_ok())
+    }
+}
+
 /// A dictionary-encoded relation in columnar (struct-of-arrays) layout.
 ///
 /// Row `r`'s attribute `p` lives at `col(p)[r]`. Operations mirror the
@@ -217,16 +346,6 @@ impl EncodedRelation {
         Ordering::Equal
     }
 
-    fn cmp_rows_full(&self, a: usize, b: usize) -> Ordering {
-        for c in &self.cols {
-            let o = c[a].cmp(&c[b]);
-            if o.is_ne() {
-                return o;
-            }
-        }
-        Ordering::Equal
-    }
-
     /// Keep exactly the rows listed in `keep` (ascending, distinct),
     /// e.g. a plan produced by [`EncodedRelation::semijoin_plan`].
     pub fn retain_rows(&mut self, keep: &[u32]) {
@@ -242,28 +361,75 @@ impl EncodedRelation {
         self.rows = perm.len();
     }
 
+    /// Put the rows in ascending order of the column sequence `order`
+    /// (which must name every column, so ties are identical rows), and
+    /// drop duplicate rows when `dedup` is set.
+    ///
+    /// One linear scan first: rows that already ascend (and are
+    /// distinct, when that is asked) are left exactly as they are — no
+    /// copy, so a mapped column stays mapped. Rows that ascend but
+    /// repeat are deduplicated in a second linear pass, and the
+    /// distinct codes of a single column are read off a membership
+    /// bitmap. Only otherwise are the rows sorted, as packed
+    /// `(key, row)` words.
+    fn order_rows(&mut self, order: &[usize], dedup: bool) {
+        let (mut ascending, mut distinct) = (true, true);
+        for r in 1..self.rows {
+            match self.cmp_rows_on(r - 1, r, order) {
+                Ordering::Less => {}
+                Ordering::Equal => distinct = false,
+                Ordering::Greater => {
+                    ascending = false;
+                    break;
+                }
+            }
+        }
+        if ascending && (distinct || !dedup) {
+            return;
+        }
+        if let (&[p], true) = (order, dedup) {
+            // One column to deduplicate: its distinct codes, sort-free.
+            let codes = distinct_codes(&self.cols[p]);
+            self.rows = codes.len();
+            self.cols[p] = Column::from(codes);
+            return;
+        }
+        let perm: Vec<u32> = if ascending {
+            (0..self.rows as u32)
+                .filter(|&r| r == 0 || self.cmp_rows_on(r as usize - 1, r as usize, order).is_ne())
+                .collect()
+        } else {
+            let cols: Vec<&[u32]> = order.iter().map(|&p| &*self.cols[p]).collect();
+            by_key_width!(cols.len(), sorted_rows(&cols, self.rows, dedup))
+        };
+        self.apply_permutation(&perm);
+    }
+
     /// Sort rows by the given key columns, ties broken by the full row
     /// (deterministic, matching [`Relation::sort_by_positions`]).
+    /// Linear when the rows already ascend in that order; otherwise one
+    /// sort of packed `(key, row)` words.
     pub fn sort_by_cols(&mut self, keys: &[usize]) {
-        let mut perm: Vec<u32> = (0..self.rows as u32).collect();
-        perm.sort_unstable_by(|&a, &b| {
-            self.cmp_rows_on(a as usize, b as usize, keys)
-                .then_with(|| self.cmp_rows_full(a as usize, b as usize))
-        });
-        self.apply_permutation(&perm);
+        // Key columns first, then every other column in storage order:
+        // among rows equal on the keys, that is the full-row order.
+        let mut order = keys.to_vec();
+        order.extend((0..self.arity()).filter(|p| !keys.contains(p)));
+        self.order_rows(&order, false);
     }
 
     /// Sort by the full row and remove duplicate rows (set semantics,
-    /// matching [`Relation::normalize`]).
+    /// matching [`Relation::normalize`]). Linear — and copy-free — when
+    /// the rows are already sorted and distinct, as every snapshot
+    /// relation is.
     pub fn normalize(&mut self) {
-        let mut perm: Vec<u32> = (0..self.rows as u32).collect();
-        perm.sort_unstable_by(|&a, &b| self.cmp_rows_full(a as usize, b as usize));
-        perm.dedup_by(|&mut a, &mut b| self.cmp_rows_full(a as usize, b as usize).is_eq());
-        self.apply_permutation(&perm);
+        let order: Vec<usize> = (0..self.arity()).collect();
+        self.order_rows(&order, true);
     }
 
     /// Projection π onto `positions` (sorted + deduplicated), matching
-    /// [`Relation::project`].
+    /// [`Relation::project`]. Projecting a normalized relation onto a
+    /// prefix of its columns (or onto all of them) needs no sort: the
+    /// rows already ascend, so at most a linear deduplication runs.
     pub fn project(&self, positions: &[usize]) -> EncodedRelation {
         let mut out = EncodedRelation {
             rows: self.rows,
@@ -274,9 +440,9 @@ impl EncodedRelation {
     }
 
     /// Semijoin ⋉: keep rows of `self` whose key (codes at `self_keys`)
-    /// appears among `other`'s keys (codes at `other_keys`). Runs as a
-    /// sort + binary-search probe: O((n + m) log m), no per-row hashing
-    /// or allocation.
+    /// appears among `other`'s keys (codes at `other_keys`). See
+    /// [`EncodedRelation::semijoin_plan`] for the kernels and their
+    /// cost; no per-row hashing or allocation.
     ///
     /// # Panics
     /// Panics if the key lists have different lengths.
@@ -293,6 +459,21 @@ impl EncodedRelation {
     /// `Some(keep)` (ascending row indices) otherwise, to be applied
     /// with [`EncodedRelation::retain_rows`].
     ///
+    /// With `n = self.len()` and `m = other.len()`:
+    ///
+    /// * **one key column** — a membership bitmap over `0..=max`, `max`
+    ///   the largest key code of `other`, then one bit test per row of
+    ///   `self`: O(n + m + max/64), no sort. Codes are dense dictionary
+    ///   ranks, so `max` is below the dictionary's length; a probe code
+    ///   above `max` is simply a miss.
+    /// * **wider keys** — both sides' keys are packed row-major into
+    ///   one integer word per row. `other`'s words are sorted unless
+    ///   they already ascend; `self` is then merged against them in
+    ///   O(n + m) when its own words ascend, and binary-searched in
+    ///   O(n log m) otherwise.
+    /// * **no key columns** — every row survives iff `other` is
+    ///   non-empty.
+    ///
     /// # Panics
     /// Panics if the key lists have different lengths.
     pub fn semijoin_plan(
@@ -306,26 +487,19 @@ impl EncodedRelation {
             other_keys.len(),
             "semijoin key length mismatch"
         );
-        // Sorted view of `other`'s keys.
-        let mut other_rows: Vec<u32> = (0..other.rows as u32).collect();
-        other_rows.sort_unstable_by(|&a, &b| other.cmp_rows_on(a as usize, b as usize, other_keys));
-        let cmp_self_other = |s: usize, o: usize| -> Ordering {
-            for (&sp, &op) in self_keys.iter().zip(other_keys) {
-                let ord = self.cols[sp][s].cmp(&other.cols[op][o]);
-                if ord.is_ne() {
-                    return ord;
-                }
-            }
-            Ordering::Equal
-        };
-        let keep: Vec<u32> = (0..self.rows as u32)
-            .filter(|&r| {
-                other_rows
-                    .binary_search_by(|&o| cmp_self_other(r as usize, o as usize).reverse())
-                    .is_ok()
-            })
-            .collect();
-        (keep.len() != self.rows).then_some(keep)
+        if self.rows == 0 {
+            return None;
+        }
+        if other.rows == 0 {
+            return Some(Vec::new());
+        }
+        let probe: Vec<&[u32]> = self_keys.iter().map(|&p| &*self.cols[p]).collect();
+        let build: Vec<&[u32]> = other_keys.iter().map(|&p| &*other.cols[p]).collect();
+        match probe.len() {
+            0 => None,
+            1 => bitmap_survivors(probe[0], build[0]),
+            w => by_key_width!(w, merge_survivors(&probe, self.rows, &build, other.rows)),
+        }
     }
 
     /// Rebase every code through `remap` (`remap[old_code] = new_code`),
@@ -592,5 +766,219 @@ mod tests {
         assert_eq!(enc.len(), 2);
         assert_eq!(enc.col(0), &[3, 0]);
         assert_eq!(enc.code(1, 1), 2);
+    }
+
+    // ---- The relation kernels against a naive set model ------------
+
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    type Rows = Vec<Vec<u32>>;
+
+    fn relation_of(arity: usize, rows: &Rows) -> EncodedRelation {
+        let mut rel = EncodedRelation::new(arity);
+        for r in rows {
+            rel.push_row(r);
+        }
+        rel
+    }
+
+    fn rows_of(rel: &EncodedRelation) -> Rows {
+        (0..rel.len())
+            .map(|r| (0..rel.arity()).map(|p| rel.code(r, p)).collect())
+            .collect()
+    }
+
+    fn pick(row: &[u32], positions: &[usize]) -> Vec<u32> {
+        positions.iter().map(|&p| row[p]).collect()
+    }
+
+    fn mapped_columns(rel: &EncodedRelation) -> usize {
+        rel.cols
+            .iter()
+            .filter(|c| matches!(c, Column::Mapped(_)))
+            .count()
+    }
+
+    /// Deterministic draws for one case.
+    struct Draw(StdRng);
+
+    impl Draw {
+        fn new(case: u64) -> Draw {
+            Draw(StdRng::seed_from_u64(case))
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            self.0.random_range(0..n)
+        }
+
+        /// `n` positions of `0..arity`, repeats allowed.
+        fn positions(&mut self, n: usize, arity: usize) -> Vec<usize> {
+            (0..n).map(|_| self.below(arity)).collect()
+        }
+
+        /// Random rows over one of three code universes — a handful of
+        /// codes (duplicate keys everywhere), a dozen, or sixteen codes
+        /// spread far above any row count (what sizes the bitmaps) — as
+        /// drawn, already sorted and distinct, or reverse-sorted.
+        fn rows(&mut self, arity: usize) -> Rows {
+            let n = self.below(33);
+            let universe = self.below(3);
+            let mut rows: Rows = (0..n)
+                .map(|_| {
+                    (0..arity)
+                        .map(|_| match universe {
+                            0 => self.below(3) as u32,
+                            1 => self.below(12) as u32,
+                            _ => self.below(16) as u32 * 65_537 + 9,
+                        })
+                        .collect()
+                })
+                .collect();
+            match self.below(3) {
+                0 => {}
+                1 => {
+                    rows = rows
+                        .into_iter()
+                        .collect::<BTreeSet<_>>()
+                        .into_iter()
+                        .collect()
+                }
+                _ => {
+                    rows.sort();
+                    rows.reverse();
+                }
+            }
+            rows
+        }
+    }
+
+    /// Every kernel on `a` (and `a ⋉ b`) against the model computed
+    /// from the rows read back out of the relations, whatever kind of
+    /// column holds them.
+    fn check_kernels(a: &EncodedRelation, b: &EncodedRelation, draw: &mut Draw, case: u64) {
+        let (rows_a, rows_b) = (rows_of(a), rows_of(b));
+        let set_a: BTreeSet<Vec<u32>> = rows_a.iter().cloned().collect();
+
+        // normalize: the distinct rows, ascending; an input already in
+        // that form is left in place (mapped columns stay mapped).
+        let mut n = a.clone();
+        n.normalize();
+        let model: Rows = set_a.iter().cloned().collect();
+        assert_eq!(rows_of(&n), model, "normalize, case {case}");
+        if rows_a == model {
+            assert_eq!(mapped_columns(&n), mapped_columns(a), "case {case}");
+        }
+
+        // project onto random positions (none at all for arity 0).
+        let width = if a.arity() == 0 {
+            0
+        } else {
+            draw.below(a.arity() + 2)
+        };
+        let positions = draw.positions(width, a.arity().max(1));
+        let model: BTreeSet<Vec<u32>> = rows_a.iter().map(|r| pick(r, &positions)).collect();
+        assert_eq!(
+            rows_of(&a.project(&positions)),
+            model.into_iter().collect::<Rows>(),
+            "project {positions:?}, case {case}"
+        );
+
+        // sort_by_cols on distinct key columns: same rows, ordered by
+        // the keys and then by the full row.
+        let keys: Vec<usize> = (0..a.arity()).filter(|_| draw.below(2) == 0).collect();
+        let mut sorted = a.clone();
+        sorted.sort_by_cols(&keys);
+        let mut model = rows_a.clone();
+        model.sort_by_key(|r| (pick(r, &keys), r.clone()));
+        assert_eq!(
+            rows_of(&sorted),
+            model,
+            "sort_by_cols {keys:?}, case {case}"
+        );
+
+        // semijoin on 0..=3 key columns (0 only when a side has none).
+        let width = draw.below(4).min(a.arity()).min(b.arity());
+        let width = if a.arity() == 0 || b.arity() == 0 {
+            0
+        } else {
+            width
+        };
+        let self_keys = draw.positions(width, a.arity().max(1));
+        let other_keys = draw.positions(width, b.arity().max(1));
+        let wanted: BTreeSet<Vec<u32>> = rows_b.iter().map(|r| pick(r, &other_keys)).collect();
+        let keep: Vec<u32> = (0..rows_a.len() as u32)
+            .filter(|&r| wanted.contains(&pick(&rows_a[r as usize], &self_keys)))
+            .collect();
+        let plan = a.semijoin_plan(&self_keys, b, &other_keys);
+        let what = format!("semijoin {self_keys:?} ⋉ {other_keys:?}, case {case}");
+        if keep.len() == rows_a.len() {
+            assert_eq!(plan, None, "{what}");
+        } else {
+            assert_eq!(plan.as_deref(), Some(&keep[..]), "{what}");
+        }
+        let mut joined = a.clone();
+        joined.semijoin(&self_keys, b, &other_keys);
+        let model: Rows = keep.iter().map(|&r| rows_a[r as usize].clone()).collect();
+        assert_eq!(rows_of(&joined), model, "{what}");
+        if keep.len() == rows_a.len() {
+            // Nothing removed: nothing copied.
+            assert_eq!(mapped_columns(&joined), mapped_columns(a), "{what}");
+        }
+    }
+
+    /// `rows` as a relation of integer values named `name`.
+    fn value_relation(name: &str, arity: usize, rows: &Rows) -> Relation {
+        let tuples = rows
+            .iter()
+            .map(|r| r.iter().map(|&c| crate::Value::int(i64::from(c))).collect())
+            .collect();
+        Relation::from_tuples(name, arity, tuples)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        /// Owned columns straight from random code rows: arities 0–4,
+        /// key widths 0–3, duplicates, empty sides, sparse codes,
+        /// sorted and reverse-sorted inputs.
+        #[test]
+        fn kernels_match_the_set_model(case in 0u64..u64::MAX) {
+            let mut draw = Draw::new(case);
+            let (arity_a, arity_b) = (draw.below(5), draw.below(5));
+            let a = relation_of(arity_a, &draw.rows(arity_a));
+            let b = relation_of(arity_b, &draw.rows(arity_b));
+            check_kernels(&a, &b, &mut draw, case);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(60))]
+
+        /// The same checks on `Column::Mapped` inputs: relations saved
+        /// to a snapshot file and served back from the mapping.
+        #[test]
+        fn kernels_match_the_set_model_on_mapped_columns(case in 0u64..u64::MAX) {
+            let mut draw = Draw::new(case);
+            let (arity_a, arity_b) = (1 + draw.below(4), 1 + draw.below(4));
+            let db = crate::Database::new()
+                .with(value_relation("A", arity_a, &draw.rows(arity_a)))
+                .with(value_relation("B", arity_b, &draw.rows(arity_b)));
+            let path = std::env::temp_dir().join(format!(
+                "rda-encoded-kernels-{}-{case}.rdas",
+                std::process::id()
+            ));
+            crate::persist::save_snapshot(&db.freeze(), &path).unwrap();
+            let opened = crate::persist::open_snapshot(&path);
+            let _ = std::fs::remove_file(&path);
+            let snap = opened.unwrap();
+            let (a, b) = (snap.encoded("A").unwrap(), snap.encoded("B").unwrap());
+            if cfg!(target_endian = "little") {
+                prop_assert_eq!(mapped_columns(a), arity_a);
+            }
+            check_kernels(a, b, &mut draw, case);
+        }
     }
 }

@@ -2,11 +2,11 @@
 //! stages.
 //!
 //! Used by [`Snapshot`](crate::Snapshot) freezing (one encode per
-//! relation) and by the access-structure build pipelines in `rda-core`
-//! (per-layer materialization and bucket sorts). Plain standard-library
-//! scoped threads, no runtime, deterministic results (output slot `i`
-//! always holds the result for input `i`), and a serial fast path when
-//! the work or the machine has no parallelism to offer.
+//! relation) and by the per-shard structure builds in `rda-core`. Plain
+//! standard-library scoped threads, no runtime, deterministic results
+//! (output slot `i` always holds the result for input `i`), and a
+//! serial fast path when the work or the machine has no parallelism to
+//! offer.
 //!
 //! ```
 //! use rda_db::parallel;
@@ -15,9 +15,6 @@
 //! // result is positional, so parallelism never reorders anything.
 //! let squares = parallel::map_indexed(8, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//! let mut rows = vec![3, 1, 2];
-//! parallel::for_each_mut(&mut rows, |i, r| *r += i);
-//! assert_eq!(rows, vec![3, 2, 4]);
 //! ```
 
 /// Map `f` over `0..n`, producing results positionally. Runs serially
@@ -76,43 +73,6 @@ where
     map_indexed(items.len(), |i| f(&items[i]))
 }
 
-/// Run `f(i, &mut items[i])` for every item, in parallel over scoped
-/// workers. Mutations are per-slot, so the result is deterministic.
-pub fn for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    for_each_mut_with(worker_count(items.len()), items, f)
-}
-
-/// [`for_each_mut`] with an explicit worker-count hint — the
-/// forced-width counterpart, mirroring [`map_indexed_with`].
-pub fn for_each_mut_with<T, F>(workers: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    if workers <= 1 || n <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        for (w, part) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (j, item) in part.iter_mut().enumerate() {
-                    f(w * chunk + j, item);
-                }
-            });
-        }
-    });
-}
-
 /// [`map`] with an explicit worker-count hint, positionally over a
 /// slice — the forced-width entry point shard-parallel partitioning
 /// uses so that a shard fan-out really spawns one worker per shard
@@ -169,12 +129,6 @@ mod tests {
                 assert_eq!(
                     got,
                     (0..n).map(|i| i * 3 + 1).collect::<Vec<_>>(),
-                    "workers={workers} n={n}"
-                );
-                let mut xs: Vec<usize> = vec![0; n];
-                for_each_mut_with(workers, &mut xs, |i, x| *x = i + 1);
-                assert!(
-                    xs.iter().enumerate().all(|(i, &x)| x == i + 1),
                     "workers={workers} n={n}"
                 );
             }
@@ -242,12 +196,5 @@ mod tests {
         let got = map(&items, |s| s.len());
         assert_eq!(got, vec![2; 9]);
         assert!(map(&Vec::<u8>::new(), |b| *b).is_empty());
-    }
-
-    #[test]
-    fn for_each_mut_touches_every_slot_once() {
-        let mut xs: Vec<usize> = vec![0; 257];
-        for_each_mut(&mut xs, |i, x| *x = i + 1);
-        assert!(xs.iter().enumerate().all(|(i, &x)| x == i + 1));
     }
 }

@@ -7,33 +7,54 @@
 //! allocates exactly once — the returned tuple itself ("decode to
 //! `Tuple` only in emit").
 //!
-//! Everything lives in one `#[test]` so no concurrent test can disturb
-//! the global counter (this integration-test binary contains nothing
-//! else).
+//! The build side of the same ledger: a lex and a SUM build over a
+//! frozen snapshot re-encode nothing, allocate a number of times that
+//! does not grow with the input, and have freed every transient bitmap,
+//! dense table and sort buffer by the time `build_on` returns.
+//!
+//! The counters are process-wide, so the tests of this binary take
+//! [`SERIAL`] and run one at a time.
 
 use ranked_access::prelude::*;
-use ranked_access::rda_db::tup;
+use ranked_access::rda_db::{relation_encode_count, tup};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated, and the most that ever were.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
 
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters beside it are plain atomics.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        grew(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -48,8 +69,137 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
+/// What running `f` did to the heap.
+struct HeapDelta<T> {
+    out: T,
+    allocations: u64,
+    /// Bytes still allocated after `f` beyond what was before it.
+    retained: u64,
+    /// The most bytes allocated at once during `f`, beyond the same.
+    peak: u64,
+}
+
+fn heap_during<T>(f: impl FnOnce() -> T) -> HeapDelta<T> {
+    let live_before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(live_before, Ordering::Relaxed);
+    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    HeapDelta {
+        out,
+        allocations: ALLOCATIONS.load(Ordering::Relaxed) - allocs_before,
+        retained: LIVE.load(Ordering::Relaxed).saturating_sub(live_before),
+        peak: PEAK.load(Ordering::Relaxed) - live_before,
+    }
+}
+
+/// `R(x, y)`, `S(y, z)` with `n` rows each over 40 join values, beside
+/// a relation `T` of 50 000 smaller values no query reads: every value
+/// the joins touch gets a dictionary code above 50 000, so each bitmap
+/// and dense table the build kernels size by a maximum code is as large
+/// as this dictionary can make it while the arenas stay small.
+fn sparse_snapshot(n: i64) -> Arc<Snapshot> {
+    let hi = 1_000_000;
+    Database::new()
+        .with_i64_rows("T", 1, (0..50_000).map(|i| vec![i]).collect::<Vec<_>>())
+        .with_i64_rows(
+            "R",
+            2,
+            (0..n)
+                .map(|i| vec![hi + 100 + i, hi + i % 40])
+                .collect::<Vec<_>>(),
+        )
+        .with_i64_rows(
+            "S",
+            2,
+            (0..n)
+                .map(|i| vec![hi + i % 40, hi + 100 + (i * 7) % n])
+                .collect::<Vec<_>>(),
+        )
+        .freeze()
+}
+
+#[test]
+fn builds_are_encode_free_and_leave_no_scratch_behind() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let qcov = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
+    let lex = q.vars(&["z", "y", "x"]);
+    let mut allocations = Vec::new();
+    for n in [400i64, 3200] {
+        let snap = sparse_snapshot(n);
+        let dict_bytes = 4 * snap.dict().len() as u64;
+        let encodes = relation_encode_count();
+
+        let built =
+            heap_during(|| LexDirectAccess::build_on(&q, &snap, &lex, &FdSet::empty()).unwrap());
+        let cost = *built.out.build_cost();
+        assert!(built.out.len() >= n as u64, "the join fans out");
+        // What stays allocated is the arena (its vectors hold at most
+        // twice their length in capacity) and a few small vectors; a
+        // dense table that outlived the build would add `dict_bytes`.
+        let arena = 2 * cost.arena_bytes + 4096;
+        assert!(
+            built.retained <= arena,
+            "lex build of {n} rows retains {} bytes for an arena of {}",
+            built.retained,
+            cost.arena_bytes
+        );
+        if n == 400 {
+            assert!(dict_bytes > arena, "a leaked table would show here");
+        }
+        // At its fullest the build holds the arena, the layer relations
+        // it was cut from, and a few code-indexed tables and bitmaps.
+        let rows_bytes = 8 * n as u64;
+        assert!(
+            built.peak <= arena + 24 * rows_bytes + 4 * dict_bytes,
+            "lex build of {n} rows peaks at {} bytes",
+            built.peak
+        );
+        allocations.push(built.allocations);
+
+        let built = heap_during(|| {
+            SumDirectAccess::build_on(&qcov, &snap, &Weights::identity(), &FdSet::empty()).unwrap()
+        });
+        let cost = *built.out.build_cost();
+        assert_eq!(built.out.len(), cost.arena_entries);
+        let answers = cost.arena_bytes + 4096;
+        assert!(
+            built.retained <= answers,
+            "sum build of {n} rows retains {} bytes for {} of answers",
+            built.retained,
+            cost.arena_bytes
+        );
+        assert!(
+            built.peak <= answers + 24 * rows_bytes + 4 * dict_bytes,
+            "sum build of {n} rows peaks at {} bytes",
+            built.peak
+        );
+        allocations.push(built.allocations);
+
+        assert_eq!(
+            relation_encode_count(),
+            encodes,
+            "builds over a frozen snapshot re-encode nothing"
+        );
+    }
+    // Eight times the rows: the same allocations plus a few vector
+    // doublings — nothing is allocated per row.
+    let [lex_small, sum_small, lex_large, sum_large] = allocations[..] else {
+        unreachable!("two sizes, two builds each");
+    };
+    assert!(
+        lex_large <= lex_small + 64,
+        "lex build allocations grew {lex_small} -> {lex_large}"
+    );
+    assert!(
+        sum_large <= sum_small + 64,
+        "sum build allocations grew {sum_small} -> {sum_large}"
+    );
+}
+
 #[test]
 fn access_hot_paths_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // A join with both integer and string values: decoding strings
     // clones `Arc<str>`s, which must not allocate either.
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();

@@ -251,6 +251,27 @@ fn explain_covers_all_three_regimes() {
     assert!(report.contains("tractable"), "{report}");
     assert!(report.contains("lex-direct-access"), "{report}");
     assert!(plan.explain().witness().is_none());
+    // Native builds report what they paid: every phase ran, and the
+    // arena figures describe the structure that serves the 5 answers.
+    let cost = plan.explain().build_cost().expect("native build");
+    assert!(cost.total_ns() > 0 && cost.dp_ns > 0, "{cost:?}");
+    assert!(
+        cost.arena_entries >= 5 && cost.arena_bytes >= 16 * cost.arena_entries,
+        "{cost:?}"
+    );
+    assert!(
+        report.contains("build:") && report.contains("dp "),
+        "{report}"
+    );
+    let sum = Engine::new(db.clone().freeze())
+        .prepare(
+            &parse("Q(x, y) :- R(x, y), S(y, z)").unwrap(),
+            OrderSpec::sum_by_value(),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap();
+    assert_eq!(sum.explain().build_cost().unwrap().arena_entries, sum.len());
 
     // Selection-only: disruptive-trio witness, selection backend.
     let plan = Engine::new(db.clone().freeze())
@@ -264,6 +285,9 @@ fn explain_covers_all_three_regimes() {
     let report = plan.explain().to_string();
     assert!(report.contains("disruptive trio (x, z, y)"), "{report}");
     assert!(report.contains("selection-lex"), "{report}");
+    // Lazy handles build nothing up front.
+    assert!(plan.explain().build_cost().is_none());
+    assert!(!report.contains("build:"), "{report}");
 
     // Fallback: free-path witness, materialized backend.
     let qp = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
