@@ -119,7 +119,7 @@ impl BudgetMeter {
     }
 }
 
-/// What one native structure build actually paid — the measured side
+/// What one structure build actually paid — the measured side
 /// of the ⟨preprocessing, access⟩ guarantee, reported through
 /// [`Explain::build_cost`](crate::Explain::build_cost). Recorded once
 /// at build time (a handful of clock reads per build); nothing on the
@@ -133,7 +133,11 @@ impl BudgetMeter {
 /// [`sumda`](crate::sumda) build maps onto the same rows: `reduce` is
 /// its full reducer, `layers` the covering-atom projection, `sort` the
 /// weighing and weight sort, `dp` the answer-column materialization.
-/// A sharded build reports the sum over its shards.
+/// A sharded build reports the sum over its shards. A selection handle
+/// reports its constructor: `prep` and `reduce` as above, then `dp`
+/// (the counting pass of a lex handle) or `sort` (contraction, weighing
+/// and bucket sort of a sum handle); its entries and bytes are the rows
+/// of the prepared instance it holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildCost {
     /// Nanoseconds in normalization, FD checks and FD extension.
@@ -157,6 +161,14 @@ impl BuildCost {
     /// Nanoseconds over all five phases.
     pub fn total_ns(&self) -> u64 {
         self.prep_ns + self.reduce_ns + self.layers_ns + self.sort_ns + self.dp_ns
+    }
+
+    /// Record the encoded relations a structure keeps as its entries
+    /// (rows) and bytes — what a selection handle holds instead of an
+    /// arena.
+    pub(crate) fn hold(&mut self, rels: &[rda_db::EncodedRelation]) {
+        self.arena_entries = rels.iter().map(|r| r.len() as u64).sum();
+        self.arena_bytes = rels.iter().map(|r| 4 * (r.len() * r.arity()) as u64).sum();
     }
 
     /// Fold another build's cost into this one (per-shard builds).

@@ -370,9 +370,9 @@ impl PlanCache {
 ///    [`SumDirectAccess`]) when the order is on the tractable side of
 ///    Theorem 4.1 / 5.1 (8.21 / 8.9 under FDs) — built straight from
 ///    the snapshot's code space, no re-encoding;
-/// 2. a **lazy selection-backed handle** when only selection is
-///    tractable (Theorem 6.1 / 7.3) — no preprocessing, linear-time
-///    accesses;
+/// 2. a **selection-backed handle** when only selection is tractable
+///    (Theorem 6.1 / 7.3) — the rank-independent part of a selection
+///    prepared once in code space, linear-time accesses;
 /// 3. the **explicit fallback** named by [`Policy`] otherwise.
 ///
 /// Prepared plans are memoized: an equal (query, order, FDs, policy)
@@ -841,6 +841,7 @@ fn prepare_lex(
     let selection_verdict = classify(q, fds, &Problem::SelectionLex(lex.clone()));
     if selection_verdict.is_tractable() {
         let handle = SelectionLexHandle::new(q, snap, lex, fds)?;
+        let build = *handle.build_cost();
         return Ok(AccessPlan::new(
             RankedAnswers::SelectionLex(handle),
             Explain {
@@ -851,7 +852,7 @@ fn prepare_lex(
                 witness,
                 backend: Backend::SelectionLex,
                 routing: None,
-                build: None,
+                build: Some(build),
             },
         ));
     }
@@ -937,6 +938,7 @@ fn prepare_sum(
     let selection_verdict = classify(q, fds, &Problem::SelectionSum);
     if selection_verdict.is_tractable() {
         let handle = SelectionSumHandle::new(q, snap, weights, fds)?;
+        let build = *handle.build_cost();
         return Ok(AccessPlan::new(
             RankedAnswers::SelectionSum(handle),
             Explain {
@@ -947,7 +949,7 @@ fn prepare_sum(
                 witness,
                 backend: Backend::SelectionSum,
                 routing: None,
-                build: None,
+                build: Some(build),
             },
         ));
     }

@@ -2,6 +2,11 @@
 //! reduction): transform a database satisfying unary FDs `Δ` into one
 //! for the extended query `Q⁺` with the same answers (restricted to the
 //! original free variables).
+//!
+//! Oracle-side code, not a build path: every build and selection runs
+//! the code-space twins in [`crate::snapprep`]; this value-level form
+//! is what [`crate::reference`] and the differential tests compare
+//! them with.
 
 use crate::error::BuildError;
 use rda_db::{Database, Relation, Tuple, Value};
@@ -11,7 +16,7 @@ use std::collections::HashMap;
 
 /// Check that `db` satisfies every FD in `fds` (the paper's promise on
 /// inputs). `q` must be normalized.
-pub fn check_fds(q: &Cq, db: &Database, fds: &FdSet) -> Result<(), BuildError> {
+pub(crate) fn check_fds(q: &Cq, db: &Database, fds: &FdSet) -> Result<(), BuildError> {
     for fd in fds.iter() {
         let atom = q
             .atoms()
@@ -48,7 +53,7 @@ pub fn check_fds(q: &Cq, db: &Database, fds: &FdSet) -> Result<(), BuildError> {
 ///
 /// `q` and `db` must be normalized and `db` must satisfy the FDs
 /// ([`check_fds`]).
-pub fn extend_instance(ext: &FdExtension, db: &Database) -> Result<Database, BuildError> {
+pub(crate) fn extend_instance(ext: &FdExtension, db: &Database) -> Result<Database, BuildError> {
     let mut out = db.clone();
     // Evolving schemas: relation name -> term list, starting from the
     // original atoms and growing exactly as fd_extension grew them.

@@ -1,5 +1,14 @@
 //! Instance preparation: normalization, Yannakakis full reduction, and
 //! the free-connex-to-full reduction (Proposition 2.3 / Lemma 3.10).
+//!
+//! What the build paths use from here is representation-independent:
+//! query normalization, the full reducer (generic over
+//! [`SemijoinTarget`]) and position bookkeeping. The value-level
+//! instance functions — [`normalize_instance`], [`reduce_to_full`] — are
+//! oracle-side code, not a build path: [`crate::reference`],
+//! [`crate::decompose`] and the differential tests of
+//! [`crate::snapprep`] run them; builds and selections run the
+//! code-space twins there.
 
 use crate::error::BuildError;
 use rda_db::{Database, EncodedRelation, Relation};
@@ -21,6 +30,13 @@ pub(crate) fn positions_of(terms: &[VarId], vars: &[VarId]) -> Vec<usize> {
         .collect()
 }
 
+/// The columns holding the variables two atoms share, in each of them
+/// (aligned, in `a`'s term order) — their join key.
+pub(crate) fn shared_positions(a: &[VarId], b: &[VarId]) -> (Vec<usize>, Vec<usize>) {
+    let shared: Vec<VarId> = a.iter().copied().filter(|v| b.contains(v)).collect();
+    (positions_of(a, &shared), positions_of(b, &shared))
+}
+
 /// Sorted variable list of a set.
 pub(crate) fn sorted_vars(set: VarSet) -> Vec<VarId> {
     set.iter().collect()
@@ -29,7 +45,7 @@ pub(crate) fn sorted_vars(set: VarSet) -> Vec<VarId> {
 /// Check that `db` provides every relation `q` mentions, at the right
 /// arity — the shared instance-level validation behind every builder
 /// and fallback path.
-pub fn validate_instance(q: &Cq, db: &Database) -> Result<(), BuildError> {
+pub(crate) fn validate_instance(q: &Cq, db: &Database) -> Result<(), BuildError> {
     for atom in q.atoms() {
         let rel = db
             .get(&atom.relation)
@@ -49,7 +65,7 @@ pub fn validate_instance(q: &Cq, db: &Database) -> Result<(), BuildError> {
 /// distinct relation symbols (self-joins are materialized as copies),
 /// no repeated variables within an atom (resolved by filtering), and
 /// set-semantics relations matching atom arities.
-pub fn normalize_instance(q: &Cq, db: &Database) -> Result<(Cq, Database), BuildError> {
+pub(crate) fn normalize_instance(q: &Cq, db: &Database) -> Result<(Cq, Database), BuildError> {
     let (nq, rels) = normalize_relations(q, db)?;
     let mut out_db = Database::new();
     for rel in rels {
@@ -195,13 +211,7 @@ pub(crate) fn full_reduce<R: SemijoinTarget>(tree: &JoinTree, vars: &[Vec<VarId>
         if p == usize::MAX {
             continue;
         }
-        let shared: Vec<VarId> = vars[p]
-            .iter()
-            .copied()
-            .filter(|v| vars[i].contains(v))
-            .collect();
-        let pk = positions_of(&vars[p], &shared);
-        let ck = positions_of(&vars[i], &shared);
+        let (pk, ck) = shared_positions(&vars[p], &vars[i]);
         let (target, child) = pair_mut(rels, p, i);
         target.semijoin_on(&pk, child, &ck);
     }
@@ -211,13 +221,7 @@ pub(crate) fn full_reduce<R: SemijoinTarget>(tree: &JoinTree, vars: &[Vec<VarId>
         if p == usize::MAX {
             continue;
         }
-        let shared: Vec<VarId> = vars[i]
-            .iter()
-            .copied()
-            .filter(|v| vars[p].contains(v))
-            .collect();
-        let ck = positions_of(&vars[i], &shared);
-        let pk = positions_of(&vars[p], &shared);
+        let (ck, pk) = shared_positions(&vars[i], &vars[p]);
         let (target, par) = pair_mut(rels, i, p);
         target.semijoin_on(&ck, par, &pk);
     }
@@ -226,14 +230,14 @@ pub(crate) fn full_reduce<R: SemijoinTarget>(tree: &JoinTree, vars: &[Vec<VarId>
 /// Result of reducing a free-connex CQ to a full acyclic CQ over its
 /// free variables (Proposition 2.3), with `Q'(I') = Q(I)`.
 #[derive(Debug, Clone)]
-pub struct FullReduction {
+pub(crate) struct FullReduction {
     /// The full CQ `Q'`; atoms are named `N0, N1, …` and its variables
     /// are exactly `free(Q)` (same [`VarId`]s as the input query).
-    pub query: Cq,
+    pub(crate) query: Cq,
     /// The database `I'` for `Q'`.
-    pub db: Database,
+    pub(crate) db: Database,
     /// `true` when the semijoin reduction already proves `Q(I) = ∅`.
-    pub known_empty: bool,
+    pub(crate) known_empty: bool,
 }
 
 /// Proposition 2.3 / Lemma 3.10: reduce a free-connex `q` over `db` to a
@@ -241,7 +245,7 @@ pub struct FullReduction {
 /// must already be normalized ([`normalize_instance`]).
 ///
 /// Returns `None` if `q` is not free-connex.
-pub fn reduce_to_full(q: &Cq, db: &Database) -> Option<FullReduction> {
+pub(crate) fn reduce_to_full(q: &Cq, db: &Database) -> Option<FullReduction> {
     let free = q.free_set();
     let ext: ExtConnexTree = ext_connex_tree(&q.hypergraph(), free)?;
 

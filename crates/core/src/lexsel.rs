@@ -5,97 +5,92 @@
 //! algorithm (Lemma 6.6) assigns the order's variables one at a time:
 //! it counts, for each value of the next variable, how many answers
 //! agree with the assignment so far (Lemma 6.5's histogram, a counting
-//! DP over a join tree), selects the value containing weighted rank `k`
-//! without sorting (weighted selection), filters the relations, and
-//! recurses. Each round is expected O(n) and there are constantly many
-//! rounds, giving the paper's ⟨1, n⟩.
+//! DP over a join tree), picks the value holding rank `k`, filters the
+//! relations, and recurses. Each round is O(n) and there are constantly
+//! many rounds, giving the paper's ⟨1, n⟩.
+//!
+//! Everything runs on the snapshot's dictionary-encoded relations.
+//! Preparing (behind [`crate::SelectionLexHandle::new`]) does what does
+//! not depend on `k` once — validation, classification, FD check and
+//! extension, the reduction to a full query ([`crate::snapprep`]), the
+//! join tree, one counting pass for the answer count — and a selection
+//! ([`crate::SelectionLexHandle::select_once`]) is only the rounds.
+//! Codes are dense order-preserving ranks, so a histogram is a dense
+//! `code → count` table that comes out already in value order: the
+//! value holding rank `k` is one prefix scan, no weighted selection and
+//! no sort. [`rda_db::Value`]s are touched only to decode the answer.
 
+use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
-use crate::fdtransform::{check_fds, extend_instance};
-use crate::instance::{normalize_instance, positions_of, reduce_to_full};
-use rda_db::{Database, Relation, Tuple, Value};
-use rda_orderstat::weighted_select;
-use rda_query::classify::{classify, Problem, Verdict};
+use crate::instance::shared_positions;
+use crate::snapprep::{dense_len, key_ids, prepare_reduced};
+use rda_db::{EncodedRelation, Snapshot, Tuple};
+use rda_query::classify::Problem;
 use rda_query::connex::complete_order;
-use rda_query::fd::{fd_extension, fd_reordered_order, FdSet};
+use rda_query::fd::{fd_reordered_order, FdExtension, FdSet};
 use rda_query::gyo;
+use rda_query::hypergraph::Hypergraph;
+use rda_query::jointree::JoinTree;
 use rda_query::query::Cq;
 use rda_query::{VarId, VarSet};
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::sync::Arc;
 
-/// Lemma 6.5: for each value `c` in the active domain of `var`, count the
-/// answers of the full acyclic query (`atom_vars[i]`/`rels[i]`) that
-/// assign `c` to `var`. Linear in the instance.
-fn histogram(atom_vars: &[Vec<VarId>], rels: &[Relation], var: VarId) -> Vec<(Value, u64)> {
-    let edges: Vec<VarSet> = atom_vars
+/// Lemma 6.5: for each code `c` of `var`, the number of answers of the
+/// full acyclic query (`atom_vars[i]` over `rels[i]`, joined along
+/// `tree`) that assign `c` to `var` — a dense `code → count` table, in
+/// value order because codes are. Linear in the instance.
+///
+/// A bottom-up counting DP from the atom holding `var`: a row's weight
+/// is the product, over the node's children, of the summed weight of
+/// the child's rows agreeing with it, and each node's sums are a flat
+/// table over the [`key_ids`] it shares with its parent. Counts are
+/// `u128` and saturate: over a fully reduced instance a saturated count
+/// can only grow towards the root, so it shows in the total.
+fn histogram(
+    tree: &JoinTree,
+    atom_vars: &[Vec<VarId>],
+    rels: &[Cow<'_, EncodedRelation>],
+    var: VarId,
+) -> Vec<u128> {
+    let (root, var_pos) = atom_vars
         .iter()
-        .map(|vs| vs.iter().copied().collect())
-        .collect();
-    let h = rda_query::hypergraph::Hypergraph::new(edges);
-    let tree = gyo::join_tree(&h).expect("reduced query is acyclic");
-    let root = atom_vars
-        .iter()
-        .position(|vs| vs.contains(&var))
+        .enumerate()
+        .find_map(|(i, vs)| Some((i, vs.iter().position(|&u| u == var)?)))
         .expect("every free variable occurs in some reduced atom");
     let (parent, order) = tree.rooted_at(root);
-
-    // Bottom-up counting DP: weight(t) = Π over children of the summed
-    // weight of the child's agreeing tuples.
-    let mut bucket_sums: Vec<HashMap<Tuple, u64>> = vec![HashMap::new(); rels.len()];
-    let mut tuple_weights: Vec<Vec<u64>> = vec![Vec::new(); rels.len()];
+    let mut sums: Vec<Vec<u128>> = vec![Vec::new(); rels.len()];
+    // Per node: each finished child with the ids of this node's rows
+    // in the child's table.
+    let mut children: Vec<Vec<(usize, Cow<'_, [u32]>)>> = vec![Vec::new(); rels.len()];
     for &i in order.iter().rev() {
-        let children: Vec<usize> = (0..rels.len()).filter(|&j| parent[j] == i).collect();
-        let child_keys: Vec<(usize, Vec<usize>)> = children
-            .iter()
-            .map(|&c| {
-                let shared: Vec<VarId> = atom_vars[c]
-                    .iter()
-                    .copied()
-                    .filter(|v| atom_vars[i].contains(v))
-                    .collect();
-                (c, positions_of(&atom_vars[i], &shared))
-            })
-            .collect();
-        let mut weights = Vec::with_capacity(rels[i].len());
-        for t in rels[i].tuples() {
-            let mut w: u64 = 1;
-            for (c, key_pos) in &child_keys {
-                let key = t.project(key_pos);
-                w = w.saturating_mul(bucket_sums[*c].get(&key).copied().unwrap_or(0));
-            }
-            weights.push(w);
+        let rel = rels[i].as_ref();
+        let (own, len) = if i == root {
+            let codes = rel.col(var_pos);
+            (Cow::Borrowed(codes), dense_len(codes))
+        } else {
+            let p = parent[i];
+            let (parent_keys, keys) = shared_positions(&atom_vars[p], &atom_vars[i]);
+            let ids = key_ids(rels[p].as_ref(), &parent_keys, rel, &keys);
+            children[p].push((i, ids.probe));
+            (ids.build, ids.len)
+        };
+        let mut table = vec![0u128; len];
+        for (row, &id) in own.iter().enumerate() {
+            let w = children[i].iter().fold(1u128, |w, (c, ids)| {
+                w.saturating_mul(sums[*c].get(ids[row] as usize).copied().unwrap_or(0))
+            });
+            let slot = &mut table[id as usize];
+            *slot = slot.saturating_add(w);
         }
-        if parent[i] != usize::MAX {
-            let shared: Vec<VarId> = atom_vars[i]
-                .iter()
-                .copied()
-                .filter(|v| atom_vars[parent[i]].contains(v))
-                .collect();
-            let my_key = positions_of(&atom_vars[i], &shared);
-            let mut sums: HashMap<Tuple, u64> = HashMap::new();
-            for (t, &w) in rels[i].tuples().iter().zip(&weights) {
-                *sums.entry(t.project(&my_key)).or_insert(0) += w;
-            }
-            bucket_sums[i] = sums;
-        }
-        tuple_weights[i] = weights;
+        sums[i] = table;
     }
-
-    // Aggregate root weights per value of `var`.
-    let vp = atom_vars[root]
-        .iter()
-        .position(|&v| v == var)
-        .expect("var in root");
-    let mut counts: HashMap<Value, u64> = HashMap::new();
-    for (t, &w) in rels[root].tuples().iter().zip(&tuple_weights[root]) {
-        *counts.entry(t[vp].clone()).or_insert(0) += w;
-    }
-    counts.into_iter().collect()
+    std::mem::take(&mut sums[root])
 }
 
-/// Head positions realizing the completed internal order for comparing
-/// answers, or `None` when the restriction to head variables is not
-/// sound.
+/// Head positions realizing the completed internal `order` for
+/// comparing answers, or `None` when the restriction to head variables
+/// is not sound.
 ///
 /// Restricting the completed order to the original head variables
 /// induces the same total order on answers **iff** every promoted
@@ -106,47 +101,32 @@ fn histogram(atom_vars: &[Vec<VarId>], rels: &[Relation], var: VarId) -> Vec<(Va
 /// guarantees this inside the requested prefix, but the completion
 /// tail orders variables with no FD awareness, so out-of-prefix
 /// promotions can violate it.
-pub(crate) fn comparator_positions(
-    q: &Cq,
-    lex: &[VarId],
-    fds: &FdSet,
-) -> Result<Option<Vec<usize>>, BuildError> {
-    crate::lexda::validate_lex(q, lex)?;
-    let nq = crate::instance::normalize_query(q);
-    let ext = fd_extension(&nq, fds);
-    let l_plus = fd_reordered_order(&ext, lex);
-    let order = complete_over_free(&ext.query, &l_plus);
-
-    let original_free = nq.free_set();
+fn comparator_positions(ext: &FdExtension, order: &[VarId]) -> Option<Vec<usize>> {
+    let head = ext.original.free();
+    let original_free = ext.original.free_set();
     let mut seen = VarSet::EMPTY;
-    for &v in &order {
-        if !original_free.contains(v) {
-            // Promoted variable: sound only if some determiner of `v`
-            // already occurred (induction: earlier agreement implies
-            // agreement on `v`).
-            let determined = ext
+    for &v in order {
+        // A promoted variable is sound only if some determiner of it
+        // already occurred (induction: earlier agreement implies
+        // agreement on `v`).
+        let sound = original_free.contains(v)
+            || ext
                 .fds
                 .iter()
                 .any(|fd| fd.rhs == v && seen.contains(fd.lhs));
-            if !determined {
-                return Ok(None);
-            }
+        if !sound {
+            return None;
         }
         seen = seen.with(v);
     }
-    Ok(Some(
-        order
-            .iter()
-            .filter_map(|v| nq.free().iter().position(|f| f == v))
-            .collect(),
-    ))
+    let of_head = |v| head.iter().position(|f| f == v);
+    Some(order.iter().filter_map(of_head).collect())
 }
 
 /// Complete the (FD-reordered) prefix over all of `free(Q⁺)`: the
 /// Lemma 4.4 completion when a trio-free one exists (so results agree
 /// with `LexDirectAccess`), otherwise the remaining variables in VarId
-/// order. The single definition keeps [`comparator_positions`] and
-/// [`selection_lex_impl`] sorting by the same total order.
+/// order (selection does not need trio-freeness).
 fn complete_over_free(qp: &Cq, l_plus: &[VarId]) -> Vec<VarId> {
     complete_order(qp, l_plus).unwrap_or_else(|| {
         let mut o = l_plus.to_vec();
@@ -156,98 +136,126 @@ fn complete_over_free(qp: &Cq, l_plus: &[VarId]) -> Vec<VarId> {
     })
 }
 
-/// Theorem 6.1 / 8.22: the answer of `q` over `db` at index `k` when
-/// the answers are sorted by the (possibly partial) lexicographic order
-/// `lex` (ties broken by a fixed completion of the order), or
-/// `Ok(None)` ("out-of-bound") when `k ≥ |Q(I)|`. Expected O(n) per
-/// call, nothing cached — the raw operation behind the engine's
-/// [`crate::SelectionLexHandle`], which is the public route to it.
-pub(crate) fn selection_lex_impl(
-    q: &Cq,
-    db: &Database,
-    lex: &[VarId],
-    k: u64,
-    fds: &FdSet,
-) -> Result<Option<Tuple>, BuildError> {
-    crate::lexda::validate_lex(q, lex)?;
-    if !fds.is_empty() && !q.is_self_join_free() {
-        return Err(BuildError::InvalidOrder(
-            "functional dependencies require a self-join-free query".to_string(),
-        ));
-    }
-    match classify(q, fds, &Problem::SelectionLex(lex.to_vec())) {
-        Verdict::Tractable { .. } => {}
-        v => return Err(BuildError::NotTractable(v)),
-    }
+/// A query prepared for selection by a (possibly partial) lexicographic
+/// order (Theorem 6.1 / 8.22): the fully reduced instance in code
+/// space, its join tree, the completed order and the answer count.
+/// Ties of a partial order are broken by the fixed completion. The raw
+/// operation behind the engine's [`crate::SelectionLexHandle`], which
+/// is the public route to it.
+pub(crate) struct LexSelection {
+    snap: Arc<Snapshot>,
+    head: Vec<VarId>,
+    /// The completed order over `free(Q⁺)`.
+    order: Vec<VarId>,
+    var_slots: usize,
+    /// The reduced full query: variables and relation per atom.
+    atom_vars: Vec<Vec<VarId>>,
+    rels: Vec<EncodedRelation>,
+    tree: JoinTree,
+    total: u64,
+    /// See [`comparator_positions`].
+    pub(crate) cmp_positions: Option<Vec<usize>>,
+    cost: BuildCost,
+}
 
-    let (nq, ndb) = normalize_instance(q, db)?;
-    check_fds(&nq, &ndb, fds)?;
-    let ext = fd_extension(&nq, fds);
-    let idb = extend_instance(&ext, &ndb)?;
-    let qp = ext.query.clone();
-    let l_plus = fd_reordered_order(&ext, lex);
-
-    let red =
-        reduce_to_full(&qp, &idb).expect("classification guarantees the extension is free-connex");
-    if red.known_empty {
-        return Ok(None);
-    }
-
-    // Complete the order over all free variables (selection does not
-    // need trio-freeness).
-    let order = complete_over_free(&qp, &l_plus);
-
-    if order.is_empty() {
-        // Boolean query with a non-empty join.
-        return Ok((k == 0).then(|| Tuple::new(vec![])));
-    }
-
-    let atom_vars: Vec<Vec<VarId>> = red.query.atoms().iter().map(|a| a.terms.clone()).collect();
-    let mut rels: Vec<Relation> = red
-        .query
-        .atoms()
-        .iter()
-        .map(|a| {
-            red.db
-                .get(&a.relation)
-                .expect("reduced relation exists")
-                .clone()
-        })
-        .collect();
-
-    let mut k = k;
-    let mut assignment: Vec<Option<Value>> = vec![None; qp.var_count()];
-    for &v in &order {
-        let counts = histogram(&atom_vars, &rels, v);
-        let Some((idx, before)) = weighted_select(&counts, k, Value::cmp) else {
-            return Ok(None); // k out of bounds (only possible on round one)
+impl LexSelection {
+    /// Everything that does not depend on the rank. Fails on an
+    /// invalid order, on the intractable side of the dichotomy, on an
+    /// instance that does not fit the query or violates an FD, and with
+    /// [`BuildError::CountOverflow`] when the answer count does not fit
+    /// in `u64`.
+    pub(crate) fn prepare(
+        q: &Cq,
+        snap: &Arc<Snapshot>,
+        lex: &[VarId],
+        fds: &FdSet,
+    ) -> Result<Self, BuildError> {
+        crate::lexda::validate_lex(q, lex)?;
+        let (ext, red, mut cost) =
+            prepare_reduced(q, snap, fds, &Problem::SelectionLex(lex.to_vec()))?;
+        let mut clock = PhaseClock::start();
+        let order = complete_over_free(&ext.query, &fd_reordered_order(&ext, lex));
+        let atom_vars: Vec<Vec<VarId>> =
+            red.query.atoms().iter().map(|a| a.terms.clone()).collect();
+        let edges = red.query.atoms().iter().map(|a| a.var_set()).collect();
+        let tree = gyo::join_tree(&Hypergraph::new(edges)).expect("reduced query is acyclic");
+        let total = match order.first() {
+            // Boolean head: one (empty) answer iff the join is non-empty.
+            None => u128::from(!red.known_empty),
+            Some(&v) => {
+                let rels: Vec<_> = red.rels.iter().map(Cow::Borrowed).collect();
+                histogram(&tree, &atom_vars, &rels, v)
+                    .iter()
+                    .fold(0, |n: u128, &c| n.saturating_add(c))
+            }
         };
-        let value = counts[idx].0.clone();
-        k -= before;
-        assignment[v.index()] = Some(value.clone());
-        for (vs, rel) in atom_vars.iter().zip(rels.iter_mut()) {
-            if let Some(p) = vs.iter().position(|&u| u == v) {
-                *rel = rel.select_eq(p, &value);
+        cost.dp_ns = clock.lap();
+        cost.hold(&red.rels);
+        Ok(LexSelection {
+            snap: Arc::clone(snap),
+            head: q.free().to_vec(),
+            cmp_positions: comparator_positions(&ext, &order),
+            order,
+            var_slots: ext.query.var_count(),
+            atom_vars,
+            rels: red.rels,
+            tree,
+            total: u64::try_from(total).map_err(|_| BuildError::CountOverflow)?,
+            cost,
+        })
+    }
+
+    /// Number of answers.
+    pub(crate) fn len(&self) -> u64 {
+        self.total
+    }
+
+    /// Arity of an answer.
+    pub(crate) fn arity(&self) -> usize {
+        self.head.len()
+    }
+
+    /// What [`LexSelection::prepare`] paid: `prep`, `reduce`, the
+    /// counting pass as `dp`, and the rows and bytes it holds.
+    pub(crate) fn cost(&self) -> &BuildCost {
+        &self.cost
+    }
+
+    /// The answer at index `k` of the completed order, or `None`
+    /// ("out-of-bound") when `k ≥ len()`: one histogram, one prefix scan
+    /// and one filter per order variable. All scratch is per call.
+    pub(crate) fn select(&self, k: u64) -> Option<Tuple> {
+        if k >= self.total {
+            return None;
+        }
+        let mut k = u128::from(k);
+        let mut rels: Vec<Cow<'_, EncodedRelation>> = self.rels.iter().map(Cow::Borrowed).collect();
+        let mut chosen = vec![0u32; self.var_slots];
+        for &v in &self.order {
+            let counts = histogram(&self.tree, &self.atom_vars, &rels, v);
+            // The rank is below the histogram's total, so the scan ends.
+            let mut code = 0;
+            while k >= counts[code] {
+                k -= counts[code];
+                code += 1;
+            }
+            let code = code as u32;
+            chosen[v.index()] = code;
+            for (vars, rel) in self.atom_vars.iter().zip(rels.iter_mut()) {
+                if let Some(p) = vars.iter().position(|&u| u == v) {
+                    *rel = Cow::Owned(rel.filter_col_range(p, code, Some(code + 1)));
+                }
             }
         }
+        let decode = |v: &VarId| self.snap.dict().value(chosen[v.index()]).clone();
+        Some(self.head.iter().map(decode).collect())
     }
-
-    Ok(Some(
-        q.free()
-            .iter()
-            .map(|v| {
-                assignment[v.index()]
-                    .clone()
-                    .expect("all free variables assigned")
-            })
-            .collect(),
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rda_db::tup;
+    use rda_db::{tup, Database};
     use rda_query::parser::parse;
 
     fn fig2_db() -> Database {
@@ -256,8 +264,12 @@ mod tests {
             .with_i64_rows("S", 2, vec![vec![5, 3], vec![5, 4], vec![5, 6], vec![2, 5]])
     }
 
+    fn prepare(q: &Cq, db: &Database, lex: &[&str], fds: &FdSet) -> LexSelection {
+        LexSelection::prepare(q, &db.clone().freeze(), &q.vars(lex), fds).unwrap()
+    }
+
     fn sel(q: &Cq, db: &Database, lex: &[&str], k: u64) -> Option<Tuple> {
-        selection_lex_impl(q, db, &q.vars(lex), k, &FdSet::empty()).unwrap()
+        prepare(q, db, lex, &FdSet::empty()).select(k)
     }
 
     #[test]
@@ -324,7 +336,12 @@ mod tests {
     #[test]
     fn non_free_connex_rejected() {
         let q = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
-        let r = selection_lex_impl(&q, &fig2_db(), &q.vars(&["x", "z"]), 0, &FdSet::empty());
+        let r = LexSelection::prepare(
+            &q,
+            &fig2_db().freeze(),
+            &q.vars(&["x", "z"]),
+            &FdSet::empty(),
+        );
         assert!(matches!(r, Err(BuildError::NotTractable(_))));
     }
 
@@ -338,12 +355,10 @@ mod tests {
             .with_i64_rows("R", 2, vec![vec![1, 10], vec![2, 20], vec![2, 10]])
             .with_i64_rows("S", 2, vec![vec![10, 7], vec![20, 8]]);
         // Answers: (1,7), (2,8), (2,7); by <x,z>: (1,7), (2,7), (2,8).
-        let lex = q.vars(&["x", "z"]);
-        let got: Vec<Tuple> = (0..3)
-            .map(|k| selection_lex_impl(&q, &db, &lex, k, &fds).unwrap().unwrap())
-            .collect();
+        let sel = prepare(&q, &db, &["x", "z"], &fds);
+        let got: Vec<Tuple> = (0..3).map(|k| sel.select(k).unwrap()).collect();
         assert_eq!(got, vec![tup![1, 7], tup![2, 7], tup![2, 8]]);
-        assert_eq!(selection_lex_impl(&q, &db, &lex, 3, &fds).unwrap(), None);
+        assert_eq!((sel.len(), sel.select(3)), (3, None));
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! [`Arc<Snapshot>`](rda_db::Snapshot) to a stateful [`Engine`].
 //! [`Engine::prepare`] classifies a query/order pair, routes it to
 //! native direct access (built straight from the snapshot's code
-//! space), a lazy selection-backed handle, or an explicit [`Policy`]
+//! space), a selection-backed handle, or an explicit [`Policy`]
 //! fallback, and memoizes the resulting
 //! [`Arc<AccessPlan>`](AccessPlan) in a bounded plan cache keyed by
 //! (query, order, FDs, policy). Plans are `Send + Sync`: one prepared
@@ -66,8 +66,8 @@ pub mod decompose;
 pub mod engine;
 pub mod error;
 pub mod fault;
-pub mod fdtransform;
-pub mod instance;
+mod fdtransform;
+mod instance;
 pub mod lexda;
 pub mod lexsel;
 pub mod plan;

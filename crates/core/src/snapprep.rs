@@ -1,14 +1,15 @@
 //! Snapshot-side (code-space) instance preparation.
 //!
-//! The value-level preparation pipeline in [`crate::instance`] and
-//! [`crate::fdtransform`] — normalize, check FDs, FD-extend, reduce to
-//! full — re-reads and clones [`rda_db::Relation`]s on every build.
-//! This module is its dictionary-encoded twin: every step runs on the
-//! columnar `u32` relations a [`Snapshot`] encoded **once** at freeze
-//! time, borrowing them through [`Cow`] so a step that changes nothing
-//! (the common case: no repeated variables, no FDs, nothing dangling)
-//! costs no copy at all. Because the snapshot's dictionary is
-//! order-preserving, each step produces exactly the relations its
+//! The preparation every build and both selection algorithms run —
+//! normalize, check FDs, FD-extend, reduce to full — on the columnar
+//! `u32` relations a [`Snapshot`] encoded **once** at freeze time,
+//! borrowing them through [`Cow`] so a step that changes nothing (the
+//! common case: no repeated variables, no FDs, nothing dangling) costs
+//! no copy at all. The value-level pipeline in `instance` and
+//! `fdtransform`, which re-reads and clones [`rda_db::Relation`]s, is
+//! its oracle: only the pre-arena reference structure and the
+//! differential tests still run it. Because the snapshot's dictionary
+//! is order-preserving, each step produces exactly the relations its
 //! value-level twin would, just in code space.
 //!
 //! The contract is observable from the outside: relations are encoded
@@ -34,11 +35,13 @@
 //! assert_eq!(relation_encode_count(), encoded_at_freeze);
 //! ```
 
+use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::instance::{full_reduce, normalize_query, positions_of, sorted_vars};
 use rda_db::{EncodedRelation, Snapshot};
+use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::connex::{ext_connex_tree, ExtConnexTree};
-use rda_query::fd::{ExtensionStep, Fd, FdExtension, FdSet};
+use rda_query::fd::{fd_extension, ExtensionStep, Fd, FdExtension, FdSet};
 use rda_query::query::{Atom, Cq};
 use rda_query::{VarId, VarSet};
 use std::borrow::Cow;
@@ -52,6 +55,13 @@ pub(crate) type EncRel<'a> = Cow<'a, EncodedRelation>;
 /// Marks, in a dense FD table, a determinant code no row carries.
 const NO_CODE: u32 = u32::MAX;
 
+/// The length of a dense table indexed by the codes of `codes`: one
+/// past the largest. Codes are dictionary ranks, so this stays at or
+/// below the dictionary's length.
+pub(crate) fn dense_len(codes: &[u32]) -> usize {
+    codes.iter().max().map_or(0, |&m| m as usize + 1)
+}
+
 /// The FD `lhs → rhs` of `rel` (columns `lp`, `rp`) as a dense
 /// code-indexed table: `table[code(u)] = code(v)` for every row
 /// `(u, v)`, [`NO_CODE`] elsewhere. Codes are dense dictionary ranks,
@@ -60,7 +70,7 @@ const NO_CODE: u32 = u32::MAX;
 /// disagree on a determinant's image.
 fn fd_table(rel: &EncodedRelation, lp: usize, rp: usize, fd: &Fd) -> Result<Vec<u32>, BuildError> {
     let (lhs, rhs) = (rel.col(lp), rel.col(rp));
-    let mut table = vec![NO_CODE; lhs.iter().max().map_or(0, |&m| m as usize + 1)];
+    let mut table = vec![NO_CODE; dense_len(lhs)];
     for (&u, &v) in lhs.iter().zip(rhs) {
         let slot = &mut table[u as usize];
         if *slot != NO_CODE && *slot != v {
@@ -349,11 +359,109 @@ pub(crate) fn reduce_to_full_encoded(q: &Cq, rels: &[EncRel<'_>]) -> Option<Enco
     })
 }
 
+/// The id of a probe row whose join key no build row carries.
+const NO_KEY: u32 = u32::MAX;
+
+/// Dense ids for the join keys of two relations: a row of `probe` and a
+/// row of `build` get the same id exactly when they agree on the key
+/// columns, and every id of `build` is below `len` — so anything keyed
+/// by the join key is a flat table, whatever the key's width. A probe
+/// row without a partner gets an id no build row has.
+pub(crate) struct KeyIds<'a> {
+    pub(crate) probe: Cow<'a, [u32]>,
+    pub(crate) build: Cow<'a, [u32]>,
+    pub(crate) len: usize,
+}
+
+/// [`KeyIds`] of `probe` and `build` over their key columns. A
+/// one-column key is its own id (codes are dense dictionary ranks, so
+/// `len` stays below the dictionary's length) and nothing is copied;
+/// every further column is folded in by ranking `build`'s
+/// `(id so far, code)` words — one sort of `u64`s per extra column,
+/// whatever the width.
+pub(crate) fn key_ids<'a>(
+    probe: &'a EncodedRelation,
+    probe_keys: &[usize],
+    build: &'a EncodedRelation,
+    build_keys: &[usize],
+) -> KeyIds<'a> {
+    let (Some((&p0, p_rest)), Some((&b0, b_rest))) =
+        (probe_keys.split_first(), build_keys.split_first())
+    else {
+        // The empty key of a cross product: every row agrees.
+        return KeyIds {
+            probe: vec![0; probe.len()].into(),
+            build: vec![0; build.len()].into(),
+            len: 1,
+        };
+    };
+    let mut ids = KeyIds {
+        probe: Cow::Borrowed(probe.col(p0)),
+        build: Cow::Borrowed(build.col(b0)),
+        len: dense_len(build.col(b0)),
+    };
+    let word = |(&id, &code): (&u32, &u32)| u64::from(id) << 32 | u64::from(code);
+    for (&p, &b) in p_rest.iter().zip(b_rest) {
+        let words: Vec<u64> = ids.build.iter().zip(build.col(b)).map(word).collect();
+        let mut distinct = words.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let rank = |w: u64| distinct.binary_search(&w).map_or(NO_KEY, |i| i as u32);
+        ids = KeyIds {
+            probe: ids
+                .probe
+                .iter()
+                .zip(probe.col(p))
+                .map(word)
+                .map(rank)
+                .collect(),
+            build: words.iter().copied().map(rank).collect(),
+            len: distinct.len(),
+        };
+    }
+    ids
+}
+
+/// The preparation both selection algorithms share, none of it
+/// depending on the rank asked for: gate on the dichotomy for `problem`,
+/// then normalize, check and extend by the FDs, and reduce to a full
+/// acyclic query — all in the snapshot's code space. Returns the
+/// FD-extension (its `original` is the normalized query), the reduction,
+/// and the `prep`/`reduce` phase times.
+pub(crate) fn prepare_reduced(
+    q: &Cq,
+    snap: &Snapshot,
+    fds: &FdSet,
+    problem: &Problem,
+) -> Result<(FdExtension, EncodedReduction, BuildCost), BuildError> {
+    let mut clock = PhaseClock::start();
+    if !fds.is_empty() && !q.is_self_join_free() {
+        return Err(BuildError::InvalidOrder(
+            "functional dependencies require a self-join-free query".to_string(),
+        ));
+    }
+    match classify(q, fds, problem) {
+        Verdict::Tractable { .. } => {}
+        v => return Err(BuildError::NotTractable(v)),
+    }
+    let (nq, rels) = normalize_encoded(q, snap)?;
+    check_fds_encoded(&nq, &rels, fds)?;
+    let ext = fd_extension(&nq, fds);
+    let rels = extend_instance_encoded(&ext, &nq, rels)?;
+    let mut cost = BuildCost {
+        prep_ns: clock.lap(),
+        ..BuildCost::default()
+    };
+    let red = reduce_to_full_encoded(&ext.query, &rels)
+        .expect("classification guarantees the extension is free-connex");
+    cost.reduce_ns = clock.lap();
+    Ok((ext, red, cost))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rda_db::{tup, Database, Tuple};
-    use rda_query::fd::fd_extension;
     use rda_query::parser::parse;
 
     fn decoded(rel: &EncodedRelation, snap: &Snapshot) -> Vec<Tuple> {
@@ -490,6 +598,43 @@ mod tests {
             let mut expect: Vec<Tuple> = vrel.tuples().to_vec();
             expect.sort();
             assert_eq!(decoded(enc, &snap), expect, "atom {}", atom.relation);
+        }
+    }
+
+    /// Join-key ids against their definition, for every key width from
+    /// the empty key to six columns: equal ids iff equal keys, build
+    /// ids below `len`, and a probe row without a partner matches none.
+    #[test]
+    fn key_ids_are_equal_exactly_on_equal_keys() {
+        let rows = |seed: u32, n: u32| {
+            let mut rel = EncodedRelation::new(6);
+            for i in 0..n {
+                let x = i.wrapping_mul(2654435761).wrapping_add(seed);
+                // The last column reaches 9 on the probe side only.
+                let last = if seed == 1 { x % 10 } else { x % 3 };
+                rel.push_row(&[x % 3, (x >> 3) % 2, 7, (x >> 5) % 3, (x >> 7) % 2, last]);
+            }
+            rel
+        };
+        let (probe, build) = (rows(1, 40), rows(2, 25));
+        for width in 0..=6 {
+            let keys: Vec<usize> = (6 - width..6).collect();
+            let ids = key_ids(&probe, &keys, &build, &keys);
+            let key = |rel: &EncodedRelation, r: usize| -> Vec<u32> {
+                keys.iter().map(|&p| rel.code(r, p)).collect()
+            };
+            assert!(ids.build.iter().all(|&id| (id as usize) < ids.len));
+            for (r, &id) in ids.probe.iter().enumerate() {
+                for (s, &other) in ids.build.iter().enumerate() {
+                    let same = key(&probe, r) == key(&build, s);
+                    assert_eq!(id == other, same, "width {width} rows {r}/{s}");
+                }
+            }
+            for (r, &id) in ids.build.iter().enumerate() {
+                for (s, &other) in ids.build.iter().enumerate() {
+                    assert_eq!(id == other, key(&build, r) == key(&build, s));
+                }
+            }
         }
     }
 

@@ -1,310 +1,355 @@
 //! Selection by sum-of-weights orders (Section 7, Theorems 7.3/8.10).
 //!
 //! Tractable iff the (FD-extended) query is free-connex with at most two
-//! free-maximal hyperedges. The algorithm:
+//! free-maximal hyperedges. The algorithm, on the snapshot's
+//! dictionary-encoded relations:
 //!
 //! 1. reduce to a full acyclic query over the free variables
-//!    (Proposition 2.3);
+//!    (Proposition 2.3, [`crate::snapprep`]);
 //! 2. contract it maximally (Definition 7.5), replaying each step on the
-//!    instance (Lemma 7.7): absorbed atoms semijoin-filter their
-//!    absorber, absorbed variables pack into [`Value::Pair`]s whose
-//!    weight is the sum of the packed weights;
-//! 3. one atom left (Lemma 7.8): expected-linear quickselect on tuple
-//!    weights; two atoms left (Lemma 7.10): bucket by the join key and
-//!    select over a union of implicit sorted matrices (Theorem 7.9);
-//! 4. unpack the chosen tuples back into an answer.
+//!    instance (Lemma 7.7): an absorbed atom semijoin-filters its
+//!    absorber; an absorbed variable moves no data — it is a column that
+//!    travels with its absorber, and a row's weight is the sum of the
+//!    weights of the columns assigned to its atom, read from a dense
+//!    `code → weight` table per column;
+//! 3. one atom left (Lemma 7.8): expected-linear quickselect on row
+//!    weights; two atoms left (Lemma 7.10): bucket both by the join key
+//!    and select over a union of implicit sorted matrices (Theorem 7.9);
+//! 4. decode the chosen rows into an answer.
+//!
+//! Steps 1–2, the row weights and the weight-sorted buckets do not
+//! depend on the rank: preparing (behind
+//! [`crate::SelectionSumHandle::new`]) computes them once and a
+//! selection ([`crate::SelectionSumHandle::select_once`]) is steps 3–4
+//! alone.
 
+use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
-use crate::fdtransform::{check_fds, extend_instance};
-use crate::instance::{normalize_instance, positions_of, reduce_to_full};
+use crate::instance::{pair_mut, positions_of, shared_positions};
+use crate::snapprep::{dense_len, key_ids, prepare_reduced};
 use crate::weights::Weights;
-use rda_db::{Database, Relation, Tuple, Value};
+use rda_db::{EncodedRelation, Snapshot, Tuple};
 use rda_orderstat::select::select_nth_by;
 use rda_orderstat::{MatrixUnion, SortedMatrix, TotalF64};
-use rda_query::classify::{classify, Problem, Verdict};
+use rda_query::classify::Problem;
 use rda_query::contraction::{maximal_contraction, ContractionStep};
-use rda_query::fd::{fd_extension, FdSet};
+use rda_query::fd::FdSet;
 use rda_query::query::Cq;
-use rda_query::VarId;
-use std::collections::HashMap;
+use rda_query::{VarId, VarSet};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// Per-variable weight table over active domains, updated as values pack.
-type WMap = HashMap<(VarId, Value), TotalF64>;
+/// Rows of one relation as `(weight, row)`, ascending.
+type WeightedRows = Vec<(TotalF64, u32)>;
 
-/// Tuples of one relation tagged with their weights, sorted ascending.
-type WeightedSide = Vec<(TotalF64, Tuple)>;
+/// What is left of the query after the maximal contraction.
+enum Shape {
+    /// No atom: a Boolean head (one empty answer iff the join is not
+    /// empty).
+    Empty,
+    /// One atom (Lemma 7.8): its row weights.
+    Single(Vec<TotalF64>),
+    /// Two atoms (Lemma 7.10): both sides sorted by (join-key bucket,
+    /// weight), the row ranges of each bucket present on both sides,
+    /// and one implicit sorted matrix per bucket.
+    Pair {
+        sides: [WeightedRows; 2],
+        buckets: Vec<[Range<usize>; 2]>,
+        union: MatrixUnion<TotalF64>,
+    },
+}
 
-/// Theorem 7.3 / 8.10: the answer at index `k` when the answers of `q`
-/// over `db` are sorted by total weight under `w`, together with that
-/// weight. Ties on equal weight are broken arbitrarily: the returned
-/// answer is guaranteed to have the k-th smallest answer weight.
-/// `Ok(None)` means "out-of-bound". The raw operation behind the
-/// engine's [`crate::SelectionSumHandle`], which is the public route
-/// to it.
-pub(crate) fn selection_sum_impl(
-    q: &Cq,
-    db: &Database,
-    w: &Weights,
-    k: u64,
-    fds: &FdSet,
-) -> Result<Option<(TotalF64, Tuple)>, BuildError> {
-    if !fds.is_empty() && !q.is_self_join_free() {
-        return Err(BuildError::InvalidOrder(
-            "functional dependencies require a self-join-free query".to_string(),
-        ));
-    }
-    match classify(q, fds, &Problem::SelectionSum) {
-        Verdict::Tractable { .. } => {}
-        v => return Err(BuildError::NotTractable(v)),
-    }
+/// A query prepared for selection by the sum of its attribute weights
+/// (Theorem 7.3 / 8.10). Ties on equal weight are broken arbitrarily:
+/// the selected answer is guaranteed to have the k-th smallest answer
+/// weight. The raw operation behind the engine's
+/// [`crate::SelectionSumHandle`], which is the public route to it.
+pub(crate) struct SumSelection {
+    snap: Arc<Snapshot>,
+    head: Vec<VarId>,
+    weights: Weights,
+    /// The atoms the contraction left (at most two), all their columns.
+    rels: Vec<EncodedRelation>,
+    /// Per head position: the atom of `rels` and the column it decodes
+    /// from.
+    out: Vec<(usize, usize)>,
+    shape: Shape,
+    total: u64,
+    cost: BuildCost,
+}
 
-    let (nq, ndb) = normalize_instance(q, db)?;
-    check_fds(&nq, &ndb, fds)?;
-    let ext = fd_extension(&nq, fds);
-    let idb = extend_instance(&ext, &ndb)?;
-    let qp = ext.query.clone();
-    let original_free = q.free().to_vec();
-
-    let red =
-        reduce_to_full(&qp, &idb).expect("classification guarantees the extension is free-connex");
-    if red.known_empty {
-        return Ok(None);
-    }
-    if red.query.atoms().is_empty() {
-        // Boolean query with a non-empty join.
-        return Ok((k == 0).then(|| (TotalF64(0.0), Tuple::new(vec![]))));
-    }
-
-    // Materialize per-variable weights over active domains. Weights range
-    // over the *original* free variables; promoted variables weigh 0.
-    let mut wmap: WMap = HashMap::new();
-    let original_set: rda_query::VarSet = original_free.iter().copied().collect();
-    for atom in red.query.atoms() {
-        let rel = red.db.get(&atom.relation).expect("reduced relation");
-        for t in rel.tuples() {
-            for (p, &v) in atom.terms.iter().enumerate() {
-                let weight = if original_set.contains(v) {
-                    w.get(v, &t[p])
-                } else {
-                    TotalF64(0.0)
-                };
-                wmap.insert((v, t[p].clone()), weight);
+impl SumSelection {
+    /// Everything that does not depend on the rank. Fails on the
+    /// intractable side of the dichotomy, on an instance that does not
+    /// fit the query or violates an FD, and with
+    /// [`BuildError::CountOverflow`] when the answer count does not fit
+    /// in `u64`.
+    pub(crate) fn prepare(
+        q: &Cq,
+        snap: &Arc<Snapshot>,
+        weights: Weights,
+        fds: &FdSet,
+    ) -> Result<Self, BuildError> {
+        let (_, red, mut cost) = prepare_reduced(q, snap, fds, &Problem::SelectionSum)?;
+        let mut clock = PhaseClock::start();
+        let atoms = red.query.atoms();
+        let index_of = |name: &str| {
+            atoms
+                .iter()
+                .position(|a| a.relation == name)
+                .expect("the contraction names atoms of the reduced query")
+        };
+        // Contract maximally, replaying on the instance. Absorbing a
+        // variable never makes one atom contain another that it did not
+        // contain before (the two variables occur in the same atoms), so
+        // every absorbed atom is contained in its absorber over the full
+        // columns.
+        let contraction = maximal_contraction(&red.query);
+        let mut all_rels = red.rels;
+        for step in &contraction.steps {
+            if let ContractionStep::AbsorbAtom { removed, into } = step {
+                let (r, i) = (index_of(removed), index_of(into));
+                let keys = positions_of(&atoms[i].terms, &atoms[r].terms);
+                let all: Vec<usize> = (0..atoms[r].terms.len()).collect();
+                let (absorber, absorbed) = pair_mut(&mut all_rels, i, r);
+                absorber.semijoin(&keys, absorbed, &all);
             }
         }
-    }
+        let kept: Vec<usize> = contraction
+            .query
+            .atoms()
+            .iter()
+            .map(|a| index_of(&a.relation))
+            .collect();
+        let rels: Vec<EncodedRelation> = kept
+            .iter()
+            .map(|&a| std::mem::replace(&mut all_rels[a], EncodedRelation::new(0)))
+            .collect();
 
-    // Contract maximally, replaying on the instance.
-    let contraction = maximal_contraction(&red.query);
-    let mut schemas: HashMap<String, Vec<VarId>> = red
-        .query
-        .atoms()
-        .iter()
-        .map(|a| (a.relation.clone(), a.terms.clone()))
-        .collect();
-    let mut rels: HashMap<String, Relation> = red
-        .query
-        .atoms()
-        .iter()
-        .map(|a| {
-            (
-                a.relation.clone(),
-                red.db.get(&a.relation).expect("reduced").clone(),
-            )
-        })
-        .collect();
-    for step in &contraction.steps {
-        match step {
-            ContractionStep::AbsorbAtom { removed, into } => {
-                let removed_terms = schemas[removed].clone();
-                let removed_rel = rels[removed].clone();
-                let into_terms = schemas[into].clone();
-                let self_keys = positions_of(&into_terms, &removed_terms);
-                let other_keys: Vec<usize> = (0..removed_terms.len()).collect();
-                rels.get_mut(into).expect("absorber exists").semijoin(
-                    &self_keys,
-                    &removed_rel,
-                    &other_keys,
-                );
-                schemas.remove(removed);
-                rels.remove(removed);
-            }
-            ContractionStep::AbsorbVar { removed, into } => {
-                for (name, terms) in schemas.iter_mut() {
-                    let Some(rp) = terms.iter().position(|t| t == removed) else {
-                        continue;
-                    };
-                    let up = terms
-                        .iter()
-                        .position(|t| t == into)
-                        .expect("absorbed variables share exactly the same atoms");
-                    let rel = rels.get_mut(name).expect("schema and relation in sync");
-                    let mut tuples = Vec::with_capacity(rel.len());
-                    for t in rel.tuples() {
-                        let packed = Value::pair(t[up].clone(), t[rp].clone());
-                        let wu = wmap[&(*into, t[up].clone())];
-                        let wv = wmap[&(*removed, t[rp].clone())];
-                        wmap.insert((*into, packed.clone()), wu + wv);
-                        let new_t: Tuple = t
-                            .iter()
-                            .enumerate()
-                            .filter(|&(p, _)| p != rp)
-                            .map(|(p, v)| if p == up { packed.clone() } else { v.clone() })
-                            .collect();
-                        tuples.push(new_t);
-                    }
-                    let arity = terms.len() - 1;
-                    let mut new_rel = Relation::from_tuples(name.clone(), arity, tuples);
-                    new_rel.normalize();
-                    *rel = new_rel;
-                    terms.remove(rp);
+        // Row weights. Every variable weighs in the first atom left that
+        // holds it; weights range over the original free variables, so
+        // promoted variables weigh nothing. One dense `code → weight`
+        // table per weighing column, alive while the column is summed.
+        let head = q.free().to_vec();
+        let original: VarSet = head.iter().copied().collect();
+        let dict = snap.dict();
+        let mut weighed = VarSet::EMPTY;
+        let mut row_weights: Vec<Vec<TotalF64>> = Vec::with_capacity(rels.len());
+        for (&a, rel) in kept.iter().zip(&rels) {
+            let mut sums = vec![TotalF64(0.0); rel.len()];
+            for (p, &v) in atoms[a].terms.iter().enumerate() {
+                if weighed.contains(v) || !original.contains(v) {
+                    continue;
+                }
+                weighed = weighed.with(v);
+                let codes = rel.col(p);
+                let mut table: Vec<Option<TotalF64>> = vec![None; dense_len(codes)];
+                for (sum, &c) in sums.iter_mut().zip(codes) {
+                    let w = table[c as usize].get_or_insert_with(|| weights.get(v, dict.value(c)));
+                    *sum = *sum + *w;
                 }
             }
+            row_weights.push(sums);
         }
-    }
-
-    // Tuple weights: assign every surviving variable to the first atom
-    // containing it.
-    let qm = &contraction.query;
-    let mut assigned: HashMap<VarId, usize> = HashMap::new();
-    for (ai, atom) in qm.atoms().iter().enumerate() {
-        for &v in &atom.terms {
-            assigned.entry(v).or_insert(ai);
-        }
-    }
-    let tuple_weight = |atom_idx: usize, t: &Tuple| -> TotalF64 {
-        let atom = &qm.atoms()[atom_idx];
-        atom.terms
+        let first_holder = |v: &VarId| {
+            let at = |(side, &a): (usize, &usize)| Some((side, atoms[a].position_of(*v)?));
+            kept.iter().enumerate().find_map(at)
+        };
+        let out = head
             .iter()
-            .enumerate()
-            .filter(|&(_, v)| assigned[v] == atom_idx)
-            .map(|(p, v)| wmap[&(*v, t[p].clone())])
-            .sum()
-    };
+            .map(|v| first_holder(v).expect("every head variable is in an atom left"))
+            .collect();
 
-    let picked: Option<Vec<(usize, Tuple)>> = match qm.atoms().len() {
-        1 => select_single(qm, &rels, &tuple_weight, k),
-        2 => select_pair(qm, &schemas, &rels, &tuple_weight, k),
-        n => unreachable!("fmh ≤ 2 leaves at most two atoms, got {n}"),
-    };
-    let Some(picked) = picked else {
-        return Ok(None);
-    };
-
-    // Reconstruct the assignment over free(Q') and unpack.
-    let mut assignment: HashMap<VarId, Value> = HashMap::new();
-    for (atom_idx, t) in &picked {
-        for (p, &v) in qm.atoms()[*atom_idx].terms.iter().enumerate() {
-            assignment.insert(v, t[p].clone());
-        }
-    }
-    for step in contraction.steps.iter().rev() {
-        if let ContractionStep::AbsorbVar { removed, into } = step {
-            let packed = assignment[into].clone();
-            let (a, b) = packed.as_pair().expect("packed during contraction");
-            assignment.insert(*into, a.clone());
-            assignment.insert(*removed, b.clone());
-        }
-    }
-
-    let answer: Tuple = original_free
-        .iter()
-        .map(|v| assignment[v].clone())
-        .collect();
-    let weight = w.answer_weight(&original_free, answer.values());
-    Ok(Some((weight, answer)))
-}
-
-/// Lemma 7.8: one atom — quickselect over tuple weights.
-fn select_single(
-    qm: &Cq,
-    rels: &HashMap<String, Relation>,
-    tuple_weight: &dyn Fn(usize, &Tuple) -> TotalF64,
-    k: u64,
-) -> Option<Vec<(usize, Tuple)>> {
-    let rel = &rels[&qm.atoms()[0].relation];
-    let mut items: Vec<(TotalF64, Tuple)> = rel
-        .tuples()
-        .iter()
-        .map(|t| (tuple_weight(0, t), t.clone()))
-        .collect();
-    let chosen = select_nth_by(&mut items, k as usize, |a, b| a.cmp(b))?.clone();
-    Some(vec![(0, chosen.1)])
-}
-
-/// Lemma 7.10: two atoms — bucket by the join key, then select on a
-/// union of implicit sorted matrices.
-fn select_pair(
-    qm: &Cq,
-    schemas: &HashMap<String, Vec<VarId>>,
-    rels: &HashMap<String, Relation>,
-    tuple_weight: &dyn Fn(usize, &Tuple) -> TotalF64,
-    k: u64,
-) -> Option<Vec<(usize, Tuple)>> {
-    let a = &qm.atoms()[0];
-    let b = &qm.atoms()[1];
-    let a_terms = &schemas[&a.relation];
-    let b_terms = &schemas[&b.relation];
-    let join_vars: Vec<VarId> = a_terms
-        .iter()
-        .copied()
-        .filter(|v| b_terms.contains(v))
-        .collect();
-    let a_key = positions_of(a_terms, &join_vars);
-    let b_key = positions_of(b_terms, &join_vars);
-
-    // Bucketize and sort each side by tuple weight.
-    let mut buckets: HashMap<Tuple, (WeightedSide, WeightedSide)> = HashMap::new();
-    for t in rels[&a.relation].tuples() {
-        buckets
-            .entry(t.project(&a_key))
-            .or_default()
-            .0
-            .push((tuple_weight(0, t), t.clone()));
-    }
-    for t in rels[&b.relation].tuples() {
-        if let Some(entry) = buckets.get_mut(&t.project(&b_key)) {
-            entry.1.push((tuple_weight(1, t), t.clone()));
-        }
-    }
-    buckets.retain(|_, (av, bv)| !av.is_empty() && !bv.is_empty());
-    let mut sides: Vec<(WeightedSide, WeightedSide)> = Vec::new();
-    for (_, (mut av, mut bv)) in buckets {
-        av.sort_by_key(|x| x.0);
-        bv.sort_by_key(|x| x.0);
-        sides.push((av, bv));
-    }
-
-    let union = MatrixUnion::new(
-        sides
-            .iter()
-            .map(|(av, bv)| {
-                SortedMatrix::new(
-                    av.iter().map(|(w, _)| *w).collect(),
-                    bv.iter().map(|(w, _)| *w).collect(),
-                )
-            })
-            .collect(),
-    );
-    let lambda = union.select(k)?;
-
-    // Witness: find one (r, s) pair summing to lambda. Compare the sum
-    // itself (not `lambda - wa`) so floating-point equality is exact —
-    // lambda was produced as one of these very sums.
-    for (av, bv) in &sides {
-        for (wa, ta) in av {
-            let idx = bv.partition_point(|(wb, _)| *wa + *wb < lambda);
-            if idx < bv.len() && *wa + bv[idx].0 == lambda {
-                return Some(vec![(0, ta.clone()), (1, bv[idx].1.clone())]);
+        let (shape, total) = match rels.as_slice() {
+            [] => (Shape::Empty, u128::from(!red.known_empty)),
+            [rel] => (Shape::Single(row_weights.remove(0)), rel.len() as u128),
+            [a, b] => {
+                let (ka, kb) = shared_positions(&atoms[kept[0]].terms, &atoms[kept[1]].terms);
+                let ids = key_ids(a, &ka, b, &kb);
+                pair_shape([
+                    (&ids.probe[..], &row_weights[0][..]),
+                    (&ids.build[..], &row_weights[1][..]),
+                ])
             }
+            _ => unreachable!("fmh ≤ 2 leaves at most two atoms"),
+        };
+        cost.sort_ns = clock.lap();
+        cost.hold(&rels);
+        Ok(SumSelection {
+            snap: Arc::clone(snap),
+            head,
+            weights,
+            rels,
+            out,
+            shape,
+            total: u64::try_from(total).map_err(|_| BuildError::CountOverflow)?,
+            cost,
+        })
+    }
+
+    /// Number of answers.
+    pub(crate) fn len(&self) -> u64 {
+        self.total
+    }
+
+    /// The weight of `answer` (one value per head variable).
+    pub(crate) fn weight_of(&self, answer: &Tuple) -> Option<TotalF64> {
+        (answer.arity() == self.head.len())
+            .then(|| self.weights.answer_weight(&self.head, answer.values()))
+    }
+
+    /// What [`SumSelection::prepare`] paid: `prep`, `reduce`, the
+    /// contraction, weighing and bucket sort as `sort`, and the rows and
+    /// bytes it holds.
+    pub(crate) fn cost(&self) -> &BuildCost {
+        &self.cost
+    }
+
+    /// An answer with the k-th smallest weight, and that weight — or
+    /// `None` ("out-of-bound") when `k ≥ len()`.
+    pub(crate) fn select(&self, k: u64) -> Option<(TotalF64, Tuple)> {
+        if k >= self.total {
+            return None;
+        }
+        // The chosen row of each atom left.
+        let rows: [u32; 2] = match &self.shape {
+            Shape::Empty => [0, 0],
+            Shape::Single(weights) => {
+                let mut items: WeightedRows = weights.iter().copied().zip(0..).collect();
+                let nth = select_nth_by(&mut items, k as usize, Ord::cmp);
+                [nth.expect("the rank is below the row count").1, 0]
+            }
+            Shape::Pair {
+                sides: [a, b],
+                buckets,
+                union,
+            } => {
+                let lambda = union.select(k).expect("the rank is below the cell count");
+                // Witness: one pair of rows summing to lambda. Compare
+                // the sum itself (not `lambda - wa`) so floating-point
+                // equality is exact — lambda is one of these very sums.
+                buckets
+                    .iter()
+                    .find_map(|[ra, rb]| {
+                        let bs = &b[rb.clone()];
+                        a[ra.clone()].iter().find_map(|&(wa, row_a)| {
+                            let i = bs.partition_point(|&(wb, _)| wa + wb < lambda);
+                            (i < bs.len() && wa + bs[i].0 == lambda).then(|| [row_a, bs[i].1])
+                        })
+                    })
+                    .expect("a selected weight always has a witness pair")
+            }
+        };
+        Some(self.answer(rows))
+    }
+
+    /// The answer made of row `rows[i]` of the i-th atom left, and its
+    /// weight: [`Weights::answer_weight`] of the decoded answer.
+    pub(crate) fn answer(&self, rows: [u32; 2]) -> (TotalF64, Tuple) {
+        let decode = |&(side, p): &(usize, usize)| {
+            let code = self.rels[side].code(rows[side] as usize, p);
+            self.snap.dict().value(code).clone()
+        };
+        let answer: Tuple = self.out.iter().map(decode).collect();
+        (
+            self.weights.answer_weight(&self.head, answer.values()),
+            answer,
+        )
+    }
+
+    /// Every answer, as its rows in the atoms left, ascending by
+    /// (weight, answer) — the array tie plateaus are served from. The
+    /// one Θ(|out| log |out|) operation here; answers compare by their
+    /// codes, which order as their values do.
+    pub(crate) fn ranked_rows(&self) -> Vec<[u32; 2]> {
+        let mut all: Vec<(TotalF64, [u32; 2])> = match &self.shape {
+            Shape::Empty => vec![(TotalF64(0.0), [0, 0]); self.total as usize],
+            Shape::Single(weights) => {
+                let rows = weights.iter().zip(0..);
+                rows.map(|(&w, row)| (w, [row, 0])).collect()
+            }
+            Shape::Pair { sides, buckets, .. } => {
+                let [a, b] = sides;
+                let pairs = buckets.iter().flat_map(|[ra, rb]| {
+                    let bs = &b[rb.clone()];
+                    a[ra.clone()].iter().flat_map(move |&(wa, row_a)| {
+                        bs.iter().map(move |&(wb, row_b)| (wa + wb, [row_a, row_b]))
+                    })
+                });
+                pairs.collect()
+            }
+        };
+        let codes = |rows: [u32; 2]| {
+            let code =
+                move |&(side, p): &(usize, usize)| self.rels[side].code(rows[side] as usize, p);
+            self.out.iter().map(code)
+        };
+        all.sort_unstable_by(|x, y| x.0.cmp(&y.0).then_with(|| codes(x.1).cmp(codes(y.1))));
+        all.into_iter().map(|(_, rows)| rows).collect()
+    }
+}
+
+/// Lemma 7.10's bucketing: sort each side's rows by (join-key id,
+/// weight), pair up the id runs present on both sides, and give each
+/// pair an implicit sorted matrix. Also the number of cells — the
+/// answer count.
+fn pair_shape(sides: [(&[u32], &[TotalF64]); 2]) -> (Shape, u128) {
+    let [a, b] = sides.map(|(ids, weights)| {
+        let mut rows: Vec<(u32, TotalF64, u32)> = ids
+            .iter()
+            .zip(weights)
+            .zip(0..)
+            .map(|((&id, &w), row)| (id, w, row))
+            .collect();
+        rows.sort_unstable();
+        rows
+    });
+    let (mut buckets, mut matrices, mut total) = (Vec::new(), Vec::new(), 0u128);
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (ia, ib) = (a[i].0, b[j].0);
+        let i_end = i + a[i..].partition_point(|x| x.0 == ia);
+        let j_end = j + b[j..].partition_point(|x| x.0 == ib);
+        if ia == ib {
+            buckets.push([i..i_end, j..j_end]);
+            matrices.push(SortedMatrix::new(
+                a[i..i_end].iter().map(|x| x.1).collect(),
+                b[j..j_end].iter().map(|x| x.1).collect(),
+            ));
+            total += ((i_end - i) as u128) * ((j_end - j) as u128);
+        }
+        if ia <= ib {
+            i = i_end;
+        }
+        if ib <= ia {
+            j = j_end;
         }
     }
-    unreachable!("a selected weight always has a witness pair")
+    let strip = |rows: Vec<(u32, TotalF64, u32)>| rows.into_iter().map(|x| (x.1, x.2)).collect();
+    let shape = Shape::Pair {
+        sides: [strip(a), strip(b)],
+        buckets,
+        union: MatrixUnion::new(matrices),
+    };
+    (shape, total)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rda_db::Database;
     use rda_query::parser::parse;
+
+    /// Prepare over a private snapshot of `db`, then select rank `k`.
+    fn select_at(
+        q: &Cq,
+        db: &Database,
+        w: &Weights,
+        k: u64,
+        fds: &FdSet,
+    ) -> Result<Option<(TotalF64, Tuple)>, BuildError> {
+        Ok(SumSelection::prepare(q, &db.clone().freeze(), w.clone(), fds)?.select(k))
+    }
 
     fn fig2_db() -> Database {
         Database::new()
@@ -322,7 +367,7 @@ mod tests {
     fn figure_2d_sum_selection() {
         let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
         for (k, expect) in fig2_weights().into_iter().enumerate() {
-            let (w, t) = selection_sum_impl(
+            let (w, t) = select_at(
                 &q,
                 &fig2_db(),
                 &Weights::identity(),
@@ -336,8 +381,7 @@ mod tests {
             let s: f64 = t.values().iter().map(|v| v.as_int().unwrap() as f64).sum();
             assert_eq!(s, expect);
         }
-        let none =
-            selection_sum_impl(&q, &fig2_db(), &Weights::identity(), 5, &FdSet::empty()).unwrap();
+        let none = select_at(&q, &fig2_db(), &Weights::identity(), 5, &FdSet::empty()).unwrap();
         assert!(none.is_none());
     }
 
@@ -347,7 +391,7 @@ mod tests {
         // variant ((1,5,3) and (1,2,6)); our Figure 2a database yields
         // distinct weights, checked above. This test pins the median.
         let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
-        let (w, _) = selection_sum_impl(&q, &fig2_db(), &Weights::identity(), 2, &FdSet::empty())
+        let (w, _) = select_at(&q, &fig2_db(), &Weights::identity(), 2, &FdSet::empty())
             .unwrap()
             .unwrap();
         assert_eq!(w, TotalF64(10.0));
@@ -362,10 +406,9 @@ mod tests {
         // Weights: 3, 12, 21, 30.
         let expect = [3.0, 12.0, 21.0, 30.0];
         for (k, e) in expect.iter().enumerate() {
-            let (w, _) =
-                selection_sum_impl(&q, &db, &Weights::identity(), k as u64, &FdSet::empty())
-                    .unwrap()
-                    .unwrap();
+            let (w, _) = select_at(&q, &db, &Weights::identity(), k as u64, &FdSet::empty())
+                .unwrap()
+                .unwrap();
             assert_eq!(w, TotalF64(*e), "k={k}");
         }
     }
@@ -383,7 +426,7 @@ mod tests {
         // Answers (x, y): weights 6, 3, 2.
         let got: Vec<f64> = (0..3)
             .map(|k| {
-                selection_sum_impl(&q, &db, &Weights::identity(), k, &FdSet::empty())
+                select_at(&q, &db, &Weights::identity(), k, &FdSet::empty())
                     .unwrap()
                     .unwrap()
                     .0
@@ -402,10 +445,10 @@ mod tests {
             .with_i64_rows("S", 2, vec![vec![2, 5], vec![4, 6]])
             .with_i64_rows("T", 2, vec![vec![5, 0], vec![6, 0]]);
         // Answers: (1,2,5)=8, (3,4,6)=13.
-        let (w0, _) = selection_sum_impl(&q, &db, &Weights::identity(), 0, &FdSet::empty())
+        let (w0, _) = select_at(&q, &db, &Weights::identity(), 0, &FdSet::empty())
             .unwrap()
             .unwrap();
-        let (w1, _) = selection_sum_impl(&q, &db, &Weights::identity(), 1, &FdSet::empty())
+        let (w1, _) = select_at(&q, &db, &Weights::identity(), 1, &FdSet::empty())
             .unwrap()
             .unwrap();
         assert_eq!((w0, w1), (TotalF64(8.0), TotalF64(13.0)));
@@ -418,7 +461,7 @@ mod tests {
             .with_i64_rows("R", 2, vec![vec![1, 2]])
             .with_i64_rows("S", 2, vec![vec![2, 3]])
             .with_i64_rows("T", 2, vec![vec![3, 4]]);
-        let r = selection_sum_impl(&q, &db, &Weights::identity(), 0, &FdSet::empty());
+        let r = select_at(&q, &db, &Weights::identity(), 0, &FdSet::empty());
         assert!(matches!(r, Err(BuildError::NotTractable(_))));
     }
 
@@ -426,7 +469,7 @@ mod tests {
     fn explicit_weights_override_values() {
         let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
         // Zero weights: every answer weighs 0; still returns valid answers.
-        let (w, t) = selection_sum_impl(&q, &fig2_db(), &Weights::zero(), 3, &FdSet::empty())
+        let (w, t) = select_at(&q, &fig2_db(), &Weights::zero(), 3, &FdSet::empty())
             .unwrap()
             .unwrap();
         assert_eq!(w, TotalF64(0.0));
@@ -439,7 +482,7 @@ mod tests {
         let db = Database::new()
             .with_i64_rows("R", 2, vec![vec![1, 100]])
             .with_i64_rows("S", 2, vec![vec![5, 3]]);
-        let r = selection_sum_impl(&q, &db, &Weights::identity(), 0, &FdSet::empty()).unwrap();
+        let r = select_at(&q, &db, &Weights::identity(), 0, &FdSet::empty()).unwrap();
         assert!(r.is_none());
     }
 }

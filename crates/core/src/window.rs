@@ -184,7 +184,7 @@ pub const DEFAULT_STREAM_BATCH: usize = 256;
 /// through the backend's windowed access path, so on the native arena
 /// structures a full enumeration pays the O(log n) rank bracketing once
 /// per **batch** (not once per tuple) and nothing is ever materialized
-/// beyond one batch. On the lazy backends each batch costs what the
+/// beyond one batch. On the selection backends each batch costs what the
 /// backend's per-access guarantee says; on the any-k fallback the
 /// underlying enumerator advances exactly as far as the stream has been
 /// consumed.

@@ -590,9 +590,13 @@ impl EncodedRelation {
         let keep: Vec<u32> = (0..self.rows as u32)
             .filter(|&r| in_range(c[r as usize]))
             .collect();
-        let mut out = self.clone();
-        out.apply_permutation(&keep);
-        out
+        let gather = |col: &Column| -> Column {
+            Column::from(keep.iter().map(|&r| col[r as usize]).collect::<Vec<u32>>())
+        };
+        EncodedRelation {
+            rows: keep.len(),
+            cols: self.cols.iter().map(gather).collect(),
+        }
     }
 
     /// Decode row `row` back into an owned [`Tuple`].

@@ -16,7 +16,7 @@
 //! [`Engine`](prelude::Engine), and [`prepare`](prelude::Engine::prepare)
 //! plans. The engine runs the paper's dichotomies on each (query,
 //! order) pair and routes it to the right algorithm — native direct
-//! access when tractable, a lazy selection-backed handle when only
+//! access when tractable, a selection-backed handle when only
 //! selection is tractable, or an explicit fallback chosen by
 //! [`Policy`](prelude::Policy). Whatever the route, the returned
 //! [`AccessPlan`](prelude::AccessPlan) serves answers through the

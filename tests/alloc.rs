@@ -12,6 +12,11 @@
 //! does not grow with the input, and have freed every transient bitmap,
 //! dense table and sort buffer by the time `build_on` returns.
 //!
+//! The selection handles sit between the two: constructing one
+//! re-encodes nothing and keeps only its reduced instance, and one
+//! selection allocates a number of blocks that does not grow with the
+//! input and frees every dense table and filtered relation it made.
+//!
 //! The counters are process-wide, so the tests of this binary take
 //! [`SERIAL`] and run one at a time.
 
@@ -194,6 +199,107 @@ fn builds_are_encode_free_and_leave_no_scratch_behind() {
     assert!(
         sum_large <= sum_small + 64,
         "sum build allocations grew {sum_small} -> {sum_large}"
+    );
+}
+
+#[test]
+fn selections_are_encode_free_and_free_their_scratch() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let trio = q.vars(&["x", "z", "y"]);
+    let (mut blocks, mut constructions) = (Vec::new(), Vec::new());
+    for n in [400i64, 6400] {
+        let snap = sparse_snapshot(n);
+        let dict_bytes = 4 * snap.dict().len() as u64;
+        let encodes = relation_encode_count();
+
+        // LEX: the handle keeps the reduced relations and nothing sized
+        // by the dictionary — a histogram that outlived the constructor
+        // would add four times `dict_bytes`.
+        let built = heap_during(|| {
+            SelectionLexHandle::new(&q, &snap, trio.clone(), &FdSet::empty()).unwrap()
+        });
+        constructions.push(built.allocations);
+        let lex = built.out;
+        let held = 2 * lex.build_cost().arena_bytes + 4096;
+        assert_eq!(
+            lex.build_cost().arena_entries,
+            2 * n as u64,
+            "nothing dangles"
+        );
+        assert!(
+            built.retained <= held,
+            "lex handle over {n} rows retains {} bytes for {} of relations",
+            built.retained,
+            lex.build_cost().arena_bytes
+        );
+        if n == 400 {
+            assert!(dict_bytes > held, "a leaked table would show here");
+        }
+        let k = lex.len() / 2;
+        lex.select_once(k); // the first call may set up thread-local state
+        let one = heap_during(|| lex.select_once(k).expect("k < len"));
+        assert!(
+            one.retained <= 256,
+            "a lex selection over {n} rows leaves {} bytes besides its answer",
+            one.retained
+        );
+        blocks.push(one.allocations);
+
+        // SUM: relations, weight-sorted sides and matrices — about four
+        // times the relations, and again no table sized by the dictionary.
+        let built = heap_during(|| {
+            SelectionSumHandle::new(&q, &snap, Weights::identity(), &FdSet::empty()).unwrap()
+        });
+        constructions.push(built.allocations);
+        let sum = built.out;
+        let held = 6 * sum.build_cost().arena_bytes + 4096;
+        assert!(
+            built.retained <= held,
+            "sum handle over {n} rows retains {} bytes for {} of relations",
+            built.retained,
+            sum.build_cost().arena_bytes
+        );
+        if n == 400 {
+            assert!(dict_bytes > held, "a leaked table would show here");
+        }
+        sum.select_once(k);
+        let one = heap_during(|| sum.select_once(k).expect("k < len"));
+        assert!(
+            one.retained <= 256,
+            "a sum selection over {n} rows leaves {} bytes besides its answer",
+            one.retained
+        );
+        blocks.push(one.allocations);
+
+        assert_eq!(
+            relation_encode_count(),
+            encodes,
+            "selection over a frozen snapshot re-encodes nothing"
+        );
+    }
+    // Sixteen times the rows. Constructing a handle allocates the same
+    // vectors plus a few doublings — cloning a value-level relation
+    // would take a block per tuple.
+    let [lex_small, sum_small, lex_large, sum_large] = constructions[..] else {
+        unreachable!("two sizes, two handles each");
+    };
+    assert!(
+        lex_large <= lex_small + 64 && sum_large <= sum_small + 64,
+        "handle constructions grew: lex {lex_small} -> {lex_large}, sum {sum_small} -> {sum_large}"
+    );
+    // A lex selection runs the same rounds over
+    // the same number of vectors: exactly as many blocks. A sum
+    // selection allocates per pivot round and join-key bucket (40
+    // here), and larger matrices take a few more rounds — but never a
+    // block per row.
+    let [lex_small, sum_small, lex_large, sum_large] = blocks[..] else {
+        unreachable!("two sizes, two handles each");
+    };
+    assert_eq!(lex_small, lex_large, "lex selection blocks grew with n");
+    assert!(
+        sum_small < 3200 && sum_large < 3200,
+        "sum selection blocks: {sum_small} at 400 rows, {sum_large} at 6400"
     );
 }
 

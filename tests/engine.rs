@@ -285,9 +285,31 @@ fn explain_covers_all_three_regimes() {
     let report = plan.explain().to_string();
     assert!(report.contains("disruptive trio (x, z, y)"), "{report}");
     assert!(report.contains("selection-lex"), "{report}");
-    // Lazy handles build nothing up front.
-    assert!(plan.explain().build_cost().is_none());
-    assert!(!report.contains("build:"), "{report}");
+    // Selection handles report what their constructor paid and what
+    // they hold: the reduced instance (all 3 + 4 rows join), no layers,
+    // no sort; `dp` is the one counting pass behind `len()`.
+    let cost = plan.explain().build_cost().expect("prepared instance");
+    assert!(
+        cost.prep_ns > 0 && cost.reduce_ns > 0 && cost.dp_ns > 0,
+        "{cost:?}"
+    );
+    assert_eq!((cost.layers_ns, cost.sort_ns), (0, 0), "{cost:?}");
+    assert_eq!((cost.arena_entries, cost.arena_bytes), (7, 56), "{cost:?}");
+    assert!(report.contains("build:") && report.contains("7 entries"));
+    // SUM selection: the same rows, bucketed and weight-sorted (`sort`).
+    let sum = Engine::new(db.clone().freeze())
+        .prepare(
+            &q,
+            OrderSpec::sum_by_value(),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap();
+    assert_eq!(sum.backend(), Backend::SelectionSum);
+    let cost = sum.explain().build_cost().expect("prepared instance");
+    assert!(cost.reduce_ns > 0 && cost.sort_ns > 0, "{cost:?}");
+    assert_eq!((cost.layers_ns, cost.dp_ns), (0, 0), "{cost:?}");
+    assert_eq!((cost.arena_entries, cost.arena_bytes), (7, 56), "{cost:?}");
 
     // Fallback: free-path witness, materialized backend.
     let qp = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();

@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use ranked_access::prelude::*;
 use ranked_access::rda_core::HashLexDirectAccess;
+use std::sync::Arc;
 
 /// Queries with at least one tractable LEX order, with that order.
 fn lex_catalog() -> Vec<(Cq, Vec<VarId>)> {
@@ -358,6 +359,392 @@ proptest! {
         let expect: Vec<f64> = (0..oracle.len()).map(|k| oracle.weight_at(k).unwrap()).collect();
         prop_assert_eq!(got, expect);
     }
+}
+
+/// Every surface of the lex selection handle against the materialized
+/// oracle, at every rank plus `len()` and one past it. Under a full
+/// order the two arrays are equal; under a partial one the handle breaks
+/// ties by its own completion, so the array must hold the same answers,
+/// ascend on the requested prefix, and round-trip through
+/// `inverted_access` (the rank scan when no head comparator is sound).
+fn check_selection_lex(q: &Cq, snap: &Arc<Snapshot>, lex: &[VarId], fds: &FdSet, ctx: &str) {
+    let oracle = MaterializedAccess::by_lex(q, snap.database(), lex);
+    let handle = SelectionLexHandle::new(q, snap, lex.to_vec(), fds).unwrap();
+    assert_eq!(handle.len(), oracle.len(), "len: {ctx}");
+    let got: Vec<Tuple> = (0..handle.len())
+        .map(|k| handle.select_once(k).expect("rank below len"))
+        .collect();
+    if lex.len() == q.free().len() {
+        assert_eq!(got, oracle.answers(), "order: {ctx}");
+    } else {
+        let on_lex = |t: &Tuple| -> Vec<Value> {
+            let pos = |v| q.free().iter().position(|f| f == v).unwrap();
+            lex.iter().map(|v| t[pos(v)].clone()).collect()
+        };
+        assert!(
+            got.windows(2).all(|w| on_lex(&w[0]) <= on_lex(&w[1])),
+            "prefix order: {ctx}"
+        );
+        let mut sorted = got.clone();
+        sorted.sort();
+        assert_eq!(sorted, all_answers(q, snap.database()), "answers: {ctx}");
+    }
+    for (k, t) in got.iter().enumerate() {
+        assert_eq!(handle.inverted_access(t), Some(k as u64), "inverted: {ctx}");
+    }
+    assert_eq!(handle.select_once(handle.len()), None, "at len: {ctx}");
+    assert_eq!(handle.access(handle.len() + 1), None, "past len: {ctx}");
+    for probe in [-7, 0, 1] {
+        let t: Tuple = q.free().iter().map(|_| Value::int(probe)).collect();
+        if oracle.inverted_access(&t).is_none() {
+            assert_eq!(handle.inverted_access(&t), None, "non-answer: {ctx}");
+        }
+        let wider: Tuple = t.iter().cloned().chain([Value::int(0)]).collect();
+        assert_eq!(handle.inverted_access(&wider), None, "arity: {ctx}");
+    }
+}
+
+/// The same for the SUM selection handle under identity weights: the raw
+/// selection returns the oracle's weight at every rank with a witness
+/// that is an answer of that weight, and the handle's (weight, tuple)
+/// order is the oracle's array.
+fn check_selection_sum(q: &Cq, snap: &Arc<Snapshot>, fds: &FdSet, ctx: &str) {
+    let by_value = |_, v: &Value| v.as_int().map_or(0.0, |i| i as f64);
+    let oracle = MaterializedAccess::by_sum(q, snap.database(), by_value);
+    let handle = SelectionSumHandle::new(q, snap, Weights::identity(), fds).unwrap();
+    assert_eq!(handle.len(), oracle.len(), "len: {ctx}");
+    for k in 0..oracle.len() {
+        let (w, witness) = handle.select_once(k).expect("rank below len");
+        assert_eq!(w.0, oracle.weight_at(k).unwrap(), "weight at {k}: {ctx}");
+        let at = oracle
+            .inverted_access(&witness)
+            .expect("witness is an answer");
+        assert_eq!(oracle.weight_at(at), Some(w.0), "witness at {k}: {ctx}");
+    }
+    assert!(handle.select_once(oracle.len()).is_none(), "at len: {ctx}");
+    // Inverted access on a handle of its own, last rank first: it meets
+    // unique weights and plateaus before any access built the tie index.
+    let inverse = SelectionSumHandle::new(q, snap, Weights::identity(), fds).unwrap();
+    for k in (0..oracle.len()).rev() {
+        let t = handle.access(k);
+        assert_eq!(t, oracle.access(k), "access({k}): {ctx}");
+        let t = t.unwrap();
+        assert_eq!(inverse.inverted_access(&t), Some(k), "inverted: {ctx}");
+    }
+    assert_eq!(handle.access(oracle.len() + 1), None, "past len: {ctx}");
+    for probe in [-7, 0, 1] {
+        // A non-answer (or an answer) of some plateau's weight, and a
+        // tuple of the wrong arity.
+        let t: Tuple = q.free().iter().map(|_| Value::int(probe)).collect();
+        let expect = oracle.inverted_access(&t);
+        assert_eq!(inverse.inverted_access(&t), expect, "probe {probe}: {ctx}");
+        assert_eq!(handle.inverted_access(&t), expect, "probe {probe}: {ctx}");
+        let wider: Tuple = t.iter().cloned().chain([Value::int(0)]).collect();
+        assert_eq!(handle.inverted_access(&wider), None, "arity: {ctx}");
+    }
+}
+
+/// Queries for the code-space selections, with a lex order each (full
+/// unless noted): a disruptive trio, a self-join, a repeated variable,
+/// join keys of two and of five shared variables (ids folded over one
+/// and over four extra columns), a cross product (the empty key), three atoms
+/// (a node with two children), projections, a partial order, a Boolean
+/// head. The last field says whether SUM selection is tractable too.
+fn selection_catalog() -> Vec<(Cq, Vec<VarId>, bool)> {
+    [
+        ("Q(x, y, z) :- R(x, y), S(y, z)", &["x", "z", "y"][..], true),
+        ("Q(x, y, z) :- E(x, y), E(y, z)", &["x", "z", "y"], true),
+        ("Q(x, y, z) :- R(x, x, y), S(y, z)", &["x", "z", "y"], true),
+        (
+            "Q(a, b, c, d) :- R(a, b, c), S(b, c, d)",
+            &["a", "d", "b", "c"],
+            true,
+        ),
+        (
+            "Q(a, b, c, d, e, f, g) :- R(a, b, c, d, e, f), S(b, c, d, e, f, g)",
+            &["a", "g", "b", "c", "d", "e", "f"],
+            true,
+        ),
+        ("Q(a, b) :- R(a), S(b)", &["b", "a"], true),
+        (
+            "Q(a, b, c) :- R(a, b), S(a, c), T(a)",
+            &["b", "c", "a"],
+            false,
+        ),
+        ("Q(x, y) :- R(x, y), S(y, z)", &["y", "x"], true),
+        (
+            "Q(x, y, z) :- R(x, y), S(y, z), T(z, u)",
+            &["x", "z", "y"],
+            true,
+        ),
+        ("Q(x, y, z) :- R(x, y), S(y, z)", &["z"], true),
+        ("Q() :- R(x, y), S(y, z)", &[], true),
+    ]
+    .into_iter()
+    .map(|(src, lex, sum)| {
+        let q = parse(src).unwrap();
+        let lex = q.vars(lex);
+        (q, lex, sum)
+    })
+    .collect()
+}
+
+/// The two FD examples of the paper over instances that satisfy them,
+/// each under a full order and under the empty one (whose completion may
+/// put a promoted variable before its determiner — the handle then has
+/// no head comparator and inverts by scanning ranks).
+fn fd_cases(rows: usize, domain: i64, seed: u64) -> Vec<(Cq, Vec<VarId>, FdSet, Database)> {
+    let random = random_db(&parse("Q(x, y) :- T(x, y)").unwrap(), rows, domain, seed);
+    let random = random.get("T").unwrap().tuples().to_vec();
+    let func = |m: i64| -> Vec<Tuple> {
+        (0..domain)
+            .map(|u| {
+                [Value::int(u), Value::int((u * m + 3) % domain)]
+                    .into_iter()
+                    .collect()
+            })
+            .collect()
+    };
+    let mut out = Vec::new();
+    // Example 1.1: R: x → y promotes y; Example 8.3: S: y → z makes
+    // Q(x, z) free-connex.
+    for (src, fd, r, s) in [
+        (
+            "Q(x, z) :- R(x, y), S(y, z)",
+            ("R", "x", "y"),
+            func(31),
+            random.clone(),
+        ),
+        (
+            "Q(x, y, z) :- R(x, y), S(y, z)",
+            ("R", "x", "y"),
+            func(31),
+            random.clone(),
+        ),
+        (
+            "Q(x, z) :- R(x, y), S(y, z)",
+            ("S", "y", "z"),
+            random.clone(),
+            func(13),
+        ),
+    ] {
+        let q = parse(src).unwrap();
+        let fds = FdSet::parse(&q, &[fd]);
+        let db = Database::new()
+            .with(Relation::from_tuples("R", 2, r))
+            .with(Relation::from_tuples("S", 2, s));
+        let mut full: Vec<VarId> = q.free().to_vec();
+        full.reverse();
+        out.push((q.clone(), full, fds.clone(), db.clone()));
+        out.push((q, Vec::new(), fds, db));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn selection_handles_match_oracle_at_every_rank(seed in 0u64..1_000_000, rows in 1usize..14, domain in 1i64..4) {
+        for (q, lex, sum) in selection_catalog() {
+            let snap = random_db(&q, rows, domain, seed).freeze();
+            let ctx = format!("{q} seed {seed} rows {rows} domain {domain}");
+            check_selection_lex(&q, &snap, &lex, &FdSet::empty(), &ctx);
+            if sum {
+                check_selection_sum(&q, &snap, &FdSet::empty(), &ctx);
+            }
+        }
+        for (q, lex, fds, db) in fd_cases(rows, domain + 1, seed) {
+            let snap = db.freeze();
+            let ctx = format!("{q} under FDs, seed {seed} rows {rows} domain {domain}");
+            check_selection_lex(&q, &snap, &lex, &fds, &ctx);
+            check_selection_sum(&q, &snap, &fds, &ctx);
+        }
+    }
+}
+
+/// The inputs a random instance rarely produces: an empty join, codes
+/// far above the row count (a dictionary a hundred times the relations),
+/// and a join key of five variables that does hit.
+#[test]
+fn selection_handles_on_degenerate_and_sparse_inputs() {
+    let two_path = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let trio = two_path.vars(&["x", "z", "y"]);
+    let none = FdSet::empty();
+    let empty = Database::new()
+        .with_i64_rows("R", 2, vec![vec![1, 100]])
+        .with_i64_rows("S", 2, vec![vec![5, 3]])
+        .freeze();
+    check_selection_lex(&two_path, &empty, &trio, &none, "empty join");
+    check_selection_sum(&two_path, &empty, &none, "empty join");
+    let boolean = parse("Q() :- R(x, y), S(y, z)").unwrap();
+    check_selection_lex(&boolean, &empty, &[], &none, "empty Boolean");
+    check_selection_sum(&boolean, &empty, &none, "empty Boolean");
+
+    let hi = 1_000_000;
+    let sparse = Database::new()
+        .with_i64_rows("Pad", 1, (0..2_000).map(|i| vec![i]).collect::<Vec<_>>())
+        .with_i64_rows(
+            "R",
+            2,
+            (0..20)
+                .map(|i| vec![hi + i, hi + i % 4])
+                .collect::<Vec<_>>(),
+        )
+        .with_i64_rows(
+            "S",
+            2,
+            (0..20)
+                .map(|i| vec![hi + i % 4, hi + 7 * i])
+                .collect::<Vec<_>>(),
+        )
+        .freeze();
+    assert!(sparse.dict().len() > 50 * sparse.encoded("R").unwrap().len());
+    check_selection_lex(&two_path, &sparse, &trio, &none, "sparse codes");
+    check_selection_sum(&two_path, &sparse, &none, "sparse codes");
+
+    let (wide, lex, _) = selection_catalog()
+        .into_iter()
+        .find(|(q, ..)| q.free().len() == 7)
+        .expect("the catalog holds the seven-variable query");
+    let row = |i: i64, last: i64| vec![i, i % 2, i % 3, 1, i % 2, last];
+    let db = Database::new()
+        .with_i64_rows("R", 6, (0..12).map(|i| row(i, i % 3)).collect::<Vec<_>>())
+        .with_i64_rows(
+            "S",
+            6,
+            (0..12)
+                .map(|i| vec![i % 2, i % 3, 1, i % 2, i % 3, 10 + i])
+                .collect::<Vec<_>>(),
+        )
+        .freeze();
+    assert!(
+        !all_answers(&wide, db.database()).is_empty(),
+        "the wide key hits"
+    );
+    check_selection_lex(&wide, &db, &lex, &none, "five-variable key");
+    check_selection_sum(&wide, &db, &none, "five-variable key");
+}
+
+/// The handles read whatever encoding the snapshot holds: relations
+/// shared from the parent generation under an extended dictionary,
+/// relations gathered through a rebased one, and columns mapped from a
+/// cold-opened store.
+#[test]
+fn selection_handles_over_delta_generations_and_a_cold_open() {
+    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let trio = q.vars(&["x", "z", "y"]);
+    let none = FdSet::empty();
+    let t2 = |a: i64, b: i64| -> Tuple { [Value::int(a), Value::int(b)].into_iter().collect() };
+    let mut db = Database::new()
+        .with_i64_rows(
+            "R",
+            2,
+            (0..12)
+                .map(|i| vec![10 * i, 10 * (i % 3)])
+                .collect::<Vec<_>>(),
+        )
+        .with_i64_rows(
+            "S",
+            2,
+            (0..9)
+                .map(|i| vec![10 * (i % 3), 10 * i + 100])
+                .collect::<Vec<_>>(),
+        );
+    let snap0 = db.clone().freeze();
+    db.clear_mutation_log();
+    let code_of_100 = |s: &Snapshot| s.dict().code(&Value::int(100));
+
+    // Extended: 500 sorts after every interned value; S is clean and
+    // shared with the parent generation.
+    db.insert_into("R", t2(500, 20));
+    let snap1 = snap0.freeze_delta(&mut db);
+    assert_eq!(
+        code_of_100(&snap1),
+        code_of_100(&snap0),
+        "append-only extension"
+    );
+    assert!(Arc::ptr_eq(
+        snap0.encoded_arc("S").unwrap(),
+        snap1.encoded_arc("S").unwrap()
+    ));
+    // Rebased: 15 lands inside the domain; S is clean and remapped.
+    db.insert_into("R", t2(15, 10));
+    let snap2 = snap1.freeze_delta(&mut db);
+    assert_ne!(
+        code_of_100(&snap2),
+        code_of_100(&snap1),
+        "interior value rebases"
+    );
+
+    let dir = std::env::temp_dir().join(format!("rda-oracle-selection-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    SnapshotStore::create(&dir, &snap2).unwrap();
+    let cold = SnapshotStore::open(&dir).unwrap().load().unwrap();
+    for (snap, ctx) in [
+        (&snap1, "extended"),
+        (&snap2, "rebased"),
+        (&cold, "cold-opened"),
+    ] {
+        check_selection_lex(&q, snap, &trio, &none, ctx);
+        check_selection_sum(&q, snap, &none, ctx);
+    }
+    assert_eq!(
+        cold.database().size(),
+        db.size(),
+        "the store holds the live data"
+    );
+    drop(cold);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Selection counts in `u128` and refuses an answer count above
+/// `u64::MAX` at construction, as `LexDirectAccess` does: a
+/// trio-ordered 2-path crossed with eight unary relations of 256 values
+/// has 2 · 256⁸ = 2⁶⁵ answers. (SUM selection has no such input: its
+/// two atoms hold fewer than 2³² rows each.)
+#[test]
+fn selection_refuses_counts_beyond_u64() {
+    let vars: Vec<String> = (0..8).map(|i| format!("u{i}")).collect();
+    let atoms: Vec<String> = vars.iter().map(|v| format!("U({v})")).collect();
+    let src = format!(
+        "Q(x, y, z, {}) :- R(x, y), S(y, z), {}",
+        vars.join(", "),
+        atoms.join(", ")
+    );
+    let q = parse(&src).unwrap();
+    let mut order = vec!["x", "z", "y"];
+    order.extend(vars.iter().map(String::as_str));
+    let lex = q.vars(&order);
+    let unary = |n: i64| (0..n).map(|i| vec![i]).collect::<Vec<_>>();
+    let db = |n: i64| {
+        Database::new()
+            .with_i64_rows("R", 2, vec![vec![1, 5], vec![6, 5]])
+            .with_i64_rows("S", 2, vec![vec![5, 3]])
+            .with_i64_rows("U", 1, unary(n))
+            .freeze()
+    };
+    let err = SelectionLexHandle::new(&q, &db(256), lex.clone(), &FdSet::empty()).err();
+    assert!(matches!(err, Some(BuildError::CountOverflow)), "{err:?}");
+    let err = Engine::new(db(256))
+        .prepare(
+            &q,
+            OrderSpec::Lex(lex.clone()),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap_err();
+    assert!(
+        matches!(err, PlanError::Build(BuildError::CountOverflow)),
+        "{err:?}"
+    );
+    // One bit less fits: 2 · 128⁸ = 2⁵⁷ answers, the last one reachable.
+    let handle = SelectionLexHandle::new(&q, &db(128), lex, &FdSet::empty()).unwrap();
+    assert_eq!(handle.len(), 1 << 57);
+    let last = handle.select_once(handle.len() - 1).unwrap();
+    assert_eq!(last.values()[0], Value::int(6));
+    assert!(last.values()[3..].iter().all(|v| *v == Value::int(127)));
+    assert_eq!(handle.select_once(handle.len()), None);
 }
 
 /// Random-order enumeration (Section 1 / Carmeli et al. [15]): a uniform

@@ -195,12 +195,25 @@ fn random_acyclic_full_queries_match_oracle() {
             assert_eq!(da.inverted_access(t), Some(k as u64), "round {round}");
         }
 
-        // Selection agrees on a few ranks.
-        let handle =
-            SelectionLexHandle::new(&q, &db.clone().freeze(), lex.clone(), &FdSet::empty())
-                .unwrap();
-        for k in [0, got.len() as u64 / 2, got.len() as u64] {
+        // Selection agrees at every rank, and knows the count.
+        let snap = db.clone().freeze();
+        let handle = SelectionLexHandle::new(&q, &snap, lex.clone(), &FdSet::empty()).unwrap();
+        assert_eq!(handle.len(), da.len(), "round {round}");
+        for k in 0..=da.len() {
             assert_eq!(handle.select_once(k), da.access(k), "round {round} k={k}");
+        }
+        // It needs no tractable order: any permutation of the head.
+        let mut any = q.free().to_vec();
+        any.shuffle(&mut rng);
+        let oracle = MaterializedAccess::by_lex(&q, &db, &any);
+        let handle = SelectionLexHandle::new(&q, &snap, any.clone(), &FdSet::empty()).unwrap();
+        assert_eq!(handle.len(), oracle.len(), "round {round}: {q} by {any:?}");
+        for k in 0..=oracle.len() {
+            assert_eq!(
+                handle.select_once(k),
+                oracle.access(k),
+                "round {round}: {q} by {any:?} k={k}"
+            );
         }
     }
     assert!(tractable_hits > 0);
@@ -322,7 +335,8 @@ fn random_queries_sum_selection_matches_oracle() {
             &FdSet::empty(),
         )
         .unwrap_or_else(|e| panic!("round {round}: {q}: {e}"));
-        for k in [0u64, oracle.len() / 3, oracle.len().saturating_sub(1)] {
+        assert_eq!(handle.len(), oracle.len(), "round {round}: {q}");
+        for k in 0..=oracle.len() {
             let got = handle.select_once(k);
             match (got, oracle.weight_at(k)) {
                 (Some((w, t)), Some(expect)) => {
