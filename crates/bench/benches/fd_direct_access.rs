@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rda_baseline::MaterializedAccess;
 use rda_bench::workloads;
-use rda_core::LexDirectAccess;
+use rda_core::{DirectAccess, LexDirectAccess};
 use std::hint::black_box;
 
 const SIZES: [usize; 3] = [2_000, 8_000, 32_000];

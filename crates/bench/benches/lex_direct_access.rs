@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rda_baseline::MaterializedAccess;
 use rda_bench::workloads;
-use rda_core::LexDirectAccess;
+use rda_core::{DirectAccess, LexDirectAccess};
 use rda_query::FdSet;
 use std::hint::black_box;
 

@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rda_baseline::MaterializedAccess;
 use rda_bench::workloads;
-use rda_core::{LexDirectAccess, SelectionLexHandle};
+use rda_core::{DirectAccess, LexDirectAccess, SelectionLexHandle};
 use rda_query::FdSet;
 use std::hint::black_box;
 

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rda_baseline::MaterializedAccess;
 use rda_bench::workloads;
-use rda_core::{SumDirectAccess, Weights};
+use rda_core::{DirectAccess, SumDirectAccess, Weights};
 use rda_query::FdSet;
 use std::hint::black_box;
 

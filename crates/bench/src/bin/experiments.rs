@@ -10,9 +10,9 @@
 //! re-encode builds, plan-cache hit latency, multi-threaded access
 //! throughput), `window` writes `BENCH_window.json` (per-tuple cost
 //! of windowed vs repeated single access across page sizes), `batch`
-//! writes `BENCH_batch.json` (per-tuple cost of the k-cursor batched
-//! access kernel vs repeated single access across batch sizes, plus
-//! the searcher-vs-builder arena layout A/B), and
+//! writes `BENCH_batch.json` (per-tuple cost of the batched access
+//! kernel vs repeated single access across batch sizes, sorted and
+//! scattered),
 //! `update` writes `BENCH_update.json` (incremental `freeze_delta` vs
 //! full freeze, carried-forward vs rebuilt prepare), and `traffic`
 //! writes `BENCH_traffic.json` (zipfian concurrent sessions through
@@ -32,7 +32,7 @@
 use rda_bench::stats::{json_num, json_str, median, median_round_ns};
 use rda_bench::workloads;
 use rda_core::{
-    ArenaLayout, DirectAccess, Engine, HashLexDirectAccess, LexDirectAccess, OrderSpec, Policy,
+    DirectAccess, Engine, HashLexDirectAccess, LexDirectAccess, OrderSpec, Policy,
     SelectionLexHandle, SelectionSumHandle, SumDirectAccess, Weights,
 };
 use rda_query::classify::{classify, Problem, Verdict};
@@ -1176,37 +1176,15 @@ impl BatchRow {
     }
 }
 
-/// One searcher-vs-builder arena layout A/B sample: the value-keyed
-/// search cost (`inverted_access`, the Algorithm 2 path that the
-/// Eytzinger value mirrors accelerate) under each layout of the same
-/// workload.
-struct LayoutSample {
-    name: String,
-    searcher_inverted_ns: f64,
-    builder_inverted_ns: f64,
-    speedup: f64,
-}
-
-impl LayoutSample {
-    fn json(&self) -> String {
-        format!(
-            "    {{\"name\": {}, \"searcher_inverted_ns\": {}, \"builder_inverted_ns\": {}, \"searcher_speedup\": {}}}",
-            json_str(&self.name),
-            json_num(self.searcher_inverted_ns),
-            json_num(self.builder_inverted_ns),
-            json_num(self.speedup),
-        )
-    }
-}
-
 /// E17 — the batched-access benchmark behind `BENCH_batch.json`:
-/// per-tuple cost of `access_batch_into` (sort the ranks, descend the
-/// arena once, carry-walk between consecutive ranks) against repeated
-/// single `access_into` calls (one full rank descent per rank) on
-/// scattered rank sets, across batch sizes — plus the
-/// searcher-vs-builder arena layout A/B on the value-keyed search
-/// path. The headline — and the asserted floor — is the median
-/// largest-batch speedup across the LEX workloads.
+/// per-tuple cost of `access_batch_into` against repeated single
+/// `access_into` calls (one full rank descent per rank), across batch
+/// sizes, on both sides of the kernel's choice — sorted dense ranks
+/// (descend the arena once, carry-walk between consecutive ranks) and
+/// scattered ones (one descent per rank, without the per-call
+/// overhead). The headline — and the asserted floor — is the median
+/// sorted-dense speedup across the LEX workloads; scattered batches of
+/// up to 256 ranks must not lose to the singles they replace.
 fn batch_bench(smoke: bool) {
     use rda_core::WindowBuf;
     // More rounds than the other experiments: the headline drives a CI
@@ -1228,7 +1206,6 @@ fn batch_bench(smoke: bool) {
     );
 
     let mut rows: Vec<BatchRow> = Vec::new();
-    let mut layouts: Vec<LayoutSample> = Vec::new();
 
     // Shared per-workload measurement: scattered ranks, repeated to
     // `target_ops` per round so small batches still time stably.
@@ -1265,9 +1242,14 @@ fn batch_bench(smoke: bool) {
                         let shift = 31 * r as u64 % stride;
                         (0..bl as u64).map(|i| i * stride + shift).collect()
                     } else {
-                        bench_keys(bl, len)
-                            .into_iter()
-                            .map(|k| (k + 31 * r as u64) % len)
+                        // Mixed beyond `bench_keys`' single multiply:
+                        // that one ascends for 16 keys over a small
+                        // `len`, which is the kernel's sorted side.
+                        (0..bl as u64)
+                            .map(|i| {
+                                let z = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                                ((z ^ (z >> 31)) % len + 31 * r as u64) % len
+                            })
                             .collect()
                     }
                 })
@@ -1330,7 +1312,7 @@ fn batch_bench(smoke: bool) {
         samples
     };
 
-    // --- LEX workloads: batch kernel plus the layout A/B. ---
+    // --- LEX workloads: the batch kernel. ---
     // Smoke sizes run larger than the other experiments': the batch
     // kernel's advantage is amortizing descents over arenas bigger than
     // the cache, and sub-L2 toys would benchmark timer noise instead.
@@ -1353,13 +1335,8 @@ fn batch_bench(smoke: bool) {
     for (name, q, db, lex_names, fds) in lex_workloads {
         let snap = db.freeze();
         let lex = q.vars(&lex_names);
-        let searcher =
-            LexDirectAccess::build_on_with_layout(&q, &snap, &lex, &fds, ArenaLayout::Searcher)
-                .unwrap();
-        let builder =
-            LexDirectAccess::build_on_with_layout(&q, &snap, &lex, &fds, ArenaLayout::Builder)
-                .unwrap();
-        let len = searcher.len();
+        let da = LexDirectAccess::build_on(&q, &snap, &lex, &fds).unwrap();
+        let len = da.len();
 
         let mut vbuf: Vec<rda_db::Value> = Vec::new();
         let batches = run_batches(
@@ -1368,12 +1345,12 @@ fn batch_bench(smoke: bool) {
             &mut |ranks, out| {
                 out.clear();
                 for &k in ranks {
-                    searcher.access_into(k, &mut vbuf);
+                    da.access_into(k, &mut vbuf);
                     out.push_row(&vbuf);
                 }
             },
             &mut |ranks, out| {
-                searcher.access_batch_into(ranks, out);
+                da.access_batch_into(ranks, out);
             },
         );
         rows.push(BatchRow {
@@ -1382,53 +1359,6 @@ fn batch_bench(smoke: bool) {
             answers: len,
             batches,
             lex: true,
-        });
-
-        // Layout A/B: the value-keyed search (Algorithm 2's
-        // `inverted_access`) probes the value runs both layouts share,
-        // through the Eytzinger mirror only the searcher layout builds.
-        let ab_ops = if smoke { 2_000 } else { 10_000 };
-        let probes: Vec<rda_db::Tuple> = bench_keys(ab_ops, len)
-            .into_iter()
-            .map(|k| searcher.access(k).unwrap())
-            .collect();
-        let measured = interleaved_ns(
-            rounds,
-            &mut [
-                (
-                    &mut |_| {
-                        probes
-                            .iter()
-                            .map(|t| searcher.inverted_access(t).unwrap_or(0) as usize)
-                            .sum()
-                    },
-                    ab_ops,
-                ),
-                (
-                    &mut |_| {
-                        probes
-                            .iter()
-                            .map(|t| builder.inverted_access(t).unwrap_or(0) as usize)
-                            .sum()
-                    },
-                    ab_ops,
-                ),
-            ],
-        );
-        let [searcher_ns, builder_ns] = measured[..] else {
-            unreachable!("two measurements requested");
-        };
-        println!(
-            "{:<16} {:>10} | layout A/B: searcher {searcher_ns:>8.1} ns, builder {builder_ns:>8.1} ns ({:.2}x)",
-            name,
-            len,
-            builder_ns / searcher_ns
-        );
-        layouts.push(LayoutSample {
-            name: name.to_string(),
-            searcher_inverted_ns: searcher_ns,
-            builder_inverted_ns: builder_ns,
-            speedup: builder_ns / searcher_ns,
         });
     }
 
@@ -1475,14 +1405,29 @@ fn batch_bench(smoke: bool) {
         median_speedup >= 1.5,
         "batched access must be >= 1.5x over repeated singles on lex workloads (got {median_speedup:.2}x)"
     );
+    // The other side of the kernel's choice: a scattered batch runs one
+    // descent per rank, so it must cost no more than the singles (the
+    // median over workloads and sizes, like the headline: one sample
+    // can catch a host phase the other side of its ratio never saw).
+    let scattered = median(
+        rows.iter()
+            .filter(|r| r.lex)
+            .flat_map(|r| &r.batches)
+            .filter(|b| b.pattern == "scattered" && b.batch_len <= 256)
+            .map(|b| b.speedup)
+            .collect(),
+    );
+    assert!(
+        scattered >= 0.9,
+        "scattered batches of <= 256 ranks must be >= 0.9x repeated singles on lex workloads (got {scattered:.2}x)"
+    );
     let json = format!(
-        "{{\n  \"schema\": \"bench_batch/v1\",\n  \"command\": \"cargo run --release -p rda_bench --bin experiments -- batch{}\",\n  \"mode\": {},\n  \"rounds\": {},\n  \"host_parallelism\": {},\n  \"median_batch_speedup\": {},\n  \"layout_ab\": [\n{}\n  ],\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bench_batch/v1\",\n  \"command\": \"cargo run --release -p rda_bench --bin experiments -- batch{}\",\n  \"mode\": {},\n  \"rounds\": {},\n  \"host_parallelism\": {},\n  \"median_batch_speedup\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         if smoke { " --smoke" } else { "" },
         json_str(if smoke { "smoke" } else { "full" }),
         rounds,
         host_parallelism(),
         json_num(median_speedup),
-        layouts.iter().map(LayoutSample::json).collect::<Vec<_>>().join(",\n"),
         rows.iter().map(BatchRow::json).collect::<Vec<_>>().join(",\n"),
     );
     std::fs::write("BENCH_batch.json", &json).expect("write BENCH_batch.json");

@@ -180,6 +180,7 @@ pub fn bag_sizes(dec: &DecomposedInstance) -> HashMap<usize, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DirectAccess;
     use rda_db::tup;
     use rda_query::parser::parse;
 

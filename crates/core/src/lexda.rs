@@ -36,7 +36,9 @@
 //! agreeing bucket in every child layer, into 16 bytes (`Entry`).
 //! Buckets are contiguous entry ranges described by `BucketMeta`, and
 //! large buckets carry an exact rank directory that brackets every
-//! rank query to an O(1) expected window. An access therefore runs as a
+//! rank query to an O(1) expected window — the arena's one search
+//! structure: the value-keyed searches of Algorithm 2 binary-search the
+//! bucket's sorted value column directly. An access therefore runs as a
 //! division and a couple of cache-line touches per layer plus array
 //! indexing: no hashing, no key-tuple construction, no heap allocation.
 //! Values reappear only when an answer is emitted, decoded through the
@@ -46,6 +48,7 @@ use crate::budget::{BudgetMeter, BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::fault;
 use crate::instance::{full_reduce, positions_of, sorted_vars};
+use crate::plan::DirectAccess;
 use crate::rankdir::{self, NO_DIR};
 use crate::snapprep::{
     build_derivations_encoded, check_fds_encoded, extend_instance_encoded, normalize_encoded,
@@ -77,30 +80,9 @@ pub(crate) struct RawDerivation {
     pub(crate) lookup: HashMap<Value, Value>,
 }
 
-/// Buckets smaller than this skip the rank directory and the Eytzinger
-/// value mirror: a binary search over so few entries is already one or
-/// two cache lines.
+/// Buckets smaller than this skip the rank directory: a binary search
+/// over so few entries is already one or two cache lines.
 const DIR_MIN_ENTRIES: usize = 16;
-
-/// How the per-bucket search data of the arena is laid out — the A/B
-/// knob of the searcher-oriented layout work. Real workloads always
-/// want [`ArenaLayout::Searcher`]; [`ArenaLayout::Builder`] is retained
-/// so the layout benchmark can measure the rival layouts side by side
-/// on identical data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArenaLayout {
-    /// Searcher-oriented (the default): large buckets additionally
-    /// carry an Eytzinger (BFS-order) mirror of their sorted value run
-    /// with explicit prefetch, so the value-keyed searches of
-    /// Algorithm 2 probe cache-linear tree levels instead of the
-    /// builder-ordered sorted run.
-    #[default]
-    Searcher,
-    /// Builder-oriented: sorted runs only — the layout construction
-    /// naturally produces. Value-keyed searches binary-search the
-    /// sorted run directly.
-    Builder,
-}
 
 /// Size of the fixed stack buffers the access paths use when the query
 /// is small enough (in variables and layers) — the overwhelmingly
@@ -128,11 +110,6 @@ struct BucketMeta {
     /// Offset of this bucket's rank directory in
     /// [`Layer::dir_pool`], or [`NO_DIR`].
     dir: u32,
-    /// Pair offset of this bucket's Eytzinger value mirror in
-    /// [`Layer::value_tree_pool`] (node `k`'s pair sits at flat index
-    /// `2 * (vtree + k - 1)`), or [`NO_DIR`] when the bucket is small
-    /// or the layout is [`ArenaLayout::Builder`].
-    vtree: u32,
     /// log₂ of the directory's slot count `B`.
     dir_log: u8,
 }
@@ -181,10 +158,6 @@ struct Layer {
     buckets: Vec<BucketMeta>,
     /// Backing store for the rank directories.
     dir_pool: Vec<u32>,
-    /// Backing store for the Eytzinger value mirrors: interleaved
-    /// `(code, sorted_position)` pairs (see [`rankdir`]); empty under
-    /// [`ArenaLayout::Builder`].
-    value_tree_pool: Vec<u32>,
     /// Per key variable: one code column over the buckets, sorted
     /// lexicographically — the build-time linking index for parents.
     key_cols: Vec<Vec<u32>>,
@@ -211,7 +184,6 @@ impl Layer {
             + 4 * (self.value_codes.len()
                 + self.extra_children.len()
                 + self.dir_pool.len()
-                + self.value_tree_pool.len()
                 + self.key_cols.iter().map(Vec::len).sum::<usize>())) as u64
     }
 
@@ -490,12 +462,6 @@ struct Scratch {
     target: Vec<(u32, bool)>,
     /// Per variable slot: the probe bound before mapping to positions.
     var_bound: Vec<(u32, bool)>,
-    /// Batch kernel: the in-range `(rank, output slot)` pairs, sorted.
-    pairs: Vec<(u64, u32)>,
-    /// Batch kernel: radix-sort double buffer for `pairs`.
-    pairs_aux: Vec<(u64, u32)>,
-    /// Batch kernel: radix-sort digit counters.
-    counts: Vec<u32>,
     /// Batch kernel, per layer: the residual rank entering the layer in
     /// the previous descent.
     k_in: Vec<u64>,
@@ -533,9 +499,6 @@ thread_local! {
             chosen: Vec::new(),
             target: Vec::new(),
             var_bound: Vec::new(),
-            pairs: Vec::new(),
-            pairs_aux: Vec::new(),
-            counts: Vec::new(),
             k_in: Vec::new(),
             upper: Vec::new(),
             f_div: Vec::new(),
@@ -548,13 +511,13 @@ thread_local! {
 /// 4.1 / 8.21: ⟨n log n⟩ construction, ⟨log n⟩ per access).
 ///
 /// Internally the structure is a [`Dictionary`] plus one flat
-/// struct-of-arrays arena per layer; `access`, `inverted_access`, and
-/// `rank_of_lower_bound` run as binary searches over integer slices and
-/// perform **no heap allocation** beyond the emitted answer tuple (see
-/// [`LexDirectAccess::access_into`] for the fully allocation-free form).
+/// struct-of-arrays arena per layer; `access_into`, `inverted_access`,
+/// and `rank_of_lower_bound` run as binary searches over integer slices
+/// and perform **no heap allocation**. The owned forms (`access`,
+/// windows, batches, `iter`) come from [`DirectAccess`].
 ///
 /// ```
-/// use rda_core::LexDirectAccess;
+/// use rda_core::{DirectAccess, LexDirectAccess};
 /// use rda_db::Database;
 /// use rda_query::{parser::parse, FdSet};
 ///
@@ -636,21 +599,6 @@ impl LexDirectAccess {
         Self::from_prep(prep, Arc::clone(snap), budget)
     }
 
-    /// [`LexDirectAccess::build_on`] with an explicit [`ArenaLayout`] —
-    /// the A/B entry point of the layout benchmark. Answers are
-    /// identical under either layout; only the probe sequence of the
-    /// value-keyed searches differs.
-    pub fn build_on_with_layout(
-        q: &Cq,
-        snap: &Arc<Snapshot>,
-        lex: &[VarId],
-        fds: &FdSet,
-        layout: ArenaLayout,
-    ) -> Result<Self, BuildError> {
-        let prep = prepare_layers(q, snap, lex, fds)?;
-        Self::from_prep_with_layout(prep, Arc::clone(snap), BuildBudget::UNLIMITED, layout)
-    }
-
     /// Convenience for one-shot builds from a value-level [`Database`]:
     /// clones and freezes `db` into a private snapshot, then builds.
     /// Serving workloads that prepare more than one structure should
@@ -664,15 +612,6 @@ impl LexDirectAccess {
         prep: LayerPrep,
         snap: Arc<Snapshot>,
         budget: BuildBudget,
-    ) -> Result<Self, BuildError> {
-        Self::from_prep_with_layout(prep, snap, budget, ArenaLayout::Searcher)
-    }
-
-    fn from_prep_with_layout(
-        prep: LayerPrep,
-        snap: Arc<Snapshot>,
-        budget: BuildBudget,
-        layout: ArenaLayout,
     ) -> Result<Self, BuildError> {
         let mut clock = PhaseClock::start();
         let mut meter = budget.meter();
@@ -776,7 +715,6 @@ impl LexDirectAccess {
                 extra_children: Vec::new(),
                 buckets: Vec::new(),
                 dir_pool: Vec::new(),
-                value_tree_pool: Vec::new(),
                 key_cols: key_positions.iter().map(|_| Vec::new()).collect(),
             };
             let extra = layer.children.len().saturating_sub(1);
@@ -812,7 +750,7 @@ impl LexDirectAccess {
                     opened_by.is_none_or(|first| key_src.iter().any(|c| c[row] != c[first]));
                 if key_changed {
                     if opened_by.is_some() {
-                        close_bucket(&mut layer, &mut bucket_ws, &mut meter, layout)?;
+                        close_bucket(&mut layer, &mut bucket_ws, &mut meter)?;
                     }
                     opened_by = Some(row);
                     for (dst, src) in layer.key_cols.iter_mut().zip(&key_src) {
@@ -837,7 +775,7 @@ impl LexDirectAccess {
                 bucket_ws.push(w);
             }
             if opened_by.is_some() {
-                close_bucket(&mut layer, &mut bucket_ws, &mut meter, layout)?;
+                close_bucket(&mut layer, &mut bucket_ws, &mut meter)?;
             }
             drop(links);
             layers[i] = Some(layer);
@@ -900,144 +838,83 @@ impl LexDirectAccess {
         &self.snap
     }
 
-    /// Algorithm 1: the answer at index `k` of the sorted answer array,
-    /// or `None` ("out-of-bound") if `k ≥ len()`. O(log n); the only
-    /// heap allocation is the returned tuple itself (see
-    /// [`LexDirectAccess::access_into`] to avoid even that).
-    pub fn access(&self, k: u64) -> Option<Tuple> {
-        if k >= self.total {
-            return None;
-        }
-        if self.fits_stack_scratch() {
-            let mut chosen = [0u32; STACK_SCRATCH];
-            let mut entry = [0u32; STACK_SCRATCH];
-            self.locate(k, &mut chosen, &mut entry);
-            return Some(self.emit(&entry));
-        }
-        SCRATCH.with(|s| {
-            let mut s = s.borrow_mut();
-            s.ensure(self.var_slots, self.layers.len(), self.order.len());
-            let Scratch { chosen, entry, .. } = &mut *s;
-            self.locate(k, chosen, entry);
-            Some(self.emit(entry))
-        })
-    }
-
-    /// Allocation-free [`LexDirectAccess::access`]: write the answer at
-    /// index `k` into `out` (in head order, reusing its capacity) and
-    /// return `true`, or return `false` when `k ≥ len()`. After `out`
-    /// has grown to the head arity once, calls perform **zero** heap
-    /// allocations.
+    /// Algorithm 1: write the answer at index `k` of the sorted answer
+    /// array into `out` (in head order, reusing its capacity) and
+    /// return `true`, or return `false` ("out-of-bound") when
+    /// `k ≥ len()`. O(log n); after `out` has grown to the head arity
+    /// once, calls perform **zero** heap allocations.
     pub fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
         out.clear();
         if k >= self.total {
             return false;
         }
-        if self.fits_stack_scratch() {
-            let mut chosen = [0u32; STACK_SCRATCH];
-            let mut entry = [0u32; STACK_SCRATCH];
-            self.locate(k, &mut chosen, &mut entry);
-            self.emit_into(&entry, out);
-            return true;
-        }
-        SCRATCH.with(|s| {
-            let mut s = s.borrow_mut();
-            s.ensure(self.var_slots, self.layers.len(), self.order.len());
-            let Scratch { chosen, entry, .. } = &mut *s;
+        // Exactly the head arity: the owned `DirectAccess::access`
+        // turns a fresh buffer into its tuple without reallocating.
+        out.reserve_exact(self.out_layers.len());
+        self.with_cursor(|chosen, entry| {
             self.locate(k, chosen, entry);
             self.emit_into(entry, out);
         });
         true
     }
 
-    /// Batched [`LexDirectAccess::access`]: the answers at the given
-    /// ranks, in **input order**, skipping out-of-range ranks —
-    /// equivalent to `ranks.iter().filter_map(|&k| self.access(k))`,
-    /// but k accesses cost **one descent plus O(k) local advances**
-    /// instead of k full descents (see
-    /// [`LexDirectAccess::access_batch_into`]).
-    pub fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        let mut out = WindowBuf::new();
-        self.access_batch_into(ranks, &mut out);
-        out.to_tuples()
-    }
-
-    /// Allocation-free [`LexDirectAccess::access_batch`]: fill `out`
-    /// with the answers at the given ranks (input order, out-of-range
-    /// ranks skipped) and return how many rows were written.
+    /// Batched access: fill `out` with the answers at the given ranks
+    /// — in **input order**, out-of-range ranks skipped, equivalent to
+    /// `ranks.iter().filter_map(|&k| self.access(k))` — and return how
+    /// many rows were written.
     ///
-    /// The kernel sorts the ranks, then descends the layer arenas
-    /// **once** with shared bracketing — a generalized odometer walk
-    /// keeping one cursor per layer: each next rank re-enters the
-    /// previous descent at its shallowest carry point (the first layer
-    /// whose chosen entry no longer contains the rank's residual) and
-    /// re-derives sibling buckets only from there down, with the
-    /// layer's rank-directory window clamped to start at the previous
-    /// cursor. Sorted batches over a dense rank range approach the
-    /// O(1)-amortized cost of the window walk; scattered batches still
-    /// share every common descent prefix. Ranks are walked in sorted
-    /// order, but each row is emitted directly into its input-order
-    /// output slot.
+    /// When the in-range ranks already ascend (a client walking rank
+    /// order), the arenas are descended **once** with shared bracketing
+    /// — a generalized odometer walk keeping one cursor per layer: each
+    /// next rank re-enters the previous descent at its shallowest carry
+    /// point (the first layer whose chosen entry no longer contains the
+    /// rank's residual) and re-derives sibling buckets only from there
+    /// down. Dense ascending batches approach the O(1)-amortized cost
+    /// of the window walk. The walk's contract is sorted input only:
+    /// any other batch pays one independent descent per rank —
+    /// scattered ranks share too little of a descent for sorting them
+    /// first to pay.
     ///
     /// After `out` and the per-thread scratch have grown to the batch's
     /// size once, calls perform **zero** heap allocations.
     pub fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         out.begin(self.out_vars.len());
+        let in_range = || ranks.iter().copied().filter(|&k| k < self.total);
         if self.layers.is_empty() {
             // Boolean head: one empty row per in-range rank.
-            let mut n = 0;
-            for &k in ranks {
-                if k < self.total {
-                    out.push_with(|_| {});
-                    n += 1;
-                }
-            }
-            return n;
+            in_range().for_each(|_| out.push_with(|_| {}));
+            return out.len() as u64;
         }
+        if !in_range().is_sorted() {
+            self.with_cursor(|chosen, entry| {
+                for k in in_range() {
+                    self.locate(k, chosen, entry);
+                    out.push_with(|vals| self.emit_into(entry, vals));
+                }
+            });
+            return out.len() as u64;
+        }
+        let mut rest = in_range();
+        let Some(mut prev) = rest.next() else {
+            return 0;
+        };
         SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
             s.ensure(self.var_slots, self.layers.len(), self.order.len());
             let Scratch {
                 chosen,
                 entry,
-                pairs,
-                pairs_aux,
-                counts,
                 k_in,
                 upper,
                 f_div,
                 ..
             } = &mut *s;
-            pairs.clear();
-            for &k in ranks {
-                if k < self.total {
-                    // Survivor j of the input order gets output slot j.
-                    pairs.push((k, pairs.len() as u32));
-                }
-            }
-            if pairs.is_empty() {
-                return 0;
-            }
-            // Pre-sorted input (a client walking rank order): slots
-            // ascend with the walk, so rows append sequentially — no
-            // placeholder pre-fill, no scattered writes. Otherwise
-            // pre-size and land each row in its input-order slot.
-            let in_order = rankdir::sort_ranks(pairs, pairs_aux, counts);
-            if !in_order {
-                out.set_rows(pairs.len());
-            }
-
             let f = self.layers.len();
-            let mut prev = pairs[0].0;
             self.locate_trace(
                 prev, 0, self.total, false, chosen, entry, k_in, upper, f_div,
             );
-            if in_order {
-                out.push_with(|vals| self.emit_into(entry, vals));
-            } else {
-                self.emit_to(entry, out.row_mut(pairs[0].1 as usize));
-            }
-            for &(k, slot) in &pairs[1..] {
+            out.push_with(|vals| self.emit_into(entry, vals));
+            for k in rest {
                 let delta = k - prev;
                 if delta > 0 {
                     // Shallowest carry point: the first layer whose
@@ -1074,14 +951,10 @@ impl LexDirectAccess {
                     }
                     prev = k;
                 }
-                if in_order {
-                    out.push_with(|vals| self.emit_into(entry, vals));
-                } else {
-                    self.emit_to(entry, out.row_mut(slot as usize));
-                }
+                out.push_with(|vals| self.emit_into(entry, vals));
             }
-            pairs.len() as u64
-        })
+        });
+        out.len() as u64
     }
 
     /// [`LexDirectAccess::locate`] with a resumable cursor trace: run
@@ -1193,23 +1066,23 @@ impl LexDirectAccess {
         debug_assert_eq!(k, 0, "descent consumes the whole rank");
     }
 
-    /// `true` when the descent state fits the fixed stack buffers —
-    /// virtually every real query; the thread-local scratch handles the
-    /// rest.
+    /// Run `f` over per-layer `chosen` / `entry` descent buffers: fixed
+    /// stack arrays when the query is small enough (in variables and
+    /// layers — virtually every real query), the thread-local scratch
+    /// otherwise.
     #[inline]
-    fn fits_stack_scratch(&self) -> bool {
-        self.var_slots <= STACK_SCRATCH && self.layers.len() <= STACK_SCRATCH
-    }
-
-    /// Decode the chosen layer entries into an owned answer tuple (head
-    /// order) — the access path's single allocation: the backing store
-    /// is reserved at exactly the head arity and decoded in place, so
-    /// the `Vec → Box<[Value]>` conversion inside [`Tuple::new`] is a
-    /// pointer move, never a reallocation or copy.
-    fn emit(&self, entry: &[u32]) -> Tuple {
-        let mut vals = Vec::with_capacity(self.out_layers.len());
-        self.emit_into(entry, &mut vals);
-        Tuple::new(vals)
+    fn with_cursor<R>(&self, f: impl FnOnce(&mut [u32], &mut [u32]) -> R) -> R {
+        if self.var_slots <= STACK_SCRATCH && self.layers.len() <= STACK_SCRATCH {
+            let mut chosen = [0u32; STACK_SCRATCH];
+            let mut entry = [0u32; STACK_SCRATCH];
+            return f(&mut chosen, &mut entry);
+        }
+        SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            s.ensure(self.var_slots, self.layers.len(), self.order.len());
+            let Scratch { chosen, entry, .. } = &mut *s;
+            f(chosen, entry)
+        })
     }
 
     /// Decode the chosen layer entries into `out` (head order),
@@ -1222,18 +1095,6 @@ impl LexDirectAccess {
         }));
     }
 
-    /// Decode the chosen layer entries over a pre-sized row slice (head
-    /// order) — the batch kernel's positioned emit, landing each row
-    /// directly in its input-order output slot.
-    fn emit_to(&self, entry: &[u32], out: &mut [Value]) {
-        let dict = self.snap.dict();
-        for (o, &i) in out.iter_mut().zip(self.out_layers.iter()) {
-            *o = dict
-                .value(self.layers[i].entries[entry[i] as usize].value)
-                .clone();
-        }
-    }
-
     /// Algorithm 2: the index of `answer` in the sorted answer array, or
     /// `None` ("not-an-answer"). `answer` is a tuple over the original
     /// query's head variables. O(log n), allocation-free.
@@ -1244,7 +1105,7 @@ impl LexDirectAccess {
 
     /// Remark 3: the number of answers strictly before `answer` in the
     /// order, whether or not `answer` itself is an answer. Combined with
-    /// [`LexDirectAccess::access`] this yields "return the next answer
+    /// [`LexDirectAccess::access_into`] this yields "return the next answer
     /// in order" for non-answers. Returns `None` if the tuple cannot be
     /// consistently derived (under FDs). O(log n), allocation-free.
     pub fn rank_of_lower_bound(&self, answer: &Tuple) -> Option<u64> {
@@ -1257,13 +1118,6 @@ impl LexDirectAccess {
     pub fn next_at_or_after(&self, answer: &Tuple) -> Option<(u64, Tuple)> {
         let rank = self.rank_of_lower_bound(answer)?;
         self.access(rank).map(|t| (rank, t))
-    }
-
-    /// Iterate over all answers in order: one bracketing, then O(1)
-    /// amortized per answer (constant-delay enumeration via the window
-    /// walk — not repeated O(log n) accesses).
-    pub fn iter(&self) -> LexRangeIter<'_> {
-        self.iter_range(0..self.total)
     }
 
     /// Shared core of the probe APIs: encode `answer` into code bounds
@@ -1451,7 +1305,7 @@ impl LexDirectAccess {
     /// Windowed access: write the answers at ranks `range` (clamped to
     /// `len()`) into `out` in order, returning how many were written.
     ///
-    /// The O(log n) rank bracketing of [`LexDirectAccess::access`] is
+    /// The O(log n) rank bracketing of [`LexDirectAccess::access_into`] is
     /// paid **once** for the whole window; every further tuple is an
     /// O(1) amortized arena step. After `out` has grown to the window's
     /// size once, refills perform **zero** heap allocations.
@@ -1469,38 +1323,8 @@ impl LexDirectAccess {
             }
             return n;
         }
-        if self.fits_stack_scratch() {
-            let mut chosen = [0u32; STACK_SCRATCH];
-            let mut entry = [0u32; STACK_SCRATCH];
-            self.walk_emit(lo, n, &mut chosen, &mut entry, out);
-        } else {
-            SCRATCH.with(|s| {
-                let mut s = s.borrow_mut();
-                s.ensure(self.var_slots, self.layers.len(), self.order.len());
-                let Scratch { chosen, entry, .. } = &mut *s;
-                self.walk_emit(lo, n, chosen, entry, out);
-            });
-        }
+        self.with_cursor(|chosen, entry| self.walk_emit(lo, n, chosen, entry, out));
         n
-    }
-
-    /// Iterate the answers at ranks `range` (clamped to `len()`) in
-    /// order, as owned tuples: one rank bracketing up front, O(1)
-    /// amortized per step — constant-delay ranked enumeration over the
-    /// arena.
-    pub fn iter_range(&self, range: Range<u64>) -> LexRangeIter<'_> {
-        let (lo, hi) = crate::window::clamp_range(&range, self.total);
-        let mut it = LexRangeIter {
-            da: self,
-            chosen: vec![0; self.layers.len()],
-            entry: vec![0; self.layers.len()],
-            remaining: hi.saturating_sub(lo),
-            started: false,
-        };
-        if it.remaining > 0 && !self.layers.is_empty() {
-            self.locate(lo, &mut it.chosen, &mut it.entry);
-        }
-        it
     }
 
     /// Core of Algorithm 2 and Remark 3: count answers strictly before
@@ -1530,16 +1354,8 @@ impl LexDirectAccess {
             let (code, can_exact) = target[i];
             // First entry with value ≥ the probe value: codes below the
             // probe's lower-bound code decode to strictly smaller values.
-            // Large buckets search their Eytzinger mirror (cache-linear
-            // probes, grandchild prefetch); small ones binary-search the
-            // sorted run directly.
-            let idx = if m.vtree == NO_DIR {
-                rankdir::bracketed_partition_point(&layer.value_codes[..hi], lo, hi, |&e| e < code)
-            } else {
-                let t = 2 * m.vtree as usize;
-                let tree = &layer.value_tree_pool[t..t + 2 * m.len as usize];
-                lo + rankdir::value_tree_lower_bound(tree, code)
-            };
+            let idx =
+                rankdir::bracketed_partition_point(&layer.value_codes[..hi], lo, hi, |&e| e < code);
             let before = if idx < hi {
                 layer.entries[idx].start
             } else {
@@ -1565,52 +1381,14 @@ impl LexDirectAccess {
     }
 }
 
-/// The cursor behind [`LexDirectAccess::iter_range`]: a seeded window
-/// walk yielding owned tuples with O(1) amortized delay.
-pub struct LexRangeIter<'a> {
-    da: &'a LexDirectAccess,
-    chosen: Vec<u32>,
-    entry: Vec<u32>,
-    remaining: u64,
-    started: bool,
-}
-
-impl Iterator for LexRangeIter<'_> {
-    type Item = Tuple;
-
-    fn next(&mut self) -> Option<Tuple> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        if self.da.layers.is_empty() {
-            return Some(Tuple::new(Vec::new()));
-        }
-        if self.started {
-            let more = self.da.advance(&mut self.chosen, &mut self.entry);
-            debug_assert!(more, "the walk stays within len()");
-        } else {
-            self.started = true;
-        }
-        Some(self.da.emit(&self.entry))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = usize::try_from(self.remaining).unwrap_or(usize::MAX);
-        (n, Some(n))
-    }
-}
-
 /// Close the currently open bucket: turn its entry weights into prefix
 /// sums (`starts`), record the bucket metadata, and build its rank
-/// directory and (under [`ArenaLayout::Searcher`]) its Eytzinger value
-/// mirror — rejecting counts above `u64::MAX` and charging both pools'
-/// growth against the build budget.
+/// directory — rejecting counts above `u64::MAX` and charging the
+/// directory pool's growth against the build budget.
 fn close_bucket(
     layer: &mut Layer,
     ws: &mut Vec<u128>,
     meter: &mut BudgetMeter,
-    layout: ArenaLayout,
 ) -> Result<(), BuildError> {
     let len = ws.len();
     let offset = layer.entries.len() - len;
@@ -1659,30 +1437,11 @@ fn close_bucket(
         }
     }
 
-    // Eytzinger value mirror (searcher layout): large buckets regroup
-    // their sorted value run into BFS order for the value-keyed
-    // searches of Algorithm 2. Pair offsets must fit `BucketMeta::vtree`
-    // (NO_DIR excluded); an overflowing layer falls back to the sorted
-    // run for its remaining buckets.
-    let mut vtree = NO_DIR;
-    if layout == ArenaLayout::Searcher && len >= DIR_MIN_ENTRIES {
-        let base_pairs = layer.value_tree_pool.len() / 2;
-        if base_pairs.saturating_add(len) < NO_DIR as usize {
-            meter.charge((len as u64) * 8, 0)?;
-            vtree = base_pairs as u32;
-            rankdir::build_value_tree(
-                &layer.value_codes[offset..offset + len],
-                &mut layer.value_tree_pool,
-            );
-        }
-    }
-
     layer.buckets.push(BucketMeta {
         total,
         offset: offset as u32,
         len: len as u32,
         dir,
-        vtree,
         dir_log,
     });
     Ok(())
@@ -1899,9 +1658,8 @@ mod tests {
 
     #[test]
     fn access_batch_matches_oracle_across_layers_and_layouts() {
-        // Big enough for rank directories and Eytzinger mirrors to kick
-        // in (buckets well past DIR_MIN_ENTRIES), with carries at every
-        // layer of the descent.
+        // Big enough for rank directories to kick in (buckets well past
+        // DIR_MIN_ENTRIES), with carries at every layer of the descent.
         let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
         let r: Vec<Vec<i64>> = (0..120).map(|i| vec![i, i % 6]).collect();
         let s: Vec<Vec<i64>> = (0..6)
@@ -1910,30 +1668,22 @@ mod tests {
         let db = Database::new()
             .with_i64_rows("R", 2, r)
             .with_i64_rows("S", 2, s);
-        let snap = db.freeze();
-        let lex = q.vars(&["x", "y", "z"]);
-        for layout in [ArenaLayout::Searcher, ArenaLayout::Builder] {
-            let da =
-                LexDirectAccess::build_on_with_layout(&q, &snap, &lex, &FdSet::empty(), layout)
-                    .unwrap();
-            assert_eq!(da.len(), 120 * 25);
-            // Mixed strides so consecutive ranks carry at different
-            // depths, plus duplicates, reversals, and out-of-range.
-            let mut ranks: Vec<u64> = (0..da.len()).step_by(7).collect();
-            let mut coarse: Vec<u64> = (0..da.len()).step_by(193).collect();
-            coarse.reverse();
-            ranks.extend(coarse);
-            ranks.extend([0, 0, da.len() - 1, da.len(), da.len() + 5, 1, 1]);
-            assert_eq!(
-                da.access_batch(&ranks),
-                batch_oracle(&da, &ranks),
-                "{layout:?}"
-            );
-            let mut out = WindowBuf::new();
-            let n = da.access_batch_into(&ranks, &mut out);
-            assert_eq!(n, ranks.iter().filter(|&&k| k < da.len()).count() as u64);
-            assert_eq!(out.to_tuples(), batch_oracle(&da, &ranks), "{layout:?}");
-        }
+        let da = build(&q, &db, &["x", "y", "z"]);
+        assert_eq!(da.len(), 120 * 25);
+        // Mixed strides so consecutive ranks carry at different depths
+        // (the ascending walk), then the same with reversals,
+        // duplicates and out-of-range ranks (one descent per rank).
+        let mut ranks: Vec<u64> = (0..da.len()).step_by(7).collect();
+        assert_eq!(da.access_batch(&ranks), batch_oracle(&da, &ranks));
+        let mut coarse: Vec<u64> = (0..da.len()).step_by(193).collect();
+        coarse.reverse();
+        ranks.extend(coarse);
+        ranks.extend([0, 0, da.len() - 1, da.len(), da.len() + 5, 1, 1]);
+        assert_eq!(da.access_batch(&ranks), batch_oracle(&da, &ranks));
+        let mut out = WindowBuf::new();
+        let n = da.access_batch_into(&ranks, &mut out);
+        assert_eq!(n, ranks.iter().filter(|&&k| k < da.len()).count() as u64);
+        assert_eq!(out.to_tuples(), batch_oracle(&da, &ranks));
     }
 
     #[test]

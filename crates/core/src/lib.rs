@@ -52,7 +52,10 @@
 //! `page`, with allocation-free `*_into` variants over [`WindowBuf`])
 //! pay the native structures' rank bracketing once per window, and
 //! [`AccessPlan::stream`] enumerates lazily in batches ([`RankedStream`],
-//! any-k style — see [`mod@window`]). Since 0.5.0 the pre-snapshot
+//! any-k style — see [`mod@window`]). A backend implements three
+//! methods (`len`, `access_into`, `inverted_access`) and may override
+//! the window and batch kernels; every owned form is provided by the
+//! trait, once. Since 0.5.0 the pre-snapshot
 //! shims (`Engine::prepare_stateless` and the PR-1 selection free
 //! functions) are gone: the engine is the single entry point, and the
 //! [`rda_serve`-style](engine::canonical_request_key) service hooks —
@@ -89,7 +92,7 @@ pub use engine::{
 };
 pub use error::BuildError;
 pub use fault::{FaultAction, FaultGuard, FaultPlan, InjectedFault};
-pub use lexda::{ArenaLayout, LexDirectAccess, LexRangeIter};
+pub use lexda::LexDirectAccess;
 pub use plan::{
     AccessPlan, Backend, DirectAccess, Explain, RankedAnswers, RankedEnumHandle,
     SelectionLexHandle, SelectionSumHandle, ShardRouting,

@@ -7,11 +7,14 @@
 //! hard. Each regime historically had its own entry point with its own
 //! signature; this module gives them one shape:
 //!
-//! * [`DirectAccess`] — `len` / `access` / `inverted_access` / `range` /
-//!   `iter` with **owned** tuples everywhere, implemented by
-//!   [`LexDirectAccess`], [`SumDirectAccess`], the
-//!   [`MaterializedAccess`] baseline, and the selection and any-k
-//!   handles;
+//! * [`DirectAccess`] — a backend implements `len`, `access_into` and
+//!   `inverted_access` (and overrides the window and batch kernels
+//!   `access_range_into` / `access_batch_into` when it can beat a loop
+//!   of accesses); every owned form — `access`, `access_range`,
+//!   `access_batch`, `top_k`, `page`, `iter` — is written once, here,
+//!   over those five. Implemented by [`LexDirectAccess`],
+//!   [`SumDirectAccess`], the [`MaterializedAccess`] baseline, and the
+//!   selection and any-k handles;
 //! * [`RankedAnswers`] — the engine's routed backend, one enum over all
 //!   strategies including the selection-backed handles;
 //! * [`Explain`] — why the router chose what it chose: the verdict, the
@@ -47,7 +50,7 @@ use crate::weights::Weights;
 use crate::window::{clamp_range, RankedStream, WindowBuf, DEFAULT_STREAM_BATCH};
 use crate::{LexDirectAccess, SumDirectAccess};
 use rda_baseline::{MaterializedAccess, RankedEnumerator};
-use rda_db::{Snapshot, Tuple};
+use rda_db::{Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
 use rda_query::classify::{Problem, Reason, Verdict};
 use rda_query::fd::FdSet;
@@ -64,6 +67,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Implementors expose the answers of a conjunctive query as a sorted,
 /// random-access array without necessarily materializing it. Cost per
 /// operation varies by backend — see [`Backend::guarantee`].
+///
+/// A backend implements three methods — [`len`](DirectAccess::len),
+/// [`access_into`](DirectAccess::access_into) and
+/// [`inverted_access`](DirectAccess::inverted_access) — and may
+/// override the two kernels
+/// [`access_range_into`](DirectAccess::access_range_into) and
+/// [`access_batch_into`](DirectAccess::access_batch_into), whose
+/// defaults loop `access_into`. Everything else is provided over those
+/// five and overridden only where laziness is the contract (the any-k
+/// handle's `is_empty` / `iter`).
 pub trait DirectAccess {
     /// Number of answers (`|Q(I)|`).
     ///
@@ -73,34 +86,100 @@ pub trait DirectAccess {
     /// construction.
     fn len(&self) -> u64;
 
-    /// `true` when the query has no answers.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The answer at index `k` of the sorted answer array, or `None`
-    /// when `k ≥ len()` ("out-of-bound").
-    fn access(&self, k: u64) -> Option<Tuple>;
+    /// Write the answer at index `k` of the sorted answer array into
+    /// `out` (head order, reusing its capacity) and return `true`, or
+    /// clear `out` and return `false` when `k ≥ len()`
+    /// ("out-of-bound"). The native direct-access structures serve this
+    /// with **zero** heap allocations once `out` has grown to the head
+    /// arity.
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool;
 
     /// The index of `answer` in the sorted answer array, or `None` when
     /// it is not an answer ("not-an-answer") — including tuples whose
     /// arity does not match the query head.
     fn inverted_access(&self, answer: &Tuple) -> Option<u64>;
 
-    /// The answers at the ranks in `range` (clamped to the answer
-    /// count), in order — one window, equivalent to the sequence of
-    /// `access(k)` results for `k` in `range`.
+    /// The window kernel: fill `out` with the answers at the ranks in
+    /// `range` (clamped to the answer count), in order, reusing its
+    /// storage, and return how many rows were written.
     ///
     /// The default walks rank by rank; the native direct-access
     /// structures override it to pay their O(log n) rank bracketing
-    /// once per window instead of once per tuple.
+    /// once per window instead of once per tuple, and refill an
+    /// already-grown buffer with **zero** heap allocations.
+    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
+        out.clear();
+        let mut row = Vec::new();
+        for k in range {
+            if !self.access_into(k, &mut row) {
+                break;
+            }
+            out.push_row(&row);
+        }
+        out.len() as u64
+    }
+
+    /// The batch kernel: fill `out` with the answers at the given ranks
+    /// — unsorted, duplicated, and out-of-range ranks welcome — in
+    /// **input order**, with out-of-range ranks skipped, and return how
+    /// many rows were written.
+    ///
+    /// The default pays one full access per rank; the lexicographic
+    /// arena overrides it to share one descent across a batch whose
+    /// ranks already ascend (see
+    /// [`LexDirectAccess::access_batch_into`]). On the native
+    /// structures a refill of an already-grown buffer performs **zero**
+    /// heap allocations.
+    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
+        out.clear();
+        let mut row = Vec::new();
+        for &k in ranks {
+            if self.access_into(k, &mut row) {
+                out.push_row(&row);
+            }
+        }
+        out.len() as u64
+    }
+
+    /// `true` when the query has no answers.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The answer at index `k` of the sorted answer array, or `None`
+    /// when `k ≥ len()` — [`DirectAccess::access_into`] as an owned
+    /// tuple (its one heap allocation on the native structures).
+    fn access(&self, k: u64) -> Option<Tuple> {
+        let mut row = Vec::new();
+        self.access_into(k, &mut row).then(|| Tuple::new(row))
+    }
+
+    /// The answers at the ranks in `range` (clamped to the answer
+    /// count), in order — one window, equivalent to the sequence of
+    /// `access(k)` results for `k` in `range`.
     fn access_range(&self, range: Range<u64>) -> Vec<Tuple> {
-        range.map_while(|k| self.access(k)).collect()
+        let mut out = WindowBuf::new();
+        self.access_range_into(range, &mut out);
+        out.to_tuples()
+    }
+
+    /// The answers at the given ranks, in input order, out-of-range
+    /// ranks skipped. Equivalent to
+    /// `ranks.iter().filter_map(|&k| self.access(k))`.
+    fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
+        let mut out = WindowBuf::new();
+        self.access_batch_into(ranks, &mut out);
+        out.to_tuples()
     }
 
     /// The `k` first answers (fewer when the query has fewer).
     fn top_k(&self, k: u64) -> Vec<Tuple> {
         self.access_range(0..k)
+    }
+
+    /// Allocation-free [`DirectAccess::top_k`].
+    fn top_k_into(&self, k: u64, out: &mut WindowBuf) -> u64 {
+        self.access_range_into(0..k, out)
     }
 
     /// Page `offset..offset + len` of the answers (clamped) — the
@@ -109,169 +188,68 @@ pub trait DirectAccess {
         self.access_range(offset..offset.saturating_add(len))
     }
 
-    /// Allocation-free [`DirectAccess::access_range`]: fill `out` with
-    /// the window's rows (reusing its storage) and return how many were
-    /// written. On the native structures a refill of an already-grown
-    /// buffer performs **zero** heap allocations.
-    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        out.clear();
-        let mut n = 0;
-        for k in range {
-            match self.access(k) {
-                Some(t) => {
-                    out.push_tuple(&t);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-
-    /// Allocation-free [`DirectAccess::top_k`].
-    fn top_k_into(&self, k: u64, out: &mut WindowBuf) -> u64 {
-        self.access_range_into(0..k, out)
-    }
-
-    /// Batched access: the answers at the given ranks — unsorted,
-    /// duplicated, and out-of-range ranks welcome — in **input order**,
-    /// with out-of-range ranks skipped. Equivalent to
-    /// `ranks.iter().filter_map(|&k| self.access(k))`.
-    ///
-    /// The default pays one full access per rank; the native structures
-    /// override it to sort the ranks and amortize one shared descent
-    /// across the whole batch (see
-    /// [`LexDirectAccess::access_batch_into`]).
-    fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        ranks.iter().filter_map(|&k| self.access(k)).collect()
-    }
-
-    /// Allocation-free [`DirectAccess::access_batch`]: fill `out` with
-    /// the batch's rows (reusing its storage) and return how many were
-    /// written. On the native structures a refill of an already-grown
-    /// buffer performs **zero** heap allocations.
-    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        out.clear();
-        let mut n = 0;
-        for &k in ranks {
-            if let Some(t) = self.access(k) {
-                out.push_tuple(&t);
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Allocation-free [`DirectAccess::page`].
     fn page_into(&self, offset: u64, len: u64, out: &mut WindowBuf) -> u64 {
         self.access_range_into(offset..offset.saturating_add(len), out)
     }
 
-    /// The answers at indices `lo..hi` (clamped), in order. Equivalent
-    /// to [`DirectAccess::access_range`]`(lo..hi)`, kept for callers
-    /// preferring two indices over a [`Range`].
-    fn range(&self, lo: u64, hi: u64) -> Vec<Tuple> {
-        self.access_range(lo..hi)
-    }
-
-    /// Iterate all answers in order.
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_>;
-}
-
-impl DirectAccess for LexDirectAccess {
-    fn len(&self) -> u64 {
-        LexDirectAccess::len(self)
-    }
-    fn access(&self, k: u64) -> Option<Tuple> {
-        LexDirectAccess::access(self, k)
-    }
-    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        LexDirectAccess::inverted_access(self, answer)
-    }
-    fn access_range(&self, range: Range<u64>) -> Vec<Tuple> {
-        LexDirectAccess::iter_range(self, range).collect()
-    }
-    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        LexDirectAccess::access_range_into(self, range, out)
-    }
-    fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        LexDirectAccess::access_batch(self, ranks)
-    }
-    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        LexDirectAccess::access_batch_into(self, ranks, out)
-    }
+    /// Iterate all answers in order: a [`RankedStream`] over the window
+    /// kernel, so the native structures pay one rank bracketing per
+    /// batch, not per tuple.
     fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        Box::new(LexDirectAccess::iter(self))
+        Box::new(RankedStream::new(self, 0, DEFAULT_STREAM_BATCH))
     }
 }
 
-impl DirectAccess for ShardedLexAccess {
-    fn len(&self) -> u64 {
-        ShardedLexAccess::len(self)
-    }
-    fn access(&self, k: u64) -> Option<Tuple> {
-        ShardedLexAccess::access(self, k)
-    }
-    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        ShardedLexAccess::inverted_access(self, answer)
-    }
-    fn access_range(&self, range: Range<u64>) -> Vec<Tuple> {
-        ShardedLexAccess::access_range(self, range)
-    }
-    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        ShardedLexAccess::access_range_into(self, range, out)
-    }
-    fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        ShardedLexAccess::access_batch(self, ranks)
-    }
-    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        ShardedLexAccess::access_batch_into(self, ranks, out)
-    }
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        Box::new(ShardedLexAccess::iter(self))
-    }
+/// `access_into` for a backend that holds (or just computed) the answer
+/// as a tuple: copy it into `out`, sized exactly so the provided
+/// [`DirectAccess::access`] turns the buffer into a tuple without a
+/// second allocation.
+fn copy_into(answer: Option<&Tuple>, out: &mut Vec<Value>) -> bool {
+    out.clear();
+    let Some(t) = answer else { return false };
+    out.reserve_exact(t.arity());
+    out.extend_from_slice(t.values());
+    true
 }
 
-impl DirectAccess for SumDirectAccess {
-    fn len(&self) -> u64 {
-        SumDirectAccess::len(self)
-    }
-    fn access(&self, k: u64) -> Option<Tuple> {
-        SumDirectAccess::access(self, k)
-    }
-    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        SumDirectAccess::inverted_access(self, answer)
-    }
-    fn access_range(&self, range: Range<u64>) -> Vec<Tuple> {
-        SumDirectAccess::iter_range(self, range).collect()
-    }
-    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        SumDirectAccess::access_range_into(self, range, out)
-    }
-    fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        SumDirectAccess::access_batch(self, ranks)
-    }
-    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        SumDirectAccess::access_batch_into(self, ranks, out)
-    }
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        Box::new(SumDirectAccess::iter(self))
-    }
+/// Forward the trait's required methods and both kernels to the
+/// inherent methods of a native structure.
+macro_rules! forward_native {
+    ($ty:ty) => {
+        impl DirectAccess for $ty {
+            fn len(&self) -> u64 {
+                <$ty>::len(self)
+            }
+            fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+                <$ty>::access_into(self, k, out)
+            }
+            fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
+                <$ty>::inverted_access(self, answer)
+            }
+            fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
+                <$ty>::access_range_into(self, range, out)
+            }
+            fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
+                <$ty>::access_batch_into(self, ranks, out)
+            }
+        }
+    };
 }
+
+forward_native!(LexDirectAccess);
+forward_native!(ShardedLexAccess);
+forward_native!(SumDirectAccess);
 
 impl DirectAccess for MaterializedAccess {
     fn len(&self) -> u64 {
         MaterializedAccess::len(self)
     }
-    fn access(&self, k: u64) -> Option<Tuple> {
-        MaterializedAccess::access(self, k)
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+        copy_into(self.answers().get(k as usize), out)
     }
     fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
         MaterializedAccess::inverted_access(self, answer)
-    }
-    fn access_range(&self, range: Range<u64>) -> Vec<Tuple> {
-        let (lo, hi) = clamp_range(&range, self.len());
-        self.answers()[lo as usize..hi as usize].to_vec()
     }
     fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
         out.clear();
@@ -280,28 +258,6 @@ impl DirectAccess for MaterializedAccess {
             out.push_tuple(t);
         }
         hi - lo
-    }
-    fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        let answers = self.answers();
-        ranks
-            .iter()
-            .filter_map(|&k| answers.get(k as usize).cloned())
-            .collect()
-    }
-    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        out.clear();
-        let answers = self.answers();
-        let mut n = 0;
-        for &k in ranks {
-            if let Some(t) = answers.get(k as usize) {
-                out.push_tuple(t);
-                n += 1;
-            }
-        }
-        n
-    }
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        Box::new(MaterializedAccess::iter(self))
     }
 }
 
@@ -351,8 +307,8 @@ impl DirectAccess for SelectionLexHandle {
         self.sel.len()
     }
 
-    fn access(&self, k: u64) -> Option<Tuple> {
-        self.sel.select(k)
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+        copy_into(self.sel.select(k).as_ref(), out)
     }
 
     fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
@@ -376,10 +332,6 @@ impl DirectAccess for SelectionLexHandle {
             by_order(self.access(k).expect("k < len")).is_ge()
         });
         (self.access(pos).as_ref() == Some(answer)).then_some(pos)
-    }
-
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        Box::new((0..self.len()).map(|k| self.access(k).expect("k < len")))
     }
 }
 
@@ -474,8 +426,8 @@ impl DirectAccess for SelectionSumHandle {
         self.sel.len()
     }
 
-    fn access(&self, k: u64) -> Option<Tuple> {
-        self.access_weighted(k).map(|(_, t)| t)
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+        copy_into(self.access_weighted(k).as_ref().map(|(_, t)| t), out)
     }
 
     fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
@@ -603,10 +555,10 @@ impl DirectAccess for RankedEnumHandle {
         s.cache.is_empty()
     }
 
-    fn access(&self, k: u64) -> Option<Tuple> {
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
         let mut s = self.state();
         s.fill_to(k.saturating_add(1));
-        s.cache.get(k as usize).cloned()
+        copy_into(s.cache.get(k as usize), out)
     }
 
     fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
@@ -617,17 +569,10 @@ impl DirectAccess for RankedEnumHandle {
         s.cache.iter().position(|t| t == answer).map(|i| i as u64)
     }
 
-    fn access_range(&self, range: Range<u64>) -> Vec<Tuple> {
+    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
         // One lock and one fill for the whole window; filling only to
         // `range.end` (never via len()) keeps the pay-as-you-go
         // guarantee.
-        let mut s = self.state();
-        s.fill_to(range.end);
-        let (lo, hi) = clamp_range(&range, s.cache.len() as u64);
-        s.cache[lo as usize..hi as usize].to_vec()
-    }
-
-    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
         out.clear();
         let mut s = self.state();
         s.fill_to(range.end);
@@ -638,33 +583,18 @@ impl DirectAccess for RankedEnumHandle {
         hi - lo
     }
 
-    fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
+    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         // One lock and one fill (to the largest requested rank) for the
         // whole batch, instead of a lock round trip per rank.
-        let mut s = self.state();
-        if let Some(&max) = ranks.iter().max() {
-            s.fill_to(max.saturating_add(1));
-        }
-        ranks
-            .iter()
-            .filter_map(|&k| s.cache.get(k as usize).cloned())
-            .collect()
-    }
-
-    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         out.clear();
         let mut s = self.state();
         if let Some(&max) = ranks.iter().max() {
             s.fill_to(max.saturating_add(1));
         }
-        let mut n = 0;
-        for &k in ranks {
-            if let Some(t) = s.cache.get(k as usize) {
-                out.push_tuple(t);
-                n += 1;
-            }
+        for t in ranks.iter().filter_map(|&k| s.cache.get(k as usize)) {
+            out.push_tuple(t);
         }
-        n
+        out.len() as u64
     }
 
     fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
@@ -726,31 +656,24 @@ macro_rules! dispatch {
 
 impl DirectAccess for RankedAnswers {
     fn len(&self) -> u64 {
-        dispatch!(self, b => DirectAccess::len(b))
+        dispatch!(self, b => b.len())
     }
-    // is_empty and range are forwarded (not defaulted) so backends with
-    // lazy overrides — the ranked-enum handle — keep them through the
-    // facade.
-    fn is_empty(&self) -> bool {
-        dispatch!(self, b => DirectAccess::is_empty(b))
-    }
-    fn access(&self, k: u64) -> Option<Tuple> {
-        dispatch!(self, b => DirectAccess::access(b, k))
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+        dispatch!(self, b => b.access_into(k, out))
     }
     fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        dispatch!(self, b => DirectAccess::inverted_access(b, answer))
-    }
-    fn access_range(&self, range: Range<u64>) -> Vec<Tuple> {
-        dispatch!(self, b => DirectAccess::access_range(b, range))
+        dispatch!(self, b => b.inverted_access(answer))
     }
     fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        dispatch!(self, b => DirectAccess::access_range_into(b, range, out))
-    }
-    fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        dispatch!(self, b => DirectAccess::access_batch(b, ranks))
+        dispatch!(self, b => b.access_range_into(range, out))
     }
     fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        dispatch!(self, b => DirectAccess::access_batch_into(b, ranks, out))
+        dispatch!(self, b => b.access_batch_into(ranks, out))
+    }
+    // is_empty and iter are forwarded (not provided) so the lazy
+    // overrides — the ranked-enum handle's — survive the facade.
+    fn is_empty(&self) -> bool {
+        dispatch!(self, b => DirectAccess::is_empty(b))
     }
     fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
         dispatch!(self, b => DirectAccess::iter(b))
@@ -764,30 +687,6 @@ impl fmt::Debug for RankedAnswers {
 }
 
 impl RankedAnswers {
-    /// Allocation-free access: write the answer at index `k` into `out`
-    /// (reusing its capacity) and report whether `k` was in bounds. The
-    /// native direct-access backends serve this with **zero** heap
-    /// allocations; other backends fall back to an owned access and
-    /// copy into `out`.
-    pub fn access_into(&self, k: u64, out: &mut Vec<rda_db::Value>) -> bool {
-        match self {
-            RankedAnswers::Lex(da) => da.access_into(k, out),
-            RankedAnswers::ShardedLex(da) => da.access_into(k, out),
-            RankedAnswers::Sum(da) => da.access_into(k, out),
-            other => match DirectAccess::access(other, k) {
-                Some(t) => {
-                    out.clear();
-                    out.extend(t.iter().cloned());
-                    true
-                }
-                None => {
-                    out.clear();
-                    false
-                }
-            },
-        }
-    }
-
     /// A lazy, batch-fetching ranked iterator over all answers (see
     /// [`RankedStream`]): any-k-style enumeration with nothing
     /// materialized beyond one batch.
@@ -1112,11 +1011,6 @@ impl AccessPlan {
         self.explain.backend
     }
 
-    /// Allocation-free access (see [`RankedAnswers::access_into`]).
-    pub fn access_into(&self, k: u64, out: &mut Vec<rda_db::Value>) -> bool {
-        self.answers.access_into(k, out)
-    }
-
     /// The window of answers at the ranks in `range`, as a reusable
     /// batch buffer — [`DirectAccess::access_range`]'s rows without the
     /// per-tuple `Tuple` allocations. See [`AccessPlan::window_into`]
@@ -1136,20 +1030,13 @@ impl AccessPlan {
         self.answers.access_range_into(range, out)
     }
 
-    /// Batched access: the answers at `ranks` (any order, duplicates
-    /// allowed, out-of-range ranks skipped), in the order requested.
-    /// See [`DirectAccess::access_batch`] for the contract and
-    /// [`AccessPlan::access_batch_into`] for the allocation-free form.
-    pub fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        DirectAccess::access_batch(&self.answers, ranks)
-    }
-
-    /// Fill `out` with the answers at `ranks`, in request order,
-    /// returning how many were in range. On the lex arena backend the
-    /// whole batch costs **one** rank descent plus O(k) local cursor
-    /// advances (see [`DirectAccess::access_batch_into`]).
+    /// Fill `out` with the answers at `ranks` (any order, duplicates
+    /// allowed, out-of-range ranks skipped), in request order,
+    /// returning how many were in range. On the lex arena backend an
+    /// ascending batch costs **one** rank descent plus O(k) local
+    /// cursor advances (see [`DirectAccess::access_batch_into`]).
     pub fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        DirectAccess::access_batch_into(&self.answers, ranks, out)
+        self.answers.access_batch_into(ranks, out)
     }
 
     /// A lazy, batch-fetching ranked iterator over the plan's answers —
@@ -1177,26 +1064,20 @@ impl DirectAccess for AccessPlan {
     fn len(&self) -> u64 {
         self.answers.len()
     }
-    fn is_empty(&self) -> bool {
-        self.answers.is_empty()
-    }
-    fn access(&self, k: u64) -> Option<Tuple> {
-        self.answers.access(k)
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+        self.answers.access_into(k, out)
     }
     fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
         self.answers.inverted_access(answer)
     }
-    fn access_range(&self, range: Range<u64>) -> Vec<Tuple> {
-        self.answers.access_range(range)
-    }
     fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
         self.answers.access_range_into(range, out)
     }
-    fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        DirectAccess::access_batch(&self.answers, ranks)
-    }
     fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        DirectAccess::access_batch_into(&self.answers, ranks, out)
+        self.answers.access_batch_into(ranks, out)
+    }
+    fn is_empty(&self) -> bool {
+        self.answers.is_empty()
     }
     fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
         self.answers.iter()
@@ -1309,7 +1190,6 @@ mod tests {
         );
         assert!(!h.is_empty());
         assert!(h.cached_prefix_len() < 100, "is_empty must stay lazy");
-        assert_eq!(h.range(2, 5).len(), 3);
         assert_eq!(h.access_range(2..5).len(), 3);
         let mut buf = WindowBuf::new();
         assert_eq!(h.access_range_into(2..5, &mut buf), 3);

@@ -14,6 +14,7 @@
 //!   tuples via the rank machinery of Remark 3.
 
 use crate::lexda::LexDirectAccess;
+use crate::plan::DirectAccess;
 use rand::Rng;
 use rda_db::Tuple;
 use std::collections::HashMap;
@@ -120,9 +121,7 @@ impl Quantiles for LexDirectAccess {
         else {
             return Vec::new();
         };
-        (lo_rank..hi_rank)
-            .map(|k| self.access(k).expect("rank below len"))
-            .collect()
+        self.access_range(lo_rank..hi_rank)
     }
 }
 

@@ -1,32 +1,25 @@
-//! Searcher-oriented search kernels for the layer arenas.
+//! Search kernels for the layer arenas.
 //!
-//! The arena build lays data out in *builder* order: sorted runs of
-//! entries per bucket, plus a rank directory bracketing rank queries to
-//! O(1) expected windows. The access hot paths, however, are
-//! *searchers*: chains of dependent loads whose latency is set by how
-//! many cache lines a probe sequence touches. This module collects the
-//! search-side kernels shared by `lexda`'s two descent searches
-//! (the rank descent over `Entry::start` prefix sums and the
-//! value-keyed search of Algorithm 2):
+//! The arena build leaves sorted runs of entries per bucket, plus a
+//! rank directory bracketing rank queries to O(1) expected windows.
+//! The access hot paths are chains of dependent loads whose latency is
+//! set by how many cache lines a probe sequence touches. This module
+//! holds the two kernels `lexda`'s descent searches (the rank descent
+//! over `Entry::start` prefix sums and the value-keyed search of
+//! Algorithm 2 over a bucket's sorted value run) are built from:
 //!
-//! * [`rank_window`] — the directory bracketing formerly duplicated at
-//!   both search sites: one division turns a normalized rank into a
-//!   directory slot whose window provably contains the answer;
-//! * [`bracketed_partition_point`] — a `partition_point` over such a
-//!   window, with the window's midpoint prefetched as soon as the
-//!   bounds are known;
-//! * [`build_value_tree`] / [`value_tree_lower_bound`] — an
-//!   **Eytzinger** (BFS-order) mirror of a bucket's sorted value run:
-//!   the probe sequence of a binary search in this layout walks
-//!   top-of-tree cache lines shared by every query, and each step's
-//!   grandchildren sit in one prefetchable line pair, so the search is
-//!   cache-linear instead of builder-ordered.
+//! * [`rank_window`] — the directory bracketing: one division turns a
+//!   normalized rank into a directory slot whose window provably
+//!   contains the answer;
+//! * [`bracketed_partition_point`] — a `partition_point` over a window
+//!   of a sorted run, with the window's midpoint prefetched as soon as
+//!   the bounds are known.
 //!
 //! Everything here is pure index arithmetic over borrowed slices; the
 //! arena owns the storage.
 
-/// Sentinel for "this bucket has no rank directory / no value tree"
-/// (shared with `lexda`'s `BucketMeta`).
+/// Sentinel for "this bucket has no rank directory" (shared with
+/// `lexda`'s `BucketMeta`).
 pub(crate) const NO_DIR: u32 = u32::MAX;
 
 /// Hint the CPU to pull `slice[idx]` toward L1. No-op when `idx` is out
@@ -90,123 +83,6 @@ pub(crate) fn bracketed_partition_point<T>(
 ) -> usize {
     prefetch_read(slice, wlo + (whi - wlo) / 2);
     wlo + slice[wlo..whi].partition_point(pred)
-}
-
-/// Append the Eytzinger mirror of the sorted run `sorted` to `pool` as
-/// interleaved `(code, sorted_position)` `u32` pairs: pair `k - 1`
-/// (1-indexed node `k`) holds the element an in-order traversal of the
-/// implicit tree `k → (2k, 2k + 1)` visits at position `pair(k).1`.
-/// Carrying the sorted position in the node makes the lower-bound
-/// search return the ordinary partition point without a back-mapping
-/// pass.
-pub(crate) fn build_value_tree(sorted: &[u32], pool: &mut Vec<u32>) {
-    let n = sorted.len();
-    let base = pool.len();
-    pool.resize(base + 2 * n, 0);
-    fill_in_order(sorted, &mut pool[base..], 1, &mut 0);
-}
-
-/// In-order fill of the Eytzinger tree (recursion depth = tree height,
-/// O(log n)).
-fn fill_in_order(sorted: &[u32], tree: &mut [u32], k: usize, next: &mut usize) {
-    if k <= sorted.len() {
-        fill_in_order(sorted, tree, 2 * k, next);
-        tree[2 * (k - 1)] = sorted[*next];
-        tree[2 * (k - 1) + 1] = *next as u32;
-        *next += 1;
-        fill_in_order(sorted, tree, 2 * k + 1, next);
-    }
-}
-
-/// Lower bound over an Eytzinger value tree built by
-/// [`build_value_tree`]: the number of codes strictly below `x` — the
-/// same partition point `sorted.partition_point(|&c| c < x)` returns,
-/// but probing BFS-ordered nodes (hot top levels shared across queries)
-/// with the next step's grandchildren prefetched one level ahead.
-#[inline]
-pub(crate) fn value_tree_lower_bound(tree: &[u32], x: u32) -> usize {
-    let n = tree.len() / 2;
-    let mut k = 1usize;
-    // The candidate answer: the shallowest node we went left at (every
-    // node ≥ x on the path); `n` when the whole run is < x.
-    let mut res = n;
-    while k <= n {
-        // Grandchildren 4k..4k+3 are 4 consecutive pairs — at most two
-        // cache lines, requested one level before they are needed.
-        prefetch_read(tree, 2 * (4 * k - 1));
-        let code = tree[2 * (k - 1)];
-        if code < x {
-            k = 2 * k + 1;
-        } else {
-            res = tree[2 * (k - 1) + 1] as usize;
-            k *= 2;
-        }
-    }
-    res
-}
-
-/// Digit width of the rank radix sort: 2¹¹ counters (8 KiB) zero fast
-/// enough per pass that small batches are not taxed, while `len <
-/// 2²²` answer sets still sort in two passes.
-const RADIX_BITS: u32 = 11;
-const RADIX: usize = 1 << RADIX_BITS;
-
-/// Below this many pairs the comparison sort's cache behavior beats
-/// the radix passes' counter zeroing.
-const RADIX_MIN: usize = 64;
-
-/// Sort `(rank, slot)` pairs by rank, ascending and stable — the batch
-/// kernel's pre-pass. Small inputs use the standard comparison sort;
-/// larger ones an LSD radix over [`RADIX_BITS`]-bit digits, skipping
-/// every pass above the highest set bit of the largest rank, so a set
-/// of ranks below 2¹¹ sorts in **one** counting pass (vs ~log n
-/// comparisons per element) and per-tuple sort cost stops dominating
-/// the batched descent. `aux` and `counts` are caller-owned scratch
-/// (allocation-free once warm).
-///
-/// Returns `true` when the input was **already ascending** — the
-/// kernel then knows output slots ascend with walk order and can emit
-/// sequentially instead of scattering.
-pub(crate) fn sort_ranks(
-    pairs: &mut Vec<(u64, u32)>,
-    aux: &mut Vec<(u64, u32)>,
-    counts: &mut Vec<u32>,
-) -> bool {
-    // Already-ascending batches (a paging client walking rank order)
-    // skip the sort outright; slots ascend with input order, so equal
-    // ranks are in stable position by construction.
-    if pairs.windows(2).all(|w| w[0].0 <= w[1].0) {
-        return true;
-    }
-    if pairs.len() < RADIX_MIN {
-        pairs.sort_unstable();
-        return false;
-    }
-    let max_key = pairs.iter().map(|&(k, _)| k).max().unwrap_or(0);
-    let bits = 64 - max_key.leading_zeros();
-    let passes = bits.div_ceil(RADIX_BITS).max(1);
-    counts.resize(RADIX, 0);
-    aux.resize(pairs.len(), (0, 0));
-    for pass in 0..passes {
-        let shift = pass * RADIX_BITS;
-        counts.fill(0);
-        for &(k, _) in pairs.iter() {
-            counts[(k >> shift) as usize & (RADIX - 1)] += 1;
-        }
-        let mut sum = 0u32;
-        for c in counts.iter_mut() {
-            let n = *c;
-            *c = sum;
-            sum += n;
-        }
-        for &(k, s) in pairs.iter() {
-            let d = (k >> shift) as usize & (RADIX - 1);
-            aux[counts[d] as usize] = (k, s);
-            counts[d] += 1;
-        }
-        std::mem::swap(pairs, aux);
-    }
-    false
 }
 
 #[cfg(test)]
@@ -283,74 +159,5 @@ mod tests {
                 "probe={probe}"
             );
         }
-    }
-
-    #[test]
-    fn value_tree_lower_bound_matches_partition_point() {
-        // Every size from the degenerate to a few hundred, with
-        // duplicate-free ascending codes (the bucket invariant: the
-        // bucket key covers all other columns, so values are strict).
-        for n in [0usize, 1, 2, 3, 7, 8, 9, 15, 16, 31, 100, 255, 256, 257] {
-            let sorted: Vec<u32> = (0..n as u32).map(|i| 2 * i + 10).collect();
-            let mut pool = vec![7, 7]; // non-zero base offset
-            build_value_tree(&sorted, &mut pool);
-            let tree = &pool[2..];
-            assert_eq!(tree.len(), 2 * n);
-            for x in 0..(2 * n as u32 + 14) {
-                assert_eq!(
-                    value_tree_lower_bound(tree, x),
-                    sorted.partition_point(|&c| c < x),
-                    "n={n} x={x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sort_ranks_matches_comparison_sort() {
-        let mut aux = Vec::new();
-        let mut counts = Vec::new();
-        // Around the comparison/radix cutoff, with duplicates (3n+1
-        // modulus keeps keys within one digit → single counting pass).
-        for n in [0usize, 1, 5, 63, 64, 65, 300, 5000] {
-            let mut pairs: Vec<(u64, u32)> = (0..n)
-                .map(|i| {
-                    (
-                        (i as u64).wrapping_mul(2654435761) % (n as u64 + 1),
-                        i as u32,
-                    )
-                })
-                .collect();
-            let mut expect = pairs.clone();
-            expect.sort_unstable();
-            sort_ranks(&mut pairs, &mut aux, &mut counts);
-            assert_eq!(pairs, expect, "n={n}");
-        }
-        // Wide keys force multiple radix passes.
-        let mut wide: Vec<(u64, u32)> = (0..500u32)
-            .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15), i))
-            .collect();
-        let mut expect = wide.clone();
-        expect.sort_unstable();
-        sort_ranks(&mut wide, &mut aux, &mut counts);
-        assert_eq!(wide, expect);
-        // Pre-sorted input survives the early-out unchanged.
-        let mut asc: Vec<(u64, u32)> = (0..400u32).map(|i| ((i / 3) as u64, i)).collect();
-        let expect = asc.clone();
-        sort_ranks(&mut asc, &mut aux, &mut counts);
-        assert_eq!(asc, expect);
-    }
-
-    #[test]
-    fn value_tree_in_order_traversal_is_sorted() {
-        let sorted: Vec<u32> = (0..37).map(|i| i * 5 + 1).collect();
-        let mut pool = Vec::new();
-        build_value_tree(&sorted, &mut pool);
-        // Recover the sorted run through the stored positions.
-        let mut rebuilt = vec![0u32; sorted.len()];
-        for k in 0..sorted.len() {
-            rebuilt[pool[2 * k + 1] as usize] = pool[2 * k];
-        }
-        assert_eq!(rebuilt, sorted);
     }
 }

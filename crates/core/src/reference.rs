@@ -392,7 +392,7 @@ impl HashLexDirectAccess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LexDirectAccess;
+    use crate::{DirectAccess, LexDirectAccess};
     use rda_db::tup;
     use rda_query::parser::parse;
 

@@ -32,6 +32,7 @@ use crate::error::BuildError;
 use crate::fault;
 use crate::instance::normalize_query;
 use crate::lexda::{prepare_layers, validate_lex, LexDirectAccess};
+use crate::plan::DirectAccess;
 use crate::window::{clamp_range, WindowBuf};
 use rda_db::parallel;
 use rda_db::{Dictionary, EncodedRelation, ShardedSnapshot, Snapshot, Tuple};
@@ -256,18 +257,9 @@ impl ShardedLexAccess {
     }
 
     /// The answer at global rank `k` — routed to its owning shard,
-    /// accessed at `k - offsets[s]`. O(log n), same as unsharded.
-    pub fn access(&self, k: u64) -> Option<Tuple> {
-        if k >= self.total {
-            return None;
-        }
-        let s = self.shard_of(k);
-        self.shards[s].access(k - self.offsets[s])
-    }
-
-    /// Allocation-free [`Self::access`]: fill `out` with the answer's
+    /// accessed at `k - offsets[s]`: fill `out` with the answer's
     /// values and return `true`, or clear it and return `false` when
-    /// `k` is out of bounds.
+    /// `k` is out of bounds. O(log n), same as unsharded.
     pub fn access_into(&self, k: u64, out: &mut Vec<rda_db::Value>) -> bool {
         if k >= self.total {
             out.clear();
@@ -347,13 +339,6 @@ impl ShardedLexAccess {
         written
     }
 
-    /// The answers at global ranks `range` (clamped), in order.
-    pub fn access_range(&self, range: Range<u64>) -> Vec<Tuple> {
-        let mut out = WindowBuf::new();
-        self.access_range_into(range, &mut out);
-        out.to_tuples()
-    }
-
     /// Batched access in input order, out-of-range ranks skipped —
     /// maximal same-shard runs are translated to local ranks and served
     /// by one shared per-shard descent each.
@@ -394,29 +379,5 @@ impl ShardedLexAccess {
             written += local.len() as u64;
         }
         written
-    }
-
-    /// Batched access in input order, out-of-range ranks skipped.
-    pub fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        let mut out = WindowBuf::new();
-        self.access_batch_into(ranks, &mut out);
-        out.to_tuples()
-    }
-
-    /// Iterate the answers at global ranks `range` (clamped), in order
-    /// — per-shard constant-delay enumerations chained end to end.
-    pub fn iter_range(&self, range: Range<u64>) -> impl Iterator<Item = Tuple> + '_ {
-        let (lo, hi) = clamp_range(&range, self.total);
-        (0..self.shards.len()).flat_map(move |s| {
-            let slo = self.offsets[s];
-            let l = lo.max(slo) - slo;
-            let h = hi.max(slo) - slo;
-            self.shards[s].iter_range(l..h)
-        })
-    }
-
-    /// Iterate all answers in global order.
-    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.iter_range(0..self.total)
     }
 }

@@ -19,6 +19,7 @@ use crate::budget::{BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::fault;
 use crate::instance::{full_reduce, positions_of};
+use crate::plan::DirectAccess;
 use crate::snapprep::{check_fds_encoded, extend_instance_encoded, normalize_encoded};
 use crate::weights::Weights;
 use crate::window::WindowBuf;
@@ -431,34 +432,18 @@ impl SumDirectAccess {
         self.len == 0
     }
 
-    /// Decode row `k` into an owned tuple (the single allocation of the
-    /// access path): reserved at exactly the head arity and decoded in
-    /// place, so the `Vec → Box<[Value]>` conversion inside
-    /// [`Tuple::new`] is a pointer move, never a reallocation.
-    fn decode(&self, k: usize) -> Tuple {
-        let dict = self.snap.dict();
-        let mut vals = Vec::with_capacity(self.cols.len());
-        vals.extend(self.cols.iter().map(|c| dict.value(c[k]).clone()));
-        Tuple::new(vals)
-    }
-
-    /// The answer at index `k` in ascending weight order, O(1).
-    ///
-    /// Returns an owned tuple — the uniform convention across every
-    /// access backend (see `rda_core::plan::DirectAccess`); the tuple is
-    /// the only heap allocation (see [`SumDirectAccess::access_into`]).
-    pub fn access(&self, k: u64) -> Option<Tuple> {
-        ((k as usize) < self.len).then(|| self.decode(k as usize))
-    }
-
-    /// Allocation-free [`SumDirectAccess::access`]: write answer `k`
-    /// into `out` (reusing its capacity) and report whether `k` was in
-    /// bounds.
+    /// Write the answer at index `k` in ascending weight order into
+    /// `out` (reusing its capacity) and report whether `k` was in
+    /// bounds. O(1), and **zero** heap allocations once `out` has grown
+    /// to the head arity.
     pub fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
         out.clear();
-        if (k as usize) >= self.len {
+        if k >= self.len as u64 {
             return false;
         }
+        // Exactly the head arity: the owned `DirectAccess::access`
+        // turns a fresh buffer into its tuple without reallocating.
+        out.reserve_exact(self.cols.len());
         let dict = self.snap.dict();
         out.extend(self.cols.iter().map(|c| dict.value(c[k as usize]).clone()));
         true
@@ -466,7 +451,7 @@ impl SumDirectAccess {
 
     /// The answer at index `k` together with its weight.
     pub fn access_weighted(&self, k: u64) -> Option<(TotalF64, Tuple)> {
-        ((k as usize) < self.len).then(|| (self.weights[k as usize], self.decode(k as usize)))
+        self.access(k).map(|t| (self.weights[k as usize], t))
     }
 
     /// The rank of `answer` in the weight order, or `None` when it is
@@ -510,17 +495,9 @@ impl SumDirectAccess {
         hi - lo
     }
 
-    /// Batched [`SumDirectAccess::access`]: the answers at the given
-    /// ranks, in input order, skipping out-of-range ranks.
-    pub fn access_batch(&self, ranks: &[u64]) -> Vec<Tuple> {
-        let mut out = WindowBuf::new();
-        self.access_batch_into(ranks, &mut out);
-        out.to_tuples()
-    }
-
-    /// Allocation-free [`SumDirectAccess::access_batch`]: fill `out`
-    /// with the answers at the given ranks (input order, out-of-range
-    /// ranks skipped) and return how many rows were written. A columnar
+    /// Batched access: fill `out` with the answers at the given ranks
+    /// (input order, out-of-range ranks skipped) and return how many
+    /// rows were written. A columnar
     /// gather — O(1) per rank in any order, so no sorting pass is
     /// needed; **zero** heap allocations once `out` has grown.
     pub fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
@@ -536,18 +513,6 @@ impl SumDirectAccess {
             }
         }
         n
-    }
-
-    /// Iterate the answers at ranks `range` (clamped to `len()`) in
-    /// weight order.
-    pub fn iter_range(&self, range: Range<u64>) -> impl Iterator<Item = Tuple> + '_ {
-        let (lo, hi) = crate::window::clamp_range(&range, self.len as u64);
-        (lo as usize..hi as usize).map(|k| self.decode(k))
-    }
-
-    /// Iterate answers in weight order.
-    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        (0..self.len).map(|k| self.decode(k))
     }
 }
 

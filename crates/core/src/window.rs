@@ -32,7 +32,7 @@
 //! assert_eq!(plan.stream().count(), 5);         // lazy ranked enumeration
 //! ```
 
-use crate::plan::{DirectAccess, RankedAnswers};
+use crate::plan::DirectAccess;
 use rda_db::{Tuple, Value};
 
 /// A reusable, flat, row-major buffer of ranked answers — the batch
@@ -144,25 +144,6 @@ impl WindowBuf {
         );
         self.rows += 1;
     }
-
-    /// After [`WindowBuf::begin`]: pre-size to exactly `rows`
-    /// placeholder rows so they can then be overwritten in any order
-    /// through [`WindowBuf::row_mut`] — the batch access kernel walks
-    /// ranks in sorted order but lands each row directly in its
-    /// input-order slot, sparing a separate scatter pass. Reuses the
-    /// buffer's capacity (allocation-free once grown).
-    pub(crate) fn set_rows(&mut self, rows: usize) {
-        self.rows = rows;
-        self.values.clear();
-        self.values.resize(rows * self.arity, Value::int(0));
-    }
-
-    /// Row `i` as a mutable value slice — the positioned-write
-    /// counterpart of [`WindowBuf::row`].
-    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [Value] {
-        debug_assert!(i < self.rows, "row {i} out of bounds (len {})", self.rows);
-        &mut self.values[i * self.arity..(i + 1) * self.arity]
-    }
 }
 
 /// Clamp a rank range to `0..len` in `u64` space (before any cast to
@@ -177,8 +158,10 @@ pub(crate) fn clamp_range(range: &std::ops::Range<u64>, len: u64) -> (u64, u64) 
 /// How many answers a [`RankedStream`] fetches per batch by default.
 pub const DEFAULT_STREAM_BATCH: usize = 256;
 
-/// A lazy, batch-fetching iterator over a plan's ranked answers — the
-/// any-k-style enumeration surface of the engine.
+/// A lazy, batch-fetching iterator over the ranked answers of any
+/// [`DirectAccess`] backend — the any-k-style enumeration surface of
+/// the engine, and the iterator behind the provided
+/// [`DirectAccess::iter`].
 ///
 /// The stream holds a rank cursor and refills an internal [`WindowBuf`]
 /// through the backend's windowed access path, so on the native arena
@@ -200,8 +183,8 @@ pub const DEFAULT_STREAM_BATCH: usize = 256;
 /// engine for a fresh plan and open a new stream (resuming a rank
 /// position across generations is the service layer's job — see the
 /// `rda_serve` cursor contract).
-pub struct RankedStream<'a> {
-    answers: &'a RankedAnswers,
+pub struct RankedStream<'a, A: DirectAccess + ?Sized = dyn DirectAccess + 'a> {
+    answers: &'a A,
     batch: WindowBuf,
     /// Next unread row within `batch`.
     pos: usize,
@@ -211,8 +194,8 @@ pub struct RankedStream<'a> {
     exhausted: bool,
 }
 
-impl<'a> RankedStream<'a> {
-    pub(crate) fn new(answers: &'a RankedAnswers, start: u64, batch_size: usize) -> Self {
+impl<'a, A: DirectAccess + ?Sized> RankedStream<'a, A> {
+    pub(crate) fn new(answers: &'a A, start: u64, batch_size: usize) -> Self {
         RankedStream {
             answers,
             batch: WindowBuf::new(),
@@ -236,9 +219,10 @@ impl<'a> RankedStream<'a> {
                 return false;
             }
             let want = self.batch_size as u64;
+            let end = self.next_rank.saturating_add(want);
             let got = self
                 .answers
-                .access_range_into(self.next_rank..self.next_rank + want, &mut self.batch);
+                .access_range_into(self.next_rank..end, &mut self.batch);
             self.next_rank += got;
             self.pos = 0;
             if got < want {
@@ -252,7 +236,7 @@ impl<'a> RankedStream<'a> {
     }
 }
 
-impl Iterator for RankedStream<'_> {
+impl<A: DirectAccess + ?Sized> Iterator for RankedStream<'_, A> {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {

@@ -16,7 +16,7 @@
 //! at the cursor layer because per-shard views share the base
 //! snapshot's uid, generation, and ancestry.
 
-use rda_core::{Engine, OrderSpec, Policy};
+use rda_core::{DirectAccess as _, Engine, OrderSpec, Policy};
 use rda_db::{Database, ShardSpec, Tuple, Value};
 use rda_query::parser::parse;
 use rda_query::FdSet;

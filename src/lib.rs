@@ -231,10 +231,10 @@ pub use rda_serve;
 pub mod prelude {
     pub use rda_baseline::{all_answers, ranked_prefix, MaterializedAccess, RankedEnumerator};
     pub use rda_core::{
-        AccessPlan, ArenaLayout, Backend, BuildBudget, BuildCost, BuildError, DirectAccess, Engine,
-        Explain, LexDirectAccess, OpenError, OrderSpec, PlanError, Policy, RankedAnswers,
-        RankedStream, SelectionLexHandle, SelectionSumHandle, ShardRouting, ShardedLexAccess,
-        SumDirectAccess, Weights, WindowBuf,
+        AccessPlan, Backend, BuildBudget, BuildCost, BuildError, DirectAccess, Engine, Explain,
+        LexDirectAccess, OpenError, OrderSpec, PlanError, Policy, RankedAnswers, RankedStream,
+        SelectionLexHandle, SelectionSumHandle, ShardRouting, ShardedLexAccess, SumDirectAccess,
+        Weights, WindowBuf,
     };
     pub use rda_db::{
         Database, PersistError, Relation, ShardConfigError, ShardDirectory, ShardSpec,

@@ -438,19 +438,29 @@ fn access_hot_paths_do_not_allocate() {
     assert_eq!(n, 0, "SUM windowed refills must not allocate");
 
     // Batched access: after a same-sized warm-up batch has grown the
-    // output buffer and the per-thread scratch (rank pairs, scatter
-    // map, per-layer descent traces), refilling from a fresh rank set
-    // — the steady state of a point-lookup server — performs zero heap
-    // allocations on both native arenas.
+    // output buffer and the per-thread scratch (per-layer descent
+    // traces), refilling from a fresh rank set — the steady state of a
+    // point-lookup server — performs zero heap allocations on both
+    // native arenas, on either path the lex kernel picks: one descent
+    // per rank for unsorted ranks, one shared descent for ascending
+    // ones.
     let batch: Vec<u64> = (0..300u64).map(|i| (i * 2654435761) % da.len()).collect();
+    let mut sorted = batch.clone();
+    sorted.sort_unstable();
     da.access_batch_into(&batch, &mut wbuf); // warm buffer + scratch
+    da.access_batch_into(&sorted, &mut wbuf);
     let shifted: Vec<u64> = batch.iter().map(|&k| (k + 13) % da.len()).collect();
     let n = allocations_during(|| {
         assert_eq!(da.access_batch_into(&shifted, &mut wbuf), 300);
         assert_eq!(da.access_batch_into(&batch, &mut wbuf), 300);
         std::hint::black_box(&wbuf);
     });
-    assert_eq!(n, 0, "LEX batched refills must not allocate");
+    assert_eq!(n, 0, "LEX unsorted batched refills must not allocate");
+    let n = allocations_during(|| {
+        assert_eq!(da.access_batch_into(&sorted, &mut wbuf), 300);
+        std::hint::black_box(&wbuf);
+    });
+    assert_eq!(n, 0, "LEX ascending batched refills must not allocate");
 
     let sum_batch: Vec<u64> = (0..100u64).map(|i| (i * 7919) % sum.len()).collect();
     sum.access_batch_into(&sum_batch, &mut wbuf); // warm for arity 2

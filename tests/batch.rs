@@ -3,9 +3,9 @@
 //! `access(k)` results in request order — for unsorted, duplicate, and
 //! out-of-range rank sets — and the `*_into` variant must agree with
 //! its owned twin while reusing the caller's buffer. The lex arena's
-//! k-cursor descent and the searcher/builder arena layouts are checked
-//! against the same oracle: batching and layout are performance knobs,
-//! never semantic ones.
+//! two batch paths (the k-cursor descent for ascending ranks, one
+//! descent per rank otherwise) are checked against the same oracle:
+//! batching is a performance choice, never a semantic one.
 
 use proptest::prelude::*;
 use ranked_access::prelude::*;
@@ -195,37 +195,58 @@ fn batches_on_materialized_and_ranked_enum_fallbacks() {
     assert_batches("ranked-enum", &plan);
 }
 
-/// The arena layout is a performance knob, never a semantic one: the
-/// searcher layout (Eytzinger value mirrors, prefetched windows) and
-/// the plain builder layout serve identical batches.
+/// The lex arena picks its batch path from the input's order alone —
+/// in-range ranks ascending: one shared descent; anything else: one
+/// descent per rank — so both sides of that choice, and the sizes
+/// around it, must equal the per-rank definition on every native
+/// structure (the sharded one splits a batch into per-shard runs
+/// first).
 #[test]
-fn arena_layouts_serve_identical_batches() {
+fn batch_selection_matches_per_rank_access() {
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let snap = two_path_db().freeze();
-    let lex = q.vars(&["x", "y", "z"]);
-    let searcher = LexDirectAccess::build_on_with_layout(
-        &q,
-        &snap,
-        &lex,
-        &FdSet::empty(),
-        ArenaLayout::Searcher,
-    )
-    .unwrap();
-    let builder = LexDirectAccess::build_on_with_layout(
-        &q,
-        &snap,
-        &lex,
-        &FdSet::empty(),
-        ArenaLayout::Builder,
-    )
-    .unwrap();
-    assert_eq!(searcher.len(), builder.len());
-    let ranks: Vec<u64> = (0..140u64)
-        .map(|i| i.wrapping_mul(2654435761) % (searcher.len() + 9))
-        .collect();
-    assert_eq!(searcher.access_batch(&ranks), builder.access_batch(&ranks));
-    for k in 0..searcher.len() {
-        assert_eq!(searcher.access(k), builder.access(k), "k={k}");
+    let lex =
+        LexDirectAccess::build_on(&q, &snap, &q.vars(&["x", "y", "z"]), &FdSet::empty()).unwrap();
+    let sharded = Engine::with_shards(snap.clone(), ShardSpec::Forced(3))
+        .prepare(
+            &q,
+            OrderSpec::lex(&q, &["x", "y", "z"]),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap();
+    let RankedAnswers::ShardedLex(sharded) = sharded.answers() else {
+        panic!("a forced 3-shard engine routes lex orders to the sharded structure");
+    };
+    assert_eq!(sharded.shard_count(), 3);
+    let qs = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
+    let sum = SumDirectAccess::build_on(&qs, &snap, &Weights::identity(), &FdSet::empty()).unwrap();
+
+    let backends: [(&str, &dyn DirectAccess); 3] =
+        [("lex", &lex), ("sharded-lex", sharded), ("sum", &sum)];
+    let mut buf = WindowBuf::new();
+    for (label, da) in backends {
+        let len = da.len();
+        assert!(len > 50, "{label}: workload big enough to carry-walk");
+        let mut cases: Vec<Vec<u64>> = Vec::new();
+        // Unsorted, duplicated, with a few ranks past the end.
+        for n in [1u64, 63, 64, 65, 300, 5000] {
+            cases.push(
+                (0..n)
+                    .map(|i| (i + 1).wrapping_mul(2654435761) % (len + 9))
+                    .collect(),
+            );
+        }
+        // Ascending with duplicates and an out-of-range tail.
+        cases.push((0..3 * len).map(|i| i / 2).collect());
+        // Ascending except for the last rank.
+        cases.push((0..len).step_by(3).chain([1]).collect());
+        for ranks in &cases {
+            let expect: Vec<Tuple> = ranks.iter().filter_map(|&k| da.access(k)).collect();
+            let n = da.access_batch_into(ranks, &mut buf);
+            assert_eq!(n as usize, expect.len(), "{label}: {} ranks", ranks.len());
+            assert_eq!(buf.to_tuples(), expect, "{label}: {} ranks", ranks.len());
+        }
     }
 }
 

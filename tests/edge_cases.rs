@@ -312,6 +312,15 @@ fn window_edges_top_k_zero_pages_past_end_stream_at_len() {
         assert_eq!(at_end.next(), None, "{backend}: stream at len()");
         let mut past_end = plan.stream_from(len + 7);
         assert_eq!(past_end.next(), None, "{backend}: stream past len()");
+        // The next batch's end saturates: neither a start near
+        // u64::MAX nor an unbounded batch size overflows the rank.
+        let mut far = plan.stream_from(u64::MAX - 3);
+        assert_eq!(far.next(), None, "{backend}: stream near u64::MAX");
+        assert_eq!(
+            plan.stream_batched(1, usize::MAX).count() as u64,
+            len - 1,
+            "{backend}: unbounded batch from rank 1"
+        );
         let tail: Vec<Tuple> = plan.stream_from(len - 1).collect();
         assert_eq!(tail, vec![plan.access(len - 1).unwrap()], "{backend}");
     }

@@ -124,10 +124,10 @@ proptest! {
             let via_iter: Vec<Tuple> = plan.iter().collect();
             let via_access: Vec<Tuple> = (0..n).map(|k| plan.access(k).unwrap()).collect();
             prop_assert_eq!(&via_iter, &via_access, "backend {}", backend);
-            // range() is the matching slice.
+            // access_range() is the matching slice.
             if n >= 2 {
                 prop_assert_eq!(
-                    plan.range(1, n),
+                    plan.access_range(1..n),
                     via_access[1..].to_vec(),
                     "backend {}", backend
                 );

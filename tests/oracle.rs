@@ -750,6 +750,49 @@ fn selection_refuses_counts_beyond_u64() {
 /// Random-order enumeration (Section 1 / Carmeli et al. [15]): a uniform
 /// permutation of indices plus direct access enumerates answers in
 /// provably uniform random order, without replacement.
+/// The value-keyed searches of Algorithm 2 and Remark 3 binary-search
+/// a bucket's sorted value run, bracketed like the rank search. Buckets
+/// on both sides of the rank-directory threshold (16 entries) and up
+/// to thousands of entries wide are probed with present values, absent
+/// values between two codes, and values below and above the run, and
+/// diffed against the materialized answers.
+#[test]
+fn lex_value_searches_match_oracle_across_bucket_widths() {
+    let q = parse("Q(x, y) :- R(x, y)").unwrap();
+    let widths = [15i64, 16, 17, 255, 4096];
+    // Bucket `x` holds the even values 10, 12, …: every odd value in
+    // between is absent from the dictionary.
+    let rows: Vec<Vec<i64>> = widths
+        .iter()
+        .enumerate()
+        .flat_map(|(x, &w)| (0..w).map(move |j| vec![x as i64, 10 + 2 * j]))
+        .collect();
+    let db = Database::new().with_i64_rows("R", 2, rows);
+    let lex = q.vars(&["x", "y"]);
+    let da = LexDirectAccess::build_on(&q, &db.clone().freeze(), &lex, &FdSet::empty()).unwrap();
+    let oracle = MaterializedAccess::by_lex(&q, &db, &lex);
+    assert_eq!(da.len(), oracle.len());
+    let answers = oracle.answers();
+    for (x, &w) in widths.iter().enumerate() {
+        // Below the run, every present value with its absent upper
+        // neighbour, and far above the run.
+        let ys = [0, 9].into_iter().chain(10..=10 + 2 * w).chain([i64::MAX]);
+        for y in ys {
+            let probe: Tuple = [Value::int(x as i64), Value::int(y)].into_iter().collect();
+            let ctx = format!("width {w}, y = {y}");
+            let before = answers.partition_point(|a| a < &probe) as u64;
+            assert_eq!(
+                da.inverted_access(&probe),
+                oracle.inverted_access(&probe),
+                "{ctx}"
+            );
+            assert_eq!(da.rank_of_lower_bound(&probe), Some(before), "{ctx}");
+            let next = answers.get(before as usize).map(|t| (before, t.clone()));
+            assert_eq!(da.next_at_or_after(&probe), next, "{ctx}");
+        }
+    }
+}
+
 #[test]
 fn random_permutation_enumeration_is_complete() {
     use rand::seq::SliceRandom;

@@ -4,11 +4,14 @@
 //! out-of-bounds windows), the `*_into` variants must agree with their
 //! owned twins, `stream()` must enumerate exactly the answer sequence,
 //! and the lazy ranked-enumeration path must match the any-k baseline
-//! oracle prefix-for-prefix without materializing the answer set.
+//! oracle prefix-for-prefix without materializing the answer set. One
+//! generic check holds every provided `DirectAccess` method to its
+//! definition over the five core methods, on all seven backends.
 
 use ranked_access::prelude::*;
 use ranked_access::rda_db::Value;
 use ranked_access::rda_query::VarId;
+use std::ops::Range;
 
 fn ident(_: VarId, v: &Value) -> f64 {
     v.as_int().map_or(0.0, |i| i as f64)
@@ -458,4 +461,173 @@ fn selection_sum_windows_stay_lazy_on_distinct_weights() {
         !handle.tie_index_built(),
         "distinct-weight windows must not materialize the tie index"
     );
+}
+
+/// Weights that encode an answer positionally — variable `i` of `vars`
+/// weighs `value · 100^(n-1-i)` — so distinct answers over values
+/// below 100 have distinct weights and a sum order is total.
+fn positional_weights(q: &Cq, vars: &[&str]) -> Weights {
+    let mut w = Weights::zero();
+    for (i, var) in vars.iter().enumerate() {
+        let scale = 100f64.powi((vars.len() - 1 - i) as i32);
+        for val in 0..100 {
+            w.set(q.var(var).unwrap(), val, val as f64 * scale);
+        }
+    }
+    w
+}
+
+/// The contract of the [`DirectAccess`] trait on one backend: the core
+/// (`len`, `access_into`, `inverted_access`) serves exactly the
+/// oracle's array, both kernels equal a loop of `access_into`, and
+/// every provided method equals its definition over those five.
+fn conforms(label: &str, a: &dyn DirectAccess, oracle: &MaterializedAccess) {
+    let len = a.len();
+    assert_eq!(len, oracle.len(), "{label}: len");
+    assert!(
+        len >= 8,
+        "{label}: instance big enough for the windows below"
+    );
+    let mut row = Vec::new();
+    for (k, t) in oracle.answers().iter().enumerate() {
+        assert!(a.access_into(k as u64, &mut row), "{label}: rank {k}");
+        assert_eq!(row, t.values(), "{label}: rank {k}");
+        assert_eq!(a.inverted_access(t), Some(k as u64), "{label}: rank {k}");
+    }
+    assert!(!a.access_into(len, &mut row), "{label}: out of bound");
+    assert!(row.is_empty(), "{label}: a miss clears the buffer");
+
+    let one = |k: u64| oracle.answers().get(k as usize).cloned();
+    let singles = |r: Range<u64>| -> Vec<Tuple> { r.map_while(one).collect() };
+    let mut buf = WindowBuf::new();
+    let inverted = Range { start: 7, end: 3 };
+    let windows = [
+        0..0,
+        0..len,
+        0..len + 9,
+        len..len + 5,
+        len - 1..len + 5,
+        3..7,
+        inverted,
+    ];
+    for r in windows {
+        let expect = singles(r.clone());
+        assert_eq!(
+            a.access_range_into(r.clone(), &mut buf),
+            expect.len() as u64
+        );
+        assert_eq!(buf.to_tuples(), expect, "{label}: access_range_into({r:?})");
+        assert_eq!(
+            a.access_range(r.clone()),
+            expect,
+            "{label}: access_range({r:?})"
+        );
+    }
+    let ranks: Vec<u64> = (0..40u64)
+        .map(|i| i.wrapping_mul(7919) % (len + 3))
+        .chain([u64::MAX, 0, 0])
+        .collect();
+    let expect: Vec<Tuple> = ranks.iter().filter_map(|&k| one(k)).collect();
+    assert_eq!(a.access_batch_into(&ranks, &mut buf), expect.len() as u64);
+    assert_eq!(buf.to_tuples(), expect, "{label}: access_batch_into");
+    assert_eq!(a.access_batch(&ranks), expect, "{label}: access_batch");
+
+    assert!(!a.is_empty(), "{label}: is_empty");
+    for k in [0, len / 2, len - 1, len, u64::MAX] {
+        assert_eq!(a.access(k), one(k), "{label}: access({k})");
+    }
+    assert_eq!(a.top_k(3), singles(0..3), "{label}: top_k");
+    assert_eq!(a.top_k(len + 10), singles(0..len), "{label}: top_k clamps");
+    assert_eq!(a.top_k_into(4, &mut buf), 4);
+    assert_eq!(buf.to_tuples(), singles(0..4), "{label}: top_k_into");
+    assert_eq!(a.page(2, 4), singles(2..6), "{label}: page");
+    assert_eq!(
+        a.page(len - 2, u64::MAX),
+        singles(len - 2..len),
+        "{label}: page saturates"
+    );
+    assert_eq!(a.page_into(3, 4, &mut buf), 4);
+    assert_eq!(buf.to_tuples(), singles(3..7), "{label}: page_into");
+    let all: Vec<Tuple> = a.iter().collect();
+    assert_eq!(all, oracle.answers(), "{label}: iter");
+}
+
+#[test]
+fn provided_methods_conform_on_every_backend() {
+    let db = Database::new()
+        .with_i64_rows("R", 2, (0..12).map(|i| vec![i, i % 3]).collect::<Vec<_>>())
+        .with_i64_rows("S", 2, (0..12).map(|j| vec![j % 3, j]).collect::<Vec<_>>());
+    let snap = db.clone().freeze();
+    let no_fds = FdSet::empty();
+    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let xyz = q.vars(&["x", "y", "z"]);
+    let by_xyz = MaterializedAccess::by_lex(&q, &db, &xyz);
+
+    let lex = RankedAnswers::Lex(LexDirectAccess::build_on(&q, &snap, &xyz, &no_fds).unwrap());
+    conforms("lex", &lex, &by_xyz);
+
+    let sharded = ShardedSnapshot::freeze(&snap, ShardSpec::Forced(3));
+    let da = LexDirectAccess::build_on_sharded(&q, &sharded, &xyz, &no_fds, BuildBudget::UNLIMITED)
+        .unwrap();
+    assert_eq!(da.shard_count(), 3);
+    conforms("sharded-lex", &RankedAnswers::ShardedLex(da), &by_xyz);
+
+    let qcov = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
+    let sum = SumDirectAccess::build_on(&qcov, &snap, &Weights::identity(), &no_fds).unwrap();
+    conforms(
+        "sum",
+        &RankedAnswers::Sum(sum),
+        &MaterializedAccess::by_sum(&qcov, &db, ident),
+    );
+
+    let xzy = q.vars(&["x", "z", "y"]);
+    let handle = SelectionLexHandle::new(&q, &snap, xzy.clone(), &no_fds).unwrap();
+    conforms(
+        "selection-lex",
+        &RankedAnswers::SelectionLex(handle),
+        &MaterializedAccess::by_lex(&q, &db, &xzy),
+    );
+
+    // Distinct weights: a window stays off the lazily built tie index
+    // (`iter` is the one method that builds it, by design).
+    let w = positional_weights(&q, &["x", "y", "z"]);
+    let by_w = MaterializedAccess::by_sum(&q, &db, |v, val| w.get(v, val).0);
+    let handle = SelectionSumHandle::new(&q, &snap, w, &no_fds).unwrap();
+    let answers = RankedAnswers::SelectionSum(handle);
+    assert_eq!(answers.page(2, 5).len(), 5);
+    let RankedAnswers::SelectionSum(handle) = &answers else {
+        unreachable!()
+    };
+    assert!(
+        !handle.tie_index_built(),
+        "a window must not build the tie index"
+    );
+    conforms("selection-sum", &answers, &by_w);
+
+    let qproj = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
+    let xz = qproj.vars(&["x", "z"]);
+    conforms(
+        "materialized",
+        &RankedAnswers::Materialized(MaterializedAccess::by_lex(&qproj, &db, &xz)),
+        &MaterializedAccess::by_lex(&qproj, &db, &xz),
+    );
+
+    // The any-k fallback, through the plan facade: `is_empty` and
+    // `iter` stay lazy (the provided forms would drain the stream or
+    // fetch a whole batch), and only `len` enumerates everything.
+    let q3 = parse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)").unwrap();
+    let db3 = three_path_db();
+    let w = positional_weights(&q3, &["x", "y", "z", "u"]);
+    let by_w = MaterializedAccess::by_sum(&q3, &db3, |v, val| w.get(v, val).0);
+    let plan = Engine::new(db3.freeze())
+        .prepare(&q3, OrderSpec::sum(w), &no_fds, Policy::RankedEnum)
+        .unwrap();
+    let RankedAnswers::RankedEnum(handle) = plan.answers() else {
+        panic!("expected the any-k fallback backend");
+    };
+    assert!(!plan.is_empty());
+    assert!(handle.cached_prefix_len() <= 1, "is_empty pops one answer");
+    assert_eq!(plan.iter().take(5).count(), 5);
+    assert!(handle.cached_prefix_len() <= 5, "iter().take(5) pops five");
+    conforms("ranked-enum", plan.answers(), &by_w);
 }
