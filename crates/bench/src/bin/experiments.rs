@@ -19,9 +19,9 @@
 //! the `rda_serve` front door under interleaved update batches:
 //! throughput, p50/p95/p99 latency, and a bounded-queue overload
 //! scenario), and `chaos` writes `BENCH_chaos.json` (a deterministic
-//! fault storm — injected build/page panics plus a worker kill —
-//! absorbed by session retry policies with zero session loss, plus
-//! isolated recovery-latency, respawn, and shed/degrade probes), and
+//! fault storm — injected build/page panics — absorbed by session
+//! retry policies with zero session loss, plus isolated
+//! recovery-latency and shed/degrade probes), and
 //! `shard` writes `BENCH_shard.json` (sharded vs unsharded build
 //! latency, delta re-shard vs full re-partition, and the access-time
 //! overhead of rank routing, across forced shard counts), and
@@ -1914,8 +1914,8 @@ fn update_bench(smoke: bool) {
 
 /// E18 — the mixed-workload service driver behind `BENCH_traffic.json`:
 /// zipfian client sessions paging `rda_serve` cursors (hot queries are
-/// hot, the tail is cold) while a writer lands `advance_delta` batches
-/// — most touching only an unread relation (every in-flight cursor
+/// hot, the tail is cold) with an `advance_delta` batch landing every
+/// few ops — most touching only an unread relation (every in-flight cursor
 /// resumes cleanly), some dirtying a join input (cursors fail typed
 /// and clients re-prepare). Records throughput and p50/p95/p99
 /// latency, then a deterministic overload scenario demonstrating the
@@ -1928,18 +1928,19 @@ fn traffic_bench(smoke: bool) {
     use rda_bench::stats::percentile;
     use rda_db::{Database, Value};
     use rda_serve::{ServeError, Server, ServerConfig, Token};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
 
-    // The writer pause paces update batches against rebuild cost: a
-    // plan over the full-size join takes ~10ms to rebuild cold, so
-    // dirtying its inputs every 4th batch at a 25ms cadence (~every
-    // 100ms) models a write rate the service can absorb — cursors go
-    // stale and recover instead of thrashing on a re-prepare treadmill.
-    let (clients, ops_per_client, rows, workers, writer_pause_ms) = if smoke {
-        (4usize, 150usize, 800i64, 2usize, 2u64)
+    // Update batches are paced by client progress, not by the clock —
+    // one per `ops_per_batch` completed ops — so how many cursors go
+    // stale does not depend on how fast the host or the server is.
+    // Dirtying the join inputs every 4th batch models a write rate the
+    // service can absorb: cursors go stale and recover instead of
+    // thrashing on a re-prepare treadmill.
+    let (clients, ops_per_client, rows, workers, ops_per_batch) = if smoke {
+        (4usize, 150usize, 800i64, 2usize, 30u64)
     } else {
-        (8, 1200, 8000, 4, 25)
+        (8, 1200, 8000, 4, 400)
     };
     let queue_limit = 64usize;
     println!(
@@ -1994,23 +1995,52 @@ fn traffic_bench(smoke: bool) {
     let stale_repairs = AtomicU64::new(0);
     let completed_scans = AtomicU64::new(0);
     let errors = AtomicU64::new(0);
-    let clients_done = AtomicUsize::new(0);
-    let update_batches = AtomicU64::new(0);
+    let ops_done = AtomicU64::new(0);
+    let update_batches = (clients * ops_per_client) as u64 / ops_per_batch;
+    // The writer is whichever client completes the batch's last op:
+    // every fourth batch dirties the join input S (staling its
+    // cursors); the rest touch only T, which no query reads.
+    let db = Mutex::new(&mut db);
+    let write_batch = |batch: i64| {
+        let mut db = db.lock().unwrap();
+        if batch % 4 == 0 {
+            db.insert_into(
+                "S",
+                [Value::int(batch % 101), Value::int(batch % 151)]
+                    .into_iter()
+                    .collect(),
+            );
+        } else {
+            for j in 0..8 {
+                db.insert_into(
+                    "T",
+                    [Value::int(batch % 97), Value::int(j)]
+                        .into_iter()
+                        .collect(),
+                );
+            }
+        }
+        engine.advance_delta(&mut db);
+    };
 
     let start = Instant::now();
     std::thread::scope(|scope| {
         for c in 0..clients {
-            let (server, specs) = (&server, &specs);
+            let (server, specs, write_batch) = (&server, &specs, &write_batch);
             let (prepare_us, page_us) = (&prepare_us, &page_us);
             let (rows_served, clean_resumes) = (&rows_served, &clean_resumes);
             let (stale_repairs, completed_scans) = (&stale_repairs, &completed_scans);
-            let (errors, clients_done) = (&errors, &clients_done);
+            let (errors, ops_done) = (&errors, &ops_done);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xF00D + c as u64);
                 let mut session = server.session();
                 let mut cursors: Vec<Option<Token>> = vec![None; specs.len()];
                 let (mut my_prep, mut my_page) = (Vec::new(), Vec::new());
                 for _ in 0..ops_per_client {
+                    let done = ops_done.fetch_add(1, Ordering::Relaxed) + 1;
+                    if done % ops_per_batch == 0 {
+                        write_batch((done / ops_per_batch) as i64);
+                    }
                     let i = zipf(&mut rng, specs.len());
                     if cursors[i].is_none() {
                         let (q, order) = &specs[i];
@@ -2053,43 +2083,8 @@ fn traffic_bench(smoke: bool) {
                 }
                 prepare_us.lock().unwrap().append(&mut my_prep);
                 page_us.lock().unwrap().append(&mut my_page);
-                clients_done.fetch_add(1, Ordering::Relaxed);
             });
         }
-        // The writer: update batches land while clients page. Every
-        // fourth batch dirties the join input S (staling its cursors);
-        // the rest touch only T, which no query reads.
-        let (engine, update_batches, clients_done) = (&engine, &update_batches, &clients_done);
-        let db = &mut db;
-        scope.spawn(move || {
-            let mut batch = 0i64;
-            loop {
-                batch += 1;
-                if batch % 4 == 0 {
-                    db.insert_into(
-                        "S",
-                        [Value::int(batch % 101), Value::int(batch % 151)]
-                            .into_iter()
-                            .collect(),
-                    );
-                } else {
-                    for j in 0..8 {
-                        db.insert_into(
-                            "T",
-                            [Value::int(batch % 97), Value::int(j)]
-                                .into_iter()
-                                .collect(),
-                        );
-                    }
-                }
-                engine.advance_delta(db);
-                update_batches.fetch_add(1, Ordering::Relaxed);
-                if clients_done.load(Ordering::Relaxed) == clients {
-                    return;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(writer_pause_ms));
-            }
-        });
     });
     let elapsed = start.elapsed();
 
@@ -2186,7 +2181,7 @@ fn traffic_bench(smoke: bool) {
         workers,
         queue_limit,
         rows,
-        update_batches.load(Ordering::Relaxed),
+        update_batches,
         json_num(ms(elapsed)),
         total_ops,
         json_num(throughput),
@@ -2222,16 +2217,14 @@ fn traffic_bench(smoke: bool) {
 /// clients page through the server while a seeded
 /// [`FaultPlan`](rda_serve::fault::FaultPlan)
 /// injects panics into both build kernels, the prepare entry, and
-/// in-flight pages — plus one scheduled worker kill — and a writer
-/// keeps dirtying a join input so stale cursors exercise transparent
-/// repair. Every fault must be absorbed: zero unrecovered errors, zero
-/// lost sessions, the pool back at full strength, and the post-storm
+/// in-flight pages, and a writer keeps dirtying a join input so stale
+/// cursors exercise transparent repair. Every fault must be absorbed:
+/// zero unrecovered errors, zero lost sessions, and the post-storm
 /// sequence equal to a fresh single-threaded oracle.
 ///
-/// Phases 2-4 isolate the numbers the storm mixes together: the
-/// latency of recovering one fenced panic through retry, the time to
-/// respawn a killed worker, and the shed/degrade behavior of a
-/// saturated bounded queue.
+/// Phases 2-3 isolate the numbers the storm mixes together: the
+/// latency of recovering one fenced panic through retry, and the
+/// shed/degrade behavior of a saturated bounded queue.
 fn chaos_bench(smoke: bool) {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -2253,7 +2246,7 @@ fn chaos_bench(smoke: bool) {
         if smoke { "smoke" } else { "full" }
     );
 
-    // Injected panics unwind through worker threads by design;
+    // Injected panics unwind up to the request fence by design;
     // silence exactly those so the storm does not spray backtraces
     // over the bench output. Real panics keep the default report.
     let default_hook = std::panic::take_hook();
@@ -2308,15 +2301,14 @@ fn chaos_bench(smoke: bool) {
     // The storm schedule. Explicit low-index entries guarantee the
     // first builds and an early page panic fire; seeded entries spread
     // the rest of the storm pseudo-randomly (the seed names the whole
-    // schedule, so the exact same storm replays anywhere); one worker
-    // kill lands a few jobs in. Every entry fires at most once, so the
-    // storm always reaches a fault-free steady state.
+    // schedule, so the exact same storm replays anywhere). Every entry
+    // fires at most once, so the storm always reaches a fault-free
+    // steady state.
     let total_page_ops = (clients * pages_per_client) as u64;
     let plan = FaultPlan::seeded(0xC4A0_5EED)
         .inject(fault::SITE_LEXDA_BUILD, 0, FaultAction::Panic)
         .inject(fault::SITE_SUMDA_BUILD, 0, FaultAction::Panic)
         .inject(fault::SITE_SERVE_PAGE, 1, FaultAction::Panic)
-        .inject(fault::SITE_SERVE_WORKER, 11, FaultAction::Panic)
         .inject_seeded(
             fault::SITE_SERVE_PAGE,
             (total_page_ops / 40) as usize,
@@ -2446,7 +2438,6 @@ fn chaos_bench(smoke: bool) {
         fault::SITE_SUMDA_BUILD,
         fault::SITE_ENGINE_PREPARE,
         fault::SITE_SERVE_PAGE,
-        fault::SITE_SERVE_WORKER,
     ];
     let faults_fired: usize = sites
         .iter()
@@ -2460,7 +2451,7 @@ fn chaos_bench(smoke: bool) {
         .sum();
     drop(guard);
 
-    // Containment audit: everything absorbed, nobody lost, pool whole.
+    // Containment audit: everything absorbed, nobody lost.
     let sessions_lost = clients - clients_done.load(Ordering::Relaxed);
     assert_eq!(sessions_lost, 0, "every client session must finish");
     assert_eq!(
@@ -2468,15 +2459,8 @@ fn chaos_bench(smoke: bool) {
         0,
         "retry policies must absorb the whole schedule"
     );
-    let health = loop {
-        let h = server.health();
-        if h.workers_alive == h.workers_configured {
-            break h;
-        }
-        std::thread::yield_now();
-    };
-    assert!(health.panics_caught > 0, "the storm never fired");
-    assert_eq!(health.worker_respawns, 1, "exactly one scheduled kill");
+    let panics_caught = server.stats().panics_caught;
+    assert!(panics_caught > 0, "the storm never fired");
 
     // Post-chaos differential: the served sequences equal a fresh
     // single-threaded oracle — the storm left no corruption behind.
@@ -2539,46 +2523,7 @@ fn chaos_bench(smoke: bool) {
         }
     }
 
-    // Phase 3 — respawn latency: kill the next worker through the
-    // loop; the probe's first attempt is the lost job, the retry
-    // succeeds, and the pool must return to full strength.
-    let respawns_before = server.health().worker_respawns;
-    let respawn_ms = {
-        let mut session = server.session();
-        session.set_retry_policy(RetryPolicy {
-            base_backoff: Duration::from_micros(100),
-            ..RetryPolicy::default()
-        });
-        let prepared = session
-            .prepare(
-                &scan_q,
-                OrderSpec::lex(&scan_q, &["a", "b"]),
-                &FdSet::empty(),
-                Policy::Reject,
-            )
-            .expect("respawn-probe prepare");
-        let g = fault::install(FaultPlan::new().inject(
-            fault::SITE_SERVE_WORKER,
-            0,
-            FaultAction::Panic,
-        ));
-        let t0 = Instant::now();
-        session
-            .page(&prepared.token, 0, 16)
-            .expect("probe survives the worker kill");
-        loop {
-            let h = server.health();
-            if h.workers_alive == h.workers_configured {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        drop(g);
-        ms(t0.elapsed())
-    };
-    assert_eq!(server.health().worker_respawns, respawns_before + 1);
-
-    // Phase 4 — shed & degrade: a tiny paused pool saturates, typed
+    // Phase 3 — shed & degrade: a tiny paused pool saturates, typed
     // rejections shed the excess, and a degrading session converges to
     // a page length the pool can sustain.
     let small = Server::new(
@@ -2650,8 +2595,13 @@ fn chaos_bench(smoke: bool) {
         let shift = degrading.degrade_shift();
         assert!(shift > 0, "sustained overload must degrade");
         small.resume();
-        // Pressure lifted: the degraded session is served a shortened
-        // page (32 halved `shift` times) instead of failing.
+        // Pressure lifted (once the parked fillers have drained —
+        // asking while they still fill the queue is one more overload
+        // and one more halving): the degraded session is served a
+        // shortened page (32 halved `shift` times) instead of failing.
+        while drained.load(Ordering::Relaxed) < capacity {
+            std::thread::yield_now();
+        }
         let page = degrading
             .page(&prepared.token, 0, 32)
             .expect("degraded page after resume");
@@ -2667,7 +2617,7 @@ fn chaos_bench(smoke: bool) {
     let pct = |xs: &[f64], p: f64| percentile(xs.to_vec(), p);
     let storm_ops = storm_stats.prepares + storm_stats.pages;
     let json = format!(
-        "{{\n  \"schema\": \"bench_chaos/v1\",\n  \"command\": \"cargo run --release -p rda_bench --bin experiments -- chaos{}\",\n  \"mode\": {},\n  \"host_parallelism\": {},\n  \"storm\": {{\n    \"clients\": {},\n    \"pages_per_client\": {},\n    \"workers\": {},\n    \"db_rows_per_relation\": {},\n    \"update_batches\": {},\n    \"faults_scheduled\": {},\n    \"faults_fired\": {},\n    \"panics_caught\": {},\n    \"worker_respawns\": {},\n    \"repaired_pages\": {},\n    \"rows_served\": {},\n    \"elapsed_ms\": {},\n    \"ops\": {},\n    \"throughput_ops_per_sec\": {},\n    \"unrecovered_errors\": 0,\n    \"sessions_lost\": 0,\n    \"post_chaos_oracle_rows\": {}\n  }},\n  \"op_latency_us\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {} }},\n  \"recovery\": {{ \"probes\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {} }},\n  \"respawn\": {{ \"probe_ms\": {}, \"workers_alive\": {} }},\n  \"overload\": {{\n    \"queue_limit\": 3,\n    \"pool_capacity\": {},\n    \"single_shot_submissions\": 8,\n    \"typed_overloaded_rejections\": {},\n    \"admitted\": {},\n    \"shed\": {},\n    \"shed_rate\": {},\n    \"degrade_shift_under_pressure\": {},\n    \"degraded_page_rows\": {},\n    \"admitted_completed_after_resume\": {}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"bench_chaos/v1\",\n  \"command\": \"cargo run --release -p rda_bench --bin experiments -- chaos{}\",\n  \"mode\": {},\n  \"host_parallelism\": {},\n  \"storm\": {{\n    \"clients\": {},\n    \"pages_per_client\": {},\n    \"workers\": {},\n    \"db_rows_per_relation\": {},\n    \"update_batches\": {},\n    \"faults_scheduled\": {},\n    \"faults_fired\": {},\n    \"panics_caught\": {},\n    \"repaired_pages\": {},\n    \"rows_served\": {},\n    \"elapsed_ms\": {},\n    \"ops\": {},\n    \"throughput_ops_per_sec\": {},\n    \"unrecovered_errors\": 0,\n    \"sessions_lost\": 0,\n    \"post_chaos_oracle_rows\": {}\n  }},\n  \"op_latency_us\": {{ \"p50\": {}, \"p95\": {}, \"p99\": {} }},\n  \"recovery\": {{ \"probes\": {}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {} }},\n  \"overload\": {{\n    \"queue_limit\": 3,\n    \"pool_capacity\": {},\n    \"single_shot_submissions\": 8,\n    \"typed_overloaded_rejections\": {},\n    \"admitted\": {},\n    \"shed\": {},\n    \"shed_rate\": {},\n    \"degrade_shift_under_pressure\": {},\n    \"degraded_page_rows\": {},\n    \"admitted_completed_after_resume\": {}\n  }}\n}}\n",
         if smoke { " --smoke" } else { "" },
         json_str(if smoke { "smoke" } else { "full" }),
         host_parallelism(),
@@ -2678,8 +2628,7 @@ fn chaos_bench(smoke: bool) {
         update_batches.load(Ordering::Relaxed),
         faults_scheduled,
         faults_fired,
-        health.panics_caught,
-        health.worker_respawns,
+        panics_caught,
         repaired_pages.load(Ordering::Relaxed),
         rows_served.load(Ordering::Relaxed),
         json_num(ms(elapsed)),
@@ -2693,8 +2642,6 @@ fn chaos_bench(smoke: bool) {
         json_num(pct(&recovery_us, 50.0)),
         json_num(pct(&recovery_us, 95.0)),
         json_num(pct(&recovery_us, 99.0)),
-        json_num(respawn_ms),
-        server.health().workers_alive,
         capacity,
         rejected.load(Ordering::Relaxed),
         shed_stats.admitted,
@@ -2706,11 +2653,10 @@ fn chaos_bench(smoke: bool) {
     );
     std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
     println!(
-        "{faults_fired}/{faults_scheduled} scheduled faults fired, {} panics fenced, 1 worker respawned, {} pages repaired, 0 unrecovered errors, 0 sessions lost\nrecovery p50 {:.0} us, respawn probe {:.1} ms, shed rate {:.2}\nwrote BENCH_chaos.json\n",
-        health.panics_caught,
+        "{faults_fired}/{faults_scheduled} scheduled faults fired, {} panics fenced, {} pages repaired, 0 unrecovered errors, 0 sessions lost\nrecovery p50 {:.0} us, shed rate {:.2}\nwrote BENCH_chaos.json\n",
+        panics_caught,
         repaired_pages.load(Ordering::Relaxed),
         pct(&recovery_us, 50.0),
-        respawn_ms,
         shed_rate,
     );
 }

@@ -9,8 +9,8 @@
 //! | `lexda::build` | [`SITE_LEXDA_BUILD`] | entry of [`LexDirectAccess::build_on`](crate::LexDirectAccess::build_on) |
 //! | `sumda::build` | [`SITE_SUMDA_BUILD`] | entry of [`SumDirectAccess::build_on`](crate::SumDirectAccess::build_on) |
 //!
-//! (`rda_serve` adds its own sites for in-flight pages and worker
-//! death; any crate may define more — a site is just a string.)
+//! (`rda_serve` adds its own site for in-flight pages; any crate may
+//! define more — a site is just a string.)
 //!
 //! Each site keeps a monotone **hit counter** while a plan is armed,
 //! and the plan maps `(site, nth hit)` to a [`FaultAction`]: panic,
@@ -49,8 +49,8 @@ pub const SITE_SUMDA_BUILD: &str = "sumda::build";
 /// What an armed fault does when its scheduled hit arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Panic at the site — exercises panic fences, poison recovery,
-    /// and worker respawn.
+    /// Panic at the site — exercises panic fences and poison
+    /// recovery.
     Panic,
     /// Sleep for the given duration — exercises deadlines, queue
     /// backpressure, and retry backoff.

@@ -55,14 +55,15 @@ impl std::fmt::Display for StaleReason {
 /// session or the server.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The admission queue is full: the server is shedding load rather
-    /// than buffering unboundedly. Back off and retry.
+    /// Every execution slot is held and the queue behind them is
+    /// full: the server is shedding load rather than buffering
+    /// unboundedly. Back off and retry.
     Overloaded {
         /// The configured queue bound that was hit.
         queue_limit: usize,
     },
-    /// The request waited in the queue past its deadline and was
-    /// dropped without executing.
+    /// The request waited for an execution slot (or at the pause
+    /// gate) past its deadline and was dropped without executing.
     DeadlineExceeded,
     /// The pagination token failed to decode (see [`CursorError`]).
     BadCursor(CursorError),
@@ -79,16 +80,14 @@ pub enum ServeError {
     /// relation, ...).
     Plan(PlanError),
     /// The request died inside the server — a panic caught by the
-    /// worker's fence, or a worker lost mid-execution. The failure is
-    /// contained to this one request: the session, its cursors, and
-    /// the server all remain usable, and retrying the identical
-    /// request is safe (requests are read-only).
+    /// request's fence. The failure is contained to this one request:
+    /// the session, its cursors, and the server all remain usable, and
+    /// retrying the identical request is safe (requests are
+    /// read-only).
     Internal {
         /// Best-effort description (typically the panic message).
         detail: String,
     },
-    /// The server is shutting down; no more requests are served.
-    Shutdown,
 }
 
 impl std::fmt::Display for ServeError {
@@ -100,7 +99,7 @@ impl std::fmt::Display for ServeError {
                     "server overloaded: admission queue at its bound of {queue_limit}"
                 )
             }
-            ServeError::DeadlineExceeded => write!(f, "request deadline expired in queue"),
+            ServeError::DeadlineExceeded => write!(f, "request deadline expired while waiting"),
             ServeError::BadCursor(e) => write!(f, "bad cursor: {e}"),
             ServeError::CursorStale(r) => write!(f, "cursor stale: {r}"),
             ServeError::UnknownQuery { request_key } => {
@@ -110,7 +109,6 @@ impl std::fmt::Display for ServeError {
             ServeError::Internal { detail } => {
                 write!(f, "request failed inside the server: {detail}")
             }
-            ServeError::Shutdown => write!(f, "server is shut down"),
         }
     }
 }

@@ -2,12 +2,11 @@
 //!
 //! Re-exports the engine-side machinery of [`rda_core::fault`]
 //! (plans, actions, the global install/trip registry and its build
-//! sites) and adds the serve-side sites:
+//! sites) and adds the serve-side site:
 //!
 //! | site | constant | where it fires | what it proves |
 //! |------|----------|----------------|----------------|
-//! | `serve::page` | [`SITE_SERVE_PAGE`] | inside `execute_page`, **inside** the worker's panic fence | an in-flight page panic becomes a typed [`ServeError::Internal`](crate::ServeError::Internal) reply |
-//! | `serve::worker` | [`SITE_SERVE_WORKER`] | in the worker loop, **outside** the fence | a worker that dies anyway is respawned and its queue keeps draining |
+//! | `serve::page` | [`SITE_SERVE_PAGE`] | entry of page execution, **inside** the request's panic fence | an in-flight page panic becomes a typed [`ServeError::Internal`](crate::ServeError::Internal) on the same session |
 //!
 //! A chaos run arms one seeded [`FaultPlan`] covering engine and
 //! serve sites together and replays the exact same failure schedule
@@ -19,14 +18,8 @@ pub use rda_core::fault::{
     SITE_LEXDA_BUILD, SITE_SUMDA_BUILD,
 };
 
-/// Fault site: inside `execute_page`, within the worker's panic
-/// fence — a scheduled panic here simulates a bug in page execution
-/// and must surface as a typed reply, not a dead worker.
+/// Fault site: entry of page execution (`page`, `stream_next`,
+/// `page_batch`), within the request's panic fence — a scheduled panic
+/// here simulates a bug in page execution and must surface as a typed
+/// error with the execution slot released.
 pub const SITE_SERVE_PAGE: &str = "serve::page";
-
-/// Fault site: in the worker loop after dequeue, outside the panic
-/// fence — a scheduled panic here kills the worker outright (the one
-/// dequeued request is lost and its client gets
-/// [`ServeError::Internal`](crate::ServeError::Internal)), exercising
-/// death detection and respawn.
-pub const SITE_SERVE_WORKER: &str = "serve::worker";

@@ -4,9 +4,9 @@
 //!
 //! Everything below the engine answers *"what is answer number k?"*;
 //! this crate answers *"how do many concurrent clients ask that
-//! safely?"*. It is an in-process request front door — threads and
-//! channels, no network dependency — exposing three calls against a
-//! shared [`rda_core::Engine`]:
+//! safely?"*. It is an in-process request front door — an admission
+//! fence on the caller's own thread, no network dependency — exposing
+//! three calls against a shared [`rda_core::Engine`]:
 //!
 //! - [`Session::prepare`] registers a (query, order, FDs, policy)
 //!   request, plans it through the engine's cache, and returns an
@@ -33,21 +33,23 @@
 //!
 //! ## Backpressure, not buffering
 //!
-//! Requests pass through a **bounded** admission queue into a fixed
-//! worker pool. When the queue is full, new requests are rejected
-//! immediately with [`ServeError::Overloaded`]; requests that sit
-//! queued past their deadline are dropped with
+//! Every request executes on its caller's thread, but only while it
+//! holds one of [`ServerConfig::workers`] execution slots; at most
+//! [`ServerConfig::queue_limit`] more wait behind them, each on its
+//! own thread. When that **bounded** queue is full, new requests are
+//! rejected immediately with [`ServeError::Overloaded`]; requests
+//! that wait past their deadline are dropped with
 //! [`ServeError::DeadlineExceeded`]. Load shedding is a typed,
 //! client-visible outcome, not an OOM.
 //!
 //! ## Fault containment
 //!
-//! Every request body runs behind a per-worker **panic fence**: a
-//! panic in plan build or page execution becomes a typed
-//! [`ServeError::Internal`] reply on a worker that keeps serving, all
-//! locks recover from poisoning instead of propagating it, and a
-//! worker that dies outside the fence is detected and **respawned**
-//! ([`Server::health`] exposes the counters). Hostile build costs are
+//! Every request body runs behind a **panic fence**: a panic in plan
+//! build or page execution becomes a typed [`ServeError::Internal`]
+//! on the session that asked, which stays usable; the execution slot
+//! is released on every path out, unwinding included; and all locks
+//! recover from poisoning instead of propagating it
+//! ([`Server::stats`] exposes the counters). Hostile build costs are
 //! contained by [`rda_core::BuildBudget`]; sustained overload is
 //! absorbed client-side by a [`RetryPolicy`] (decorrelated-jitter
 //! retry, stale-cursor repair, page-length degradation — see
@@ -99,9 +101,7 @@ mod sync;
 pub use cursor::{Cursor, CursorError, Token, MAX_TOKEN_LEN, TOKEN_VERSION};
 pub use error::{ServeError, StaleReason};
 pub use retry::RetryPolicy;
-pub use server::{
-    PageOutcome, Prepared, Server, ServerConfig, ServerHealth, Session, StatsSnapshot,
-};
+pub use server::{PageOutcome, Prepared, Server, ServerConfig, Session, StatsSnapshot};
 
 #[doc(hidden)]
 pub use server::deadline_expired;

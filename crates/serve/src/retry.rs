@@ -11,8 +11,8 @@
 //! | [`Internal`](crate::ServeError::Internal) | resubmit (requests are read-only, so an identical retry is always safe) — opt out with [`RetryPolicy::retry_internal`] |
 //! | [`CursorStale`](crate::ServeError::CursorStale) | **repair**: re-prepare the registered query and resume the page at the stale cursor's rank on the fresh sequence ([`PageOutcome::repaired`](crate::PageOutcome::repaired) is set) |
 //!
-//! Everything else (`BadCursor`, `UnknownQuery`, `Plan`, `Shutdown`)
-//! is a permanent, caller-meaningful outcome and is never retried.
+//! Everything else (`BadCursor`, `UnknownQuery`, `Plan`) is a
+//! permanent, caller-meaningful outcome and is never retried.
 //!
 //! Backoff is **decorrelated jitter** (`sleep = min(cap,
 //! uniform(base, prev·3))`): attempts from many colliding sessions
@@ -115,9 +115,18 @@ impl RetryState {
         }
     }
 
+    /// What the session does between two attempts after the transient
+    /// error `e`: note an overload, sleep the backoff.
+    pub(crate) fn back_off(&mut self, e: &ServeError) {
+        if matches!(e, ServeError::Overloaded { .. }) {
+            self.note_overloaded();
+        }
+        std::thread::sleep(self.backoff());
+    }
+
     /// The next decorrelated-jitter delay:
     /// `min(cap, uniform(base, prev·3))`.
-    pub(crate) fn backoff(&mut self) -> Duration {
+    fn backoff(&mut self) -> Duration {
         // All arithmetic in u128 nanoseconds, clamped to the configured
         // ceiling *before* sampling. The previous version did
         // `as_nanos() as u64` (silently truncating large durations) and
@@ -142,7 +151,7 @@ impl RetryState {
 
     /// Record an overload rejection; returns `true` when it tipped the
     /// session one degradation level deeper.
-    pub(crate) fn note_overloaded(&mut self) -> bool {
+    fn note_overloaded(&mut self) -> bool {
         self.consecutive_overloaded += 1;
         if self.policy.degrade_after > 0
             && self.consecutive_overloaded >= self.policy.degrade_after

@@ -1,13 +1,12 @@
-//! The in-process request front door: a bounded worker pool serving
-//! `prepare` / `page` / `stream_next` calls from concurrent client
-//! sessions against one shared [`Engine`].
+//! The in-process request front door: `prepare` / `page` /
+//! `stream_next` / `page_batch` calls from concurrent client sessions
+//! against one shared [`Engine`], each executed on its caller's thread
+//! behind one bounded admission fence ([`Server::run`]).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use rda_core::{
@@ -20,20 +19,21 @@ use rda_query::{Cq, FdSet};
 use crate::cursor::{Cursor, Token};
 use crate::error::{ServeError, StaleReason};
 use crate::fault;
-use crate::retry::RetryPolicy;
+use crate::retry::{RetryPolicy, RetryState};
 use crate::sync;
 
 /// Tunables for a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing requests (at least 1).
+    /// Requests executing at once (at least 1); each runs on its
+    /// caller's thread.
     pub workers: usize,
     /// Bound on the admission queue: requests past this many waiting
-    /// are rejected with [`ServeError::Overloaded`] instead of
-    /// buffering without limit.
+    /// behind the executing ones are rejected with
+    /// [`ServeError::Overloaded`] instead of buffering without limit.
     pub queue_limit: usize,
     /// Deadline applied to sessions that do not set their own: a
-    /// request still queued when it expires is dropped with
+    /// request still waiting when it expires is dropped with
     /// [`ServeError::DeadlineExceeded`].
     pub default_deadline: Duration,
     /// Hard cap on rows per page; larger requests are clamped, so one
@@ -74,135 +74,95 @@ struct Stats {
     deadline_expired: AtomicU64,
     stale_cursors: AtomicU64,
     bad_cursors: AtomicU64,
+    panics_caught: AtomicU64,
 }
 
 /// A point-in-time copy of the server's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
 pub struct StatsSnapshot {
+    /// Requests let in: given an execution slot or a place in the
+    /// queue behind one.
     pub admitted: u64,
+    /// Prepares served.
     pub prepares: u64,
+    /// Window pages served ([`Session::page`], [`Session::stream_next`]).
     pub pages: u64,
+    /// Batch pages served ([`Session::page_batch`]).
     pub batch_pages: u64,
+    /// Rows written into session buffers.
     pub rows: u64,
+    /// Requests shed at admission ([`ServeError::Overloaded`]).
     pub overloaded: u64,
+    /// Requests shed after waiting past their deadline
+    /// ([`ServeError::DeadlineExceeded`]).
     pub deadline_expired: u64,
+    /// Requests refused with [`ServeError::CursorStale`].
     pub stale_cursors: u64,
+    /// Requests refused with [`ServeError::BadCursor`].
     pub bad_cursors: u64,
-}
-
-/// Pause/resume gate the workers check between dequeue and execution.
-#[derive(Default)]
-struct Gate {
-    paused: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    // The gate guards a single boolean, so a poisoned guard (a worker
-    // panicking between dequeue and execution) is recovered, never
-    // propagated: pause/resume keep working after any panic.
-    fn wait_open(&self) {
-        let mut paused = sync::lock(&self.paused);
-        while *paused {
-            paused = sync::wait(&self.cv, paused);
-        }
-    }
-
-    fn set(&self, paused: bool) {
-        *sync::lock(&self.paused) = paused;
-        if !paused {
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// Monotone fault-containment counters plus the live-worker gauge
-/// (see [`Server::health`]).
-#[derive(Default)]
-struct Health {
-    alive: AtomicU64,
-    panics_caught: AtomicU64,
-    respawns: AtomicU64,
-}
-
-/// A point-in-time picture of the server's fault containment: how many
-/// workers are live, what has been caught, respawned, and shed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerHealth {
-    /// Worker threads the pool was configured with.
-    pub workers_configured: usize,
-    /// Worker threads currently alive (between respawns this can dip
-    /// below `workers_configured`; it never exceeds it).
-    pub workers_alive: usize,
     /// Panics converted into typed [`ServeError::Internal`] replies by
     /// the per-request fence.
     pub panics_caught: u64,
-    /// Workers that died outside the fence and were replaced.
-    pub worker_respawns: u64,
-    /// Requests shed at admission ([`ServeError::Overloaded`]).
-    pub shed_overloaded: u64,
-    /// Requests shed at dequeue ([`ServeError::DeadlineExceeded`]).
-    pub shed_deadline: u64,
     /// Poisoned lock guards recovered instead of propagated
     /// (process-wide — see `sync`; 0 in a healthy process).
     pub poison_recoveries: u64,
 }
 
-struct Shared {
-    engine: Arc<Engine>,
-    registry: RwLock<HashMap<String, Arc<QuerySpec>>>,
-    stats: Stats,
-    gate: Gate,
-    health: Health,
-    /// Replacement workers spawned by [`WorkerGuard`]; joined on drop.
-    respawned: Mutex<Vec<JoinHandle<()>>>,
-    workers_configured: usize,
-    queue_limit: usize,
-    max_page_rows: u64,
-    default_deadline: Duration,
+/// Who is inside the fence. One mutex guards all three, so "a slot is
+/// free", "the queue is full" and "the server is paused" are decided
+/// together; it guards plain integers, so a poisoned guard is
+/// recovered, never propagated.
+#[derive(Default)]
+struct Admission {
+    /// Requests holding an execution slot (at most `workers`).
+    executing: usize,
+    /// Requests waiting for a slot (at most `queue_limit`).
+    waiting: usize,
+    /// Set by [`Server::pause`]: slot holders wait at the gate.
+    paused: bool,
 }
 
+/// One held execution slot, released on every path out of
+/// [`Server::run`] — unwinding included.
+struct Slot<'a>(&'a Server);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut adm = sync::lock(&self.0.admission);
+        adm.executing -= 1;
+        // A wake-up is a syscall: skip it when nobody waits.
+        if adm.waiting > 0 {
+            self.0.slot_freed.notify_one();
+        }
+    }
+}
+
+/// Which rows a page-shaped request asks for.
 #[derive(Clone, Copy)]
-enum PageAt {
-    /// Continue from the cursor's own next rank.
-    Next,
-    /// Jump to an explicit rank (the cursor still proves freshness).
-    Rank(u64),
+enum Rows<'r> {
+    /// `len` consecutive rows from rank `at` — `None` continues from
+    /// the cursor's own next rank (the cursor still proves freshness
+    /// either way).
+    Window { at: Option<u64>, len: u64 },
+    /// The answers at these ranks (any order, duplicates allowed),
+    /// served through the backend's batch kernel — one rank descent
+    /// for the whole set on the native arenas.
+    Batch(&'r [u64]),
 }
 
-enum JobKind {
-    Prepare {
-        spec: QuerySpec,
-    },
-    Page {
-        token: Token,
-        at: PageAt,
-        len: u64,
-        buf: WindowBuf,
-    },
-    /// Batched random access: the answers at `ranks` (any order,
-    /// duplicates allowed), served through the backend's batch kernel
-    /// — one rank descent for the whole set on the native arenas.
-    PageBatch {
-        token: Token,
-        ranks: Vec<u64>,
-        buf: WindowBuf,
-    },
-}
-
-struct Job {
-    kind: JobKind,
-    deadline: Instant,
-    reply: SyncSender<Reply>,
-}
-
-enum Reply {
-    Prepare(Result<Prepared, ServeError>),
-    Page {
-        result: Result<PageOutcome, ServeError>,
-        buf: WindowBuf,
-    },
+impl Rows<'_> {
+    /// The request at the session's degradation level. Only a window
+    /// shrinks: a batch's ranks are explicit, so dropping some would
+    /// silently change the answer.
+    fn degraded(self, st: &RetryState) -> Self {
+        match self {
+            Rows::Window { at, len } => Rows::Window {
+                at,
+                len: st.effective_len(len),
+            },
+            batch => batch,
+        }
+    }
 }
 
 /// What [`Session::prepare`] returns: the opening cursor plus the
@@ -242,10 +202,11 @@ pub struct PageOutcome {
 
 /// The in-process serving front door.
 ///
-/// A `Server` owns a pool of worker threads behind a **bounded**
-/// admission queue. Clients talk to it through cheap per-client
-/// [`Session`]s; every call is executed by a worker, so a spike of
-/// clients degrades into queueing and then into typed
+/// A `Server` is a **bounded** admission fence around one shared
+/// [`Engine`]. Clients talk to it through cheap per-client
+/// [`Session`]s; every call executes on the calling thread once it
+/// holds one of `workers` execution slots, so a spike of clients
+/// degrades into waiting and then into typed
 /// [`ServeError::Overloaded`] rejections — never into unbounded
 /// memory growth.
 ///
@@ -255,43 +216,32 @@ pub struct PageOutcome {
 /// resume cleanly (their relations provably unchanged) or fail with
 /// [`ServeError::CursorStale`].
 pub struct Server {
-    shared: Arc<Shared>,
-    tx: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    engine: Arc<Engine>,
+    registry: RwLock<HashMap<String, Arc<QuerySpec>>>,
+    stats: Stats,
+    admission: Mutex<Admission>,
+    slot_freed: Condvar,
+    gate_opened: Condvar,
+    workers: usize,
+    queue_limit: usize,
+    max_page_rows: u64,
+    default_deadline: Duration,
 }
 
 impl Server {
-    /// Spin up the worker pool over `engine`.
+    /// Put the admission fence in front of `engine`.
     pub fn new(engine: Arc<Engine>, config: ServerConfig) -> Server {
-        let workers = config.workers.max(1);
-        let shared = Arc::new(Shared {
+        Server {
             engine,
             registry: RwLock::new(HashMap::new()),
             stats: Stats::default(),
-            gate: Gate::default(),
-            health: Health::default(),
-            respawned: Mutex::new(Vec::new()),
-            workers_configured: workers,
+            admission: Mutex::new(Admission::default()),
+            slot_freed: Condvar::new(),
+            gate_opened: Condvar::new(),
+            workers: config.workers.max(1),
             queue_limit: config.queue_limit.max(1),
             max_page_rows: config.max_page_rows.max(1),
             default_deadline: config.default_deadline,
-        });
-        let (tx, rx) = mpsc::sync_channel::<Job>(shared.queue_limit);
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("rda-serve-{i}"))
-                    .spawn(move || worker_loop(shared, rx))
-                    .expect("spawn worker thread")
-            })
-            .collect();
-        Server {
-            shared,
-            tx: Some(tx),
-            workers: handles,
         }
     }
 
@@ -306,158 +256,250 @@ impl Server {
         Session {
             server: self,
             buf: WindowBuf::new(),
-            deadline: self.shared.default_deadline,
+            deadline: self.default_deadline,
             retry: None,
         }
     }
 
     /// The engine this server fronts (writers advance it directly).
     pub fn engine(&self) -> &Arc<Engine> {
-        &self.shared.engine
+        &self.engine
     }
 
     /// The configured admission-queue bound.
     pub fn queue_limit(&self) -> usize {
-        self.shared.queue_limit
+        self.queue_limit
     }
 
-    /// Stop executing queued requests. Admission continues until the
-    /// queue fills, at which point new requests get
-    /// [`ServeError::Overloaded`] — which is exactly what makes
-    /// backpressure and deadline behavior deterministically testable.
-    /// Also usable as a maintenance drain before a large `advance`.
+    /// Stop executing admitted requests. Admission continues until
+    /// every slot is held and the queue behind them is full, at which
+    /// point new requests get [`ServeError::Overloaded`] — which is
+    /// exactly what makes backpressure and deadline behavior
+    /// deterministically testable. Also usable as a maintenance drain
+    /// before a large `advance`.
     pub fn pause(&self) {
-        self.shared.gate.set(true);
+        sync::lock(&self.admission).paused = true;
     }
 
-    /// Resume executing queued requests.
+    /// Resume executing admitted requests.
     pub fn resume(&self) {
-        self.shared.gate.set(false);
+        sync::lock(&self.admission).paused = false;
+        self.gate_opened.notify_all();
     }
 
     /// A point-in-time copy of the service counters.
     pub fn stats(&self) -> StatsSnapshot {
-        let s = &self.shared.stats;
+        let s = &self.stats;
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         StatsSnapshot {
-            admitted: s.admitted.load(Ordering::Relaxed),
-            prepares: s.prepares.load(Ordering::Relaxed),
-            pages: s.pages.load(Ordering::Relaxed),
-            batch_pages: s.batch_pages.load(Ordering::Relaxed),
-            rows: s.rows.load(Ordering::Relaxed),
-            overloaded: s.overloaded.load(Ordering::Relaxed),
-            deadline_expired: s.deadline_expired.load(Ordering::Relaxed),
-            stale_cursors: s.stale_cursors.load(Ordering::Relaxed),
-            bad_cursors: s.bad_cursors.load(Ordering::Relaxed),
-        }
-    }
-
-    /// A point-in-time picture of the server's fault containment.
-    pub fn health(&self) -> ServerHealth {
-        let h = &self.shared.health;
-        ServerHealth {
-            workers_configured: self.shared.workers_configured,
-            workers_alive: h.alive.load(Ordering::Relaxed) as usize,
-            panics_caught: h.panics_caught.load(Ordering::Relaxed),
-            worker_respawns: h.respawns.load(Ordering::Relaxed),
-            shed_overloaded: self.shared.stats.overloaded.load(Ordering::Relaxed),
-            shed_deadline: self.shared.stats.deadline_expired.load(Ordering::Relaxed),
+            admitted: load(&s.admitted),
+            prepares: load(&s.prepares),
+            pages: load(&s.pages),
+            batch_pages: load(&s.batch_pages),
+            rows: load(&s.rows),
+            overloaded: load(&s.overloaded),
+            deadline_expired: load(&s.deadline_expired),
+            stale_cursors: load(&s.stale_cursors),
+            bad_cursors: load(&s.bad_cursors),
+            panics_caught: load(&s.panics_caught),
             poison_recoveries: sync::poison_recoveries(),
         }
     }
 
-    fn submit(
+    /// Take an execution slot, waiting on the caller's own thread when
+    /// all `workers` are held — unless `queue_limit` requests already
+    /// wait, in which case the request is refused. The pause gate is
+    /// passed *holding* the slot, so a paused server holds exactly
+    /// `workers + queue_limit` requests (deterministic backpressure).
+    fn admit(&self) -> Result<Slot<'_>, ServeError> {
+        let mut adm = sync::lock(&self.admission);
+        if adm.executing >= self.workers && adm.waiting >= self.queue_limit {
+            drop(adm);
+            self.stats.overloaded.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::Overloaded {
+                queue_limit: self.queue_limit,
+            });
+        }
+        self.stats.admitted.fetch_add(1, Ordering::Relaxed);
+        adm.waiting += 1;
+        while adm.executing >= self.workers {
+            adm = sync::wait(&self.slot_freed, adm);
+        }
+        adm.waiting -= 1;
+        adm.executing += 1;
+        while adm.paused {
+            adm = sync::wait(&self.gate_opened, adm);
+        }
+        drop(adm);
+        Ok(Slot(self))
+    }
+
+    /// The one way a request executes: admitted into a slot, checked
+    /// once against its deadline *after* any waiting (so waiting
+    /// counts against it), then run on the calling thread under a
+    /// panic fence. Request bodies are read-only against shared state
+    /// (engine locks recover poison; the registry only ever gains
+    /// complete `Arc` entries), so unwinding out of one leaves nothing
+    /// half-mutated and the panic can soundly become a typed error.
+    fn run<T>(
         &self,
-        kind: JobKind,
         deadline: Duration,
-    ) -> Result<Receiver<Reply>, (ServeError, Option<WindowBuf>)> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let job = Job {
-            kind,
-            deadline: Instant::now() + deadline,
-            reply: reply_tx,
+        body: impl FnOnce() -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        // `None`: a deadline past the end of the clock never expires.
+        let expires = Instant::now().checked_add(deadline);
+        let _slot = self.admit()?;
+        if expires.is_some_and(|at| deadline_expired(Instant::now(), at)) {
+            self.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::DeadlineExceeded);
+        }
+        catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+            self.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
+            Err(ServeError::Internal {
+                detail: panic_detail(payload.as_ref()),
+            })
+        })
+    }
+
+    fn prepare(&self, deadline: Duration, spec: &QuerySpec) -> Result<Prepared, ServeError> {
+        self.run(deadline, || {
+            let (snap, plan) =
+                self.engine
+                    .prepare_pinned(&spec.q, spec.order.clone(), &spec.fds, spec.policy)?;
+            let request_key = canonical_request_key(&spec.q, &spec.order, &spec.fds, spec.policy);
+            sync::write(&self.registry)
+                .entry(request_key.clone())
+                .or_insert_with(|| Arc::new(spec.clone()));
+            self.stats.prepares.fetch_add(1, Ordering::Relaxed);
+            Ok(Prepared {
+                token: stamp(request_key, spec, &snap, 0),
+                len: plan.len(),
+                backend: plan.backend(),
+                generation: snap.generation(),
+            })
+        })
+    }
+
+    fn rows(
+        &self,
+        deadline: Duration,
+        token: &Token,
+        what: Rows<'_>,
+        buf: &mut WindowBuf,
+    ) -> Result<PageOutcome, ServeError> {
+        let result = self.run(deadline, || self.execute_rows(token, what, buf));
+        if matches!(result, Err(ServeError::Internal { .. })) {
+            // A panic may have interrupted a refill; drop the partial
+            // rows so the session's buffer is unambiguously empty.
+            buf.clear();
+        }
+        result
+    }
+
+    fn execute_rows(
+        &self,
+        token: &Token,
+        what: Rows<'_>,
+        buf: &mut WindowBuf,
+    ) -> Result<PageOutcome, ServeError> {
+        // Chaos site INSIDE the fence: an injected panic here simulates
+        // a bug in page execution and must come back as a typed error.
+        fault::trip(fault::SITE_SERVE_PAGE).map_err(|f| ServeError::Internal {
+            detail: f.to_string(),
+        })?;
+        let (cursor, spec) = self.resolve(token)?;
+        let (snap, plan, resumed) = self.pin_plan(&spec, &cursor)?;
+        let (served, counter, next_rank) = match what {
+            Rows::Window { at, len } => {
+                let start = at.unwrap_or(cursor.next_rank);
+                let len = len.min(self.max_page_rows);
+                let served = plan.window_into(start..start.saturating_add(len), buf);
+                (served, &self.stats.pages, start + served)
+            }
+            Rows::Batch(ranks) => {
+                // The page-size cap applies to the *count* of requested
+                // ranks: a batch is a page's worth of rows, wherever
+                // those rows live. Random access does not advance the
+                // stream: the cursor comes back at its own rank,
+                // re-stamped against the snapshot this batch was
+                // validated on, so a cleanly-resumed client keeps a
+                // fresh token.
+                let ranks = &ranks[..ranks.len().min(self.max_page_rows as usize)];
+                let served = plan.access_batch_into(ranks, buf);
+                (served, &self.stats.batch_pages, cursor.next_rank)
+            }
         };
-        let tx = match &self.tx {
-            Some(tx) => tx,
-            None => return Err((ServeError::Shutdown, None)),
-        };
-        match tx.try_send(job) {
-            Ok(()) => {
-                self.shared.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                Ok(reply_rx)
-            }
-            Err(TrySendError::Full(job)) => {
-                self.shared.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                Err((
-                    ServeError::Overloaded {
-                        queue_limit: self.shared.queue_limit,
-                    },
-                    job.into_buf(),
-                ))
-            }
-            Err(TrySendError::Disconnected(job)) => Err((ServeError::Shutdown, job.into_buf())),
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.stats.rows.fetch_add(served, Ordering::Relaxed);
+        let next =
+            (next_rank < plan.len()).then(|| stamp(cursor.request_key, &spec, &snap, next_rank));
+        Ok(PageOutcome {
+            rows: served,
+            next,
+            generation: snap.generation(),
+            resumed,
+            repaired: false,
+        })
+    }
+
+    /// Decode `token` and look its request up in the registry.
+    fn resolve(&self, token: &Token) -> Result<(Cursor, Arc<QuerySpec>), ServeError> {
+        let cursor = Cursor::decode(token).map_err(|e| {
+            self.stats.bad_cursors.fetch_add(1, Ordering::Relaxed);
+            ServeError::BadCursor(e)
+        })?;
+        let spec = sync::read(&self.registry).get(&cursor.request_key).cloned();
+        match spec {
+            Some(spec) => Ok((cursor, spec)),
+            None => Err(ServeError::UnknownQuery {
+                request_key: cursor.request_key,
+            }),
         }
     }
 
-    /// What a dropped reply channel means: while the server is up it
-    /// can only be a worker that died carrying the request (the job
-    /// was lost, the session was not); after shutdown it is orderly.
-    fn lost_reply_error(&self) -> ServeError {
-        if self.tx.is_some() {
-            ServeError::Internal {
-                detail: "request lost: worker died mid-execution".to_string(),
-            }
-        } else {
-            ServeError::Shutdown
+    /// Pin a (snapshot, plan) pair that is mutually consistent: the
+    /// plan serves exactly `snap`'s data for every relation it reads,
+    /// so the dependency versions stamped into the outgoing cursor
+    /// describe the sequence the page came from.
+    /// [`Engine::prepare_pinned`] makes the pairing atomic with respect
+    /// to racing `advance` calls. The cursor is checked twice: first
+    /// against the engine's current snapshot, so a stale request is
+    /// refused *before* a plan is built for it; then against the pinned
+    /// snapshot — the check that counts, since an `advance` can land
+    /// between the two — which is the very snapshot the page will be
+    /// served and stamped from. Returns whether the cursor resumed.
+    fn pin_plan(
+        &self,
+        spec: &QuerySpec,
+        cursor: &Cursor,
+    ) -> Result<(Arc<Snapshot>, Arc<AccessPlan>, bool), ServeError> {
+        let pinned = validate_cursor(cursor, &self.engine.snapshot()).and_then(|_| {
+            let (snap, plan) =
+                self.engine
+                    .prepare_pinned(&spec.q, spec.order.clone(), &spec.fds, spec.policy)?;
+            let resumed = validate_cursor(cursor, &snap)?;
+            Ok((snap, plan, resumed))
+        });
+        if matches!(pinned, Err(ServeError::CursorStale(_))) {
+            self.stats.stale_cursors.fetch_add(1, Ordering::Relaxed);
         }
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        // Unblock any worker parked at the gate, close the queue, and
-        // wait for the pool to drain.
-        self.shared.gate.set(false);
-        self.tx.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        // Then any replacements spawned after worker deaths — popped
-        // one at a time so no lock is held across a join (a dying
-        // worker pushes its own replacement under the same lock).
-        loop {
-            let handle = sync::lock(&self.shared.respawned).pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-impl Job {
-    fn into_buf(self) -> Option<WindowBuf> {
-        match self.kind {
-            JobKind::Page { buf, .. } | JobKind::PageBatch { buf, .. } => Some(buf),
-            JobKind::Prepare { .. } => None,
-        }
+        pinned
     }
 }
 
 /// A per-client handle onto a [`Server`].
 ///
-/// The session owns one reusable [`WindowBuf`]: on every page request
-/// the buffer travels to the worker, is refilled in place, and comes
-/// back — so steady-state paging performs no per-page heap
-/// allocations once the buffer has grown to the page size. Sessions
-/// are `Send` (move one into each client thread) but not `Sync`; they
-/// borrow the server, so scoped threads are the natural shape.
+/// The session owns one reusable [`WindowBuf`]: every page request
+/// refills it in place, so steady-state paging performs no per-page
+/// heap allocations once the buffer has grown to the page size.
+/// Sessions are `Send` (move one into each client thread) but not
+/// `Sync`; they borrow the server, so scoped threads are the natural
+/// shape.
 pub struct Session<'a> {
     server: &'a Server,
     buf: WindowBuf,
     deadline: Duration,
-    retry: Option<crate::retry::RetryState>,
+    retry: Option<RetryState>,
 }
 
 impl Session<'_> {
@@ -471,7 +513,7 @@ impl Session<'_> {
     /// cursors, and degrade page length under sustained overload (see
     /// [`mod@crate::retry`]).
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = Some(crate::retry::RetryState::new(policy));
+        self.retry = Some(RetryState::new(policy));
     }
 
     /// Drop the retry policy: every error surfaces immediately again.
@@ -503,41 +545,23 @@ impl Session<'_> {
             fds: fds.clone(),
             policy,
         };
-        match self.retry.take() {
-            None => self.prepare_once(spec),
-            Some(mut st) => {
-                let mut attempt = 0;
-                let result = loop {
-                    attempt += 1;
-                    match self.prepare_once(spec.clone()) {
-                        Ok(p) => {
-                            st.note_success();
-                            break Ok(p);
-                        }
-                        Err(e) if attempt < st.policy.max_attempts && st.policy.retryable(&e) => {
-                            if matches!(e, ServeError::Overloaded { .. }) {
-                                st.note_overloaded();
-                            }
-                            std::thread::sleep(st.backoff());
-                        }
-                        Err(e) => break Err(e),
-                    }
-                };
-                self.retry = Some(st);
-                result
-            }
-        }
-    }
-
-    fn prepare_once(&mut self, spec: QuerySpec) -> Result<Prepared, ServeError> {
-        let rx = match self.server.submit(JobKind::Prepare { spec }, self.deadline) {
-            Ok(rx) => rx,
-            Err((e, _)) => return Err(e),
+        let (server, deadline) = (self.server, self.deadline);
+        let Some(st) = &mut self.retry else {
+            return server.prepare(deadline, &spec);
         };
-        match rx.recv() {
-            Ok(Reply::Prepare(result)) => result,
-            Ok(Reply::Page { .. }) => unreachable!("prepare jobs get prepare replies"),
-            Err(_) => Err(self.server.lost_reply_error()),
+        let mut attempt = 0;
+        loop {
+            attempt += 1;
+            match server.prepare(deadline, &spec) {
+                Ok(prepared) => {
+                    st.note_success();
+                    return Ok(prepared);
+                }
+                Err(e) if attempt < st.policy.max_attempts && st.policy.retryable(&e) => {
+                    st.back_off(&e);
+                }
+                Err(e) => return Err(e),
+            }
         }
     }
 
@@ -551,13 +575,14 @@ impl Session<'_> {
         offset: u64,
         len: u64,
     ) -> Result<PageOutcome, ServeError> {
-        self.page_at(token, PageAt::Rank(offset), len)
+        let at = Some(offset);
+        self.serve(token, Rows::Window { at, len })
     }
 
     /// Fetch the next `len` rows from the cursor's own position — the
     /// sequential resumption path. Rows land in [`Session::rows`].
     pub fn stream_next(&mut self, token: &Token, len: u64) -> Result<PageOutcome, ServeError> {
-        self.page_at(token, PageAt::Next, len)
+        self.serve(token, Rows::Window { at: None, len })
     }
 
     /// Fetch the answers at `ranks` — any order, duplicates allowed,
@@ -573,206 +598,59 @@ impl Session<'_> {
     /// apply: the ranks are explicit, so dropping some would silently
     /// change the answer.
     pub fn page_batch(&mut self, token: &Token, ranks: &[u64]) -> Result<PageOutcome, ServeError> {
-        match self.retry.take() {
-            None => self.page_batch_once(token, ranks),
-            Some(mut st) => {
-                let result = self.page_batch_with_retry(&mut st, token, ranks);
-                self.retry = Some(st);
-                result
-            }
-        }
+        self.serve(token, Rows::Batch(ranks))
     }
 
-    /// The retry loop for batches: backoff-resubmit on transient
-    /// errors, repair stale cursors by re-preparing and re-issuing the
-    /// same ranks against the fresh sequence (ranks may shift when the
-    /// data changed — that is what repair means).
-    fn page_batch_with_retry(
-        &mut self,
-        st: &mut crate::retry::RetryState,
-        token: &Token,
-        ranks: &[u64],
-    ) -> Result<PageOutcome, ServeError> {
-        let mut token = token.clone();
-        let mut repaired = false;
+    /// Every page-shaped request, and under a [`RetryPolicy`] its retry
+    /// loop: backoff-resubmit on transient errors, degrade a window's
+    /// length under sustained overload, repair stale cursors.
+    fn serve(&mut self, token: &Token, mut what: Rows<'_>) -> Result<PageOutcome, ServeError> {
+        let (server, deadline) = (self.server, self.deadline);
+        let Some(st) = &mut self.retry else {
+            return server.rows(deadline, token, what, &mut self.buf);
+        };
+        // The opening token of the re-prepared sequence, once a stale
+        // cursor has been repaired.
+        let mut fresh: Option<Token> = None;
         let mut attempt = 0;
         loop {
             attempt += 1;
-            match self.page_batch_once(&token, ranks) {
+            let token = fresh.as_ref().unwrap_or(token);
+            let e = match server.rows(deadline, token, what.degraded(st), &mut self.buf) {
                 Ok(mut out) => {
                     st.note_success();
-                    out.repaired = repaired;
-                    return Ok(out);
-                }
-                Err(e) if attempt >= st.policy.max_attempts => return Err(e),
-                Err(ServeError::CursorStale(reason)) if st.policy.repair_stale => {
-                    let Ok(cursor) = Cursor::decode(&token) else {
-                        return Err(ServeError::CursorStale(reason));
-                    };
-                    let spec = sync::read(&self.server.shared.registry)
-                        .get(&cursor.request_key)
-                        .cloned();
-                    let Some(spec) = spec else {
-                        return Err(ServeError::CursorStale(reason));
-                    };
-                    match self.prepare_once(QuerySpec::clone(&spec)) {
-                        Ok(fresh) => {
-                            token = fresh.token;
-                            repaired = true;
-                        }
-                        Err(pe) if st.policy.retryable(&pe) => {
-                            if matches!(pe, ServeError::Overloaded { .. }) {
-                                st.note_overloaded();
-                            }
-                            std::thread::sleep(st.backoff());
-                        }
-                        Err(pe) => return Err(pe),
-                    }
-                }
-                Err(e) if st.policy.retryable(&e) => {
-                    if matches!(e, ServeError::Overloaded { .. }) {
-                        st.note_overloaded();
-                    }
-                    std::thread::sleep(st.backoff());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn page_batch_once(&mut self, token: &Token, ranks: &[u64]) -> Result<PageOutcome, ServeError> {
-        let buf = std::mem::take(&mut self.buf);
-        let kind = JobKind::PageBatch {
-            token: token.clone(),
-            ranks: ranks.to_vec(),
-            buf,
-        };
-        let rx = match self.server.submit(kind, self.deadline) {
-            Ok(rx) => rx,
-            Err((e, buf)) => {
-                self.buf = buf.unwrap_or_default();
-                return Err(e);
-            }
-        };
-        match rx.recv() {
-            Ok(Reply::Page { result, buf }) => {
-                self.buf = buf;
-                result
-            }
-            Ok(Reply::Prepare(_)) => unreachable!("batch jobs get page replies"),
-            Err(_) => Err(self.server.lost_reply_error()),
-        }
-    }
-
-    fn page_at(&mut self, token: &Token, at: PageAt, len: u64) -> Result<PageOutcome, ServeError> {
-        match self.retry.take() {
-            None => self.page_at_once(token, at, len),
-            Some(mut st) => {
-                let result = self.page_with_retry(&mut st, token, at, len);
-                self.retry = Some(st);
-                result
-            }
-        }
-    }
-
-    /// The retry loop for pages: backoff-resubmit on transient errors,
-    /// degrade the requested length under sustained overload, repair
-    /// stale cursors by re-preparing and jumping to the stale cursor's
-    /// rank on the fresh sequence.
-    fn page_with_retry(
-        &mut self,
-        st: &mut crate::retry::RetryState,
-        token: &Token,
-        at: PageAt,
-        len: u64,
-    ) -> Result<PageOutcome, ServeError> {
-        let mut token = token.clone();
-        let mut at = at;
-        let mut repaired = false;
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            match self.page_at_once(&token, at, st.effective_len(len)) {
-                Ok(mut out) => {
-                    st.note_success();
-                    out.repaired = repaired;
+                    out.repaired = fresh.is_some();
                     return Ok(out);
                 }
                 Err(e) if attempt >= st.policy.max_attempts => return Err(e),
                 Err(ServeError::CursorStale(reason)) if st.policy.repair_stale => {
                     // Repair: the sequence this cursor indexed is gone,
                     // but the server still knows the query. Re-prepare
-                    // (fresh sequence, fresh token) and resume at the
-                    // rank the caller wanted.
-                    let Ok(cursor) = Cursor::decode(&token) else {
+                    // (fresh sequence, fresh token) and ask again for
+                    // the rows the caller wanted — a stream resumes at
+                    // the stale cursor's rank, explicit ranks stand
+                    // (ranks may shift when the data changed — that is
+                    // what repair means).
+                    let Ok((cursor, spec)) = server.resolve(token) else {
                         return Err(ServeError::CursorStale(reason));
                     };
-                    let spec = sync::read(&self.server.shared.registry)
-                        .get(&cursor.request_key)
-                        .cloned();
-                    let Some(spec) = spec else {
-                        return Err(ServeError::CursorStale(reason));
-                    };
-                    let rank = match at {
-                        PageAt::Next => cursor.next_rank,
-                        PageAt::Rank(r) => r,
-                    };
-                    match self.prepare_once(QuerySpec::clone(&spec)) {
-                        Ok(fresh) => {
-                            token = fresh.token;
-                            at = PageAt::Rank(rank);
-                            repaired = true;
-                        }
-                        Err(pe) if st.policy.retryable(&pe) => {
-                            if matches!(pe, ServeError::Overloaded { .. }) {
-                                st.note_overloaded();
+                    match server.prepare(deadline, &spec) {
+                        Ok(prepared) => {
+                            if let Rows::Window { at, .. } = &mut what {
+                                at.get_or_insert(cursor.next_rank);
                             }
-                            std::thread::sleep(st.backoff());
+                            fresh = Some(prepared.token);
+                            continue;
                         }
-                        Err(pe) => return Err(pe),
+                        Err(e) => e,
                     }
                 }
-                Err(e) if st.policy.retryable(&e) => {
-                    if matches!(e, ServeError::Overloaded { .. }) {
-                        st.note_overloaded();
-                    }
-                    std::thread::sleep(st.backoff());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn page_at_once(
-        &mut self,
-        token: &Token,
-        at: PageAt,
-        len: u64,
-    ) -> Result<PageOutcome, ServeError> {
-        let buf = std::mem::take(&mut self.buf);
-        let kind = JobKind::Page {
-            token: token.clone(),
-            at,
-            len,
-            buf,
-        };
-        let rx = match self.server.submit(kind, self.deadline) {
-            Ok(rx) => rx,
-            Err((e, buf)) => {
-                // The queue rejected the job: recover our buffer.
-                self.buf = buf.unwrap_or_default();
+                Err(e) => e,
+            };
+            if !st.policy.retryable(&e) {
                 return Err(e);
             }
-        };
-        match rx.recv() {
-            Ok(Reply::Page { result, buf }) => {
-                self.buf = buf;
-                result
-            }
-            Ok(Reply::Prepare(_)) => unreachable!("page jobs get page replies"),
-            // The worker died carrying our buffer; `self.buf` is
-            // already a fresh default from the take above.
-            Err(_) => Err(self.server.lost_reply_error()),
+            st.back_off(&e);
         }
     }
 
@@ -782,148 +660,14 @@ impl Session<'_> {
     }
 }
 
-/// Deadline policy at dequeue: a job picked up **at** its deadline has
-/// zero time left to execute, so it is already late — the boundary is
-/// inclusive (`now >= deadline`), matching the zero-duration-deadline
-/// guarantee that a `Duration::ZERO` deadline always sheds.
+/// Deadline policy at the fence: a request that gets its slot **at**
+/// its deadline has zero time left to execute, so it is already late —
+/// the boundary is inclusive (`now >= deadline`), matching the
+/// zero-duration-deadline guarantee that a `Duration::ZERO` deadline
+/// always sheds.
 #[doc(hidden)] // exposed for the boundary test; not part of the API
 pub fn deadline_expired(now: Instant, deadline: Instant) -> bool {
     now >= deadline
-}
-
-/// Keeps the live-worker gauge honest and the pool self-healing: on a
-/// panicking exit (only reachable by a panic outside the request
-/// fence, e.g. the `serve::worker` chaos site) it spawns a
-/// replacement running the same loop, so a lost worker costs one
-/// in-flight request, not a permanent slot of pool capacity.
-struct WorkerGuard {
-    shared: Arc<Shared>,
-    rx: Arc<Mutex<Receiver<Job>>>,
-}
-
-impl WorkerGuard {
-    fn new(shared: Arc<Shared>, rx: Arc<Mutex<Receiver<Job>>>) -> WorkerGuard {
-        shared.health.alive.fetch_add(1, Ordering::Relaxed);
-        WorkerGuard { shared, rx }
-    }
-}
-
-impl Drop for WorkerGuard {
-    fn drop(&mut self) {
-        self.shared.health.alive.fetch_sub(1, Ordering::Relaxed);
-        if !std::thread::panicking() {
-            return; // orderly shutdown: the queue closed
-        }
-        let n = self.shared.health.respawns.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::clone(&self.shared);
-        let rx = Arc::clone(&self.rx);
-        let spawned = std::thread::Builder::new()
-            .name(format!("rda-serve-r{n}"))
-            .spawn(move || worker_loop(shared, rx));
-        if let Ok(handle) = spawned {
-            sync::lock(&self.shared.respawned).push(handle);
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, rx: Arc<Mutex<Receiver<Job>>>) {
-    let guard = WorkerGuard::new(shared, rx);
-    let shared = &guard.shared;
-    loop {
-        let job = {
-            let q = sync::lock(&guard.rx);
-            match q.recv() {
-                Ok(job) => job,
-                Err(_) => return, // queue closed: server dropped
-            }
-        };
-        // The gate sits between dequeue and execution so a paused
-        // server holds work (deterministic backpressure), and the
-        // deadline is re-checked after the gate so queue time counts
-        // against it.
-        shared.gate.wait_open();
-        // Chaos site OUTSIDE the fence: an injected panic here kills
-        // this worker (sacrificing the one dequeued job) and must be
-        // survived by respawn, not by catch_unwind. No lock is held.
-        let _ = fault::trip(fault::SITE_SERVE_WORKER);
-        if deadline_expired(Instant::now(), job.deadline) {
-            shared
-                .stats
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed);
-            let reply = match job.kind {
-                JobKind::Prepare { .. } => Reply::Prepare(Err(ServeError::DeadlineExceeded)),
-                JobKind::Page { buf, .. } | JobKind::PageBatch { buf, .. } => Reply::Page {
-                    result: Err(ServeError::DeadlineExceeded),
-                    buf,
-                },
-            };
-            let _ = job.reply.send(reply);
-            continue;
-        }
-        // Panic fence: request execution is read-only against shared
-        // state (engine locks recover poison; the registry only ever
-        // gains complete `Arc` entries), so unwinding out of it leaves
-        // nothing half-mutated and the panic can soundly become a
-        // typed reply on this same worker.
-        let reply = match job.kind {
-            JobKind::Prepare { spec } => {
-                let fenced = fence(shared, || execute_prepare(shared, spec));
-                Reply::Prepare(fenced.unwrap_or_else(Err))
-            }
-            JobKind::Page {
-                token,
-                at,
-                len,
-                mut buf,
-            } => {
-                let fenced = fence(shared, || execute_page(shared, &token, at, len, &mut buf));
-                let result = match fenced {
-                    Ok(result) => result,
-                    Err(internal) => {
-                        // The panic may have interrupted a refill;
-                        // drop the partial rows so the buffer the
-                        // client gets back is unambiguously empty.
-                        buf.clear();
-                        Err(internal)
-                    }
-                };
-                Reply::Page { result, buf }
-            }
-            JobKind::PageBatch {
-                token,
-                ranks,
-                mut buf,
-            } => {
-                let fenced = fence(shared, || {
-                    execute_page_batch(shared, &token, &ranks, &mut buf)
-                });
-                let result = match fenced {
-                    Ok(result) => result,
-                    Err(internal) => {
-                        buf.clear();
-                        Err(internal)
-                    }
-                };
-                Reply::Page { result, buf }
-            }
-        };
-        let _ = job.reply.send(reply);
-    }
-}
-
-/// Run one request body under `catch_unwind`, converting a panic into
-/// the typed [`ServeError::Internal`] and counting it.
-fn fence<T>(shared: &Shared, body: impl FnOnce() -> T) -> Result<T, ServeError> {
-    match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(v) => Ok(v),
-        Err(payload) => {
-            shared.health.panics_caught.fetch_add(1, Ordering::Relaxed);
-            Err(ServeError::Internal {
-                detail: panic_detail(payload.as_ref()),
-            })
-        }
-    }
 }
 
 fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
@@ -936,192 +680,17 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Pin a (snapshot, plan) pair that is mutually consistent: the plan
-/// serves exactly `snap`'s data for every relation it reads, so the
-/// dependency versions stamped into the outgoing cursor describe the
-/// sequence the page came from. [`Engine::prepare_pinned`] makes the
-/// pairing atomic with respect to racing `advance` calls; the cursor
-/// check then runs against the very snapshot the page will be served
-/// and stamped from.
-fn pin_plan(
-    shared: &Shared,
-    spec: &QuerySpec,
-    validate: impl FnOnce(&Snapshot) -> Result<bool, ServeError>,
-) -> Result<(Arc<Snapshot>, Arc<AccessPlan>, bool), ServeError> {
-    let (snap, plan) =
-        shared
-            .engine
-            .prepare_pinned(&spec.q, spec.order.clone(), &spec.fds, spec.policy)?;
-    let resumed = validate(&snap)?;
-    Ok((snap, plan, resumed))
-}
-
-fn execute_prepare(shared: &Shared, spec: QuerySpec) -> Result<Prepared, ServeError> {
-    let (snap, plan, _) = pin_plan(shared, &spec, |_| Ok(false))?;
-    let request_key = canonical_request_key(&spec.q, &spec.order, &spec.fds, spec.policy);
-    let deps = plan_dependencies(&spec.q, &snap).unwrap_or_default();
-    sync::write(&shared.registry)
-        .entry(request_key.clone())
-        .or_insert_with(|| Arc::new(spec));
-    shared.stats.prepares.fetch_add(1, Ordering::Relaxed);
-    let cursor = Cursor {
+/// The cursor at `next_rank` of `spec`'s sequence over `snap`, stamped
+/// with the content versions of every relation the plan reads.
+fn stamp(request_key: String, spec: &QuerySpec, snap: &Snapshot, next_rank: u64) -> Token {
+    Cursor {
         request_key,
         snapshot_uid: snap.uid(),
         generation: snap.generation(),
-        next_rank: 0,
-        deps,
-    };
-    Ok(Prepared {
-        token: cursor.encode(),
-        len: plan.len(),
-        backend: plan.backend(),
-        generation: snap.generation(),
-    })
-}
-
-fn execute_page(
-    shared: &Shared,
-    token: &Token,
-    at: PageAt,
-    len: u64,
-    buf: &mut WindowBuf,
-) -> Result<PageOutcome, ServeError> {
-    // Chaos site INSIDE the fence: an injected panic here simulates a
-    // bug in page execution and must come back as a typed reply.
-    fault::trip(fault::SITE_SERVE_PAGE).map_err(|f| ServeError::Internal {
-        detail: f.to_string(),
-    })?;
-    let cursor = match Cursor::decode(token) {
-        Ok(c) => c,
-        Err(e) => {
-            shared.stats.bad_cursors.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::BadCursor(e));
-        }
-    };
-    let spec = sync::read(&shared.registry)
-        .get(&cursor.request_key)
-        .cloned();
-    let spec = match spec {
-        Some(spec) => spec,
-        None => {
-            return Err(ServeError::UnknownQuery {
-                request_key: cursor.request_key,
-            })
-        }
-    };
-    let pinned = pin_plan(shared, &spec, |snap| validate_cursor(&cursor, snap));
-    let (snap, plan, resumed) = match pinned {
-        Ok(ok) => ok,
-        Err(e) => {
-            if matches!(e, ServeError::CursorStale(_)) {
-                shared.stats.stale_cursors.fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(e);
-        }
-    };
-    let len = len.min(shared.max_page_rows);
-    let start = match at {
-        PageAt::Next => cursor.next_rank,
-        PageAt::Rank(r) => r,
-    };
-    let served = plan.window_into(start..start.saturating_add(len), buf);
-    shared.stats.pages.fetch_add(1, Ordering::Relaxed);
-    shared.stats.rows.fetch_add(served, Ordering::Relaxed);
-    let end = start + served;
-    let next = if end < plan.len() {
-        let deps = plan_dependencies(&spec.q, &snap).unwrap_or_default();
-        Some(
-            Cursor {
-                request_key: cursor.request_key,
-                snapshot_uid: snap.uid(),
-                generation: snap.generation(),
-                next_rank: end,
-                deps,
-            }
-            .encode(),
-        )
-    } else {
-        None
-    };
-    Ok(PageOutcome {
-        rows: served,
-        next,
-        generation: snap.generation(),
-        resumed,
-        repaired: false,
-    })
-}
-
-fn execute_page_batch(
-    shared: &Shared,
-    token: &Token,
-    ranks: &[u64],
-    buf: &mut WindowBuf,
-) -> Result<PageOutcome, ServeError> {
-    // Same chaos site as `execute_page`: a batch is a page-shaped
-    // request and must fail the same typed way.
-    fault::trip(fault::SITE_SERVE_PAGE).map_err(|f| ServeError::Internal {
-        detail: f.to_string(),
-    })?;
-    let cursor = match Cursor::decode(token) {
-        Ok(c) => c,
-        Err(e) => {
-            shared.stats.bad_cursors.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::BadCursor(e));
-        }
-    };
-    let spec = sync::read(&shared.registry)
-        .get(&cursor.request_key)
-        .cloned();
-    let spec = match spec {
-        Some(spec) => spec,
-        None => {
-            return Err(ServeError::UnknownQuery {
-                request_key: cursor.request_key,
-            })
-        }
-    };
-    let pinned = pin_plan(shared, &spec, |snap| validate_cursor(&cursor, snap));
-    let (snap, plan, resumed) = match pinned {
-        Ok(ok) => ok,
-        Err(e) => {
-            if matches!(e, ServeError::CursorStale(_)) {
-                shared.stats.stale_cursors.fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(e);
-        }
-    };
-    // The page-size cap applies to the *count* of requested ranks: a
-    // batch is a page's worth of rows, wherever those rows live.
-    let ranks = &ranks[..ranks.len().min(shared.max_page_rows as usize)];
-    let served = plan.access_batch_into(ranks, buf);
-    shared.stats.batch_pages.fetch_add(1, Ordering::Relaxed);
-    shared.stats.rows.fetch_add(served, Ordering::Relaxed);
-    // Random access does not advance the stream: the cursor comes back
-    // at its own rank, re-stamped against the snapshot this batch was
-    // validated on, so a cleanly-resumed client keeps a fresh token.
-    let next = if cursor.next_rank < plan.len() {
-        let deps = plan_dependencies(&spec.q, &snap).unwrap_or_default();
-        Some(
-            Cursor {
-                request_key: cursor.request_key,
-                snapshot_uid: snap.uid(),
-                generation: snap.generation(),
-                next_rank: cursor.next_rank,
-                deps,
-            }
-            .encode(),
-        )
-    } else {
-        None
-    };
-    Ok(PageOutcome {
-        rows: served,
-        next,
-        generation: snap.generation(),
-        resumed,
-        repaired: false,
-    })
+        next_rank,
+        deps: plan_dependencies(&spec.q, snap).unwrap_or_default(),
+    }
+    .encode()
 }
 
 /// The stale-cursor policy. Returns `Ok(resumed)`:

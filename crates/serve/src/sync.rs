@@ -3,15 +3,14 @@
 //! A `std` lock is *poisoned* when a thread panics while holding it;
 //! every later acquisition then returns `Err` forever. In this crate
 //! the panic fence already converts in-request panics into typed
-//! replies, and every structure guarded by a lock here is valid at
+//! errors, and every structure guarded by a lock here is valid at
 //! all times mid-critical-section from another thread's perspective
-//! (counters, map inserts of `Arc`s, a boolean gate, a channel
-//! endpoint) — so propagating poison would convert one contained
-//! failure into a permanently dead server for no integrity gain.
-//! These helpers recover the guard instead, and count every recovery
-//! so chaos tests (and [`ServerHealth`](crate::ServerHealth)) can
-//! assert that poison was seen and survived rather than silently
-//! impossible.
+//! (map inserts of `Arc`s, the admission counts and pause flag) — so
+//! propagating poison would convert one contained failure into a
+//! permanently dead server for no integrity gain. These helpers
+//! recover the guard instead, and count every recovery so chaos tests
+//! (and [`StatsSnapshot`](crate::StatsSnapshot)) can assert that
+//! poison was seen and survived rather than silently impossible.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{

@@ -1,9 +1,8 @@
 //! Chaos acceptance: deterministic fault schedules injected into the
-//! build sites, the page path, and the worker loop itself must be
-//! *contained* — typed errors out, workers respawned, zero lost
-//! sessions, no poisoned locks — and after the schedule runs dry the
-//! same sessions must serve answers equal to the single-threaded
-//! oracle.
+//! build sites and the page path must be *contained* — typed errors
+//! out, no execution slot leaked, zero lost sessions, no poisoned
+//! locks — and after the schedule runs dry the same sessions must
+//! serve answers equal to the single-threaded oracle.
 //!
 //! The fault registry is process-global, so every test here takes the
 //! `SERIAL` lock for its whole body.
@@ -15,7 +14,7 @@ use rda_query::{Cq, FdSet};
 use rda_serve::fault::{self, FaultAction, FaultPlan};
 use rda_serve::{RetryPolicy, ServeError, Server, ServerConfig};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -24,7 +23,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Injected panics unwind through worker threads by design; silence
+/// Injected panics unwind up to the request fence by design; silence
 /// exactly those so expected chaos does not spray the test output,
 /// while real panics keep the default report.
 fn quiet_injected_panics() {
@@ -86,9 +85,9 @@ fn expect_internal(result: Result<impl std::fmt::Debug, ServeError>, site: &str)
 }
 
 /// The acceptance scenario: panics injected into BOTH build kernels
-/// and one in-flight page all come back as typed `Internal` replies,
-/// no worker dies, no lock poisons, and the *same session* then
-/// repeats each request successfully with oracle-equal results.
+/// and one in-flight page all come back as typed `Internal` errors,
+/// no lock poisons, and the *same session* then repeats each request
+/// successfully with oracle-equal results.
 #[test]
 fn injected_build_and_page_panics_are_contained_and_recoverable() {
     let _s = serial();
@@ -128,6 +127,7 @@ fn injected_build_and_page_panics_are_contained_and_recoverable() {
         session.page(&prepared.token, 0, prepared.len),
         fault::SITE_SERVE_PAGE,
     );
+    assert!(session.rows().is_empty(), "no partial rows after a panic");
     let page = session.page(&prepared.token, 0, prepared.len).unwrap();
     assert_eq!(page.rows as usize, lex_oracle.len());
     assert_eq!(session.rows().to_tuples(), lex_oracle);
@@ -156,12 +156,9 @@ fn injected_build_and_page_panics_are_contained_and_recoverable() {
     assert_eq!(page.rows as usize, sum_oracle.len());
     assert_eq!(session.rows().to_tuples(), sum_oracle);
 
-    // Containment audit: three panics caught, zero workers lost, the
-    // pause/resume gate (the poison-prone lock of old) still works.
-    let health = server.health();
-    assert_eq!(health.panics_caught, 3);
-    assert_eq!(health.worker_respawns, 0);
-    assert_eq!(health.workers_alive, health.workers_configured);
+    // Containment audit: three panics caught, and the pause/resume
+    // gate (the poison-prone lock of old) still works.
+    assert_eq!(server.stats().panics_caught, 3);
     server.pause();
     server.resume();
     let page = session.page(&prepared.token, 2, 3).unwrap();
@@ -169,31 +166,34 @@ fn injected_build_and_page_panics_are_contained_and_recoverable() {
     assert_eq!(session.rows().to_tuples(), lex_oracle[2..5]);
 }
 
-/// Satellite: kill a worker mid-queue (panic OUTSIDE the fence).
-/// Exactly one in-flight request is lost (typed `Internal`), every
-/// other queued job still drains with correct rows, and `health`
-/// records the respawn with the pool back at full strength.
+/// A slot is never leaked: with ONE execution slot and one place
+/// behind it, every way out of a request — a fenced page panic, a
+/// fenced build panic, a shed deadline, a bad cursor, a stale cursor —
+/// must hand the slot back, or the next request waits forever. The
+/// follow-up page runs on a second thread under a bounded
+/// `recv_timeout`, so a leak fails this test instead of hanging it.
 #[test]
-fn worker_death_mid_queue_drains_and_respawns() {
-    const CLIENTS: usize = 5;
+fn no_way_out_of_a_request_leaks_its_slot() {
     let _s = serial();
     quiet_injected_panics();
-    let db = chaos_db(40);
-    let snap = db.freeze();
+    let mut db = chaos_db(40);
+    let snap = db.clone().freeze();
+    db.clear_mutation_log();
     let jq = join_q();
+    let sq = scan_q();
     let lex_oracle = oracle(&snap, &jq, OrderSpec::lex(&jq, &["x", "y", "z"]));
 
     let engine = Arc::new(Engine::new(Arc::clone(&snap)));
-    let server = Server::new(
+    let server = Arc::new(Server::new(
         Arc::clone(&engine),
         ServerConfig {
-            workers: 2,
-            queue_limit: CLIENTS + 2,
+            workers: 1,
+            queue_limit: 1,
             ..ServerConfig::default()
         },
-    );
-    let prepared = server
-        .session()
+    ));
+    let mut session = server.session();
+    let prepared = session
         .prepare(
             &jq,
             OrderSpec::lex(&jq, &["x", "y", "z"]),
@@ -201,74 +201,73 @@ fn worker_death_mid_queue_drains_and_respawns() {
             Policy::Reject,
         )
         .unwrap();
+    let scan_order = || OrderSpec::lex(&sq, &["a", "b"]);
 
-    // Arm AFTER the prepare: the first worker through the loop from
-    // here on dies carrying whatever job it dequeued.
-    let guard =
-        fault::install(FaultPlan::new().inject(fault::SITE_SERVE_WORKER, 0, FaultAction::Panic));
+    let slot_is_free = |after: &str| {
+        // A detached thread over an `Arc`, not a scoped one: a scope
+        // would join a thread that waits for a slot nobody will free.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (server, token) = (Arc::clone(&server), prepared.token.clone());
+        std::thread::spawn(move || {
+            let mut session = server.session();
+            let rows = session
+                .page(&token, 0, 4)
+                .map(|_| session.rows().to_tuples());
+            let _ = tx.send(rows);
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(rows) => assert_eq!(rows.unwrap(), lex_oracle[..4], "after {after}"),
+            Err(_) => panic!("slot leaked after {after}"),
+        }
+    };
 
-    // Hold all jobs at the gate so the queue is provably populated
-    // when the killing hit fires.
-    server.pause();
-    let admitted_before = server.stats().admitted;
-    let outcomes: Mutex<Vec<Result<Vec<Tuple>, ServeError>>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..CLIENTS {
-            let (server, outcomes) = (&server, &outcomes);
-            let token = prepared.token.clone();
-            scope.spawn(move || {
-                let mut session = server.session();
-                let outcome = session
-                    .page(&token, 0, 4)
-                    .map(|_| session.rows().to_tuples());
-                outcomes.lock().unwrap().push(outcome);
-            });
-        }
-        while server.stats().admitted - admitted_before < CLIENTS as u64 {
-            std::thread::yield_now();
-        }
-        server.resume();
-    });
-
-    let outcomes = outcomes.into_inner().unwrap();
-    assert_eq!(outcomes.len(), CLIENTS);
-    let (lost, served): (Vec<_>, Vec<_>) = outcomes.into_iter().partition(Result::is_err);
-    assert_eq!(lost.len(), 1, "exactly the dying worker's job is lost");
-    match lost.into_iter().next().unwrap() {
-        Err(ServeError::Internal { detail }) => {
-            assert!(detail.contains("worker died"), "got detail {detail:?}")
-        }
-        other => panic!("expected Internal for the lost job, got {other:?}"),
+    {
+        let _g =
+            fault::install(FaultPlan::new().inject(fault::SITE_SERVE_PAGE, 0, FaultAction::Panic));
+        expect_internal(session.page(&prepared.token, 0, 4), fault::SITE_SERVE_PAGE);
     }
-    for rows in served {
-        assert_eq!(
-            rows.unwrap(),
-            lex_oracle[..4],
-            "queued jobs drain correctly"
+    slot_is_free("a fenced page panic");
+
+    {
+        let _g =
+            fault::install(FaultPlan::new().inject(fault::SITE_LEXDA_BUILD, 0, FaultAction::Panic));
+        expect_internal(
+            session.prepare(&sq, scan_order(), &FdSet::empty(), Policy::Reject),
+            fault::SITE_LEXDA_BUILD,
         );
     }
+    slot_is_free("a fenced build panic");
 
-    // The respawn is recorded and the pool returns to full strength
-    // (the replacement registers itself as it starts).
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let health = server.health();
-        if health.workers_alive == health.workers_configured {
-            assert_eq!(health.worker_respawns, 1);
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "respawn never arrived: {health:?}"
-        );
-        std::thread::yield_now();
+    session.set_deadline(Duration::ZERO);
+    assert_eq!(
+        session.page(&prepared.token, 0, 4).unwrap_err(),
+        ServeError::DeadlineExceeded
+    );
+    session.set_deadline(Duration::from_secs(5));
+    slot_is_free("a shed deadline");
+
+    match session.page(&rda_serve::Token::from_bytes(b"garbage"), 0, 4) {
+        Err(ServeError::BadCursor(_)) => {}
+        other => panic!("expected BadCursor, got {other:?}"),
     }
-    drop(guard);
-    // The healed pool serves fresh work.
-    let mut session = server.session();
-    let page = session.page(&prepared.token, 0, 6).unwrap();
-    assert_eq!(page.rows, 6);
-    assert_eq!(session.rows().to_tuples(), lex_oracle[..6]);
+    slot_is_free("a bad cursor");
+
+    // Dirty U under a scan cursor; the join the follow-up pages is
+    // untouched and resumes cleanly.
+    let scan = session
+        .prepare(&sq, scan_order(), &FdSet::empty(), Policy::Reject)
+        .unwrap();
+    db.insert_into("U", tup(-1, -1));
+    engine.advance_delta(&mut db);
+    match session.page(&scan.token, 0, 4) {
+        Err(ServeError::CursorStale(_)) => {}
+        other => panic!("expected CursorStale, got {other:?}"),
+    }
+    slot_is_free("a stale cursor");
+
+    let stats = server.stats();
+    assert_eq!(stats.panics_caught, 2);
+    assert_eq!(stats.overloaded, 0, "one request at a time never sheds");
 }
 
 /// A session-level `RetryPolicy` absorbs a whole scheduled failure
@@ -311,7 +310,7 @@ fn retry_policy_absorbs_scheduled_panic_bursts() {
         .expect("two page panics absorbed within four attempts");
     assert!(!page.repaired);
     assert_eq!(session.rows().to_tuples(), lex_oracle);
-    assert_eq!(server.health().panics_caught, 4);
+    assert_eq!(server.stats().panics_caught, 4);
 }
 
 /// Stale repair: when a write dirties the scanned relation mid-
@@ -423,7 +422,7 @@ fn build_budget_rejects_typed_and_lifts_cleanly() {
     let page = session.page(&prepared.token, 0, prepared.len).unwrap();
     assert_eq!(page.rows as usize, lex_oracle.len());
     assert_eq!(session.rows().to_tuples(), lex_oracle);
-    assert_eq!(server.health().panics_caught, 0);
+    assert_eq!(server.stats().panics_caught, 0);
 }
 
 /// A generous budget changes nothing: budgeted and unlimited builds
@@ -474,10 +473,8 @@ fn injected_spurious_failures_are_typed_not_fatal() {
         }
         other => panic!("expected FaultInjected, got {other:?}"),
     }
-    // No panic was involved: nothing caught, nobody respawned.
-    let health = server.health();
-    assert_eq!(health.panics_caught, 0);
-    assert_eq!(health.worker_respawns, 0);
+    // No panic was involved: nothing caught.
+    assert_eq!(server.stats().panics_caught, 0);
     let prepared = session
         .prepare(
             &jq,

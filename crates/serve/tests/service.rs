@@ -357,6 +357,102 @@ fn expired_deadlines_are_dropped_at_dequeue() {
     assert_eq!(page.rows, 4);
 }
 
+/// A deadline too large to add to the clock means "never expires":
+/// `Instant + Duration::MAX` must not overflow into a panic on the
+/// client's thread, outside the fence.
+#[test]
+fn unbounded_deadlines_never_expire() {
+    let db = service_db(30);
+    let engine = Arc::new(Engine::new(db.freeze()));
+    let server = Server::new(
+        Arc::clone(&engine),
+        ServerConfig {
+            default_deadline: Duration::MAX,
+            ..ServerConfig::default()
+        },
+    );
+    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let mut session = server.session();
+    let prepared = session
+        .prepare(
+            &q,
+            OrderSpec::lex(&q, &["x", "y", "z"]),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap();
+    assert_eq!(session.page(&prepared.token, 0, 4).unwrap().rows, 4);
+
+    let bounded = Server::with_defaults(Arc::clone(&engine));
+    let mut session = bounded.session();
+    session.set_deadline(Duration::MAX);
+    let prepared = session
+        .prepare(
+            &q,
+            OrderSpec::lex(&q, &["x", "y", "z"]),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap();
+    assert_eq!(session.stream_next(&prepared.token, 4).unwrap().rows, 4);
+    assert_eq!(server.stats().deadline_expired, 0);
+    assert_eq!(bounded.stats().deadline_expired, 0);
+}
+
+/// Waiting counts against the deadline: with one execution slot and
+/// the server paused, request A holds the slot at the gate and request
+/// B (10 ms deadline) waits behind it. Resuming after 30 ms serves A
+/// and sheds B — it got its slot too late.
+#[test]
+fn waiting_for_a_slot_counts_against_the_deadline() {
+    let db = service_db(30);
+    let engine = Arc::new(Engine::new(db.freeze()));
+    let server = Server::new(
+        Arc::clone(&engine),
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let prepared = server
+        .session()
+        .prepare(
+            &q,
+            OrderSpec::lex(&q, &["x", "y", "z"]),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap();
+    let admitted_before = server.stats().admitted;
+    let wait_admitted = |n: u64| {
+        while server.stats().admitted - admitted_before < n {
+            std::thread::yield_now();
+        }
+    };
+
+    server.pause();
+    std::thread::scope(|scope| {
+        let page = |deadline: Duration| {
+            let (server, token) = (&server, &prepared.token);
+            move || {
+                let mut session = server.session();
+                session.set_deadline(deadline);
+                session.page(token, 0, 2).map(|p| p.rows)
+            }
+        };
+        let a = scope.spawn(page(Duration::from_secs(5)));
+        wait_admitted(1);
+        let b = scope.spawn(page(Duration::from_millis(10)));
+        wait_admitted(2);
+        std::thread::sleep(Duration::from_millis(30));
+        server.resume();
+        assert_eq!(a.join().unwrap(), Ok(2));
+        assert_eq!(b.join().unwrap(), Err(ServeError::DeadlineExceeded));
+    });
+    assert_eq!(server.stats().deadline_expired, 1);
+}
+
 /// The dequeue-time deadline boundary is inclusive: a job picked up at
 /// exactly its deadline has zero time left, so it sheds. This is the
 /// edge the zero-duration test above relies on — `now >= deadline`,
@@ -426,6 +522,46 @@ fn stale_cursor_policy_clean_dirty_unrelated() {
     match session.stream_next(&token, 3) {
         Err(ServeError::CursorStale(StaleReason::UnrelatedSnapshot { .. })) => {}
         other => panic!("expected UnrelatedSnapshot, got {other:?}"),
+    }
+}
+
+/// A stale request is refused *before* a plan is built for it: after
+/// a dirtying advance emptied the plan cache, each page-shaped call is
+/// refused `CursorStale`, counted once, and leaves the cache empty —
+/// no full build is paid in order to say no.
+#[test]
+fn stale_cursor_is_refused_without_building_a_plan() {
+    let mut db = service_db(40);
+    let engine = Arc::new(Engine::new(db.clone().freeze()));
+    db.clear_mutation_log();
+    let server = Server::with_defaults(Arc::clone(&engine));
+    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let mut session = server.session();
+    let prepared = session
+        .prepare(
+            &q,
+            OrderSpec::lex(&q, &["x", "y", "z"]),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap();
+    db.insert_into("R", tup(2, 2));
+    engine.advance_delta(&mut db);
+    assert_eq!(engine.plan_cache_len(), 0, "a dirty plan is not carried");
+
+    for call in ["page", "stream_next", "page_batch"] {
+        let stale_before = server.stats().stale_cursors;
+        let result = match call {
+            "page" => session.page(&prepared.token, 0, 2),
+            "stream_next" => session.stream_next(&prepared.token, 2),
+            _ => session.page_batch(&prepared.token, &[0, 1]),
+        };
+        assert!(
+            matches!(result, Err(ServeError::CursorStale(_))),
+            "{call}: expected CursorStale, got {result:?}"
+        );
+        assert_eq!(engine.plan_cache_len(), 0, "{call} built a plan to refuse");
+        assert_eq!(server.stats().stale_cursors, stale_before + 1, "{call}");
     }
 }
 

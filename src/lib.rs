@@ -246,7 +246,7 @@ pub mod prelude {
     pub use rda_query::query::CqBuilder;
     pub use rda_query::{Cq, Fd, FdSet, VarId, VarSet};
     pub use rda_serve::{
-        PageOutcome, Prepared, RetryPolicy, ServeError, Server, ServerConfig, ServerHealth,
-        Session, StaleReason, Token,
+        PageOutcome, Prepared, RetryPolicy, ServeError, Server, ServerConfig, Session, StaleReason,
+        Token,
     };
 }
