@@ -2,7 +2,7 @@
 //!
 //! Usage: `cargo run --release -p rda_bench --bin experiments [id…]`
 //! where ids are `fig1 fig2 fig45 fig8 t33 t41 t61 t73 t8x t25 scale
-//! access serve window batch update traffic chaos shard persist`. With
+//! access serve window batch update traffic chaos persist`. With
 //! no arguments, all experiments run.
 //! The `access` id additionally writes `BENCH_access.json`
 //! (machine-readable median ns/op for the access hot paths,
@@ -22,9 +22,6 @@
 //! fault storm — injected build/page panics — absorbed by session
 //! retry policies with zero session loss, plus isolated
 //! recovery-latency and shed/degrade probes), and
-//! `shard` writes `BENCH_shard.json` (sharded vs unsharded build
-//! latency, delta re-shard vs full re-partition, and the access-time
-//! overhead of rank routing, across forced shard counts), and
 //! `persist` writes `BENCH_persist.json` (cold-opening a persisted
 //! snapshot vs re-freezing the database from scratch, plus save cost
 //! and file size); add `--smoke` for the small CI-sized variants.
@@ -2661,289 +2658,6 @@ fn chaos_bench(smoke: bool) {
     );
 }
 
-/// One shard-count row of `BENCH_shard.json`.
-struct ShardRow {
-    shards: usize,
-    partition_ns: f64,
-    lex_build_ns: f64,
-    lex_build_speedup: f64,
-    sum_build_ns: f64,
-    sum_build_speedup: f64,
-    access_ns: f64,
-    access_overhead_ratio: f64,
-    window_ns_per_tuple: f64,
-}
-
-impl ShardRow {
-    fn json(&self) -> String {
-        format!(
-            "    {{\n      \"shards\": {},\n      \"partition_ns\": {},\n      \"lex_build_ns\": {},\n      \"lex_build_speedup\": {},\n      \"sum_build_ns\": {},\n      \"sum_build_speedup\": {},\n      \"access_ns\": {},\n      \"access_overhead_ratio\": {},\n      \"window_ns_per_tuple\": {}\n    }}",
-            self.shards,
-            json_num(self.partition_ns),
-            json_num(self.lex_build_ns),
-            json_num(self.lex_build_speedup),
-            json_num(self.sum_build_ns),
-            json_num(self.sum_build_speedup),
-            json_num(self.access_ns),
-            json_num(self.access_overhead_ratio),
-            json_num(self.window_ns_per_tuple),
-        )
-    }
-}
-
-/// E18 — the snapshot-sharding benchmark behind `BENCH_shard.json`:
-/// sharded vs unsharded structure-build latency across forced shard
-/// counts, the per-access overhead of routing ranks through the shard
-/// offset table, and delta re-shard vs full re-partition.
-///
-/// Honesty note: shard-parallel builds can only beat the unsharded
-/// builder when the host has cores to fan out over. The JSON records
-/// `host_parallelism`; on a 1-core host expect build speedups at or
-/// below 1x (the partition + per-shard overhead with no parallel win)
-/// while access overhead stays bounded — that bound, not the speedup,
-/// is the invariant CI asserts.
-fn shard_bench(smoke: bool) {
-    use rda_core::ShardedLexAccess;
-    use rda_db::{Database, ShardSpec, ShardedSnapshot};
-
-    let (reps, rows, probes) = if smoke {
-        (3usize, 3_000i64, 4_000u64)
-    } else {
-        (5, 20_000, 20_000)
-    };
-    println!(
-        "== E18 / snapshot sharding: build fan-out and rank routing ({}) ==",
-        if smoke { "smoke" } else { "full" }
-    );
-
-    // A 2-path join with a 1000-value join domain: answers scale as
-    // rows^2/1000, large enough that builds dominate partitioning.
-    let join_dom = 1_000i64.min(rows / 3);
-    let db = Database::new()
-        .with_i64_rows("R", 2, (0..rows).map(|i| vec![i, i % join_dom]))
-        .with_i64_rows("S", 2, (0..rows).map(|i| vec![i % join_dom, i]));
-    let snap = db.clone().freeze();
-    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
-    let qcov = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
-    let lex = q.vars(&["x", "y", "z"]);
-    let fds = FdSet::empty();
-    let weights = Weights::identity();
-
-    // Unsharded baselines.
-    let base_lex_ns = median(
-        (0..reps)
-            .map(|_| {
-                let (da, d) = timed(|| LexDirectAccess::build_on(&q, &snap, &lex, &fds).unwrap());
-                std::hint::black_box(&da);
-                d.as_nanos() as f64
-            })
-            .collect(),
-    );
-    let base_sum_ns = median(
-        (0..reps)
-            .map(|_| {
-                let (da, d) =
-                    timed(|| SumDirectAccess::build_on(&qcov, &snap, &weights, &fds).unwrap());
-                std::hint::black_box(&da);
-                d.as_nanos() as f64
-            })
-            .collect(),
-    );
-    let base_da = LexDirectAccess::build_on(&q, &snap, &lex, &fds).unwrap();
-    let len = base_da.len();
-    let ranks: Vec<u64> = (0..probes)
-        .map(|i| i.wrapping_mul(0x9e37_79b9) % len)
-        .collect();
-    let base_access_ns = median(
-        (0..reps)
-            .map(|_| {
-                let (_, d) = timed(|| {
-                    for &k in &ranks {
-                        std::hint::black_box(base_da.access(k));
-                    }
-                });
-                d.as_nanos() as f64 / ranks.len() as f64
-            })
-            .collect(),
-    );
-
-    let counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let mut rows_json: Vec<String> = Vec::new();
-    let mut printed: Vec<String> = Vec::new();
-    let mut worst_overhead = 0.0f64;
-    for &n in counts {
-        let partition_ns = median(
-            (0..reps)
-                .map(|_| {
-                    let (sh, d) = timed(|| ShardedSnapshot::freeze(&snap, ShardSpec::Forced(n)));
-                    std::hint::black_box(&sh);
-                    d.as_nanos() as f64
-                })
-                .collect(),
-        );
-        let sharded = ShardedSnapshot::freeze(&snap, ShardSpec::Forced(n));
-        let lex_build_ns = median(
-            (0..reps)
-                .map(|_| {
-                    let (da, d) = timed(|| {
-                        LexDirectAccess::build_on_sharded(
-                            &q,
-                            &sharded,
-                            &lex,
-                            &fds,
-                            rda_core::BuildBudget::UNLIMITED,
-                        )
-                        .unwrap()
-                    });
-                    std::hint::black_box(&da);
-                    d.as_nanos() as f64
-                })
-                .collect(),
-        );
-        let sum_build_ns = median(
-            (0..reps)
-                .map(|_| {
-                    let (da, d) = timed(|| {
-                        SumDirectAccess::build_on_sharded(
-                            &qcov,
-                            &sharded,
-                            &weights,
-                            &fds,
-                            rda_core::BuildBudget::UNLIMITED,
-                        )
-                        .unwrap()
-                    });
-                    std::hint::black_box(&da);
-                    d.as_nanos() as f64
-                })
-                .collect(),
-        );
-        let da: ShardedLexAccess = LexDirectAccess::build_on_sharded(
-            &q,
-            &sharded,
-            &lex,
-            &fds,
-            rda_core::BuildBudget::UNLIMITED,
-        )
-        .unwrap();
-        assert_eq!(da.len(), len, "sharded and unsharded builds must agree");
-        let access_ns = median(
-            (0..reps)
-                .map(|_| {
-                    let (_, d) = timed(|| {
-                        for &k in &ranks {
-                            std::hint::black_box(da.access(k));
-                        }
-                    });
-                    d.as_nanos() as f64 / ranks.len() as f64
-                })
-                .collect(),
-        );
-        let window_ns_per_tuple = median(
-            (0..reps)
-                .map(|_| {
-                    let (w, d) = timed(|| da.access_range(0..len));
-                    std::hint::black_box(&w);
-                    d.as_nanos() as f64 / len.max(1) as f64
-                })
-                .collect(),
-        );
-        let row = ShardRow {
-            shards: n,
-            partition_ns,
-            lex_build_ns,
-            lex_build_speedup: base_lex_ns / lex_build_ns,
-            sum_build_ns,
-            sum_build_speedup: base_sum_ns / sum_build_ns,
-            access_ns,
-            access_overhead_ratio: access_ns / base_access_ns,
-            window_ns_per_tuple,
-        };
-        if n > 1 {
-            worst_overhead = worst_overhead.max(row.access_overhead_ratio);
-        }
-        printed.push(format!(
-            "  {n} shards: lex build {:.1} ms ({:.2}x), sum build {:.1} ms ({:.2}x), access {:.0} ns ({:.2}x of unsharded)",
-            row.lex_build_ns / 1e6,
-            row.lex_build_speedup,
-            row.sum_build_ns / 1e6,
-            row.sum_build_speedup,
-            row.access_ns,
-            row.access_overhead_ratio,
-        ));
-        rows_json.push(row.json());
-    }
-
-    // Delta economics: dirty one of the two relations and compare the
-    // incremental re-shard against a full re-partition.
-    let mut dbc = db.clone();
-    dbc.clear_mutation_log();
-    let sharded = ShardedSnapshot::freeze(&snap, ShardSpec::Forced(4));
-    let reshard_delta_ns = median(
-        (0..reps)
-            .map(|_| {
-                let mut step = dbc.clone();
-                step.insert_into(
-                    "R",
-                    [rda_db::Value::int(2 * rows), rda_db::Value::int(0)]
-                        .into_iter()
-                        .collect(),
-                );
-                let (out, d) = timed(|| sharded.freeze_delta(&mut step));
-                std::hint::black_box(&out);
-                d.as_nanos() as f64
-            })
-            .collect(),
-    );
-    let reshard_full_ns = median(
-        (0..reps)
-            .map(|_| {
-                let mut step = dbc.clone();
-                step.insert_into(
-                    "R",
-                    [rda_db::Value::int(2 * rows), rda_db::Value::int(0)]
-                        .into_iter()
-                        .collect(),
-                );
-                let (out, d) = timed(|| {
-                    let next = step.clone().freeze();
-                    ShardedSnapshot::freeze(&next, ShardSpec::Forced(4))
-                });
-                std::hint::black_box(&out);
-                d.as_nanos() as f64
-            })
-            .collect(),
-    );
-
-    let json = format!(
-        "{{\n  \"schema\": \"bench_shard/v1\",\n  \"command\": \"cargo run --release -p rda_bench --bin experiments -- shard{}\",\n  \"mode\": {},\n  \"rounds\": {},\n  \"answers\": {},\n  \"probes\": {},\n  \"host_parallelism\": {},\n  \"note\": \"build speedups need cores: on a 1-core host expect <=1x builds; the asserted invariant is bounded access overhead, not the speedup\",\n  \"unsharded\": {{\n    \"lex_build_ns\": {},\n    \"sum_build_ns\": {},\n    \"access_ns\": {}\n  }},\n  \"delta\": {{\n    \"reshard_delta_ns\": {},\n    \"reshard_full_ns\": {},\n    \"delta_over_full_speedup\": {}\n  }},\n  \"shard_counts\": [\n{}\n  ]\n}}\n",
-        if smoke { " --smoke" } else { "" },
-        json_str(if smoke { "smoke" } else { "full" }),
-        reps,
-        len,
-        probes,
-        host_parallelism(),
-        json_num(base_lex_ns),
-        json_num(base_sum_ns),
-        json_num(base_access_ns),
-        json_num(reshard_delta_ns),
-        json_num(reshard_full_ns),
-        json_num(reshard_full_ns / reshard_delta_ns),
-        rows_json.join(",\n"),
-    );
-    std::fs::write("BENCH_shard.json", &json).expect("write BENCH_shard.json");
-    for line in &printed {
-        println!("{line}");
-    }
-    println!(
-        "delta re-shard vs full re-partition: {:.1}x; worst multi-shard access overhead: {:.2}x (host_parallelism {})\nwrote BENCH_shard.json ({} shard counts)\n",
-        reshard_full_ns / reshard_delta_ns,
-        worst_overhead,
-        host_parallelism(),
-        counts.len(),
-    );
-}
-
 /// E19 — the persistence benchmark behind `BENCH_persist.json`: the
 /// restart economics of `rda_db::persist`. One 8-relation × `rows`
 /// database is frozen once, saved once, and then the two cold-start
@@ -3080,7 +2794,6 @@ fn main() {
         update_bench(true);
         traffic_bench(true);
         chaos_bench(true);
-        shard_bench(true);
         persist_bench(true);
         return;
     }
@@ -3139,9 +2852,6 @@ fn main() {
     }
     if want("chaos") {
         chaos_bench(smoke);
-    }
-    if want("shard") {
-        shard_bench(smoke);
     }
     if want("persist") {
         persist_bench(smoke);

@@ -133,11 +133,10 @@ impl BudgetMeter {
 /// [`sumda`](crate::sumda) build maps onto the same rows: `reduce` is
 /// its full reducer, `layers` the covering-atom projection, `sort` the
 /// weighing and weight sort, `dp` the answer-column materialization.
-/// A sharded build reports the sum over its shards. A selection handle
-/// reports its constructor: `prep` and `reduce` as above, then `dp`
-/// (the counting pass of a lex handle) or `sort` (contraction, weighing
-/// and bucket sort of a sum handle); its entries and bytes are the rows
-/// of the prepared instance it holds.
+/// A selection handle reports its constructor: `prep` and `reduce` as
+/// above, then `dp` (the counting pass of a lex handle) or `sort`
+/// (contraction, weighing and bucket sort of a sum handle); its entries
+/// and bytes are the rows of the prepared instance it holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildCost {
     /// Nanoseconds in normalization, FD checks and FD extension.
@@ -169,17 +168,6 @@ impl BuildCost {
     pub(crate) fn hold(&mut self, rels: &[rda_db::EncodedRelation]) {
         self.arena_entries = rels.iter().map(|r| r.len() as u64).sum();
         self.arena_bytes = rels.iter().map(|r| 4 * (r.len() * r.arity()) as u64).sum();
-    }
-
-    /// Fold another build's cost into this one (per-shard builds).
-    pub(crate) fn absorb(&mut self, other: &BuildCost) {
-        self.prep_ns += other.prep_ns;
-        self.reduce_ns += other.reduce_ns;
-        self.layers_ns += other.layers_ns;
-        self.sort_ns += other.sort_ns;
-        self.dp_ns += other.dp_ns;
-        self.arena_entries += other.arena_entries;
-        self.arena_bytes += other.arena_bytes;
     }
 }
 

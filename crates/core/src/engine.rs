@@ -54,12 +54,12 @@ use crate::error::BuildError;
 use crate::fault;
 use crate::plan::{
     describe_reason, AccessPlan, Backend, Explain, RankedAnswers, RankedEnumHandle,
-    SelectionLexHandle, SelectionSumHandle, ShardRouting,
+    SelectionLexHandle, SelectionSumHandle,
 };
 use crate::weights::Weights;
 use crate::{LexDirectAccess, SumDirectAccess};
 use rda_baseline::{MaterializedAccess, RankedEnumerator};
-use rda_db::{Database, ShardConfigError, ShardSpec, ShardedSnapshot, Snapshot, SnapshotStore};
+use rda_db::{Database, Snapshot, SnapshotStore};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::fd::FdSet;
 use rda_query::query::Cq;
@@ -394,18 +394,9 @@ impl PlanCache {
 /// forward** — re-keyed into the new generation without rebuilding a
 /// thing.
 pub struct Engine {
-    serve: RwLock<ServeSlot>,
+    snapshot: RwLock<Arc<Snapshot>>,
     cache: Mutex<PlanCache>,
     build_budget: RwLock<BuildBudget>,
-}
-
-/// What the engine currently serves, swapped as one unit: the snapshot
-/// and (when sharding is enabled) its sharded view. Keeping the pair
-/// under a single lock means a prepare can never pin a snapshot from
-/// one generation next to shard partitions from another.
-struct ServeSlot {
-    snap: Arc<Snapshot>,
-    sharded: Option<Arc<ShardedSnapshot>>,
 }
 
 // Poison recovery: every shared slot in the engine is either swapped
@@ -416,47 +407,6 @@ struct ServeSlot {
 // propagating the poison to every future caller.
 fn relock<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Why [`Engine::open`] could not cold-start from a persisted
-/// snapshot store.
-#[derive(Debug)]
-pub enum OpenError {
-    /// The store could not be opened, verified, or replayed.
-    Persist(rda_db::PersistError),
-    /// `RDA_FORCE_SHARDS` is set to something that cannot be honored
-    /// (non-numeric or zero).
-    ShardConfig(ShardConfigError),
-}
-
-impl fmt::Display for OpenError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            OpenError::Persist(e) => write!(f, "cannot open persisted snapshot: {e}"),
-            OpenError::ShardConfig(e) => write!(f, "cannot honor shard configuration: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for OpenError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            OpenError::Persist(e) => Some(e),
-            OpenError::ShardConfig(e) => Some(e),
-        }
-    }
-}
-
-impl From<rda_db::PersistError> for OpenError {
-    fn from(e: rda_db::PersistError) -> Self {
-        OpenError::Persist(e)
-    }
-}
-
-impl From<ShardConfigError> for OpenError {
-    fn from(e: ShardConfigError) -> Self {
-        OpenError::ShardConfig(e)
-    }
 }
 
 impl fmt::Debug for Engine {
@@ -475,20 +425,23 @@ impl Engine {
     pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 64;
 
     /// An engine serving the given snapshot, with the default plan-cache
-    /// capacity. Sharding is off unless the `RDA_FORCE_SHARDS`
-    /// environment variable requests it ([`ShardSpec::from_env`]) —
-    /// the hook that re-runs an entire test suite sharded; use
-    /// [`Engine::with_shards`] for explicit control.
+    /// capacity.
     pub fn new(snapshot: Arc<Snapshot>) -> Self {
         Self::with_plan_cache_capacity(snapshot, Self::DEFAULT_PLAN_CACHE_CAPACITY)
     }
 
     /// An engine with an explicit plan-cache bound. Capacity `0`
-    /// disables memoization (every `prepare` builds afresh). Consults
-    /// `RDA_FORCE_SHARDS` like [`Engine::new`].
+    /// disables memoization (every `prepare` builds afresh).
     pub fn with_plan_cache_capacity(snapshot: Arc<Snapshot>, capacity: usize) -> Self {
-        let sharded = ShardSpec::from_env().map(|spec| ShardedSnapshot::freeze(&snapshot, spec));
-        Self::assemble(snapshot, sharded, capacity)
+        Engine {
+            snapshot: RwLock::new(snapshot),
+            cache: Mutex::new(PlanCache {
+                map: HashMap::new(),
+                capacity,
+                clock: 0,
+            }),
+            build_budget: RwLock::new(BuildBudget::UNLIMITED),
+        }
     }
 
     /// Cold-start an engine from a persisted snapshot store directory
@@ -497,49 +450,11 @@ impl Engine {
     /// result — no relation is re-encoded, and the restored snapshot
     /// keeps its original uid and lineage, so cursor tokens issued
     /// before the restart resume cleanly against this engine when their
-    /// dependencies are unchanged.
-    ///
-    /// Unlike the infallible constructors, a *misconfigured*
-    /// `RDA_FORCE_SHARDS` is reported here as a typed
-    /// [`OpenError::ShardConfig`] instead of being ignored — a cold
-    /// open is the deliberate configuration moment, so a setting that
-    /// cannot be honored should fail loudly rather than silently serve
-    /// unsharded.
-    pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Self, OpenError> {
-        let spec = ShardSpec::from_env_checked()?;
-        let snapshot = SnapshotStore::open(dir)?.load()?;
-        let sharded = spec.map(|s| ShardedSnapshot::freeze(&snapshot, s));
-        Ok(Self::assemble(
-            snapshot,
-            sharded,
-            Self::DEFAULT_PLAN_CACHE_CAPACITY,
-        ))
-    }
-
-    /// An engine serving `snapshot` through a sharded view with exactly
-    /// the given spec (overriding `RDA_FORCE_SHARDS`): unlimited-budget
-    /// native direct-access builds fan out shard-parallel, and
-    /// [`Engine::advance`] re-shards only the relations each delta
-    /// dirtied.
-    pub fn with_shards(snapshot: Arc<Snapshot>, spec: ShardSpec) -> Self {
-        let sharded = Some(ShardedSnapshot::freeze(&snapshot, spec));
-        Self::assemble(snapshot, sharded, Self::DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-
-    fn assemble(
-        snap: Arc<Snapshot>,
-        sharded: Option<Arc<ShardedSnapshot>>,
-        capacity: usize,
-    ) -> Self {
-        Engine {
-            serve: RwLock::new(ServeSlot { snap, sharded }),
-            cache: Mutex::new(PlanCache {
-                map: HashMap::new(),
-                capacity,
-                clock: 0,
-            }),
-            build_budget: RwLock::new(BuildBudget::UNLIMITED),
-        }
+    /// dependencies are unchanged. A store that cannot be opened,
+    /// verified or replayed is reported as the [`rda_db::PersistError`]
+    /// it raised.
+    pub fn open(dir: impl AsRef<std::path::Path>) -> Result<Self, rda_db::PersistError> {
+        Ok(Self::new(SnapshotStore::open(dir)?.load()?))
     }
 
     /// The budget applied to subsequent structure builds (default:
@@ -564,22 +479,8 @@ impl Engine {
     /// [`Engine::prepare`] calls are answered over exactly this
     /// generation until the next [`Engine::advance`].
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&relock(self.serve.read()).snap)
-    }
-
-    /// The sharded view of the served snapshot, when sharding is
-    /// enabled for this engine; `None` otherwise.
-    pub fn sharded(&self) -> Option<Arc<ShardedSnapshot>> {
-        relock(self.serve.read()).sharded.clone()
-    }
-
-    /// How many shards this engine's native builds fan out over (`1`
-    /// when sharding is off).
-    pub fn shard_count(&self) -> usize {
-        relock(self.serve.read())
-            .sharded
-            .as_ref()
-            .map_or(1, |s| s.shards())
+        let guard = relock(self.snapshot.read());
+        Arc::clone(&guard)
     }
 
     /// The generation of the currently served snapshot.
@@ -604,8 +505,8 @@ impl Engine {
     /// Returns how many plans were carried forward.
     pub fn advance(&self, snapshot: Arc<Snapshot>) -> usize {
         let mut cache = relock(self.cache.lock());
-        let mut slot = relock(self.serve.write());
-        if slot.snap.uid() == snapshot.uid() {
+        let mut slot = relock(self.snapshot.write());
+        if slot.uid() == snapshot.uid() {
             return 0; // advancing to the current snapshot is a no-op
         }
         let mut carried = 0;
@@ -629,12 +530,7 @@ impl Engine {
                 }
             }
         }
-        // Re-shard inside the same critical section: the snapshot and
-        // its sharded view swap as one unit. `rebase` carries the
-        // partitions of every clean relation pointer-identically, so
-        // the cost is proportional to what the delta dirtied.
-        slot.sharded = slot.sharded.as_ref().map(|sv| sv.rebase(&snapshot));
-        slot.snap = snapshot;
+        *slot = snapshot;
         carried
     }
 
@@ -699,12 +595,8 @@ impl Engine {
         fault::trip(fault::SITE_ENGINE_PREPARE)
             .map_err(|f| PlanError::Build(BuildError::FaultInjected { site: f.site }))?;
         // Pin the generation first: the whole prepare runs against one
-        // snapshot (and the matching sharded view, read under the same
-        // lock), however many `advance` calls race it.
-        let (snap, sharded) = {
-            let slot = relock(self.serve.read());
-            (Arc::clone(&slot.snap), slot.sharded.clone())
-        };
+        // snapshot, however many `advance` calls race it.
+        let snap = self.snapshot();
         let key = plan_key(snap.uid(), q, &order, fds, policy);
         if let Some(plan) = relock(self.cache.lock()).get(&key) {
             // A hit under `snap`'s uid is consistent with `snap` even
@@ -715,15 +607,7 @@ impl Engine {
         }
         // Build outside the lock so distinct keys don't serialize.
         let budget = self.build_budget();
-        let plan = Arc::new(prepare_on(
-            &snap,
-            sharded.as_deref(),
-            q,
-            order,
-            fds,
-            policy,
-            budget,
-        )?);
+        let plan = Arc::new(prepare_on(&snap, q, order, fds, policy, budget)?);
         let deps = plan_dependencies(q, &snap);
         // Cache only if the engine still serves the snapshot this plan
         // was built against: a plan that lost a race with `advance`
@@ -732,7 +616,7 @@ impl Engine {
         // future prepare can hit. Lock order (cache, then snapshot)
         // matches `advance`.
         let mut cache = relock(self.cache.lock());
-        let current_uid = relock(self.serve.read()).snap.uid();
+        let current_uid = relock(self.snapshot.read()).uid();
         if key.snapshot_uid != current_uid {
             return Ok((snap, plan));
         }
@@ -749,28 +633,14 @@ impl Engine {
         fds: &FdSet,
         policy: Policy,
     ) -> Result<AccessPlan, PlanError> {
-        let (snap, sharded) = {
-            let slot = relock(self.serve.read());
-            (Arc::clone(&slot.snap), slot.sharded.clone())
-        };
-        prepare_on(
-            &snap,
-            sharded.as_deref(),
-            q,
-            order,
-            fds,
-            policy,
-            self.build_budget(),
-        )
+        prepare_on(&self.snapshot(), q, order, fds, policy, self.build_budget())
     }
 }
 
 /// The routing logic shared by every entry point: classify, then build
-/// over the snapshot (fanning native builds out over `sharded`, when
-/// the engine serves one).
+/// over the snapshot.
 fn prepare_on(
     snap: &Arc<Snapshot>,
-    sharded: Option<&ShardedSnapshot>,
     q: &Cq,
     order: OrderSpec,
     fds: &FdSet,
@@ -778,15 +648,14 @@ fn prepare_on(
     budget: BuildBudget,
 ) -> Result<AccessPlan, PlanError> {
     let plan = match order {
-        OrderSpec::Lex(lex) => prepare_lex(snap, sharded, q, lex, fds, policy, budget),
-        OrderSpec::Sum(w) => prepare_sum(snap, sharded, q, w, fds, policy, budget),
+        OrderSpec::Lex(lex) => prepare_lex(snap, q, lex, fds, policy, budget),
+        OrderSpec::Sum(w) => prepare_sum(snap, q, w, fds, policy, budget),
     }?;
     Ok(plan.with_generation(snap.generation()))
 }
 
 fn prepare_lex(
     snap: &Arc<Snapshot>,
-    sharded: Option<&ShardedSnapshot>,
     q: &Cq,
     lex: Vec<VarId>,
     fds: &FdSet,
@@ -800,27 +669,6 @@ fn prepare_lex(
     let witness = verdict.reason().map(|r| describe_reason(q, r));
 
     if verdict.is_tractable() {
-        // Shard-parallel build, but only under an unlimited budget: the
-        // sharded builder meters each shard independently, and a capped
-        // engine's containment story depends on one global meter.
-        if let Some(sv) = sharded.filter(|_| budget.is_unlimited()) {
-            let da = LexDirectAccess::build_on_sharded(q, sv, &lex, fds, budget)?;
-            let routing = ShardRouting::contiguous(da.shard_offsets().to_vec());
-            let build = da.build_cost();
-            return Ok(AccessPlan::new(
-                RankedAnswers::ShardedLex(da),
-                Explain {
-                    problem,
-                    problem_desc,
-                    verdict,
-                    selection_verdict: None,
-                    witness,
-                    backend: Backend::LexDirectAccess,
-                    routing: Some(routing),
-                    build: Some(build),
-                },
-            ));
-        }
         let da = LexDirectAccess::build_on_budgeted(q, snap, &lex, fds, budget)?;
         let build = *da.build_cost();
         return Ok(AccessPlan::new(
@@ -832,7 +680,6 @@ fn prepare_lex(
                 selection_verdict: None,
                 witness,
                 backend: Backend::LexDirectAccess,
-                routing: None,
                 build: Some(build),
             },
         ));
@@ -851,7 +698,6 @@ fn prepare_lex(
                 selection_verdict: Some(selection_verdict),
                 witness,
                 backend: Backend::SelectionLex,
-                routing: None,
                 build: Some(build),
             },
         ));
@@ -871,7 +717,6 @@ fn prepare_lex(
                     selection_verdict: Some(selection_verdict),
                     witness,
                     backend: Backend::Materialized,
-                    routing: None,
                     build: None,
                 },
             ))
@@ -886,7 +731,6 @@ fn prepare_lex(
 
 fn prepare_sum(
     snap: &Arc<Snapshot>,
-    sharded: Option<&ShardedSnapshot>,
     q: &Cq,
     weights: Weights,
     fds: &FdSet,
@@ -899,25 +743,6 @@ fn prepare_sum(
     let witness = verdict.reason().map(|r| describe_reason(q, r));
 
     if verdict.is_tractable() {
-        // Same budget gate as the lex path: shard-parallel only when
-        // the build is unmetered.
-        if let Some(sv) = sharded.filter(|_| budget.is_unlimited()) {
-            let (da, rows) = SumDirectAccess::build_on_sharded(q, sv, &weights, fds, budget)?;
-            let build = *da.build_cost();
-            return Ok(AccessPlan::new(
-                RankedAnswers::Sum(da),
-                Explain {
-                    problem,
-                    problem_desc,
-                    verdict,
-                    selection_verdict: None,
-                    witness,
-                    backend: Backend::SumDirectAccess,
-                    routing: Some(ShardRouting::merged(rows)),
-                    build: Some(build),
-                },
-            ));
-        }
         let da = SumDirectAccess::build_on_budgeted(q, snap, &weights, fds, budget)?;
         let build = *da.build_cost();
         return Ok(AccessPlan::new(
@@ -929,7 +754,6 @@ fn prepare_sum(
                 selection_verdict: None,
                 witness,
                 backend: Backend::SumDirectAccess,
-                routing: None,
                 build: Some(build),
             },
         ));
@@ -948,7 +772,6 @@ fn prepare_sum(
                 selection_verdict: Some(selection_verdict),
                 witness,
                 backend: Backend::SelectionSum,
-                routing: None,
                 build: Some(build),
             },
         ));
@@ -968,7 +791,6 @@ fn prepare_sum(
                     selection_verdict: Some(selection_verdict),
                     witness,
                     backend: Backend::Materialized,
-                    routing: None,
                     build: None,
                 },
             ))
@@ -995,7 +817,6 @@ fn prepare_sum(
                     selection_verdict: Some(selection_verdict),
                     witness,
                     backend: Backend::RankedEnum,
-                    routing: None,
                     build: None,
                 },
             ))

@@ -816,11 +816,6 @@ impl LexDirectAccess {
         self.total == 0
     }
 
-    /// Width of the emitted answer tuples (the head arity).
-    pub(crate) fn head_arity(&self) -> usize {
-        self.out_vars.len()
-    }
-
     /// The complete internal order over `free(Q⁺)` (the requested prefix
     /// completed per Lemma 4.4, FD-reordered per Definition 8.13).
     pub fn internal_order(&self) -> &[VarId] {

@@ -77,7 +77,6 @@ pub mod plan;
 pub mod random_order;
 mod rankdir;
 pub mod reference;
-pub mod shardlex;
 pub mod snapprep;
 pub mod sumda;
 pub mod sumsel;
@@ -87,19 +86,16 @@ pub mod window;
 
 pub use budget::{BudgetMeter, BuildBudget, BuildCost};
 pub use decompose::{lex_direct_access_decomposed, rewrite_by_decomposition};
-pub use engine::{
-    canonical_request_key, plan_dependencies, Engine, OpenError, OrderSpec, PlanError, Policy,
-};
+pub use engine::{canonical_request_key, plan_dependencies, Engine, OrderSpec, PlanError, Policy};
 pub use error::BuildError;
 pub use fault::{FaultAction, FaultGuard, FaultPlan, InjectedFault};
 pub use lexda::LexDirectAccess;
 pub use plan::{
     AccessPlan, Backend, DirectAccess, Explain, RankedAnswers, RankedEnumHandle,
-    SelectionLexHandle, SelectionSumHandle, ShardRouting,
+    SelectionLexHandle, SelectionSumHandle,
 };
 pub use random_order::{Quantiles, RandomOrderEnumerator};
 pub use reference::HashLexDirectAccess;
-pub use shardlex::ShardedLexAccess;
 pub use sumda::SumDirectAccess;
 pub use tupleweights::{selection_sum_tw, SumDirectAccessTw, TupleWeights};
 pub use weights::Weights;

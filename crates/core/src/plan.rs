@@ -44,7 +44,6 @@
 use crate::budget::BuildCost;
 use crate::error::BuildError;
 use crate::lexsel::LexSelection;
-use crate::shardlex::ShardedLexAccess;
 use crate::sumsel::SumSelection;
 use crate::weights::Weights;
 use crate::window::{clamp_range, RankedStream, WindowBuf, DEFAULT_STREAM_BATCH};
@@ -238,7 +237,6 @@ macro_rules! forward_native {
 }
 
 forward_native!(LexDirectAccess);
-forward_native!(ShardedLexAccess);
 forward_native!(SumDirectAccess);
 
 impl DirectAccess for MaterializedAccess {
@@ -611,11 +609,6 @@ impl DirectAccess for RankedEnumHandle {
 pub enum RankedAnswers {
     /// Native lexicographic direct access (⟨n log n, log n⟩).
     Lex(LexDirectAccess),
-    /// Native lexicographic direct access built shard-parallel over a
-    /// sharded snapshot — same order and guarantees as
-    /// [`RankedAnswers::Lex`], with ranks routed through a per-shard
-    /// offset table (see [`ShardedLexAccess`]).
-    ShardedLex(ShardedLexAccess),
     /// Native sum-of-weights direct access (⟨n log n, 1⟩).
     Sum(SumDirectAccess),
     /// Lexicographic selection over a prepared instance (⟨1, n⟩ per
@@ -644,7 +637,6 @@ macro_rules! dispatch {
     ($self:ident, $inner:ident => $e:expr) => {
         match $self {
             RankedAnswers::Lex($inner) => $e,
-            RankedAnswers::ShardedLex($inner) => $e,
             RankedAnswers::Sum($inner) => $e,
             RankedAnswers::SelectionLex($inner) => $e,
             RankedAnswers::SelectionSum($inner) => $e,
@@ -711,10 +703,7 @@ impl RankedAnswers {
     /// Which backend the router chose.
     pub fn backend(&self) -> Backend {
         match self {
-            // Sharded builds are the same structure with a routing
-            // table in front; `Explain::routing` carries the shard
-            // report.
-            RankedAnswers::Lex(_) | RankedAnswers::ShardedLex(_) => Backend::LexDirectAccess,
+            RankedAnswers::Lex(_) => Backend::LexDirectAccess,
             RankedAnswers::Sum(_) => Backend::SumDirectAccess,
             RankedAnswers::SelectionLex(_) => Backend::SelectionLex,
             RankedAnswers::SelectionSum(_) => Backend::SelectionSum,
@@ -802,84 +791,6 @@ pub(crate) fn describe_reason(q: &Cq, reason: &Reason) -> String {
     }
 }
 
-/// How a sharded build routes the global rank space to its per-shard
-/// structures — the [`Explain`]-side report of snapshot sharding.
-///
-/// Two routing modes exist. **Contiguous** (lex): shard `s` owns the
-/// global rank interval `[offsets()[s], offsets()[s+1])`, so every
-/// access touches exactly one shard (or one run of shards for a
-/// window). **Merged** (sum): per-shard answers interleave in the
-/// global weight order, so the per-shard structures were merged into
-/// one at build time and `offsets()` only reports how many answers
-/// each shard contributed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRouting {
-    shards: usize,
-    offsets: Vec<u64>,
-    contiguous: bool,
-}
-
-impl ShardRouting {
-    /// Contiguous-rank routing from a shard offset table
-    /// (`shards + 1` non-decreasing entries starting at 0).
-    pub(crate) fn contiguous(offsets: Vec<u64>) -> Self {
-        ShardRouting {
-            shards: offsets.len().saturating_sub(1),
-            offsets,
-            contiguous: true,
-        }
-    }
-
-    /// Merged routing from per-shard answer counts.
-    pub(crate) fn merged(rows: Vec<u64>) -> Self {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut acc = 0u64;
-        offsets.push(0);
-        for r in &rows {
-            acc += r;
-            offsets.push(acc);
-        }
-        ShardRouting {
-            shards: rows.len(),
-            offsets,
-            contiguous: false,
-        }
-    }
-
-    /// Number of shards the build fanned out over (1 when the build
-    /// degenerated to a single shard).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// `true` when global ranks route to single shards by interval
-    /// (lex); `false` when shards were weight-merged at build (sum).
-    pub fn is_contiguous(&self) -> bool {
-        self.contiguous
-    }
-
-    /// Prefix sums of per-shard answer counts (`shards() + 1` entries).
-    /// Under contiguous routing these are the exact global rank
-    /// boundaries of each shard.
-    pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// How many answers shard `s` contributed.
-    pub fn shard_rows(&self, s: usize) -> u64 {
-        self.offsets[s + 1] - self.offsets[s]
-    }
-
-    /// The shard serving global rank `rank`, under contiguous routing
-    /// with `rank` in bounds; `None` otherwise.
-    pub fn shard_of(&self, rank: u64) -> Option<usize> {
-        if !self.contiguous || rank >= *self.offsets.last().unwrap_or(&0) {
-            return None;
-        }
-        Some(self.offsets.partition_point(|&o| o <= rank) - 1)
-    }
-}
-
 /// The router's report: what was asked, what the dichotomy said, which
 /// structural witness certifies it, and which backend now serves the
 /// answers.
@@ -891,7 +802,6 @@ pub struct Explain {
     pub(crate) selection_verdict: Option<Verdict>,
     pub(crate) witness: Option<String>,
     pub(crate) backend: Backend,
-    pub(crate) routing: Option<ShardRouting>,
     pub(crate) build: Option<BuildCost>,
 }
 
@@ -921,12 +831,6 @@ impl Explain {
     /// The backend the router chose.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// The shard routing report, when the plan was built over a sharded
-    /// snapshot; `None` for unsharded builds and non-native backends.
-    pub fn routing(&self) -> Option<&ShardRouting> {
-        self.routing.as_ref()
     }
 
     /// What building the structure behind this plan paid — nanoseconds
@@ -1120,18 +1024,6 @@ impl fmt::Display for Explain {
             self.backend,
             self.backend.guarantee()
         )?;
-        if let Some(r) = &self.routing {
-            write!(
-                f,
-                "\nshards:   {} ({} routing)",
-                r.shards(),
-                if r.is_contiguous() {
-                    "contiguous-rank"
-                } else {
-                    "weight-merged"
-                }
-            )?;
-        }
         if let Some(b) = &self.build {
             write!(f, "\nbuild:    {b}")?;
         }

@@ -23,8 +23,7 @@ use crate::plan::DirectAccess;
 use crate::snapprep::{check_fds_encoded, extend_instance_encoded, normalize_encoded};
 use crate::weights::Weights;
 use crate::window::WindowBuf;
-use rda_db::parallel;
-use rda_db::{Database, Dictionary, EncodedRelation, ShardedSnapshot, Snapshot, Tuple, Value};
+use rda_db::{Database, Dictionary, Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::fd::{fd_extension, FdSet};
@@ -33,7 +32,6 @@ use rda_query::query::Cq;
 use rda_query::VarId;
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -109,176 +107,9 @@ impl SumDirectAccess {
         Self::build_inner(q, snap, w, fds, budget)
     }
 
-    /// [`SumDirectAccess::build_on_budgeted`] with the expensive phases
-    /// — semijoin reduction, projection, weighing, sorting — fanned out
-    /// over a [`ShardedSnapshot`]'s partitions of the first head
-    /// variable's code space, then merged back into one standard
-    /// structure. Sum ranks interleave shards (a heavy tuple in shard 0
-    /// can outrank everything in shard 3), so unlike the lexicographic
-    /// case the merge happens once at build time and accesses stay
-    /// exactly as they were; the returned per-shard answer counts feed
-    /// the engine's routing report.
-    ///
-    /// Degenerates to a single-shard build (bit-identical to
-    /// [`SumDirectAccess::build_on`]) for one shard, under functional
-    /// dependencies, with self-joins, or for boolean heads. `budget` is
-    /// enforced per shard.
-    pub fn build_on_sharded(
-        q: &Cq,
-        sharded: &ShardedSnapshot,
-        w: &Weights,
-        fds: &FdSet,
-        budget: BuildBudget,
-    ) -> Result<(Self, Vec<u64>), BuildError> {
-        fault::trip(fault::SITE_SUMDA_BUILD)
-            .map_err(|f| BuildError::FaultInjected { site: f.site })?;
-        let base = sharded.base();
-        if sharded.shards() <= 1 || !fds.is_empty() || !q.is_self_join_free() || q.free().is_empty()
-        {
-            let da = Self::build_inner(q, base, w, fds, budget)?;
-            let rows = vec![da.len()];
-            return Ok((da, rows));
-        }
-        // Classify up front so intractability surfaces once, not n
-        // times from inside the fan-out.
-        match classify(q, fds, &Problem::DirectAccessSum) {
-            Verdict::Tractable { .. } => {}
-            v => return Err(BuildError::NotTractable(v)),
-        }
-        // Restrict every atom containing the first head variable to the
-        // shard's leading-code range (first occurrence is exact: the
-        // normalized encoding only keeps rows whose repeated positions
-        // agree). Answers partition by that variable's code, so the
-        // per-shard answer sets are disjoint and complete.
-        let route = q.free()[0];
-        let mut route_pos: Vec<(&str, usize)> = Vec::new();
-        for atom in q.atoms() {
-            let enc = base
-                .encoded(&atom.relation)
-                .ok_or_else(|| BuildError::MissingRelation(atom.relation.clone()))?;
-            if enc.arity() != atom.terms.len() {
-                return Err(BuildError::ArityMismatch {
-                    relation: atom.relation.clone(),
-                    expected: atom.terms.len(),
-                    found: enc.arity(),
-                });
-            }
-            if let Some(p) = atom.terms.iter().position(|&t| t == route) {
-                route_pos.push((atom.relation.as_str(), p));
-            }
-        }
-        if route_pos.is_empty() {
-            let da = Self::build_inner(q, base, w, fds, budget)?;
-            let rows = vec![da.len()];
-            return Ok((da, rows));
-        }
-        let n = sharded.shards();
-        let built: Vec<Result<SumDirectAccess, BuildError>> =
-            parallel::map_indexed_with(n, n, |s| {
-                let (lo, hi) = sharded.shard_range(s);
-                let mut overrides: BTreeMap<String, Arc<EncodedRelation>> = BTreeMap::new();
-                for &(name, p) in &route_pos {
-                    let part = if p == 0 {
-                        Arc::clone(sharded.part(name, s).expect("partitioned at freeze"))
-                    } else {
-                        let enc = base.encoded(name).expect("validated above");
-                        Arc::new(enc.filter_col_range(p, lo, hi))
-                    };
-                    overrides.insert(name.to_string(), part);
-                }
-                let view = base.with_encoding_overrides(overrides);
-                Self::build_inner(q, &view, w, fds, budget)
-            });
-        let mut parts = Vec::with_capacity(n);
-        for r in built {
-            parts.push(r?);
-        }
-        Self::merge_shards(parts, Arc::clone(base))
-    }
-
-    /// K-way merge of per-shard structures (in shard order) by
-    /// ascending (weight, tuple). Within a shard the rows already
-    /// ascend by (weight, local tuple); across shards, equal weights
-    /// order by shard index — which **is** tuple order, because every
-    /// first-column code of shard `s` precedes every one of shard
-    /// `s + 1`. The tuple-sorted index is rebuilt from the per-shard
-    /// inverses: global tuple order is shard-major for the same reason.
-    fn merge_shards(
-        parts: Vec<SumDirectAccess>,
-        base: Arc<Snapshot>,
-    ) -> Result<(Self, Vec<u64>), BuildError> {
-        let mut clock = PhaseClock::start();
-        let n = parts.len();
-        let total = parts
-            .iter()
-            .try_fold(0usize, |acc, p| acc.checked_add(p.len))
-            .ok_or(BuildError::CountOverflow)?;
-        let arity = parts[0].cols.len();
-        let mut tuple_base = Vec::with_capacity(n);
-        let mut acc = 0usize;
-        for p in &parts {
-            tuple_base.push(acc);
-            acc += p.len;
-        }
-        // Per shard: weight-order position → local tuple-order position
-        // (the inverse of `by_tuple`).
-        let inv: Vec<Vec<u32>> = parts
-            .iter()
-            .map(|p| {
-                let mut v = vec![0u32; p.len];
-                for (j, &k) in p.by_tuple.iter().enumerate() {
-                    v[k as usize] = j as u32;
-                }
-                v
-            })
-            .collect();
-        let mut cols: Vec<Vec<u32>> = (0..arity).map(|_| Vec::with_capacity(total)).collect();
-        let mut weights: Vec<TotalF64> = Vec::with_capacity(total);
-        let mut by_tuple: Vec<u32> = vec![0; total];
-        let mut cur = vec![0usize; n];
-        for out_k in 0..total {
-            let mut best: Option<usize> = None;
-            for (s, p) in parts.iter().enumerate() {
-                if cur[s] < p.len
-                    && best.is_none_or(|b| p.weights[cur[s]] < parts[b].weights[cur[b]])
-                {
-                    best = Some(s);
-                }
-            }
-            let s = best.expect("total counts the unfinished cursors");
-            let i = cur[s];
-            cur[s] += 1;
-            for (c, pc) in cols.iter_mut().zip(parts[s].cols.iter()) {
-                c.push(pc[i]);
-            }
-            weights.push(parts[s].weights[i]);
-            by_tuple[tuple_base[s] + inv[s][i] as usize] = out_k as u32;
-        }
-        let rows = parts.iter().map(|p| p.len as u64).collect();
-        // Per-shard phase times summed, the merge counted as `dp`; the
-        // arena figures describe the one merged structure.
-        let mut cost = BuildCost::default();
-        for p in &parts {
-            cost.absorb(&p.cost);
-        }
-        cost.dp_ns += clock.lap();
-        cost.arena_entries = total as u64;
-        cost.arena_bytes = answer_bytes(total, arity);
-        Ok((
-            SumDirectAccess {
-                snap: base,
-                len: total,
-                cols,
-                weights,
-                by_tuple,
-                cost,
-            },
-            rows,
-        ))
-    }
-
-    /// The build pipeline behind every entry point (no fault trip —
-    /// callers trip [`fault::SITE_SUMDA_BUILD`] exactly once).
+    /// The build pipeline behind [`SumDirectAccess::build_on_budgeted`]
+    /// (no fault trip — the caller trips [`fault::SITE_SUMDA_BUILD`]
+    /// exactly once).
     fn build_inner(
         q: &Cq,
         snap: &Arc<Snapshot>,

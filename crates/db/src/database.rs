@@ -246,19 +246,6 @@ impl Database {
         crate::Snapshot::new(self)
     }
 
-    /// [`Database::freeze`] plus a range-partitioned view: the base
-    /// snapshot alongside its [`crate::ShardedSnapshot`] under `spec`.
-    /// See [`crate::Snapshot::freeze_sharded`].
-    pub fn freeze_sharded(
-        self,
-        spec: crate::ShardSpec,
-    ) -> (
-        std::sync::Arc<crate::Snapshot>,
-        std::sync::Arc<crate::ShardedSnapshot>,
-    ) {
-        crate::Snapshot::freeze_sharded(self, spec)
-    }
-
     /// Total number of tuples (the paper's `n`).
     pub fn size(&self) -> usize {
         self.relations.values().map(|r| r.len()).sum()

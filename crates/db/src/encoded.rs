@@ -542,38 +542,6 @@ impl EncodedRelation {
         }
     }
 
-    /// Range-partition the rows by their **leading** (column 0) code:
-    /// part `i` holds the rows whose leading code is in
-    /// `[bounds[i-1], bounds[i])` (with implicit `bounds[-1] = 0` and
-    /// `bounds[len] = ∞`), so `bounds.len() + 1` parts come back. The
-    /// relation must be normalized (sorted by full row), making every
-    /// part a contiguous row slice found by binary search — the
-    /// zero-copy-cheap partitioning step of sharded snapshots. An
-    /// arity-0 relation puts all rows in part 0. Not an encoding:
-    /// [`relation_encode_count`] does not move.
-    ///
-    /// # Panics
-    /// Panics when `bounds` is not non-decreasing.
-    pub fn leading_partition(&self, bounds: &[u32]) -> Vec<EncodedRelation> {
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "bounds unsorted");
-        if self.arity() == 0 {
-            let mut parts = vec![self.clone()];
-            parts.extend(bounds.iter().map(|_| EncodedRelation::new(0)));
-            return parts;
-        }
-        let lead = &self.cols[0];
-        debug_assert!(lead.windows(2).all(|w| w[0] <= w[1]), "not normalized");
-        let mut parts = Vec::with_capacity(bounds.len() + 1);
-        let mut lo = 0usize;
-        for &b in bounds {
-            let hi = lo + lead[lo..].partition_point(|&c| c < b);
-            parts.push(self.slice_rows(lo, hi));
-            lo = hi;
-        }
-        parts.push(self.slice_rows(lo, self.rows));
-        parts
-    }
-
     /// Keep rows whose code at `pos` lies in `[lo, hi)` (`hi = None`
     /// means unbounded above). When `pos` is the leading column of a
     /// normalized relation the surviving rows are one contiguous slice
@@ -701,38 +669,6 @@ mod tests {
                 assert_eq!(out.code(r, p), enc.code(r, p) + 1);
             }
         }
-    }
-
-    #[test]
-    fn leading_partition_splits_normalized_rows() {
-        let (_, mut enc) = setup();
-        enc.normalize(); // codes: (0,1),(0,2),(3,1)
-                         // No bounds: one part holding everything.
-        let parts = enc.leading_partition(&[]);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0], enc);
-        // Split between code 0 and code 3, plus an empty top part.
-        let parts = enc.leading_partition(&[1, 4]);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].len(), 2);
-        assert_eq!(parts[0].col(0), &[0, 0]);
-        assert_eq!(parts[1].len(), 1);
-        assert_eq!(parts[1].col(0), &[3]);
-        assert!(parts[2].is_empty());
-        // Duplicate bounds yield empty middle parts; totals preserved.
-        let parts = enc.leading_partition(&[1, 1, 1]);
-        assert_eq!(parts.iter().map(EncodedRelation::len).sum::<usize>(), 3);
-        assert!(parts[1].is_empty() && parts[2].is_empty());
-    }
-
-    #[test]
-    fn leading_partition_handles_arity_zero() {
-        let mut enc = EncodedRelation::new(0);
-        enc.push_row(&[]);
-        let parts = enc.leading_partition(&[5, 9]);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0].len(), 1);
-        assert!(parts[1].is_empty() && parts[2].is_empty());
     }
 
     #[test]

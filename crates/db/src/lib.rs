@@ -16,10 +16,9 @@
 pub mod database;
 pub mod dict;
 pub mod encoded;
-pub mod parallel;
+mod parallel;
 pub mod persist;
 pub mod relation;
-pub mod shard;
 pub mod snapshot;
 pub mod tuple;
 pub mod value;
@@ -31,7 +30,6 @@ pub use persist::{
     open_delta, open_snapshot, save_delta, save_snapshot, PersistError, SnapshotStore,
 };
 pub use relation::Relation;
-pub use shard::{ShardConfigError, ShardDirectory, ShardSpec, ShardedSnapshot};
 pub use snapshot::Snapshot;
 pub use tuple::Tuple;
 pub use value::Value;

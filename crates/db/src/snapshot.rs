@@ -19,8 +19,8 @@
 //! is the incremental path: it consults the database's
 //! [`MutationLog`](crate::database::MutationLog), extends the shared
 //! dictionary monotonically ([`Dictionary::extend`]), re-encodes **only
-//! the dirty relations** (fanning that work out over
-//! [`crate::parallel`] workers), and `Arc`-shares every clean
+//! the dirty relations** (fanning that work out over scoped worker
+//! threads), and `Arc`-shares every clean
 //! relation's existing encoding into the next [`Snapshot::generation`].
 //! Per-relation [`Snapshot::relation_version`]s record, for each
 //! relation, the generation that last changed it — the signal the
@@ -102,7 +102,12 @@ struct EncodedEntry {
 /// assert_eq!(next.generation(), 1);
 /// assert_eq!(next.encoded("R").unwrap().len(), 3);
 /// ```
-#[derive(Debug, Clone)]
+///
+/// `Snapshot` is deliberately not `Clone`: a [`Snapshot::uid`] names
+/// exactly one object, which is what cursors, the plan cache and
+/// [`Snapshot::descends_from`] rely on when they key on it. Share a
+/// snapshot through its [`Arc`]; a new generation gets a new uid.
+#[derive(Debug)]
 pub struct Snapshot {
     db: Database,
     dict: Arc<Dictionary>,
@@ -165,7 +170,7 @@ impl Snapshot {
     ///    stable; interior values rebase old codes through a monotone
     ///    remap.
     /// 2. **Dirty relations are re-encoded** — and *only* those, fanned
-    ///    out over [`crate::parallel`] workers. Clean relations keep
+    ///    out over scoped worker threads. Clean relations keep
     ///    their encoding `Arc` verbatim (stable codes) or receive a
     ///    pure integer gather ([`EncodedRelation::remapped`], rebase
     ///    case). Either way, [`crate::relation_encode_count`] moves by
@@ -269,44 +274,6 @@ impl Snapshot {
             uid: fresh_uid(),
             ancestry: Arc::new(ancestry),
         })
-    }
-
-    /// Freeze `db` and range-partition the result into `spec.resolve()`
-    /// shards in one step: the generation-0 entry point of the sharded
-    /// lineage. Returns the base snapshot (identical to what
-    /// [`Database::freeze`] would produce — same uid semantics, same
-    /// encode-once contract) alongside its sharded view. Roll both
-    /// forward with [`crate::ShardedSnapshot::freeze_delta`].
-    pub fn freeze_sharded(
-        db: Database,
-        spec: crate::ShardSpec,
-    ) -> (Arc<Snapshot>, Arc<crate::ShardedSnapshot>) {
-        let base = Snapshot::new(db);
-        let sharded = crate::ShardedSnapshot::freeze(&base, spec);
-        (base, sharded)
-    }
-
-    /// A restricted view of this snapshot: the same database,
-    /// dictionary, generation, **uid**, ancestry and per-relation
-    /// versions, with the listed relations' encodings replaced. The
-    /// zero-cost trick behind per-shard structure builds — a builder
-    /// handed such a view sees only one shard's rows of the overridden
-    /// relations, while everything identity-related (what cursors and
-    /// caches key on) is untouched. Overrides for names this snapshot
-    /// does not hold are ignored.
-    ///
-    /// Not an encoding: [`crate::relation_encode_count`] does not move.
-    pub fn with_encoding_overrides(
-        &self,
-        overrides: BTreeMap<String, Arc<EncodedRelation>>,
-    ) -> Arc<Snapshot> {
-        let mut view = self.clone();
-        for (name, rel) in overrides {
-            if let Some(entry) = view.encoded.get_mut(&name) {
-                entry.rel = rel;
-            }
-        }
-        Arc::new(view)
     }
 
     /// The value-level database the snapshot was frozen from.

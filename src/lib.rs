@@ -232,14 +232,10 @@ pub mod prelude {
     pub use rda_baseline::{all_answers, ranked_prefix, MaterializedAccess, RankedEnumerator};
     pub use rda_core::{
         AccessPlan, Backend, BuildBudget, BuildCost, BuildError, DirectAccess, Engine, Explain,
-        LexDirectAccess, OpenError, OrderSpec, PlanError, Policy, RankedAnswers, RankedStream,
-        SelectionLexHandle, SelectionSumHandle, ShardRouting, ShardedLexAccess, SumDirectAccess,
-        Weights, WindowBuf,
+        LexDirectAccess, OrderSpec, PlanError, Policy, RankedAnswers, RankedStream,
+        SelectionLexHandle, SelectionSumHandle, SumDirectAccess, Weights, WindowBuf,
     };
-    pub use rda_db::{
-        Database, PersistError, Relation, ShardConfigError, ShardDirectory, ShardSpec,
-        ShardedSnapshot, Snapshot, SnapshotStore, Tuple, Value,
-    };
+    pub use rda_db::{Database, PersistError, Relation, Snapshot, SnapshotStore, Tuple, Value};
     pub use rda_orderstat::TotalF64;
     pub use rda_query::classify::{classify, Problem, Reason, Verdict};
     pub use rda_query::parser::parse;

@@ -199,31 +199,17 @@ fn batches_on_materialized_and_ranked_enum_fallbacks() {
 /// in-range ranks ascending: one shared descent; anything else: one
 /// descent per rank — so both sides of that choice, and the sizes
 /// around it, must equal the per-rank definition on every native
-/// structure (the sharded one splits a batch into per-shard runs
-/// first).
+/// structure.
 #[test]
 fn batch_selection_matches_per_rank_access() {
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let snap = two_path_db().freeze();
     let lex =
         LexDirectAccess::build_on(&q, &snap, &q.vars(&["x", "y", "z"]), &FdSet::empty()).unwrap();
-    let sharded = Engine::with_shards(snap.clone(), ShardSpec::Forced(3))
-        .prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "y", "z"]),
-            &FdSet::empty(),
-            Policy::Reject,
-        )
-        .unwrap();
-    let RankedAnswers::ShardedLex(sharded) = sharded.answers() else {
-        panic!("a forced 3-shard engine routes lex orders to the sharded structure");
-    };
-    assert_eq!(sharded.shard_count(), 3);
     let qs = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
     let sum = SumDirectAccess::build_on(&qs, &snap, &Weights::identity(), &FdSet::empty()).unwrap();
 
-    let backends: [(&str, &dyn DirectAccess); 3] =
-        [("lex", &lex), ("sharded-lex", sharded), ("sum", &sum)];
+    let backends: [(&str, &dyn DirectAccess); 2] = [("lex", &lex), ("sum", &sum)];
     let mut buf = WindowBuf::new();
     for (label, da) in backends {
         let len = da.len();

@@ -196,45 +196,36 @@ fn rank_of_lower_bound_is_consistent_across_threads() {
             Policy::Reject,
         )
         .unwrap();
-    // `Lex` on a plain engine, `ShardedLex` under `RDA_FORCE_SHARDS`;
-    // the hammer below runs identically against either.
-    macro_rules! hammer_lower_bound {
-        ($da:ident) => {{
-            let probes: Vec<Tuple> = (0..$da.len())
-                .map(|k| $da.access(k).unwrap())
-                .chain((0..40i64).map(|i| {
-                    [
-                        Value::int(i % 9 - 1),
-                        Value::int((i * 3) % 11),
-                        Value::int(i % 31),
-                    ]
-                    .into_iter()
-                    .collect()
-                }))
-                .collect();
-            let oracle: Vec<Option<u64>> =
-                probes.iter().map(|t| $da.rank_of_lower_bound(t)).collect();
-            std::thread::scope(|s| {
-                for t in 0..THREADS {
-                    let (da, probes, oracle) = (&$da, &probes, &oracle);
-                    s.spawn(move || {
-                        for (i, probe) in probes.iter().enumerate().skip(t % 5) {
-                            assert_eq!(
-                                da.rank_of_lower_bound(probe),
-                                oracle[i],
-                                "thread {t} probe {probe}"
-                            );
-                        }
-                    });
+    let RankedAnswers::Lex(da) = plan.answers() else {
+        panic!("expected the native lex backend");
+    };
+    let probes: Vec<Tuple> = (0..da.len())
+        .map(|k| da.access(k).unwrap())
+        .chain((0..40i64).map(|i| {
+            [
+                Value::int(i % 9 - 1),
+                Value::int((i * 3) % 11),
+                Value::int(i % 31),
+            ]
+            .into_iter()
+            .collect()
+        }))
+        .collect();
+    let oracle: Vec<Option<u64>> = probes.iter().map(|t| da.rank_of_lower_bound(t)).collect();
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (probes, oracle) = (&probes, &oracle);
+            s.spawn(move || {
+                for (i, probe) in probes.iter().enumerate().skip(t % 5) {
+                    assert_eq!(
+                        da.rank_of_lower_bound(probe),
+                        oracle[i],
+                        "thread {t} probe {probe}"
+                    );
                 }
             });
-        }};
-    }
-    match plan.answers() {
-        RankedAnswers::Lex(da) => hammer_lower_bound!(da),
-        RankedAnswers::ShardedLex(da) => hammer_lower_bound!(da),
-        _ => panic!("expected the native lex backend"),
-    }
+        }
+    });
 }
 
 /// Concurrent `prepare` of the same key from many threads: everyone

@@ -362,134 +362,13 @@ fn max_variable_count_boundary() {
     }
 }
 
-// ─────────────────────── shard-boundary edges ───────────────────────
-
-/// Seven forced shards over a two-value domain: most shards own no
-/// rows at all, and the router must hop them invisibly on every
-/// surface.
+/// `top_k(0)`, zero-length pages, and empty batches through the plan
+/// facade: all legal, all empty.
 #[test]
-fn empty_shards_are_served_transparently() {
-    let q = parse("Q(x, y) :- R(x, y)").unwrap();
-    let db = Database::new().with_i64_rows("R", 2, vec![vec![1, 2], vec![2, 1]]);
-    let engine = Engine::with_shards(db.clone().freeze(), ShardSpec::Forced(7));
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "y"]),
-            &no_fds(),
-            Policy::Reject,
-        )
-        .unwrap();
-    let routing = plan.explain().routing().unwrap();
-    assert_eq!(routing.shards(), 7);
-    assert!(
-        (0..7).filter(|&s| routing.shard_rows(s) == 0).count() >= 5,
-        "a 2-value domain cannot populate 7 shards"
-    );
-    let oracle: Vec<Tuple> = MaterializedAccess::by_lex(&q, &db, &q.vars(&["x", "y"]))
-        .iter()
-        .collect();
-    assert_eq!(plan.access_range(0..plan.len()), oracle);
-    for (k, t) in oracle.iter().enumerate() {
-        assert_eq!(plan.access(k as u64).as_ref(), Some(t));
-        assert_eq!(plan.inverted_access(t), Some(k as u64));
-    }
-    assert_eq!(plan.access(plan.len()), None);
-    // Empty shards must also be hopped mid-batch.
-    assert_eq!(
-        plan.access_batch(&[1, 0, 1, 99]),
-        vec![oracle[1].clone(), oracle[0].clone(), oracle[1].clone(),]
-    );
-}
-
-/// Every row shares one leading value: a single code range holds the
-/// whole relation, every other shard is empty, and the answers are
-/// untouched by it.
-#[test]
-fn single_code_range_holding_all_rows() {
-    let q = parse("Q(x, y) :- R(x, y)").unwrap();
-    let db = Database::new().with_i64_rows("R", 2, (0..12i64).map(|i| vec![5, i]));
-    let engine = Engine::with_shards(db.clone().freeze(), ShardSpec::Forced(3));
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "y"]),
-            &no_fds(),
-            Policy::Reject,
-        )
-        .unwrap();
-    let routing = plan.explain().routing().unwrap();
-    assert_eq!(routing.shards(), 3);
-    assert_eq!(
-        (0..3).map(|s| routing.shard_rows(s)).max(),
-        Some(12),
-        "one shard owns every row"
-    );
-    let oracle: Vec<Tuple> = MaterializedAccess::by_lex(&q, &db, &q.vars(&["x", "y"]))
-        .iter()
-        .collect();
-    assert_eq!(plan.stream().collect::<Vec<Tuple>>(), oracle);
-    assert_eq!(plan.access_range(3..9), oracle[3..9]);
-}
-
-/// Ranks sitting exactly on a shard boundary: the first rank of a
-/// shard, the last rank of its predecessor, empty windows pinned at the
-/// cut, and a lower-bound probe landing precisely there.
-#[test]
-fn ranks_exactly_on_shard_boundaries() {
-    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
-    let db = Database::new()
-        .with_i64_rows("R", 2, (0..20i64).map(|i| vec![i % 10, i % 4]))
-        .with_i64_rows("S", 2, (0..20i64).map(|i| vec![i % 4, i % 6]));
-    let engine = Engine::with_shards(db.clone().freeze(), ShardSpec::Forced(3));
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "y", "z"]),
-            &no_fds(),
-            Policy::Reject,
-        )
-        .unwrap();
-    let oracle: Vec<Tuple> = MaterializedAccess::by_lex(&q, &db, &q.vars(&["x", "y", "z"]))
-        .iter()
-        .collect();
-    let routing = plan.explain().routing().unwrap().clone();
-    let len = plan.len();
-    let interior: Vec<u64> = routing.offsets()[1..routing.shards()]
-        .iter()
-        .copied()
-        .filter(|&b| b > 0 && b < len)
-        .collect();
-    assert!(
-        !interior.is_empty(),
-        "the join must actually straddle a cut"
-    );
-    let RankedAnswers::ShardedLex(da) = plan.answers() else {
-        panic!("expected the sharded lex backend");
-    };
-    for &b in &interior {
-        assert_eq!(plan.access(b).as_ref(), Some(&oracle[b as usize]));
-        assert_eq!(plan.access(b - 1).as_ref(), Some(&oracle[(b - 1) as usize]));
-        assert_eq!(plan.access_range(b..b), Vec::<Tuple>::new());
-        assert_eq!(
-            plan.access_range(b - 1..b + 1),
-            oracle[(b - 1) as usize..(b + 1) as usize]
-        );
-        // The first answer of the next shard is its own lower bound.
-        assert_eq!(da.rank_of_lower_bound(&oracle[b as usize]), Some(b));
-        // The cut really separates two shards: the ranks on each side
-        // of it route differently.
-        assert!(routing.shard_of(b).unwrap() > routing.shard_of(b - 1).unwrap());
-    }
-}
-
-/// `top_k(0)`, zero-length pages, and empty batches on a sharded plan:
-/// all legal, all empty, no shard is ever consulted.
-#[test]
-fn zero_sized_requests_on_sharded_plans() {
+fn zero_sized_requests_on_engine_plans() {
     let q = parse("Q(x, y) :- R(x, y)").unwrap();
     let db = Database::new().with_i64_rows("R", 2, (0..9i64).map(|i| vec![i, i % 3]));
-    let engine = Engine::with_shards(db.clone().freeze(), ShardSpec::Forced(3));
+    let engine = Engine::new(db.freeze());
     let plan = engine
         .prepare(
             &q,
@@ -505,43 +384,4 @@ fn zero_sized_requests_on_sharded_plans() {
     let mut buf = WindowBuf::new();
     assert_eq!(plan.window_into(2..2, &mut buf), 0);
     assert_eq!(plan.access_batch_into(&[], &mut buf), 0);
-}
-
-/// One window straddling three or more populated shards comes back as
-/// a single seamless page, equal to the per-rank oracle.
-#[test]
-fn pages_spanning_three_or_more_shards() {
-    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
-    let db = Database::new()
-        .with_i64_rows("R", 2, (0..40i64).map(|i| vec![i % 20, i % 5]))
-        .with_i64_rows("S", 2, (0..25i64).map(|i| vec![i % 5, i % 7]));
-    let engine = Engine::with_shards(db.clone().freeze(), ShardSpec::Forced(7));
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "y", "z"]),
-            &no_fds(),
-            Policy::Reject,
-        )
-        .unwrap();
-    let routing = plan.explain().routing().unwrap();
-    let populated = (0..routing.shards())
-        .filter(|&s| routing.shard_rows(s) > 0)
-        .count();
-    assert!(populated >= 4, "need ≥4 populated shards, got {populated}");
-    let oracle: Vec<Tuple> = MaterializedAccess::by_lex(&q, &db, &q.vars(&["x", "y", "z"]))
-        .iter()
-        .collect();
-    // From inside the first populated shard to inside the last: the
-    // window crosses every interior shard in one call.
-    let lo = 1u64;
-    let hi = plan.len() - 1;
-    assert_eq!(plan.access_range(lo..hi), oracle[lo as usize..hi as usize]);
-    let mut buf = WindowBuf::new();
-    assert_eq!(plan.window_into(lo..hi, &mut buf), hi - lo);
-    assert_eq!(buf.to_tuples(), oracle[lo as usize..hi as usize]);
-    // The same span as a batch, reversed, crossing shards backwards.
-    let ranks: Vec<u64> = (lo..hi).rev().collect();
-    let expect: Vec<Tuple> = ranks.iter().map(|&k| oracle[k as usize].clone()).collect();
-    assert_eq!(plan.access_batch(&ranks), expect);
 }

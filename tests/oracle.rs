@@ -102,14 +102,12 @@ fn oracle_sorted(q: &Cq, db: &Database, order: &[VarId], internal: &[VarId]) -> 
     answers
 }
 
-/// Engine-prepared native lex plans come back as `Lex` normally and as
-/// `ShardedLex` when `RDA_FORCE_SHARDS` shards the engine; both expose
-/// the same inherent API, so run one block against either.
+/// Run one block against the `LexDirectAccess` behind an
+/// engine-prepared native lex plan.
 macro_rules! native_lex {
     ($plan:expr, $da:ident => $body:block) => {
         match $plan.answers() {
             RankedAnswers::Lex($da) => $body,
-            RankedAnswers::ShardedLex($da) => $body,
             _ => panic!("expected the native lex backend, got {}", $plan.backend()),
         }
     };

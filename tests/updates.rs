@@ -122,13 +122,9 @@ fn verify_generation(db: &Database, engine: &Engine) {
     check_plan_against(&plan, &oracle, "lex-da");
 
     // rank_of_lower_bound (Remark 3) on answers and a probe grid, vs
-    // counting the strictly-smaller answers by hand. The plan is `Lex`
-    // on a plain engine and `ShardedLex` under `RDA_FORCE_SHARDS`; both
-    // expose the same probe API.
-    let lower_bound = |probe: &Tuple| match plan.answers() {
-        RankedAnswers::Lex(da) => da.rank_of_lower_bound(probe),
-        RankedAnswers::ShardedLex(da) => da.rank_of_lower_bound(probe),
-        _ => panic!("expected the native lex backend"),
+    // counting the strictly-smaller answers by hand.
+    let RankedAnswers::Lex(da) = plan.answers() else {
+        panic!("expected the native lex backend");
     };
     let probes = oracle
         .iter()
@@ -136,7 +132,11 @@ fn verify_generation(db: &Database, engine: &Engine) {
         .chain((-1..7).flat_map(|a| (0..7).map(move |b| t2(a, b).concat(&t1((a + b) % 5)))));
     for probe in probes {
         let expect = oracle.iter().filter(|t| **t < probe).count() as u64;
-        assert_eq!(lower_bound(&probe), Some(expect), "lower bound of {probe}");
+        assert_eq!(
+            da.rank_of_lower_bound(&probe),
+            Some(expect),
+            "lower bound of {probe}"
+        );
     }
 
     // Lazy lex selection on the trio-blocked order <x, z, y>.

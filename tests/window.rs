@@ -566,12 +566,6 @@ fn provided_methods_conform_on_every_backend() {
     let lex = RankedAnswers::Lex(LexDirectAccess::build_on(&q, &snap, &xyz, &no_fds).unwrap());
     conforms("lex", &lex, &by_xyz);
 
-    let sharded = ShardedSnapshot::freeze(&snap, ShardSpec::Forced(3));
-    let da = LexDirectAccess::build_on_sharded(&q, &sharded, &xyz, &no_fds, BuildBudget::UNLIMITED)
-        .unwrap();
-    assert_eq!(da.shard_count(), 3);
-    conforms("sharded-lex", &RankedAnswers::ShardedLex(da), &by_xyz);
-
     let qcov = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
     let sum = SumDirectAccess::build_on(&qcov, &snap, &Weights::identity(), &no_fds).unwrap();
     conforms(
