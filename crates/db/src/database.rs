@@ -20,17 +20,55 @@ pub struct RelationDelta {
     pub replaced: bool,
 }
 
-/// The per-relation mutation log: which relations changed — and
-/// roughly how — since this database was last frozen into a snapshot.
+/// One relation's log entry: the public counters, and the tuple
+/// operations they count.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Logged {
+    delta: RelationDelta,
+    /// `(tuple, present afterwards)` for every [`Database::insert_into`]
+    /// and every [`Database::delete_from`] that hit, in call order.
+    /// Complete while `delta.replaced` is unset, empty once it is set.
+    ops: Vec<(Tuple, bool)>,
+}
+
+impl Logged {
+    /// The log stops bounding the change: forget the operations.
+    fn replace(&mut self) {
+        self.delta.replaced = true;
+        self.ops = Vec::new();
+    }
+
+    /// Record one operation on a relation that now holds `len` tuples.
+    /// A list longer than the relation it describes bounds nothing (a
+    /// full re-encode reads fewer tuples), so it collapses to
+    /// `replaced` — which also keeps the log's memory within the data's.
+    fn record(&mut self, t: &Tuple, present: bool, len: usize) {
+        if self.delta.replaced {
+            return;
+        }
+        self.ops.push((t.clone(), present));
+        if self.ops.len() > len {
+            self.replace();
+        }
+    }
+}
+
+/// The per-relation mutation log: which relations changed — and how,
+/// tuple by tuple — since this database was last frozen into a
+/// snapshot.
 ///
-/// [`crate::Snapshot::freeze_delta`] consults the log to re-encode
-/// *only* the dirty relations; both freeze entry points clear it. The
-/// log is deliberately conservative: it may mark a relation dirty that
+/// [`crate::Snapshot::freeze_delta`] consults the log to touch *only*
+/// the dirty relations, and only their logged rows; both freeze entry
+/// points clear it. The log is deliberately conservative — it may
+/// over-report, never under-report: it may mark a relation dirty that
 /// ended up content-identical (e.g. an insert later deleted), but a
-/// relation it calls clean has provably not changed.
+/// relation it calls clean has provably not changed. At set level the
+/// net effect of the logged operations is *the last operation on a
+/// tuple wins*, so replaying one the frozen parent already reflects
+/// changes nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MutationLog {
-    dirty: BTreeMap<String, RelationDelta>,
+    dirty: BTreeMap<String, Logged>,
 }
 
 impl MutationLog {
@@ -56,10 +94,20 @@ impl MutationLog {
 
     /// The recorded delta for `name`, when it is dirty.
     pub fn delta(&self, name: &str) -> Option<&RelationDelta> {
-        self.dirty.get(name)
+        self.dirty.get(name).map(|e| &e.delta)
     }
 
-    fn entry(&mut self, name: &str) -> &mut RelationDelta {
+    /// The ordered `(tuple, present afterwards)` operations on `name`
+    /// since the last freeze — `None` when `name` is clean or its
+    /// change is not bounded by a list (`replaced`).
+    pub(crate) fn ops(&self, name: &str) -> Option<&[(Tuple, bool)]> {
+        self.dirty
+            .get(name)
+            .filter(|e| !e.delta.replaced)
+            .map(|e| &e.ops[..])
+    }
+
+    fn entry(&mut self, name: &str) -> &mut Logged {
         self.dirty.entry(name.to_string()).or_default()
     }
 
@@ -74,8 +122,8 @@ impl MutationLog {
 /// ([`Database::size`]). Unlike the paper's static instance, a
 /// [`Database`] is the *mutable source of truth* of the serving
 /// lifecycle: [`Database::insert_into`] / [`Database::delete_from`]
-/// record their targets in a [`MutationLog`] so that the next
-/// [`crate::Snapshot::freeze_delta`] call re-encodes only what changed.
+/// record their tuples in a [`MutationLog`] so that the next
+/// [`crate::Snapshot::freeze_delta`] call pays only for what changed.
 ///
 /// Equality compares relation contents only; the mutation log is
 /// bookkeeping, not data.
@@ -111,10 +159,15 @@ impl Database {
         Database::default()
     }
 
-    /// Copy-on-write mutable access to a relation known to exist.
-    fn make_mut(&mut self, name: &str, op: &str) -> &mut Relation {
+    /// Copy-on-write mutable access to a relation known to exist
+    /// (borrowing the relation map only, so callers can log beside it).
+    fn make_mut<'a>(
+        relations: &'a mut BTreeMap<String, std::sync::Arc<Relation>>,
+        name: &str,
+        op: &str,
+    ) -> &'a mut Relation {
         std::sync::Arc::make_mut(
-            self.relations
+            relations
                 .get_mut(name)
                 .unwrap_or_else(|| panic!("{op}: no relation named {name}")),
         )
@@ -124,7 +177,7 @@ impl Database {
     /// relation dirty in the mutation log (its previous encoding, if
     /// any, can no longer be reused).
     pub fn add(&mut self, relation: Relation) -> &mut Self {
-        self.log.entry(relation.name()).replaced = true;
+        self.log.entry(relation.name()).replace();
         self.relations
             .insert(relation.name().to_string(), std::sync::Arc::new(relation));
         self
@@ -147,44 +200,56 @@ impl Database {
     /// the borrow.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Relation> {
         if self.relations.contains_key(name) {
-            self.log.entry(name).replaced = true;
-            Some(self.make_mut(name, "get_mut"))
+            self.log.entry(name).replace();
+            Some(Self::make_mut(&mut self.relations, name, "get_mut"))
         } else {
             None
         }
     }
 
-    /// Append one tuple to the named relation, recording the insert in
-    /// the mutation log.
+    /// Append one tuple to the named relation, recording the insert —
+    /// and the tuple — in the mutation log.
     ///
     /// # Panics
     /// Panics if the relation does not exist (create it with
     /// [`Database::add`] first) or on arity mismatch.
     pub fn insert_into(&mut self, name: &str, t: Tuple) {
-        self.make_mut(name, "insert_into").insert(t);
-        self.log.entry(name).inserts += 1;
+        let rel = Self::make_mut(&mut self.relations, name, "insert_into");
+        rel.insert(t);
+        let entry = self.log.entry(name);
+        entry.delta.inserts += 1;
+        entry.record(&rel.tuples()[rel.len() - 1], true, rel.len());
     }
 
     /// Remove every occurrence of `t` from the named relation,
-    /// recording the deletion in the mutation log. Returns how many
-    /// occurrences were removed (0 when `t` was not present — which
-    /// leaves the relation clean).
+    /// recording the deletion — and the tuple — in the mutation log.
+    /// Returns how many occurrences were removed (0 when `t` was not
+    /// present — which leaves the relation clean).
     ///
     /// # Panics
     /// Panics if the relation does not exist.
     pub fn delete_from(&mut self, name: &str, t: &Tuple) -> u64 {
-        if self
+        let Some(first) = self
             .get(name)
             .unwrap_or_else(|| panic!("delete_from: no relation named {name}"))
             .tuples()
             .iter()
-            .all(|x| x != t)
-        {
+            .position(|x| x == t)
+        else {
             return 0; // miss: no copy-on-write, relation stays clean
-        }
-        let removed = self.make_mut(name, "delete_from").remove(t);
-        debug_assert!(removed > 0);
-        self.log.entry(name).deletes += removed;
+        };
+        let rel = Self::make_mut(&mut self.relations, name, "delete_from");
+        let before = rel.len();
+        // Nothing ahead of the first occurrence needs a second look.
+        let mut seen = 0;
+        rel.retain(|x| {
+            seen += 1;
+            seen <= first || x != t
+        });
+        let removed = (before - rel.len()) as u64;
+        let entry = self.log.entry(name);
+        entry.delta.deletes += removed;
+        entry.record(t, false, rel.len());
         removed
     }
 
@@ -223,7 +288,7 @@ impl Database {
     /// existed.
     pub fn remove(&mut self, name: &str) -> bool {
         if self.relations.contains_key(name) {
-            self.log.entry(name).replaced = true;
+            self.log.entry(name).replace();
         }
         self.relations.remove(name).is_some()
     }
@@ -369,6 +434,60 @@ mod tests {
         db2.clear_mutation_log();
         db2.add(Relation::from_tuples("S", 1, vec![tup![7]]));
         assert!(db2.mutation_log().delta("S").unwrap().replaced);
+    }
+
+    #[test]
+    fn operation_list_follows_the_calls_until_replaced_or_cleared() {
+        let mut db = Database::new().with_i64_rows("R", 1, vec![vec![1], vec![1], vec![2]]);
+        assert!(db.mutation_log().ops("R").is_none(), "`add` lists nothing");
+        db.clear_mutation_log();
+        assert!(db.mutation_log().ops("R").is_none(), "clean");
+
+        db.insert_into("R", tup![3]);
+        assert_eq!(db.delete_from("R", &tup![1]), 2, "both occurrences");
+        assert_eq!(db.delete_from("R", &tup![404]), 0, "a miss is not logged");
+        assert_eq!(
+            db.mutation_log().ops("R").unwrap(),
+            [(tup![3], true), (tup![1], false)]
+        );
+
+        db.get_mut("R").unwrap();
+        assert!(db.mutation_log().ops("R").is_none());
+        assert!(
+            db.log.dirty["R"].ops.is_empty(),
+            "`replaced` drops the list"
+        );
+        db.insert_into("R", tup![4]);
+        assert!(db.log.dirty["R"].ops.is_empty(), "and it stays dropped");
+        assert_eq!(db.mutation_log().delta("R").unwrap().inserts, 2);
+
+        db.clear_mutation_log();
+        assert!(db.mutation_log().is_empty());
+        assert!(db.mutation_log().delta("R").is_none());
+        db.insert_into("R", tup![5]);
+        assert_eq!(db.mutation_log().ops("R").unwrap(), [(tup![5], true)]);
+    }
+
+    #[test]
+    fn operation_list_longer_than_its_relation_collapses_to_replaced() {
+        let mut db = Database::new().with_i64_rows("R", 1, vec![vec![1], vec![2]]);
+        let snap = db.clone().freeze();
+        db.clear_mutation_log();
+        db.insert_into("R", tup![3]); // 1 operation, 3 tuples
+        assert_eq!(db.delete_from("R", &tup![1]), 1); // 2 operations, 2 tuples
+        assert_eq!(db.mutation_log().ops("R").unwrap().len(), 2);
+        assert_eq!(db.delete_from("R", &tup![2]), 1); // 3 operations, 1 tuple
+        assert!(db.mutation_log().ops("R").is_none());
+        let d = db.mutation_log().delta("R").unwrap();
+        assert_eq!((d.inserts, d.deletes, d.replaced), (1, 2, true));
+        db.insert_into("R", tup![0]);
+
+        // The next freeze re-encodes R, and serves what a rebuild does.
+        let next = snap.freeze_delta(&mut db);
+        let r = next.encoded("R").unwrap();
+        let rows: Vec<Tuple> = (0..r.len()).map(|i| r.decode_row(i, next.dict())).collect();
+        assert_eq!(rows, [tup![0], tup![3]]);
+        assert!(db.mutation_log().is_empty());
     }
 
     #[test]

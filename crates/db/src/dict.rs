@@ -164,8 +164,10 @@ impl Dictionary {
     ///   ([`crate::EncodedRelation::remapped`]) — never by re-encoding.
     ///
     /// Cost: O(|extra| log |extra| + m) — no re-sort of the old values
-    /// (they are merged, already ordered) and no re-hash of any
-    /// relation cell.
+    /// (they are merged, already ordered), no re-hash of any relation
+    /// cell and, on every arm, no re-hash of an old value: the code map
+    /// is copied as laid out (a rebase moves its codes through the
+    /// remap in place) and only `extra` is hashed into it.
     ///
     /// # Panics
     /// Panics if the union would exceed the `u32` code space.
@@ -194,9 +196,10 @@ impl Dictionary {
             return DictDelta::Extended(Dictionary { values, codes });
         }
         // Interior values: merge the two sorted runs and record where
-        // each old code moved.
+        // each old code moved and where each new value landed.
         let mut values: Vec<Value> = Vec::with_capacity(self.values.len() + add.len());
         let mut remap: Vec<u32> = Vec::with_capacity(self.values.len());
+        let mut added: Vec<u32> = Vec::with_capacity(add.len());
         let (mut i, mut j) = (0usize, 0usize);
         while i < self.values.len() || j < add.len() {
             let take_old = j >= add.len() || (i < self.values.len() && self.values[i] < add[j]);
@@ -205,15 +208,18 @@ impl Dictionary {
                 values.push(self.values[i].clone());
                 i += 1;
             } else {
+                added.push(values.len() as u32);
                 values.push(add[j].clone());
                 j += 1;
             }
         }
-        let codes = values
-            .iter()
-            .enumerate()
-            .map(|(c, v)| (v.clone(), c as u32))
-            .collect();
+        // The old map keeps its layout: every old code moves through
+        // the remap in place, and only the new values are hashed.
+        let mut codes = self.codes.clone();
+        for c in codes.values_mut() {
+            *c = remap[*c as usize];
+        }
+        codes.extend(add.into_iter().zip(added));
         DictDelta::Rebased {
             dict: Dictionary { values, codes },
             remap,

@@ -18,11 +18,13 @@ use std::cmp::Ordering;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
-/// Process-wide count of [`EncodedRelation::encode`] calls.
+/// Process-wide count of relation encodings produced.
 static ENCODE_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// How many relations have been dictionary-encoded in this process —
-/// one increment per [`EncodedRelation::encode`] call.
+/// one increment per encoding produced: an [`EncodedRelation::encode`]
+/// call, or a delta merge of logged rows into a parent encoding
+/// ([`Snapshot::freeze_delta`](crate::Snapshot::freeze_delta)).
 ///
 /// The encode-once contract of [`Database::freeze`](crate::Database::freeze)
 /// is stated in terms of this counter: freezing a database encodes each
@@ -231,6 +233,14 @@ fn merge_survivors<K: PackedKey>(
     }
 }
 
+/// Append `codes` to `out`, moved through `remap` when there is one.
+fn extend_remapped(out: &mut Vec<u32>, codes: &[u32], remap: Option<&[u32]>) {
+    match remap {
+        None => out.extend_from_slice(codes),
+        Some(m) => out.extend(codes.iter().map(|&c| m[c as usize])),
+    }
+}
+
 /// A dictionary-encoded relation in columnar (struct-of-arrays) layout.
 ///
 /// Row `r`'s attribute `p` lives at `col(p)[r]`. Operations mirror the
@@ -253,6 +263,12 @@ impl EncodedRelation {
     /// encode, so a miss is a logic error.
     pub fn encode(rel: &Relation, dict: &Dictionary) -> Self {
         ENCODE_CALLS.fetch_add(1, AtomicOrdering::Relaxed);
+        Self::encode_uncounted(rel, dict)
+    }
+
+    /// [`EncodedRelation::encode`] without the count: the encoding
+    /// itself, and the reference debug builds hold every delta merge to.
+    pub(crate) fn encode_uncounted(rel: &Relation, dict: &Dictionary) -> Self {
         let arity = rel.arity();
         let mut cols: Vec<Vec<u32>> = (0..arity).map(|_| Vec::with_capacity(rel.len())).collect();
         for t in rel.tuples() {
@@ -521,6 +537,96 @@ impl EncodedRelation {
                 .iter()
                 .map(|c| Column::from(c.iter().map(|&x| remap[x as usize]).collect::<Vec<u32>>()))
                 .collect(),
+        }
+    }
+
+    /// The normalized encoding of this (normalized, arity ≥ 1) relation
+    /// after a batch of row operations, under a dictionary that may
+    /// have been rebased in between — the delta-freeze merge.
+    ///
+    /// `rows` holds the operations' code rows under the *new*
+    /// dictionary, row-major, strictly ascending; `present[j]` says
+    /// whether row `j` ends up in the relation (an insert) or out of it
+    /// (a delete). `remap` is the rebase remap for this relation's own
+    /// codes, `None` when they are still valid. Inserting a row already
+    /// here and deleting one that is not are no-ops.
+    ///
+    /// Each operation is placed by binary search; the columns are then
+    /// walked once — remapped while they are copied, whatever kind of
+    /// column holds them — dropping deleted rows and splicing inserted
+    /// ones. O(m log n) comparisons for m operations plus one copy of
+    /// the n rows; no value is hashed. Counts as one encoding in
+    /// [`relation_encode_count`]: it stands in for re-encoding the
+    /// relation.
+    pub(crate) fn merged(
+        &self,
+        remap: Option<&[u32]>,
+        rows: &[u32],
+        present: &[bool],
+    ) -> EncodedRelation {
+        ENCODE_CALLS.fetch_add(1, AtomicOrdering::Relaxed);
+        let arity = self.arity();
+        assert!(arity > 0, "a merge needs a column to order by");
+        assert_eq!(rows.len(), present.len() * arity, "arity mismatch");
+        debug_assert!(rows
+            .chunks(arity)
+            .zip(rows.chunks(arity).skip(1))
+            .all(|(a, b)| a < b));
+        let code = |c: u32| remap.map_or(c, |m| m[c as usize]);
+        let cmp_row = |r: usize, op: &[u32]| {
+            (0..arity)
+                .map(|p| code(self.cols[p][r]).cmp(&op[p]))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+
+        // Where each effective operation lands: `(row, Some(j))` splices
+        // operation `j` in before parent row `row`, `(row, None)` drops
+        // parent row `row`. Operations ascend, so do their positions.
+        let mut edits: Vec<(usize, Option<usize>)> = Vec::new();
+        let mut lo = 0;
+        for (j, op) in rows.chunks(arity).enumerate() {
+            let (mut a, mut b) = (lo, self.rows);
+            while a < b {
+                let mid = a + (b - a) / 2;
+                if cmp_row(mid, op).is_lt() {
+                    a = mid + 1;
+                } else {
+                    b = mid;
+                }
+            }
+            lo = a;
+            let here = a < self.rows && cmp_row(a, op).is_eq();
+            match (present[j], here) {
+                (true, false) => edits.push((a, Some(j))),
+                (false, true) => edits.push((a, None)),
+                _ => {}
+            }
+        }
+
+        let spliced = edits.iter().filter(|e| e.1.is_some()).count();
+        let dropped = edits.len() - spliced;
+        let out_rows = self.rows + spliced - dropped;
+        let cols = (0..arity)
+            .map(|p| {
+                let src = &*self.cols[p];
+                let mut out: Vec<u32> = Vec::with_capacity(out_rows);
+                let mut at = 0;
+                for &(row, splice) in &edits {
+                    extend_remapped(&mut out, &src[at..row], remap);
+                    at = row;
+                    match splice {
+                        Some(j) => out.push(rows[j * arity + p]),
+                        None => at += 1,
+                    }
+                }
+                extend_remapped(&mut out, &src[at..], remap);
+                Column::from(out)
+            })
+            .collect();
+        EncodedRelation {
+            rows: out_rows,
+            cols,
         }
     }
 
@@ -866,6 +972,120 @@ mod tests {
         if keep.len() == rows_a.len() {
             // Nothing removed: nothing copied.
             assert_eq!(mapped_columns(&joined), mapped_columns(a), "{what}");
+        }
+    }
+
+    /// `parent`, normalized, merged with `ops` (new-code rows and
+    /// whether each ends up present) under `remap` — against the same
+    /// edit made on a set of rows.
+    fn check_merge(
+        arity: usize,
+        parent: &Rows,
+        ops: &[(Vec<u32>, bool)],
+        remap: Option<&[u32]>,
+        what: &str,
+    ) {
+        let mut base = relation_of(arity, parent);
+        base.normalize();
+        let mut model: BTreeSet<Vec<u32>> = rows_of(&base)
+            .into_iter()
+            .map(|r| {
+                r.into_iter()
+                    .map(|c| remap.map_or(c, |m| m[c as usize]))
+                    .collect()
+            })
+            .collect();
+        // The caller's contract: ascending, one operation per row.
+        let ops: std::collections::BTreeMap<&Vec<u32>, bool> =
+            ops.iter().map(|(row, present)| (row, *present)).collect();
+        let unchanged = ops.iter().all(|(row, &p)| model.contains(*row) == p);
+        for (row, &present) in &ops {
+            if present {
+                model.insert((*row).clone());
+            } else {
+                model.remove(*row);
+            }
+        }
+        let flat: Vec<u32> = ops.keys().flat_map(|row| row.iter().copied()).collect();
+        let present: Vec<bool> = ops.values().copied().collect();
+        let merged = base.merged(remap, &flat, &present);
+        assert_eq!(
+            rows_of(&merged),
+            model.into_iter().collect::<Rows>(),
+            "{what}"
+        );
+        assert_eq!(merged.arity(), arity, "{what}");
+        if unchanged && remap.is_none() {
+            assert_eq!(merged, base, "{what}: nothing to do");
+        }
+    }
+
+    #[test]
+    fn merged_edits_like_a_set() {
+        let rows: Rows = vec![vec![1, 5], vec![1, 2], vec![6, 2]];
+        let ops = [(vec![3, 1], true), (vec![0, 9], true), (vec![4, 4], false)];
+        check_merge(2, &Vec::new(), &ops, None, "empty parent");
+        let ops: Vec<_> = rows.iter().map(|r| (r.clone(), false)).collect();
+        check_merge(2, &rows, &ops, None, "every row deleted");
+        let ops = [(vec![1, 2], true), (vec![1, 3], false), (vec![9, 9], false)];
+        check_merge(2, &rows, &ops, None, "present insert, absent deletes");
+        check_merge(2, &rows, &[], None, "no operations");
+
+        // Arity 1: edits ahead of, inside and past the parent's rows.
+        let ops = [
+            (vec![0], true),
+            (vec![4], false),
+            (vec![5], true),
+            (vec![9], true),
+        ];
+        check_merge(1, &vec![vec![2], vec![4], vec![6]], &ops, None, "arity 1");
+
+        // Arity 3 under a rebase that opens a gap above every old code
+        // (c → 2c + 1): the parent is (1,3,5), (1,3,7), (15,1,1).
+        let remap: Vec<u32> = (0..8).map(|c| 2 * c + 1).collect();
+        let parent = vec![vec![0, 1, 2], vec![0, 1, 3], vec![7, 0, 0]];
+        let ops = [
+            (vec![0, 0, 0], true),   // ahead of everything
+            (vec![1, 3, 6], true),   // into the gap
+            (vec![1, 3, 7], false),  // a row that is there
+            (vec![15, 1, 1], true),  // already there
+            (vec![15, 1, 2], false), // never there
+        ];
+        check_merge(3, &parent, &ops, Some(&remap), "arity 3, rebased");
+        check_merge(3, &parent, &[], Some(&remap), "rebase only");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Random parents (arity 1–4, the three code universes), random
+        /// operations — half of them aimed at rows the parent holds —
+        /// with and without a gap-opening remap.
+        #[test]
+        fn merged_matches_the_set_model(case in 0u64..u64::MAX) {
+            let mut draw = Draw::new(case);
+            let arity = 1 + draw.below(4);
+            let parent = draw.rows(arity);
+            let remap: Option<Vec<u32>> = (draw.below(2) == 0).then(|| {
+                let top = parent.iter().flatten().max().map_or(0, |&c| c + 1);
+                (0..top).map(|c| 2 * c + 1).collect()
+            });
+            let fresh = draw.rows(arity);
+            let ops: Vec<(Vec<u32>, bool)> = fresh
+                .into_iter()
+                .map(|row| {
+                    let row = if parent.is_empty() || draw.below(2) == 0 {
+                        row
+                    } else {
+                        parent[draw.below(parent.len())]
+                            .iter()
+                            .map(|&c| remap.as_ref().map_or(c, |m| m[c as usize]))
+                            .collect()
+                    };
+                    (row, draw.below(2) == 0)
+                })
+                .collect();
+            check_merge(arity, &parent, &ops, remap.as_deref(), &format!("case {case}"));
         }
     }
 

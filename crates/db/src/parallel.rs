@@ -49,8 +49,8 @@ where
 /// Map `f` over a slice's items, positionally — [`map_indexed`] for
 /// callers holding the inputs in a slice. Used by
 /// [`Snapshot::freeze_delta`](crate::Snapshot::freeze_delta) to fan the
-/// re-encoding work out over exactly the *dirty* relation set (the
-/// clean ones never enter the slice).
+/// merge-or-re-encode work out over exactly the *dirty* relation set
+/// (the clean ones never enter the slice).
 pub(crate) fn map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -556,12 +556,19 @@ pub fn save_delta(
     // Fresh values: interned by the child, unknown to the parent. The
     // replay re-runs `Dictionary::extend` on exactly this set, which
     // deterministically reproduces the child's code space (and remap).
+    // Both dictionaries list their values ascending: one merge walk.
+    let (old, mut at) = (parent.dict(), 0u32);
     let fresh: Vec<&Value> = (0..child.dict().len() as u32)
         .map(|c| child.dict().value(c))
-        .filter(|v| parent.dict().code(v).is_none())
+        .filter(|v| {
+            while (at as usize) < old.len() && old.value(at) < *v {
+                at += 1;
+            }
+            (at as usize) == old.len() || old.value(at) != *v
+        })
         .collect();
 
-    // A relation is dirty iff this very generation re-encoded it.
+    // A relation is dirty iff this very generation encoded it.
     let mut dirty: Vec<&str> = Vec::new();
     let mut carried: Vec<&str> = Vec::new();
     for r in child.database().relations() {

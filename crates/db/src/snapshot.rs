@@ -18,23 +18,25 @@
 //! would re-intern the whole active domain. [`Snapshot::freeze_delta`]
 //! is the incremental path: it consults the database's
 //! [`MutationLog`](crate::database::MutationLog), extends the shared
-//! dictionary monotonically ([`Dictionary::extend`]), re-encodes **only
-//! the dirty relations** (fanning that work out over scoped worker
-//! threads), and `Arc`-shares every clean
+//! dictionary monotonically ([`Dictionary::extend`]), **merges the
+//! logged rows into the dirty relations' parent columns** — re-encoding
+//! only a relation the log calls replaced (fanning that work out over
+//! scoped worker threads) — and `Arc`-shares every clean
 //! relation's existing encoding into the next [`Snapshot::generation`].
 //! Per-relation [`Snapshot::relation_version`]s record, for each
 //! relation, the generation that last changed it — the signal the
 //! engine uses to carry prepared plans across generations.
 //!
 //! The process-wide counter [`crate::relation_encode_count`] records
-//! every relation encoding — the hook the encode-once contract (and its
-//! delta extension: *clean relations are never re-encoded*) is tested
-//! against.
+//! every relation encoding produced, by `encode` or by a delta merge —
+//! the hook the encode-once contract (and its delta extension: *clean
+//! relations are never re-encoded*) is tested against.
 
 use crate::database::Database;
 use crate::dict::{DictDelta, Dictionary};
 use crate::encoded::EncodedRelation;
 use crate::relation::Relation;
+use crate::tuple::Tuple;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,7 +97,7 @@ struct EncodedEntry {
 /// assert_eq!(snap.encoded("R").unwrap().len(), 2);
 ///
 /// // Mutate a kept copy of the database and freeze the delta: a new
-/// // generation, re-encoding only what changed.
+/// // generation, paying only for what changed.
 /// let mut db = snap.database().clone();
 /// db.insert_into("R", rda_db::tup![7, 7]);
 /// let next = snap.freeze_delta(&mut db);
@@ -119,6 +121,35 @@ pub struct Snapshot {
     uid: u64,
     /// The uids of every ancestor, base freeze first.
     ancestry: Arc<Vec<u64>>,
+}
+
+/// A dirty relation whose change the mutation log bounds: the parent
+/// encoding to merge into, and the log's net effect per tuple (`true`
+/// = present afterwards), ascending.
+struct LoggedRows<'a> {
+    parent: &'a EncodedRelation,
+    net: BTreeMap<&'a Tuple, bool>,
+}
+
+impl LoggedRows<'_> {
+    /// The relation's encoding under `dict`: the net rows encoded and
+    /// merged into the parent's columns (rebased through `remap`).
+    fn merged(&self, dict: &Dictionary, remap: Option<&[u32]>) -> EncodedRelation {
+        let mut rows = Vec::with_capacity(self.net.len() * self.parent.arity());
+        let mut present = Vec::with_capacity(self.net.len());
+        let mut codes = Vec::new();
+        for (t, &p) in &self.net {
+            if dict.encode_tuple_into(t, &mut codes) {
+                rows.extend_from_slice(&codes);
+                present.push(p);
+            } else {
+                // Only a deleted tuple may hold a value the dictionary
+                // lacks — and then the parent never held the tuple.
+                assert!(!p, "dictionary covers the relation");
+            }
+        }
+        self.parent.merged(remap, &rows, &present)
+    }
 }
 
 impl Snapshot {
@@ -160,21 +191,32 @@ impl Snapshot {
     /// `db` must be the database `self` was frozen from plus the
     /// mutations its [`MutationLog`](crate::database::MutationLog)
     /// records (the log is cleared on return, re-baselining `db` to the
-    /// returned snapshot). Three incremental moves replace the full
+    /// returned snapshot). The log may over-report, never under-report:
+    /// the net effect of a relation's logged operations is *the last
+    /// one on each tuple wins*, so replaying an operation `self`
+    /// already reflects changes nothing, while a change the log missed
+    /// would be served stale. Three incremental moves replace the full
     /// freeze:
     ///
-    /// 1. **Dictionary extension** ([`Dictionary::extend`]): only the
-    ///    dirty relations are scanned for unseen values. If nothing new
-    ///    appeared the dictionary `Arc` itself is shared; values past
-    ///    the top of the domain are appended with existing codes kept
-    ///    stable; interior values rebase old codes through a monotone
-    ///    remap.
-    /// 2. **Dirty relations are re-encoded** — and *only* those, fanned
-    ///    out over scoped worker threads. Clean relations keep
-    ///    their encoding `Arc` verbatim (stable codes) or receive a
-    ///    pure integer gather ([`EncodedRelation::remapped`], rebase
-    ///    case). Either way, [`crate::relation_encode_count`] moves by
-    ///    exactly the number of dirty relations.
+    /// 1. **Dictionary extension** ([`Dictionary::extend`]): unseen
+    ///    values are looked for only where a dirty relation can have
+    ///    gained one — its logged inserts that survived the batch, or
+    ///    every tuple of a relation the log calls replaced. If nothing
+    ///    new appeared the dictionary `Arc` itself is shared; values
+    ///    past the top of the domain are appended with existing codes
+    ///    kept stable; interior values rebase old codes through a
+    ///    monotone remap.
+    /// 2. **Dirty relations are merged** — and *only* those, fanned
+    ///    out over scoped worker threads: the net logged rows are
+    ///    encoded, and one walk over the parent's columns rebases them,
+    ///    drops the deleted rows and splices the inserted ones. A dirty
+    ///    relation the log cannot bound (replaced, new since `self`,
+    ///    arity 0) is re-encoded and normalized instead; debug builds
+    ///    hold every merge to that result. Clean relations keep their
+    ///    encoding `Arc` verbatim (stable codes) or receive a pure
+    ///    integer gather ([`EncodedRelation::remapped`], rebase case).
+    ///    Either way, [`crate::relation_encode_count`] moves by exactly
+    ///    the number of dirty relations.
     /// 3. **Versions roll forward**: dirty relations get
     ///    [`Snapshot::relation_version`] == the new generation, clean
     ///    ones inherit theirs — so a cache can prove "this query's
@@ -190,22 +232,46 @@ impl Snapshot {
         let generation = self.generation + 1;
         // Dirty = mutated since `self`, or absent from `self` entirely
         // (a relation added after the freeze has no encoding to reuse).
-        let dirty: Vec<&Relation> = db
+        // A dirty relation merges when the log lists its operations and
+        // `self` holds an encoding to merge them into.
+        let log = db.mutation_log();
+        let dirty: Vec<(&Relation, Option<LoggedRows>)> = db
             .relations()
-            .filter(|r| {
-                db.mutation_log().is_dirty(r.name()) || !self.encoded.contains_key(r.name())
+            .filter(|r| log.is_dirty(r.name()) || !self.encoded.contains_key(r.name()))
+            .map(|r| {
+                let logged = log
+                    .ops(r.name())
+                    .zip(self.encoded(r.name()))
+                    .filter(|(_, parent)| r.arity() > 0 && parent.arity() == r.arity())
+                    .map(|(ops, parent)| {
+                        // Last operation per tuple wins; tuple order is
+                        // code-row order under any dictionary.
+                        let mut net = BTreeMap::new();
+                        for (t, present) in ops {
+                            net.insert(t, *present);
+                        }
+                        LoggedRows { parent, net }
+                    });
+                (r, logged)
             })
             .collect();
-        // Unseen domain values can only hide in dirty relations.
-        // Deduplicate while scanning so a value repeated across a
-        // million cells is cloned once, not once per occurrence.
+        // Unseen domain values can only hide in what a dirty relation
+        // gained: its net-present logged tuples, or — unlogged — any of
+        // its tuples. Deduplicate while scanning so a value repeated
+        // across a million cells is cloned once, not once per
+        // occurrence.
         let mut fresh: std::collections::BTreeSet<crate::Value> = std::collections::BTreeSet::new();
-        for v in dirty
-            .iter()
-            .flat_map(|r| r.tuples().iter().flat_map(|t| t.iter()))
-        {
-            if self.dict.code(v).is_none() && !fresh.contains(v) {
-                fresh.insert(v.clone());
+        let mut scan = |t: &Tuple| {
+            for v in t.iter() {
+                if self.dict.code(v).is_none() && !fresh.contains(v) {
+                    fresh.insert(v.clone());
+                }
+            }
+        };
+        for (r, logged) in &dirty {
+            match logged {
+                Some(l) => l.net.iter().filter(|(_, &p)| p).for_each(|(t, _)| scan(t)),
+                None => r.tuples().iter().for_each(&mut scan),
             }
         }
         let (dict, remap) = match self.dict.extend(fresh) {
@@ -214,15 +280,30 @@ impl Snapshot {
             DictDelta::Rebased { dict, remap } => (Arc::new(dict), Some(remap)),
         };
 
-        // Re-encode exactly the dirty set, in parallel.
-        let encoded_dirty: Vec<EncodedRelation> = crate::parallel::map(&dirty, |r| {
-            let mut enc = r.encode(&dict);
-            enc.normalize();
-            enc
-        });
+        // One encoding per dirty relation, in parallel: a merge of the
+        // logged rows, or a re-encode of the whole relation.
+        let encoded_dirty: Vec<EncodedRelation> =
+            crate::parallel::map(&dirty, |(r, logged)| match logged {
+                Some(l) => {
+                    let merged = l.merged(&dict, remap.as_deref());
+                    // Debug builds hold every merge to the other arm.
+                    #[cfg(debug_assertions)]
+                    {
+                        let mut full = EncodedRelation::encode_uncounted(r, &dict);
+                        full.normalize();
+                        assert_eq!(merged, full, "delta merge of {}", r.name());
+                    }
+                    merged
+                }
+                None => {
+                    let mut enc = r.encode(&dict);
+                    enc.normalize();
+                    enc
+                }
+            });
         let mut encoded: BTreeMap<String, EncodedEntry> = dirty
             .iter()
-            .map(|r| r.name().to_string())
+            .map(|(r, _)| r.name().to_string())
             .zip(encoded_dirty.into_iter().map(|rel| EncodedEntry {
                 rel: Arc::new(rel),
                 version: generation,
@@ -253,26 +334,13 @@ impl Snapshot {
         }
 
         db.clear_mutation_log();
-        // Record lineage for cross-generation plan reuse. Uids are
-        // assigned in chain order, so the vec stays sorted ascending
-        // (binary-searchable); it is also bounded: beyond
-        // `MAX_ANCESTRY` generations the oldest ancestors are
-        // forgotten, which can only make `descends_from` — and
-        // therefore plan carry-forward — conservatively say "no" for
-        // plans that many generations stale.
-        let mut ancestry = (*self.ancestry).clone();
-        ancestry.push(self.uid);
-        if ancestry.len() > MAX_ANCESTRY {
-            let excess = ancestry.len() - MAX_ANCESTRY;
-            ancestry.drain(..excess);
-        }
         Arc::new(Snapshot {
             db: db.clone(),
             dict,
             encoded,
             generation,
             uid: fresh_uid(),
-            ancestry: Arc::new(ancestry),
+            ancestry: Arc::new(self.child_ancestry()),
         })
     }
 
@@ -556,6 +624,55 @@ mod tests {
         assert!(s2.encoded("S").is_none(), "dropped relations don't carry");
         assert_eq!(s2.relation_count(), 2);
         assert_eq!(s2.dict().code(&Value::int(100)), Some(5));
+    }
+
+    /// A writer resuming after a restart merges its first batches into
+    /// columns that are views of the store's files: the same batches
+    /// must produce the same generations as in the process that never
+    /// stopped.
+    #[test]
+    fn delta_merge_reads_a_mapped_parent() {
+        let dir = std::env::temp_dir().join(format!("rda-merge-mapped-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let live = snap();
+        let store = crate::SnapshotStore::create(&dir, &live).unwrap();
+        let cold = store.load();
+        let _ = std::fs::remove_dir_all(&dir);
+        let (mut live, mut cold) = (live, cold.unwrap());
+
+        let batches: [&[(&str, Tuple, bool)]; 3] = [
+            // Interior value: a rebase, with a delete beside it.
+            &[("R", tup![4, 4], true), ("R", tup![1, 2], false)],
+            // Known values only: the dictionary is shared.
+            &[("R", tup![6, 2], false), ("S", tup![5, 3], false)],
+            // Past the top: an append; S refills from empty.
+            &[("S", tup![9, 9], true), ("R", tup![1, 5], true)],
+        ];
+        let mut live_db = live.database().clone();
+        let mut cold_db = cold.database().clone();
+        for batch in batches {
+            for (name, t, present) in batch {
+                for db in [&mut live_db, &mut cold_db] {
+                    if *present {
+                        db.insert_into(name, t.clone());
+                    } else {
+                        assert!(db.delete_from(name, t) > 0);
+                    }
+                }
+            }
+            live = live.freeze_delta(&mut live_db);
+            cold = cold.freeze_delta(&mut cold_db);
+            assert_eq!(cold.dict().len(), live.dict().len());
+            for c in 0..live.dict().len() as u32 {
+                assert_eq!(cold.dict().value(c), live.dict().value(c));
+            }
+            for name in ["R", "S"] {
+                assert_eq!(cold.encoded(name), live.encoded(name), "{name}");
+                assert_eq!(cold.relation_version(name), live.relation_version(name));
+            }
+        }
+        assert_eq!(live.encoded("R").unwrap().len(), 2);
+        assert_eq!(live.encoded("S").unwrap().len(), 1);
     }
 
     #[test]

@@ -138,7 +138,8 @@
 //! and [`delete_from`](prelude::Database::delete_from) record a
 //! per-relation mutation log — and roll the served state forward
 //! incrementally: [`Snapshot::freeze_delta`](prelude::Snapshot::freeze_delta)
-//! re-encodes **only the dirty relations** (clean encodings are
+//! merges the logged rows into the dirty relations' parent columns and
+//! re-encodes **only what was replaced** (clean encodings are
 //! `Arc`-shared into the next generation) and
 //! [`Engine::advance`](prelude::Engine::advance) swaps the served
 //! snapshot atomically, carrying cached plans whose relations did not
