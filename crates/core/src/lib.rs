@@ -30,8 +30,8 @@
 //! and per-bucket rank directories, and the access hot paths perform no
 //! heap allocation (see the `lexda`/`sumda` module docs). The pre-arena
 //! hash-bucketed implementation survives as
-//! [`reference::HashLexDirectAccess`] for differential testing and
-//! benchmarking.
+//! [`reference::HashLexDirectAccess`], the oracle of the differential
+//! tests.
 //!
 //! ## The front door
 //!
@@ -80,7 +80,6 @@ pub mod reference;
 pub mod snapprep;
 pub mod sumda;
 pub mod sumsel;
-pub mod tupleweights;
 pub mod weights;
 pub mod window;
 
@@ -97,6 +96,5 @@ pub use plan::{
 pub use random_order::{Quantiles, RandomOrderEnumerator};
 pub use reference::HashLexDirectAccess;
 pub use sumda::SumDirectAccess;
-pub use tupleweights::{selection_sum_tw, SumDirectAccessTw, TupleWeights};
 pub use weights::Weights;
 pub use window::{RankedStream, WindowBuf, DEFAULT_STREAM_BATCH};

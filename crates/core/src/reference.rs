@@ -1,15 +1,11 @@
-//! The pre-arena lexicographic access structure, kept as a baseline.
+//! The pre-arena lexicographic access structure, kept as an oracle.
 //!
 //! This is the implementation [`crate::LexDirectAccess`] had before the
 //! dictionary-encoded arena layout: per-layer `HashMap<Tuple, Bucket>`
 //! with `(Value, weight, start)` entries, key tuples allocated and
-//! hashed on every layer descent. It is retained verbatim for two jobs:
-//!
-//! * **differential testing** — `tests/oracle.rs` checks the arena
-//!   structure against it answer-for-answer on randomized instances;
-//! * **benchmarking** — the `access` experiment of `rda-bench` measures
-//!   old-vs-new on identical workloads and records both in
-//!   `BENCH_access.json`.
+//! hashed on every layer descent. It is retained verbatim for one job,
+//! differential testing: `tests/oracle.rs` checks the arena structure
+//! against it answer-for-answer on randomized instances.
 //!
 //! It is not part of the supported API surface and keeps the pre-PR
 //! behavior, including saturating (unchecked) weight arithmetic. Apart

@@ -80,11 +80,6 @@ const TAG_CARRY: u32 = 7;
 const HEADER_LEN: usize = 32;
 const SECTION_HEADER_LEN: usize = 24;
 
-/// Cap on [`Value::Pair`] nesting accepted from a file (honest
-/// dictionaries are nowhere near it; a forged file cannot recurse the
-/// parser off the stack).
-const MAX_VALUE_DEPTH: u32 = 64;
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -404,11 +399,6 @@ fn push_value(out: &mut Vec<u8>, v: &Value) {
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
         }
-        Value::Pair(p) => {
-            out.push(2);
-            push_value(out, &p.0);
-            push_value(out, &p.1);
-        }
     }
 }
 
@@ -672,10 +662,7 @@ impl<'a> Rd<'a> {
             .map_err(|_| PersistError::Corrupt("relation name is not UTF-8"))
     }
 
-    fn value(&mut self, depth: u32) -> Result<Value, PersistError> {
-        if depth > MAX_VALUE_DEPTH {
-            return Err(PersistError::Corrupt("value nesting too deep"));
-        }
+    fn value(&mut self) -> Result<Value, PersistError> {
         match self.u8()? {
             0 => Ok(Value::Int(i64::from_le_bytes(
                 self.take(8)?.try_into().unwrap(),
@@ -686,11 +673,6 @@ impl<'a> Rd<'a> {
                 let s = std::str::from_utf8(bytes)
                     .map_err(|_| PersistError::Corrupt("string value is not UTF-8"))?;
                 Ok(Value::str(s))
-            }
-            2 => {
-                let a = self.value(depth + 1)?;
-                let b = self.value(depth + 1)?;
-                Ok(Value::pair(a, b))
             }
             _ => Err(PersistError::Corrupt("unknown value tag")),
         }
@@ -941,7 +923,7 @@ pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Arc<Snapshot>, PersistErr
     let mut r = Rd::new(dict_sec.payload, "dictionary");
     let mut values = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
-        values.push(r.value(0)?);
+        values.push(r.value()?);
     }
     r.done()?;
     if values.windows(2).any(|w| w[0] >= w[1]) {
@@ -1010,7 +992,7 @@ pub fn open_delta(
     let mut r = Rd::new(dvals.payload, "delta dictionary extension");
     let mut fresh = Vec::with_capacity(fresh_count.min(1 << 20));
     for _ in 0..fresh_count {
-        fresh.push(r.value(0)?);
+        fresh.push(r.value()?);
     }
     r.done()?;
 

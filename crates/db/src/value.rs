@@ -11,18 +11,13 @@ use std::sync::Arc;
 /// A single domain value.
 ///
 /// `Str` uses `Arc<str>` so that cloning values while projecting and
-/// bucketing relations is O(1) and allocation-free. `Pair` packs two
-/// values into one — the variable-absorption step of query contraction
-/// (paper Lemma 7.7) replaces a value of `u` by the pair `(u, v)` when
-/// variable `v` is absorbed by `u`.
+/// bucketing relations is O(1) and allocation-free.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// An integer constant.
     Int(i64),
     /// A string constant (cheaply clonable).
     Str(Arc<str>),
-    /// A packed pair of values (cheaply clonable).
-    Pair(Arc<(Value, Value)>),
 }
 
 impl Value {
@@ -34,19 +29,6 @@ impl Value {
     /// Build an integer value.
     pub const fn int(i: i64) -> Self {
         Value::Int(i)
-    }
-
-    /// Pack two values into one.
-    pub fn pair(a: Value, b: Value) -> Self {
-        Value::Pair(Arc::new((a, b)))
-    }
-
-    /// The packed components, if this is a [`Value::Pair`].
-    pub fn as_pair(&self) -> Option<(&Value, &Value)> {
-        match self {
-            Value::Pair(p) => Some((&p.0, &p.1)),
-            _ => None,
-        }
     }
 
     /// The integer payload, if this is an [`Value::Int`].
@@ -71,7 +53,6 @@ impl fmt::Display for Value {
         match self {
             Value::Int(i) => write!(f, "{i}"),
             Value::Str(s) => write!(f, "{s}"),
-            Value::Pair(p) => write!(f, "({}, {})", p.0, p.1),
         }
     }
 }
@@ -133,17 +114,6 @@ mod tests {
     fn display_formats_payload() {
         assert_eq!(Value::int(5).to_string(), "5");
         assert_eq!(Value::str("boston").to_string(), "boston");
-    }
-
-    #[test]
-    fn pair_packs_and_unpacks() {
-        let p = Value::pair(Value::int(1), Value::str("a"));
-        assert_eq!(p.as_pair(), Some((&Value::int(1), &Value::str("a"))));
-        assert_eq!(p.to_string(), "(1, a)");
-        assert!(Value::str("zzz") < p, "pairs sort after strings");
-        assert!(
-            Value::pair(Value::int(1), Value::int(2)) < Value::pair(Value::int(2), Value::int(0))
-        );
     }
 
     #[test]

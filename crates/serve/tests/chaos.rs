@@ -7,12 +7,15 @@
 //! The fault registry is process-global, so every test here takes the
 //! `SERIAL` lock for its whole body.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rda_core::{BuildBudget, BuildError, DirectAccess, Engine, OrderSpec, PlanError, Policy};
 use rda_db::{Database, Snapshot, Tuple, Value};
 use rda_query::parser::parse;
 use rda_query::{Cq, FdSet};
 use rda_serve::fault::{self, FaultAction, FaultPlan};
-use rda_serve::{RetryPolicy, ServeError, Server, ServerConfig};
+use rda_serve::{RetryPolicy, ServeError, Server, ServerConfig, Token};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -358,6 +361,175 @@ fn retry_policy_repairs_stale_cursors_on_the_fresh_sequence() {
     match bare.stream_next(&token, 5) {
         Err(ServeError::CursorStale(_)) => {}
         other => panic!("expected CursorStale without repair, got {other:?}"),
+    }
+}
+
+/// The fault storm: three retrying clients page zipfian-popular
+/// requests while a seeded [`FaultPlan`] panics both build kernels, the
+/// prepare entry and in-flight pages, and writes alternately dirty the
+/// join input `S` (live join cursors go stale and are repaired) and
+/// `T`, which no request reads. Every fault must be absorbed: every
+/// client finishes, no error surfaces, and afterwards every request's
+/// served sequence equals a fresh single-threaded oracle on the final
+/// snapshot.
+///
+/// The writer is paced by client progress, not by a clock: whichever
+/// client completes the storm's every `PAGES_PER_BATCH`-th page lands
+/// the next batch while the other two keep paging, `BATCHES` in all.
+/// So no interleaving can exhaust a call's retries — an attempt fails
+/// only when a scheduled fault fires (each at most once, process-wide)
+/// or when the cursor went stale since the call's last prepare (at
+/// most once per batch), and `max_attempts` is one more than scheduled
+/// faults + `BATCHES`. Admission cannot shed: three clients, two
+/// slots, a queue of 64.
+#[test]
+fn fault_storm_is_absorbed_by_retrying_clients() {
+    const CLIENTS: usize = 3;
+    const PAGES_PER_CLIENT: usize = 60;
+    const TOTAL_PAGES: u64 = (CLIENTS * PAGES_PER_CLIENT) as u64;
+    const BATCHES: u64 = 10;
+    const PAGES_PER_BATCH: u64 = 16;
+    const ROWS: i64 = 600;
+    let _s = serial();
+    quiet_injected_panics();
+
+    let mut db = Database::new()
+        .with_i64_rows("R", 2, (0..ROWS).map(|i| vec![i % 211, i % 101]))
+        .with_i64_rows("S", 2, (0..ROWS).map(|i| vec![i % 101, (i * 7) % 151]))
+        .with_i64_rows("T", 2, (0..ROWS).map(|i| vec![i % 97, i % 89]))
+        .with_i64_rows("U", 2, (0..ROWS).map(|i| vec![i % 61, i % 53]));
+    let engine = Arc::new(Engine::new(db.clone().freeze()));
+    db.clear_mutation_log();
+    let db = Mutex::new(db);
+    let server = Server::new(Arc::clone(&engine), ServerConfig::default());
+
+    let jq = join_q();
+    let sq = scan_q();
+    let specs: Vec<(&Cq, OrderSpec)> = vec![
+        (&jq, OrderSpec::lex(&jq, &["x", "y", "z"])),
+        (&jq, OrderSpec::lex(&jq, &["y", "x", "z"])),
+        (&sq, OrderSpec::sum_by_value()),
+        (&sq, OrderSpec::lex(&sq, &["a", "b"])),
+    ];
+    // Spec 0 is the hot request, the tail is cold.
+    let weights: Vec<f64> = (1..=specs.len())
+        .map(|k| 1.0 / (k as f64).powf(1.2))
+        .collect();
+    let zipf = |rng: &mut StdRng| -> usize {
+        let mut u = rng.random_f64() * weights.iter().sum::<f64>();
+        weights
+            .iter()
+            .position(|w| {
+                let hit = u < *w;
+                u -= w;
+                hit
+            })
+            .unwrap_or(specs.len() - 1)
+    };
+
+    // The explicit entries guarantee the first builds and an early
+    // page panic; the seeded ones spread the rest over the first half
+    // of the storm. The seed names the whole schedule.
+    let plan = FaultPlan::seeded(0xC4A0_5EED)
+        .inject(fault::SITE_LEXDA_BUILD, 0, FaultAction::Panic)
+        .inject(fault::SITE_SUMDA_BUILD, 0, FaultAction::Panic)
+        .inject(fault::SITE_SERVE_PAGE, 1, FaultAction::Panic)
+        .inject_seeded(
+            fault::SITE_SERVE_PAGE,
+            (TOTAL_PAGES / 40) as usize,
+            TOTAL_PAGES / 2,
+            FaultAction::Panic,
+        )
+        .inject_seeded(
+            fault::SITE_ENGINE_PREPARE,
+            (TOTAL_PAGES / 60) as usize,
+            TOTAL_PAGES / 2,
+            FaultAction::Panic,
+        );
+    let max_attempts = plan.len() as u32 + BATCHES as u32 + 1;
+    let guard = fault::install(plan);
+
+    let pages_done = AtomicU64::new(0);
+    let unrecovered: Mutex<Vec<ServeError>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let (server, engine, db, specs, zipf) = (&server, &engine, &db, &specs, &zipf);
+            let (pages_done, unrecovered) = (&pages_done, &unrecovered);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0xC4A0 + c as u64);
+                let mut session = server.session();
+                session.set_retry_policy(RetryPolicy {
+                    max_attempts,
+                    base_backoff: Duration::from_micros(200),
+                    max_backoff: Duration::from_millis(5),
+                    seed: 0xBEEF ^ c as u64,
+                    ..RetryPolicy::default()
+                });
+                let mut cursors: Vec<Option<Token>> = vec![None; specs.len()];
+                for _ in 0..PAGES_PER_CLIENT {
+                    let i = zipf(&mut rng);
+                    let (q, order) = &specs[i];
+                    let token = match cursors[i].take() {
+                        Some(token) => Ok(token),
+                        None => session
+                            .prepare(q, order.clone(), &FdSet::empty(), Policy::Reject)
+                            .map(|prepared| prepared.token),
+                    };
+                    let len = rng.random_range(8..64u64);
+                    match token.and_then(|token| session.stream_next(&token, len)) {
+                        Ok(page) => cursors[i] = page.next,
+                        Err(e) => unrecovered.lock().unwrap().push(e),
+                    }
+                    // Whoever completes the storm's every 16th page is
+                    // the writer for one batch.
+                    let done = pages_done.fetch_add(1, Ordering::Relaxed) + 1;
+                    if done % PAGES_PER_BATCH == 0 && done / PAGES_PER_BATCH <= BATCHES {
+                        let mut db = db.lock().unwrap();
+                        let batch = engine.snapshot().generation() as i64 + 1;
+                        if batch % 2 == 1 {
+                            db.insert_into("S", tup(batch % 101, batch % 151));
+                        } else {
+                            db.insert_into("T", tup(batch % 97, batch % 89));
+                        }
+                        engine.advance_delta(&mut db);
+                    }
+                }
+            });
+        }
+    });
+    drop(guard);
+
+    assert_eq!(
+        pages_done.load(Ordering::Relaxed),
+        TOTAL_PAGES,
+        "every client session must finish"
+    );
+    assert_eq!(
+        unrecovered.into_inner().unwrap(),
+        vec![],
+        "retry policies must absorb the whole schedule"
+    );
+    assert!(server.stats().panics_caught > 0, "the storm never fired");
+
+    // The storm left no corruption behind.
+    let final_snap = engine.snapshot();
+    for (q, order) in &specs {
+        let expected = oracle(&final_snap, q, order.clone());
+        let mut session = server.session();
+        let mut token = session
+            .prepare(q, order.clone(), &FdSet::empty(), Policy::Reject)
+            .expect("post-storm prepare")
+            .token;
+        let mut got = Vec::new();
+        loop {
+            let page = session.stream_next(&token, 512).expect("post-storm page");
+            got.extend(session.rows().to_tuples());
+            match page.next {
+                Some(next) => token = next,
+                None => break,
+            }
+        }
+        assert_eq!(got, expected, "post-storm sequence diverged from oracle");
     }
 }
 

@@ -10,7 +10,7 @@ use rda_core::{DirectAccess, Engine, OrderSpec, Policy};
 use rda_db::{Database, Snapshot, Tuple, Value};
 use rda_query::parser::parse;
 use rda_query::{Cq, FdSet};
-use rda_serve::{ServeError, Server, ServerConfig, StaleReason, Token};
+use rda_serve::{RetryPolicy, ServeError, Server, ServerConfig, StaleReason, Token};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
@@ -246,16 +246,19 @@ fn paged_random_access_matches_oracle_slices() {
     }
 }
 
-/// Deterministic load shedding: with the workers paused, the pool can
-/// hold exactly `queue_limit + workers` requests (each worker parks on
-/// at most one). Once `admitted` shows the pool saturated, every
-/// further submission must be rejected with the typed `Overloaded`
-/// error — and after `resume`, everything admitted completes.
-#[test]
-fn full_admission_queue_rejects_with_typed_overloaded() {
-    const WORKERS: usize = 2;
-    const QUEUE: usize = 3;
-    let db = service_db(30);
+const WORKERS: usize = 2;
+const QUEUE: usize = 3;
+
+/// Runs `body` against a paused server that holds exactly
+/// `QUEUE + WORKERS` parked requests (each worker parks on at most one;
+/// each filler retries until admitted), so every further submission
+/// fails immediately and deterministically. `body` gets the server, a
+/// join cursor with at least 32 answers, and `release`, which resumes
+/// the server and waits until everything admitted has completed; it is
+/// called on `body`'s return if `body` did not. Everything admitted
+/// must complete.
+fn saturated(body: impl FnOnce(&Server, &Token, &dyn Fn())) {
+    let db = service_db(60);
     let engine = Arc::new(Engine::new(db.freeze()));
     let server = Server::new(
         Arc::clone(&engine),
@@ -266,8 +269,8 @@ fn full_admission_queue_rejects_with_typed_overloaded() {
         },
     );
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
-    let mut session = server.session();
-    let prepared = session
+    let prepared = server
+        .session()
         .prepare(
             &q,
             OrderSpec::lex(&q, &["x", "y", "z"]),
@@ -275,14 +278,13 @@ fn full_admission_queue_rejects_with_typed_overloaded() {
             Policy::Reject,
         )
         .unwrap();
+    assert!(prepared.len >= 32, "workload too small for a full page");
     let admitted_before = server.stats().admitted;
 
     server.pause();
-    let capacity = (QUEUE + WORKERS) as u64;
+    let capacity = QUEUE + WORKERS;
     let outcomes: Mutex<Vec<Result<u64, ServeError>>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
-        // Saturate: each filler retries until admitted, so exactly
-        // `capacity` requests end up parked in the pool.
         for _ in 0..capacity {
             let (server, outcomes) = (&server, &outcomes);
             let token = prepared.token.clone();
@@ -299,31 +301,78 @@ fn full_admission_queue_rejects_with_typed_overloaded() {
                 }
             });
         }
-        while server.stats().admitted - admitted_before < capacity {
+        while server.stats().admitted - admitted_before < capacity as u64 {
             std::thread::yield_now();
         }
-        // Paused and saturated: the queue is full and stays full, so
-        // these submissions fail immediately and deterministically.
+        let release = || {
+            server.resume();
+            while outcomes.lock().unwrap().len() < capacity {
+                std::thread::yield_now();
+            }
+        };
+        // A failed assertion in `body` must fail the test, not leave the
+        // fillers parked and the scope waiting for them.
+        struct ResumeOnDrop<'a>(&'a Server);
+        impl Drop for ResumeOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.resume();
+            }
+        }
+        let _resume = ResumeOnDrop(&server);
+        body(&server, &prepared.token, &release);
+        release();
+    });
+    assert_eq!(
+        outcomes.into_inner().unwrap(),
+        vec![Ok(2); capacity],
+        "admitted requests must complete after resume"
+    );
+}
+
+/// Deterministic load shedding: once `admitted` shows the pool
+/// saturated, every further submission must be rejected with the typed
+/// `Overloaded` error — and after `resume`, everything admitted
+/// completes.
+#[test]
+fn full_admission_queue_rejects_with_typed_overloaded() {
+    saturated(|server, token, _release| {
         for _ in 0..2 {
-            let err = server
-                .session()
-                .stream_next(&prepared.token, 2)
-                .unwrap_err();
+            let err = server.session().stream_next(token, 2).unwrap_err();
             assert_eq!(err, ServeError::Overloaded { queue_limit: QUEUE });
         }
-        server.resume();
+        assert!(server.stats().overloaded >= 2);
     });
+}
 
-    let outcomes = outcomes.into_inner().unwrap();
-    assert_eq!(outcomes.len(), capacity as usize);
-    for outcome in outcomes {
+/// Degradation end to end: a session with `degrade_after: 1` that
+/// meets the same saturated server exhausts its retries on typed
+/// `Overloaded` replies and digs one halving per rejection; once the
+/// pressure lifts it is served a shortened page (`32 >> shift` rows)
+/// instead of failing.
+#[test]
+fn degrading_session_is_served_a_shorter_page() {
+    saturated(|server, token, release| {
+        let mut degrading = server.session();
+        degrading.set_retry_policy(RetryPolicy {
+            max_attempts: 4,
+            base_backoff: Duration::from_micros(100),
+            max_backoff: Duration::from_millis(1),
+            degrade_after: 1,
+            ..RetryPolicy::default()
+        });
         assert_eq!(
-            outcome,
-            Ok(2),
-            "admitted requests must complete after resume"
+            degrading.page(token, 0, 32).unwrap_err(),
+            ServeError::Overloaded { queue_limit: QUEUE }
         );
-    }
-    assert!(server.stats().overloaded >= 2);
+        let shift = degrading.degrade_shift();
+        assert!(shift > 0, "sustained overload must degrade");
+
+        // Asking while the parked fillers still fill the queue would be
+        // one more overload and one more halving.
+        release();
+        let page = degrading.page(token, 0, 32).unwrap();
+        assert_eq!(page.rows, 32 >> shift);
+    });
 }
 
 /// A request whose deadline has already passed when a worker picks it

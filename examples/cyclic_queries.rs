@@ -78,12 +78,10 @@ fn main() {
         );
     }
 
-    let start = std::time::Instant::now();
     let (da, _) = lex_direct_access_decomposed(&q, &db, &q.vars(&["x", "y", "z"])).unwrap();
     println!(
-        "\ndirect access over {} triangles built in {:.1} ms (incl. materialization)",
-        da.len(),
-        start.elapsed().as_secs_f64() * 1e3
+        "\ndirect access over {} triangles built (incl. materialization)",
+        da.len()
     );
     if !da.is_empty() {
         println!("first triangle: {}", da.access(0).unwrap());

@@ -17,7 +17,7 @@ fn main() {
     )
     .unwrap();
 
-    // A small synthetic instance (see rda-bench for large generators).
+    // A small synthetic instance (see `examples/experiments.rs` for large generators).
     let people = [
         ("anna", 72, "boston"),
         ("bob", 33, "boston"),

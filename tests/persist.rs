@@ -408,7 +408,7 @@ fn degenerate_snapshots_round_trip() {
     assert_snapshot_eq(&empty, &open_snapshot(&path).unwrap(), "empty database");
 
     // An empty relation plus every value shape the wire format speaks:
-    // extreme ints, empty and non-ASCII strings, nested pairs.
+    // extreme ints, empty and non-ASCII strings.
     let mut db = Database::new();
     db.add(Relation::new("E", 3));
     db.add(Relation::from_tuples(
@@ -419,15 +419,6 @@ fn degenerate_snapshots_round_trip() {
             [Value::int(i64::MAX), Value::str("déjà vu ☂")]
                 .into_iter()
                 .collect(),
-            [
-                Value::pair(
-                    Value::str("k"),
-                    Value::pair(Value::int(-1), Value::str("v")),
-                ),
-                Value::int(0),
-            ]
-            .into_iter()
-            .collect(),
         ],
     ));
     let snap = db.freeze();
@@ -578,4 +569,45 @@ fn corrupted_files_fail_typed_and_never_panic() {
         ),
         "creating a store over an existing base"
     );
+}
+
+/// The format's section checksum (FNV-1a over little-endian `u64`
+/// words, zero-padded tail, length-finalized), for forging sections
+/// that pass it.
+fn section_checksum(payload: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for chunk in payload.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(PRIME);
+    }
+    (h ^ payload.len() as u64).wrapping_mul(PRIME)
+}
+
+/// A value tag the format does not have (2 — no build of this
+/// repository ever wrote it), forged *with* a matching section checksum
+/// so the parser itself must refuse it. The dictionary is the second
+/// section; its payload opens with the first value's tag.
+#[test]
+fn forged_value_tag_fails_typed() {
+    let _g = guard();
+    let td = TempDir::new("forged-tag");
+    let path = td.file("victim.rdas");
+    save_snapshot(&seed_db().freeze(), &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+
+    let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+    let dict_header = 56 + (u64_at(40) as usize).next_multiple_of(8);
+    let dict_payload = dict_header + 24;
+    let dict_end = dict_payload + u64_at(dict_header + 8) as usize;
+    assert!(bytes[dict_payload] <= 1, "a value tag");
+    bytes[dict_payload] = 2;
+    let sum = section_checksum(&bytes[dict_payload..dict_end]);
+    bytes[dict_header + 16..dict_payload].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        open_snapshot(&path).unwrap_err(),
+        PersistError::Corrupt("unknown value tag")
+    ));
 }
