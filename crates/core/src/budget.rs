@@ -127,12 +127,12 @@ impl BudgetMeter {
 ///
 /// The phases follow the pipeline of [`lexda`](crate::lexda):
 /// `prep` is normalization plus FD checks and extension, `reduce` the
-/// free-connex-to-full reduction, `layers` the per-layer projection,
-/// assigned-edge semijoins and the layered full reducer, `sort` the
-/// bucket sorts, `dp` the counting DP that fills the arenas. The
+/// free-connex-to-full reduction (one full reducer over the query's
+/// join tree), `layers` one projection per layer, `sort` the bucket
+/// sorts, `dp` the counting DP that fills the arenas. The
 /// [`sumda`](crate::sumda) build maps onto the same rows: `reduce` is
-/// its full reducer, `layers` the covering-atom projection, `sort` the
-/// weighing and weight sort, `dp` the answer-column materialization.
+/// the same full reducer, `layers` the covering-atom projection, `sort`
+/// the weighing and weight sort, `dp` the answer-column materialization.
 /// A selection handle reports its constructor: `prep` and `reduce` as
 /// above, then `dp` (the counting pass of a lex handle) or `sort`
 /// (contraction, weighing and bucket sort of a sum handle); its entries

@@ -164,8 +164,8 @@ pub(crate) fn pair_mut<T>(xs: &mut [T], target: usize, source: usize) -> (&mut T
 
 /// The one operation the full reducer needs from a relation
 /// representation — implemented by both the value-level [`Relation`]
-/// and the code-level [`EncodedRelation`], so the Yannakakis traversal
-/// exists exactly once.
+/// and the copy-on-write code-level [`EncodedRelation`], so the
+/// Yannakakis traversal exists exactly once.
 pub(crate) trait SemijoinTarget {
     /// Keep tuples of `self` whose key (at `self_keys`) appears in
     /// `other` (at `other_keys`).
@@ -173,12 +173,6 @@ pub(crate) trait SemijoinTarget {
 }
 
 impl SemijoinTarget for Relation {
-    fn semijoin_on(&mut self, self_keys: &[usize], other: &Self, other_keys: &[usize]) {
-        self.semijoin(self_keys, other, other_keys);
-    }
-}
-
-impl SemijoinTarget for EncodedRelation {
     fn semijoin_on(&mut self, self_keys: &[usize], other: &Self, other_keys: &[usize]) {
         self.semijoin(self_keys, other, other_keys);
     }

@@ -7,23 +7,24 @@
 //! 2. apply the FD-extension to query, order, and instance
 //!    (Definitions 8.2/8.13, Lemma 8.5) — identity without FDs;
 //! 3. reduce the free-connex query to a full acyclic query over its free
-//!    variables (Proposition 2.3 / Lemma 3.10);
+//!    variables (Proposition 2.3 / Lemma 3.10) — the build's one
+//!    Yannakakis pass, over the query's own join tree;
 //! 4. complete the partial order (Lemma 4.4) and build the layered join
 //!    tree (Definition 3.4 / Lemma 3.9);
-//! 5. over the snapshot's order-preserving dictionary codes,
-//!    materialize one encoded relation per layer, remove dangling
-//!    tuples (Yannakakis), bucket by the preceding variables, order
-//!    each bucket by the layer variable, and run the counting DP
-//!    (Figure 4). Codes are dense ranks, and every kernel of this step
-//!    leans on that: single-column semijoins test a membership bitmap,
-//!    wider ones merge packed integer keys, projections and bucket
-//!    orders first check — in one linear scan — whether the rows
-//!    already ascend (snapshot relations arrive normalized, so they
-//!    mostly do) and sort packed `(key, row)` words only when not, and
-//!    the DP links a row to its child bucket through a dense
-//!    `code → bucket` table when the child's bucket key is one
-//!    variable. What each phase cost is kept on the structure
-//!    ([`LexDirectAccess::build_cost`]);
+//! 5. over the snapshot's order-preserving dictionary codes, project
+//!    each layer from its defining edge (the reduced instance is
+//!    globally consistent, so no layer needs another semijoin), bucket
+//!    by the preceding variables, order each bucket by the layer
+//!    variable, and run the counting DP (Figure 4). Codes are dense
+//!    ranks, and every kernel of the build leans on that: single-column
+//!    semijoins test a membership bitmap, wider ones merge packed
+//!    integer keys, projections and bucket orders first check — in one
+//!    linear scan — whether the rows already ascend (snapshot relations
+//!    arrive normalized, so they mostly do) and sort packed
+//!    `(key, row)` words only when not, and the DP links a row to its
+//!    child bucket through a dense `code → bucket` table when the
+//!    child's bucket key is one variable. What each phase cost is kept
+//!    on the structure ([`LexDirectAccess::build_cost`]);
 //! 6. answer accesses with Algorithm 1 (binary search per layer) and
 //!    inverted/next-answer accesses with Algorithm 2 / Remark 3.
 //!
@@ -47,7 +48,7 @@
 use crate::budget::{BudgetMeter, BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::fault;
-use crate::instance::{full_reduce, positions_of, sorted_vars};
+use crate::instance::{positions_of, sorted_vars};
 use crate::plan::DirectAccess;
 use crate::rankdir::{self, NO_DIR};
 use crate::snapprep::{
@@ -59,7 +60,6 @@ use rda_db::{Database, Dictionary, EncodedRelation, Snapshot, Tuple, Value};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::connex::complete_order;
 use rda_query::fd::{fd_extension, fd_reordered_order, ExtensionStep, FdSet};
-use rda_query::jointree::{JoinTree, NodeSource};
 use rda_query::layered::layered_join_tree;
 use rda_query::query::Cq;
 use rda_query::VarId;
@@ -320,10 +320,10 @@ fn layer_sort_keys(vars: &[VarId], layer_var: VarId) -> Vec<usize> {
 
 /// Steps 1–5a of [`LexDirectAccess::build_on`]: classify, then run the
 /// whole preparation — normalization, FD checks and extension, the
-/// free-connex-to-full reduction, order completion, layer
-/// materialization, dangling-tuple removal, and bucket sorting —
-/// in the snapshot's code space. No relation is re-encoded: the only
-/// encoding happened at [`Database::freeze`] time.
+/// free-connex-to-full reduction (the build's only dangling-tuple
+/// removal), order completion, one projection per layer, and bucket
+/// sorting — in the snapshot's code space. No relation is re-encoded:
+/// the only encoding happened at [`Database::freeze`] time.
 ///
 /// The per-layer stages run one after another on the calling thread:
 /// a layer costs tens to hundreds of microseconds on the benchmark
@@ -358,7 +358,7 @@ pub(crate) fn prepare_layers(
     let derivations = build_derivations_encoded(&ext, &rels)?;
     cost.prep_ns = clock.lap();
 
-    let red = reduce_to_full_encoded(&qp, &rels)
+    let red = reduce_to_full_encoded(&qp, rels)
         .expect("classification guarantees the extension is free-connex");
     cost.reduce_ns = clock.lap();
 
@@ -380,11 +380,11 @@ pub(crate) fn prepare_layers(
         });
     }
 
-    // Layered join tree over the reduced full query; materialize one
-    // encoded relation per layer: project the defining edge, then
-    // semijoin-filter by every assigned edge — all in code space.
-    let enc_atoms = &red.rels;
-    let edges: Vec<_> = red.query.atoms().iter().map(|a| a.var_set()).collect();
+    // Layered join tree over the reduced, globally consistent full
+    // query: a layer is the projection of its defining edge, no semijoin
+    // could remove a row, and every tuple has positive weight (Figure 4).
+    let atoms = red.query.atoms();
+    let edges: Vec<_> = atoms.iter().map(|a| a.var_set()).collect();
     let layered = layered_join_tree(&edges, &order)
         .expect("Lemma 3.10: the reduction preserves trio-freeness");
     let f = order.len();
@@ -395,35 +395,10 @@ pub(crate) fn prepare_layers(
         .collect();
     let mut enc_layers: Vec<EncodedRelation> = (0..f)
         .map(|i| {
-            let node = &layered.layers[i];
-            let vars = &layer_vars[i];
-            let def = &red.query.atoms()[node.defining_edge];
-            let mut rel = enc_atoms[node.defining_edge].project(&positions_of(&def.terms, vars));
-            for &e in &node.assigned_edges {
-                let atom = &red.query.atoms()[e];
-                let e_vars = sorted_vars(atom.var_set());
-                let self_keys = positions_of(vars, &e_vars);
-                let other_keys = positions_of(&atom.terms, &e_vars);
-                rel.semijoin(&self_keys, &enc_atoms[e], &other_keys);
-            }
-            rel
+            let e = layered.layers[i].defining_edge;
+            red.rels[e].project(&positions_of(&atoms[e].terms, &layer_vars[i]))
         })
         .collect();
-
-    // Remove dangling tuples across the layered tree so every stored
-    // tuple has positive weight (Figure 4's invariant). The reducer
-    // walks the tree, so this stage is sequential.
-    let mut jt = JoinTree::new();
-    for (i, node) in layered.layers.iter().enumerate() {
-        let idx = jt.add_node(node.vars, NodeSource::Synthetic(None));
-        debug_assert_eq!(idx, i);
-    }
-    for (i, node) in layered.layers.iter().enumerate() {
-        if let Some(p) = node.parent {
-            jt.add_edge(p, i);
-        }
-    }
-    full_reduce(&jt, &layer_vars, &mut enc_layers);
     cost.layers_ns = clock.lap();
 
     // Bucket-sort every layer: a linear scan when the layer variable is
@@ -433,6 +408,8 @@ pub(crate) fn prepare_layers(
         enc.sort_by_cols(&layer_sort_keys(&layer_vars[i], order[i]));
     }
     cost.sort_ns = clock.lap();
+    #[cfg(debug_assertions)]
+    assert_layers_consistent(&layered, &layer_vars, &red, &enc_layers);
 
     let children: Vec<Vec<usize>> = (0..f).map(|i| layered.children(i)).collect();
     Ok(LayerPrep {
@@ -446,6 +423,35 @@ pub(crate) fn prepare_layers(
         trivial_total: 0,
         cost,
     })
+}
+
+/// The proof step [`prepare_layers`] no longer runs, kept as a debug
+/// check: every layer is a projection of the join, so no assigned-edge
+/// semijoin may remove a row, and neither may a semijoin along a
+/// layered-tree edge in either direction (the layered full reducer's
+/// only steps).
+#[cfg(debug_assertions)]
+fn assert_layers_consistent(
+    layered: &rda_query::layered::LayeredJoinTree,
+    layer_vars: &[Vec<VarId>],
+    red: &crate::snapprep::EncodedReduction,
+    enc_layers: &[EncodedRelation],
+) {
+    let keeps_all = |rel: &EncodedRelation, vars: &[VarId], other, other_vars: &[VarId]| {
+        let (keys, other_keys) = crate::instance::shared_positions(vars, other_vars);
+        rel.semijoin_plan(&keys, other, &other_keys).is_none()
+    };
+    for (i, node) in layered.layers.iter().enumerate() {
+        let (rel, vars) = (&enc_layers[i], &layer_vars[i]);
+        for &e in &node.assigned_edges {
+            let atom_vars = &red.query.atoms()[e].terms;
+            debug_assert!(keeps_all(rel, vars, &red.rels[e], atom_vars));
+        }
+        if let Some(p) = node.parent {
+            debug_assert!(keeps_all(rel, vars, &enc_layers[p], &layer_vars[p]));
+            debug_assert!(keeps_all(&enc_layers[p], &layer_vars[p], rel, vars));
+        }
+    }
 }
 
 /// Reusable per-thread buffers for the access hot paths. Kept in a

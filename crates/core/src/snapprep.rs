@@ -42,6 +42,7 @@ use rda_db::{EncodedRelation, Snapshot};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::connex::{ext_connex_tree, ExtConnexTree};
 use rda_query::fd::{fd_extension, ExtensionStep, Fd, FdExtension, FdSet};
+use rda_query::gyo;
 use rda_query::query::{Atom, Cq};
 use rda_query::{VarId, VarSet};
 use std::borrow::Cow;
@@ -303,50 +304,49 @@ pub(crate) struct EncodedReduction {
     pub(crate) known_empty: bool,
 }
 
+/// Yannakakis full reducer over the GYO join tree of the acyclic `q`'s
+/// own atoms (`rels` positionally per atom), copy-on-write: a semijoin
+/// pass that removes nothing leaves a borrowed snapshot relation
+/// untouched. Afterwards every relation is the projection of the join
+/// onto its atom — all of them empty when the join is.
+pub(crate) fn reduce_atoms(q: &Cq, rels: &mut [EncRel<'_>]) {
+    let tree = gyo::join_tree(&q.hypergraph()).expect("classification guarantees acyclicity");
+    let atom_vars: Vec<Vec<VarId>> = q.atoms().iter().map(|a| a.terms.clone()).collect();
+    full_reduce(&tree, &atom_vars, rels);
+}
+
 /// Code-space twin of [`crate::instance::reduce_to_full`]
 /// (Proposition 2.3 / Lemma 3.10): reduce a free-connex `q` (with
 /// encoded relations `rels`, positionally per atom) to a full acyclic
 /// query over `free(q)` with the same answers. Returns `None` if `q` is
 /// not free-connex.
-pub(crate) fn reduce_to_full_encoded(q: &Cq, rels: &[EncRel<'_>]) -> Option<EncodedReduction> {
-    let free = q.free_set();
-    let ext: ExtConnexTree = ext_connex_tree(&q.hypergraph(), free)?;
-
-    // Materialize one relation per tree node by projecting its source
-    // atom, then run the full reducer over the whole ext tree.
-    let n = ext.tree.len();
-    let mut node_vars: Vec<Vec<VarId>> = Vec::with_capacity(n);
-    let mut node_rels: Vec<EncodedRelation> = Vec::with_capacity(n);
-    for i in 0..n {
-        let vars = sorted_vars(ext.tree.node(i).vars);
-        let src = ext.source_atom(i);
-        let atom = &q.atoms()[src];
-        node_rels.push(rels[src].project(&positions_of(&atom.terms, &vars)));
-        node_vars.push(vars);
-    }
-    full_reduce(&ext.tree, &node_vars, &mut node_rels);
-
+/// One full reducer runs, over `q`'s own join tree; each marked ext-tree
+/// node is then the projection of its reduced source atom — what
+/// reducing the whole ext tree (projections of atoms) would give.
+pub(crate) fn reduce_to_full_encoded(
+    q: &Cq,
+    mut rels: Vec<EncRel<'_>>,
+) -> Option<EncodedReduction> {
+    let ext: ExtConnexTree = ext_connex_tree(&q.hypergraph(), q.free_set())?;
+    reduce_atoms(q, &mut rels);
     // Emptiness propagates through the full reducer.
-    let known_empty = node_rels.iter().any(EncodedRelation::is_empty);
+    let known_empty = rels.iter().any(|r| r.is_empty());
 
-    // Q' := the marked subtree's non-empty-variable nodes.
+    // Q' := the marked subtree's non-empty-variable nodes, each the
+    // projection (sorted, deduplicated) of its reduced source atom.
     let mut atoms = Vec::new();
     let mut out_rels = Vec::new();
     for &i in &ext.marked {
-        if node_vars[i].is_empty() {
+        let vars = sorted_vars(ext.tree.node(i).vars);
+        if vars.is_empty() {
             continue;
         }
+        let src = ext.source_atom(i);
+        out_rels.push(rels[src].project(&positions_of(&q.atoms()[src].terms, &vars)));
         atoms.push(Atom {
             relation: format!("N{i}"),
-            terms: node_vars[i].clone(),
+            terms: vars,
         });
-        // Move the node relation out (marked indices are distinct and
-        // `node_rels` is dead after this loop). It is already in set
-        // semantics: `project` normalized it, and the full reducer only
-        // drops rows via ascending-index retention, which preserves
-        // both sortedness and distinctness.
-        let rel = std::mem::replace(&mut node_rels[i], EncodedRelation::new(0));
-        out_rels.push(rel);
     }
     let names: Vec<String> = (0..q.var_count())
         .map(|i| q.var_name(VarId(i as u32)).to_string())
@@ -452,7 +452,7 @@ pub(crate) fn prepare_reduced(
         prep_ns: clock.lap(),
         ..BuildCost::default()
     };
-    let red = reduce_to_full_encoded(&ext.query, &rels)
+    let red = reduce_to_full_encoded(&ext.query, rels)
         .expect("classification guarantees the extension is free-connex");
     cost.reduce_ns = clock.lap();
     Ok((ext, red, cost))
@@ -578,26 +578,83 @@ mod tests {
         ));
     }
 
+    /// The code-space reduction (one full reducer over the atoms' own
+    /// join tree) against the value-level oracle (the whole ext-connex
+    /// tree reduced), row for row and on `known_empty`, across shapes.
     #[test]
     fn reduction_matches_value_level_reduction() {
-        let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
-        let snap = Database::new()
-            .with_i64_rows("R", 2, vec![vec![1, 5], vec![1, 2], vec![6, 2], vec![9, 9]])
-            .with_i64_rows("S", 2, vec![vec![5, 3], vec![5, 4], vec![5, 6], vec![2, 5]])
-            .freeze();
-        let (nq, rels) = normalize_encoded(&q, &snap).unwrap();
-        let red = reduce_to_full_encoded(&nq, &rels).unwrap();
-        assert!(!red.known_empty);
-        assert!(red.query.is_full());
-        // Value-level comparison via the existing reducer.
-        let (vq, vdb) = crate::instance::normalize_instance(&q, snap.database()).unwrap();
-        let vred = crate::instance::reduce_to_full(&vq, &vdb).unwrap();
-        assert_eq!(red.query.atoms().len(), vred.query.atoms().len());
-        for (atom, enc) in red.query.atoms().iter().zip(&red.rels) {
-            let vrel = vred.db.get(&atom.relation).unwrap();
-            let mut expect: Vec<Tuple> = vrel.tuples().to_vec();
-            expect.sort();
-            assert_eq!(decoded(enc, &snap), expect, "atom {}", atom.relation);
+        let rel = |db: Database, name: &str, rows: &[[i64; 2]]| {
+            db.with_i64_rows(name, 2, rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>())
+        };
+        let fig2 = || {
+            let db = rel(Database::new(), "R", &[[1, 5], [1, 2], [6, 2], [9, 9]]);
+            rel(db, "S", &[[5, 3], [5, 4], [5, 6], [2, 5]])
+        };
+        let star = rel(Database::new(), "R", &[[1, 10], [2, 20], [3, 30]]);
+        let star = rel(star, "S", &[[1, 11], [2, 21], [4, 41]]);
+        let star = rel(star, "T", &[[1, 12], [2, 22], [3, 32], [5, 51]]);
+        let fd_path = rel(Database::new(), "R", &[[1, 10], [2, 20], [3, 99]]);
+        let fd_path = rel(fd_path, "S", &[[10, 7], [20, 8]]);
+        let repeated = rel(Database::new(), "R", &[[1, 1], [2, 2], [2, 3], [5, 5]]);
+        let repeated = rel(repeated, "S", &[[1, 4], [2, 6], [9, 9]]);
+        let dangling = rel(Database::new(), "R", &[[1, 100], [2, 200]]);
+        let dangling = rel(dangling, "S", &[[5, 3], [6, 4]]);
+        type Case<'a> = (&'a str, &'a [(&'a str, &'a str, &'a str)], Database, bool);
+        let cases: Vec<Case> = vec![
+            ("Q(x, y, z) :- R(x, y), S(y, z)", &[], fig2(), false),
+            ("Q(a, b) :- R(a, b), S(b, c)", &[], fig2(), false),
+            (
+                "Q(x, y, z) :- R(x, y), S(y, w), T(z)",
+                &[],
+                fig2().with_i64_rows("T", 1, vec![vec![7], vec![8]]),
+                false,
+            ),
+            (
+                "Q(x, z) :- R(x, y), S(y, z)",
+                &[("S", "y", "z")],
+                fd_path,
+                false,
+            ),
+            ("Q(x, y, z) :- R(x, y), R(y, z)", &[], fig2(), false),
+            ("Q(x, y) :- R(x, x), S(x, y)", &[], repeated, false),
+            (
+                "Q(c, a, b, d) :- R(c, a), S(c, b), T(c, d)",
+                &[],
+                star,
+                false,
+            ),
+            ("Q(x, y, z) :- R(x, y), S(y, z)", &[], dangling, true),
+            ("Q() :- R(x, y), S(y, z)", &[], fig2(), false),
+        ];
+        for (text, fd_list, db, empty) in cases {
+            let q = parse(text).unwrap();
+            let fds = FdSet::parse(&q, fd_list);
+            let snap = db.freeze();
+            let (nq, rels) = normalize_encoded(&q, &snap).unwrap();
+            check_fds_encoded(&nq, &rels, &fds).unwrap();
+            let ext = fd_extension(&nq, &fds);
+            let rels = extend_instance_encoded(&ext, &nq, rels).unwrap();
+            let red = reduce_to_full_encoded(&ext.query, rels).unwrap();
+
+            let (vq, vdb) = crate::instance::normalize_instance(&q, snap.database()).unwrap();
+            let vext = fd_extension(&vq, &fds);
+            let vdb = crate::fdtransform::extend_instance(&vext, &vdb).unwrap();
+            let vred = crate::instance::reduce_to_full(&vext.query, &vdb).unwrap();
+
+            assert_eq!(red.known_empty, empty, "{text}");
+            assert_eq!(vred.known_empty, empty, "{text}");
+            assert!(red.query.is_full(), "{text}");
+            assert_eq!(red.query.atoms(), vred.query.atoms(), "{text}");
+            for (atom, enc) in red.query.atoms().iter().zip(&red.rels) {
+                let mut expect: Vec<Tuple> = vred.db.get(&atom.relation).unwrap().tuples().to_vec();
+                expect.sort();
+                assert_eq!(
+                    decoded(enc, &snap),
+                    expect,
+                    "{text}: atom {}",
+                    atom.relation
+                );
+            }
         }
     }
 
@@ -646,10 +703,10 @@ mod tests {
             .with_i64_rows("S", 2, vec![vec![5, 3]])
             .freeze();
         let (nq, rels) = normalize_encoded(&q, &snap).unwrap();
-        assert!(reduce_to_full_encoded(&nq, &rels).unwrap().known_empty);
+        assert!(reduce_to_full_encoded(&nq, rels).unwrap().known_empty);
 
         let q = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
         let (nq, rels) = normalize_encoded(&q, &snap).unwrap();
-        assert!(reduce_to_full_encoded(&nq, &rels).is_none());
+        assert!(reduce_to_full_encoded(&nq, rels).is_none());
     }
 }

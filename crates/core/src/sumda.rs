@@ -18,18 +18,18 @@
 use crate::budget::{BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::fault;
-use crate::instance::{full_reduce, positions_of};
+use crate::instance::positions_of;
 use crate::plan::DirectAccess;
-use crate::snapprep::{check_fds_encoded, extend_instance_encoded, normalize_encoded};
+use crate::snapprep::{
+    check_fds_encoded, extend_instance_encoded, normalize_encoded, reduce_atoms,
+};
 use crate::weights::Weights;
 use crate::window::WindowBuf;
 use rda_db::{Database, Dictionary, Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::fd::{fd_extension, FdSet};
-use rda_query::gyo;
 use rda_query::query::Cq;
-use rda_query::VarId;
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -136,12 +136,7 @@ impl SumDirectAccess {
         let qp = ext.query;
         cost.prep_ns = clock.lap();
 
-        // Full reducer over the extension's join tree, copy-on-write:
-        // a semijoin pass that removes nothing leaves the borrowed
-        // snapshot relation untouched.
-        let tree = gyo::join_tree(&qp.hypergraph()).expect("classification guarantees acyclicity");
-        let atom_vars: Vec<Vec<VarId>> = qp.atoms().iter().map(|a| a.terms.clone()).collect();
-        full_reduce(&tree, &atom_vars, &mut rels);
+        reduce_atoms(&qp, &mut rels);
         cost.reduce_ns = clock.lap();
 
         // Boolean queries: one empty answer iff the join is non-empty.
@@ -175,7 +170,7 @@ impl SumDirectAccess {
             .iter()
             .position(|a| free_plus.is_subset(a.var_set()))
             .expect("classification guarantees a covering atom");
-        let answers = rels[cover].project(&positions_of(&atom_vars[cover], &out_vars));
+        let answers = rels[cover].project(&positions_of(&qp.atoms()[cover].terms, &out_vars));
         cost.layers_ns = clock.lap();
 
         // Weigh each answer by decoding codes *by reference* through the
