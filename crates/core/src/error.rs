@@ -27,8 +27,9 @@ pub enum BuildError {
     InvalidOrder(String),
     /// The answer count (or an intermediate layer weight) exceeds
     /// `u64::MAX`, so ranks cannot be represented. The counting DP
-    /// computes in `u128` and rejects at build time rather than serving
-    /// silently wrong ranks from saturated arithmetic.
+    /// computes with checked arithmetic and rejects at build time rather
+    /// than serving silently wrong ranks from wrapped or saturated
+    /// arithmetic.
     CountOverflow,
     /// The build crossed a [`BuildBudget`](crate::budget::BuildBudget)
     /// cap and was aborted before exhausting process memory. The

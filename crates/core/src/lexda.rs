@@ -18,13 +18,16 @@
 //!    variable, and run the counting DP (Figure 4). Codes are dense
 //!    ranks, and every kernel of the build leans on that: single-column
 //!    semijoins test a membership bitmap, wider ones merge packed
-//!    integer keys, projections and bucket orders first check — in one
-//!    linear scan — whether the rows already ascend (snapshot relations
-//!    arrive normalized, so they mostly do) and sort packed
-//!    `(key, row)` words only when not, and the DP links a row to its
+//!    integer keys, projections first check — in one linear scan —
+//!    whether the rows already ascend (snapshot relations arrive
+//!    normalized, so they mostly do), a layer whose variable is its
+//!    node's last column is already in bucket order, and every other
+//!    order is a stable LSD radix sort over the codes — so the paper's
+//!    ⟨n log n⟩ sorting step is linear here. The DP links a row to its
 //!    child bucket through a dense `code → bucket` table when the
-//!    child's bucket key is one variable. What each phase cost is kept
-//!    on the structure ([`LexDirectAccess::build_cost`]);
+//!    child's bucket key is one variable, and counts in `u64` under
+//!    checked arithmetic. What each phase cost is kept on the structure
+//!    ([`LexDirectAccess::build_cost`]);
 //! 6. answer accesses with Algorithm 1 (binary search per layer) and
 //!    inverted/next-answer accesses with Algorithm 2 / Remark 3.
 //!
@@ -131,7 +134,7 @@ struct BucketMeta {
 /// `starts` is a chain of dependent cache misses — the dominant cost of
 /// Algorithm 1 once hashing is gone. Each such bucket therefore carries
 /// a **rank directory**: `B = 2^dir_log` slots where slot `j` stores
-/// `#{entries e : starts[e]·B ≤ j·total}` (computed exactly in `u128`
+/// `#{entries e : starts[e]·B ≤ j·total}` (computed exactly, in `u64`,
 /// at build time). For a normalized rank `q < total`, the answer of the
 /// search provably lies in the window
 /// `dir[⌊q·B/total⌋] ..= dir[⌊q·B/total⌋ + 1]`, which for `B ≈ len` is
@@ -401,11 +404,20 @@ pub(crate) fn prepare_layers(
         .collect();
     cost.layers_ns = clock.lap();
 
-    // Bucket-sort every layer: a linear scan when the layer variable is
-    // the node's last column (the projection left the rows in exactly
-    // this order), one packed-key sort otherwise.
+    // Bucket-sort every layer. When the layer variable is the node's
+    // last column, (bucket key, layer value) is the storage order the
+    // projection already left the rows in: nothing to do. Otherwise one
+    // stable radix sort over the layer's codes.
     for (i, enc) in enc_layers.iter_mut().enumerate() {
-        enc.sort_by_cols(&layer_sort_keys(&layer_vars[i], order[i]));
+        let keys = layer_sort_keys(&layer_vars[i], order[i]);
+        if layer_vars[i].last() == Some(&order[i]) {
+            debug_assert!(
+                (1..enc.len()).all(|r| enc.cmp_rows_on(r - 1, r, &keys).is_lt()),
+                "a projected layer ascends in (bucket key, layer value)"
+            );
+            continue;
+        }
+        enc.sort_by_cols(&keys);
     }
     cost.sort_ns = clock.lap();
     #[cfg(debug_assertions)]
@@ -682,8 +694,9 @@ impl LexDirectAccess {
         // each encoded layer arrives sorted by (bucket key, layer value)
         // from the sort stage of `prepare_layers`; walk it
         // once, linking every entry to its child buckets and closing
-        // buckets at key boundaries. All weights accumulate in u128 and
-        // construction fails rather than store a count above u64::MAX.
+        // buckets at key boundaries. Weights are u64 under checked
+        // arithmetic: construction fails rather than store a count above
+        // u64::MAX.
         let f = order.len();
         let mut layers: Vec<Option<Layer>> = (0..f).map(|_| None).collect();
         for (i, enc) in enc_layers.into_iter().enumerate().rev() {
@@ -708,68 +721,64 @@ impl LexDirectAccess {
                 })
                 .collect();
 
+            let rows = enc.len();
             assert!(
-                enc.len() <= u32::MAX as usize,
+                rows <= u32::MAX as usize,
                 "layer relation exceeds the u32 entry space"
             );
-
+            let extra = kids.len().saturating_sub(1);
+            // Budget charge precedes the arena growth it accounts for:
+            // a capped build stops before reserving the layer, not after.
+            // (The instance is fully reduced, so every row becomes an
+            // entry.)
+            let entry_bytes = (std::mem::size_of::<Entry>() + 4 + extra * 4) as u64;
+            meter.charge(entry_bytes * rows as u64, rows as u64)?;
             let mut layer = Layer {
                 key_vars,
                 children: kids,
-                entries: Vec::new(),
-                value_codes: Vec::new(),
-                extra_children: Vec::new(),
+                entries: Vec::with_capacity(rows),
+                value_codes: Vec::with_capacity(rows),
+                extra_children: Vec::with_capacity(rows * extra),
                 buckets: Vec::new(),
                 dir_pool: Vec::new(),
                 key_cols: key_positions.iter().map(|_| Vec::new()).collect(),
             };
-            let extra = layer.children.len().saturating_sub(1);
             let value_col = enc.col(value_pos);
             let key_src: Vec<&[u32]> = key_positions.iter().map(|&p| enc.col(p)).collect();
-            // Scratch for one row's child-bucket indices, and the open
-            // bucket's entry weights (u128: the per-bucket prefix sums
-            // are checked on close).
-            let mut row_children: Vec<u32> = Vec::with_capacity(layer.children.len());
-            let mut bucket_ws: Vec<u128> = Vec::new();
+            // Scratch for one row's child-bucket indices.
+            let mut row_children: Vec<u32> = Vec::with_capacity(links.len());
             // The row that opened the current bucket, if one is open.
             let mut opened_by: Option<usize> = None;
-            for row in 0..enc.len() {
+            'rows: for row in 0..rows {
                 // Weight = product over children of the agreeing
-                // bucket's total; zero (dangling) entries are dropped.
-                let mut w: u128 = 1;
+                // bucket's total; dangling rows are dropped.
                 row_children.clear();
-                let mut dangling = false;
                 for link in &links {
                     let Some(b) = link.bucket_of(row) else {
-                        dangling = true;
-                        break;
+                        continue 'rows;
                     };
-                    w = w
-                        .checked_mul(link.child.buckets[b].total as u128)
-                        .ok_or(BuildError::CountOverflow)?;
                     row_children.push(b as u32);
                 }
-                if dangling || w == 0 {
-                    continue;
+                let mut w: u64 = 1;
+                for (link, &b) in links.iter().zip(&row_children) {
+                    w = w
+                        .checked_mul(link.child.buckets[b as usize].total)
+                        .ok_or(BuildError::CountOverflow)?;
                 }
                 let key_changed =
                     opened_by.is_none_or(|first| key_src.iter().any(|c| c[row] != c[first]));
                 if key_changed {
                     if opened_by.is_some() {
-                        close_bucket(&mut layer, &mut bucket_ws, &mut meter)?;
+                        close_bucket(&mut layer, &mut meter)?;
                     }
                     opened_by = Some(row);
                     for (dst, src) in layer.key_cols.iter_mut().zip(&key_src) {
                         dst.push(src[row]);
                     }
                 }
-                // Budget charge precedes the arena growth it accounts
-                // for: a capped build stops before the allocation that
-                // would cross the cap, not after.
-                meter.charge((std::mem::size_of::<Entry>() + 4 + extra * 4) as u64, 1)?;
                 let value = value_col[row];
                 layer.entries.push(Entry {
-                    start: 0, // prefix sums are filled in at bucket close
+                    start: w, // the weight until the bucket's close
                     value,
                     child0: row_children.first().copied().unwrap_or(0),
                 });
@@ -778,10 +787,9 @@ impl LexDirectAccess {
                     .extra_children
                     .extend(row_children.iter().skip(1).copied());
                 debug_assert_eq!(layer.extra_children.len(), layer.entries.len() * extra);
-                bucket_ws.push(w);
             }
             if opened_by.is_some() {
-                close_bucket(&mut layer, &mut bucket_ws, &mut meter)?;
+                close_bucket(&mut layer, &mut meter)?;
             }
             drop(links);
             layers[i] = Some(layer);
@@ -1382,30 +1390,23 @@ impl LexDirectAccess {
     }
 }
 
-/// Close the currently open bucket: turn its entry weights into prefix
-/// sums (`starts`), record the bucket metadata, and build its rank
+/// Close the currently open bucket — the entries after the last closed
+/// one, whose `start` fields hold their weights: turn the weights into
+/// prefix sums, record the bucket metadata, and build its rank
 /// directory — rejecting counts above `u64::MAX` and charging the
 /// directory pool's growth against the build budget.
-fn close_bucket(
-    layer: &mut Layer,
-    ws: &mut Vec<u128>,
-    meter: &mut BudgetMeter,
-) -> Result<(), BuildError> {
-    let len = ws.len();
-    let offset = layer.entries.len() - len;
-    let mut running: u128 = 0;
-    for (e, &w) in ws.iter().enumerate() {
-        if running > u64::MAX as u128 {
-            return Err(BuildError::CountOverflow);
-        }
-        layer.entries[offset + e].start = running as u64;
-        running += w;
+fn close_bucket(layer: &mut Layer, meter: &mut BudgetMeter) -> Result<(), BuildError> {
+    let offset = layer
+        .buckets
+        .last()
+        .map_or(0, |b| (b.offset + b.len) as usize);
+    let len = layer.entries.len() - offset;
+    let mut total: u64 = 0;
+    for e in &mut layer.entries[offset..] {
+        let w = e.start;
+        e.start = total;
+        total = total.checked_add(w).ok_or(BuildError::CountOverflow)?;
     }
-    if running > u64::MAX as u128 {
-        return Err(BuildError::CountOverflow);
-    }
-    let total = running as u64;
-    ws.clear();
 
     // Rank directory (see the `Layer` docs): B = 2^dir_log slots, slot
     // j counting the entries with start·B ≤ j·total. `dir_log` is
@@ -1423,18 +1424,19 @@ fn close_bucket(
         let fits_pool =
             log >= 3 && layer.dir_pool.len().saturating_add((1usize << log) + 1) < NO_DIR as usize;
         if fits_pool {
-            meter.charge((((1u64 << log) + 1) * 4) + 24, 0)?;
-            dir = layer.dir_pool.len() as u32;
-            dir_log = log;
-            let entries = &layer.entries[offset..offset + len];
-            let mut ptr = 0usize;
-            for j in 0..=(1u64 << log) {
-                let bound = (j as u128) * (total as u128);
-                while ptr < len && ((entries[ptr].start as u128) << log) <= bound {
-                    ptr += 1;
-                }
-                layer.dir_pool.push(ptr as u32);
-            }
+            let slots = (1usize << log) + 1;
+            meter.charge(slots as u64 * 4 + 24, 0)?;
+            let at = layer.dir_pool.len();
+            (dir, dir_log) = (at as u32, log);
+            layer.dir_pool.resize(at + slots, 0);
+            let entries = &layer.entries[offset..];
+            rankdir::fill_directory(
+                &mut layer.dir_pool[at..],
+                |e| entries[e].start,
+                len,
+                log,
+                total,
+            );
         }
     }
 
@@ -1819,6 +1821,44 @@ mod tests {
             &q.vars(&["a", "b", "c", "d", "e", "f"]),
             &FdSet::empty(),
         );
+        assert!(matches!(r, Err(BuildError::CountOverflow)), "{r:?}");
+    }
+
+    #[test]
+    fn rank_directory_holds_at_its_clamp() {
+        // `A` with `a_values` values, `B`…`F` with 2048 = 2¹¹ each: every
+        // root entry weighs 2⁵⁵.
+        let q = parse("Q(a, b, c, d, e, f) :- A(a), B(b), C(c), D(d), E(e), F(f)").unwrap();
+        let lex = q.vars(&["a", "b", "c", "d", "e", "f"]);
+        let build_with = |a_values: i64| {
+            let mut db = Database::new().with_i64_rows(
+                "A",
+                1,
+                (0..a_values).map(|i| vec![i]).collect::<Vec<_>>(),
+            );
+            for name in ["B", "C", "D", "E", "F"] {
+                db = db.with_i64_rows(name, 1, (0..2048).map(|i| vec![i]).collect::<Vec<_>>());
+            }
+            LexDirectAccess::build(&q, &db, &lex, &FdSet::empty())
+        };
+
+        // 32 entries, total 2⁶⁰: the directory's log is clamped from 5
+        // to 64 − 60 = 4, so its last slot's bound B·total is 2⁶⁴.
+        let da = build_with(32).unwrap();
+        assert_eq!(da.len(), 1 << 60);
+        let root = &da.layers[0].buckets[0];
+        assert_eq!((root.len, root.dir_log), (32, 4));
+        assert_ne!(root.dir, NO_DIR);
+        for k in [0, (1 << 55) - 1, 1 << 55, 31 << 55, (1 << 60) - 1] {
+            let t = da.access(k).unwrap();
+            assert_eq!(t[0], Value::int((k >> 55) as i64), "k={k}");
+            assert_eq!(da.inverted_access(&t), Some(k), "k={k}");
+        }
+
+        // The overflow boundary: 511·2⁵⁵ answers fit in u64, 512·2⁵⁵ = 2⁶⁴
+        // do not.
+        assert_eq!(build_with(511).unwrap().len(), 511 << 55);
+        let r = build_with(512);
         assert!(matches!(r, Err(BuildError::CountOverflow)), "{r:?}");
     }
 }

@@ -15,6 +15,8 @@
 //!   of a sorted run, with the window's midpoint prefetched as soon as
 //!   the bounds are known.
 //!
+//! [`fill_directory`] builds the directory [`rank_window`] reads.
+//!
 //! Everything here is pure index arithmetic over borrowed slices; the
 //! arena owns the storage.
 
@@ -40,6 +42,32 @@ pub(crate) fn prefetch_read<T>(slice: &[T], idx: usize) {
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = (slice, idx);
+    }
+}
+
+/// Fill a rank directory of `B = 2^log` slots over `len` entries with
+/// ascending prefix sums `start(e) < total`: slot `j` (of the `B + 1` in
+/// `slots`) gets `#{entries e : start(e)·B ≤ j·total}` — one merge of
+/// the scaled starts with the slot bounds, in `u64`.
+///
+/// Every `start(e)·B` is below 2⁶⁴ when `log ≤ 64 − bits(total − 1)`,
+/// the cap `lexda` applies, but `B·total` itself reaches 2⁶⁴ at the last
+/// slot when `total` is a power of two: the bound saturates there,
+/// which still counts every entry — that slot's exact value.
+pub(crate) fn fill_directory(
+    slots: &mut [u32],
+    start: impl Fn(usize) -> u64,
+    len: usize,
+    log: u8,
+    total: u64,
+) {
+    let (mut ptr, mut bound) = (0usize, 0u64);
+    for slot in slots {
+        while ptr < len && start(ptr) << log <= bound {
+            ptr += 1;
+        }
+        *slot = ptr as u32;
+        bound = bound.saturating_add(total);
     }
 }
 
@@ -89,20 +117,10 @@ pub(crate) fn bracketed_partition_point<T>(
 mod tests {
     use super::*;
 
-    /// Build a rank directory exactly as `lexda::close_bucket` does:
-    /// `B = 2^log` slots, slot `j` counting entries with
-    /// `start·B ≤ j·total`.
+    /// A rank directory over `starts`, filled as `lexda` fills one.
     fn build_dir(starts: &[u64], total: u64, log: u8) -> Vec<u32> {
-        let len = starts.len();
-        let mut pool = Vec::new();
-        let mut ptr = 0usize;
-        for j in 0..=(1u64 << log) {
-            let bound = (j as u128) * (total as u128);
-            while ptr < len && ((starts[ptr] as u128) << log) <= bound {
-                ptr += 1;
-            }
-            pool.push(ptr as u32);
-        }
+        let mut pool = vec![0; (1 << log) + 1];
+        fill_directory(&mut pool, |e| starts[e], starts.len(), log, total);
         pool
     }
 

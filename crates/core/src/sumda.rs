@@ -25,7 +25,7 @@ use crate::snapprep::{
 };
 use crate::weights::Weights;
 use crate::window::WindowBuf;
-use rda_db::{Database, Dictionary, Snapshot, Tuple, Value};
+use rda_db::{radix_sort_rows, Database, Dictionary, Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::fd::{fd_extension, FdSet};
@@ -64,6 +64,18 @@ pub struct SumDirectAccess {
     by_tuple: Vec<u32>,
     /// What the build paid, per phase (see [`BuildCost`]).
     cost: BuildCost,
+}
+
+/// `w`'s bits mapped so that unsigned integer order is
+/// [`f64::total_cmp`]'s order: negative weights (sign bit set) have
+/// every bit flipped, the others only the sign bit.
+fn total_order_bits(w: TotalF64) -> u64 {
+    let b = w.0.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | 1 << 63
+    }
 }
 
 /// Bytes a finished structure of `len` answers over `arity` head
@@ -173,10 +185,13 @@ impl SumDirectAccess {
         let answers = rels[cover].project(&positions_of(&qp.atoms()[cover].terms, &out_vars));
         cost.layers_ns = clock.lap();
 
-        // Weigh each answer by decoding codes *by reference* through the
-        // shared dictionary, then sort a permutation by (weight, row).
-        // Rows already ascend in tuple order, so breaking weight ties by
-        // row index is exactly the (weight, tuple) order.
+        // Weigh each answer through one dense `code → weight` table per
+        // head column, as `sumsel` does. Summing the columns left to
+        // right from -0.0 is exactly `Iterator::sum` over an answer's
+        // weights, so every weight keeps its bits. Then order the rows
+        // by a stable radix sort over the order-preserving image of each
+        // weight: ties keep row order, and rows already ascend in tuple
+        // order, so this is exactly the (weight, tuple) order.
         let dict = snap.dict();
         let len = answers.len();
         // The entire remaining build is Θ(len): per answer, one weight
@@ -187,17 +202,12 @@ impl SumDirectAccess {
             len as u64 * (16 + 8 + 4 * out_vars.len() as u64),
             len as u64,
         )?;
-        let row_weights: Vec<TotalF64> = (0..len)
-            .map(|row| {
-                out_vars
-                    .iter()
-                    .enumerate()
-                    .map(|(p, &v)| w.get(v, dict.value(answers.code(row, p))))
-                    .sum()
-            })
-            .collect();
+        let mut row_weights = vec![TotalF64(-0.0); len];
+        for (p, &v) in out_vars.iter().enumerate() {
+            w.add_column(v, answers.col(p), dict, &mut row_weights);
+        }
         let mut perm: Vec<u32> = (0..len as u32).collect();
-        perm.sort_unstable_by_key(|&r| (row_weights[r as usize], r));
+        radix_sort_rows(&mut perm, |r| total_order_bits(row_weights[r as usize]));
         cost.sort_ns = clock.lap();
 
         let cols: Vec<Vec<u32>> = (0..out_vars.len())
@@ -440,6 +450,58 @@ mod tests {
         // All weights are 3; ties break by tuple order.
         let got: Vec<Tuple> = da.iter().collect();
         assert_eq!(got, vec![tup![0, 3], tup![1, 2], tup![2, 1]]);
+    }
+
+    #[test]
+    fn radix_order_is_the_comparison_order() {
+        // Every kind of f64 `total_cmp` distinguishes, on x; on y a few
+        // more and a long run of default (zero) weights, so whole
+        // blocks of answers tie.
+        let q = parse("Q(x, y) :- R(x, y)").unwrap();
+        let (x, y) = (q.var("x").unwrap(), q.var("y").unwrap());
+        let tiny = f64::from_bits(1); // the least subnormal
+        let x_weights = [
+            -0.0,
+            0.0,
+            -1.5,
+            2.5,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            tiny,
+            -tiny,
+            f64::MIN_POSITIVE / 4.0,
+            1e300,
+            -1e300,
+            f64::MAX,
+        ];
+        let mut w = Weights::zero();
+        for (i, &wx) in x_weights.iter().enumerate() {
+            w.set(x, i as i64, wx);
+        }
+        for (j, wy) in [-0.0, 0.0, -3.0, tiny, 1e300].into_iter().enumerate() {
+            w.set(y, j as i64, wy);
+        }
+        let rows: Vec<Vec<i64>> = (0..x_weights.len() as i64)
+            .flat_map(|i| (0..40).map(move |j| vec![i, j]))
+            .collect();
+        let db = Database::new().with_i64_rows("R", 2, rows);
+        let da = SumDirectAccess::build(&q, &db, &w, &FdSet::empty()).unwrap();
+
+        // The model: answers in tuple order, weighed value by value,
+        // compared as (weight, tuple).
+        let mut model: Vec<(TotalF64, Tuple)> = (0..x_weights.len() as i64)
+            .flat_map(|i| (0..40).map(move |j| tup![i, j]))
+            .map(|t| (w.answer_weight(&[x, y], t.values()), t))
+            .collect();
+        model.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        assert_eq!(da.len(), model.len() as u64);
+        for (k, (weight, t)) in model.iter().enumerate() {
+            let (got_w, got_t) = da.access_weighted(k as u64).unwrap();
+            assert_eq!(&got_t, t, "rank {k}");
+            assert_eq!(got_w.0.to_bits(), weight.0.to_bits(), "rank {k}");
+        }
     }
 
     #[test]

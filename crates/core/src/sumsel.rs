@@ -26,7 +26,7 @@
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::instance::{pair_mut, positions_of, shared_positions};
-use crate::snapprep::{dense_len, key_ids, prepare_reduced};
+use crate::snapprep::{key_ids, prepare_reduced};
 use crate::weights::Weights;
 use rda_db::{EncodedRelation, Snapshot, Tuple};
 use rda_orderstat::select::select_nth_by;
@@ -142,12 +142,7 @@ impl SumSelection {
                     continue;
                 }
                 weighed = weighed.with(v);
-                let codes = rel.col(p);
-                let mut table: Vec<Option<TotalF64>> = vec![None; dense_len(codes)];
-                for (sum, &c) in sums.iter_mut().zip(codes) {
-                    let w = table[c as usize].get_or_insert_with(|| weights.get(v, dict.value(c)));
-                    *sum = *sum + *w;
-                }
+                weights.add_column(v, rel.col(p), dict, &mut sums);
             }
             row_weights.push(sums);
         }

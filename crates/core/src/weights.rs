@@ -7,7 +7,8 @@
 //! running examples where "the weights are assumed to be identical to
 //! the attribute values" (Figure 2d).
 
-use rda_db::Value;
+use crate::snapprep::dense_len;
+use rda_db::{Dictionary, Value};
 use rda_orderstat::TotalF64;
 use rda_query::{Cq, VarId};
 use std::collections::HashMap;
@@ -94,6 +95,24 @@ impl Weights {
             let _ = write!(out, "{}:{e};", e.len());
         }
         out
+    }
+
+    /// Add to `sums[i]` the weight of the value coded `codes[i]` under
+    /// `var`, read from a dense `code → weight` table filled as the
+    /// column is walked: one weight lookup per distinct code, not per
+    /// cell.
+    pub(crate) fn add_column(
+        &self,
+        var: VarId,
+        codes: &[u32],
+        dict: &Dictionary,
+        sums: &mut [TotalF64],
+    ) {
+        let mut table: Vec<Option<TotalF64>> = vec![None; dense_len(codes)];
+        for (sum, &c) in sums.iter_mut().zip(codes) {
+            let w = table[c as usize].get_or_insert_with(|| self.get(var, dict.value(c)));
+            *sum = *sum + *w;
+        }
     }
 
     /// Weight of an answer: sum over `vars[i]` of the weight of

@@ -4,9 +4,11 @@
 //! attribute, every cell a [`Dictionary`] code.
 //! Because codes are order-preserving, sorting, deduplication, semijoin
 //! and grouping over codes produce exactly the results they would over
-//! the decoded [`Value`](crate::Value)s — at integer-comparison cost and
-//! with cache-friendly sequential layouts. The access-structure builders
-//! in `rda-core` run their whole layer-materialization pipeline
+//! the decoded [`Value`](crate::Value)s — at integer cost and with
+//! cache-friendly sequential layouts; codes are dense ranks, so a sort
+//! is a few linear radix passes ([`radix_sort_rows`]). The
+//! access-structure builders in `rda-core` run their whole
+//! layer-materialization pipeline
 //! (projection, semijoin reduction, bucket sorting) on this
 //! representation.
 
@@ -104,8 +106,61 @@ impl PartialEq for Column {
 
 impl Eq for Column {}
 
+/// Bits per digit of [`radix_sort_rows`]: 2¹¹ counters of 4 bytes
+/// each, 8 KiB, stay in L1 while a pass scatters.
+const RADIX_BITS: u32 = 11;
+
+/// Stably sort the row indices `rows` ascending by `key(row)`: a
+/// least-significant-digit radix sort over 11-bit digits. A digit on
+/// which every key agrees costs no pass, so dense dictionary codes
+/// below 2¹¹ sort in one pass and codes below 2²² in two, whatever the
+/// key type. Rows with equal keys keep their relative order — which is
+/// what lets one call per column, least significant column first, sort
+/// by a column sequence.
+///
+/// Linear: one pass to find the digits that differ, one to count them
+/// all, and one scatter per differing digit. `key` is evaluated once
+/// per row in each of those passes, so it should be a load or a few
+/// arithmetic operations. `rows` may list at most `u32::MAX` rows.
+pub fn radix_sort_rows(rows: &mut Vec<u32>, key: impl Fn(u32) -> u64) {
+    const MASK: u64 = (1 << RADIX_BITS) - 1;
+    let Some(&first) = rows.first() else {
+        return;
+    };
+    let k0 = key(first);
+    let differ = rows.iter().fold(0, |acc, &r| acc | (key(r) ^ k0));
+    let shifts: Vec<u32> = (0..u64::BITS)
+        .step_by(RADIX_BITS as usize)
+        .filter(|&s| differ >> s & MASK != 0)
+        .collect();
+    if shifts.is_empty() {
+        return;
+    }
+    let mut counts = vec![[0u32; 1 << RADIX_BITS]; shifts.len()];
+    for &r in rows.iter() {
+        let k = key(r);
+        for (count, &s) in counts.iter_mut().zip(&shifts) {
+            count[(k >> s & MASK) as usize] += 1;
+        }
+    }
+    let mut spare = vec![0u32; rows.len()];
+    for (next, &s) in counts.iter_mut().zip(&shifts) {
+        // Counts → each digit's first output slot.
+        let mut at = 0;
+        for n in next.iter_mut() {
+            (*n, at) = (at, at + *n);
+        }
+        for &r in rows.iter() {
+            let d = (key(r) >> s & MASK) as usize;
+            spare[next[d] as usize] = r;
+            next[d] += 1;
+        }
+        std::mem::swap(rows, &mut spare);
+    }
+}
+
 /// A row's codes over a column list, packed row-major into one
-/// comparable word: sorting and merging then run over a contiguous
+/// comparable word: the semijoin merge then runs over a contiguous
 /// vector of integers instead of chasing a row index through the
 /// columns in a comparator. Words of equal width compare exactly as
 /// the code tuples they pack.
@@ -127,7 +182,7 @@ impl PackedKey for u128 {
     }
 }
 
-/// Any width: the same kernels, one heap word-string per row.
+/// Any width: the same kernel, one heap word-string per row.
 impl PackedKey for Vec<u32> {
     fn pack(cols: &[&[u32]], row: usize) -> Vec<u32> {
         cols.iter().map(|c| c[row]).collect()
@@ -146,15 +201,27 @@ macro_rules! by_key_width {
     };
 }
 
-/// The rows `0..rows` in ascending order of their keys over `cols`
-/// (equal keys in row order), one row per distinct key when `dedup`.
-fn sorted_rows<K: PackedKey>(cols: &[&[u32]], rows: usize, dedup: bool) -> Vec<u32> {
-    let mut keyed: Vec<(K, u32)> = (0..rows).map(|r| (K::pack(cols, r), r as u32)).collect();
-    keyed.sort_unstable();
-    if dedup {
-        keyed.dedup_by(|later, first| later.0 == first.0);
+/// How rows `a` and `b` compare on the column sequence `cols`.
+fn cmp_on(cols: &[&[u32]], a: usize, b: usize) -> Ordering {
+    cols.iter()
+        .map(|c| c[a].cmp(&c[b]))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// Whether the rows `0..rows` ascend on the column sequence `cols`,
+/// and whether they are distinct there too — one scan, stopping at the
+/// first descent.
+fn ascent(cols: &[&[u32]], rows: usize) -> (bool, bool) {
+    let mut distinct = true;
+    for r in 1..rows {
+        match cmp_on(cols, r - 1, r) {
+            Ordering::Less => {}
+            Ordering::Equal => distinct = false,
+            Ordering::Greater => return (false, distinct),
+        }
     }
-    keyed.into_iter().map(|(_, r)| r).collect()
+    (true, distinct)
 }
 
 /// The set bits of `bits`, ascending.
@@ -386,45 +453,55 @@ impl EncodedRelation {
     /// copy, so a mapped column stays mapped. Rows that ascend but
     /// repeat are deduplicated in a second linear pass, and the
     /// distinct codes of a single column are read off a membership
-    /// bitmap. Only otherwise are the rows sorted, as packed
-    /// `(key, row)` words.
+    /// bitmap. Only otherwise are the rows sorted: one stable
+    /// [`radix_sort_rows`] per column of `order`, last column first,
+    /// then the same linear deduplication when it is asked. Linear
+    /// throughout.
+    ///
+    /// Stability keeps rows that tie on the columns sorted so far in
+    /// storage order. So when the rows already ascend in storage order
+    /// (every projection leaves them so), a tail of `order` that lists
+    /// its columns in storage order needs no pass: only the columns
+    /// before it are sorted.
     fn order_rows(&mut self, order: &[usize], dedup: bool) {
-        let (mut ascending, mut distinct) = (true, true);
-        for r in 1..self.rows {
-            match self.cmp_rows_on(r - 1, r, order) {
-                Ordering::Less => {}
-                Ordering::Equal => distinct = false,
-                Ordering::Greater => {
-                    ascending = false;
-                    break;
-                }
-            }
-        }
+        let cols: Vec<&[u32]> = order.iter().map(|&p| &*self.cols[p]).collect();
+        let (ascending, distinct) = ascent(&cols, self.rows);
         if ascending && (distinct || !dedup) {
             return;
         }
         if let (&[p], true) = (order, dedup) {
             // One column to deduplicate: its distinct codes, sort-free.
-            let codes = distinct_codes(&self.cols[p]);
+            let codes = distinct_codes(cols[0]);
             self.rows = codes.len();
             self.cols[p] = Column::from(codes);
             return;
         }
-        let perm: Vec<u32> = if ascending {
-            (0..self.rows as u32)
-                .filter(|&r| r == 0 || self.cmp_rows_on(r as usize - 1, r as usize, order).is_ne())
-                .collect()
-        } else {
-            let cols: Vec<&[u32]> = order.iter().map(|&p| &*self.cols[p]).collect();
-            by_key_width!(cols.len(), sorted_rows(&cols, self.rows, dedup))
-        };
+        let mut perm: Vec<u32> = (0..self.rows as u32).collect();
+        if !ascending {
+            // Rows that ascend in storage order but not in `order` mean
+            // `order` is not the storage order: its ascending tail is
+            // shorter than it.
+            let tail = 1 + order.windows(2).rev().take_while(|w| w[0] < w[1]).count();
+            let storage: Vec<&[u32]> = self.cols.iter().map(|c| &**c).collect();
+            let keys = if ascent(&storage, self.rows).0 {
+                &cols[..order.len() - tail]
+            } else {
+                &cols[..]
+            };
+            for col in keys.iter().rev() {
+                radix_sort_rows(&mut perm, |r| u64::from(col[r as usize]));
+            }
+        }
+        if dedup {
+            perm.dedup_by(|later, first| cmp_on(&cols, *first as usize, *later as usize).is_eq());
+        }
         self.apply_permutation(&perm);
     }
 
     /// Sort rows by the given key columns, ties broken by the full row
     /// (deterministic, matching [`Relation::sort_by_positions`]).
-    /// Linear when the rows already ascend in that order; otherwise one
-    /// sort of packed `(key, row)` words.
+    /// Linear: a scan when the rows already ascend in that order,
+    /// otherwise a stable radix sort over their codes.
     pub fn sort_by_cols(&mut self, keys: &[usize]) {
         // Key columns first, then every other column in storage order:
         // among rows equal on the keys, that is the full-row order.
@@ -445,7 +522,9 @@ impl EncodedRelation {
     /// Projection π onto `positions` (sorted + deduplicated), matching
     /// [`Relation::project`]. Projecting a normalized relation onto a
     /// prefix of its columns (or onto all of them) needs no sort: the
-    /// rows already ascend, so at most a linear deduplication runs.
+    /// rows already ascend, so at most a linear deduplication runs. Any
+    /// other projection is radix-sorted over its codes, then
+    /// deduplicated — linear as well.
     pub fn project(&self, positions: &[usize]) -> EncodedRelation {
         let mut out = EncodedRelation {
             rows: self.rows,
@@ -729,6 +808,59 @@ mod tests {
             decoded,
             vec![tup![1, 2], tup![1, 2], tup![6, 2], tup![1, 5]]
         );
+
+        // Five columns, codes in all three radix digits, one constant
+        // column, every row twice; the rows in descending order, then
+        // ascending (where stability lets an ascending tail of the
+        // order go unsorted).
+        let mut rows: Rows = (0..40u32)
+            .rev()
+            .map(|i| {
+                let wide = (i % 4) << 22 | (i % 3) << 11 | (i % 5);
+                vec![i % 2, wide, 7, i.wrapping_mul(2_654_435_761) >> 8, i % 3]
+            })
+            .flat_map(|r| [r.clone(), r])
+            .collect();
+        for ascending in [false, true] {
+            if ascending {
+                rows.sort();
+            }
+            for keys in [vec![3, 0], vec![1], vec![4, 2, 0], vec![2, 4], vec![]] {
+                let mut enc = relation_of(5, &rows);
+                enc.sort_by_cols(&keys);
+                let mut model = rows.clone();
+                model.sort_by_key(|r| (pick(r, &keys), r.clone()));
+                assert_eq!(rows_of(&enc), model, "keys {keys:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn radix_sort_rows_is_a_stable_sort() {
+        let mut draw = Draw::new(7);
+        // Keys that differ in no digit, in the low digit only, in two
+        // middle digits only, in the top bit only, and in all six
+        // digits; a quarter of them share one key.
+        for mask in [0, 0x7ff, 0xffff << 30, 1 << 63, u64::MAX] {
+            let keys: Vec<u64> = (0..300)
+                .map(|_| {
+                    let k = draw.0.next_u64() & mask;
+                    if draw.below(4) == 0 {
+                        mask / 2
+                    } else {
+                        k
+                    }
+                })
+                .collect();
+            let mut rows: Vec<u32> = (0..keys.len() as u32).rev().collect();
+            let mut model = rows.clone();
+            model.sort_by_key(|&r| keys[r as usize]);
+            radix_sort_rows(&mut rows, |r| keys[r as usize]);
+            assert_eq!(rows, model, "mask {mask:#x}");
+        }
+        let mut none: Vec<u32> = Vec::new();
+        radix_sort_rows(&mut none, u64::from);
+        assert!(none.is_empty());
     }
 
     #[test]
@@ -865,25 +997,28 @@ mod tests {
             (0..n).map(|_| self.below(arity)).collect()
         }
 
-        /// Random rows over one of three code universes — a handful of
-        /// codes (duplicate keys everywhere), a dozen, or sixteen codes
-        /// spread far above any row count (what sizes the bitmaps) — as
-        /// drawn, already sorted and distinct, or reverse-sorted.
-        fn rows(&mut self, arity: usize) -> Rows {
+        /// Random rows over one of the first `universes` of four code
+        /// universes — a handful of codes (duplicate keys everywhere), a
+        /// dozen, sixteen codes spread far above any row count (what
+        /// sizes the bitmaps), or any code below 2²⁴ (three radix
+        /// digits) — as drawn, already sorted and distinct,
+        /// reverse-sorted, or one row repeated.
+        fn rows(&mut self, arity: usize, universes: usize) -> Rows {
             let n = self.below(33);
-            let universe = self.below(3);
+            let universe = self.below(universes);
             let mut rows: Rows = (0..n)
                 .map(|_| {
                     (0..arity)
                         .map(|_| match universe {
                             0 => self.below(3) as u32,
                             1 => self.below(12) as u32,
-                            _ => self.below(16) as u32 * 65_537 + 9,
+                            2 => self.below(16) as u32 * 65_537 + 9,
+                            _ => self.below(1 << 24) as u32,
                         })
                         .collect()
                 })
                 .collect();
-            match self.below(3) {
+            match self.below(4) {
                 0 => {}
                 1 => {
                     rows = rows
@@ -892,9 +1027,14 @@ mod tests {
                         .into_iter()
                         .collect()
                 }
-                _ => {
+                2 => {
                     rows.sort();
                     rows.reverse();
+                }
+                _ => {
+                    if let Some(first) = rows.first() {
+                        rows = vec![first.clone(); n];
+                    }
                 }
             }
             rows
@@ -1058,19 +1198,20 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
-        /// Random parents (arity 1–4, the three code universes), random
-        /// operations — half of them aimed at rows the parent holds —
-        /// with and without a gap-opening remap.
+        /// Random parents (arity 1–4, the first three code universes: a
+        /// remap is as long as the largest code), random operations —
+        /// half of them aimed at rows the parent holds — with and
+        /// without a gap-opening remap.
         #[test]
         fn merged_matches_the_set_model(case in 0u64..u64::MAX) {
             let mut draw = Draw::new(case);
             let arity = 1 + draw.below(4);
-            let parent = draw.rows(arity);
+            let parent = draw.rows(arity, 3);
             let remap: Option<Vec<u32>> = (draw.below(2) == 0).then(|| {
                 let top = parent.iter().flatten().max().map_or(0, |&c| c + 1);
                 (0..top).map(|c| 2 * c + 1).collect()
             });
-            let fresh = draw.rows(arity);
+            let fresh = draw.rows(arity, 3);
             let ops: Vec<(Vec<u32>, bool)> = fresh
                 .into_iter()
                 .map(|row| {
@@ -1101,15 +1242,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(600))]
 
-        /// Owned columns straight from random code rows: arities 0–4,
-        /// key widths 0–3, duplicates, empty sides, sparse codes,
-        /// sorted and reverse-sorted inputs.
+        /// Owned columns straight from random code rows: arities 0–5,
+        /// key widths 0–3, duplicates, empty sides, sparse codes, codes
+        /// in all three radix digits, sorted, reverse-sorted and
+        /// all-equal inputs.
         #[test]
         fn kernels_match_the_set_model(case in 0u64..u64::MAX) {
             let mut draw = Draw::new(case);
-            let (arity_a, arity_b) = (draw.below(5), draw.below(5));
-            let a = relation_of(arity_a, &draw.rows(arity_a));
-            let b = relation_of(arity_b, &draw.rows(arity_b));
+            let (arity_a, arity_b) = (draw.below(6), draw.below(6));
+            let a = relation_of(arity_a, &draw.rows(arity_a, 4));
+            let b = relation_of(arity_b, &draw.rows(arity_b, 4));
             check_kernels(&a, &b, &mut draw, case);
         }
     }
@@ -1122,10 +1264,10 @@ mod tests {
         #[test]
         fn kernels_match_the_set_model_on_mapped_columns(case in 0u64..u64::MAX) {
             let mut draw = Draw::new(case);
-            let (arity_a, arity_b) = (1 + draw.below(4), 1 + draw.below(4));
+            let (arity_a, arity_b) = (1 + draw.below(5), 1 + draw.below(5));
             let db = crate::Database::new()
-                .with(value_relation("A", arity_a, &draw.rows(arity_a)))
-                .with(value_relation("B", arity_b, &draw.rows(arity_b)));
+                .with(value_relation("A", arity_a, &draw.rows(arity_a, 4)))
+                .with(value_relation("B", arity_b, &draw.rows(arity_b, 4)));
             let path = std::env::temp_dir().join(format!(
                 "rda-encoded-kernels-{}-{case}.rdas",
                 std::process::id()

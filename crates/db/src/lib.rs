@@ -25,7 +25,7 @@ pub mod value;
 
 pub use database::{Database, MutationLog, RelationDelta};
 pub use dict::{DictDelta, Dictionary};
-pub use encoded::{relation_encode_count, EncodedRelation};
+pub use encoded::{radix_sort_rows, relation_encode_count, EncodedRelation};
 pub use persist::{
     open_delta, open_snapshot, save_delta, save_snapshot, PersistError, SnapshotStore,
 };
