@@ -1,48 +1,32 @@
-//! Instance-level FD-extension (Section 8, Lemma 8.5's forward
-//! reduction): transform a database satisfying unary FDs `Δ` into one
-//! for the extended query `Q⁺` with the same answers (restricted to the
-//! original free variables).
+//! Value-level FD-extension (Section 8, Lemma 8.5's forward reduction):
+//! transform a database satisfying unary FDs `Δ` into one for the
+//! extended query `Q⁺` with the same answers (restricted to the original
+//! free variables).
 //!
-//! Oracle-side code, not a build path: every build and selection runs
-//! the code-space twins in [`crate::snapprep`]; this value-level form
-//! is what [`crate::reference`] and the differential tests compare
-//! them with.
+//! The oracle twin of the FD steps of `rda_core::snapprep`, which every
+//! build and selection runs in code space.
 
-use crate::error::BuildError;
 use rda_db::{Database, Relation, Tuple, Value};
 use rda_query::fd::{ExtensionStep, Fd, FdExtension, FdSet};
 use rda_query::query::Cq;
+use rda_query::VarId;
 use std::collections::HashMap;
 
 /// Check that `db` satisfies every FD in `fds` (the paper's promise on
-/// inputs). `q` must be normalized.
-pub(crate) fn check_fds(q: &Cq, db: &Database, fds: &FdSet) -> Result<(), BuildError> {
+/// inputs). `q` and `db` must be normalized.
+///
+/// # Panics
+/// Panics if an FD names a relation `q` or `db` lacks, or if two tuples
+/// violate an FD.
+pub fn check_fds(q: &Cq, db: &Database, fds: &FdSet) {
     for fd in fds.iter() {
         let atom = q
             .atoms()
             .iter()
             .find(|a| a.relation == fd.relation)
-            .ok_or_else(|| BuildError::MissingRelation(fd.relation.clone()))?;
-        let rel = db
-            .get(&fd.relation)
-            .ok_or_else(|| BuildError::MissingRelation(fd.relation.clone()))?;
-        let lp = atom.position_of(fd.lhs).expect("FD lhs occurs in atom");
-        let rp = atom.position_of(fd.rhs).expect("FD rhs occurs in atom");
-        let mut seen: HashMap<Value, Value> = HashMap::new();
-        for t in rel.tuples() {
-            match seen.entry(t[lp].clone()) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(t[rp].clone());
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if e.get() != &t[rp] {
-                        return Err(BuildError::FdViolated(fd.clone()));
-                    }
-                }
-            }
-        }
+            .unwrap_or_else(|| panic!("FD names relation {} outside the query", fd.relation));
+        fd_lookup(&atom.terms, db, fd);
     }
-    Ok(())
 }
 
 /// Replay the FD-extension steps on the instance: produce a database for
@@ -51,13 +35,16 @@ pub(crate) fn check_fds(q: &Cq, db: &Database, fds: &FdSet) -> Result<(), BuildE
 /// determining value never occurs in the FD's relation are dangling and
 /// are dropped.
 ///
-/// `q` and `db` must be normalized and `db` must satisfy the FDs
-/// ([`check_fds`]).
-pub(crate) fn extend_instance(ext: &FdExtension, db: &Database) -> Result<Database, BuildError> {
+/// `db` must be normalized and satisfy the FDs ([`check_fds`]).
+///
+/// # Panics
+/// Panics if a relation of the extension is missing from `db` or an FD
+/// is violated.
+pub fn extend_instance(ext: &FdExtension, db: &Database) -> Database {
     let mut out = db.clone();
     // Evolving schemas: relation name -> term list, starting from the
     // original atoms and growing exactly as fd_extension grew them.
-    let mut schema: HashMap<String, Vec<rda_query::VarId>> = ext
+    let mut schema: HashMap<String, Vec<VarId>> = ext
         .original
         .atoms()
         .iter()
@@ -68,7 +55,7 @@ pub(crate) fn extend_instance(ext: &FdExtension, db: &Database) -> Result<Databa
         let ExtensionStep::ExtendAtom { atom, added, via } = step else {
             continue; // PromoteVar has no instance effect.
         };
-        let lookup = build_lookup(&schema, &out, via)?;
+        let lookup = fd_lookup(&schema[&via.relation], &out, via);
         let terms = schema
             .get_mut(atom)
             .expect("extension step names a known atom");
@@ -80,30 +67,27 @@ pub(crate) fn extend_instance(ext: &FdExtension, db: &Database) -> Result<Databa
         let rel = out
             .get(atom)
             .expect("normalized instance has all relations");
-        let mut tuples: Vec<Tuple> = Vec::with_capacity(rel.len());
-        for t in rel.tuples() {
-            if let Some(rhs) = lookup.get(&t[lp]) {
-                tuples.push(t.iter().cloned().chain([rhs.clone()]).collect());
-            }
-            // else: dangling tuple, dropped.
-        }
+        let tuples: Vec<Tuple> = rel
+            .tuples()
+            .iter()
+            .filter_map(|t| {
+                let rhs = lookup.get(&t[lp])?; // else: dangling, dropped
+                Some(t.iter().cloned().chain([rhs.clone()]).collect())
+            })
+            .collect();
         let mut new_rel = Relation::from_tuples(atom.clone(), rel.arity() + 1, tuples);
         new_rel.normalize();
         out.add(new_rel);
     }
-    Ok(out)
+    out
 }
 
-/// Build the `lhs value → rhs value` map of an FD from its relation's
-/// current contents.
-fn build_lookup(
-    schema: &HashMap<String, Vec<rda_query::VarId>>,
-    db: &Database,
-    fd: &Fd,
-) -> Result<HashMap<Value, Value>, BuildError> {
-    let terms = schema
-        .get(&fd.relation)
-        .ok_or_else(|| BuildError::MissingRelation(fd.relation.clone()))?;
+/// The `lhs value → rhs value` map of `fd` over its relation's current
+/// contents, whose columns hold `terms`.
+///
+/// # Panics
+/// Panics if the relation is missing or two tuples violate `fd`.
+pub(crate) fn fd_lookup(terms: &[VarId], db: &Database, fd: &Fd) -> HashMap<Value, Value> {
     let lp = terms
         .iter()
         .position(|&t| t == fd.lhs)
@@ -114,16 +98,14 @@ fn build_lookup(
         .expect("FD rhs in relation schema");
     let rel = db
         .get(&fd.relation)
-        .ok_or_else(|| BuildError::MissingRelation(fd.relation.clone()))?;
+        .unwrap_or_else(|| panic!("relation {} missing from database", fd.relation));
     let mut map = HashMap::with_capacity(rel.len());
     for t in rel.tuples() {
         if let Some(prev) = map.insert(t[lp].clone(), t[rp].clone()) {
-            if prev != t[rp] {
-                return Err(BuildError::FdViolated(fd.clone()));
-            }
+            assert!(prev == t[rp], "{} violates the FD {fd}", fd.relation);
         }
     }
-    Ok(map)
+    map
 }
 
 #[cfg(test)]
@@ -141,9 +123,9 @@ mod tests {
         let db = Database::new()
             .with_i64_rows("R", 2, vec![vec![1, 10], vec![2, 20], vec![3, 99]])
             .with_i64_rows("S", 2, vec![vec![10, 7], vec![20, 8]]);
-        check_fds(&q, &db, &fds).unwrap();
+        check_fds(&q, &db, &fds);
         let ext = fd_extension(&q, &fds);
-        let out = extend_instance(&ext, &db).unwrap();
+        let out = extend_instance(&ext, &db);
         let r = out.get("R").unwrap();
         assert_eq!(r.arity(), 3);
         // (3, 99) is dangling (99 not in S) and dropped.
@@ -165,10 +147,8 @@ mod tests {
         let db = Database::new()
             .with_i64_rows("R", 2, vec![vec![1, 10]])
             .with_i64_rows("S", 2, vec![vec![10, 7], vec![10, 8]]);
-        assert!(matches!(
-            check_fds(&q, &db, &fds),
-            Err(BuildError::FdViolated(_))
-        ));
+        let msg = crate::panic_message(|| check_fds(&q, &db, &fds));
+        assert!(msg.contains("S violates the FD"), "{msg}");
     }
 
     #[test]
@@ -181,7 +161,7 @@ mod tests {
             .with_i64_rows("R", 2, vec![vec![1, 10], vec![2, 20]])
             .with_i64_rows("S", 2, vec![vec![10, 100], vec![20, 200]]);
         let ext = fd_extension(&q, &fds);
-        let out = extend_instance(&ext, &db).unwrap();
+        let out = extend_instance(&ext, &db);
         let r = out.get("R").unwrap();
         assert_eq!(r.arity(), 3);
         assert!(r
@@ -195,6 +175,6 @@ mod tests {
         let q = parse("Q(x, y) :- R(x, y)").unwrap();
         let db = Database::new().with_i64_rows("R", 2, vec![vec![1, 2]]);
         let ext = fd_extension(&q, &FdSet::empty());
-        assert_eq!(extend_instance(&ext, &db).unwrap(), db);
+        assert_eq!(extend_instance(&ext, &db), db);
     }
 }

@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
 
-//! # rda-baseline — comparison algorithms
+//! # rda-baseline — comparison algorithms and the value-level oracle
 //!
-//! The strategies the paper's structures are measured against:
+//! The strategies the paper's structures are measured against, and the
+//! value-level pipeline they are checked against:
 //!
 //! * [`materialize`] — compute and sort the full answer set, the only
 //!   general-purpose strategy on the intractable side of the dichotomies
@@ -15,10 +16,47 @@
 //!   (Section 2.5's contrast).
 //! * [`reductions`] — the paper's 3SUM reductions (Lemmas 5.6–5.8),
 //!   executable: solving 3SUM through ordered access to CQ answers.
+//! * [`instance`], [`fdtransform`] — the preprocessing of the paper on
+//!   [`rda_db::Relation`]s: normalization, the free-connex-to-full
+//!   reduction (Proposition 2.3 / Lemma 3.10) and the FD-extension
+//!   (Lemma 8.5). `rda_core` runs the same steps in code space; these
+//!   are what its differential tests compare it with.
+//! * [`mod@reference`] — [`HashLexDirectAccess`], the pre-arena
+//!   lexicographic structure over that pipeline, the oracle of
+//!   `rda_core::LexDirectAccess`.
+//! * [`decompose`] — cyclic queries rewritten through a tree
+//!   decomposition into acyclic ones (the paper's "Applicability"
+//!   paragraph).
+//!
+//! Like every oracle here, these panic on an instance that does not fit
+//! the query (a missing relation, an arity mismatch, a violated FD)
+//! rather than returning an error.
 
+pub mod decompose;
+pub mod fdtransform;
+pub mod instance;
 pub mod materialize;
 pub mod ranked_enum;
 pub mod reductions;
+pub mod reference;
 
+pub use decompose::{rewrite_by_decomposition, DecomposedInstance};
 pub use materialize::{all_answers, MaterializedAccess};
 pub use ranked_enum::{ranked_prefix, RankedEnumerator};
+pub use reference::HashLexDirectAccess;
+
+/// The message of the panic `f` raises — how the tests check that an
+/// oracle refuses a malformed instance.
+///
+/// # Panics
+/// Panics if `f` returns normally.
+#[cfg(test)]
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .expect_err("the oracle must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}

@@ -14,7 +14,7 @@
 //! exactly once and bounds are monotone, so the pop order is the answer
 //! order.
 
-use rda_db::{Database, Tuple, Value};
+use rda_db::{Database, Relation, Tuple, Value};
 use rda_query::gyo;
 use rda_query::query::Cq;
 use rda_query::VarId;
@@ -87,7 +87,7 @@ impl RankedEnumerator {
 
         // Load relations, semijoin-reduce, compute min-completion DP.
         let atom_vars: Vec<Vec<VarId>> = q.atoms().iter().map(|a| a.terms.clone()).collect();
-        let mut rels: Vec<rda_db::Relation> = q
+        let mut rels: Vec<Relation> = q
             .atoms()
             .iter()
             .map(|a| {
@@ -100,7 +100,7 @@ impl RankedEnumerator {
                 r
             })
             .collect();
-        reduce(&atom_vars, &mut rels, &parent, &order);
+        tree.full_reduce(&atom_vars, &mut rels, Relation::semijoin);
 
         // Bottom-up min-completion weights.
         let mut nodes: Vec<Option<NodeData>> = (0..order.len()).map(|_| None).collect();
@@ -292,41 +292,6 @@ pub fn ranked_prefix(
     k: usize,
 ) -> Vec<(f64, Tuple)> {
     RankedEnumerator::new(q, db, weight_of).take(k)
-}
-
-/// Yannakakis full reducer (local copy to keep the baseline crate
-/// independent of `rda-core`).
-fn reduce(vars: &[Vec<VarId>], rels: &mut [rda_db::Relation], parent: &[usize], order: &[usize]) {
-    let key = |a: &[VarId], b: &[VarId]| -> (Vec<usize>, Vec<usize>) {
-        let shared: Vec<VarId> = a.iter().copied().filter(|v| b.contains(v)).collect();
-        let pa = shared
-            .iter()
-            .map(|v| a.iter().position(|u| u == v).expect("shared"))
-            .collect();
-        let pb = shared
-            .iter()
-            .map(|v| b.iter().position(|u| u == v).expect("shared"))
-            .collect();
-        (pa, pb)
-    };
-    for &i in order.iter().rev() {
-        let p = parent[i];
-        if p == usize::MAX {
-            continue;
-        }
-        let (pp, pc) = key(&vars[p], &vars[i]);
-        let child = rels[i].clone();
-        rels[p].semijoin(&pp, &child, &pc);
-    }
-    for &i in order {
-        let p = parent[i];
-        if p == usize::MAX {
-            continue;
-        }
-        let (pc, pp) = key(&vars[i], &vars[p]);
-        let par = rels[p].clone();
-        rels[i].semijoin(&pc, &par, &pp);
-    }
 }
 
 #[cfg(test)]

@@ -1,32 +1,70 @@
 //! The pre-arena lexicographic access structure, kept as an oracle.
 //!
-//! This is the implementation [`crate::LexDirectAccess`] had before the
+//! This is the implementation `rda_core::LexDirectAccess` had before the
 //! dictionary-encoded arena layout: per-layer `HashMap<Tuple, Bucket>`
 //! with `(Value, weight, start)` entries, key tuples allocated and
-//! hashed on every layer descent. It is retained verbatim for one job,
-//! differential testing: `tests/oracle.rs` checks the arena structure
-//! against it answer-for-answer on randomized instances.
+//! hashed on every layer descent. It has one job, differential testing:
+//! `tests/oracle.rs` checks the arena structure against it
+//! answer-for-answer on randomized instances.
 //!
-//! It is not part of the supported API surface and keeps the pre-PR
-//! behavior, including saturating (unchecked) weight arithmetic. Apart
-//! from `validate_lex` and `build_derivations`, the pipeline here is
-//! deliberately *duplicated*, not shared with `lexda::prepare_layers`:
-//! the differential tests are only meaningful if the two structures are
-//! built independently.
+//! It keeps the pre-arena behavior, including saturating (unchecked)
+//! weight arithmetic, and runs the value-level preparation of
+//! [`crate::instance`] and [`crate::fdtransform`] — built independently
+//! of the arena's code-space pipeline, which is what makes the
+//! differential tests meaningful.
 
-use crate::error::BuildError;
-use crate::fdtransform::{check_fds, extend_instance};
-use crate::instance::{full_reduce, normalize_instance, positions_of, reduce_to_full, sorted_vars};
-use crate::lexda::{build_derivations, validate_lex, RawDerivation};
+use crate::fdtransform::{check_fds, extend_instance, fd_lookup};
+use crate::instance::{normalize_instance, reduce_to_full};
 use rda_db::{Database, Relation, Tuple, Value};
-use rda_query::classify::{classify, Problem, Verdict};
+use rda_query::classify::{classify, Problem};
 use rda_query::connex::complete_order;
-use rda_query::fd::{fd_extension, fd_reordered_order, FdSet};
+use rda_query::fd::{fd_extension, fd_reordered_order, ExtensionStep, FdExtension, FdSet};
 use rda_query::jointree::{JoinTree, NodeSource};
 use rda_query::layered::layered_join_tree;
-use rda_query::query::Cq;
-use rda_query::VarId;
+use rda_query::query::{positions_of, Cq};
+use rda_query::{VarId, VarSet};
 use std::collections::HashMap;
+
+/// How a promoted (FD-implied) variable's value is derived from an
+/// already-known variable, for inverted access under FDs.
+#[derive(Debug, Clone)]
+struct Derivation {
+    var: VarId,
+    from: VarId,
+    lookup: HashMap<Value, Value>,
+}
+
+/// For every promoted variable, how to derive its value from an earlier
+/// variable, over the extended instance `idb`.
+fn build_derivations(ext: &FdExtension, idb: &Database) -> Vec<Derivation> {
+    let mut known: VarSet = ext.original.free_set();
+    let mut out = Vec::new();
+    for step in &ext.steps {
+        let ExtensionStep::PromoteVar { var } = step else {
+            continue;
+        };
+        let fd = ext
+            .fds
+            .iter()
+            .find(|fd| fd.rhs == *var && known.contains(fd.lhs))
+            .expect("promoted variables are implied by an earlier free variable");
+        // The FD's relation already carries both columns in the extended
+        // instance (schemas only grow).
+        let atom = ext
+            .query
+            .atoms()
+            .iter()
+            .find(|a| a.relation == fd.relation)
+            .expect("FD names an atom");
+        out.push(Derivation {
+            var: *var,
+            from: fd.lhs,
+            lookup: fd_lookup(&atom.terms, idb, fd),
+        });
+        known = known.with(*var);
+    }
+    out
+}
 
 /// One sorted run of a layer relation: all tuples agreeing on the
 /// preceding variables, ordered by the layer's own variable.
@@ -71,7 +109,7 @@ struct Layer {
     buckets: HashMap<Tuple, Bucket>,
 }
 
-/// The pre-arena [`crate::LexDirectAccess`]: same algorithms (1 and 2),
+/// The pre-arena `rda_core::LexDirectAccess`: same algorithms (1 and 2),
 /// same preprocessing, hash-map bucket layout. See the module docs for
 /// why it is kept.
 #[derive(Debug, Clone)]
@@ -80,33 +118,40 @@ pub struct HashLexDirectAccess {
     order: Vec<VarId>,
     var_slots: usize,
     layers: Vec<Layer>,
-    derivations: Vec<RawDerivation>,
+    derivations: Vec<Derivation>,
     total: u64,
 }
 
 impl HashLexDirectAccess {
-    /// Build the structure; identical preconditions and failure modes to
-    /// the pre-PR `LexDirectAccess::build` (in particular, weight
-    /// arithmetic saturates instead of reporting overflow).
-    pub fn build(q: &Cq, db: &Database, lex: &[VarId], fds: &FdSet) -> Result<Self, BuildError> {
-        validate_lex(q, lex)?;
-        if !fds.is_empty() && !q.is_self_join_free() {
-            return Err(BuildError::InvalidOrder(
-                "functional dependencies require a self-join-free query".to_string(),
-            ));
-        }
-        match classify(q, fds, &Problem::DirectAccessLex(lex.to_vec())) {
-            Verdict::Tractable { .. } => {}
-            v => return Err(BuildError::NotTractable(v)),
-        }
+    /// Build the structure for `q` over `db`, ordered by the (partial)
+    /// lexicographic order `lex`, under the FDs `fds`. Weight arithmetic
+    /// saturates instead of reporting overflow.
+    ///
+    /// # Panics
+    /// Panics if `lex` is not a list of distinct head variables, if FDs
+    /// come with a self-join, if the order is not tractable for direct
+    /// access (Theorems 4.1 / 8.21), or if `db` does not fit `q` or
+    /// violates an FD.
+    pub fn build(q: &Cq, db: &Database, lex: &[VarId], fds: &FdSet) -> Self {
+        let distinct: VarSet = lex.iter().copied().collect();
+        assert!(
+            distinct.len() == lex.len() && distinct.is_subset(q.free_set()),
+            "a lexicographic order lists distinct head variables"
+        );
+        assert!(
+            fds.is_empty() || q.is_self_join_free(),
+            "functional dependencies require a self-join-free query"
+        );
+        let verdict = classify(q, fds, &Problem::DirectAccessLex(lex.to_vec()));
+        assert!(verdict.is_tractable(), "intractable order: {verdict:?}");
 
-        let (nq, ndb) = normalize_instance(q, db)?;
-        check_fds(&nq, &ndb, fds)?;
+        let (nq, ndb) = normalize_instance(q, db);
+        check_fds(&nq, &ndb, fds);
         let ext = fd_extension(&nq, fds);
-        let idb = extend_instance(&ext, &ndb)?;
+        let idb = extend_instance(&ext, &ndb);
         let qp = ext.query.clone();
         let l_plus = fd_reordered_order(&ext, lex);
-        let derivations = build_derivations(&ext, &idb)?;
+        let derivations = build_derivations(&ext, &idb);
 
         let red = reduce_to_full(&qp, &idb)
             .expect("classification guarantees the extension is free-connex");
@@ -115,14 +160,14 @@ impl HashLexDirectAccess {
         let order =
             complete_order(&qp, &l_plus).expect("classification guarantees a trio-free completion");
         if order.is_empty() {
-            return Ok(HashLexDirectAccess {
+            return HashLexDirectAccess {
                 out_vars: q.free().to_vec(),
                 order,
                 var_slots: qp.var_count(),
                 layers: Vec::new(),
                 derivations,
                 total: u64::from(!red.known_empty),
-            });
+            };
         }
 
         // Layered join tree over the reduced full query.
@@ -136,13 +181,13 @@ impl HashLexDirectAccess {
         let mut layer_rels: Vec<Relation> = Vec::with_capacity(f);
         let mut layer_vars: Vec<Vec<VarId>> = Vec::with_capacity(f);
         for (i, node) in layered.layers.iter().enumerate() {
-            let vars = sorted_vars(node.vars);
+            let vars: Vec<VarId> = node.vars.iter().collect();
             let def = &red.query.atoms()[node.defining_edge];
             let def_rel = red.db.get(&def.relation).expect("reduced relation exists");
             let mut rel = def_rel.project(format!("L{i}"), &positions_of(&def.terms, &vars));
             for &e in &node.assigned_edges {
                 let atom = &red.query.atoms()[e];
-                let e_vars = sorted_vars(atom.var_set());
+                let e_vars: Vec<VarId> = atom.var_set().iter().collect();
                 let self_keys = positions_of(&vars, &e_vars);
                 let other = red.db.get(&atom.relation).expect("reduced relation exists");
                 let other_keys = positions_of(&atom.terms, &e_vars);
@@ -155,16 +200,15 @@ impl HashLexDirectAccess {
         // Remove dangling tuples across the layered tree so every stored
         // tuple has positive weight (Figure 4's invariant).
         let mut jt = JoinTree::new();
-        for (i, node) in layered.layers.iter().enumerate() {
-            let idx = jt.add_node(node.vars, NodeSource::Synthetic(None));
-            debug_assert_eq!(idx, i);
+        for node in &layered.layers {
+            jt.add_node(node.vars, NodeSource::Synthetic(None));
         }
         for (i, node) in layered.layers.iter().enumerate() {
             if let Some(p) = node.parent {
                 jt.add_edge(p, i);
             }
         }
-        full_reduce(&jt, &layer_vars, &mut layer_rels);
+        jt.full_reduce(&layer_vars, &mut layer_rels, Relation::semijoin);
 
         // Counting DP, deepest layer first (children have larger index).
         let mut layers: Vec<Option<Layer>> = (0..f).map(|_| None).collect();
@@ -178,26 +222,23 @@ impl HashLexDirectAccess {
             let key_positions: Vec<usize> = (0..vars.len()).filter(|&p| p != value_pos).collect();
             let key_vars: Vec<VarId> = key_positions.iter().map(|&p| vars[p]).collect();
             let children = layered.children(i);
+            // Running intersection: child keys lie in the parent node.
+            let child_keys: Vec<(&Layer, Vec<usize>)> = children
+                .iter()
+                .map(|&c| {
+                    let child = layers[c].as_ref().expect("children already built");
+                    (child, positions_of(vars, &child.key_vars))
+                })
+                .collect();
 
             // Weight per tuple = product over children of the matching
             // bucket's total.
             let mut grouped: HashMap<Tuple, Vec<(Value, u64)>> = HashMap::new();
             for t in layer_rels[i].tuples() {
                 let mut w: u64 = 1;
-                for &c in &children {
-                    let child = layers[c].as_ref().expect("children already built");
-                    let child_key: Tuple = child
-                        .key_vars
-                        .iter()
-                        .map(|ck| {
-                            let p = vars
-                                .iter()
-                                .position(|v| v == ck)
-                                .expect("running intersection: child keys lie in the parent node");
-                            t[p].clone()
-                        })
-                        .collect();
-                    w = w.saturating_mul(child.buckets.get(&child_key).map_or(0, |b| b.total));
+                for (child, keys) in &child_keys {
+                    let bucket = child.buckets.get(&t.project(keys));
+                    w = w.saturating_mul(bucket.map_or(0, |b| b.total));
                 }
                 if w == 0 {
                     continue;
@@ -237,14 +278,14 @@ impl HashLexDirectAccess {
             .get(&Tuple::new(vec![]))
             .map_or(0, |b| b.total);
 
-        Ok(HashLexDirectAccess {
+        HashLexDirectAccess {
             out_vars: q.free().to_vec(),
             order,
             var_slots: qp.var_count(),
             layers,
             derivations,
             total,
-        })
+        }
     }
 
     /// Number of answers (`|Q(I)|`).
@@ -388,7 +429,7 @@ impl HashLexDirectAccess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DirectAccess, LexDirectAccess};
+    use crate::MaterializedAccess;
     use rda_db::tup;
     use rda_query::parser::parse;
 
@@ -398,24 +439,38 @@ mod tests {
             .with_i64_rows("S", 2, vec![vec![5, 3], vec![5, 4], vec![5, 6], vec![2, 5]])
     }
 
-    /// The reference structure and the arena agree on the running
-    /// example — the full differential check lives in tests/oracle.rs.
+    /// The reference structure agrees with materialize-and-sort on the
+    /// running example — the differential check against the arena lives
+    /// in tests/oracle.rs.
     #[test]
-    fn agrees_with_arena_on_figure_2() {
+    fn agrees_with_materialized_on_figure_2() {
         let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
         let lex = q.vars(&["x", "y", "z"]);
         let db = fig2_db();
-        let old = HashLexDirectAccess::build(&q, &db, &lex, &FdSet::empty()).unwrap();
-        let new = LexDirectAccess::build(&q, &db, &lex, &FdSet::empty()).unwrap();
-        assert_eq!(old.len(), new.len());
-        for k in 0..old.len() {
-            let t = old.access(k).unwrap();
-            assert_eq!(Some(t.clone()), new.access(k));
-            assert_eq!(old.inverted_access(&t), new.inverted_access(&t));
+        let reference = HashLexDirectAccess::build(&q, &db, &lex, &FdSet::empty());
+        let oracle = MaterializedAccess::by_lex(&q, &db, &lex);
+        assert_eq!(reference.len(), oracle.len());
+        for k in 0..reference.len() {
+            let t = reference.access(k).unwrap();
+            assert_eq!(Some(t.clone()), oracle.access(k));
+            assert_eq!(reference.inverted_access(&t), Some(k));
         }
-        assert_eq!(
-            old.rank_of_lower_bound(&tup![1, 3, 0]),
-            new.rank_of_lower_bound(&tup![1, 3, 0])
-        );
+        // (1, 3, 0) sorts after (1, 2, 5) and before (1, 5, 3).
+        assert_eq!(reference.rank_of_lower_bound(&tup![1, 3, 0]), Some(1));
+    }
+
+    #[test]
+    fn refuses_an_intractable_order() {
+        let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+        let lex = q.vars(&["x", "z", "y"]);
+        let msg = crate::panic_message(|| {
+            drop(HashLexDirectAccess::build(
+                &q,
+                &fig2_db(),
+                &lex,
+                &FdSet::empty(),
+            ))
+        });
+        assert!(msg.contains("intractable order"), "{msg}");
     }
 }

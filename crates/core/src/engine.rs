@@ -56,6 +56,7 @@ use crate::plan::{
     describe_reason, AccessPlan, Backend, Explain, RankedAnswers, RankedEnumHandle,
     SelectionLexHandle, SelectionSumHandle,
 };
+use crate::snapprep::encoded_atoms;
 use crate::weights::Weights;
 use crate::{LexDirectAccess, SumDirectAccess};
 use rda_baseline::{MaterializedAccess, RankedEnumerator};
@@ -706,7 +707,8 @@ fn prepare_lex(
     match policy {
         Policy::Reject => Err(PlanError::Intractable { verdict, witness }),
         Policy::Materialize => {
-            crate::instance::validate_instance(q, snap.database())?;
+            // Validate against the encoded relations before reading rows.
+            encoded_atoms(q, snap)?;
             let m = MaterializedAccess::by_lex(q, snap.database(), &lex);
             Ok(AccessPlan::new(
                 RankedAnswers::Materialized(m),
@@ -780,7 +782,7 @@ fn prepare_sum(
     match policy {
         Policy::Reject => Err(PlanError::Intractable { verdict, witness }),
         Policy::Materialize => {
-            crate::instance::validate_instance(q, snap.database())?;
+            encoded_atoms(q, snap)?;
             let m = MaterializedAccess::by_sum(q, snap.database(), |v, val| weights.get(v, val).0);
             Ok(AccessPlan::new(
                 RankedAnswers::Materialized(m),
@@ -806,7 +808,7 @@ fn prepare_sum(
                     reason: "the any-k enumerator requires an acyclic CQ".to_string(),
                 });
             }
-            crate::instance::validate_instance(q, snap.database())?;
+            encoded_atoms(q, snap)?;
             let e = RankedEnumerator::new(q, snap.database(), |v, val| weights.get(v, val).0);
             Ok(AccessPlan::new(
                 RankedAnswers::RankedEnum(RankedEnumHandle::new(e)),

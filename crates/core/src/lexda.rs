@@ -51,7 +51,6 @@
 use crate::budget::{BudgetMeter, BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::fault;
-use crate::instance::{positions_of, sorted_vars};
 use crate::plan::DirectAccess;
 use crate::rankdir::{self, NO_DIR};
 use crate::snapprep::{
@@ -62,26 +61,13 @@ use crate::window::WindowBuf;
 use rda_db::{Database, Dictionary, EncodedRelation, Snapshot, Tuple, Value};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::connex::complete_order;
-use rda_query::fd::{fd_extension, fd_reordered_order, ExtensionStep, FdSet};
+use rda_query::fd::{fd_extension, fd_reordered_order, FdSet};
 use rda_query::layered::layered_join_tree;
-use rda_query::query::Cq;
+use rda_query::query::{positions_of, Cq};
 use rda_query::VarId;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// How a promoted (FD-implied) variable's value is derived from an
-/// already-known variable, for inverted access under FDs. Value-keyed;
-/// only the pre-arena [`crate::reference::HashLexDirectAccess`] baseline
-/// consumes this form — the arena works with the code-keyed
-/// [`Derivation`] produced straight from the snapshot's codes.
-#[derive(Debug, Clone)]
-pub(crate) struct RawDerivation {
-    pub(crate) var: VarId,
-    pub(crate) from: VarId,
-    pub(crate) lookup: HashMap<Value, Value>,
-}
 
 /// Buckets smaller than this skip the rank directory: a binary search
 /// over so few entries is already one or two cache lines.
@@ -286,9 +272,9 @@ impl<'a> ChildLink<'a> {
 /// layer materialization of step 5) produces — the input of the arena
 /// construction in [`LexDirectAccess::from_prep`]. All relations are in
 /// the snapshot's shared code space; nothing here owns a dictionary.
-/// (The pre-arena baseline in [`crate::reference`] deliberately does
-/// *not* consume this: it duplicates the pre-PR pipeline verbatim so
-/// the differential tests compare two genuinely independent builds.)
+/// (The pre-arena oracle in `rda_baseline::reference` does *not*
+/// consume this: it runs the value-level pipeline, so the differential
+/// tests compare two genuinely independent builds.)
 pub(crate) struct LayerPrep {
     pub(crate) out_vars: Vec<VarId>,
     pub(crate) order: Vec<VarId>,
@@ -394,7 +380,7 @@ pub(crate) fn prepare_layers(
     let layer_vars: Vec<Vec<VarId>> = layered
         .layers
         .iter()
-        .map(|node| sorted_vars(node.vars))
+        .map(|node| node.vars.iter().collect())
         .collect();
     let mut enc_layers: Vec<EncodedRelation> = (0..f)
         .map(|i| {
@@ -450,7 +436,7 @@ fn assert_layers_consistent(
     enc_layers: &[EncodedRelation],
 ) {
     let keeps_all = |rel: &EncodedRelation, vars: &[VarId], other, other_vars: &[VarId]| {
-        let (keys, other_keys) = crate::instance::shared_positions(vars, other_vars);
+        let (keys, other_keys) = rda_query::query::shared_positions(vars, other_vars);
         rel.semijoin_plan(&keys, other, &other_keys).is_none()
     };
     for (i, node) in layered.layers.iter().enumerate() {
@@ -1469,50 +1455,6 @@ pub(crate) fn validate_lex(q: &Cq, lex: &[VarId]) -> Result<(), BuildError> {
         seen = seen.with(v);
     }
     Ok(())
-}
-
-/// For every promoted variable, record how to derive its value from an
-/// earlier variable (needed by inverted access under FDs).
-pub(crate) fn build_derivations(
-    ext: &rda_query::fd::FdExtension,
-    idb: &Database,
-) -> Result<Vec<RawDerivation>, BuildError> {
-    let mut known: rda_query::VarSet = ext.original.free_set();
-    let mut out = Vec::new();
-    for step in &ext.steps {
-        let ExtensionStep::PromoteVar { var } = step else {
-            continue;
-        };
-        let fd = ext
-            .fds
-            .iter()
-            .find(|fd| fd.rhs == *var && known.contains(fd.lhs))
-            .expect("promoted variables are implied by an earlier free variable");
-        // The FD's relation already carries both columns in the extended
-        // instance (schemas only grow).
-        let atom = ext
-            .query
-            .atoms()
-            .iter()
-            .find(|a| a.relation == fd.relation)
-            .expect("FD names an atom");
-        let lp = atom.position_of(fd.lhs).expect("lhs in atom");
-        let rp = atom.position_of(fd.rhs).expect("rhs in atom");
-        let rel = idb
-            .get(&fd.relation)
-            .ok_or_else(|| BuildError::MissingRelation(fd.relation.clone()))?;
-        let mut lookup = HashMap::with_capacity(rel.len());
-        for t in rel.tuples() {
-            lookup.insert(t[lp].clone(), t[rp].clone());
-        }
-        out.push(RawDerivation {
-            var: *var,
-            from: fd.lhs,
-            lookup,
-        });
-        known = known.with(*var);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

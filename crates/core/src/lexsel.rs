@@ -22,7 +22,6 @@
 
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
-use crate::instance::shared_positions;
 use crate::snapprep::{dense_len, key_ids, prepare_reduced};
 use rda_db::{EncodedRelation, Snapshot, Tuple};
 use rda_query::classify::Problem;
@@ -31,7 +30,7 @@ use rda_query::fd::{fd_reordered_order, FdExtension, FdSet};
 use rda_query::gyo;
 use rda_query::hypergraph::Hypergraph;
 use rda_query::jointree::JoinTree;
-use rda_query::query::Cq;
+use rda_query::query::{shared_positions, Cq};
 use rda_query::{VarId, VarSet};
 use std::borrow::Cow;
 use std::sync::Arc;

@@ -28,10 +28,11 @@
 //! the active domain is interned into order-preserving `u32` codes
 //! ([`rda_db::Dictionary`]), layers are flat arenas with packed entries
 //! and per-bucket rank directories, and the access hot paths perform no
-//! heap allocation (see the `lexda`/`sumda` module docs). The pre-arena
-//! hash-bucketed implementation survives as
-//! [`reference::HashLexDirectAccess`], the oracle of the differential
-//! tests.
+//! heap allocation (see the `lexda`/`sumda` module docs). The crate
+//! holds only that code-space pipeline. Its value-level oracle — the
+//! pre-arena hash-bucketed lexicographic structure and the value-level
+//! preprocessing it runs — lives in `rda_baseline`, beside the
+//! materialize-and-sort and any-k fallbacks.
 //!
 //! ## The front door
 //!
@@ -65,18 +66,14 @@
 //! pagination tokens.
 
 pub mod budget;
-pub mod decompose;
 pub mod engine;
 pub mod error;
 pub mod fault;
-mod fdtransform;
-mod instance;
 pub mod lexda;
 pub mod lexsel;
 pub mod plan;
 pub mod random_order;
 mod rankdir;
-pub mod reference;
 pub mod snapprep;
 pub mod sumda;
 pub mod sumsel;
@@ -84,7 +81,6 @@ pub mod weights;
 pub mod window;
 
 pub use budget::{BudgetMeter, BuildBudget, BuildCost};
-pub use decompose::{lex_direct_access_decomposed, rewrite_by_decomposition};
 pub use engine::{canonical_request_key, plan_dependencies, Engine, OrderSpec, PlanError, Policy};
 pub use error::BuildError;
 pub use fault::{FaultAction, FaultGuard, FaultPlan, InjectedFault};
@@ -94,7 +90,6 @@ pub use plan::{
     SelectionLexHandle, SelectionSumHandle,
 };
 pub use random_order::{Quantiles, RandomOrderEnumerator};
-pub use reference::HashLexDirectAccess;
 pub use sumda::SumDirectAccess;
 pub use weights::Weights;
 pub use window::{RankedStream, WindowBuf, DEFAULT_STREAM_BATCH};

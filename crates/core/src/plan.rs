@@ -899,11 +899,6 @@ impl AccessPlan {
         &self.answers
     }
 
-    /// Unwrap into the backend handle, dropping the report.
-    pub fn into_answers(self) -> RankedAnswers {
-        self.answers
-    }
-
     /// The routing report: verdict, witness, and chosen backend.
     pub fn explain(&self) -> &Explain {
         &self.explain

@@ -5,10 +5,12 @@
 //! A direct-access structure turns the answer set into a virtual sorted
 //! array, which immediately yields:
 //!
-//! * **uniform random-order enumeration** ([`RandomOrderEnumerator`]):
-//!   a lazily materialized Fisher–Yates permutation over indices gives a
-//!   provably uniform random permutation of the answers with O(log n)
-//!   delay and O(emitted) memory — sampling *without replacement*;
+//! * **uniform random-order enumeration** ([`RandomOrderEnumerator`],
+//!   over any [`DirectAccess`] plan or structure): a lazily materialized
+//!   Fisher–Yates permutation over indices gives a provably uniform
+//!   random permutation of the answers with one access of delay and
+//!   O(emitted) memory — sampling *without replacement*
+//!   (`examples/random_permutation.rs`);
 //! * **quantiles** ([`Quantiles`]): the φ-quantile is one access;
 //! * **range counting/reporting** between two (possibly non-answer)
 //!   tuples via the rank machinery of Remark 3.
@@ -19,22 +21,23 @@ use rand::Rng;
 use rda_db::Tuple;
 use std::collections::HashMap;
 
-/// Uniform random-order enumeration without replacement.
+/// Uniform random-order enumeration without replacement, over the
+/// answers of any [`DirectAccess`] backend.
 ///
 /// Keeps a sparse Fisher–Yates state: only the O(#emitted) swapped
 /// positions are stored, so streaming a short prefix of a huge answer
 /// set stays cheap — the property that makes prefixes statistically
 /// valid samples.
-pub struct RandomOrderEnumerator<'a, R: Rng> {
-    da: &'a LexDirectAccess,
+pub struct RandomOrderEnumerator<'a, D: DirectAccess + ?Sized, R: Rng> {
+    da: &'a D,
     rng: R,
     swaps: HashMap<u64, u64>,
     next: u64,
 }
 
-impl<'a, R: Rng> RandomOrderEnumerator<'a, R> {
+impl<'a, D: DirectAccess + ?Sized, R: Rng> RandomOrderEnumerator<'a, D, R> {
     /// Start a fresh uniform permutation over `da`'s answers.
-    pub fn new(da: &'a LexDirectAccess, rng: R) -> Self {
+    pub fn new(da: &'a D, rng: R) -> Self {
         RandomOrderEnumerator {
             da,
             rng,
@@ -53,7 +56,7 @@ impl<'a, R: Rng> RandomOrderEnumerator<'a, R> {
     }
 }
 
-impl<R: Rng> Iterator for RandomOrderEnumerator<'_, R> {
+impl<D: DirectAccess + ?Sized, R: Rng> Iterator for RandomOrderEnumerator<'_, D, R> {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {

@@ -5,12 +5,12 @@
 //! `u32` relations a [`Snapshot`] encoded **once** at freeze time,
 //! borrowing them through [`Cow`] so a step that changes nothing (the
 //! common case: no repeated variables, no FDs, nothing dangling) costs
-//! no copy at all. The value-level pipeline in `instance` and
-//! `fdtransform`, which re-reads and clones [`rda_db::Relation`]s, is
-//! its oracle: only the pre-arena reference structure and the
-//! differential tests still run it. Because the snapshot's dictionary
-//! is order-preserving, each step produces exactly the relations its
-//! value-level twin would, just in code space.
+//! no copy at all. Its oracle is the value-level pipeline of
+//! `rda_baseline` (`instance`, `fdtransform`), which re-reads and clones
+//! [`rda_db::Relation`]s: because the snapshot's dictionary is
+//! order-preserving, each step here produces exactly the relations the
+//! value-level one does, just in code space — the differential tests
+//! below check it.
 //!
 //! The contract is observable from the outside: relations are encoded
 //! at freeze time and **never again**, however many structures are
@@ -37,13 +37,12 @@
 
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
-use crate::instance::{full_reduce, normalize_query, positions_of, sorted_vars};
 use rda_db::{EncodedRelation, Snapshot};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::connex::{ext_connex_tree, ExtConnexTree};
 use rda_query::fd::{fd_extension, ExtensionStep, Fd, FdExtension, FdSet};
 use rda_query::gyo;
-use rda_query::query::{Atom, Cq};
+use rda_query::query::{positions_of, Atom, Cq};
 use rda_query::{VarId, VarSet};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -105,28 +104,45 @@ impl Derivation {
     }
 }
 
-/// The code-space half of [`crate::instance::normalize_instance`]:
-/// validate the query against the snapshot and produce, per normalized
-/// atom, its encoded relation. Self-join occurrences *borrow the same
-/// snapshot relation* (the value-level path had to clone them apart);
-/// atoms with repeated variables get a filtered, projected copy.
+/// The snapshot's encoded relation of every atom of `q`, in atom order —
+/// the instance validation behind every build and every fallback: fails
+/// with [`BuildError::MissingRelation`] or [`BuildError::ArityMismatch`]
+/// when the snapshot does not fit the query.
+pub(crate) fn encoded_atoms<'a>(
+    q: &Cq,
+    snap: &'a Snapshot,
+) -> Result<Vec<&'a EncodedRelation>, BuildError> {
+    q.atoms()
+        .iter()
+        .map(|atom| {
+            let enc = snap
+                .encoded(&atom.relation)
+                .ok_or_else(|| BuildError::MissingRelation(atom.relation.clone()))?;
+            if enc.arity() != atom.terms.len() {
+                return Err(BuildError::ArityMismatch {
+                    relation: atom.relation.clone(),
+                    expected: atom.terms.len(),
+                    found: enc.arity(),
+                });
+            }
+            Ok(enc)
+        })
+        .collect()
+}
+
+/// Normalize in code space: validate the query against the snapshot
+/// ([`encoded_atoms`]) and produce, per atom of [`Cq::normalized`], its
+/// encoded relation. Self-join occurrences *borrow the same snapshot
+/// relation*; atoms with repeated variables get a filtered, projected
+/// copy.
 pub(crate) fn normalize_encoded<'a>(
     q: &Cq,
     snap: &'a Snapshot,
 ) -> Result<(Cq, Vec<EncRel<'a>>), BuildError> {
-    let nq = normalize_query(q);
+    let nq = q.normalized();
+    let encs = encoded_atoms(q, snap)?;
     let mut rels: Vec<EncRel<'a>> = Vec::with_capacity(q.atoms().len());
-    for (atom, natom) in q.atoms().iter().zip(nq.atoms()) {
-        let enc = snap
-            .encoded(&atom.relation)
-            .ok_or_else(|| BuildError::MissingRelation(atom.relation.clone()))?;
-        if enc.arity() != atom.terms.len() {
-            return Err(BuildError::ArityMismatch {
-                relation: atom.relation.clone(),
-                expected: atom.terms.len(),
-                found: enc.arity(),
-            });
-        }
+    for ((atom, natom), enc) in q.atoms().iter().zip(nq.atoms()).zip(encs) {
         if natom.terms.len() == atom.terms.len() {
             // No repeated variables; the snapshot's normalized encoding
             // is exactly the normalized relation.
@@ -160,9 +176,8 @@ pub(crate) fn normalize_encoded<'a>(
     Ok((nq, rels))
 }
 
-/// Code-space twin of [`crate::fdtransform::check_fds`]: verify every
-/// declared FD against the encoded relations. Code equality is value
-/// equality, so the check is exact.
+/// Verify every declared FD against the encoded relations. Code
+/// equality is value equality, so the check is exact.
 pub(crate) fn check_fds_encoded(
     nq: &Cq,
     rels: &[EncRel<'_>],
@@ -182,10 +197,9 @@ pub(crate) fn check_fds_encoded(
     Ok(())
 }
 
-/// Code-space twin of [`crate::fdtransform::extend_instance`]: replay
-/// the FD-extension steps on the encoded relations, widening atoms by
-/// their implied columns and dropping dangling rows. Atoms no step
-/// touches keep their borrowed snapshot relation.
+/// Replay the FD-extension steps on the encoded relations (Lemma 8.5),
+/// widening atoms by their implied columns and dropping dangling rows.
+/// Atoms no step touches keep their borrowed snapshot relation.
 pub(crate) fn extend_instance_encoded<'a>(
     ext: &FdExtension,
     nq: &Cq,
@@ -254,8 +268,7 @@ pub(crate) fn extend_instance_encoded<'a>(
 }
 
 /// For every promoted variable, the code-keyed derivation of its value
-/// from an earlier variable (needed by inverted access under FDs) —
-/// code-space twin of [`crate::lexda::build_derivations`].
+/// from an earlier variable (needed by inverted access under FDs).
 pub(crate) fn build_derivations_encoded(
     ext: &FdExtension,
     rels: &[EncRel<'_>],
@@ -312,14 +325,19 @@ pub(crate) struct EncodedReduction {
 pub(crate) fn reduce_atoms(q: &Cq, rels: &mut [EncRel<'_>]) {
     let tree = gyo::join_tree(&q.hypergraph()).expect("classification guarantees acyclicity");
     let atom_vars: Vec<Vec<VarId>> = q.atoms().iter().map(|a| a.terms.clone()).collect();
-    full_reduce(&tree, &atom_vars, rels);
+    tree.full_reduce(&atom_vars, rels, |target, keys, source, source_keys| {
+        // Copy-on-write: a borrowed relation is cloned only when the
+        // semijoin actually removes rows.
+        if let Some(keep) = target.semijoin_plan(keys, source, source_keys) {
+            target.to_mut().retain_rows(&keep);
+        }
+    });
 }
 
-/// Code-space twin of [`crate::instance::reduce_to_full`]
-/// (Proposition 2.3 / Lemma 3.10): reduce a free-connex `q` (with
-/// encoded relations `rels`, positionally per atom) to a full acyclic
-/// query over `free(q)` with the same answers. Returns `None` if `q` is
-/// not free-connex.
+/// Proposition 2.3 / Lemma 3.10 in code space: reduce a free-connex `q`
+/// (with encoded relations `rels`, positionally per atom) to a full
+/// acyclic query over `free(q)` with the same answers. Returns `None` if
+/// `q` is not free-connex.
 /// One full reducer runs, over `q`'s own join tree; each marked ext-tree
 /// node is then the projection of its reduced source atom — what
 /// reducing the whole ext tree (projections of atoms) would give.
@@ -337,7 +355,7 @@ pub(crate) fn reduce_to_full_encoded(
     let mut atoms = Vec::new();
     let mut out_rels = Vec::new();
     for &i in &ext.marked {
-        let vars = sorted_vars(ext.tree.node(i).vars);
+        let vars: Vec<VarId> = ext.tree.node(i).vars.iter().collect();
         if vars.is_empty() {
             continue;
         }
@@ -348,12 +366,8 @@ pub(crate) fn reduce_to_full_encoded(
             terms: vars,
         });
     }
-    let names: Vec<String> = (0..q.var_count())
-        .map(|i| q.var_name(VarId(i as u32)).to_string())
-        .collect();
-    let query = Cq::from_parts(q.name().to_string(), q.free().to_vec(), atoms, names);
     Some(EncodedReduction {
-        query,
+        query: q.rebuilt(q.free().to_vec(), atoms),
         rels: out_rels,
         known_empty,
     })
@@ -636,10 +650,10 @@ mod tests {
             let rels = extend_instance_encoded(&ext, &nq, rels).unwrap();
             let red = reduce_to_full_encoded(&ext.query, rels).unwrap();
 
-            let (vq, vdb) = crate::instance::normalize_instance(&q, snap.database()).unwrap();
+            let (vq, vdb) = rda_baseline::instance::normalize_instance(&q, snap.database());
             let vext = fd_extension(&vq, &fds);
-            let vdb = crate::fdtransform::extend_instance(&vext, &vdb).unwrap();
-            let vred = crate::instance::reduce_to_full(&vext.query, &vdb).unwrap();
+            let vdb = rda_baseline::fdtransform::extend_instance(&vext, &vdb);
+            let vred = rda_baseline::instance::reduce_to_full(&vext.query, &vdb).unwrap();
 
             assert_eq!(red.known_empty, empty, "{text}");
             assert_eq!(vred.known_empty, empty, "{text}");

@@ -18,7 +18,6 @@
 use crate::budget::{BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::fault;
-use crate::instance::positions_of;
 use crate::plan::DirectAccess;
 use crate::snapprep::{
     check_fds_encoded, extend_instance_encoded, normalize_encoded, reduce_atoms,
@@ -29,7 +28,7 @@ use rda_db::{radix_sort_rows, Database, Dictionary, Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::fd::{fd_extension, FdSet};
-use rda_query::query::Cq;
+use rda_query::query::{positions_of, Cq};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;

@@ -25,7 +25,6 @@
 
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
-use crate::instance::{pair_mut, positions_of, shared_positions};
 use crate::snapprep::{key_ids, prepare_reduced};
 use crate::weights::Weights;
 use rda_db::{EncodedRelation, Snapshot, Tuple};
@@ -34,7 +33,7 @@ use rda_orderstat::{MatrixUnion, SortedMatrix, TotalF64};
 use rda_query::classify::Problem;
 use rda_query::contraction::{maximal_contraction, ContractionStep};
 use rda_query::fd::FdSet;
-use rda_query::query::Cq;
+use rda_query::query::{positions_of, shared_positions, Cq};
 use rda_query::{VarId, VarSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -111,8 +110,9 @@ impl SumSelection {
                 let (r, i) = (index_of(removed), index_of(into));
                 let keys = positions_of(&atoms[i].terms, &atoms[r].terms);
                 let all: Vec<usize> = (0..atoms[r].terms.len()).collect();
-                let (absorber, absorbed) = pair_mut(&mut all_rels, i, r);
-                absorber.semijoin(&keys, absorbed, &all);
+                // The absorbed atom leaves the query: move its rows out.
+                let absorbed = std::mem::replace(&mut all_rels[r], EncodedRelation::new(0));
+                all_rels[i].semijoin(&keys, &absorbed, &all);
             }
         }
         let kept: Vec<usize> = contraction

@@ -499,7 +499,7 @@ impl EncodedRelation {
     }
 
     /// Sort rows by the given key columns, ties broken by the full row
-    /// (deterministic, matching [`Relation::sort_by_positions`]).
+    /// (deterministic).
     /// Linear: a scan when the rows already ascend in that order,
     /// otherwise a stable radix sort over their codes.
     pub fn sort_by_cols(&mut self, keys: &[usize]) {

@@ -7,7 +7,7 @@
 //! is the sequential RAM with databases measured by their total number of
 //! tuples `n`; this crate provides exactly that: ordered domain values,
 //! set-semantics relations, and the linear / quasilinear operators
-//! (projection, selection, semijoin, sorting, grouping) used by the
+//! (projection, filtering, semijoin, join, sorting) used by the
 //! Yannakakis-style preprocessing phases.
 //!
 //! Nothing in this crate knows about queries; see `rda-query` for the

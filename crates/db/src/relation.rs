@@ -1,10 +1,9 @@
-//! Relations: named sets of tuples plus the relational operators used by
-//! the preprocessing phases (projection, selection, semijoin, sorting,
-//! grouping). All operators are linear or quasilinear in the number of
-//! tuples, matching the paper's complexity accounting.
+//! Relations: named sets of tuples plus the relational operators the
+//! value-level preprocessing uses (projection, filtering, semijoin,
+//! join, sorting). All operators are linear or quasilinear in the number
+//! of tuples, matching the paper's complexity accounting.
 
 use crate::tuple::Tuple;
-use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -127,20 +126,6 @@ impl Relation {
         out
     }
 
-    /// Selection σ: keep tuples where position `pos` equals `v`.
-    pub fn select_eq(&self, pos: usize, v: &Value) -> Relation {
-        Relation {
-            name: self.name.clone(),
-            arity: self.arity,
-            tuples: self
-                .tuples
-                .iter()
-                .filter(|t| &t[pos] == v)
-                .cloned()
-                .collect(),
-        }
-    }
-
     /// Keep only tuples satisfying `pred`.
     pub fn retain(&mut self, mut pred: impl FnMut(&Tuple) -> bool) {
         self.tuples.retain(|t| pred(t));
@@ -197,31 +182,6 @@ impl Relation {
         }
     }
 
-    /// Sort tuples by the given positions (then by the full tuple, so the
-    /// result is deterministic).
-    pub fn sort_by_positions(&mut self, positions: &[usize]) {
-        self.tuples.sort_by(|a, b| {
-            positions
-                .iter()
-                .map(|&p| a[p].cmp(&b[p]))
-                .find(|o| o.is_ne())
-                .unwrap_or_else(|| a.cmp(b))
-        });
-    }
-
-    /// Group tuples by their projection onto `positions`, preserving the
-    /// current tuple order within each group.
-    pub fn group_by(&self, positions: &[usize]) -> HashMap<Tuple, Vec<Tuple>> {
-        let mut groups: HashMap<Tuple, Vec<Tuple>> = HashMap::new();
-        for t in &self.tuples {
-            groups
-                .entry(t.project(positions))
-                .or_default()
-                .push(t.clone());
-        }
-        groups
-    }
-
     /// The dictionary-encoded columnar view of this relation (see
     /// [`crate::EncodedRelation`]): one `u32` column per attribute,
     /// order-preserving codes, same row order.
@@ -230,19 +190,6 @@ impl Relation {
     /// Panics if `dict` does not cover every value of this relation.
     pub fn encode(&self, dict: &crate::Dictionary) -> crate::EncodedRelation {
         crate::EncodedRelation::encode(self, dict)
-    }
-
-    /// The distinct values at position `pos` (the active domain of that
-    /// attribute), unordered.
-    pub fn active_domain(&self, pos: usize) -> Vec<Value> {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for t in &self.tuples {
-            if seen.insert(t[pos].clone()) {
-                out.push(t[pos].clone());
-            }
-        }
-        out
     }
 }
 
@@ -286,13 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn select_eq_filters() {
-        let s = r().select_eq(0, &Value::int(1));
-        assert_eq!(s.len(), 3);
-        assert!(s.tuples().iter().all(|t| t[0] == Value::int(1)));
-    }
-
-    #[test]
     fn semijoin_keeps_matching() {
         let mut rel = r();
         let s = Relation::from_tuples("S", 2, vec![tup![5, 3], tup![5, 4]]);
@@ -317,31 +257,6 @@ mod tests {
         let mut j = rel.join("J", &[], &s, &[]);
         j.normalize();
         assert_eq!(j.len(), 4);
-    }
-
-    #[test]
-    fn group_by_partitions() {
-        let groups = r().group_by(&[0]);
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[&tup![1]].len(), 3);
-        assert_eq!(groups[&tup![6]].len(), 1);
-    }
-
-    #[test]
-    fn active_domain_distinct() {
-        let mut dom = r().active_domain(1);
-        dom.sort();
-        assert_eq!(dom, vec![Value::int(2), Value::int(5)]);
-    }
-
-    #[test]
-    fn sort_by_positions_orders_by_key_then_tuple() {
-        let mut rel = r();
-        rel.sort_by_positions(&[1]);
-        assert_eq!(
-            rel.tuples(),
-            &[tup![1, 2], tup![1, 2], tup![6, 2], tup![1, 5]]
-        );
     }
 
     #[test]

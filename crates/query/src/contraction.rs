@@ -103,7 +103,7 @@ fn absorb_one_atom(q: &mut Cq) -> Option<ContractionStep> {
                     .filter(|&(k, _)| k != i)
                     .map(|(_, a)| a.clone())
                     .collect();
-                *q = rebuild(q, new_atoms, q.free().to_vec());
+                *q = q.rebuilt(q.free().to_vec(), new_atoms);
                 return Some(ContractionStep::AbsorbAtom { removed, into });
             }
         }
@@ -141,7 +141,7 @@ fn absorb_one_variable(q: &mut Cq) -> Option<ContractionStep> {
                 })
                 .collect();
             let new_free: Vec<VarId> = q.free().iter().copied().filter(|&f| f != v).collect();
-            *q = rebuild(q, new_atoms, new_free);
+            *q = q.rebuilt(new_free, new_atoms);
             return Some(ContractionStep::AbsorbVar {
                 removed: v,
                 into: u,
@@ -149,13 +149,6 @@ fn absorb_one_variable(q: &mut Cq) -> Option<ContractionStep> {
         }
     }
     None
-}
-
-fn rebuild(q: &Cq, atoms: Vec<Atom>, free: Vec<VarId>) -> Cq {
-    let names: Vec<String> = (0..q.var_count())
-        .map(|i| q.var_name(VarId(i as u32)).to_string())
-        .collect();
-    Cq::from_parts(q.name().to_string(), free, atoms, names)
 }
 
 #[cfg(test)]

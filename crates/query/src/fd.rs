@@ -189,10 +189,7 @@ pub fn fd_extension(q: &Cq, fds: &FdSet) -> FdExtension {
         }
     }
 
-    let names: Vec<String> = (0..q.var_count())
-        .map(|i| q.var_name(VarId(i as u32)).to_string())
-        .collect();
-    let query = Cq::from_parts(q.name().to_string(), free, atoms, names);
+    let query = q.rebuilt(free, atoms);
     FdExtension {
         original: q.clone(),
         query,

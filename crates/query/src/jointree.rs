@@ -1,5 +1,6 @@
 //! Join trees and the running intersection property (Section 2.1).
 
+use crate::query::shared_positions;
 use crate::var::{VarId, VarSet};
 use std::fmt;
 
@@ -193,6 +194,46 @@ impl JoinTree {
         assert_eq!(order.len(), self.nodes.len(), "tree must be connected");
         (parent, order)
     }
+
+    /// The Yannakakis full reducer over relations given positionally:
+    /// `rels[i]` belongs to node `i`, its columns ordered by `vars[i]`.
+    /// A bottom-up pass of parent ⋉ child, then a top-down pass of
+    /// child ⋉ parent; afterwards every row of every relation takes part
+    /// in at least one tree-consistent combination.
+    ///
+    /// `semijoin(target, target_keys, source, source_keys)` keeps the
+    /// rows of `target` whose key appears in `source`. It is a closure so
+    /// that every relation representation — value rows, borrowed or owned
+    /// code columns — is reduced by this one traversal.
+    pub fn full_reduce<R>(
+        &self,
+        vars: &[Vec<VarId>],
+        rels: &mut [R],
+        mut semijoin: impl FnMut(&mut R, &[usize], &R, &[usize]),
+    ) {
+        if self.is_empty() {
+            return;
+        }
+        let (parent, order) = self.rooted_at(0);
+        let mut step = |target: usize, source: usize| {
+            let (target_keys, source_keys) = shared_positions(&vars[target], &vars[source]);
+            let (t, s) = if target < source {
+                let (lo, hi) = rels.split_at_mut(source);
+                (&mut lo[target], &hi[0])
+            } else {
+                let (lo, hi) = rels.split_at_mut(target);
+                (&mut hi[0], &lo[source])
+            };
+            semijoin(t, &target_keys, s, &source_keys);
+        };
+        let edges = || order.iter().filter(|&&i| parent[i] != usize::MAX);
+        for &i in edges().rev() {
+            step(parent[i], i);
+        }
+        for &i in edges() {
+            step(i, parent[i]);
+        }
+    }
 }
 
 impl Default for JoinTree {
@@ -277,6 +318,33 @@ mod tests {
         assert_eq!(parent[c], usize::MAX);
         assert_eq!(parent[b], c);
         assert_eq!(parent[a], b);
+    }
+
+    /// The reducer over plain row vectors: a dangling row anywhere on
+    /// the path x–y–z is removed from every node it cannot reach.
+    #[test]
+    fn full_reduce_removes_dangling_rows_everywhere() {
+        let mut t = JoinTree::new();
+        let a = t.add_node(vs(&[0, 1]), NodeSource::Edge(0));
+        let b = t.add_node(vs(&[1, 2]), NodeSource::Edge(1));
+        let c = t.add_node(vs(&[2]), NodeSource::Edge(2));
+        t.add_edge(a, b);
+        t.add_edge(b, c);
+        let vars = [
+            vec![VarId(0), VarId(1)],
+            vec![VarId(1), VarId(2)],
+            vec![VarId(2)],
+        ];
+        let mut rels = vec![
+            vec![vec![1, 10], vec![2, 20], vec![3, 30]],
+            vec![vec![10, 7], vec![20, 8], vec![40, 7]],
+            vec![vec![7]],
+        ];
+        t.full_reduce(&vars, &mut rels, |target, keys, source, source_keys| {
+            let key = |row: &Vec<i32>, at: &[usize]| at.iter().map(|&p| row[p]).collect::<Vec<_>>();
+            target.retain(|row| source.iter().any(|s| key(s, source_keys) == key(row, keys)));
+        });
+        assert_eq!(rels, [vec![vec![1, 10]], vec![vec![10, 7]], vec![vec![7]]]);
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub mod contraction;
 pub mod decompose;
 pub mod fd;
 pub mod gyo;
-pub mod hierarchy;
 pub mod hypergraph;
 pub mod jointree;
 pub mod layered;

@@ -34,6 +34,29 @@ impl Atom {
     }
 }
 
+/// Positions (within an atom's term list) of the given variables, in the
+/// given order.
+///
+/// # Panics
+/// Panics if a variable does not occur in `terms`.
+pub fn positions_of(terms: &[VarId], vars: &[VarId]) -> Vec<usize> {
+    vars.iter()
+        .map(|v| {
+            terms
+                .iter()
+                .position(|t| t == v)
+                .expect("variable must occur in atom")
+        })
+        .collect()
+}
+
+/// The columns holding the variables two atoms share, in each of them
+/// (aligned, in `a`'s term order) — their join key.
+pub fn shared_positions(a: &[VarId], b: &[VarId]) -> (Vec<usize>, Vec<usize>) {
+    let shared: Vec<VarId> = a.iter().copied().filter(|v| b.contains(v)).collect();
+    (positions_of(a, &shared), positions_of(b, &shared))
+}
+
 /// A conjunctive query `Q(X_f) :- R_1(X_1), …, R_ℓ(X_ℓ)`.
 ///
 /// Build with [`Cq::parse`](crate::parser) or programmatically with
@@ -189,6 +212,49 @@ impl Cq {
     /// Render head variable names, for diagnostics.
     pub fn names_of(&self, vars: &[VarId]) -> Vec<&str> {
         vars.iter().map(|&v| self.var_name(v)).collect()
+    }
+
+    /// A query with this one's name and variable table but the given
+    /// head and body — the shape every rewrite (reduction, FD-extension,
+    /// contraction, decomposition) produces.
+    pub fn rebuilt(&self, free: Vec<VarId>, atoms: Vec<Atom>) -> Cq {
+        Cq {
+            name: self.name.clone(),
+            free,
+            atoms,
+            var_names: self.var_names.clone(),
+        }
+    }
+
+    /// The normalized form instance preparation assumes: later
+    /// occurrences of a relation symbol get fresh names (`R#2`, …; the
+    /// linear-time reduction to a self-join-free form, Section 8) and
+    /// repeated variables within an atom collapse to their first
+    /// position. Purely syntactic; the instance side filters and copies
+    /// to match.
+    pub fn normalized(&self) -> Cq {
+        let mut used: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+        let atoms = self
+            .atoms
+            .iter()
+            .map(|atom| {
+                let occurrence = used.entry(&atom.relation).or_insert(0);
+                *occurrence += 1;
+                let relation = if *occurrence == 1 {
+                    atom.relation.clone()
+                } else {
+                    format!("{}#{}", atom.relation, occurrence)
+                };
+                let mut terms: Vec<VarId> = Vec::with_capacity(atom.terms.len());
+                for &t in &atom.terms {
+                    if !terms.contains(&t) {
+                        terms.push(t);
+                    }
+                }
+                Atom { relation, terms }
+            })
+            .collect();
+        self.rebuilt(self.free.clone(), atoms)
     }
 }
 

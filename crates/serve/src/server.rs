@@ -516,11 +516,6 @@ impl Session<'_> {
         self.retry = Some(RetryState::new(policy));
     }
 
-    /// Drop the retry policy: every error surfaces immediately again.
-    pub fn clear_retry_policy(&mut self) {
-        self.retry = None;
-    }
-
     /// The session's current degradation level: page lengths are
     /// halved this many times (0 = full pages; only ever non-zero
     /// under a [`RetryPolicy`] with `degrade_after > 0`).

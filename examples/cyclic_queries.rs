@@ -9,8 +9,7 @@
 
 use rand::{Rng, SeedableRng};
 use ranked_access::prelude::*;
-use ranked_access::rda_core::{lex_direct_access_decomposed, rewrite_by_decomposition};
-use ranked_access::rda_query::decompose::decompose;
+use ranked_access::rda_baseline::rewrite_by_decomposition;
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(21);
@@ -53,7 +52,8 @@ fn main() {
 
     // The decomposition route: a width-2 decomposition makes the query
     // acyclic, after which the *native* structure applies.
-    let td = decompose(&q);
+    let dec = rewrite_by_decomposition(&q, &db);
+    let td = &dec.decomposition;
     println!(
         "\ntree decomposition: width {} with {} bag(s):",
         td.width,
@@ -68,7 +68,6 @@ fn main() {
         );
     }
 
-    let dec = rewrite_by_decomposition(&q, &db).unwrap();
     println!("\nrewritten query: {}", dec.query);
     for atom in dec.query.atoms() {
         println!(
@@ -78,11 +77,9 @@ fn main() {
         );
     }
 
-    let (da, _) = lex_direct_access_decomposed(&q, &db, &q.vars(&["x", "y", "z"])).unwrap();
-    println!(
-        "\ndirect access over {} triangles built (incl. materialization)",
-        da.len()
-    );
+    let order = q.vars(&["x", "y", "z"]);
+    let da = LexDirectAccess::build(&dec.query, &dec.db, &order, &FdSet::empty()).unwrap();
+    println!("\ndirect access over the rewrite: {} triangles", da.len());
     if !da.is_empty() {
         println!("first triangle: {}", da.access(0).unwrap());
         println!("median triangle: {}", da.access(da.len() / 2).unwrap());

@@ -1,13 +1,13 @@
 //! Random-order enumeration (Section 1 / Carmeli et al. [15]): combine
 //! an engine-prepared access plan with a uniformly random permutation of
-//! indices to stream answers in provably uniform random order — without
+//! its ranks to stream answers in provably uniform random order — without
 //! replacement, and with statistically valid prefixes.
 //!
 //! Run with: `cargo run --example random_permutation`
 
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use ranked_access::prelude::*;
+use ranked_access::rda_core::RandomOrderEnumerator;
 
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -47,39 +47,38 @@ fn main() {
         plan.len()
     );
 
-    // Fisher–Yates over the index space gives a uniform permutation;
-    // each access is O(log n), so the whole stream has logarithmic delay.
-    let mut indices: Vec<u64> = (0..plan.len()).collect();
-    indices.shuffle(&mut rng);
-
+    // A sparse Fisher–Yates over the rank space gives a uniform
+    // permutation: each step is one O(log n) access, and only the swapped
+    // ranks are stored — memory grows with what was emitted, not with
+    // |Q(I)|.
     println!("\nfirst 10 answers in uniform random order:");
-    for &k in indices.iter().take(10) {
-        println!("  #{k:>8}: {}", plan.access(k).unwrap());
+    for t in RandomOrderEnumerator::new(&*plan, &mut rng).take(10) {
+        println!("  #{:>8}: {t}", plan.inverted_access(&t).unwrap());
     }
 
     // Statistical validity of prefixes: the mean of x over a random
     // prefix estimates the mean of x over all answers.
-    let sample_mean = |ks: &[u64]| -> f64 {
-        ks.iter()
-            .map(|&k| plan.access(k).unwrap().values()[0].as_int().unwrap() as f64)
+    let mean_x = |answers: &[Tuple]| -> f64 {
+        answers
+            .iter()
+            .map(|t| t.values()[0].as_int().unwrap() as f64)
             .sum::<f64>()
-            / ks.len() as f64
+            / answers.len() as f64
     };
-    let prefix = &indices[..(indices.len() / 100).max(1)];
-    let full: f64 = sample_mean(&(0..plan.len()).collect::<Vec<_>>());
+    let prefix_len = (plan.len() / 100).max(1) as usize;
+    let prefix: Vec<Tuple> = RandomOrderEnumerator::new(&*plan, &mut rng)
+        .take(prefix_len)
+        .collect();
     println!(
         "\nmean(x) over all {} answers:      {:.2}",
         plan.len(),
-        full
+        mean_x(&plan.iter().collect::<Vec<_>>())
     );
-    println!(
-        "mean(x) over a 1% random prefix:  {:.2}",
-        sample_mean(prefix)
-    );
+    println!("mean(x) over a 1% random prefix:  {:.2}", mean_x(&prefix));
 
     // Sampling *without replacement* is free: the permutation never
-    // repeats an index.
+    // repeats an answer.
     let mut seen = std::collections::HashSet::new();
-    assert!(indices.iter().all(|k| seen.insert(*k)));
-    println!("\n(no index repeats — sampling without replacement)");
+    assert!(prefix.iter().all(|t| seen.insert(t)));
+    println!("\n(no answer repeats — sampling without replacement)");
 }

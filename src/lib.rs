@@ -218,8 +218,8 @@
 //! | [`rda_query`] | CQ AST/parser, hypergraphs, join trees, connexity, disruptive trios, layered join trees, contraction, FDs, classification |
 //! | [`rda_orderstat`] | quickselect, weighted selection, sorted-matrix selection |
 //! | [`rda_core`] | the `Engine`/`AccessPlan` serving core plus the paper's access/selection algorithms |
-//! | [`rda_baseline`] | materialize-and-sort, ranked enumeration (any-k) |
-//! | [`rda_serve`] | in-process request front door: worker pool, sessions, opaque resumable cursors, backpressure |
+//! | [`rda_baseline`] | materialize-and-sort, ranked enumeration (any-k), and the value-level oracle: preprocessing on `Relation`s, the pre-arena `HashLexDirectAccess`, decomposition rewrites |
+//! | [`rda_serve`] | in-process request front door: sessions, opaque resumable cursors, backpressure |
 
 pub use rda_baseline;
 pub use rda_core;

@@ -169,6 +169,42 @@ fn error_paths_are_reported() {
     // Errors render human-readably.
     let err = LexDirectAccess::build(&q, &empty, &q.vars(&["x"]), &no_fds()).unwrap_err();
     assert!(err.to_string().contains("missing"));
+
+    // The fallback arms validate the snapshot too: a non-free-connex
+    // projection under Policy::Materialize, and an fmh-3 SUM (the full
+    // 3-path) under Policy::RankedEnum, each over a snapshot missing `T`
+    // and over one whose `T` has the wrong arity.
+    let projection = parse("Q(x, z) :- R(x, y), T(y, z)").unwrap();
+    let three_path = parse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)").unwrap();
+    let fallbacks = [
+        (
+            &projection,
+            OrderSpec::lex(&projection, &["x", "z"]),
+            Policy::Materialize,
+        ),
+        (&three_path, OrderSpec::sum_by_value(), Policy::RankedEnum),
+    ];
+    let rs = || {
+        Database::new()
+            .with_i64_rows("R", 2, vec![vec![1, 2]])
+            .with_i64_rows("S", 2, vec![vec![2, 3]])
+    };
+    let missing_t = Engine::new(rs().freeze());
+    let wide_t = Engine::new(rs().with_i64_rows("T", 3, vec![vec![3, 4, 5]]).freeze());
+    for (fq, spec, policy) in fallbacks {
+        assert!(matches!(
+            missing_t.prepare(fq, spec.clone(), &no_fds(), policy),
+            Err(PlanError::Build(BuildError::MissingRelation(r))) if r == "T"
+        ));
+        assert!(matches!(
+            wide_t.prepare(fq, spec, &no_fds(), policy),
+            Err(PlanError::Build(BuildError::ArityMismatch {
+                expected: 2,
+                found: 3,
+                ..
+            }))
+        ));
+    }
 }
 
 #[test]

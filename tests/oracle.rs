@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use ranked_access::prelude::*;
-use ranked_access::rda_core::HashLexDirectAccess;
+use ranked_access::rda_baseline::HashLexDirectAccess;
 use std::sync::Arc;
 
 /// Queries with at least one tractable LEX order, with that order.
@@ -152,7 +152,7 @@ proptest! {
         for (q, lex) in lex_catalog() {
             let db = random_db(&q, rows, domain, seed);
             let arena = LexDirectAccess::build(&q, &db, &lex, &FdSet::empty()).unwrap();
-            let reference = HashLexDirectAccess::build(&q, &db, &lex, &FdSet::empty()).unwrap();
+            let reference = HashLexDirectAccess::build(&q, &db, &lex, &FdSet::empty());
             prop_assert_eq!(arena.len(), reference.len(), "count on {}", q);
             let mut buf: Vec<Value> = Vec::new();
             for k in 0..arena.len() {
@@ -242,7 +242,7 @@ proptest! {
         }
         for (q, lex, fds, db) in cases {
             let arena = LexDirectAccess::build(&q, &db, &lex, &fds).unwrap();
-            let reference = HashLexDirectAccess::build(&q, &db, &lex, &fds).unwrap();
+            let reference = HashLexDirectAccess::build(&q, &db, &lex, &fds);
             prop_assert_eq!(arena.len(), reference.len(), "count on {}", q);
             for k in 0..arena.len() {
                 let t = reference.access(k).unwrap();
@@ -793,13 +793,18 @@ fn lex_value_searches_match_oracle_across_bucket_widths() {
 
 #[test]
 fn random_permutation_enumeration_is_complete() {
-    use rand::seq::SliceRandom;
+    use ranked_access::rda_core::RandomOrderEnumerator;
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let db = random_db(&q, 40, 7, 42);
-    let da = LexDirectAccess::build(&q, &db, &q.vars(&["x", "y", "z"]), &FdSet::empty()).unwrap();
-    let mut indices: Vec<u64> = (0..da.len()).collect();
-    indices.shuffle(&mut rand::rng());
-    let mut seen: Vec<Tuple> = indices.iter().map(|&k| da.access(k).unwrap()).collect();
+    let plan = Engine::new(db.clone().freeze())
+        .prepare(
+            &q,
+            OrderSpec::lex(&q, &["x", "y", "z"]),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap();
+    let mut seen: Vec<Tuple> = RandomOrderEnumerator::new(&*plan, rand::rng()).collect();
     seen.sort();
     let mut expect = all_answers(&q, &db);
     expect.sort();
