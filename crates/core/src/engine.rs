@@ -347,6 +347,15 @@ impl PlanCache {
             },
         );
         while self.map.len() > self.capacity {
+            // A plan that served rows since the last eviction without a
+            // `get` (a session pages from the plans it pinned) counts as
+            // used at the `get` that just missed.
+            let missed = self.clock - 1;
+            for e in self.map.values_mut() {
+                if e.plan.take_served() {
+                    e.last_used = e.last_used.max(missed);
+                }
+            }
             let oldest = self
                 .map
                 .iter()
@@ -1245,6 +1254,22 @@ mod tests {
             )
             .unwrap();
         assert!(!Arc::ptr_eq(&first, &again), "evicted plans rebuild");
+    }
+
+    #[test]
+    fn a_plan_paged_without_a_prepare_is_not_the_one_evicted() {
+        let q = two_path();
+        let engine = Engine::with_plan_cache_capacity(fig2_engine().snapshot(), 2);
+        let prepare = |names: &[&str]| {
+            let order = OrderSpec::lex(&q, names);
+            engine.prepare(&q, order, &FdSet::empty(), Policy::Reject)
+        };
+        let paged = prepare(&["x", "y", "z"]).unwrap();
+        let idle = prepare(&["x", "y"]).unwrap();
+        paged.window_into(0..2, &mut crate::WindowBuf::new());
+        prepare(&["y"]).unwrap();
+        assert!(Arc::ptr_eq(&paged, &prepare(&["x", "y", "z"]).unwrap()));
+        assert!(!Arc::ptr_eq(&idle, &prepare(&["x", "y"]).unwrap()));
     }
 
     #[test]

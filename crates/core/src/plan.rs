@@ -58,6 +58,7 @@ use rda_query::VarId;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Position-indexed ranked access to a query's answers, with one owned
@@ -856,6 +857,9 @@ pub struct AccessPlan {
     explain: Explain,
     /// The [`Snapshot::generation`] this plan was prepared over.
     generation: u64,
+    /// Set when the plan serves a window or a batch, taken by the
+    /// engine's plan cache: recency for plans paged without a prepare.
+    served: AtomicBool,
 }
 
 impl fmt::Debug for AccessPlan {
@@ -874,7 +878,21 @@ impl AccessPlan {
             answers,
             explain,
             generation: 0,
+            served: AtomicBool::new(false),
         }
+    }
+
+    fn mark_served(&self) {
+        // Load first: a plan paged by many threads stays read-shared.
+        if !self.served.load(AtomicOrdering::Relaxed) {
+            self.served.store(true, AtomicOrdering::Relaxed);
+        }
+    }
+
+    /// Whether the plan served rows since the last call.
+    pub(crate) fn take_served(&self) -> bool {
+        self.served.load(AtomicOrdering::Relaxed)
+            && self.served.swap(false, AtomicOrdering::Relaxed)
     }
 
     /// Stamp the snapshot generation this plan was prepared over (done
@@ -926,7 +944,7 @@ impl AccessPlan {
     /// window and performs **zero** heap allocations once `out` has
     /// grown to the window's size.
     pub fn window_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        self.answers.access_range_into(range, out)
+        DirectAccess::access_range_into(self, range, out)
     }
 
     /// Fill `out` with the answers at `ranks` (any order, duplicates
@@ -935,7 +953,7 @@ impl AccessPlan {
     /// ascending batch costs **one** rank descent plus O(k) local
     /// cursor advances (see [`DirectAccess::access_batch_into`]).
     pub fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        self.answers.access_batch_into(ranks, out)
+        DirectAccess::access_batch_into(self, ranks, out)
     }
 
     /// A lazy, batch-fetching ranked iterator over the plan's answers —
@@ -970,9 +988,11 @@ impl DirectAccess for AccessPlan {
         self.answers.inverted_access(answer)
     }
     fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
+        self.mark_served();
         self.answers.access_range_into(range, out)
     }
     fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
+        self.mark_served();
         self.answers.access_batch_into(ranks, out)
     }
     fn is_empty(&self) -> bool {

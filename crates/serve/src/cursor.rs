@@ -286,15 +286,6 @@ impl Cursor {
             deps,
         })
     }
-
-    /// This cursor advanced to a new next rank (the other fields pin
-    /// the same sequence).
-    pub fn at_rank(&self, next_rank: u64) -> Cursor {
-        Cursor {
-            next_rank,
-            ..self.clone()
-        }
-    }
 }
 
 fn push_str(out: &mut Vec<u8>, s: &str) {
@@ -328,22 +319,6 @@ mod tests {
             deps: vec![],
         };
         assert_eq!(Cursor::decode(&empty.encode()).unwrap(), empty);
-    }
-
-    #[test]
-    fn at_rank_moves_only_the_rank() {
-        let c = sample();
-        let d = c.at_rank(9001);
-        assert_eq!(d.next_rank, 9001);
-        assert_eq!(
-            (d.request_key, d.snapshot_uid, d.generation, d.deps.len()),
-            (
-                c.request_key.clone(),
-                c.snapshot_uid,
-                c.generation,
-                c.deps.len()
-            )
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
 use rda_core::{
@@ -60,6 +60,33 @@ struct QuerySpec {
     order: OrderSpec,
     fds: FdSet,
     policy: Policy,
+}
+
+/// A session's hold on a request: a weak plan handle and its last cursor.
+struct Pin {
+    plan: Weak<AccessPlan>,
+    cursor: Cursor,
+}
+
+/// Pin `plan` over `snap`, dropping every pin of another snapshot first.
+fn repin<'p>(
+    pins: &'p mut HashMap<String, Pin>,
+    request_key: String,
+    spec: &QuerySpec,
+    snap: &Snapshot,
+    plan: &Arc<AccessPlan>,
+) -> &'p mut Pin {
+    pins.retain(|_, pin| pin.cursor.snapshot_uid == snap.uid());
+    let cursor = Cursor {
+        request_key: request_key.clone(),
+        snapshot_uid: snap.uid(),
+        generation: snap.generation(),
+        next_rank: 0,
+        deps: plan_dependencies(&spec.q, snap).unwrap_or_default(),
+    };
+    let plan = Arc::downgrade(plan);
+    let pin = Pin { plan, cursor };
+    pins.entry(request_key).insert_entry(pin).into_mut()
 }
 
 /// Monotone service counters (see [`Server::stats`]).
@@ -258,6 +285,7 @@ impl Server {
             buf: WindowBuf::new(),
             deadline: self.default_deadline,
             retry: None,
+            pins: HashMap::new(),
         }
     }
 
@@ -361,7 +389,12 @@ impl Server {
         })
     }
 
-    fn prepare(&self, deadline: Duration, spec: &QuerySpec) -> Result<Prepared, ServeError> {
+    fn prepare(
+        &self,
+        deadline: Duration,
+        spec: &QuerySpec,
+        pins: &mut HashMap<String, Pin>,
+    ) -> Result<Prepared, ServeError> {
         self.run(deadline, || {
             let (snap, plan) =
                 self.engine
@@ -371,11 +404,12 @@ impl Server {
                 .entry(request_key.clone())
                 .or_insert_with(|| Arc::new(spec.clone()));
             self.stats.prepares.fetch_add(1, Ordering::Relaxed);
+            let pin = repin(pins, request_key, spec, &snap, &plan);
             Ok(Prepared {
-                token: stamp(request_key, spec, &snap, 0),
+                token: pin.cursor.encode(),
                 len: plan.len(),
                 backend: plan.backend(),
-                generation: snap.generation(),
+                generation: pin.cursor.generation,
             })
         })
     }
@@ -386,8 +420,9 @@ impl Server {
         token: &Token,
         what: Rows<'_>,
         buf: &mut WindowBuf,
+        pins: &mut HashMap<String, Pin>,
     ) -> Result<PageOutcome, ServeError> {
-        let result = self.run(deadline, || self.execute_rows(token, what, buf));
+        let result = self.run(deadline, || self.execute_rows(token, what, buf, pins));
         if matches!(result, Err(ServeError::Internal { .. })) {
             // A panic may have interrupted a refill; drop the partial
             // rows so the session's buffer is unambiguously empty.
@@ -396,19 +431,38 @@ impl Server {
         result
     }
 
+    /// A cursor on the engine's current snapshot and its pin's is fresh:
+    /// served from the pin. Any other goes through [`Server::pin_plan`].
     fn execute_rows(
         &self,
         token: &Token,
         what: Rows<'_>,
         buf: &mut WindowBuf,
+        pins: &mut HashMap<String, Pin>,
     ) -> Result<PageOutcome, ServeError> {
         // Chaos site INSIDE the fence: an injected panic here simulates
         // a bug in page execution and must come back as a typed error.
         fault::trip(fault::SITE_SERVE_PAGE).map_err(|f| ServeError::Internal {
             detail: f.to_string(),
         })?;
-        let (cursor, spec) = self.resolve(token)?;
-        let (snap, plan, resumed) = self.pin_plan(&spec, &cursor)?;
+        let cursor = Cursor::decode(token).map_err(|e| {
+            self.stats.bad_cursors.fetch_add(1, Ordering::Relaxed);
+            ServeError::BadCursor(e)
+        })?;
+        let uid = cursor.snapshot_uid;
+        let warm = pins
+            .get_mut(&cursor.request_key)
+            .filter(|pin| pin.cursor.snapshot_uid == uid && self.engine.snapshot().uid() == uid)
+            .and_then(|pin| Some((pin.plan.upgrade()?, pin)));
+        let (plan, pin, resumed) = match warm {
+            Some((plan, pin)) => (plan, pin, false),
+            None => {
+                let spec = self.spec(&cursor.request_key)?;
+                let (snap, plan, resumed) = self.pin_plan(&spec, &cursor)?;
+                let pin = repin(pins, cursor.request_key.clone(), &spec, &snap, &plan);
+                (plan, pin, resumed)
+            }
+        };
         let (served, counter, next_rank) = match what {
             Rows::Window { at, len } => {
                 let start = at.unwrap_or(cursor.next_rank);
@@ -431,30 +485,25 @@ impl Server {
         };
         counter.fetch_add(1, Ordering::Relaxed);
         self.stats.rows.fetch_add(served, Ordering::Relaxed);
-        let next =
-            (next_rank < plan.len()).then(|| stamp(cursor.request_key, &spec, &snap, next_rank));
+        let next = (next_rank < plan.len()).then(|| {
+            pin.cursor.next_rank = next_rank;
+            pin.cursor.encode()
+        });
         Ok(PageOutcome {
             rows: served,
             next,
-            generation: snap.generation(),
+            generation: pin.cursor.generation,
             resumed,
             repaired: false,
         })
     }
 
-    /// Decode `token` and look its request up in the registry.
-    fn resolve(&self, token: &Token) -> Result<(Cursor, Arc<QuerySpec>), ServeError> {
-        let cursor = Cursor::decode(token).map_err(|e| {
-            self.stats.bad_cursors.fetch_add(1, Ordering::Relaxed);
-            ServeError::BadCursor(e)
-        })?;
-        let spec = sync::read(&self.registry).get(&cursor.request_key).cloned();
-        match spec {
-            Some(spec) => Ok((cursor, spec)),
-            None => Err(ServeError::UnknownQuery {
-                request_key: cursor.request_key,
-            }),
-        }
+    /// The registered request under `request_key`.
+    fn spec(&self, request_key: &str) -> Result<Arc<QuerySpec>, ServeError> {
+        let spec = sync::read(&self.registry).get(request_key).cloned();
+        spec.ok_or_else(|| ServeError::UnknownQuery {
+            request_key: request_key.to_string(),
+        })
     }
 
     /// Pin a (snapshot, plan) pair that is mutually consistent: the
@@ -492,6 +541,12 @@ impl Server {
 /// The session owns one reusable [`WindowBuf`]: every page request
 /// refills it in place, so steady-state paging performs no per-page
 /// heap allocations once the buffer has grown to the page size.
+///
+/// It also *pins* each request it prepared or paged: a weak handle on
+/// the plan (no snapshot, no evicted plan) and its last page's cursor,
+/// which serve pages with no registry, plan-cache or dependency lookup
+/// while the engine stays on that snapshot.
+///
 /// Sessions are `Send` (move one into each client thread) but not
 /// `Sync`; they borrow the server, so scoped threads are the natural
 /// shape.
@@ -500,6 +555,7 @@ pub struct Session<'a> {
     buf: WindowBuf,
     deadline: Duration,
     retry: Option<RetryState>,
+    pins: HashMap<String, Pin>,
 }
 
 impl Session<'_> {
@@ -542,12 +598,12 @@ impl Session<'_> {
         };
         let (server, deadline) = (self.server, self.deadline);
         let Some(st) = &mut self.retry else {
-            return server.prepare(deadline, &spec);
+            return server.prepare(deadline, &spec, &mut self.pins);
         };
         let mut attempt = 0;
         loop {
             attempt += 1;
-            match server.prepare(deadline, &spec) {
+            match server.prepare(deadline, &spec, &mut self.pins) {
                 Ok(prepared) => {
                     st.note_success();
                     return Ok(prepared);
@@ -602,7 +658,7 @@ impl Session<'_> {
     fn serve(&mut self, token: &Token, mut what: Rows<'_>) -> Result<PageOutcome, ServeError> {
         let (server, deadline) = (self.server, self.deadline);
         let Some(st) = &mut self.retry else {
-            return server.rows(deadline, token, what, &mut self.buf);
+            return server.rows(deadline, token, what, &mut self.buf, &mut self.pins);
         };
         // The opening token of the re-prepared sequence, once a stale
         // cursor has been repaired.
@@ -611,7 +667,8 @@ impl Session<'_> {
         loop {
             attempt += 1;
             let token = fresh.as_ref().unwrap_or(token);
-            let e = match server.rows(deadline, token, what.degraded(st), &mut self.buf) {
+            let asked = what.degraded(st);
+            let e = match server.rows(deadline, token, asked, &mut self.buf, &mut self.pins) {
                 Ok(mut out) => {
                     st.note_success();
                     out.repaired = fresh.is_some();
@@ -626,10 +683,11 @@ impl Session<'_> {
                     // the stale cursor's rank, explicit ranks stand
                     // (ranks may shift when the data changed — that is
                     // what repair means).
-                    let Ok((cursor, spec)) = server.resolve(token) else {
+                    let resolved = Cursor::decode(token).map(|c| (server.spec(&c.request_key), c));
+                    let Ok((Ok(spec), cursor)) = resolved else {
                         return Err(ServeError::CursorStale(reason));
                     };
-                    match server.prepare(deadline, &spec) {
+                    match server.prepare(deadline, &spec, &mut self.pins) {
                         Ok(prepared) => {
                             if let Rows::Window { at, .. } = &mut what {
                                 at.get_or_insert(cursor.next_rank);
@@ -675,19 +733,6 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The cursor at `next_rank` of `spec`'s sequence over `snap`, stamped
-/// with the content versions of every relation the plan reads.
-fn stamp(request_key: String, spec: &QuerySpec, snap: &Snapshot, next_rank: u64) -> Token {
-    Cursor {
-        request_key,
-        snapshot_uid: snap.uid(),
-        generation: snap.generation(),
-        next_rank,
-        deps: plan_dependencies(&spec.q, snap).unwrap_or_default(),
-    }
-    .encode()
-}
-
 /// The stale-cursor policy. Returns `Ok(resumed)`:
 ///
 /// - same snapshot uid — fresh, serve as-is;
@@ -720,4 +765,34 @@ fn validate_cursor(cursor: &Cursor, snap: &Snapshot) -> Result<bool, ServeError>
         }
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{self, FaultAction, FaultPlan, SITE_ENGINE_PREPARE as PREPARE};
+
+    /// The lock-count contract: on a warm session a clean page, stream
+    /// and batch each take the admission mutex twice (slot in, slot
+    /// out), no other lock, and never reach the engine's prepare.
+    #[test]
+    fn a_clean_page_on_a_warm_session_takes_only_the_admission_lock() {
+        let rows = (0..40i64).map(|i| vec![i % 7, i]);
+        let db = rda_db::Database::new().with_i64_rows("R", 2, rows);
+        let server = Server::with_defaults(Arc::new(Engine::new(db.freeze())));
+        let q = rda_query::parser::parse("Q(x, y) :- R(x, y)").unwrap();
+        let mut session = server.session();
+        let order = OrderSpec::lex(&q, &["x", "y"]);
+        let prepared = session.prepare(&q, order, &FdSet::empty(), Policy::Reject);
+        let token = prepared.unwrap().token;
+        let _armed = fault::install(FaultPlan::new().inject(PREPARE, u64::MAX, FaultAction::Fail));
+        sync::TAKEN.take();
+        let page = session.page(&token, 3, 4).unwrap();
+        let stream = session.stream_next(&page.next.unwrap(), 5).unwrap();
+        let batch = session.page_batch(&stream.next.unwrap(), &[9, 0, 9]);
+        assert_eq!(batch.unwrap().rows, 3);
+        let admission = &server.admission as *const Mutex<Admission> as usize;
+        assert_eq!(sync::TAKEN.take(), vec![admission; 6]);
+        assert_eq!(fault::hits(PREPARE), 0, "no engine prepare");
+    }
 }

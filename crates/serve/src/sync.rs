@@ -32,16 +32,26 @@ fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
     })
 }
 
+// The locks this thread took through these helpers, by address.
+#[cfg(test)]
+thread_local!(pub(crate) static TAKEN: std::cell::RefCell<Vec<usize>> = Default::default());
+
+fn note<T>(lock: &T) -> &T {
+    #[cfg(test)]
+    TAKEN.with_borrow_mut(|taken| taken.push(lock as *const T as usize));
+    lock
+}
+
 pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    recover(m.lock())
+    recover(note(m).lock())
 }
 
 pub(crate) fn read<T>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    recover(l.read())
+    recover(note(l).read())
 }
 
 pub(crate) fn write<T>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    recover(l.write())
+    recover(note(l).write())
 }
 
 pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {

@@ -657,3 +657,48 @@ fn injected_spurious_failures_are_typed_not_fatal() {
         .unwrap();
     assert!(prepared.len > 0);
 }
+
+/// A page panic on a *pinned* session is contained like any other: the
+/// session and its pin survive, so the next page is served from the
+/// pin (no engine prepare) and equals the oracle.
+#[test]
+fn a_page_panic_on_a_pinned_session_leaves_the_pin_usable() {
+    let _s = serial();
+    quiet_injected_panics();
+    let snap = chaos_db(48).freeze();
+    let jq = join_q();
+    let order = || OrderSpec::lex(&jq, &["x", "y", "z"]);
+    let lex_oracle = oracle(&snap, &jq, order());
+
+    let engine = Arc::new(Engine::new(Arc::clone(&snap)));
+    let server = Server::new(Arc::clone(&engine), ServerConfig::default());
+    let mut session = server.session();
+    let prepared = session
+        .prepare(&jq, order(), &FdSet::empty(), Policy::Reject)
+        .unwrap();
+    let warm = session.page(&prepared.token, 0, 4).unwrap();
+    assert_eq!(session.rows().to_tuples(), lex_oracle[..4]);
+
+    // The engine-prepare entry never fires; it only counts the hits.
+    let _g = fault::install(
+        FaultPlan::new()
+            .inject(fault::SITE_SERVE_PAGE, 0, FaultAction::Panic)
+            .inject(fault::SITE_ENGINE_PREPARE, u64::MAX, FaultAction::Fail),
+    );
+    let next = warm.next.unwrap();
+    expect_internal(session.stream_next(&next, 4), fault::SITE_SERVE_PAGE);
+    assert!(session.rows().is_empty(), "no partial rows after a panic");
+
+    let page = session.stream_next(&next, 4).unwrap();
+    assert!(!page.resumed);
+    assert_eq!(session.rows().to_tuples(), lex_oracle[4..8]);
+    let page = session.page(&page.next.unwrap(), 0, prepared.len).unwrap();
+    assert_eq!(page.rows as usize, lex_oracle.len());
+    assert_eq!(session.rows().to_tuples(), lex_oracle);
+    assert_eq!(
+        fault::hits(fault::SITE_ENGINE_PREPARE),
+        0,
+        "served from the pin that survived the panic"
+    );
+    assert_eq!(server.stats().panics_caught, 1);
+}

@@ -12,8 +12,8 @@
 use rda_core::{DirectAccess as _, Engine, OrderSpec, Policy};
 use rda_db::{Database, Tuple, Value};
 use rda_query::parser::parse;
-use rda_query::FdSet;
-use rda_serve::{ServeError, Server, StaleReason};
+use rda_query::{Cq, FdSet};
+use rda_serve::{ServeError, Server, Session, StaleReason, Token};
 use std::sync::Arc;
 
 fn tup(a: i64, b: i64) -> Tuple {
@@ -120,4 +120,129 @@ fn batched_pages_resume_on_descendants_and_fail_typed_on_dirty_deps() {
         session.page_batch(&prepared.token, &ranks),
         Err(ServeError::CursorStale(StaleReason::DirtyDependency { .. }))
     ));
+}
+
+/// The join's lex order, as every pin-path case prepares it.
+fn join_order(q: &Cq) -> OrderSpec {
+    OrderSpec::lex(q, &["x", "y", "z"])
+}
+
+/// The rebuild oracle: a plan built afresh (no cache, no pin) on the
+/// engine's current snapshot, read at `lo..hi`.
+fn rebuilt(engine: &Engine, q: &Cq, lo: u64, hi: u64) -> Vec<Tuple> {
+    let plan = engine
+        .prepare_uncached(q, join_order(q), &FdSet::empty(), Policy::Reject)
+        .unwrap();
+    plan.access_range(lo..hi)
+}
+
+/// One engine, one server and the join query, with `U` as the clean
+/// lever and `R` as the dirty one.
+fn pin_world() -> (Database, Arc<Engine>, Cq) {
+    let mut db = gen_db();
+    let engine = Arc::new(Engine::new(db.clone().freeze()));
+    db.clear_mutation_log();
+    (db, engine, parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap())
+}
+
+fn prepare(session: &mut Session<'_>, q: &Cq) -> Token {
+    session
+        .prepare(q, join_order(q), &FdSet::empty(), Policy::Reject)
+        .unwrap()
+        .token
+}
+
+/// A warm pin does not outlive its snapshot: after a clean `advance`
+/// the old token is validated and resumes; after a dirty one it fails
+/// typed.
+#[test]
+fn a_warm_pin_resumes_clean_and_refuses_dirty_generations() {
+    let (mut db, engine, q) = pin_world();
+    let server = Server::with_defaults(Arc::clone(&engine));
+    let mut session = server.session();
+    let token = prepare(&mut session, &q);
+    let warm = session.page(&token, 0, 4).unwrap();
+    assert!(!warm.resumed);
+    assert_eq!(session.rows().to_tuples(), rebuilt(&engine, &q, 0, 4));
+
+    db.insert_into("U", tup(1, 1));
+    engine.advance_delta(&mut db);
+    let out = session.page(&token, 2, 5).unwrap();
+    assert!(out.resumed, "a clean advance resumes the pinned token");
+    assert_eq!(out.generation, 1);
+    assert_eq!(session.rows().to_tuples(), rebuilt(&engine, &q, 2, 7));
+
+    db.insert_into("R", tup(100, 100));
+    engine.advance_delta(&mut db);
+    for stale in [&token, &out.next.unwrap()] {
+        match session.page(stale, 0, 4) {
+            Err(ServeError::CursorStale(StaleReason::DirtyDependency { relation, .. })) => {
+                assert_eq!(relation, "R")
+            }
+            other => panic!("expected DirtyDependency, got {other:?}"),
+        }
+    }
+}
+
+/// A token of an older snapshot is never served from a pin that has
+/// moved on to a newer one under the same request key: it still goes
+/// through validation — resuming when clean, refused when dirty.
+#[test]
+fn an_older_token_is_validated_not_served_from_a_newer_pin() {
+    let (mut db, engine, q) = pin_world();
+    let server = Server::with_defaults(Arc::clone(&engine));
+    let mut session = server.session();
+    let old = prepare(&mut session, &q);
+
+    // Clean: the newer pin serves its own token, the older one resumes.
+    db.insert_into("U", tup(1, 1));
+    engine.advance_delta(&mut db);
+    let newer = prepare(&mut session, &q);
+    assert!(!session.page(&newer, 0, 3).unwrap().resumed);
+    let out = session.page(&old, 0, 3).unwrap();
+    assert!(out.resumed, "the older token went through validation");
+    assert_eq!(session.rows().to_tuples(), rebuilt(&engine, &q, 0, 3));
+
+    // Dirty: the pin is re-made on the newest snapshot, yet the older
+    // token is refused.
+    db.insert_into("R", tup(100, 100));
+    engine.advance_delta(&mut db);
+    let newest = prepare(&mut session, &q);
+    assert!(session.page(&newest, 0, 3).is_ok());
+    assert!(matches!(
+        session.page(&newer, 0, 3),
+        Err(ServeError::CursorStale(StaleReason::DirtyDependency { .. }))
+    ));
+    let out = session.page(&newest, 1, 4).unwrap();
+    assert!(!out.resumed);
+    assert_eq!(session.rows().to_tuples(), rebuilt(&engine, &q, 1, 5));
+}
+
+/// Two sessions on one request key keep independent pins: one
+/// session's page after an `advance` re-pins that session only, so the
+/// other still validates (and resumes) its own older token.
+#[test]
+fn interleaved_sessions_keep_independent_pins_across_an_advance() {
+    let (mut db, engine, q) = pin_world();
+    let server = Server::with_defaults(Arc::clone(&engine));
+    let (mut a, mut b) = (server.session(), server.session());
+    let (ta, tb) = (prepare(&mut a, &q), prepare(&mut b, &q));
+    assert!(!a.page(&ta, 0, 2).unwrap().resumed);
+    assert!(!b.page(&tb, 0, 2).unwrap().resumed);
+
+    db.insert_into("U", tup(1, 1));
+    engine.advance_delta(&mut db);
+    let next_a = a.stream_next(&ta, 3).unwrap();
+    assert!(next_a.resumed);
+    let next_b = b.stream_next(&tb, 3).unwrap();
+    assert!(next_b.resumed, "b's pin did not move with a's");
+    assert_eq!(a.rows().to_tuples(), rebuilt(&engine, &q, 0, 3));
+    assert_eq!(b.rows().to_tuples(), a.rows().to_tuples());
+
+    let (next_a, next_b) = (next_a.next.unwrap(), next_b.next.unwrap());
+    for (session, token) in [(&mut a, &next_a), (&mut b, &next_b)] {
+        let out = session.stream_next(token, 4).unwrap();
+        assert!(!out.resumed, "each session now serves from its own pin");
+        assert_eq!(session.rows().to_tuples(), rebuilt(&engine, &q, 3, 7));
+    }
 }
