@@ -7,9 +7,7 @@
 //! build and selection runs in code space.
 
 use rda_db::{Database, Relation, Tuple, Value};
-use rda_query::fd::{ExtensionStep, Fd, FdExtension, FdSet};
-use rda_query::query::Cq;
-use rda_query::VarId;
+use rda_query::{Cq, ExtensionStep, Fd, FdExtension, FdSet, VarId};
 use std::collections::HashMap;
 
 /// Check that `db` satisfies every FD in `fds` (the paper's promise on
@@ -18,7 +16,7 @@ use std::collections::HashMap;
 /// # Panics
 /// Panics if an FD names a relation `q` or `db` lacks, or if two tuples
 /// violate an FD.
-pub fn check_fds(q: &Cq, db: &Database, fds: &FdSet) {
+pub(crate) fn check_fds(q: &Cq, db: &Database, fds: &FdSet) {
     for fd in fds.iter() {
         let atom = q
             .atoms()
@@ -35,7 +33,7 @@ pub fn check_fds(q: &Cq, db: &Database, fds: &FdSet) {
 /// determining value never occurs in the FD's relation are dangling and
 /// are dropped.
 ///
-/// `db` must be normalized and satisfy the FDs ([`check_fds`]).
+/// `db` must be normalized and satisfy the FDs (`check_fds`).
 ///
 /// # Panics
 /// Panics if a relation of the extension is missing from `db` or an FD
@@ -111,7 +109,7 @@ pub(crate) fn fd_lookup(terms: &[VarId], db: &Database, fd: &Fd) -> HashMap<Valu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rda_query::fd::fd_extension;
+    use rda_query::fd_extension;
     use rda_query::parser::parse;
 
     #[test]

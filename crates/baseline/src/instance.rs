@@ -8,9 +8,7 @@
 //! differential tests of the code-space pipeline run it.
 
 use rda_db::{Database, Relation};
-use rda_query::connex::ext_connex_tree;
-use rda_query::query::{positions_of, Atom, Cq};
-use rda_query::VarId;
+use rda_query::{ext_connex_tree, positions_of, Atom, Cq, VarId};
 
 /// Normalize a query/database pair so downstream machinery can assume
 /// distinct relation symbols (self-joins are materialized as copies), no

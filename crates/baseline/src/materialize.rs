@@ -7,8 +7,7 @@
 //! direct-access structures avoid.
 
 use rda_db::{Database, Tuple, Value};
-use rda_query::query::Cq;
-use rda_query::VarId;
+use rda_query::{Cq, VarId};
 use std::collections::HashMap;
 
 /// All answers of `q` over `db` (distinct head assignments), unordered.
@@ -159,7 +158,7 @@ impl MaterializedAccess {
     /// The answer at index `k`, O(1).
     ///
     /// Returns an owned tuple — the uniform convention across every
-    /// access backend (see `rda_core::plan::DirectAccess`).
+    /// access backend (see `rda_core::DirectAccess`).
     pub fn access(&self, k: u64) -> Option<Tuple> {
         self.answers.get(k as usize).cloned()
     }
@@ -177,11 +176,6 @@ impl MaterializedAccess {
             })
             .get(answer)
             .copied()
-    }
-
-    /// Iterate answers in order.
-    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.answers.iter().cloned()
     }
 
     /// The weight of the answer at index `k` (SUM mode only).

@@ -15,9 +15,7 @@
 //! order.
 
 use rda_db::{Database, Relation, Tuple, Value};
-use rda_query::gyo;
-use rda_query::query::Cq;
-use rda_query::VarId;
+use rda_query::{Cq, VarId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
@@ -69,7 +67,7 @@ impl RankedEnumerator {
     /// an arity mismatches.
     pub fn new(q: &Cq, db: &Database, weight_of: impl Fn(VarId, &Value) -> f64) -> Self {
         assert!(q.is_full(), "the any-k baseline handles full CQs");
-        let tree = gyo::join_tree(&q.hypergraph()).expect("acyclic CQ required");
+        let tree = rda_query::join_tree(&q.hypergraph()).expect("acyclic CQ required");
         let (parent, order) = tree.rooted_at(0);
         // bfs_pos[node] = position in BFS order.
         let mut bfs_pos = vec![0usize; order.len()];

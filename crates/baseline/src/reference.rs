@@ -17,12 +17,10 @@ use crate::fdtransform::{check_fds, extend_instance, fd_lookup};
 use crate::instance::{normalize_instance, reduce_to_full};
 use rda_db::{Database, Relation, Tuple, Value};
 use rda_query::classify::{classify, Problem};
-use rda_query::connex::complete_order;
-use rda_query::fd::{fd_extension, fd_reordered_order, ExtensionStep, FdExtension, FdSet};
-use rda_query::jointree::{JoinTree, NodeSource};
-use rda_query::layered::layered_join_tree;
-use rda_query::query::{positions_of, Cq};
-use rda_query::{VarId, VarSet};
+use rda_query::{
+    complete_order, fd_extension, fd_reordered_order, layered_join_tree, positions_of, Cq,
+    ExtensionStep, FdExtension, FdSet, JoinTree, NodeSource, VarId, VarSet,
+};
 use std::collections::HashMap;
 
 /// How a promoted (FD-implied) variable's value is derived from an
@@ -298,11 +296,6 @@ impl HashLexDirectAccess {
         self.total == 0
     }
 
-    /// The complete internal order over `free(Q⁺)`.
-    pub fn internal_order(&self) -> &[VarId] {
-        &self.order
-    }
-
     /// Algorithm 1 over the hash-bucketed layout.
     pub fn access(&self, k: u64) -> Option<Tuple> {
         if k >= self.total {
@@ -338,11 +331,6 @@ impl HashLexDirectAccess {
     /// Remark 3 over the hash-bucketed layout.
     pub fn rank_of_lower_bound(&self, answer: &Tuple) -> Option<u64> {
         Some(self.rank_lower_bound(&self.target_values(answer)?).0)
-    }
-
-    /// Iterate over all answers in order.
-    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        (0..self.total).map(|k| self.access(k).expect("k < total"))
     }
 
     fn target_values(&self, answer: &Tuple) -> Option<Vec<Value>> {

@@ -49,12 +49,12 @@ impl BuildBudget {
     }
 
     /// `true` when neither cap is set (charging can be skipped).
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.max_arena_bytes.is_none() && self.max_dp_entries.is_none()
     }
 
     /// Start metering one build against this budget.
-    pub fn meter(&self) -> BudgetMeter {
+    pub(crate) fn meter(&self) -> BudgetMeter {
         BudgetMeter {
             budget: *self,
             bytes: 0,
@@ -65,23 +65,18 @@ impl BuildBudget {
 
 /// Running consumption of one build against a [`BuildBudget`].
 #[derive(Debug, Clone)]
-pub struct BudgetMeter {
+pub(crate) struct BudgetMeter {
     budget: BuildBudget,
     bytes: u64,
     entries: u64,
 }
 
 impl BudgetMeter {
-    /// A meter that never trips.
-    pub fn unlimited() -> Self {
-        BuildBudget::UNLIMITED.meter()
-    }
-
     /// Charge `bytes` of arena storage and `entries` DP entries;
     /// errors with [`BuildError::BudgetExceeded`] on the first cap
     /// crossed.
     #[inline]
-    pub fn charge(&mut self, bytes: u64, entries: u64) -> Result<(), BuildError> {
+    pub(crate) fn charge(&mut self, bytes: u64, entries: u64) -> Result<(), BuildError> {
         if self.budget.is_unlimited() {
             return Ok(());
         }
@@ -107,16 +102,6 @@ impl BudgetMeter {
         }
         Ok(())
     }
-
-    /// Bytes charged so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Entries charged so far.
-    pub fn entries(&self) -> u64 {
-        self.entries
-    }
 }
 
 /// What one structure build actually paid — the measured side
@@ -125,12 +110,13 @@ impl BudgetMeter {
 /// at build time (a handful of clock reads per build); nothing on the
 /// access path touches it.
 ///
-/// The phases follow the pipeline of [`lexda`](crate::lexda):
+/// The phases follow the pipeline of the lex build
+/// ([`LexDirectAccess`](crate::LexDirectAccess)):
 /// `prep` is normalization plus FD checks and extension, `reduce` the
 /// free-connex-to-full reduction (one full reducer over the query's
 /// join tree), `layers` one projection per layer, `sort` the bucket
 /// sorts, `dp` the counting DP that fills the arenas. The
-/// [`sumda`](crate::sumda) build maps onto the same rows: `reduce` is
+/// [`SumDirectAccess`](crate::SumDirectAccess) build maps onto the same rows: `reduce` is
 /// the same full reducer, `layers` the covering-atom projection, `sort`
 /// the weighing and weight sort, `dp` the answer-column materialization.
 /// A selection handle reports its constructor: `prep` and `reduce` as
@@ -213,12 +199,12 @@ mod tests {
 
     #[test]
     fn unlimited_never_trips() {
-        let mut m = BudgetMeter::unlimited();
+        let mut m = BuildBudget::UNLIMITED.meter();
         for _ in 0..1000 {
             m.charge(u64::MAX / 2, u64::MAX / 2).unwrap();
         }
         // Unlimited meters skip accounting entirely.
-        assert_eq!(m.bytes(), 0);
+        assert_eq!(m.bytes, 0);
     }
 
     #[test]

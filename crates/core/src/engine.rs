@@ -53,8 +53,8 @@ use crate::budget::BuildBudget;
 use crate::error::BuildError;
 use crate::fault;
 use crate::plan::{
-    describe_reason, AccessPlan, Backend, Explain, RankedAnswers, RankedEnumHandle,
-    SelectionLexHandle, SelectionSumHandle,
+    describe_reason, AccessPlan, Explain, RankedAnswers, RankedEnumHandle, SelectionLexHandle,
+    SelectionSumHandle,
 };
 use crate::snapprep::encoded_atoms;
 use crate::weights::Weights;
@@ -62,9 +62,7 @@ use crate::{LexDirectAccess, SumDirectAccess};
 use rda_baseline::{MaterializedAccess, RankedEnumerator};
 use rda_db::{Database, Snapshot, SnapshotStore};
 use rda_query::classify::{classify, Problem, Verdict};
-use rda_query::fd::FdSet;
-use rda_query::query::Cq;
-use rda_query::{gyo, VarId};
+use rda_query::{is_acyclic, Cq, FdSet, VarId};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -469,7 +467,7 @@ impl Engine {
 
     /// The budget applied to subsequent structure builds (default:
     /// [`BuildBudget::UNLIMITED`]).
-    pub fn build_budget(&self) -> BuildBudget {
+    pub(crate) fn build_budget(&self) -> BuildBudget {
         *relock(self.build_budget.read())
     }
 
@@ -658,187 +656,165 @@ fn prepare_on(
     budget: BuildBudget,
 ) -> Result<AccessPlan, PlanError> {
     let plan = match order {
-        OrderSpec::Lex(lex) => prepare_lex(snap, q, lex, fds, policy, budget),
-        OrderSpec::Sum(w) => prepare_sum(snap, q, w, fds, policy, budget),
+        OrderSpec::Lex(lex) => {
+            crate::lexda::validate_lex(q, &lex)?;
+            let problems = (
+                Problem::DirectAccessLex(lex.clone()),
+                Problem::SelectionLex(lex.clone()),
+            );
+            let desc = format!("direct access by LEX <{}>", q.names_of(&lex).join(", "));
+            route(
+                q,
+                fds,
+                problems,
+                desc,
+                policy,
+                lex,
+                Rungs {
+                    native: |lex: Vec<VarId>| {
+                        LexDirectAccess::build_on_budgeted(q, snap, &lex, fds, budget)
+                            .map(RankedAnswers::Lex)
+                    },
+                    select: |lex| {
+                        SelectionLexHandle::new(q, snap, lex, fds).map(RankedAnswers::SelectionLex)
+                    },
+                    fallback: |lex: Vec<VarId>, policy| match policy {
+                        Policy::RankedEnum => Err(PlanError::RankedEnumUnsupported {
+                            reason:
+                                "the any-k enumerator ranks by SUM, not by lexicographic orders; \
+                                 use Policy::Materialize"
+                                    .to_string(),
+                        }),
+                        _ => {
+                            // Validate against the encoded relations before reading rows.
+                            encoded_atoms(q, snap)?;
+                            let m = MaterializedAccess::by_lex(q, snap.database(), &lex);
+                            Ok(RankedAnswers::Materialized(m))
+                        }
+                    },
+                },
+            )
+        }
+        OrderSpec::Sum(weights) => {
+            let problems = (Problem::DirectAccessSum, Problem::SelectionSum);
+            let desc = "direct access by SUM of attribute weights".to_string();
+            route(
+                q,
+                fds,
+                problems,
+                desc,
+                policy,
+                weights,
+                Rungs {
+                    native: |w: Weights| {
+                        SumDirectAccess::build_on_budgeted(q, snap, &w, fds, budget)
+                            .map(RankedAnswers::Sum)
+                    },
+                    select: |w| {
+                        SelectionSumHandle::new(q, snap, w, fds).map(RankedAnswers::SelectionSum)
+                    },
+                    fallback: |w: Weights, policy| {
+                        if policy == Policy::RankedEnum {
+                            if !q.is_full() {
+                                return Err(PlanError::RankedEnumUnsupported {
+                                    reason:
+                                        "the any-k enumerator requires a full CQ (no projection)"
+                                            .to_string(),
+                                });
+                            }
+                            if !is_acyclic(&q.hypergraph()) {
+                                return Err(PlanError::RankedEnumUnsupported {
+                                    reason: "the any-k enumerator requires an acyclic CQ"
+                                        .to_string(),
+                                });
+                            }
+                        }
+                        encoded_atoms(q, snap)?;
+                        let weight = |v, val: &_| w.get(v, val).0;
+                        Ok(match policy {
+                            Policy::RankedEnum => RankedAnswers::RankedEnum(RankedEnumHandle::new(
+                                RankedEnumerator::new(q, snap.database(), weight),
+                            )),
+                            _ => RankedAnswers::Materialized(MaterializedAccess::by_sum(
+                                q,
+                                snap.database(),
+                                weight,
+                            )),
+                        })
+                    },
+                },
+            )
+        }
     }?;
     Ok(plan.with_generation(snap.generation()))
 }
 
-fn prepare_lex(
-    snap: &Arc<Snapshot>,
-    q: &Cq,
-    lex: Vec<VarId>,
-    fds: &FdSet,
-    policy: Policy,
-    budget: BuildBudget,
-) -> Result<AccessPlan, PlanError> {
-    crate::lexda::validate_lex(q, &lex)?;
-    let problem = Problem::DirectAccessLex(lex.clone());
-    let problem_desc = format!("direct access by LEX <{}>", q.names_of(&lex).join(", "));
-    let verdict = classify(q, fds, &problem);
-    let witness = verdict.reason().map(|r| describe_reason(q, r));
-
-    if verdict.is_tractable() {
-        let da = LexDirectAccess::build_on_budgeted(q, snap, &lex, fds, budget)?;
-        let build = *da.build_cost();
-        return Ok(AccessPlan::new(
-            RankedAnswers::Lex(da),
-            Explain {
-                problem,
-                problem_desc,
-                verdict,
-                selection_verdict: None,
-                witness,
-                backend: Backend::LexDirectAccess,
-                build: Some(build),
-            },
-        ));
-    }
-
-    let selection_verdict = classify(q, fds, &Problem::SelectionLex(lex.clone()));
-    if selection_verdict.is_tractable() {
-        let handle = SelectionLexHandle::new(q, snap, lex, fds)?;
-        let build = *handle.build_cost();
-        return Ok(AccessPlan::new(
-            RankedAnswers::SelectionLex(handle),
-            Explain {
-                problem,
-                problem_desc,
-                verdict,
-                selection_verdict: Some(selection_verdict),
-                witness,
-                backend: Backend::SelectionLex,
-                build: Some(build),
-            },
-        ));
-    }
-
-    match policy {
-        Policy::Reject => Err(PlanError::Intractable { verdict, witness }),
-        Policy::Materialize => {
-            // Validate against the encoded relations before reading rows.
-            encoded_atoms(q, snap)?;
-            let m = MaterializedAccess::by_lex(q, snap.database(), &lex);
-            Ok(AccessPlan::new(
-                RankedAnswers::Materialized(m),
-                Explain {
-                    problem,
-                    problem_desc,
-                    verdict,
-                    selection_verdict: Some(selection_verdict),
-                    witness,
-                    backend: Backend::Materialized,
-                    build: None,
-                },
-            ))
-        }
-        Policy::RankedEnum => Err(PlanError::RankedEnumUnsupported {
-            reason: "the any-k enumerator ranks by SUM, not by lexicographic orders; \
-                     use Policy::Materialize"
-                .to_string(),
-        }),
-    }
+/// How one kind of order builds each rung of [`route`]'s ladder; each
+/// closure takes the order (the lex variables or the weights) by value.
+struct Rungs<N, S, F> {
+    /// The native direct-access structure.
+    native: N,
+    /// The selection-backed handle.
+    select: S,
+    /// The fallback a non-`Reject` policy asks for.
+    fallback: F,
 }
 
-fn prepare_sum(
-    snap: &Arc<Snapshot>,
+/// The routing ladder every order climbs: native direct access when the
+/// direct-access verdict (`problems.0`) is tractable, else the selection
+/// handle when the selection verdict (`problems.1`) is, else whatever
+/// `policy` allows — `Reject` fails with the direct-access witness.
+fn route<O, N, S, F>(
     q: &Cq,
-    weights: Weights,
     fds: &FdSet,
+    problems: (Problem, Problem),
+    problem_desc: String,
     policy: Policy,
-    budget: BuildBudget,
-) -> Result<AccessPlan, PlanError> {
-    let problem = Problem::DirectAccessSum;
-    let problem_desc = "direct access by SUM of attribute weights".to_string();
-    let verdict = classify(q, fds, &problem);
+    order: O,
+    rungs: Rungs<N, S, F>,
+) -> Result<AccessPlan, PlanError>
+where
+    N: FnOnce(O) -> Result<RankedAnswers, BuildError>,
+    S: FnOnce(O) -> Result<RankedAnswers, BuildError>,
+    F: FnOnce(O, Policy) -> Result<RankedAnswers, PlanError>,
+{
+    let verdict = classify(q, fds, &problems.0);
     let witness = verdict.reason().map(|r| describe_reason(q, r));
-
-    if verdict.is_tractable() {
-        let da = SumDirectAccess::build_on_budgeted(q, snap, &weights, fds, budget)?;
-        let build = *da.build_cost();
-        return Ok(AccessPlan::new(
-            RankedAnswers::Sum(da),
-            Explain {
-                problem,
-                problem_desc,
-                verdict,
-                selection_verdict: None,
-                witness,
-                backend: Backend::SumDirectAccess,
-                build: Some(build),
-            },
-        ));
-    }
-
-    let selection_verdict = classify(q, fds, &Problem::SelectionSum);
-    if selection_verdict.is_tractable() {
-        let handle = SelectionSumHandle::new(q, snap, weights, fds)?;
-        let build = *handle.build_cost();
-        return Ok(AccessPlan::new(
-            RankedAnswers::SelectionSum(handle),
-            Explain {
-                problem,
-                problem_desc,
-                verdict,
-                selection_verdict: Some(selection_verdict),
-                witness,
-                backend: Backend::SelectionSum,
-                build: Some(build),
-            },
-        ));
-    }
-
-    match policy {
-        Policy::Reject => Err(PlanError::Intractable { verdict, witness }),
-        Policy::Materialize => {
-            encoded_atoms(q, snap)?;
-            let m = MaterializedAccess::by_sum(q, snap.database(), |v, val| weights.get(v, val).0);
-            Ok(AccessPlan::new(
-                RankedAnswers::Materialized(m),
-                Explain {
-                    problem,
-                    problem_desc,
-                    verdict,
-                    selection_verdict: Some(selection_verdict),
-                    witness,
-                    backend: Backend::Materialized,
-                    build: None,
-                },
-            ))
-        }
-        Policy::RankedEnum => {
-            if !q.is_full() {
-                return Err(PlanError::RankedEnumUnsupported {
-                    reason: "the any-k enumerator requires a full CQ (no projection)".to_string(),
-                });
-            }
-            if !gyo::is_acyclic(&q.hypergraph()) {
-                return Err(PlanError::RankedEnumUnsupported {
-                    reason: "the any-k enumerator requires an acyclic CQ".to_string(),
-                });
-            }
-            encoded_atoms(q, snap)?;
-            let e = RankedEnumerator::new(q, snap.database(), |v, val| weights.get(v, val).0);
-            Ok(AccessPlan::new(
-                RankedAnswers::RankedEnum(RankedEnumHandle::new(e)),
-                Explain {
-                    problem,
-                    problem_desc,
-                    verdict,
-                    selection_verdict: Some(selection_verdict),
-                    witness,
-                    backend: Backend::RankedEnum,
-                    build: None,
-                },
-            ))
-        }
-    }
+    let (answers, selection_verdict) = if verdict.is_tractable() {
+        ((rungs.native)(order)?, None)
+    } else {
+        let selection_verdict = classify(q, fds, &problems.1);
+        let answers = if selection_verdict.is_tractable() {
+            (rungs.select)(order)?
+        } else if policy == Policy::Reject {
+            return Err(PlanError::Intractable { verdict, witness });
+        } else {
+            (rungs.fallback)(order, policy)?
+        };
+        (answers, Some(selection_verdict))
+    };
+    let build = match &answers {
+        RankedAnswers::Lex(da) => Some(*da.build_cost()),
+        RankedAnswers::Sum(da) => Some(*da.build_cost()),
+        RankedAnswers::SelectionLex(h) => Some(*h.build_cost()),
+        RankedAnswers::SelectionSum(h) => Some(*h.build_cost()),
+        RankedAnswers::Materialized(_) | RankedAnswers::RankedEnum(_) => None,
+    };
+    let explain = Explain {
+        problem_desc,
+        verdict,
+        selection_verdict,
+        witness,
+        backend: answers.backend(),
+        build,
+    };
+    Ok(AccessPlan::new(answers, explain))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::DirectAccess;
+    use crate::plan::{Backend, DirectAccess};
     use rda_db::tup;
     use rda_query::classify::Reason;
     use rda_query::parser::parse;
@@ -1088,6 +1064,78 @@ mod tests {
         assert_eq!(plan.access(0), Some(tup![1, 2, 3]));
     }
 
+    /// {LEX, SUM} × {native region, selection-only region, neither} ×
+    /// every policy: the backend or the error variant each cell routes to.
+    #[test]
+    fn routing_matrix() {
+        use Backend::*;
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Routed {
+            To(Backend),
+            Intractable,
+            Unsupported,
+        }
+        use Routed::{Intractable, To, Unsupported};
+        let engine = Engine::new(
+            Database::new()
+                .with_i64_rows("R", 2, vec![vec![1, 2], vec![3, 4]])
+                .with_i64_rows("S", 2, vec![vec![2, 5], vec![4, 6]])
+                .with_i64_rows("T", 2, vec![vec![5, 7], vec![6, 1]])
+                .freeze(),
+        );
+        let two_path = "Q(x, y, z) :- R(x, y), S(y, z)";
+        // `Some(vars)` is a LEX order, `None` SUM by value; the outcomes
+        // are under Reject, Materialize and RankedEnum.
+        type Cell<'a> = (&'a str, Option<&'a [&'a str]>, [Routed; 3]);
+        let cells: [Cell; 7] = [
+            // LEX, native: no disruptive trio, free-connex.
+            (two_path, Some(&["x", "y", "z"]), [To(LexDirectAccess); 3]),
+            // LEX, selection only: the <x, z, y> trio.
+            (two_path, Some(&["x", "z", "y"]), [To(SelectionLex); 3]),
+            // LEX, neither: not free-connex; any-k does not rank by LEX.
+            (
+                "Q(x, z) :- R(x, y), S(y, z)",
+                Some(&["x", "z"]),
+                [Intractable, To(Materialized), Unsupported],
+            ),
+            // SUM, native: one atom covers the free variables.
+            (
+                "Q(x, y) :- R(x, y), S(y, z)",
+                None,
+                [To(SumDirectAccess); 3],
+            ),
+            // SUM, selection only: fmh = 2.
+            (two_path, None, [To(SelectionSum); 3]),
+            // SUM, neither: fmh = 3 on a full acyclic query.
+            (
+                "Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)",
+                None,
+                [Intractable, To(Materialized), To(RankedEnum)],
+            ),
+            // SUM, neither and cyclic: any-k needs an acyclic query.
+            (
+                "Q(x, y, z) :- R(x, y), S(y, z), T(z, x)",
+                None,
+                [Intractable, To(Materialized), Unsupported],
+            ),
+        ];
+        for (text, lex, expect) in cells {
+            let q = parse(text).unwrap();
+            let policies = [Policy::Reject, Policy::Materialize, Policy::RankedEnum];
+            for (policy, want) in policies.into_iter().zip(expect) {
+                let order =
+                    lex.map_or_else(OrderSpec::sum_by_value, |vars| OrderSpec::lex(&q, vars));
+                let got = match engine.prepare(&q, order, &FdSet::empty(), policy) {
+                    Ok(plan) => To(plan.backend()),
+                    Err(PlanError::Intractable { .. }) => Intractable,
+                    Err(PlanError::RankedEnumUnsupported { .. }) => Unsupported,
+                    Err(e) => panic!("{text} {lex:?} {policy:?}: {e}"),
+                };
+                assert_eq!(got, want, "{text} {lex:?} {policy:?}");
+            }
+        }
+    }
+
     #[test]
     fn instance_errors_surface_at_prepare_time() {
         let q = two_path();
@@ -1333,10 +1381,12 @@ mod tests {
                 Policy::Reject,
             )
             .unwrap();
+        let mut weights = Weights::identity();
+        weights.set(q.var("x").unwrap(), 1, 100.0);
         let weighted = engine
             .prepare(
                 &q,
-                OrderSpec::sum(Weights::identity().with(&q, "x", 1, 100.0)),
+                OrderSpec::sum(weights.clone()),
                 &FdSet::empty(),
                 Policy::Reject,
             )
@@ -1347,12 +1397,7 @@ mod tests {
         assert_eq!(weighted.access(1), Some(tup![1, 5]));
         // Equal weights hit.
         let weighted2 = engine
-            .prepare(
-                &q,
-                OrderSpec::sum(Weights::identity().with(&q, "x", 1, 100.0)),
-                &FdSet::empty(),
-                Policy::Reject,
-            )
+            .prepare(&q, OrderSpec::sum(weights), &FdSet::empty(), Policy::Reject)
             .unwrap();
         assert!(Arc::ptr_eq(&weighted, &weighted2));
     }

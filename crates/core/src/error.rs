@@ -1,7 +1,7 @@
 //! Errors reported by the access-structure builders.
 
-use rda_query::classify::{Reason, Verdict};
-use rda_query::fd::Fd;
+use rda_query::classify::Verdict;
+use rda_query::Fd;
 use std::fmt;
 
 /// Why an access structure could not be built.
@@ -49,24 +49,6 @@ pub enum BuildError {
         /// The fault site that fired (e.g. `"lexda::build"`).
         site: String,
     },
-}
-
-impl BuildError {
-    /// The full classification verdict behind a
-    /// [`BuildError::NotTractable`], `None` for instance-level errors.
-    pub fn verdict(&self) -> Option<&Verdict> {
-        match self {
-            BuildError::NotTractable(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The structural [`Reason`] (e.g. the disruptive-trio witness)
-    /// behind a [`BuildError::NotTractable`], so callers can inspect
-    /// *why* an order was rejected instead of re-deriving it.
-    pub fn reason(&self) -> Option<&Reason> {
-        self.verdict().and_then(Verdict::reason)
-    }
 }
 
 impl fmt::Display for BuildError {

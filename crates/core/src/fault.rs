@@ -142,7 +142,7 @@ impl FaultPlan {
     }
 
     /// The scheduled (hit, action) pairs for `site`, in schedule order.
-    pub fn scheduled(&self, site: &str) -> &[(u64, FaultAction)] {
+    pub(crate) fn scheduled(&self, site: &str) -> &[(u64, FaultAction)] {
         self.schedule.get(site).map_or(&[], Vec::as_slice)
     }
 

@@ -58,13 +58,12 @@ use crate::snapprep::{
     reduce_to_full_encoded, Derivation,
 };
 use crate::window::WindowBuf;
-use rda_db::{Database, Dictionary, EncodedRelation, Snapshot, Tuple, Value};
+use rda_db::{Database, EncodedRelation, Snapshot, Tuple, Value};
 use rda_query::classify::{classify, Problem, Verdict};
-use rda_query::connex::complete_order;
-use rda_query::fd::{fd_extension, fd_reordered_order, FdSet};
-use rda_query::layered::layered_join_tree;
-use rda_query::query::{positions_of, Cq};
-use rda_query::VarId;
+use rda_query::{
+    complete_order, fd_extension, fd_reordered_order, layered_join_tree, positions_of, Cq, FdSet,
+    VarId,
+};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -430,13 +429,13 @@ pub(crate) fn prepare_layers(
 /// only steps).
 #[cfg(debug_assertions)]
 fn assert_layers_consistent(
-    layered: &rda_query::layered::LayeredJoinTree,
+    layered: &rda_query::LayeredJoinTree,
     layer_vars: &[Vec<VarId>],
     red: &crate::snapprep::EncodedReduction,
     enc_layers: &[EncodedRelation],
 ) {
     let keeps_all = |rel: &EncodedRelation, vars: &[VarId], other, other_vars: &[VarId]| {
-        let (keys, other_keys) = rda_query::query::shared_positions(vars, other_vars);
+        let (keys, other_keys) = rda_query::shared_positions(vars, other_vars);
         rel.semijoin_plan(&keys, other, &other_keys).is_none()
     };
     for (i, node) in layered.layers.iter().enumerate() {
@@ -514,8 +513,8 @@ thread_local! {
 /// sorted by a (possibly partial) lexicographic order (Theorem 3.3 /
 /// 4.1 / 8.21: ⟨n log n⟩ construction, ⟨log n⟩ per access).
 ///
-/// Internally the structure is a [`Dictionary`] plus one flat
-/// struct-of-arrays arena per layer; `access_into`, `inverted_access`,
+/// Internally the structure is a [`Dictionary`](rda_db::Dictionary)
+/// plus one flat struct-of-arrays arena per layer; `access_into`, `inverted_access`,
 /// and `rank_of_lower_bound` run as binary searches over integer slices
 /// and perform **no heap allocation**. The owned forms (`access`,
 /// windows, batches, `iter`) come from [`DirectAccess`].
@@ -590,7 +589,7 @@ impl LexDirectAccess {
     /// per rank directory), and the build aborts with
     /// [`BuildError::BudgetExceeded`] the moment a cap is crossed —
     /// before, not after, the offending allocation dominates memory.
-    pub fn build_on_budgeted(
+    pub(crate) fn build_on_budgeted(
         q: &Cq,
         snap: &Arc<Snapshot>,
         lex: &[VarId],
@@ -807,12 +806,12 @@ impl LexDirectAccess {
     }
 
     /// Number of answers (`|Q(I)|`).
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.total
     }
 
     /// `true` when the query has no answers.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
     }
 
@@ -820,12 +819,6 @@ impl LexDirectAccess {
     /// completed per Lemma 4.4, FD-reordered per Definition 8.13).
     pub fn internal_order(&self) -> &[VarId] {
         &self.order
-    }
-
-    /// The order-preserving dictionary the structure is encoded under —
-    /// the snapshot's shared dictionary.
-    pub fn dictionary(&self) -> &Dictionary {
-        self.snap.dict()
     }
 
     /// The snapshot the structure was built over.
@@ -838,7 +831,7 @@ impl LexDirectAccess {
     /// return `true`, or return `false` ("out-of-bound") when
     /// `k ≥ len()`. O(log n); after `out` has grown to the head arity
     /// once, calls perform **zero** heap allocations.
-    pub fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+    pub(crate) fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
         out.clear();
         if k >= self.total {
             return false;
@@ -1093,16 +1086,17 @@ impl LexDirectAccess {
     /// Algorithm 2: the index of `answer` in the sorted answer array, or
     /// `None` ("not-an-answer"). `answer` is a tuple over the original
     /// query's head variables. O(log n), allocation-free.
-    pub fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
+    pub(crate) fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
         self.probe(answer)
             .and_then(|(rank, exact)| exact.then_some(rank))
     }
 
     /// Remark 3: the number of answers strictly before `answer` in the
     /// order, whether or not `answer` itself is an answer. Combined with
-    /// [`LexDirectAccess::access_into`] this yields "return the next answer
-    /// in order" for non-answers. Returns `None` if the tuple cannot be
-    /// consistently derived (under FDs). O(log n), allocation-free.
+    /// [`DirectAccess::access_into`](crate::DirectAccess::access_into)
+    /// this yields "return the next answer in order" for non-answers.
+    /// Returns `None` if the tuple cannot be consistently derived (under
+    /// FDs). O(log n), allocation-free.
     pub fn rank_of_lower_bound(&self, answer: &Tuple) -> Option<u64> {
         self.probe(answer).map(|(rank, _)| rank)
     }
@@ -1304,7 +1298,7 @@ impl LexDirectAccess {
     /// paid **once** for the whole window; every further tuple is an
     /// O(1) amortized arena step. After `out` has grown to the window's
     /// size once, refills perform **zero** heap allocations.
-    pub fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
+    pub(crate) fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
         out.begin(self.out_vars.len());
         let (lo, hi) = crate::window::clamp_range(&range, self.total);
         if lo >= hi {

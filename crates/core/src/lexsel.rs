@@ -25,13 +25,10 @@ use crate::error::BuildError;
 use crate::snapprep::{dense_len, key_ids, prepare_reduced};
 use rda_db::{EncodedRelation, Snapshot, Tuple};
 use rda_query::classify::Problem;
-use rda_query::connex::complete_order;
-use rda_query::fd::{fd_reordered_order, FdExtension, FdSet};
-use rda_query::gyo;
-use rda_query::hypergraph::Hypergraph;
-use rda_query::jointree::JoinTree;
-use rda_query::query::{shared_positions, Cq};
-use rda_query::{VarId, VarSet};
+use rda_query::{
+    complete_order, fd_reordered_order, shared_positions, Cq, FdExtension, FdSet, Hypergraph,
+    JoinTree, VarId, VarSet,
+};
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -177,7 +174,7 @@ impl LexSelection {
         let atom_vars: Vec<Vec<VarId>> =
             red.query.atoms().iter().map(|a| a.terms.clone()).collect();
         let edges = red.query.atoms().iter().map(|a| a.var_set()).collect();
-        let tree = gyo::join_tree(&Hypergraph::new(edges)).expect("reduced query is acyclic");
+        let tree = rda_query::join_tree(&Hypergraph::new(edges)).expect("reduced query is acyclic");
         let total = match order.first() {
             // Boolean head: one (empty) answer iff the join is non-empty.
             None => u128::from(!red.known_empty),

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! # rda-core — ranked direct access and selection for conjunctive queries
 //!
@@ -36,54 +36,42 @@
 //!
 //! ## The front door
 //!
-//! Since 0.3.0 the serving path is **snapshot-centric**: freeze a
-//! database once ([`rda_db::Database::freeze`]) so it is
-//! dictionary-encoded exactly once, and hand the resulting
-//! [`Arc<Snapshot>`](rda_db::Snapshot) to a stateful [`Engine`].
+//! Freeze a database once ([`rda_db::Database::freeze`]) and hand the
+//! [`Arc<Snapshot>`](rda_db::Snapshot) to an [`Engine`].
 //! [`Engine::prepare`] classifies a query/order pair, routes it to
-//! native direct access (built straight from the snapshot's code
-//! space), a selection-backed handle, or an explicit [`Policy`]
-//! fallback, and memoizes the resulting
-//! [`Arc<AccessPlan>`](AccessPlan) in a bounded plan cache keyed by
-//! (query, order, FDs, policy). Plans are `Send + Sync`: one prepared
-//! plan serves any number of client threads concurrently, answering
-//! through the uniform [`DirectAccess`] trait and explaining its
-//! routing via [`Explain`]. Since 0.4.0 the trait is
-//! **pagination-native**: whole rank windows (`access_range`, `top_k`,
-//! `page`, with allocation-free `*_into` variants over [`WindowBuf`])
-//! pay the native structures' rank bracketing once per window, and
-//! [`AccessPlan::stream`] enumerates lazily in batches ([`RankedStream`],
-//! any-k style — see [`mod@window`]). A backend implements three
-//! methods (`len`, `access_into`, `inverted_access`) and may override
-//! the window and batch kernels; every owned form is provided by the
-//! trait, once. Since 0.5.0 the pre-snapshot
-//! shims (`Engine::prepare_stateless` and the PR-1 selection free
-//! functions) are gone: the engine is the single entry point, and the
-//! [`rda_serve`-style](engine::canonical_request_key) service hooks —
-//! [`engine::canonical_request_key`], [`engine::plan_dependencies`],
-//! and resumable [`AccessPlan::stream_batched`] cursors — let a request
-//! front door encode plan identity and data versions into opaque
-//! pagination tokens.
+//! native direct access, a selection-backed handle, or the fallback a
+//! [`Policy`] allows, and memoizes the [`Arc<AccessPlan>`](AccessPlan)
+//! in a bounded plan cache keyed by (query, order, FDs, policy). A plan
+//! is `Send + Sync`, answers through the [`DirectAccess`] trait —
+//! three required methods (`len`, `access_into`, `inverted_access`)
+//! plus window and batch kernels over a reusable [`WindowBuf`] — and
+//! explains its routing via [`Explain`]. [`canonical_request_key`],
+//! [`plan_dependencies`] and [`AccessPlan::stream_batched`] are the
+//! hooks a request front door (`rda_serve`) encodes into resumable
+//! cursor tokens.
 
-pub mod budget;
-pub mod engine;
-pub mod error;
-pub mod fault;
-pub mod lexda;
-pub mod lexsel;
-pub mod plan;
-pub mod random_order;
+mod budget;
+mod engine;
+mod error;
+mod fault;
+mod lexda;
+mod lexsel;
+mod plan;
+mod random_order;
 mod rankdir;
-pub mod snapprep;
-pub mod sumda;
-pub mod sumsel;
-pub mod weights;
-pub mod window;
+mod snapprep;
+mod sumda;
+mod sumsel;
+mod weights;
+mod window;
 
-pub use budget::{BudgetMeter, BuildBudget, BuildCost};
+pub use budget::{BuildBudget, BuildCost};
 pub use engine::{canonical_request_key, plan_dependencies, Engine, OrderSpec, PlanError, Policy};
 pub use error::BuildError;
-pub use fault::{FaultAction, FaultGuard, FaultPlan, InjectedFault};
+pub use fault::{
+    hits, install, trip, FaultAction, FaultGuard, FaultPlan, InjectedFault, SITE_ENGINE_PREPARE,
+    SITE_LEXDA_BUILD, SITE_SUMDA_BUILD,
+};
 pub use lexda::LexDirectAccess;
 pub use plan::{
     AccessPlan, Backend, DirectAccess, Explain, RankedAnswers, RankedEnumHandle,
@@ -92,4 +80,4 @@ pub use plan::{
 pub use random_order::{Quantiles, RandomOrderEnumerator};
 pub use sumda::SumDirectAccess;
 pub use weights::Weights;
-pub use window::{RankedStream, WindowBuf, DEFAULT_STREAM_BATCH};
+pub use window::{RankedStream, WindowBuf};

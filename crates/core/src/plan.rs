@@ -51,10 +51,8 @@ use crate::{LexDirectAccess, SumDirectAccess};
 use rda_baseline::{MaterializedAccess, RankedEnumerator};
 use rda_db::{Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
-use rda_query::classify::{Problem, Reason, Verdict};
-use rda_query::fd::FdSet;
-use rda_query::query::Cq;
-use rda_query::VarId;
+use rda_query::classify::{Reason, Verdict};
+use rda_query::{Cq, FdSet, VarId};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Range;
@@ -268,7 +266,7 @@ impl DirectAccess for MaterializedAccess {
 /// validation, classification, FD check and extension, the reduction to
 /// a full query in the snapshot's code space, one counting pass for
 /// `len()` — and holds the reduced instance; an access is then only the
-/// selection rounds of [`crate::lexsel`], and cannot fail.
+/// selection rounds of Lemma 6.6, and cannot fail.
 pub struct SelectionLexHandle {
     sel: LexSelection,
 }
@@ -338,7 +336,7 @@ impl DirectAccess for SelectionLexHandle {
 /// O(n log n) per access.
 ///
 /// Construction prepares the instance once, in the snapshot's code
-/// space (see [`crate::sumsel`]): reduction, contraction, row weights
+/// space: reduction, contraction, row weights
 /// and the weight-sorted join-key buckets, whose sizes give `len()`.
 /// An access is then only the selection over them, and cannot fail.
 ///
@@ -697,7 +695,7 @@ impl RankedAnswers {
     /// resumption hook for service layers that re-create a stream per
     /// request from a client cursor and want the batch to match the
     /// requested page.
-    pub fn stream_batched(&self, start: u64, batch: usize) -> RankedStream<'_> {
+    pub(crate) fn stream_batched(&self, start: u64, batch: usize) -> RankedStream<'_> {
         RankedStream::new(self, start, batch)
     }
 
@@ -797,7 +795,6 @@ pub(crate) fn describe_reason(q: &Cq, reason: &Reason) -> String {
 /// answers.
 #[derive(Debug, Clone)]
 pub struct Explain {
-    pub(crate) problem: Problem,
     pub(crate) problem_desc: String,
     pub(crate) verdict: Verdict,
     pub(crate) selection_verdict: Option<Verdict>,
@@ -807,20 +804,9 @@ pub struct Explain {
 }
 
 impl Explain {
-    /// The direct-access problem the order was classified for.
-    pub fn problem(&self) -> &Problem {
-        &self.problem
-    }
-
     /// The dichotomy's verdict on *direct access* for this order.
     pub fn verdict(&self) -> &Verdict {
         &self.verdict
-    }
-
-    /// The selection verdict, when the router had to consult it (i.e.
-    /// when direct access was not tractable).
-    pub fn selection_verdict(&self) -> Option<&Verdict> {
-        self.selection_verdict.as_ref()
     }
 
     /// The structural witness for a non-tractable verdict (disruptive
@@ -970,8 +956,10 @@ impl AccessPlan {
         self.answers.stream_from(start)
     }
 
-    /// [`AccessPlan::stream_from`] with an explicit batch size (see
-    /// [`RankedAnswers::stream_batched`]).
+    /// [`AccessPlan::stream_from`] with an explicit batch size — the
+    /// resumption hook for service layers that re-create a stream per
+    /// request from a client cursor and want the batch to match the
+    /// requested page.
     pub fn stream_batched(&self, start: u64, batch: usize) -> RankedStream<'_> {
         self.answers.stream_batched(start, batch)
     }

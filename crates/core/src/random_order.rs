@@ -47,7 +47,7 @@ impl<'a, D: DirectAccess + ?Sized, R: Rng> RandomOrderEnumerator<'a, D, R> {
     }
 
     /// Answers left to emit.
-    pub fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         self.da.len() - self.next
     }
 

@@ -39,11 +39,10 @@ use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
 use rda_db::{EncodedRelation, Snapshot};
 use rda_query::classify::{classify, Problem, Verdict};
-use rda_query::connex::{ext_connex_tree, ExtConnexTree};
-use rda_query::fd::{fd_extension, ExtensionStep, Fd, FdExtension, FdSet};
-use rda_query::gyo;
-use rda_query::query::{positions_of, Atom, Cq};
-use rda_query::{VarId, VarSet};
+use rda_query::{
+    ext_connex_tree, fd_extension, positions_of, Atom, Cq, ExtConnexTree, ExtensionStep, Fd,
+    FdExtension, FdSet, VarId, VarSet,
+};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
@@ -323,7 +322,7 @@ pub(crate) struct EncodedReduction {
 /// untouched. Afterwards every relation is the projection of the join
 /// onto its atom — all of them empty when the join is.
 pub(crate) fn reduce_atoms(q: &Cq, rels: &mut [EncRel<'_>]) {
-    let tree = gyo::join_tree(&q.hypergraph()).expect("classification guarantees acyclicity");
+    let tree = rda_query::join_tree(&q.hypergraph()).expect("classification guarantees acyclicity");
     let atom_vars: Vec<Vec<VarId>> = q.atoms().iter().map(|a| a.terms.clone()).collect();
     tree.full_reduce(&atom_vars, rels, |target, keys, source, source_keys| {
         // Copy-on-write: a borrowed relation is cloned only when the
@@ -650,10 +649,10 @@ mod tests {
             let rels = extend_instance_encoded(&ext, &nq, rels).unwrap();
             let red = reduce_to_full_encoded(&ext.query, rels).unwrap();
 
-            let (vq, vdb) = rda_baseline::instance::normalize_instance(&q, snap.database());
+            let (vq, vdb) = rda_baseline::normalize_instance(&q, snap.database());
             let vext = fd_extension(&vq, &fds);
-            let vdb = rda_baseline::fdtransform::extend_instance(&vext, &vdb);
-            let vred = rda_baseline::instance::reduce_to_full(&vext.query, &vdb).unwrap();
+            let vdb = rda_baseline::extend_instance(&vext, &vdb);
+            let vred = rda_baseline::reduce_to_full(&vext.query, &vdb).unwrap();
 
             assert_eq!(red.known_empty, empty, "{text}");
             assert_eq!(vred.known_empty, empty, "{text}");

@@ -24,11 +24,10 @@ use crate::snapprep::{
 };
 use crate::weights::Weights;
 use crate::window::WindowBuf;
-use rda_db::{radix_sort_rows, Database, Dictionary, Snapshot, Tuple, Value};
+use rda_db::{radix_sort_rows, Database, Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
 use rda_query::classify::{classify, Problem, Verdict};
-use rda_query::fd::{fd_extension, FdSet};
-use rda_query::query::{positions_of, Cq};
+use rda_query::{fd_extension, positions_of, Cq, FdSet};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -106,7 +105,7 @@ impl SumDirectAccess {
     /// projected answer count is known — before the weight, permutation,
     /// and column arrays are allocated — aborting hostile builds with
     /// [`BuildError::BudgetExceeded`].
-    pub fn build_on_budgeted(
+    pub(crate) fn build_on_budgeted(
         q: &Cq,
         snap: &Arc<Snapshot>,
         w: &Weights,
@@ -251,27 +250,16 @@ impl SumDirectAccess {
         &self.snap
     }
 
-    /// The order-preserving dictionary the structure is encoded under —
-    /// the snapshot's shared dictionary.
-    pub fn dictionary(&self) -> &Dictionary {
-        self.snap.dict()
-    }
-
     /// Number of answers.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.len as u64
-    }
-
-    /// `true` when there are no answers.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Write the answer at index `k` in ascending weight order into
     /// `out` (reusing its capacity) and report whether `k` was in
     /// bounds. O(1), and **zero** heap allocations once `out` has grown
     /// to the head arity.
-    pub fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+    pub(crate) fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
         out.clear();
         if k >= self.len as u64 {
             return false;
@@ -293,7 +281,7 @@ impl SumDirectAccess {
     /// not an answer. O(log n), allocation-free: the probe is encoded
     /// through the dictionary (a miss proves non-membership) and
     /// binary-searched against the tuple-sorted row index.
-    pub fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
+    pub(crate) fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
         if answer.arity() != self.cols.len() {
             return None;
         }
@@ -320,7 +308,7 @@ impl SumDirectAccess {
     /// `len()`) into `out` in order, returning how many were written.
     /// A straight columnar scan: O(1) per tuple, and **zero** heap
     /// allocations once `out` has grown to the window's size.
-    pub fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
+    pub(crate) fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
         out.begin(self.cols.len());
         let (lo, hi) = crate::window::clamp_range(&range, self.len as u64);
         let dict = self.snap.dict();

@@ -28,13 +28,11 @@ use crate::error::BuildError;
 use crate::snapprep::{key_ids, prepare_reduced};
 use crate::weights::Weights;
 use rda_db::{EncodedRelation, Snapshot, Tuple};
-use rda_orderstat::select::select_nth_by;
-use rda_orderstat::{MatrixUnion, SortedMatrix, TotalF64};
+use rda_orderstat::{select_nth_by, MatrixUnion, SortedMatrix, TotalF64};
 use rda_query::classify::Problem;
-use rda_query::contraction::{maximal_contraction, ContractionStep};
-use rda_query::fd::FdSet;
-use rda_query::query::{positions_of, shared_positions, Cq};
-use rda_query::{VarId, VarSet};
+use rda_query::{
+    maximal_contraction, positions_of, shared_positions, ContractionStep, Cq, FdSet, VarId, VarSet,
+};
 use std::ops::Range;
 use std::sync::Arc;
 

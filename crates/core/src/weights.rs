@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 /// Fallback for `(variable, value)` pairs without an explicit weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DefaultWeight {
+pub(crate) enum DefaultWeight {
     /// Missing weights are `0`.
     #[default]
     Zero,
@@ -47,18 +47,6 @@ impl Weights {
     /// Set the weight of one `(variable, value)` pair.
     pub fn set(&mut self, var: VarId, value: impl Into<Value>, weight: f64) -> &mut Self {
         self.map.insert((var, value.into()), weight);
-        self
-    }
-
-    /// Builder-style [`Weights::set`] resolving the variable by name.
-    ///
-    /// # Panics
-    /// Panics if `var` is not a variable of `q`.
-    pub fn with(mut self, q: &Cq, var: &str, value: impl Into<Value>, weight: f64) -> Self {
-        let v = q
-            .var(var)
-            .unwrap_or_else(|| panic!("unknown variable {var}"));
-        self.set(v, value, weight);
         self
     }
 
@@ -150,8 +138,9 @@ mod tests {
     #[test]
     fn explicit_weights_override() {
         let q = parse("Q(x) :- R(x)").unwrap();
-        let w = Weights::identity().with(&q, "x", 7, -2.5);
         let x = q.var("x").unwrap();
+        let mut w = Weights::identity();
+        w.set(x, 7, -2.5);
         assert_eq!(w.get(x, &Value::int(7)), TotalF64(-2.5));
         assert_eq!(w.get(x, &Value::int(8)), TotalF64(8.0));
     }

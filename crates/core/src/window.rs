@@ -96,7 +96,7 @@ impl WindowBuf {
     }
 
     /// Row `i` as an owned tuple.
-    pub fn tuple(&self, i: usize) -> Tuple {
+    pub(crate) fn tuple(&self, i: usize) -> Tuple {
         self.row(i).iter().cloned().collect()
     }
 
@@ -110,7 +110,7 @@ impl WindowBuf {
     /// # Panics
     /// Panics when `row`'s length differs from the arity of the rows
     /// already buffered.
-    pub fn push_row(&mut self, row: &[Value]) {
+    pub(crate) fn push_row(&mut self, row: &[Value]) {
         if self.rows == 0 && self.arity == 0 {
             self.arity = row.len();
         }
@@ -156,7 +156,7 @@ pub(crate) fn clamp_range(range: &std::ops::Range<u64>, len: u64) -> (u64, u64) 
 }
 
 /// How many answers a [`RankedStream`] fetches per batch by default.
-pub const DEFAULT_STREAM_BATCH: usize = 256;
+pub(crate) const DEFAULT_STREAM_BATCH: usize = 256;
 
 /// A lazy, batch-fetching iterator over the ranked answers of any
 /// [`DirectAccess`] backend — the any-k-style enumeration surface of

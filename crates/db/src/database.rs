@@ -83,7 +83,7 @@ impl MutationLog {
     }
 
     /// `true` when `name` was mutated since the last freeze.
-    pub fn is_dirty(&self, name: &str) -> bool {
+    pub(crate) fn is_dirty(&self, name: &str) -> bool {
         self.dirty.contains_key(name)
     }
 

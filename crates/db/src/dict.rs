@@ -23,9 +23,10 @@ use std::collections::HashMap;
 /// comparison without changing any order-sensitive result.
 ///
 /// ```
-/// use rda_db::{Dictionary, Value};
+/// use rda_db::{Database, Value};
 ///
-/// let dict = Dictionary::from_values([Value::int(30), Value::int(10), Value::int(20)]);
+/// let snap = Database::new().with_i64_rows("R", 1, vec![vec![30], vec![10], vec![20]]).freeze();
+/// let dict = snap.dict();
 /// assert_eq!(dict.len(), 3);
 /// assert_eq!(dict.code(&Value::int(10)), Some(0));
 /// assert_eq!(dict.code(&Value::int(30)), Some(2));
@@ -50,7 +51,7 @@ impl Dictionary {
     /// Panics if the number of distinct values exceeds `u32::MAX`
     /// (the paper's `n` is a tuple count; domains that large do not fit
     /// in memory long before the code space runs out).
-    pub fn from_values(iter: impl IntoIterator<Item = Value>) -> Self {
+    pub(crate) fn from_values(iter: impl IntoIterator<Item = Value>) -> Self {
         let mut values: Vec<Value> = iter.into_iter().collect();
         values.sort_unstable();
         values.dedup();
@@ -84,7 +85,7 @@ impl Dictionary {
     }
 
     /// Intern every value appearing in `rels`.
-    pub fn from_relations<'a>(rels: impl IntoIterator<Item = &'a crate::Relation>) -> Self {
+    pub(crate) fn from_relations<'a>(rels: impl IntoIterator<Item = &'a crate::Relation>) -> Self {
         Self::from_values(
             rels.into_iter()
                 .flat_map(|r| r.tuples().iter().flat_map(|t| t.iter().cloned())),
@@ -171,7 +172,7 @@ impl Dictionary {
     ///
     /// # Panics
     /// Panics if the union would exceed the `u32` code space.
-    pub fn extend(&self, extra: impl IntoIterator<Item = Value>) -> DictDelta {
+    pub(crate) fn extend(&self, extra: impl IntoIterator<Item = Value>) -> DictDelta {
         let mut add: Vec<Value> = extra
             .into_iter()
             .filter(|v| self.code(v).is_none())
@@ -230,7 +231,7 @@ impl Dictionary {
 /// Outcome of [`Dictionary::extend`]: what a monotone domain extension
 /// did to the existing code space.
 #[derive(Debug, Clone)]
-pub enum DictDelta {
+pub(crate) enum DictDelta {
     /// No new values; keep using the old dictionary.
     Unchanged,
     /// New codes appended at the top; existing codes are stable, so

@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 static ENCODE_CALLS: AtomicU64 = AtomicU64::new(0);
 
 /// How many relations have been dictionary-encoded in this process —
-/// one increment per encoding produced: an [`EncodedRelation::encode`]
-/// call, or a delta merge of logged rows into a parent encoding
+/// one increment per encoding produced: a relation encoded from its
+/// tuples, or a delta merge of logged rows into a parent encoding
 /// ([`Snapshot::freeze_delta`](crate::Snapshot::freeze_delta)).
 ///
 /// The encode-once contract of [`Database::freeze`](crate::Database::freeze)
@@ -328,7 +328,7 @@ impl EncodedRelation {
     /// Panics if some value of `rel` is not interned in `dict` — the
     /// builders construct the dictionary from the very relations they
     /// encode, so a miss is a logic error.
-    pub fn encode(rel: &Relation, dict: &Dictionary) -> Self {
+    pub(crate) fn encode(rel: &Relation, dict: &Dictionary) -> Self {
         ENCODE_CALLS.fetch_add(1, AtomicOrdering::Relaxed);
         Self::encode_uncounted(rel, dict)
     }
@@ -608,7 +608,7 @@ impl EncodedRelation {
     ///
     /// # Panics
     /// Panics if some code has no remap entry.
-    pub fn remapped(&self, remap: &[u32]) -> EncodedRelation {
+    pub(crate) fn remapped(&self, remap: &[u32]) -> EncodedRelation {
         EncodedRelation {
             rows: self.rows,
             cols: self
@@ -716,7 +716,7 @@ impl EncodedRelation {
     ///
     /// # Panics
     /// Panics when `lo > hi` or `hi > len()`.
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> EncodedRelation {
+    pub(crate) fn slice_rows(&self, lo: usize, hi: usize) -> EncodedRelation {
         assert!(
             lo <= hi && hi <= self.rows,
             "slice {lo}..{hi} out of bounds"

@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! # rda-db — in-memory relational substrate
 //!
@@ -13,18 +13,18 @@
 //! Nothing in this crate knows about queries; see `rda-query` for the
 //! query/hypergraph layer and `rda-core` for the access structures.
 
-pub mod database;
-pub mod dict;
-pub mod encoded;
+mod database;
+mod dict;
+mod encoded;
 mod parallel;
-pub mod persist;
-pub mod relation;
-pub mod snapshot;
-pub mod tuple;
-pub mod value;
+mod persist;
+mod relation;
+mod snapshot;
+mod tuple;
+mod value;
 
 pub use database::{Database, MutationLog, RelationDelta};
-pub use dict::{DictDelta, Dictionary};
+pub use dict::Dictionary;
 pub use encoded::{radix_sort_rows, relation_encode_count, EncodedRelation};
 pub use persist::{
     open_delta, open_snapshot, save_delta, save_snapshot, PersistError, SnapshotStore,

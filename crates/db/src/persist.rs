@@ -62,9 +62,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// First 8 bytes of every persisted snapshot file.
-pub const MAGIC: [u8; 8] = *b"RDASNAP1";
+pub(crate) const MAGIC: [u8; 8] = *b"RDASNAP1";
 /// Current on-disk format version.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 
 const KIND_BASE: u32 = 0;
 const KIND_DELTA: u32 = 1;
@@ -114,7 +114,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 pub enum PersistError {
     /// The underlying filesystem operation failed.
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
+    /// The file does not start with the snapshot magic bytes.
     BadMagic,
     /// The file's format version is not one this build speaks.
     UnsupportedVersion(u32),
@@ -1073,7 +1073,7 @@ pub fn open_delta(
 /// `delta-<generation>.rdas` files, replayed in order on open.
 ///
 /// ```no_run
-/// use rda_db::{persist::SnapshotStore, Database};
+/// use rda_db::{Database, SnapshotStore};
 ///
 /// let snap = Database::new()
 ///     .with_i64_rows("R", 2, vec![vec![1, 5], vec![1, 2]])
@@ -1161,18 +1161,13 @@ impl SnapshotStore {
         Ok(child)
     }
 
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the base snapshot file.
     pub fn base_path(&self) -> PathBuf {
         self.dir.join("base.rdas")
     }
 
     /// Path of the delta file for `generation`.
-    pub fn delta_path(&self, generation: u64) -> PathBuf {
+    pub(crate) fn delta_path(&self, generation: u64) -> PathBuf {
         self.dir.join(format!("delta-{generation:06}.rdas"))
     }
 }

@@ -105,7 +105,7 @@ impl Relation {
 
     /// `true` when the tuples are already sorted and duplicate-free —
     /// i.e. [`Relation::normalize`] would be a no-op.
-    pub fn is_normalized(&self) -> bool {
+    pub(crate) fn is_normalized(&self) -> bool {
         self.tuples.windows(2).all(|w| w[0] < w[1])
     }
 
@@ -188,7 +188,7 @@ impl Relation {
     ///
     /// # Panics
     /// Panics if `dict` does not cover every value of this relation.
-    pub fn encode(&self, dict: &crate::Dictionary) -> crate::EncodedRelation {
+    pub(crate) fn encode(&self, dict: &crate::Dictionary) -> crate::EncodedRelation {
         crate::EncodedRelation::encode(self, dict)
     }
 }

@@ -198,7 +198,7 @@ impl Snapshot {
     /// would be served stale. Three incremental moves replace the full
     /// freeze:
     ///
-    /// 1. **Dictionary extension** ([`Dictionary::extend`]): unseen
+    /// 1. **Dictionary extension**: unseen
     ///    values are looked for only where a dirty relation can have
     ///    gained one — its logged inserts that survived the batch, or
     ///    every tuple of a relation the log calls replaced. If nothing
@@ -214,7 +214,7 @@ impl Snapshot {
     ///    arity 0) is re-encoded and normalized instead; debug builds
     ///    hold every merge to that result. Clean relations keep their
     ///    encoding `Arc` verbatim (stable codes) or receive a pure
-    ///    integer gather ([`EncodedRelation::remapped`], rebase case).
+    ///    integer gather (rebase case).
     ///    Either way, [`crate::relation_encode_count`] moves by exactly
     ///    the number of dirty relations.
     /// 3. **Versions roll forward**: dirty relations get

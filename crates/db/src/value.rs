@@ -38,14 +38,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The string payload, if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -105,8 +97,6 @@ mod tests {
     #[test]
     fn accessors_round_trip() {
         assert_eq!(Value::int(5).as_int(), Some(5));
-        assert_eq!(Value::int(5).as_str(), None);
-        assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::str("x").as_int(), None);
     }
 

@@ -22,10 +22,6 @@
 use rand::Rng;
 use std::ops::Add;
 
-/// Trait bound for matrix weights: totally ordered, copiable, addable.
-pub trait MatrixWeight: Copy + Ord + Add<Output = Self> {}
-impl<T: Copy + Ord + Add<Output = T>> MatrixWeight for T {}
-
 /// An implicit sorted matrix: cell `(i, j)` has value
 /// `rows[i] + cols[j]`.
 #[derive(Debug, Clone)]
@@ -34,7 +30,7 @@ pub struct SortedMatrix<W> {
     cols: Vec<W>,
 }
 
-impl<W: MatrixWeight> SortedMatrix<W> {
+impl<W: Copy + Ord + Add<Output = W>> SortedMatrix<W> {
     /// Build from ascending row and column vectors.
     ///
     /// # Panics
@@ -46,7 +42,7 @@ impl<W: MatrixWeight> SortedMatrix<W> {
     }
 
     /// Number of cells.
-    pub fn cell_count(&self) -> u64 {
+    pub(crate) fn cell_count(&self) -> u64 {
         self.rows.len() as u64 * self.cols.len() as u64
     }
 
@@ -130,7 +126,7 @@ pub struct MatrixUnion<W> {
 /// When at most this many candidate cells remain, enumerate and sort.
 const ENUMERATE_THRESHOLD: u64 = 1024;
 
-impl<W: MatrixWeight> MatrixUnion<W> {
+impl<W: Copy + Ord + Add<Output = W>> MatrixUnion<W> {
     /// Build from matrices (empty ones are allowed and ignored).
     pub fn new(matrices: Vec<SortedMatrix<W>>) -> Self {
         MatrixUnion { matrices }

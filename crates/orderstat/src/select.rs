@@ -59,11 +59,6 @@ where
     }
 }
 
-/// [`select_nth_by`] with the natural order.
-pub fn select_nth<T: Ord>(items: &mut [T], k: usize) -> Option<&T> {
-    select_nth_by(items, k, T::cmp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,7 +72,11 @@ mod tests {
             base.shuffle(&mut rng);
             for k in 0..n {
                 let mut v = base.clone();
-                assert_eq!(select_nth(&mut v, k), Some(&(k as i64)), "n={n} k={k}");
+                assert_eq!(
+                    select_nth_by(&mut v, k, Ord::cmp),
+                    Some(&(k as i64)),
+                    "n={n} k={k}"
+                );
             }
         }
     }
@@ -85,21 +84,21 @@ mod tests {
     #[test]
     fn duplicates() {
         let mut v = vec![5, 1, 5, 1, 5];
-        assert_eq!(select_nth(&mut v, 0), Some(&1));
+        assert_eq!(select_nth_by(&mut v, 0, Ord::cmp), Some(&1));
         let mut v = vec![5, 1, 5, 1, 5];
-        assert_eq!(select_nth(&mut v, 1), Some(&1));
+        assert_eq!(select_nth_by(&mut v, 1, Ord::cmp), Some(&1));
         let mut v = vec![5, 1, 5, 1, 5];
-        assert_eq!(select_nth(&mut v, 2), Some(&5));
+        assert_eq!(select_nth_by(&mut v, 2, Ord::cmp), Some(&5));
         let mut v = vec![7; 64];
-        assert_eq!(select_nth(&mut v, 63), Some(&7));
+        assert_eq!(select_nth_by(&mut v, 63, Ord::cmp), Some(&7));
     }
 
     #[test]
     fn out_of_bounds_is_none() {
         let mut v = vec![1, 2];
-        assert_eq!(select_nth(&mut v, 2), None);
+        assert_eq!(select_nth_by(&mut v, 2, Ord::cmp), None);
         let mut empty: Vec<i32> = vec![];
-        assert_eq!(select_nth(&mut empty, 0), None);
+        assert_eq!(select_nth_by(&mut empty, 0, Ord::cmp), None);
     }
 
     #[test]
@@ -121,7 +120,7 @@ mod tests {
             sorted.sort_unstable();
             let k = rand::Rng::random_range(&mut rng, 0..n);
             let mut work = v.clone();
-            assert_eq!(select_nth(&mut work, k), Some(&sorted[k]));
+            assert_eq!(select_nth_by(&mut work, k, Ord::cmp), Some(&sorted[k]));
         }
     }
 }

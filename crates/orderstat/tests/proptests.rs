@@ -2,9 +2,7 @@
 //! against its sorting-based specification on arbitrary inputs.
 
 use proptest::prelude::*;
-use rda_orderstat::select::select_nth_by;
-use rda_orderstat::weighted::weighted_select;
-use rda_orderstat::{MatrixUnion, SortedMatrix, TotalF64};
+use rda_orderstat::{select_nth_by, weighted_select, MatrixUnion, SortedMatrix, TotalF64};
 
 proptest! {
     #[test]

@@ -37,7 +37,7 @@ pub struct TreeDecomposition {
 
 impl TreeDecomposition {
     /// Check the tree-decomposition invariants against `q`.
-    pub fn validate(&self, q: &Cq) -> Result<(), String> {
+    pub(crate) fn validate(&self, q: &Cq) -> Result<(), String> {
         // Every atom inside some bag.
         for (i, atom) in q.atoms().iter().enumerate() {
             if !self.bags.iter().any(|b| atom.var_set().is_subset(b.vars)) {

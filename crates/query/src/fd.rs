@@ -80,7 +80,7 @@ impl FdSet {
 
     /// Variables transitively implied by `v` (excluding `v` itself unless
     /// it lies on a cycle), following `x → y` edges of any relation.
-    pub fn implied_closure(&self, v: VarId) -> VarSet {
+    pub(crate) fn implied_closure(&self, v: VarId) -> VarSet {
         let mut closure = VarSet::EMPTY;
         let mut frontier = vec![v];
         while let Some(x) = frontier.pop() {
@@ -288,7 +288,7 @@ mod tests {
         let q = parse("Q(v1, v2, v3, v4) :- R(v1, v3), S(v3, v2), T(v2, v4)").unwrap();
         let fds = FdSet::parse(&q, &[("R", "v1", "v3")]);
         let ext = fd_extension(&q, &fds);
-        assert_eq!(ext.query, q.clone().with_free(q.free().to_vec())); // Q⁺ = Q
+        assert_eq!(ext.query, q); // Q⁺ = Q
         let l = q.vars(&["v1", "v2", "v3", "v4"]);
         let lp = fd_reordered_order(&ext, &l);
         assert_eq!(lp, q.vars(&["v1", "v3", "v2", "v4"]));

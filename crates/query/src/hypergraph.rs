@@ -19,12 +19,12 @@ impl Hypergraph {
     }
 
     /// The hyperedges.
-    pub fn edges(&self) -> &[VarSet] {
+    pub(crate) fn edges(&self) -> &[VarSet] {
         &self.edges
     }
 
     /// The vertex set (union of edges).
-    pub fn vertices(&self) -> VarSet {
+    pub(crate) fn vertices(&self) -> VarSet {
         self.edges
             .iter()
             .fold(VarSet::EMPTY, |acc, &e| acc.union(e))
@@ -32,14 +32,14 @@ impl Hypergraph {
 
     /// Add a hyperedge, returning the extended hypergraph.
     #[must_use]
-    pub fn with_edge(&self, edge: VarSet) -> Hypergraph {
+    pub(crate) fn with_edge(&self, edge: VarSet) -> Hypergraph {
         let mut edges = self.edges.clone();
         edges.push(edge);
         Hypergraph::new(edges)
     }
 
     /// Vertices sharing an edge with `v`, excluding `v` itself.
-    pub fn neighbors(&self, v: VarId) -> VarSet {
+    pub(crate) fn neighbors(&self, v: VarId) -> VarSet {
         self.edges
             .iter()
             .filter(|e| e.contains(v))
@@ -48,21 +48,14 @@ impl Hypergraph {
     }
 
     /// `true` if `a` and `b` appear together in some edge.
-    pub fn are_neighbors(&self, a: VarId, b: VarId) -> bool {
+    pub(crate) fn are_neighbors(&self, a: VarId, b: VarId) -> bool {
         let pair = VarSet::singleton(a).with(b);
         self.edges.iter().any(|e| pair.is_subset(*e))
     }
 
-    /// Restriction to a vertex subset: every edge intersected with `keep`
-    /// (the paper's `H_free` construction).
-    #[must_use]
-    pub fn restrict(&self, keep: VarSet) -> Hypergraph {
-        Hypergraph::new(self.edges.iter().map(|e| e.intersect(keep)).collect())
-    }
-
     /// The number of maximal edges w.r.t. containment, `mh(H)`
     /// (Definition 7.1). Duplicate edges count once.
-    pub fn maximal_edge_count(&self) -> usize {
+    pub(crate) fn maximal_edge_count(&self) -> usize {
         let mut maximal: Vec<VarSet> = Vec::new();
         for &e in &self.edges {
             if maximal.contains(&e) {
@@ -76,18 +69,12 @@ impl Hypergraph {
         maximal.len()
     }
 
-    /// `true` if `set` is independent: no two of its vertices share an
-    /// edge (Definition 5.2).
-    pub fn is_independent(&self, set: VarSet) -> bool {
-        self.edges.iter().all(|e| e.intersect(set).len() <= 1)
-    }
-
     /// Size of a maximum independent subset of `within`
     /// (`αfree` when `within = free(Q)`, Definition 5.2).
     ///
     /// Exponential in the (constant) number of variables; queries are
     /// constant-sized in the paper's model.
-    pub fn max_independent_subset(&self, within: VarSet) -> VarSet {
+    pub(crate) fn max_independent_subset(&self, within: VarSet) -> VarSet {
         let vars: Vec<VarId> = within.iter().collect();
         let mut best = VarSet::EMPTY;
         self.independent_search(&vars, 0, VarSet::EMPTY, &mut best);
@@ -113,7 +100,7 @@ impl Hypergraph {
     /// All chordless paths from `from` to `to` whose interior vertices
     /// avoid `forbidden_interior`; used to produce S-path witnesses
     /// (Section 2.1). Returns the first one found (shortest-first search).
-    pub fn chordless_path_avoiding(
+    pub(crate) fn chordless_path_avoiding(
         &self,
         from: VarId,
         to: VarId,
@@ -199,12 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn restrict_intersects_edges() {
-        let h = two_path().restrict(vs(&[0, 2]));
-        assert_eq!(h.edges(), &[vs(&[0]), vs(&[2])]);
-    }
-
-    #[test]
     fn maximal_edges_dedup_and_containment() {
         // {x y}, {y}, {y}, {y z} -> two maximal edges (Example 7.2 spirit).
         let h = Hypergraph::new(vec![vs(&[0, 1]), vs(&[1]), vs(&[1]), vs(&[1, 2])]);
@@ -214,8 +195,6 @@ mod tests {
     #[test]
     fn independence() {
         let h = two_path();
-        assert!(h.is_independent(vs(&[0, 2])));
-        assert!(!h.is_independent(vs(&[0, 1])));
         assert_eq!(h.max_independent_subset(vs(&[0, 1, 2])), vs(&[0, 2]));
     }
 

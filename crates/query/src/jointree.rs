@@ -76,18 +76,13 @@ impl JoinTree {
         self.nodes.is_empty()
     }
 
-    /// The nodes.
-    pub fn nodes(&self) -> &[Node] {
-        &self.nodes
-    }
-
     /// One node.
     pub fn node(&self, i: usize) -> &Node {
         &self.nodes[i]
     }
 
     /// Neighbors of node `i`.
-    pub fn neighbors(&self, i: usize) -> &[usize] {
+    pub(crate) fn neighbors(&self, i: usize) -> &[usize] {
         &self.adj[i]
     }
 

@@ -44,12 +44,6 @@ impl LayeredJoinTree {
             .filter(|&j| self.layers[j].parent == Some(i))
             .collect()
     }
-
-    /// Variables of layer `i` excluding its own newest variable: the
-    /// *bucket key* of the layer (Section 3.1).
-    pub fn bucket_key_vars(&self, i: usize) -> VarSet {
-        self.layers[i].vars.without(self.lex[i])
-    }
 }
 
 /// Lemma 3.9: build a layered join tree for the full query whose atoms
@@ -186,7 +180,6 @@ mod tests {
         assert_eq!(t.layers[1].vars, vs(&[0, 1]));
         assert_eq!(t.layers[2].vars, vs(&[1, 2]));
         assert_eq!(t.layers[2].parent, Some(1));
-        assert_eq!(t.bucket_key_vars(2), vs(&[1]));
     }
 
     #[test]

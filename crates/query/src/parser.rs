@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn parses_boolean_query() {
         let q = parse("Q() :- R(x, y), S(y, x)").unwrap();
-        assert!(q.is_boolean());
+        assert!(q.free().is_empty());
     }
 
     #[test]

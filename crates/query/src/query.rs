@@ -27,11 +27,6 @@ impl Atom {
     pub fn position_of(&self, v: VarId) -> Option<usize> {
         self.terms.iter().position(|&t| t == v)
     }
-
-    /// `true` if some variable occurs at two positions.
-    pub fn has_repeated_variable(&self) -> bool {
-        self.var_set().len() != self.terms.len()
-    }
 }
 
 /// Positions (within an atom's term list) of the given variables, in the
@@ -74,7 +69,7 @@ pub struct Cq {
 impl Cq {
     /// Assemble a query from raw parts. Exposed for the reduction and
     /// FD-extension machinery; prefer [`CqBuilder`] or the parser.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         name: String,
         free: Vec<VarId>,
         atoms: Vec<Atom>,
@@ -152,11 +147,6 @@ impl Cq {
         self.free_set() == self.all_vars()
     }
 
-    /// `true` if `free(Q) = ∅`.
-    pub fn is_boolean(&self) -> bool {
-        self.free.is_empty()
-    }
-
     /// `true` if no relational symbol repeats.
     pub fn is_self_join_free(&self) -> bool {
         let mut names: Vec<&str> = self.atoms.iter().map(|a| a.relation.as_str()).collect();
@@ -170,7 +160,7 @@ impl Cq {
     }
 
     /// The free-restricted hypergraph `H_free(Q)` (Section 2.1).
-    pub fn free_hypergraph(&self) -> Hypergraph {
+    pub(crate) fn free_hypergraph(&self) -> Hypergraph {
         let f = self.free_set();
         Hypergraph::new(
             self.atoms
@@ -178,35 +168,6 @@ impl Cq {
                 .map(|a| a.var_set().intersect(f))
                 .collect(),
         )
-    }
-
-    /// Variables neighboring `v` (sharing an atom), excluding `v`.
-    pub fn neighbors(&self, v: VarId) -> VarSet {
-        self.atoms
-            .iter()
-            .filter(|a| a.var_set().contains(v))
-            .fold(VarSet::EMPTY, |acc, a| acc.union(a.var_set()))
-            .without(v)
-    }
-
-    /// Replace the head (used by hardness reductions that re-project, and
-    /// by the FD-extension which promotes existential variables).
-    #[must_use]
-    pub fn with_free(&self, free: Vec<VarId>) -> Cq {
-        let all = self.all_vars();
-        for &v in &free {
-            assert!(
-                all.contains(v),
-                "head variable {} not in body",
-                self.var_name(v)
-            );
-        }
-        Cq {
-            name: self.name.clone(),
-            free,
-            atoms: self.atoms.clone(),
-            var_names: self.var_names.clone(),
-        }
     }
 
     /// Render head variable names, for diagnostics.
@@ -288,7 +249,7 @@ impl fmt::Display for Cq {
 /// Programmatic query construction.
 ///
 /// ```
-/// use rda_query::query::CqBuilder;
+/// use rda_query::CqBuilder;
 /// let q = CqBuilder::new("Q")
 ///     .head(&["x", "z"])
 ///     .atom("R", &["x", "y"])
@@ -394,9 +355,9 @@ mod tests {
             .atom("R", &["x", "y"])
             .build();
         assert!(!proj.is_full());
-        assert!(!proj.is_boolean());
+        assert_eq!(proj.free().len(), 1);
         let boolean = CqBuilder::new("Q").head(&[]).atom("R", &["x"]).build();
-        assert!(boolean.is_boolean());
+        assert!(boolean.free().is_empty());
     }
 
     #[test]
@@ -411,18 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_share_an_atom() {
-        let q = two_path();
-        let (x, y, z) = (
-            q.var("x").unwrap(),
-            q.var("y").unwrap(),
-            q.var("z").unwrap(),
-        );
-        assert_eq!(q.neighbors(y), VarSet::singleton(x).with(z));
-        assert_eq!(q.neighbors(x), VarSet::singleton(y));
-    }
-
-    #[test]
     fn display_round_trips_shape() {
         assert_eq!(two_path().to_string(), "Q(x, y, z) :- R(x, y), S(y, z)");
     }
@@ -431,15 +380,5 @@ mod tests {
     #[should_panic(expected = "not in body")]
     fn head_var_must_occur() {
         let _ = CqBuilder::new("Q").head(&["w"]).atom("R", &["x"]).build();
-    }
-
-    #[test]
-    fn repeated_variable_detected() {
-        let q = CqBuilder::new("Q")
-            .head(&["x"])
-            .atom("R", &["x", "x"])
-            .build();
-        assert!(q.atoms()[0].has_repeated_variable());
-        assert!(!two_path().atoms()[0].has_repeated_variable());
     }
 }

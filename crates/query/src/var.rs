@@ -19,7 +19,7 @@ impl VarId {
 }
 
 /// Maximum number of distinct variables in one query.
-pub const MAX_VARS: u32 = 128;
+pub(crate) const MAX_VARS: u32 = 128;
 
 /// A set of query variables (bitset over [`VarId`]s).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -30,7 +30,7 @@ impl VarSet {
     pub const EMPTY: VarSet = VarSet(0);
 
     /// A singleton set.
-    pub fn singleton(v: VarId) -> VarSet {
+    pub(crate) fn singleton(v: VarId) -> VarSet {
         VarSet::EMPTY.with(v)
     }
 
@@ -63,7 +63,7 @@ impl VarSet {
 
     /// Set intersection.
     #[must_use]
-    pub fn intersect(self, other: VarSet) -> VarSet {
+    pub(crate) fn intersect(self, other: VarSet) -> VarSet {
         VarSet(self.0 & other.0)
     }
 
@@ -79,7 +79,7 @@ impl VarSet {
     }
 
     /// `self ∩ other ≠ ∅`.
-    pub fn intersects(self, other: VarSet) -> bool {
+    pub(crate) fn intersects(self, other: VarSet) -> bool {
         self.0 & other.0 != 0
     }
 

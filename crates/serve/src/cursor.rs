@@ -30,13 +30,13 @@
 //! could have prepared anyway.
 
 /// Current token wire-format version (the first byte of every token).
-pub const TOKEN_VERSION: u8 = 1;
+pub(crate) const TOKEN_VERSION: u8 = 1;
 
 /// Hard cap on accepted token size. Honest tokens are small (the
 /// canonical key plus a few dependency entries); anything larger is
 /// rejected before allocation, so a forged length prefix cannot make
 /// the server allocate unbounded memory.
-pub const MAX_TOKEN_LEN: usize = 1 << 16;
+pub(crate) const MAX_TOKEN_LEN: usize = 1 << 16;
 
 /// An opaque pagination token handed to clients.
 ///
@@ -56,21 +56,6 @@ impl Token {
     /// The raw wire bytes.
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
-    }
-
-    /// Unwrap into the raw wire bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.0
-    }
-
-    /// Token size in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the token is empty (an empty token never decodes).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
@@ -101,7 +86,7 @@ pub enum CursorError {
     TrailingBytes(usize),
     /// A string field is not valid UTF-8.
     MalformedUtf8,
-    /// The token exceeds [`MAX_TOKEN_LEN`].
+    /// The token exceeds the 64 KiB token limit.
     Oversized(usize),
 }
 
@@ -324,7 +309,7 @@ mod tests {
     #[test]
     fn every_single_byte_flip_is_rejected() {
         let token = sample().encode();
-        for i in 0..token.len() {
+        for i in 0..token.as_bytes().len() {
             for bit in 0..8 {
                 let mut bytes = token.as_bytes().to_vec();
                 bytes[i] ^= 1 << bit;
@@ -337,7 +322,7 @@ mod tests {
     #[test]
     fn every_truncation_is_rejected() {
         let token = sample().encode();
-        for n in 0..token.len() {
+        for n in 0..token.as_bytes().len() {
             let got = Cursor::decode_bytes(&token.as_bytes()[..n]);
             assert!(got.is_err(), "prefix of {n} bytes decoded: {got:?}");
         }
@@ -345,7 +330,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = sample().encode().into_bytes();
+        let mut bytes = sample().encode().as_bytes().to_vec();
         bytes.extend_from_slice(&[0, 0, 0]);
         // Appending garbage breaks the checksum (the old checksum now
         // sits mid-payload), so this surfaces as a mismatch.
@@ -354,7 +339,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_typed() {
-        let mut bytes = sample().encode().into_bytes();
+        let mut bytes = sample().encode().as_bytes().to_vec();
         bytes[0] = TOKEN_VERSION + 1;
         // Version is checked before the checksum so the error names the
         // actual problem.

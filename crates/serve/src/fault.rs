@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the serving path.
 //!
-//! Re-exports the engine-side machinery of [`rda_core::fault`]
+//! Re-exports the engine-side fault machinery of [`rda_core`]
 //! (plans, actions, the global install/trip registry and its build
 //! sites) and adds the serve-side site:
 //!
@@ -13,7 +13,7 @@
 //! on any host. See `docs/TESTING.md` for the chaos strategy and
 //! `tests/chaos.rs` for the acceptance scenarios.
 
-pub use rda_core::fault::{
+pub use rda_core::{
     hits, install, trip, FaultAction, FaultGuard, FaultPlan, InjectedFault, SITE_ENGINE_PREPARE,
     SITE_LEXDA_BUILD, SITE_SUMDA_BUILD,
 };

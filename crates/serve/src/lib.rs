@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 //! # rda_serve — the in-process serving layer
 //!
@@ -49,11 +49,12 @@
 //! on the session that asked, which stays usable; the execution slot
 //! is released on every path out, unwinding included; and all locks
 //! recover from poisoning instead of propagating it
-//! ([`Server::stats`] exposes the counters). Hostile build costs are
+//! ([`Server::stats`] counts the recoveries on the serving layer's own
+//! locks). Hostile build costs are
 //! contained by [`rda_core::BuildBudget`]; sustained overload is
 //! absorbed client-side by a [`RetryPolicy`] (decorrelated-jitter
-//! retry, stale-cursor repair, page-length degradation — see
-//! [`mod@retry`]). Deterministic chaos schedules for all of it live
+//! retry, stale-cursor repair, page-length degradation). Deterministic
+//! chaos schedules for all of it live
 //! in [`mod@fault`].
 //!
 //! ```
@@ -94,14 +95,11 @@
 mod cursor;
 mod error;
 pub mod fault;
-pub mod retry;
+mod retry;
 mod server;
 mod sync;
 
-pub use cursor::{Cursor, CursorError, Token, MAX_TOKEN_LEN, TOKEN_VERSION};
+pub use cursor::{Cursor, CursorError, Token};
 pub use error::{ServeError, StaleReason};
 pub use retry::RetryPolicy;
 pub use server::{PageOutcome, Prepared, Server, ServerConfig, Session, StatsSnapshot};
-
-#[doc(hidden)]
-pub use server::deadline_expired;

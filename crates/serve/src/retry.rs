@@ -78,7 +78,7 @@ impl RetryPolicy {
     /// Whether `e` is transient under this policy (worth resubmitting
     /// after backoff). Stale cursors are handled by *repair*, not by
     /// blind resubmission, so they are not "retryable" here.
-    pub fn retryable(&self, e: &ServeError) -> bool {
+    pub(crate) fn retryable(&self, e: &ServeError) -> bool {
         match e {
             ServeError::Overloaded { .. } | ServeError::DeadlineExceeded => true,
             ServeError::Internal { .. } => self.retry_internal,

@@ -130,8 +130,12 @@ pub struct StatsSnapshot {
     /// Panics converted into typed [`ServeError::Internal`] replies by
     /// the per-request fence.
     pub panics_caught: u64,
-    /// Poisoned lock guards recovered instead of propagated
-    /// (process-wide — see `sync`; 0 in a healthy process).
+    /// Poisoned guards recovered instead of propagated on `rda_serve`'s
+    /// own locks: the admission mutex and request registry of every
+    /// [`Server`] in the process (the count is process-wide, not per
+    /// server). Poison the [`Engine`] recovers on its plan-cache,
+    /// snapshot and build-budget locks is not counted. 0 in a healthy
+    /// process.
     pub poison_recoveries: u64,
 }
 
@@ -292,11 +296,6 @@ impl Server {
     /// The engine this server fronts (writers advance it directly).
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
-    }
-
-    /// The configured admission-queue bound.
-    pub fn queue_limit(&self) -> usize {
-        self.queue_limit
     }
 
     /// Stop executing admitted requests. Admission continues until
@@ -566,8 +565,7 @@ impl Session<'_> {
 
     /// Install a [`RetryPolicy`]: subsequent calls transparently retry
     /// transient errors with decorrelated-jitter backoff, repair stale
-    /// cursors, and degrade page length under sustained overload (see
-    /// [`mod@crate::retry`]).
+    /// cursors, and degrade page length under sustained overload.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = Some(RetryState::new(policy));
     }
@@ -718,8 +716,7 @@ impl Session<'_> {
 /// the boundary is inclusive (`now >= deadline`), matching the
 /// zero-duration-deadline guarantee that a `Duration::ZERO` deadline
 /// always sheds.
-#[doc(hidden)] // exposed for the boundary test; not part of the API
-pub fn deadline_expired(now: Instant, deadline: Instant) -> bool {
+fn deadline_expired(now: Instant, deadline: Instant) -> bool {
     now >= deadline
 }
 
@@ -794,5 +791,22 @@ mod tests {
         let admission = &server.admission as *const Mutex<Admission> as usize;
         assert_eq!(sync::TAKEN.take(), vec![admission; 6]);
         assert_eq!(fault::hits(PREPARE), 0, "no engine prepare");
+    }
+
+    /// The admission deadline boundary is inclusive: a request that gets
+    /// its slot at exactly its deadline has zero time left, so it sheds.
+    /// The zero-duration service test relies on this edge — `now >=
+    /// deadline`, not `now > deadline` — pinned here because an
+    /// exact-boundary admission cannot be staged against a real clock.
+    #[test]
+    fn deadline_boundary_is_inclusive() {
+        let t = Instant::now();
+        let tick = Duration::from_nanos(1);
+        assert!(
+            deadline_expired(t, t),
+            "admitted exactly at the deadline: already late"
+        );
+        assert!(deadline_expired(t + tick, t));
+        assert!(!deadline_expired(t, t + tick));
     }
 }

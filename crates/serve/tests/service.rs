@@ -502,23 +502,6 @@ fn waiting_for_a_slot_counts_against_the_deadline() {
     assert_eq!(server.stats().deadline_expired, 1);
 }
 
-/// The dequeue-time deadline boundary is inclusive: a job picked up at
-/// exactly its deadline has zero time left, so it sheds. This is the
-/// edge the zero-duration test above relies on — `now >= deadline`,
-/// not `now > deadline` — pinned directly because an exact-boundary
-/// dequeue cannot be staged deterministically against a real clock.
-#[test]
-fn deadline_boundary_is_inclusive() {
-    let t = std::time::Instant::now();
-    let tick = Duration::from_nanos(1);
-    assert!(
-        rda_serve::deadline_expired(t, t),
-        "dequeued exactly at the deadline: already late"
-    );
-    assert!(rda_serve::deadline_expired(t + tick, t));
-    assert!(!rda_serve::deadline_expired(t, t + tick));
-}
-
 /// The full stale-cursor policy through the service API.
 #[test]
 fn stale_cursor_policy_clean_dirty_unrelated() {

@@ -166,13 +166,9 @@
 //! assert_eq!(plan.len(), 1); // in-flight readers keep their generation
 //! ```
 //!
-//! As of 0.5.0 the pre-snapshot shims (`Engine::prepare_stateless`,
-//! `Database::take`, and the PR-1 selection free functions) are gone:
-//! every caller freezes once and routes through a stateful engine. For
-//! one-shot scripts, `Engine::new(db.freeze()).prepare_uncached(..)`
-//! is the equivalent — same routing, no memoization.
-//!
-//! The building blocks remain public for direct use:
+//! For one-shot scripts, `Engine::new(db.freeze()).prepare_uncached(..)`
+//! routes the same way without memoizing. The building blocks remain
+//! public for direct use:
 //! `LexDirectAccess::build_on`, `SumDirectAccess::build_on` (and their
 //! freeze-internally `build` conveniences), plus the classification
 //! procedures in [`mod@rda_query::classify`].
@@ -232,18 +228,13 @@ pub use rda_serve;
 pub mod prelude {
     pub use rda_baseline::{all_answers, ranked_prefix, MaterializedAccess, RankedEnumerator};
     pub use rda_core::{
-        AccessPlan, Backend, BuildBudget, BuildCost, BuildError, DirectAccess, Engine, Explain,
-        LexDirectAccess, OrderSpec, PlanError, Policy, RankedAnswers, RankedStream,
-        SelectionLexHandle, SelectionSumHandle, SumDirectAccess, Weights, WindowBuf,
+        AccessPlan, Backend, BuildError, DirectAccess, Engine, LexDirectAccess, OrderSpec,
+        PlanError, Policy, RankedAnswers, SelectionLexHandle, SelectionSumHandle, SumDirectAccess,
+        Weights, WindowBuf,
     };
     pub use rda_db::{Database, PersistError, Relation, Snapshot, SnapshotStore, Tuple, Value};
     pub use rda_orderstat::TotalF64;
     pub use rda_query::classify::{classify, Problem, Reason, Verdict};
     pub use rda_query::parser::parse;
-    pub use rda_query::query::CqBuilder;
-    pub use rda_query::{Cq, Fd, FdSet, VarId, VarSet};
-    pub use rda_serve::{
-        PageOutcome, Prepared, RetryPolicy, ServeError, Server, ServerConfig, Session, StaleReason,
-        Token,
-    };
+    pub use rda_query::{Cq, CqBuilder, FdSet, VarId, VarSet};
 }

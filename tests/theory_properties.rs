@@ -6,12 +6,13 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use ranked_access::prelude::*;
-use ranked_access::rda_query::connex::{
+use ranked_access::rda_query::{alpha_free, fmh, maximal_contraction, mh};
+use ranked_access::rda_query::{
     complete_order, ext_connex_pair, is_free_connex, is_s_connex, s_path_witness,
 };
-use ranked_access::rda_query::contraction::{alpha_free, fmh, maximal_contraction, mh};
-use ranked_access::rda_query::trio::{find_disruptive_trio, is_reverse_elimination_order};
-use ranked_access::rda_query::{gyo, layered};
+use ranked_access::rda_query::{
+    find_disruptive_trio, is_acyclic, is_reverse_elimination_order, layered_join_tree,
+};
 
 /// Random CQ generator: random atoms over a small variable pool, random
 /// head — cyclic and acyclic shapes alike.
@@ -54,7 +55,7 @@ fn lemma_5_4_and_remark_4() {
         let q = random_cq(&mut rng, 4, 6);
         let a = alpha_free(&q);
         assert!(a <= fmh(&q), "Remark 4 fails on {q}");
-        if gyo::is_acyclic(&q.hypergraph()) {
+        if is_acyclic(&q.hypergraph()) {
             let covered = q
                 .atoms()
                 .iter()
@@ -74,7 +75,7 @@ fn s_path_characterization() {
     for _ in 0..400 {
         let q = random_cq(&mut rng, 4, 6);
         let h = q.hypergraph();
-        if !gyo::is_acyclic(&h) {
+        if !is_acyclic(&h) {
             continue;
         }
         let connex = is_s_connex(&h, q.free_set());
@@ -109,7 +110,7 @@ fn remark_1_on_random_queries() {
         let h = q.hypergraph();
         let mut order: Vec<VarId> = q.all_vars().iter().collect();
         order.shuffle(&mut rng);
-        if !gyo::is_acyclic(&h) {
+        if !is_acyclic(&h) {
             continue;
         }
         assert_eq!(
@@ -130,7 +131,7 @@ fn lemma_3_9_layered_tree_iff_no_trio() {
     for _ in 0..400 {
         let q = random_cq(&mut rng, 4, 5);
         let h = q.hypergraph();
-        if !gyo::is_acyclic(&h) {
+        if !is_acyclic(&h) {
             continue;
         }
         // Work with the full version of the query.
@@ -142,7 +143,7 @@ fn lemma_3_9_layered_tree_iff_no_trio() {
         order.shuffle(&mut rng);
         let edges: Vec<VarSet> = q.atoms().iter().map(|a| a.var_set()).collect();
         let no_trio = find_disruptive_trio(&h, &order).is_none();
-        let tree = layered::layered_join_tree(&edges, &order);
+        let tree = layered_join_tree(&edges, &order);
         assert_eq!(
             tree.is_some(),
             no_trio,
@@ -262,11 +263,7 @@ fn contraction_invariants() {
         assert!(again.steps.is_empty(), "not a fixpoint on {q}");
         // Free variables never absorbed into existential ones.
         for step in &c.steps {
-            if let ranked_access::rda_query::contraction::ContractionStep::AbsorbVar {
-                removed,
-                into,
-            } = step
-            {
+            if let ranked_access::rda_query::ContractionStep::AbsorbVar { removed, into } = step {
                 if q.free_set().contains(*removed) {
                     assert!(
                         q.free_set().contains(*into),
