@@ -686,9 +686,7 @@ fn prepare_on(
                                     .to_string(),
                         }),
                         _ => {
-                            // Validate against the encoded relations before reading rows.
-                            encoded_atoms(q, snap)?;
-                            let m = MaterializedAccess::by_lex(q, snap.database(), &lex);
+                            let m = MaterializedAccess::by_lex(q, &decoded_atoms(q, snap)?, &lex);
                             Ok(RankedAnswers::Materialized(m))
                         }
                     },
@@ -729,16 +727,14 @@ fn prepare_on(
                                 });
                             }
                         }
-                        encoded_atoms(q, snap)?;
+                        let db = decoded_atoms(q, snap)?;
                         let weight = |v, val: &_| w.get(v, val).0;
                         Ok(match policy {
                             Policy::RankedEnum => RankedAnswers::RankedEnum(RankedEnumHandle::new(
-                                RankedEnumerator::new(q, snap.database(), weight),
+                                RankedEnumerator::new(q, &db, weight),
                             )),
                             _ => RankedAnswers::Materialized(MaterializedAccess::by_sum(
-                                q,
-                                snap.database(),
-                                weight,
+                                q, &db, weight,
                             )),
                         })
                     },
@@ -747,6 +743,21 @@ fn prepare_on(
         }
     }?;
     Ok(plan.with_generation(snap.generation()))
+}
+
+/// The relations `q` reads, decoded from the snapshot's code space:
+/// the input of the value-level fallbacks. The query is validated
+/// against the encoded relations first, so a missing relation or a
+/// wrong arity fails typed before any row is decoded.
+fn decoded_atoms(q: &Cq, snap: &Snapshot) -> Result<Database, BuildError> {
+    encoded_atoms(q, snap)?;
+    let mut db = Database::new();
+    for atom in q.atoms() {
+        if db.get(&atom.relation).is_none() {
+            db.add(snap.relation(&atom.relation).expect("validated above"));
+        }
+    }
+    Ok(db)
 }
 
 /// How one kind of order builds each rung of [`route`]'s ladder; each

@@ -642,14 +642,14 @@ mod tests {
         for (text, fd_list, db, empty) in cases {
             let q = parse(text).unwrap();
             let fds = FdSet::parse(&q, fd_list);
-            let snap = db.freeze();
+            let snap = db.clone().freeze();
             let (nq, rels) = normalize_encoded(&q, &snap).unwrap();
             check_fds_encoded(&nq, &rels, &fds).unwrap();
             let ext = fd_extension(&nq, &fds);
             let rels = extend_instance_encoded(&ext, &nq, rels).unwrap();
             let red = reduce_to_full_encoded(&ext.query, rels).unwrap();
 
-            let (vq, vdb) = rda_baseline::normalize_instance(&q, snap.database());
+            let (vq, vdb) = rda_baseline::normalize_instance(&q, &db);
             let vext = fd_extension(&vq, &fds);
             let vdb = rda_baseline::extend_instance(&vext, &vdb);
             let vred = rda_baseline::reduce_to_full(&vext.query, &vdb).unwrap();

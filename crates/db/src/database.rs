@@ -58,14 +58,13 @@ impl Logged {
 /// snapshot.
 ///
 /// [`crate::Snapshot::freeze_delta`] consults the log to touch *only*
-/// the dirty relations, and only their logged rows; both freeze entry
-/// points clear it. The log is deliberately conservative — it may
-/// over-report, never under-report: it may mark a relation dirty that
-/// ended up content-identical (e.g. an insert later deleted), but a
-/// relation it calls clean has provably not changed. At set level the
-/// net effect of the logged operations is *the last operation on a
-/// tuple wins*, so replaying one the frozen parent already reflects
-/// changes nothing.
+/// the dirty relations, and only their logged rows, and clears it. The
+/// log is deliberately conservative — it may over-report, never
+/// under-report: it may mark a relation dirty that ended up
+/// content-identical (e.g. an insert later deleted), but a relation it
+/// calls clean has provably not changed. At set level the net effect
+/// of the logged operations is *the last operation on a tuple wins*,
+/// so replaying one the frozen parent already reflects changes nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MutationLog {
     dirty: BTreeMap<String, Logged>,
@@ -129,11 +128,10 @@ impl MutationLog {
 /// bookkeeping, not data.
 ///
 /// Relations are held behind [`Arc`](std::sync::Arc) with
-/// **copy-on-write** mutation: cloning a database (and freezing it
-/// into a snapshot) shares every relation's tuple storage, and only a
-/// relation actually mutated afterwards pays for its own copy — so a
-/// generation chain of snapshots keeps exactly one value-level copy of
-/// every clean relation, however many generations pin it.
+/// **copy-on-write** mutation: cloning a database shares every
+/// relation's tuple storage, and only a relation actually mutated
+/// afterwards pays for its own copy. A snapshot keeps none of it: it
+/// holds the encoded columns only.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     relations: BTreeMap<String, std::sync::Arc<Relation>>,
@@ -194,8 +192,8 @@ impl Database {
         self.relations.get(name).map(std::sync::Arc::as_ref)
     }
 
-    /// Mutable lookup (copy-on-write: a relation still shared with an
-    /// older snapshot is cloned first). Conservatively marks the
+    /// Mutable lookup (copy-on-write: a relation still shared with a
+    /// clone of this database is cloned first). Conservatively marks the
     /// relation dirty — the log cannot see what the caller does with
     /// the borrow.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Relation> {
@@ -253,27 +251,13 @@ impl Database {
         removed
     }
 
-    /// A relation's storage `Arc` — for [`crate::persist`]'s delta
-    /// replay, which carries a clean relation's value-level storage from
-    /// the parent snapshot without copying tuples.
-    pub(crate) fn relation_arc(&self, name: &str) -> Option<&std::sync::Arc<Relation>> {
-        self.relations.get(name)
-    }
-
-    /// Insert a relation sharing `rel`'s existing storage (no tuple
-    /// copy, no dirty mark) — the [`crate::persist`] replay counterpart
-    /// of [`Database::add`]. Callers re-baseline the log themselves.
-    pub(crate) fn insert_arc(&mut self, name: String, rel: std::sync::Arc<Relation>) {
-        self.relations.insert(name, rel);
-    }
-
     /// The mutations recorded since the last freeze.
     pub fn mutation_log(&self) -> &MutationLog {
         &self.log
     }
 
-    /// Forget the recorded mutations. Called by [`Database::freeze`]
-    /// and [`crate::Snapshot::freeze_delta`]; only call it yourself if
+    /// Forget the recorded mutations. Called by
+    /// [`crate::Snapshot::freeze_delta`]; only call it yourself if
     /// you re-baseline the database some other way — a log that
     /// under-reports changes makes the next `freeze_delta` reuse stale
     /// encodings.
@@ -303,11 +287,8 @@ impl Database {
     /// The returned snapshot is **generation 0**; mutate a kept copy of
     /// the database and call
     /// [`Snapshot::freeze_delta`](crate::Snapshot::freeze_delta) to
-    /// produce later generations incrementally. Freezing clears the
-    /// mutation log.
+    /// produce later generations incrementally.
     pub fn freeze(self) -> std::sync::Arc<crate::Snapshot> {
-        // Snapshot::new clears the mutation log (it must, for direct
-        // callers), re-baselining the frozen copy.
         crate::Snapshot::new(self)
     }
 

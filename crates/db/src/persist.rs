@@ -3,14 +3,16 @@
 //! A [`Snapshot`] is immutable, generation-versioned, and already
 //! columnar — one step from being an on-disk format. This module takes
 //! that step: [`save_snapshot`] serializes the shared order-preserving
-//! dictionary, every relation's normalized encoded columns, the raw
-//! value-level rows, and all identity metadata (generation, uid,
-//! lineage, per-relation content versions) into a flat, 8-byte-aligned,
-//! little-endian layout with a per-section FNV-1a checksum; and
-//! [`open_snapshot`] maps the file back in and reconstructs an
-//! `Arc<Snapshot>` whose encoded columns are **views into the mapped
-//! bytes** — no relation is re-encoded, no column is copied, and
-//! [`crate::relation_encode_count`] provably does not move.
+//! dictionary, every relation's normalized encoded columns, and all
+//! identity metadata (generation, uid, lineage, per-relation content
+//! versions) into a flat, 8-byte-aligned, little-endian layout with a
+//! per-section FNV-1a checksum; and [`open_snapshot`] maps the file back
+//! in and reconstructs an `Arc<Snapshot>` whose encoded columns are
+//! **views into the mapped bytes** — no relation is re-encoded or
+//! decoded, no column is copied, and [`crate::relation_encode_count`]
+//! provably does not move. A snapshot is its code space, so the file
+//! holds no value-level rows: the dictionary is the only place values
+//! appear.
 //!
 //! Because the persisted identity (uid + ancestry) is restored
 //! verbatim — and the process-wide uid counter is bumped past it — a
@@ -25,7 +27,7 @@
 //! [`SnapshotStore`] manages a directory holding one base file plus a
 //! chain of delta files and replays the whole lineage on open.
 //!
-//! ## File layout (version 1, little-endian)
+//! ## File layout (version 2, little-endian)
 //!
 //! ```text
 //! header (32 bytes):
@@ -38,12 +40,13 @@
 //!
 //! Base sections: `META` (generation, uid, ancestry, counts), `DICT`
 //! (interned values, ascending), then per relation `RMETA` (name,
-//! version, arity, raw value-level rows as codes) and `RCOLS` (the
-//! normalized encoded columns, column-major `u32`s — the zero-copy
-//! target, 4-byte aligned by construction). Delta sections: `DMETA`
-//! (parent/child identity), `DVALS` (the dictionary extension),
-//! `CARRY` (clean relation names), then `RMETA`+`RCOLS` for each dirty
-//! relation.
+//! version, arity, row count) and `RCOLS` (the normalized encoded
+//! columns, column-major `u32`s — the zero-copy target, 4-byte aligned
+//! by construction). Delta sections: `DMETA` (parent/child identity),
+//! `DVALS` (the dictionary extension), `CARRY` (clean relation names),
+//! then `RMETA`+`RCOLS` for each dirty relation. An arity above 2¹⁶
+//! is refused on save and on open. Version 1 files open
+//! as [`PersistError::UnsupportedVersion`].
 //!
 //! Every way a file can be damaged — truncation anywhere, a flipped
 //! bit, a forged length, a wrong magic/version/kind — surfaces as a
@@ -52,9 +55,7 @@
 use crate::database::Database;
 use crate::dict::{DictDelta, Dictionary};
 use crate::encoded::EncodedRelation;
-use crate::relation::Relation;
 use crate::snapshot::Snapshot;
-use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -64,7 +65,7 @@ use std::sync::Arc;
 /// First 8 bytes of every persisted snapshot file.
 pub(crate) const MAGIC: [u8; 8] = *b"RDASNAP1";
 /// Current on-disk format version.
-pub(crate) const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 2;
 
 const KIND_BASE: u32 = 0;
 const KIND_DELTA: u32 = 1;
@@ -78,6 +79,9 @@ const TAG_DVALS: u32 = 6;
 const TAG_CARRY: u32 = 7;
 
 const HEADER_LEN: usize = 32;
+/// Widest relation the format stores. With zero rows no `RCOLS` length
+/// bounds the `RMETA` arity, so this one does.
+const MAX_ARITY: usize = 1 << 16;
 const SECTION_HEADER_LEN: usize = 24;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -449,29 +453,22 @@ impl FileWriter {
     }
 }
 
-/// Serialize one relation as its RMETA + RCOLS section pair.
-fn write_relation(
-    w: &mut FileWriter,
-    name: &str,
-    version: u64,
-    raw: &Relation,
-    enc: &EncodedRelation,
-    dict: &Dictionary,
-) -> Result<(), PersistError> {
+/// Serialize one relation of `snap` as its RMETA + RCOLS section pair.
+fn write_relation(w: &mut FileWriter, snap: &Snapshot, name: &str) -> Result<(), PersistError> {
+    let enc = snap
+        .encoded(name)
+        .ok_or(PersistError::Corrupt("encoding missing at save"))?;
+    let version = snap
+        .relation_version(name)
+        .ok_or(PersistError::Corrupt("version missing at save"))?;
+    if enc.arity() > MAX_ARITY {
+        return Err(PersistError::Corrupt("relation arity exceeds the format"));
+    }
     let mut meta = Vec::new();
     push_name(&mut meta, name);
     meta.extend_from_slice(&version.to_le_bytes());
-    meta.extend_from_slice(&(raw.arity() as u64).to_le_bytes());
+    meta.extend_from_slice(&(enc.arity() as u64).to_le_bytes());
     meta.extend_from_slice(&(enc.len() as u64).to_le_bytes());
-    meta.extend_from_slice(&(raw.len() as u64).to_le_bytes());
-    for t in raw.tuples() {
-        for v in t.iter() {
-            let code = dict
-                .code(v)
-                .ok_or(PersistError::Corrupt("relation value not interned"))?;
-            meta.extend_from_slice(&code.to_le_bytes());
-        }
-    }
     w.section(TAG_RMETA, &meta);
 
     let mut cols = Vec::with_capacity(enc.len() * enc.arity() * 4);
@@ -484,14 +481,14 @@ fn write_relation(
     Ok(())
 }
 
-/// Serialize `snap` — dictionary, encoded columns, raw rows, identity
-/// metadata — into a single base file at `path` (atomically: written to
-/// a temporary sibling, then renamed). Returns the bytes written.
+/// Serialize `snap` — dictionary, encoded columns, identity metadata —
+/// into a single base file at `path` (atomically: written to a
+/// temporary sibling, then renamed). Returns the bytes written.
 pub fn save_snapshot(snap: &Snapshot, path: impl AsRef<Path>) -> Result<u64, PersistError> {
     let path = path.as_ref();
     let mut w = FileWriter::new(KIND_BASE);
 
-    let names: Vec<&str> = snap.database().relations().map(Relation::name).collect();
+    let names: Vec<&str> = snap.relation_names().collect();
     let mut meta = Vec::new();
     meta.extend_from_slice(&snap.generation().to_le_bytes());
     meta.extend_from_slice(&snap.uid().to_le_bytes());
@@ -511,16 +508,7 @@ pub fn save_snapshot(snap: &Snapshot, path: impl AsRef<Path>) -> Result<u64, Per
     w.section(TAG_DICT, &dict_bytes);
 
     for name in names {
-        let raw = snap
-            .relation(name)
-            .ok_or(PersistError::Corrupt("relation missing at save"))?;
-        let enc = snap
-            .encoded(name)
-            .ok_or(PersistError::Corrupt("encoding missing at save"))?;
-        let version = snap
-            .relation_version(name)
-            .ok_or(PersistError::Corrupt("version missing at save"))?;
-        write_relation(&mut w, name, version, raw, enc, snap.dict())?;
+        write_relation(&mut w, snap, name)?;
     }
 
     write_atomically(path, &w.finish())
@@ -561,14 +549,14 @@ pub fn save_delta(
     // A relation is dirty iff this very generation encoded it.
     let mut dirty: Vec<&str> = Vec::new();
     let mut carried: Vec<&str> = Vec::new();
-    for r in child.database().relations() {
+    for name in child.relation_names() {
         let version = child
-            .relation_version(r.name())
+            .relation_version(name)
             .ok_or(PersistError::Corrupt("version missing at save"))?;
         if version == child.generation() {
-            dirty.push(r.name());
+            dirty.push(name);
         } else {
-            carried.push(r.name());
+            carried.push(name);
         }
     }
 
@@ -595,13 +583,7 @@ pub fn save_delta(
     w.section(TAG_CARRY, &carry);
 
     for name in dirty {
-        let raw = child
-            .relation(name)
-            .ok_or(PersistError::Corrupt("relation missing at save"))?;
-        let enc = child
-            .encoded(name)
-            .ok_or(PersistError::Corrupt("encoding missing at save"))?;
-        write_relation(&mut w, name, child.generation(), raw, enc, child.dict())?;
+        write_relation(&mut w, child, name)?;
     }
 
     write_atomically(path.as_ref(), &w.finish())
@@ -770,11 +752,10 @@ fn expect_tag<'a, 'b>(
         .ok_or(PersistError::Corrupt("unexpected section order"))
 }
 
-/// Everything decoded from one RMETA + RCOLS pair.
+/// Everything read from one RMETA + RCOLS pair.
 struct RelationParts {
     name: String,
     version: u64,
-    raw: Relation,
     enc: Arc<EncodedRelation>,
 }
 
@@ -789,35 +770,10 @@ fn read_relation(
     let version = r.u64()?;
     let arity = r.usize64()?;
     let enc_rows = r.usize64()?;
-    let raw_rows = r.usize64()?;
-
-    // Raw value-level rows: decoded through the dictionary (every code
-    // is validated on the way). Duplicates and row order are preserved.
-    let cells = raw_rows
-        .checked_mul(arity)
-        .ok_or(PersistError::Corrupt("raw row count overflows"))?;
-    let code_bytes = r.take(
-        cells
-            .checked_mul(4)
-            .ok_or(PersistError::Corrupt("raw size overflows"))?,
-    )?;
-    let mut codes = code_bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()));
-    let mut tuples = Vec::with_capacity(raw_rows);
-    for _ in 0..raw_rows {
-        let mut row: Vec<Value> = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            let code = codes.next().expect("cells = raw_rows * arity");
-            if (code as usize) >= dict.len() {
-                return Err(PersistError::Corrupt("raw code out of dictionary range"));
-            }
-            row.push(dict.value(code).clone());
-        }
-        tuples.push(Tuple::new(row));
-    }
     r.done()?;
-    let raw = Relation::from_tuples(name.clone(), arity, tuples);
+    if arity > MAX_ARITY {
+        return Err(PersistError::Corrupt("relation arity exceeds the format"));
+    }
 
     // Encoded columns: zero-copy views into the mapped payload
     // (column-major, 4-byte aligned by the section layout). On a
@@ -886,14 +842,12 @@ fn read_relation(
     Ok(RelationParts {
         name,
         version,
-        raw,
         enc: Arc::new(enc),
     })
 }
 
 /// Open a base snapshot file written by [`save_snapshot`]: map it,
-/// verify every checksum, rebuild the dictionary and value-level
-/// relations, and reconstruct an `Arc<Snapshot>` whose encoded columns
+/// verify every checksum, rebuild the dictionary, and reconstruct an `Arc<Snapshot>` whose encoded columns
 /// read **directly from the mapped bytes**. No relation is re-encoded
 /// ([`crate::relation_encode_count`] does not move) and the persisted
 /// identity (generation, uid, lineage, per-relation versions) is
@@ -934,7 +888,6 @@ pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Arc<Snapshot>, PersistErr
     if sections.len() != 2 + 2 * relation_count {
         return Err(PersistError::Corrupt("relation section count mismatch"));
     }
-    let mut db = Database::new();
     let mut encoded: BTreeMap<String, (Arc<EncodedRelation>, u64)> = BTreeMap::new();
     for i in 0..relation_count {
         let rmeta = expect_tag(&sections, 2 + 2 * i, TAG_RMETA)?;
@@ -943,15 +896,11 @@ pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Arc<Snapshot>, PersistErr
         if encoded.contains_key(&parts.name) {
             return Err(PersistError::Corrupt("duplicate relation"));
         }
-        encoded.insert(parts.name.clone(), (parts.enc, parts.version));
-        db.add(parts.raw);
+        encoded.insert(parts.name, (parts.enc, parts.version));
     }
-    db.clear_mutation_log();
 
     Snapshot::claim_uid(uid);
-    Ok(Snapshot::assemble(
-        db, dict, encoded, generation, uid, ancestry,
-    ))
+    Ok(Snapshot::assemble(dict, encoded, generation, uid, ancestry))
 }
 
 /// Replay a delta file written by [`save_delta`] on top of `parent`
@@ -1020,26 +969,19 @@ pub fn open_delta(
         return Err(PersistError::Corrupt("relation section count mismatch"));
     }
 
-    let mut db = Database::new();
     let mut encoded: BTreeMap<String, (Arc<EncodedRelation>, u64)> = BTreeMap::new();
-
-    for name in &carried {
+    for name in carried {
         let enc = parent
-            .encoded_arc(name)
+            .encoded_arc(&name)
             .ok_or(PersistError::Corrupt("carried relation unknown to parent"))?;
         let version = parent
-            .relation_version(name)
+            .relation_version(&name)
             .ok_or(PersistError::Corrupt("carried relation unknown to parent"))?;
         let enc = match &remap {
             None => Arc::clone(enc),
             Some(remap) => Arc::new(enc.remapped(remap)),
         };
-        let raw = parent
-            .database()
-            .relation_arc(name)
-            .ok_or(PersistError::Corrupt("carried relation unknown to parent"))?;
-        db.insert_arc(name.clone(), Arc::clone(raw));
-        encoded.insert(name.clone(), (enc, version));
+        encoded.insert(name, (enc, version));
     }
 
     for i in 0..dirty_count {
@@ -1052,16 +994,14 @@ pub fn open_delta(
         if parts.version != generation {
             return Err(PersistError::Corrupt("dirty relation version mismatch"));
         }
-        encoded.insert(parts.name.clone(), (parts.enc, parts.version));
-        db.add(parts.raw);
+        encoded.insert(parts.name, (parts.enc, parts.version));
     }
-    db.clear_mutation_log();
 
     let mut ancestry = parent.child_ancestry();
     ancestry.shrink_to_fit();
     Snapshot::claim_uid(child_uid);
     Ok(Snapshot::assemble(
-        db, dict, encoded, generation, child_uid, ancestry,
+        dict, encoded, generation, child_uid, ancestry,
     ))
 }
 

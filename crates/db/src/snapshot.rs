@@ -68,10 +68,8 @@ struct EncodedEntry {
 /// An immutable, dictionary-encoded view of a [`Database`], shared via
 /// [`Arc`] between every structure built over it.
 ///
-/// A snapshot holds three aligned representations:
+/// A snapshot is its code space, and nothing else:
 ///
-/// * the original value-level [`Relation`]s (for the lazy per-access
-///   algorithms, which trade preprocessing for re-reading the data);
 /// * one shared order-preserving [`Dictionary`] over the whole active
 ///   domain (code order == value order, so every order-sensitive
 ///   operation can run on `u32` codes);
@@ -79,6 +77,11 @@ struct EncodedEntry {
 ///   semantics (sorted + deduplicated), encoded exactly once — at
 ///   [`Database::freeze`] time, or at the [`Snapshot::freeze_delta`]
 ///   that last dirtied it.
+///
+/// It keeps no value-level copy of the database it was frozen from. A
+/// snapshot is a *set* database: duplicate tuples of the source
+/// collapse, and [`Snapshot::to_database`] decodes the sets back (what
+/// a writer resuming after a restart, or a value-level fallback, reads).
 ///
 /// Snapshots form a lineage: [`Database::freeze`] starts one at
 /// [`Snapshot::generation`] 0 and every [`Snapshot::freeze_delta`]
@@ -98,7 +101,7 @@ struct EncodedEntry {
 ///
 /// // Mutate a kept copy of the database and freeze the delta: a new
 /// // generation, paying only for what changed.
-/// let mut db = snap.database().clone();
+/// let mut db = snap.to_database();
 /// db.insert_into("R", rda_db::tup![7, 7]);
 /// let next = snap.freeze_delta(&mut db);
 /// assert_eq!(next.generation(), 1);
@@ -111,7 +114,6 @@ struct EncodedEntry {
 /// snapshot through its [`Arc`]; a new generation gets a new uid.
 #[derive(Debug)]
 pub struct Snapshot {
-    db: Database,
     dict: Arc<Dictionary>,
     encoded: BTreeMap<String, EncodedEntry>,
     /// How many delta freezes separate this snapshot from its base
@@ -155,8 +157,7 @@ impl LoggedRows<'_> {
 impl Snapshot {
     /// Freeze `db` as a fresh generation-0 snapshot. Prefer calling
     /// [`Database::freeze`].
-    pub fn new(mut db: Database) -> Arc<Snapshot> {
-        db.clear_mutation_log();
+    pub fn new(db: Database) -> Arc<Snapshot> {
         let dict = Dictionary::from_relations(db.relations());
         // Encode each relation exactly once. The per-relation encodings
         // are independent, so fan them out over scoped workers; results
@@ -176,7 +177,6 @@ impl Snapshot {
             }))
             .collect();
         Arc::new(Snapshot {
-            db,
             dict: Arc::new(dict),
             encoded,
             generation: 0,
@@ -188,7 +188,8 @@ impl Snapshot {
     /// Freeze the next generation of this snapshot from `db`, paying
     /// only for what changed since `self` was frozen.
     ///
-    /// `db` must be the database `self` was frozen from plus the
+    /// `db` must be the database `self` was frozen from (or
+    /// [`Snapshot::to_database`]: the same up to duplicates) plus the
     /// mutations its [`MutationLog`](crate::database::MutationLog)
     /// records (the log is cleared on return, re-baselining `db` to the
     /// returned snapshot). The log may over-report, never under-report:
@@ -335,7 +336,6 @@ impl Snapshot {
 
         db.clear_mutation_log();
         Arc::new(Snapshot {
-            db: db.clone(),
             dict,
             encoded,
             generation,
@@ -344,9 +344,17 @@ impl Snapshot {
         })
     }
 
-    /// The value-level database the snapshot was frozen from.
-    pub fn database(&self) -> &Database {
-        &self.db
+    /// The snapshot decoded back into a value-level [`Database`]: one
+    /// normalized relation per encoded one, with a clean mutation log —
+    /// a database `freeze_delta` can roll this snapshot forward from.
+    /// Decodes every cell, so it is paid only by those who ask.
+    pub fn to_database(&self) -> Database {
+        let mut db = Database::new();
+        for name in self.encoded.keys() {
+            db.add(self.relation(name).expect("a listed relation"));
+        }
+        db.clear_mutation_log();
+        db
     }
 
     /// The shared order-preserving dictionary over the whole active
@@ -361,9 +369,18 @@ impl Snapshot {
         &self.dict
     }
 
-    /// A relation's value-level form.
-    pub fn relation(&self, name: &str) -> Option<&Relation> {
-        self.db.get(name)
+    /// A relation decoded to values: its distinct tuples, ascending.
+    pub fn relation(&self, name: &str) -> Option<Relation> {
+        let enc = self.encoded(name)?;
+        let tuples = (0..enc.len())
+            .map(|r| enc.decode_row(r, &self.dict))
+            .collect();
+        Some(Relation::from_tuples(name, enc.arity(), tuples))
+    }
+
+    /// The relation names, ascending.
+    pub(crate) fn relation_names(&self) -> impl Iterator<Item = &str> {
+        self.encoded.keys().map(String::as_str)
     }
 
     /// A relation's dictionary-encoded columnar form, normalized to set
@@ -444,7 +461,6 @@ impl Snapshot {
     /// [`crate::relation_encode_count`] does not move. Callers must
     /// [`Snapshot::claim_uid`] the restored uid first.
     pub(crate) fn assemble(
-        db: Database,
         dict: Arc<Dictionary>,
         encoded: BTreeMap<String, (Arc<EncodedRelation>, u64)>,
         generation: u64,
@@ -452,7 +468,6 @@ impl Snapshot {
         ancestry: Vec<u64>,
     ) -> Arc<Snapshot> {
         Arc::new(Snapshot {
-            db,
             dict,
             encoded: encoded
                 .into_iter()
@@ -464,14 +479,14 @@ impl Snapshot {
         })
     }
 
-    /// Total number of tuples (the paper's `n`).
+    /// Total number of distinct tuples (the paper's `n`).
     pub fn size(&self) -> usize {
-        self.db.size()
+        self.encoded.values().map(|e| e.rel.len()).sum()
     }
 
     /// Number of relations.
     pub fn relation_count(&self) -> usize {
-        self.db.relation_count()
+        self.encoded.len()
     }
 }
 
@@ -509,14 +524,21 @@ mod tests {
     }
 
     #[test]
-    fn value_level_database_is_preserved_verbatim() {
+    fn decodes_to_a_set_database() {
         let s = snap();
-        assert_eq!(s.relation("R").unwrap().len(), 4); // duplicates intact
-        assert_eq!(s.size(), 5);
+        // The duplicate (1,2) is gone; the rest decodes ascending.
+        let r = s.relation("R").unwrap();
+        assert_eq!((r.name(), r.arity()), ("R", 2));
+        assert_eq!(r.tuples(), [tup![1, 2], tup![1, 5], tup![6, 2]]);
+        assert_eq!(s.size(), 4);
         assert_eq!(s.relation_count(), 2);
         assert!(s.encoded("T").is_none());
         assert!(s.relation("T").is_none());
         assert!(s.relation_version("T").is_none());
+        let db = s.to_database();
+        assert_eq!(db.relation_count(), 2);
+        assert_eq!(db.get("R"), Some(&r));
+        assert!(db.mutation_log().is_empty());
     }
 
     #[test]
@@ -537,7 +559,7 @@ mod tests {
     #[test]
     fn delta_freeze_shares_clean_and_reencodes_dirty() {
         let s = snap();
-        let mut db = s.database().clone();
+        let mut db = s.to_database();
         db.insert_into("R", tup![9, 9]); // 9 > max(domain): append path
         let s2 = s.freeze_delta(&mut db);
         assert_eq!(s2.generation(), 1);
@@ -577,7 +599,7 @@ mod tests {
     #[test]
     fn delta_freeze_rebases_clean_relations_on_interior_values() {
         let s = snap(); // domain {1, 2, 3, 5, 6}
-        let mut db = s.database().clone();
+        let mut db = s.to_database();
         db.insert_into("R", tup![4, 4]); // interior: rebase path
         let s2 = s.freeze_delta(&mut db);
         // S's encoding was rebased (new Arc) but its content — and
@@ -598,7 +620,7 @@ mod tests {
     #[test]
     fn empty_delta_shares_everything_and_bumps_the_generation() {
         let s = snap();
-        let mut db = s.database().clone();
+        let mut db = s.to_database();
         let s2 = s.freeze_delta(&mut db);
         assert_eq!(s2.generation(), 1);
         assert_ne!(s2.uid(), s.uid());
@@ -615,7 +637,7 @@ mod tests {
     #[test]
     fn delta_freeze_handles_added_and_removed_relations() {
         let s = snap();
-        let mut db = s.database().clone();
+        let mut db = s.to_database();
         db.add(Relation::from_tuples("T", 1, vec![tup![100]]));
         assert!(db.remove("S"));
         assert!(!db.remove("S"), "already gone");
@@ -648,8 +670,8 @@ mod tests {
             // Past the top: an append; S refills from empty.
             &[("S", tup![9, 9], true), ("R", tup![1, 5], true)],
         ];
-        let mut live_db = live.database().clone();
-        let mut cold_db = cold.database().clone();
+        let mut live_db = live.to_database();
+        let mut cold_db = cold.to_database();
         for batch in batches {
             for (name, t, present) in batch {
                 for db in [&mut live_db, &mut cold_db] {
@@ -678,7 +700,7 @@ mod tests {
     #[test]
     fn chained_deltas_keep_versions_and_lineage() {
         let s0 = snap();
-        let mut db = s0.database().clone();
+        let mut db = s0.to_database();
         db.insert_into("R", tup![9, 9]);
         let s1 = s0.freeze_delta(&mut db);
         db.insert_into("S", tup![10, 10]);

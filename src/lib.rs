@@ -180,8 +180,8 @@
 //! plus one small file per delta, and
 //! [`Engine::open`](prelude::Engine::open) cold-starts a serving
 //! engine from the directory — zero-copy (the files are mmapped; no
-//! value is re-interned, no relation re-encoded), with every damage
-//! mode surfacing as a typed
+//! value is re-interned, no relation re-encoded or decoded), with
+//! every damage mode surfacing as a typed
 //! [`PersistError`](prelude::PersistError) rather than a panic. The
 //! restored snapshot keeps its uid, ancestry, and per-relation
 //! versions, so cursor tokens minted before a restart resume after it.

@@ -17,11 +17,14 @@
 //! selection allocates a number of blocks that does not grow with the
 //! input and frees every dense table and filtered relation it made.
 //!
+//! A cold open is the same ledger again: it maps the columns and
+//! decodes no row, so what it allocates does not grow with the rows.
+//!
 //! The counters are process-wide, so the tests of this binary take
 //! [`SERIAL`] and run one at a time.
 
 use ranked_access::prelude::*;
-use ranked_access::rda_db::{relation_encode_count, tup};
+use ranked_access::rda_db::{open_snapshot, relation_encode_count, save_snapshot, tup};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -301,6 +304,34 @@ fn selections_are_encode_free_and_free_their_scratch() {
         sum_small < 3200 && sum_large < 3200,
         "sum selection blocks: {sum_small} at 400 rows, {sum_large} at 6400"
     );
+}
+
+#[test]
+fn cold_open_allocates_nothing_per_row() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let path = std::env::temp_dir().join(format!("rda-alloc-open-{}.rdas", std::process::id()));
+    let mut opened = Vec::new();
+    for n in [400i64, 3200] {
+        // The same 200-value dictionary at both sizes: (i % 200, i / 200).
+        let snap = Database::new()
+            .with_i64_rows("R", 2, (0..n).map(|i| vec![i % 200, i / 200]))
+            .freeze();
+        assert_eq!((snap.dict().len(), snap.size()), (200, n as usize));
+        save_snapshot(&snap, &path).unwrap();
+        let cold = heap_during(|| open_snapshot(&path).unwrap());
+        assert_eq!(cold.out.size(), n as usize);
+        opened.push((cold.allocations, cold.retained));
+    }
+    let _ = std::fs::remove_file(&path);
+    // Eight times the rows: not one more block, and (on the zero-copy
+    // path) not one more byte of heap — the columns live in the map.
+    let [(allocs_small, heap_small), (allocs_large, heap_large)] = opened[..] else {
+        unreachable!("two sizes");
+    };
+    assert_eq!(allocs_small, allocs_large, "open allocations grew with n");
+    if cfg!(target_endian = "little") {
+        assert_eq!(heap_small, heap_large, "open retained heap grew with n");
+    }
 }
 
 #[test]

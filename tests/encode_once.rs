@@ -167,7 +167,7 @@ fn freezing_encodes_once_and_builders_encode_nothing() {
     let (_, n) = encodes_during(|| {
         LexDirectAccess::build(
             &q,
-            snap.database(),
+            &snap.to_database(),
             &q.vars(&["x", "y", "z"]),
             &FdSet::empty(),
         )

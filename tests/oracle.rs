@@ -365,8 +365,17 @@ proptest! {
 /// ties by its own completion, so the array must hold the same answers,
 /// ascend on the requested prefix, and round-trip through
 /// `inverted_access` (the rank scan when no head comparator is sound).
-fn check_selection_lex(q: &Cq, snap: &Arc<Snapshot>, lex: &[VarId], fds: &FdSet, ctx: &str) {
-    let oracle = MaterializedAccess::by_lex(q, snap.database(), lex);
+/// The oracle reads `db`, the value-level database `snap` was frozen
+/// from, so an encoding bug cannot hide behind its own decode.
+fn check_selection_lex(
+    q: &Cq,
+    db: &Database,
+    snap: &Arc<Snapshot>,
+    lex: &[VarId],
+    fds: &FdSet,
+    ctx: &str,
+) {
+    let oracle = MaterializedAccess::by_lex(q, db, lex);
     let handle = SelectionLexHandle::new(q, snap, lex.to_vec(), fds).unwrap();
     assert_eq!(handle.len(), oracle.len(), "len: {ctx}");
     let got: Vec<Tuple> = (0..handle.len())
@@ -385,7 +394,7 @@ fn check_selection_lex(q: &Cq, snap: &Arc<Snapshot>, lex: &[VarId], fds: &FdSet,
         );
         let mut sorted = got.clone();
         sorted.sort();
-        assert_eq!(sorted, all_answers(q, snap.database()), "answers: {ctx}");
+        assert_eq!(sorted, all_answers(q, db), "answers: {ctx}");
     }
     for (k, t) in got.iter().enumerate() {
         assert_eq!(handle.inverted_access(t), Some(k as u64), "inverted: {ctx}");
@@ -406,9 +415,9 @@ fn check_selection_lex(q: &Cq, snap: &Arc<Snapshot>, lex: &[VarId], fds: &FdSet,
 /// selection returns the oracle's weight at every rank with a witness
 /// that is an answer of that weight, and the handle's (weight, tuple)
 /// order is the oracle's array.
-fn check_selection_sum(q: &Cq, snap: &Arc<Snapshot>, fds: &FdSet, ctx: &str) {
+fn check_selection_sum(q: &Cq, db: &Database, snap: &Arc<Snapshot>, fds: &FdSet, ctx: &str) {
     let by_value = |_, v: &Value| v.as_int().map_or(0.0, |i| i as f64);
-    let oracle = MaterializedAccess::by_sum(q, snap.database(), by_value);
+    let oracle = MaterializedAccess::by_sum(q, db, by_value);
     let handle = SelectionSumHandle::new(q, snap, Weights::identity(), fds).unwrap();
     assert_eq!(handle.len(), oracle.len(), "len: {ctx}");
     for k in 0..oracle.len() {
@@ -545,18 +554,19 @@ proptest! {
     #[test]
     fn selection_handles_match_oracle_at_every_rank(seed in 0u64..1_000_000, rows in 1usize..14, domain in 1i64..4) {
         for (q, lex, sum) in selection_catalog() {
-            let snap = random_db(&q, rows, domain, seed).freeze();
+            let db = random_db(&q, rows, domain, seed);
+            let snap = db.clone().freeze();
             let ctx = format!("{q} seed {seed} rows {rows} domain {domain}");
-            check_selection_lex(&q, &snap, &lex, &FdSet::empty(), &ctx);
+            check_selection_lex(&q, &db, &snap, &lex, &FdSet::empty(), &ctx);
             if sum {
-                check_selection_sum(&q, &snap, &FdSet::empty(), &ctx);
+                check_selection_sum(&q, &db, &snap, &FdSet::empty(), &ctx);
             }
         }
         for (q, lex, fds, db) in fd_cases(rows, domain + 1, seed) {
-            let snap = db.freeze();
+            let snap = db.clone().freeze();
             let ctx = format!("{q} under FDs, seed {seed} rows {rows} domain {domain}");
-            check_selection_lex(&q, &snap, &lex, &fds, &ctx);
-            check_selection_sum(&q, &snap, &fds, &ctx);
+            check_selection_lex(&q, &db, &snap, &lex, &fds, &ctx);
+            check_selection_sum(&q, &db, &snap, &fds, &ctx);
         }
     }
 }
@@ -569,18 +579,18 @@ fn selection_handles_on_degenerate_and_sparse_inputs() {
     let two_path = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let trio = two_path.vars(&["x", "z", "y"]);
     let none = FdSet::empty();
-    let empty = Database::new()
+    let empty_db = Database::new()
         .with_i64_rows("R", 2, vec![vec![1, 100]])
-        .with_i64_rows("S", 2, vec![vec![5, 3]])
-        .freeze();
-    check_selection_lex(&two_path, &empty, &trio, &none, "empty join");
-    check_selection_sum(&two_path, &empty, &none, "empty join");
+        .with_i64_rows("S", 2, vec![vec![5, 3]]);
+    let empty = empty_db.clone().freeze();
+    check_selection_lex(&two_path, &empty_db, &empty, &trio, &none, "empty join");
+    check_selection_sum(&two_path, &empty_db, &empty, &none, "empty join");
     let boolean = parse("Q() :- R(x, y), S(y, z)").unwrap();
-    check_selection_lex(&boolean, &empty, &[], &none, "empty Boolean");
-    check_selection_sum(&boolean, &empty, &none, "empty Boolean");
+    check_selection_lex(&boolean, &empty_db, &empty, &[], &none, "empty Boolean");
+    check_selection_sum(&boolean, &empty_db, &empty, &none, "empty Boolean");
 
     let hi = 1_000_000;
-    let sparse = Database::new()
+    let sparse_db = Database::new()
         .with_i64_rows("Pad", 1, (0..2_000).map(|i| vec![i]).collect::<Vec<_>>())
         .with_i64_rows(
             "R",
@@ -595,11 +605,11 @@ fn selection_handles_on_degenerate_and_sparse_inputs() {
             (0..20)
                 .map(|i| vec![hi + i % 4, hi + 7 * i])
                 .collect::<Vec<_>>(),
-        )
-        .freeze();
+        );
+    let sparse = sparse_db.clone().freeze();
     assert!(sparse.dict().len() > 50 * sparse.encoded("R").unwrap().len());
-    check_selection_lex(&two_path, &sparse, &trio, &none, "sparse codes");
-    check_selection_sum(&two_path, &sparse, &none, "sparse codes");
+    check_selection_lex(&two_path, &sparse_db, &sparse, &trio, &none, "sparse codes");
+    check_selection_sum(&two_path, &sparse_db, &sparse, &none, "sparse codes");
 
     let (wide, lex, _) = selection_catalog()
         .into_iter()
@@ -614,20 +624,18 @@ fn selection_handles_on_degenerate_and_sparse_inputs() {
             (0..12)
                 .map(|i| vec![i % 2, i % 3, 1, i % 2, i % 3, 10 + i])
                 .collect::<Vec<_>>(),
-        )
-        .freeze();
-    assert!(
-        !all_answers(&wide, db.database()).is_empty(),
-        "the wide key hits"
-    );
-    check_selection_lex(&wide, &db, &lex, &none, "five-variable key");
-    check_selection_sum(&wide, &db, &none, "five-variable key");
+        );
+    assert!(!all_answers(&wide, &db).is_empty(), "the wide key hits");
+    let snap = db.clone().freeze();
+    check_selection_lex(&wide, &db, &snap, &lex, &none, "five-variable key");
+    check_selection_sum(&wide, &db, &snap, &none, "five-variable key");
 }
 
 /// The handles read whatever encoding the snapshot holds: relations
 /// shared from the parent generation under an extended dictionary,
 /// relations gathered through a rebased one, and columns mapped from a
-/// cold-opened store.
+/// cold-opened store. Each generation is checked against a clone of
+/// the value-level database taken when it was frozen.
 #[test]
 fn selection_handles_over_delta_generations_and_a_cold_open() {
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
@@ -656,6 +664,7 @@ fn selection_handles_over_delta_generations_and_a_cold_open() {
     // Extended: 500 sorts after every interned value; S is clean and
     // shared with the parent generation.
     db.insert_into("R", t2(500, 20));
+    let db1 = db.clone();
     let snap1 = snap0.freeze_delta(&mut db);
     assert_eq!(
         code_of_100(&snap1),
@@ -668,6 +677,7 @@ fn selection_handles_over_delta_generations_and_a_cold_open() {
     ));
     // Rebased: 15 lands inside the domain; S is clean and remapped.
     db.insert_into("R", t2(15, 10));
+    let db2 = db.clone();
     let snap2 = snap1.freeze_delta(&mut db);
     assert_ne!(
         code_of_100(&snap2),
@@ -679,19 +689,15 @@ fn selection_handles_over_delta_generations_and_a_cold_open() {
     let _ = std::fs::remove_dir_all(&dir);
     SnapshotStore::create(&dir, &snap2).unwrap();
     let cold = SnapshotStore::open(&dir).unwrap().load().unwrap();
-    for (snap, ctx) in [
-        (&snap1, "extended"),
-        (&snap2, "rebased"),
-        (&cold, "cold-opened"),
+    for (source, snap, ctx) in [
+        (&db1, &snap1, "extended"),
+        (&db2, &snap2, "rebased"),
+        (&db2, &cold, "cold-opened"),
     ] {
-        check_selection_lex(&q, snap, &trio, &none, ctx);
-        check_selection_sum(&q, snap, &none, ctx);
+        check_selection_lex(&q, source, snap, &trio, &none, ctx);
+        check_selection_sum(&q, source, snap, &none, ctx);
     }
-    assert_eq!(
-        cold.database().size(),
-        db.size(),
-        "the store holds the live data"
-    );
+    assert_eq!(cold.size(), db.size(), "the store holds the live data");
     drop(cold);
     let _ = std::fs::remove_dir_all(&dir);
 }

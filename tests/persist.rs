@@ -3,11 +3,10 @@
 //!
 //! * **Round-trip identity** — a cold-opened base file reproduces the
 //!   in-memory snapshot exactly: uid, generation, ancestry, the full
-//!   dictionary, every raw relation, every encoded column, every
-//!   per-relation version. And it does so **zero-copy**:
-//!   [`relation_encode_count`] must not move across `open_snapshot` or
-//!   a whole delta-chain replay — columns are served straight from the
-//!   mapped file, never re-encoded.
+//!   dictionary, every encoded column, every per-relation version. And
+//!   it does so **zero-copy**: [`relation_encode_count`] must not move
+//!   across `open_snapshot` or a whole delta-chain replay — columns are
+//!   served straight from the mapped file, never re-encoded.
 //! * **Backend differential** — for all six `Backend` variants, an
 //!   engine over the cold-opened snapshot serves bit-identical answers
 //!   to an engine over the original at every rank, window, batch,
@@ -98,7 +97,7 @@ fn seed_db() -> Database {
 }
 
 /// Full structural equality of two snapshots: identity, dictionary,
-/// raw relations, encoded columns, versions.
+/// encoded columns, versions.
 fn assert_snapshot_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
     assert_eq!(a.generation(), b.generation(), "{ctx}: generation");
     assert_eq!(a.uid(), b.uid(), "{ctx}: uid");
@@ -111,14 +110,10 @@ fn assert_snapshot_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
             "{ctx}: dictionary value at code {code}"
         );
     }
-    let names: Vec<&str> = a.database().relations().map(|r| r.name()).collect();
-    let names_b: Vec<&str> = b.database().relations().map(|r| r.name()).collect();
-    assert_eq!(names, names_b, "{ctx}: relation names");
+    let (da, db) = (a.to_database(), b.to_database());
+    assert_eq!(da, db, "{ctx}: decoded relations");
     assert_eq!(a.relation_count(), b.relation_count(), "{ctx}: count");
-    for name in names {
-        let (ra, rb) = (a.relation(name).unwrap(), b.relation(name).unwrap());
-        assert_eq!(ra.arity(), rb.arity(), "{ctx}: {name} arity");
-        assert_eq!(ra.tuples(), rb.tuples(), "{ctx}: {name} raw tuples");
+    for name in da.relations().map(|r| r.name()) {
         assert_eq!(
             a.relation_version(name),
             b.relation_version(name),
@@ -299,7 +294,7 @@ fn base_round_trip_is_exact_and_zero_copy() {
 
     // A reopened snapshot is a working delta parent: an untouched
     // database rolls forward sharing everything.
-    let mut db = cold.database().clone();
+    let mut db = cold.to_database();
     let next = cold.freeze_delta(&mut db);
     assert_eq!(next.generation(), cold.generation() + 1);
     assert!(next.descends_from(cold.uid()));
@@ -465,8 +460,19 @@ fn corrupted_files_fail_typed_and_never_panic() {
         "flipped magic"
     );
     assert!(
-        matches!(flip(8, 1).unwrap_err(), PersistError::UnsupportedVersion(3)),
+        matches!(flip(8, 1).unwrap_err(), PersistError::UnsupportedVersion(0)),
         "flipped version"
+    );
+    // A format-1 file is refused by its version before anything else
+    // is read.
+    let mut v1 = pristine.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert!(
+        matches!(
+            reopen(&v1).unwrap_err(),
+            PersistError::UnsupportedVersion(1)
+        ),
+        "a format-1 file"
     );
     assert!(
         matches!(
@@ -506,7 +512,7 @@ fn corrupted_files_fail_typed_and_never_panic() {
     assert!(reopen(&padded).is_err(), "trailing bytes");
 
     // Kind confusion: a delta file is not a base file and vice versa.
-    let mut db = snap.database().clone();
+    let mut db = snap.to_database();
     db.insert_into("R", t2(7, 17));
     let child = snap.freeze_delta(&mut db);
     let delta_path = td.file("delta.rdas");
@@ -609,5 +615,38 @@ fn forged_value_tag_fails_typed() {
     assert!(matches!(
         open_snapshot(&path).unwrap_err(),
         PersistError::Corrupt("unknown value tag")
+    ));
+}
+
+/// A checksum-clean `RMETA` whose relation has zero rows (so `RCOLS` is
+/// empty and bounds nothing) but claims an arity of 2⁴⁰: the open must
+/// refuse it typed rather than size a vector by it.
+#[test]
+fn forged_relation_arity_fails_typed() {
+    let _g = guard();
+    let td = TempDir::new("forged-arity");
+    let path = td.file("victim.rdas");
+    let mut db = Database::new();
+    db.add(Relation::new("E", 3));
+    save_snapshot(&db.freeze(), &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+
+    let u64_at = |b: &[u8], off: usize| u64::from_le_bytes(b[off..off + 8].try_into().unwrap());
+    let mut header = 32;
+    while u32::from_le_bytes(bytes[header..header + 4].try_into().unwrap()) != 3 {
+        header += 24 + (u64_at(&bytes, header + 8) as usize).next_multiple_of(8);
+    }
+    let payload = header + 24;
+    let end = payload + u64_at(&bytes, header + 8) as usize;
+    // RMETA ends with arity, then row count.
+    assert_eq!(u64_at(&bytes, end - 16), 3, "the arity field");
+    assert_eq!(u64_at(&bytes, end - 8), 0, "no rows");
+    bytes[end - 16..end - 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let sum = section_checksum(&bytes[payload..end]);
+    bytes[header + 16..payload].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        open_snapshot(&path).unwrap_err(),
+        PersistError::Corrupt("relation arity exceeds the format")
     ));
 }
