@@ -28,8 +28,11 @@
 //!    child's bucket key is one variable, and counts in `u64` under
 //!    checked arithmetic. What each phase cost is kept on the structure
 //!    ([`LexDirectAccess::build_cost`]);
-//! 6. answer accesses with Algorithm 1 (binary search per layer) and
-//!    inverted/next-answer accesses with Algorithm 2 / Remark 3.
+//! 6. answer accesses with Algorithm 1 — one descent (a division and a
+//!    directory-bracketed search per layer) behind single accesses,
+//!    windows and batches; a sorted batch resumes it at its carry layer
+//!    — and inverted/next-answer accesses with Algorithm 2 / Remark 3.
+//!    Every descent and the window's odometer share one child step.
 //!
 //! # Layout
 //!
@@ -54,17 +57,16 @@ use crate::fault;
 use crate::plan::DirectAccess;
 use crate::rankdir::{self, NO_DIR};
 use crate::snapprep::{
-    build_derivations_encoded, check_fds_encoded, extend_instance_encoded, normalize_encoded,
-    reduce_to_full_encoded, Derivation,
+    build_derivations_encoded, prepare_instance, reduce_to_full_encoded, Derivation,
 };
 use crate::window::WindowBuf;
 use rda_db::{Database, EncodedRelation, Snapshot, Tuple, Value};
-use rda_query::classify::{classify, Problem, Verdict};
+use rda_query::classify::Problem;
 use rda_query::{
-    complete_order, fd_extension, fd_reordered_order, layered_join_tree, positions_of, Cq, FdSet,
-    VarId,
+    complete_order, fd_reordered_order, layered_join_tree, positions_of, Cq, FdSet, VarId,
 };
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -78,10 +80,11 @@ const DIR_MIN_ENTRIES: usize = 16;
 const STACK_SCRATCH: usize = 32;
 
 /// How many entries the batch kernel's resume layer scans forward from
-/// the previous cursor before giving up and binary-searching the rest
-/// of the bucket. A sorted batch's typical carry lands on an adjacent
-/// entry, so a handful of sequential (same-cache-line) probes beats a
-/// directory lookup plus binary search almost always.
+/// the previous cursor before giving up and searching the rank
+/// directory's window, clipped to the entries after the cursor. A
+/// sorted batch's typical carry lands on an adjacent entry, so a
+/// handful of sequential (same-cache-line) probes beats a directory
+/// lookup plus binary search almost always.
 const LINEAR_ADVANCE: usize = 8;
 
 /// Per-bucket metadata, packed so a layer descent reads one struct
@@ -178,34 +181,88 @@ impl Layer {
     /// Binary-search the bucket whose key codes equal `probe(j)` for
     /// every key position `j`. Allocation-free.
     fn find_bucket(&self, probe: impl Fn(usize) -> u32) -> Option<usize> {
-        let n = self.buckets.len();
-        let (mut lo, mut hi) = (0usize, n);
+        let (mut lo, mut hi) = (0usize, self.buckets.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let mut less = false;
-            let mut greater = false;
-            for (j, col) in self.key_cols.iter().enumerate() {
-                match col[mid].cmp(&probe(j)) {
-                    std::cmp::Ordering::Less => {
-                        less = true;
-                        break;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        greater = true;
-                        break;
-                    }
-                    std::cmp::Ordering::Equal => {}
-                }
-            }
-            if less {
-                lo = mid + 1;
-            } else if greater {
-                hi = mid;
-            } else {
-                return Some(mid);
+            let key = self.key_cols.iter().map(|col| col[mid]);
+            match key.cmp((0..self.key_cols.len()).map(&probe)) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Some(mid),
             }
         }
         None
+    }
+
+    /// Algorithm 1's layer search: the absolute index of the last entry
+    /// of bucket `m` with `start ≤ q`, for a normalized rank
+    /// `q < m.total`. The rank directory brackets the first entry with
+    /// `start > q` to a window, which is clipped to the entries at or
+    /// after `from` — 0 for a fresh layer; a resumed one knows that
+    /// entry lies past its scanned prefix.
+    #[inline(always)]
+    fn rank_search(&self, m: &BucketMeta, q: u64, from: usize) -> usize {
+        let lo = m.offset as usize;
+        let (wlo, whi) =
+            rankdir::rank_window(&self.dir_pool, m.dir, m.dir_log, m.total, m.len as usize, q);
+        rankdir::bracketed_partition_point(&self.entries, (lo + wlo).max(from), lo + whi, |e| {
+            e.start <= q
+        }) - 1
+    }
+
+    /// The resumed layer's search: [`Layer::rank_search`] for a `q` at or
+    /// after the entry `cursor` of the previous descent. A sorted
+    /// batch's typical carry lands on an adjacent entry, so up to
+    /// [`LINEAR_ADVANCE`] entries are stepped over first.
+    #[inline(always)]
+    fn rank_search_after(&self, m: &BucketMeta, q: u64, cursor: usize) -> usize {
+        let end = (m.offset + m.len) as usize;
+        let past = cursor + LINEAR_ADVANCE + 1;
+        (cursor..past)
+            .find(|&idx| idx + 1 == end || self.entries[idx + 1].start > q)
+            // Entry `past` starts at or below `q`: the first entry above
+            // `q` lies after it.
+            .unwrap_or_else(|| self.rank_search(m, q, past + 1))
+    }
+}
+
+/// One descent's per-layer state: the bucket (`chosen`) and absolute
+/// entry (`entry`) picked at every layer, and what the descent records
+/// for a later resume (`trace`). `chosen[0]` is always 0: the root
+/// layer has one bucket and is no layer's child.
+struct Cursor<'s, T> {
+    chosen: &'s mut [u32],
+    entry: &'s mut [u32],
+    trace: T,
+}
+
+/// One layer of the sorted-batch walk's trace: the residual rank
+/// entering the layer, its post-division factor (answers per unit of
+/// the layer's `start`), and the chosen entry's exclusive residual
+/// bound (`next_start · f_div`) — the carry detector.
+#[derive(Clone, Copy, Default)]
+struct Carry {
+    k_in: u64,
+    f_div: u64,
+    upper: u64,
+}
+
+/// Where a descent records its layers. Single accesses, windows and
+/// unsorted batches record nothing (`()`, so the stores compile away);
+/// the sorted-batch walk records one [`Carry`] per layer.
+trait Trace {
+    fn record(&mut self, i: usize, carry: Carry);
+}
+
+impl Trace for () {
+    #[inline(always)]
+    fn record(&mut self, _: usize, _: Carry) {}
+}
+
+impl Trace for &mut [Carry] {
+    #[inline(always)]
+    fn record(&mut self, i: usize, carry: Carry) {
+        self[i] = carry;
     }
 }
 
@@ -327,20 +384,7 @@ pub(crate) fn prepare_layers(
     let mut clock = PhaseClock::start();
     let mut cost = BuildCost::default();
     validate_lex(q, lex)?;
-    if !fds.is_empty() && !q.is_self_join_free() {
-        return Err(BuildError::InvalidOrder(
-            "functional dependencies require a self-join-free query".to_string(),
-        ));
-    }
-    match classify(q, fds, &Problem::DirectAccessLex(lex.to_vec())) {
-        Verdict::Tractable { .. } => {}
-        v => return Err(BuildError::NotTractable(v)),
-    }
-
-    let (nq, rels) = normalize_encoded(q, snap)?;
-    check_fds_encoded(&nq, &rels, fds)?;
-    let ext = fd_extension(&nq, fds);
-    let rels = extend_instance_encoded(&ext, &nq, rels)?;
+    let (ext, rels) = prepare_instance(q, snap, fds, &Problem::DirectAccessLex(lex.to_vec()))?;
     let qp = ext.query.clone();
     let l_plus = fd_reordered_order(&ext, lex);
     let derivations = build_derivations_encoded(&ext, &rels)?;
@@ -465,16 +509,8 @@ struct Scratch {
     target: Vec<(u32, bool)>,
     /// Per variable slot: the probe bound before mapping to positions.
     var_bound: Vec<(u32, bool)>,
-    /// Batch kernel, per layer: the residual rank entering the layer in
-    /// the previous descent.
-    k_in: Vec<u64>,
-    /// Batch kernel, per layer: the exclusive residual upper bound of
-    /// the previously chosen entry (`next_start · f_div`) — the carry
-    /// detector of the k-cursor walk.
-    upper: Vec<u64>,
-    /// Batch kernel, per layer: the post-division factor (answers per
-    /// unit of the layer's `start` coordinate) of the previous descent.
-    f_div: Vec<u64>,
+    /// Sorted-batch walk, per layer: the trace of the previous descent.
+    carry: Vec<Carry>,
 }
 
 impl Scratch {
@@ -485,9 +521,7 @@ impl Scratch {
         if self.chosen.len() < layers {
             self.chosen.resize(layers, 0);
             self.entry.resize(layers, 0);
-            self.k_in.resize(layers, 0);
-            self.upper.resize(layers, 0);
-            self.f_div.resize(layers, 0);
+            self.carry.resize(layers, Carry::default());
         }
         if self.target.len() < order {
             self.target.resize(order, (0, false));
@@ -502,9 +536,7 @@ thread_local! {
             chosen: Vec::new(),
             target: Vec::new(),
             var_bound: Vec::new(),
-            k_in: Vec::new(),
-            upper: Vec::new(),
-            f_div: Vec::new(),
+            carry: Vec::new(),
         })
     };
 }
@@ -839,9 +871,9 @@ impl LexDirectAccess {
         // Exactly the head arity: the owned `DirectAccess::access`
         // turns a fresh buffer into its tuple without reallocating.
         out.reserve_exact(self.out_layers.len());
-        self.with_cursor(|chosen, entry| {
-            self.locate(k, chosen, entry);
-            self.emit_into(entry, out);
+        self.with_cursor(|cur| {
+            self.descend(k, self.total, 0, cur);
+            self.emit_into(cur.entry, out);
         });
         true
     }
@@ -868,16 +900,11 @@ impl LexDirectAccess {
     pub fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         out.begin(self.out_vars.len());
         let in_range = || ranks.iter().copied().filter(|&k| k < self.total);
-        if self.layers.is_empty() {
-            // Boolean head: one empty row per in-range rank.
-            in_range().for_each(|_| out.push_with(|_| {}));
-            return out.len() as u64;
-        }
         if !in_range().is_sorted() {
-            self.with_cursor(|chosen, entry| {
+            self.with_cursor(|cur| {
                 for k in in_range() {
-                    self.locate(k, chosen, entry);
-                    out.push_with(|vals| self.emit_into(entry, vals));
+                    self.descend(k, self.total, 0, cur);
+                    out.push_with(|vals| self.emit_into(cur.entry, vals));
                 }
             });
             return out.len() as u64;
@@ -892,178 +919,172 @@ impl LexDirectAccess {
             let Scratch {
                 chosen,
                 entry,
-                k_in,
-                upper,
-                f_div,
+                carry,
                 ..
             } = &mut *s;
-            let f = self.layers.len();
-            self.locate_trace(
-                prev, 0, self.total, false, chosen, entry, k_in, upper, f_div,
-            );
-            out.push_with(|vals| self.emit_into(entry, vals));
+            let cur = &mut Cursor {
+                chosen,
+                entry,
+                trace: &mut carry[..self.layers.len()],
+            };
+            self.descend(prev, self.total, 0, cur);
+            out.push_with(|vals| self.emit_into(cur.entry, vals));
             for k in rest {
                 let delta = k - prev;
                 if delta > 0 {
                     // Shallowest carry point: the first layer whose
-                    // previous entry no longer contains the residual.
-                    // Layers above it keep their cursors (residuals
-                    // shifted by `delta`); everything below re-descends.
-                    let mut d = 0;
-                    while d < f && k_in[d] + delta < upper[d] {
-                        k_in[d] += delta;
-                        d += 1;
-                    }
-                    if d == f {
-                        // Unreachable: rank ↔ answer is a bijection, so
-                        // two distinct ranks cannot agree on every
-                        // layer. Re-locate defensively in release.
-                        debug_assert!(false, "no carry point for distinct ranks");
-                        self.locate_trace(
-                            k, 0, self.total, false, chosen, entry, k_in, upper, f_div,
-                        );
-                    } else {
-                        // Resume with the layer's recorded post-division
-                        // factor: same bucket, same divisor.
-                        self.locate_trace(
-                            k_in[d] + delta,
-                            d,
-                            f_div[d],
-                            true,
-                            chosen,
-                            entry,
-                            k_in,
-                            upper,
-                            f_div,
-                        );
-                    }
+                    // previous entry no longer contains the residual —
+                    // the deepest layer at the latest, whose entries hold
+                    // one answer each (resuming at the root would still
+                    // be right). Layers above it keep their cursors
+                    // (residuals shifted by `delta`); the rest re-descend.
+                    let carries = |c: &Carry| c.k_in + delta >= c.upper;
+                    let d = cur.trace.iter().position(carries).unwrap_or(0);
+                    cur.trace[..d].iter_mut().for_each(|c| c.k_in += delta);
+                    self.resume(d, cur.trace[d].k_in + delta, cur);
+                    #[cfg(debug_assertions)]
+                    self.assert_resume_is_fresh(k, cur.entry);
                     prev = k;
                 }
-                out.push_with(|vals| self.emit_into(entry, vals));
+                out.push_with(|vals| self.emit_into(cur.entry, vals));
             }
         });
         out.len() as u64
     }
 
-    /// [`LexDirectAccess::locate`] with a resumable cursor trace: run
-    /// the descent for the residual rank `k` from layer `from` down
-    /// (layers above `from` keep their `chosen`/`entry` state), and
-    /// record per layer the entering residual (`k_in`), the
-    /// post-division factor (`f_div`), and the chosen entry's exclusive
-    /// residual bound (`upper`) — the state the batch kernel's carry
-    /// check consumes.
+    /// Algorithm 1's descent: from layer `from` down, pick in every
+    /// layer's chosen bucket the entry whose answers contain the
+    /// residual rank `k`, consume its share of `k`, and point the child
+    /// layers at their agreeing buckets. `factor` is the number of
+    /// answers extending the partial assignment entering layer `from`
+    /// (`total` at the root); layers above `from` keep their cursor.
+    /// Caller guarantees `k` is below that count. Pure integer searches;
+    /// no allocation.
     ///
-    /// With `resume` false (a fresh descent), `factor` is the
-    /// **pre-division** factor entering layer `from`. With `resume`
-    /// true, the bucket and cursor at layer `from` are unchanged from
-    /// the previous descent: the caller passes the recorded
-    /// **post-division** `f_div[from]`, the division is skipped, and —
-    /// since a batch's ranks ascend — the resume layer first tries a
-    /// short linear advance from the previous cursor (a sorted batch's
-    /// typical carry moves to an adjacent entry), falling back to a
-    /// bracketed binary search over the rest of the bucket only when
-    /// the target is farther away.
-    ///
-    /// Overflow-freedom mirrors `locate`: every recorded product counts
-    /// a subset of the answers extending the current partial
-    /// assignment, hence `≤ total`.
-    #[allow(clippy::too_many_arguments)]
-    fn locate_trace(
-        &self,
-        mut k: u64,
-        from: usize,
-        mut factor: u64,
-        resume: bool,
-        chosen: &mut [u32],
-        entry: &mut [u32],
-        k_in: &mut [u64],
-        upper: &mut [u64],
-        f_div: &mut [u64],
-    ) {
-        if from == 0 && !resume && !self.layers.is_empty() {
-            chosen[0] = 0;
-        }
+    /// Overflow-freedom: `factor` always equals the exact number of
+    /// answers extending the current partial assignment, and every
+    /// `start × factor` product counts a subset of those answers — both
+    /// are `≤ total ≤ u64::MAX` by the build-time overflow check.
+    #[inline(always)]
+    fn descend<T: Trace>(&self, mut k: u64, mut factor: u64, from: usize, cur: &mut Cursor<'_, T>) {
         for i in from..self.layers.len() {
             let layer = &self.layers[i];
-            let m = &layer.buckets[chosen[i] as usize];
-            let lo = m.offset as usize;
-            let resume = i == from && resume;
-            if !resume {
-                factor = if factor == m.total {
-                    1
-                } else {
-                    factor / m.total
-                };
-            }
+            let m = &layer.buckets[cur.chosen[i] as usize];
+            factor = per_unit(factor, m.total);
             let q = if factor == 1 { k } else { k / factor };
-            k_in[i] = k;
-            f_div[i] = factor;
-            let idx = if resume {
-                let hi = lo + m.len as usize;
-                let mut idx = entry[i] as usize;
-                let mut steps = 0;
-                while steps < LINEAR_ADVANCE && idx + 1 < hi && layer.entries[idx + 1].start <= q {
-                    idx += 1;
-                    steps += 1;
-                }
-                if steps == LINEAR_ADVANCE && idx + 1 < hi && layer.entries[idx + 1].start <= q {
-                    rankdir::bracketed_partition_point(&layer.entries, idx + 1, hi, |e| {
-                        e.start <= q
-                    }) - 1
-                } else {
-                    idx
-                }
-            } else if q == 0 {
-                // Odometer reset: a carry leaves zero residual for
-                // every layer below it — the bucket's first entry
-                // (starts ascend strictly from 0), no search needed.
-                lo
+            // Odometer reset: a carry leaves zero residual for every
+            // layer below it — the bucket's first entry (starts ascend
+            // strictly from 0), no search needed.
+            let idx = if q == 0 {
+                m.offset as usize
             } else {
-                let (wlo, whi) = rankdir::rank_window(
-                    &layer.dir_pool,
-                    m.dir,
-                    m.dir_log,
-                    m.total,
-                    m.len as usize,
-                    q,
-                );
-                rankdir::bracketed_partition_point(&layer.entries, lo + wlo, lo + whi, |e| {
-                    e.start <= q
-                }) - 1
+                layer.rank_search(m, q, 0)
             };
-            let e = &layer.entries[idx];
-            let next_start = if idx + 1 < lo + m.len as usize {
-                layer.entries[idx + 1].start
-            } else {
-                m.total
-            };
-            upper[i] = next_start * factor;
-            k -= e.start * factor;
-            entry[i] = idx as u32;
-            if let Some((&c0, rest)) = layer.children.split_first() {
-                chosen[c0] = e.child0;
-                factor *= self.layers[c0].buckets[e.child0 as usize].total;
-                let base = idx * rest.len();
-                for (ci, &c) in rest.iter().enumerate() {
-                    let cb = layer.extra_children[base + ci];
-                    chosen[c] = cb;
-                    factor *= self.layers[c].buckets[cb as usize].total;
-                }
-            }
+            (k, factor) = self.commit(i, idx, k, factor, cur);
         }
         debug_assert_eq!(k, 0, "descent consumes the whole rank");
     }
 
-    /// Run `f` over per-layer `chosen` / `entry` descent buffers: fixed
-    /// stack arrays when the query is small enough (in variables and
-    /// layers — virtually every real query), the thread-local scratch
-    /// otherwise.
+    /// The sorted-batch walk's re-entry: resume the previous descent
+    /// (traced in `cur`) at its carry layer `d` with residual `k`. That
+    /// layer keeps its bucket and its recorded post-division factor,
+    /// and — the batch's ranks ascend — its new entry lies at or after
+    /// the old one; every layer below descends fresh.
+    fn resume(&self, d: usize, k: u64, cur: &mut Cursor<'_, &mut [Carry]>) {
+        let layer = &self.layers[d];
+        let m = &layer.buckets[cur.chosen[d] as usize];
+        let factor = cur.trace[d].f_div;
+        let q = if factor == 1 { k } else { k / factor };
+        let idx = layer.rank_search_after(m, q, cur.entry[d] as usize);
+        let (k, factor) = self.commit(d, idx, k, factor, cur);
+        self.descend(k, factor, d + 1, cur);
+    }
+
+    /// Choose entry `idx` of layer `i` for the residual `k` under the
+    /// post-division `factor`: run the child step, trace the layer, and
+    /// consume the entry's share of `k`. Returns the residual and the
+    /// factor entering the next layer.
+    #[inline(always)]
+    fn commit<T: Trace>(
+        &self,
+        i: usize,
+        idx: usize,
+        k: u64,
+        factor: u64,
+        cur: &mut Cursor<'_, T>,
+    ) -> (u64, u64) {
+        let layer = &self.layers[i];
+        let start = layer.entries[idx].start;
+        // The entry's weight: the next entry starts at `start + w`.
+        let w = self.child_step::<true>(layer, idx, cur.chosen);
+        let carry = Carry {
+            k_in: k,
+            f_div: factor,
+            upper: (start + w) * factor,
+        };
+        cur.trace.record(i, carry);
+        cur.entry[i] = idx as u32;
+        (k - start * factor, factor * w)
+    }
+
+    /// The per-entry child step of every descent: point each child layer
+    /// of `layer` at the bucket agreeing with its entry `idx`. With
+    /// `WEIGHT`, return the product of those buckets' totals (Figure 4's
+    /// weight of the entry: answers per unit of its `start`); without,
+    /// return 1 and load no child bucket.
+    #[inline(always)]
+    fn child_step<const WEIGHT: bool>(&self, layer: &Layer, idx: usize, chosen: &mut [u32]) -> u64 {
+        let Some((&c0, rest)) = layer.children.split_first() else {
+            return 1;
+        };
+        let b0 = layer.entries[idx].child0;
+        chosen[c0] = b0;
+        let mut w = if WEIGHT {
+            self.layers[c0].buckets[b0 as usize].total
+        } else {
+            1
+        };
+        let base = idx * rest.len();
+        for (ci, &c) in rest.iter().enumerate() {
+            let b = layer.extra_children[base + ci];
+            chosen[c] = b;
+            if WEIGHT {
+                w *= self.layers[c].buckets[b as usize].total;
+            }
+        }
+        w
+    }
+
+    /// Debug cross-check of the sorted-batch walk (the pattern of
+    /// `Snapshot::freeze_delta`'s merge check): the resumed descent of
+    /// `k` chose the same entry at every layer as a fresh descent does.
+    /// The walk holds the thread-local scratch, so only queries whose
+    /// fresh cursor fits on the stack are checked.
+    #[cfg(debug_assertions)]
+    fn assert_resume_is_fresh(&self, k: u64, resumed: &[u32]) {
+        let f = self.layers.len();
+        if f <= STACK_SCRATCH {
+            self.with_cursor(|fresh| {
+                self.descend(k, self.total, 0, fresh);
+                assert_eq!(fresh.entry[..f], resumed[..f], "resumed rank {k}");
+            });
+        }
+    }
+
+    /// Run `f` over an untraced [`Cursor`]: fixed stack arrays when the
+    /// query has at most `STACK_SCRATCH` layers — virtually every real
+    /// query — the thread-local scratch otherwise.
     #[inline]
-    fn with_cursor<R>(&self, f: impl FnOnce(&mut [u32], &mut [u32]) -> R) -> R {
-        if self.var_slots <= STACK_SCRATCH && self.layers.len() <= STACK_SCRATCH {
-            let mut chosen = [0u32; STACK_SCRATCH];
-            let mut entry = [0u32; STACK_SCRATCH];
-            return f(&mut chosen, &mut entry);
+    fn with_cursor<R>(&self, f: impl FnOnce(&mut Cursor<'_, ()>) -> R) -> R {
+        let f = |chosen: &mut [u32], entry: &mut [u32]| {
+            f(&mut Cursor {
+                chosen,
+                entry,
+                trace: (),
+            })
+        };
+        if self.layers.len() <= STACK_SCRATCH {
+            return f(&mut [0; STACK_SCRATCH], &mut [0; STACK_SCRATCH]);
         }
         SCRATCH.with(|s| {
             let mut s = s.borrow_mut();
@@ -1170,83 +1191,21 @@ impl LexDirectAccess {
         true
     }
 
-    /// Algorithm 1's descent: locate answer `k`, writing the chosen
-    /// bucket and absolute entry index of every layer into `chosen` /
-    /// `entry`. Caller guarantees `k < total`. Pure integer binary
-    /// searches; no allocation.
-    ///
-    /// Overflow-freedom: `factor` always equals the exact number of
-    /// answers extending the current partial assignment, and every
-    /// `start × factor` product counts a subset of those answers — both
-    /// are `≤ total ≤ u64::MAX` by the build-time overflow check.
-    fn locate(&self, mut k: u64, chosen: &mut [u32], entry: &mut [u32]) {
-        let mut factor = self.total;
-        if !self.layers.is_empty() {
-            chosen[0] = 0;
-        }
-        for i in 0..self.layers.len() {
-            let layer = &self.layers[i];
-            let m = &layer.buckets[chosen[i] as usize];
-            let lo = m.offset as usize;
-            // Chain-shaped trees keep `factor == m.total` (the pending
-            // count is exactly this subtree), so the division — and the
-            // one normalizing `k` — usually fold into the fast path.
-            factor = if factor == m.total {
-                1
-            } else {
-                factor / m.total
-            };
-            let q = if factor == 1 { k } else { k / factor };
-            // Last entry with start ≤ q, i.e. start·factor ≤ k. The
-            // rank directory brackets it to an O(1) expected window.
-            let (wlo, whi) = rankdir::rank_window(
-                &layer.dir_pool,
-                m.dir,
-                m.dir_log,
-                m.total,
-                m.len as usize,
-                q,
-            );
-            let idx = rankdir::bracketed_partition_point(&layer.entries, lo + wlo, lo + whi, |e| {
-                e.start <= q
-            }) - 1;
-            let e = &layer.entries[idx];
-            k -= e.start * factor;
-            entry[i] = idx as u32;
-            if let Some((&c0, rest)) = layer.children.split_first() {
-                chosen[c0] = e.child0;
-                factor *= self.layers[c0].buckets[e.child0 as usize].total;
-                let base = idx * rest.len();
-                for (ci, &c) in rest.iter().enumerate() {
-                    let cb = layer.extra_children[base + ci];
-                    chosen[c] = cb;
-                    factor *= self.layers[c].buckets[cb as usize].total;
-                }
-            }
-        }
-        debug_assert_eq!(k, 0, "descent consumes the whole rank");
-    }
-
-    /// Odometer step of the window walk: move `chosen` / `entry` (a
-    /// state produced by [`LexDirectAccess::locate`]) to the next
-    /// answer. Amortized O(1): most steps advance the deepest layer's
-    /// entry within its bucket; a carry resets the suffix of layers to
-    /// the first entries of their (re-derived) buckets, with no binary
-    /// search anywhere. Returns `false` past the last answer.
-    fn advance(&self, chosen: &mut [u32], entry: &mut [u32]) -> bool {
-        let mut i = self.layers.len();
-        loop {
-            if i == 0 {
-                return false;
-            }
-            i -= 1;
-            let layer = &self.layers[i];
-            let m = &layer.buckets[chosen[i] as usize];
-            if entry[i] + 1 < m.offset + m.len {
-                entry[i] += 1;
-                break;
-            }
-        }
+    /// Odometer step of the window walk: move `cur` (left by a descent)
+    /// to the next answer. Amortized O(1): most steps advance the
+    /// deepest layer's entry within its bucket; a carry resets the
+    /// suffix of layers to the first entries of their (re-derived)
+    /// buckets, with no search anywhere. Returns `false` past the last
+    /// answer.
+    fn advance(&self, cur: &mut Cursor<'_, ()>) -> bool {
+        let last_in_bucket = |i: usize| {
+            let m = &self.layers[i].buckets[cur.chosen[i] as usize];
+            cur.entry[i] + 1 == m.offset + m.len
+        };
+        let Some(i) = (0..self.layers.len()).rev().find(|&i| !last_in_bucket(i)) else {
+            return false;
+        };
+        cur.entry[i] += 1;
         // Re-derive the suffix: every layer after the carry point
         // restarts at the first entry of its bucket, and each layer's
         // children (always deeper, by layered-tree construction) get
@@ -1255,39 +1214,24 @@ impl LexDirectAccess {
         for j in i..self.layers.len() {
             let layer = &self.layers[j];
             if j > i {
-                entry[j] = layer.buckets[chosen[j] as usize].offset;
+                cur.entry[j] = layer.buckets[cur.chosen[j] as usize].offset;
             }
-            let e = entry[j] as usize;
-            if let Some((&c0, rest)) = layer.children.split_first() {
-                let ent = &layer.entries[e];
-                chosen[c0] = ent.child0;
-                let base = e * rest.len();
-                for (ci, &c) in rest.iter().enumerate() {
-                    chosen[c] = layer.extra_children[base + ci];
-                }
-            }
+            self.child_step::<false>(layer, cur.entry[j] as usize, cur.chosen);
         }
         true
     }
 
     /// Seed a walk at rank `lo` and emit `n` consecutive answers through
-    /// `out`: one O(log n) bracketing, then O(1) amortized per tuple.
-    /// Caller guarantees `lo + n ≤ total` and non-empty layers.
-    fn walk_emit(
-        &self,
-        lo: u64,
-        n: u64,
-        chosen: &mut [u32],
-        entry: &mut [u32],
-        out: &mut WindowBuf,
-    ) {
-        self.locate(lo, chosen, entry);
+    /// `out`: one O(log n) descent, then O(1) amortized per tuple.
+    /// Caller guarantees `lo + n ≤ total`.
+    fn walk_emit(&self, lo: u64, n: u64, cur: &mut Cursor<'_, ()>, out: &mut WindowBuf) {
+        self.descend(lo, self.total, 0, cur);
         for step in 0..n {
             if step > 0 {
-                let more = self.advance(chosen, entry);
+                let more = self.advance(cur);
                 debug_assert!(more, "the walk stays within len()");
             }
-            out.push_with(|vals| self.emit_into(entry, vals));
+            out.push_with(|vals| self.emit_into(cur.entry, vals));
         }
     }
 
@@ -1305,14 +1249,7 @@ impl LexDirectAccess {
             return 0;
         }
         let n = hi - lo;
-        if self.layers.is_empty() {
-            // Boolean head: `n` empty rows.
-            for _ in 0..n {
-                out.push_with(|_| {});
-            }
-            return n;
-        }
-        self.with_cursor(|chosen, entry| self.walk_emit(lo, n, chosen, entry, out));
+        self.with_cursor(|cur| self.walk_emit(lo, n, cur, out));
         n
     }
 
@@ -1330,16 +1267,11 @@ impl LexDirectAccess {
         }
         let mut rank = 0u64;
         let mut factor = self.total;
-        chosen[0] = 0;
         for (i, layer) in self.layers.iter().enumerate() {
             let m = &layer.buckets[chosen[i] as usize];
             let lo = m.offset as usize;
             let hi = lo + m.len as usize;
-            factor = if factor == m.total {
-                1
-            } else {
-                factor / m.total
-            };
+            factor = per_unit(factor, m.total);
             let (code, can_exact) = target[i];
             // First entry with value ≥ the probe value: codes below the
             // probe's lower-bound code decode to strictly smaller values.
@@ -1354,19 +1286,22 @@ impl LexDirectAccess {
             if !(can_exact && idx < hi && layer.value_codes[idx] == code) {
                 return (rank, false);
             }
-            if let Some((&c0, rest)) = layer.children.split_first() {
-                let e = &layer.entries[idx];
-                chosen[c0] = e.child0;
-                factor *= self.layers[c0].buckets[e.child0 as usize].total;
-                let base = idx * rest.len();
-                for (ci, &c) in rest.iter().enumerate() {
-                    let cb = layer.extra_children[base + ci];
-                    chosen[c] = cb;
-                    factor *= self.layers[c].buckets[cb as usize].total;
-                }
-            }
+            factor *= self.child_step::<true>(layer, idx, chosen);
         }
         (rank, true)
+    }
+}
+
+/// Answers per unit of a bucket's `start`: the pending answer count
+/// `factor` over the bucket's `total`. Chain-shaped trees keep
+/// `factor == total` (the pending count is exactly this subtree), so
+/// the division — and the one normalizing `k` — usually fold away.
+#[inline(always)]
+fn per_unit(factor: u64, total: u64) -> u64 {
+    if factor == total {
+        1
+    } else {
+        factor / total
     }
 }
 

@@ -45,10 +45,9 @@
 //! is `Send + Sync`, answers through the [`DirectAccess`] trait —
 //! three required methods (`len`, `access_into`, `inverted_access`)
 //! plus window and batch kernels over a reusable [`WindowBuf`] — and
-//! explains its routing via [`Explain`]. [`canonical_request_key`],
-//! [`plan_dependencies`] and [`AccessPlan::stream_batched`] are the
-//! hooks a request front door (`rda_serve`) encodes into resumable
-//! cursor tokens.
+//! explains its routing via [`Explain`]. [`canonical_request_key`] and
+//! [`plan_dependencies`] are the hooks a request front door
+//! (`rda_serve`) encodes into resumable cursor tokens.
 
 mod budget;
 mod engine;

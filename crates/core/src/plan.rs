@@ -46,7 +46,7 @@ use crate::error::BuildError;
 use crate::lexsel::LexSelection;
 use crate::sumsel::SumSelection;
 use crate::weights::Weights;
-use crate::window::{clamp_range, RankedStream, WindowBuf, DEFAULT_STREAM_BATCH};
+use crate::window::{clamp_range, RankedStream, WindowBuf};
 use crate::{LexDirectAccess, SumDirectAccess};
 use rda_baseline::{MaterializedAccess, RankedEnumerator};
 use rda_db::{Snapshot, Tuple, Value};
@@ -195,7 +195,7 @@ pub trait DirectAccess {
     /// kernel, so the native structures pay one rank bracketing per
     /// batch, not per tuple.
     fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        Box::new(RankedStream::new(self, 0, DEFAULT_STREAM_BATCH))
+        Box::new(RankedStream::new(self, 0))
     }
 }
 
@@ -688,15 +688,7 @@ impl RankedAnswers {
     /// [`RankedAnswers::stream`] starting at rank `start` — resume a
     /// paginated scan exactly where the previous page ended.
     pub fn stream_from(&self, start: u64) -> RankedStream<'_> {
-        RankedStream::new(self, start, DEFAULT_STREAM_BATCH)
-    }
-
-    /// [`RankedAnswers::stream_from`] with an explicit batch size — the
-    /// resumption hook for service layers that re-create a stream per
-    /// request from a client cursor and want the batch to match the
-    /// requested page.
-    pub(crate) fn stream_batched(&self, start: u64, batch: usize) -> RankedStream<'_> {
-        RankedStream::new(self, start, batch)
+        RankedStream::new(self, start)
     }
 
     /// Which backend the router chose.
@@ -954,14 +946,6 @@ impl AccessPlan {
     /// paginated scan exactly where the previous page ended.
     pub fn stream_from(&self, start: u64) -> RankedStream<'_> {
         self.answers.stream_from(start)
-    }
-
-    /// [`AccessPlan::stream_from`] with an explicit batch size — the
-    /// resumption hook for service layers that re-create a stream per
-    /// request from a client cursor and want the batch to match the
-    /// requested page.
-    pub fn stream_batched(&self, start: u64, batch: usize) -> RankedStream<'_> {
-        self.answers.stream_batched(start, batch)
     }
 }
 

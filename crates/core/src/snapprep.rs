@@ -435,19 +435,17 @@ pub(crate) fn key_ids<'a>(
     ids
 }
 
-/// The preparation both selection algorithms share, none of it
-/// depending on the rank asked for: gate on the dichotomy for `problem`,
-/// then normalize, check and extend by the FDs, and reduce to a full
-/// acyclic query — all in the snapshot's code space. Returns the
-/// FD-extension (its `original` is the normalized query), the reduction,
-/// and the `prep`/`reduce` phase times.
-pub(crate) fn prepare_reduced(
+/// The instance prelude every build runs first: gate on the dichotomy
+/// for `problem`, then normalize, check the FDs, and extend query and
+/// instance by them — all in the snapshot's code space. Returns the
+/// FD-extension (its `original` is the normalized query) and the
+/// extended instance, positionally per atom of its `query`.
+pub(crate) fn prepare_instance<'a>(
     q: &Cq,
-    snap: &Snapshot,
+    snap: &'a Snapshot,
     fds: &FdSet,
     problem: &Problem,
-) -> Result<(FdExtension, EncodedReduction, BuildCost), BuildError> {
-    let mut clock = PhaseClock::start();
+) -> Result<(FdExtension, Vec<EncRel<'a>>), BuildError> {
     if !fds.is_empty() && !q.is_self_join_free() {
         return Err(BuildError::InvalidOrder(
             "functional dependencies require a self-join-free query".to_string(),
@@ -461,6 +459,21 @@ pub(crate) fn prepare_reduced(
     check_fds_encoded(&nq, &rels, fds)?;
     let ext = fd_extension(&nq, fds);
     let rels = extend_instance_encoded(&ext, &nq, rels)?;
+    Ok((ext, rels))
+}
+
+/// The preparation both selection algorithms share, none of it
+/// depending on the rank asked for: [`prepare_instance`], then reduce
+/// to a full acyclic query. Returns the FD-extension, the reduction,
+/// and the `prep`/`reduce` phase times.
+pub(crate) fn prepare_reduced(
+    q: &Cq,
+    snap: &Snapshot,
+    fds: &FdSet,
+    problem: &Problem,
+) -> Result<(FdExtension, EncodedReduction, BuildCost), BuildError> {
+    let mut clock = PhaseClock::start();
+    let (ext, rels) = prepare_instance(q, snap, fds, problem)?;
     let mut cost = BuildCost {
         prep_ns: clock.lap(),
         ..BuildCost::default()

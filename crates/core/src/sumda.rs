@@ -19,15 +19,13 @@ use crate::budget::{BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::fault;
 use crate::plan::DirectAccess;
-use crate::snapprep::{
-    check_fds_encoded, extend_instance_encoded, normalize_encoded, reduce_atoms,
-};
+use crate::snapprep::{prepare_instance, reduce_atoms};
 use crate::weights::Weights;
 use crate::window::WindowBuf;
 use rda_db::{radix_sort_rows, Database, Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
-use rda_query::classify::{classify, Problem, Verdict};
-use rda_query::{fd_extension, positions_of, Cq, FdSet};
+use rda_query::classify::Problem;
+use rda_query::{positions_of, Cq, FdSet};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -129,20 +127,7 @@ impl SumDirectAccess {
     ) -> Result<Self, BuildError> {
         let mut clock = PhaseClock::start();
         let mut cost = BuildCost::default();
-        if !fds.is_empty() && !q.is_self_join_free() {
-            return Err(BuildError::InvalidOrder(
-                "functional dependencies require a self-join-free query".to_string(),
-            ));
-        }
-        match classify(q, fds, &Problem::DirectAccessSum) {
-            Verdict::Tractable { .. } => {}
-            v => return Err(BuildError::NotTractable(v)),
-        }
-
-        let (nq, rels) = normalize_encoded(q, snap)?;
-        check_fds_encoded(&nq, &rels, fds)?;
-        let ext = fd_extension(&nq, fds);
-        let mut rels = extend_instance_encoded(&ext, &nq, rels)?;
+        let (ext, mut rels) = prepare_instance(q, snap, fds, &Problem::DirectAccessSum)?;
         let qp = ext.query;
         cost.prep_ns = clock.lap();
 

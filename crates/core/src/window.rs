@@ -155,8 +155,8 @@ pub(crate) fn clamp_range(range: &std::ops::Range<u64>, len: u64) -> (u64, u64) 
     (range.start.min(hi), hi)
 }
 
-/// How many answers a [`RankedStream`] fetches per batch by default.
-pub(crate) const DEFAULT_STREAM_BATCH: usize = 256;
+/// How many answers a [`RankedStream`] fetches per batch.
+const DEFAULT_STREAM_BATCH: u64 = 256;
 
 /// A lazy, batch-fetching iterator over the ranked answers of any
 /// [`DirectAccess`] backend — the any-k-style enumeration surface of
@@ -190,18 +190,16 @@ pub struct RankedStream<'a, A: DirectAccess + ?Sized = dyn DirectAccess + 'a> {
     pos: usize,
     /// Rank of the first answer not yet fetched into `batch`.
     next_rank: u64,
-    batch_size: usize,
     exhausted: bool,
 }
 
 impl<'a, A: DirectAccess + ?Sized> RankedStream<'a, A> {
-    pub(crate) fn new(answers: &'a A, start: u64, batch_size: usize) -> Self {
+    pub(crate) fn new(answers: &'a A, start: u64) -> Self {
         RankedStream {
             answers,
             batch: WindowBuf::new(),
             pos: 0,
             next_rank: start,
-            batch_size: batch_size.max(1),
             exhausted: false,
         }
     }
@@ -218,14 +216,13 @@ impl<'a, A: DirectAccess + ?Sized> RankedStream<'a, A> {
             if self.exhausted {
                 return false;
             }
-            let want = self.batch_size as u64;
-            let end = self.next_rank.saturating_add(want);
+            let end = self.next_rank.saturating_add(DEFAULT_STREAM_BATCH);
             let got = self
                 .answers
                 .access_range_into(self.next_rank..end, &mut self.batch);
             self.next_rank += got;
             self.pos = 0;
-            if got < want {
+            if got < DEFAULT_STREAM_BATCH {
                 self.exhausted = true;
             }
             if got == 0 {

@@ -17,6 +17,18 @@ fn two_path_db() -> Database {
         .with_i64_rows("S", 2, (0..60).map(|j| vec![j % 7, j]).collect::<Vec<_>>())
 }
 
+/// A 2-path instance whose `y` layer is one bucket of 5 000 entries —
+/// far above the size that gets a rank directory. Its first half has
+/// one `z` per `y` (a stride of `s` ranks lands exactly `s` entries
+/// ahead), its second half 1–5 (skewed weights).
+fn wide_bucket_db() -> Database {
+    let zs = |y: i64| if y < 2500 { 1 } else { 1 + y * y % 5 };
+    let s = (0..5000).flat_map(move |y| (0..zs(y)).map(move |z| vec![y, z]));
+    Database::new()
+        .with_i64_rows("R", 2, (0..5000).map(|y| vec![0, y]).collect::<Vec<_>>())
+        .with_i64_rows("S", 2, s.collect::<Vec<_>>())
+}
+
 /// A 3-path instance (fmh = 3: any-k fallback territory).
 fn three_path_db() -> Database {
     Database::new()
@@ -199,17 +211,21 @@ fn batches_on_materialized_and_ranked_enum_fallbacks() {
 /// in-range ranks ascending: one shared descent; anything else: one
 /// descent per rank — so both sides of that choice, and the sizes
 /// around it, must equal the per-rank definition on every native
-/// structure.
+/// structure. Strides wider than the walk's linear advance over the
+/// wide bucket make a resumed layer search its rank directory.
 #[test]
 fn batch_selection_matches_per_rank_access() {
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let snap = two_path_db().freeze();
-    let lex =
-        LexDirectAccess::build_on(&q, &snap, &q.vars(&["x", "y", "z"]), &FdSet::empty()).unwrap();
+    let xyz = q.vars(&["x", "y", "z"]);
+    let lex = LexDirectAccess::build_on(&q, &snap, &xyz, &FdSet::empty()).unwrap();
     let qs = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
     let sum = SumDirectAccess::build_on(&qs, &snap, &Weights::identity(), &FdSet::empty()).unwrap();
+    let wide_snap = wide_bucket_db().freeze();
+    let wide = LexDirectAccess::build_on(&q, &wide_snap, &xyz, &FdSet::empty()).unwrap();
 
-    let backends: [(&str, &dyn DirectAccess); 2] = [("lex", &lex), ("sum", &sum)];
+    let backends: [(&str, &dyn DirectAccess); 3] =
+        [("lex", &lex), ("sum", &sum), ("lex wide bucket", &wide)];
     let mut buf = WindowBuf::new();
     for (label, da) in backends {
         let len = da.len();
@@ -227,6 +243,10 @@ fn batch_selection_matches_per_rank_access() {
         cases.push((0..3 * len).map(|i| i / 2).collect());
         // Ascending except for the last rank.
         cases.push((0..len).step_by(3).chain([1]).collect());
+        // Ascending, with strides wider than the walk's linear advance.
+        for stride in [9, 97, 1000] {
+            cases.push((stride / 2..len).step_by(stride as usize).collect());
+        }
         for ranks in &cases {
             let expect: Vec<Tuple> = ranks.iter().filter_map(|&k| da.access(k)).collect();
             let n = da.access_batch_into(ranks, &mut buf);

@@ -493,7 +493,7 @@ fn bounded_cache_holds_under_concurrent_churn() {
 #[test]
 fn ranked_stream_stays_pinned_to_its_generation_across_advance() {
     let q = parse("Q(x, y) :- R(x, y)").unwrap();
-    let rows: Vec<Vec<i64>> = (0..20i64).map(|i| vec![i % 5, i % 3]).collect();
+    let rows: Vec<Vec<i64>> = (0..600i64).map(|i| vec![i / 20, i % 20]).collect();
     let mut db = Database::new().with_i64_rows("R", 2, rows);
     let engine = Engine::new(db.clone().freeze());
     db.clear_mutation_log();
@@ -508,12 +508,13 @@ fn ranked_stream_stays_pinned_to_its_generation_across_advance() {
         .unwrap();
     let expected = plan.access_range(0..plan.len());
     assert!(
-        expected.len() >= 4,
-        "need a few answers to split the stream"
+        expected.len() > 2 * 256,
+        "the stream must refill more than once after the advance"
     );
 
-    // Consume a prefix, then advance the engine mid-stream.
-    let mut stream = plan.stream_batched(0, 2);
+    // Consume a prefix of the first batch, then advance the engine
+    // mid-stream.
+    let mut stream = plan.stream_from(0);
     let mut got: Vec<Tuple> = vec![stream.next().unwrap(), stream.next().unwrap()];
     db.insert_into(
         "R",
@@ -544,6 +545,6 @@ fn ranked_stream_stays_pinned_to_its_generation_across_advance() {
     assert_eq!(plan.generation(), 0);
 
     // A stream opened on the old plan even now still serves gen 0.
-    let replay: Vec<Tuple> = plan.stream_batched(0, 7).collect();
+    let replay: Vec<Tuple> = plan.stream_from(0).collect();
     assert_eq!(replay, expected);
 }
