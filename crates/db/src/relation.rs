@@ -12,6 +12,11 @@ use std::fmt;
 /// Set semantics are maintained lazily: constructors accept duplicates and
 /// [`Relation::normalize`] (sort + dedup) restores canonical form. All
 /// consumers in `rda-core` normalize before building access structures.
+///
+/// Row order carries no meaning. [`Relation::insert`] appends, but
+/// [`Database::delete_from`](crate::Database::delete_from) moves the
+/// last row into each hole it leaves, so after a delete the order of
+/// the rows is unspecified.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Relation {
     name: String,
@@ -95,6 +100,15 @@ impl Relation {
         let before = self.tuples.len();
         self.tuples.retain(|x| x != t);
         (before - self.tuples.len()) as u64
+    }
+
+    /// Remove the row at position `i`, moving the last row into its
+    /// place: O(1), and the order of the rows changes.
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds.
+    pub(crate) fn swap_remove(&mut self, i: usize) -> Tuple {
+        self.tuples.swap_remove(i)
     }
 
     /// Sort lexicographically and remove duplicates (set semantics).

@@ -126,11 +126,11 @@ pub struct Snapshot {
 }
 
 /// A dirty relation whose change the mutation log bounds: the parent
-/// encoding to merge into, and the log's net effect per tuple (`true`
-/// = present afterwards), ascending.
+/// encoding to merge into, and the log's net rows (`true` = present
+/// afterwards), ascending.
 struct LoggedRows<'a> {
     parent: &'a EncodedRelation,
-    net: BTreeMap<&'a Tuple, bool>,
+    net: &'a BTreeMap<Tuple, bool>,
 }
 
 impl LoggedRows<'_> {
@@ -140,7 +140,7 @@ impl LoggedRows<'_> {
         let mut rows = Vec::with_capacity(self.net.len() * self.parent.arity());
         let mut present = Vec::with_capacity(self.net.len());
         let mut codes = Vec::new();
-        for (t, &p) in &self.net {
+        for (t, &p) in self.net {
             if dict.encode_tuple_into(t, &mut codes) {
                 rows.extend_from_slice(&codes);
                 present.push(p);
@@ -193,15 +193,15 @@ impl Snapshot {
     /// mutations its [`MutationLog`](crate::database::MutationLog)
     /// records (the log is cleared on return, re-baselining `db` to the
     /// returned snapshot). The log may over-report, never under-report:
-    /// the net effect of a relation's logged operations is *the last
-    /// one on each tuple wins*, so replaying an operation `self`
-    /// already reflects changes nothing, while a change the log missed
-    /// would be served stale. Three incremental moves replace the full
-    /// freeze:
+    /// it keeps each dirty relation's *net rows* (the last operation on
+    /// each tuple wins), so replaying a net row `self` already reflects
+    /// changes nothing, while a change the log missed would be served
+    /// stale. `freeze_delta` borrows those rows as they are. Three
+    /// incremental moves replace the full freeze:
     ///
     /// 1. **Dictionary extension**: unseen
     ///    values are looked for only where a dirty relation can have
-    ///    gained one — its logged inserts that survived the batch, or
+    ///    gained one — its net rows present afterwards, or
     ///    every tuple of a relation the log calls replaced. If nothing
     ///    new appeared the dictionary `Arc` itself is shared; values
     ///    past the top of the domain are appended with existing codes
@@ -241,18 +241,10 @@ impl Snapshot {
             .filter(|r| log.is_dirty(r.name()) || !self.encoded.contains_key(r.name()))
             .map(|r| {
                 let logged = log
-                    .ops(r.name())
+                    .net(r.name())
                     .zip(self.encoded(r.name()))
                     .filter(|(_, parent)| r.arity() > 0 && parent.arity() == r.arity())
-                    .map(|(ops, parent)| {
-                        // Last operation per tuple wins; tuple order is
-                        // code-row order under any dictionary.
-                        let mut net = BTreeMap::new();
-                        for (t, present) in ops {
-                            net.insert(t, *present);
-                        }
-                        LoggedRows { parent, net }
-                    });
+                    .map(|(net, parent)| LoggedRows { parent, net });
                 (r, logged)
             })
             .collect();

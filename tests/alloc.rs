@@ -20,49 +20,68 @@
 //! A cold open is the same ledger again: it maps the columns and
 //! decodes no row, so what it allocates does not grow with the rows.
 //!
-//! The counters are process-wide, so the tests of this binary take
-//! [`SERIAL`] and run one at a time.
+//! The counters belong to the thread that allocates, so the test
+//! harness's own threads (the main thread reports results while a test
+//! runs) never leak into a measurement. None of the measured closures
+//! spawns a thread: builds, selections, cold opens and accesses all run
+//! on the caller's thread (only a snapshot freeze fans out, and no
+//! freeze is measured). The encode counter is process-wide, so the
+//! tests of this binary still take [`SERIAL`] and run one at a time.
 
 use ranked_access::prelude::*;
 use ranked_access::rda_db::{open_snapshot, relation_encode_count, save_snapshot, tup};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently allocated, and the most that ever were.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
+// `const`-initialized cells without a destructor: touching them never
+// allocates, and they stay usable while their thread exits.
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus those it freed (a block may be
+    /// freed by another thread than the one that allocated it, so this
+    /// can go negative), and the most that ever were.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+fn read<T: Copy>(key: &'static std::thread::LocalKey<Cell<T>>) -> T {
+    key.with(Cell::get)
+}
+
+fn allocated(bytes: usize) {
+    ALLOCATIONS.with(|a| a.set(a.get() + 1));
+    let live = read(&LIVE) + bytes as i64;
+    LIVE.with(|l| l.set(live));
+    PEAK.with(|p| p.set(p.get().max(live)));
+}
+
+fn freed(bytes: usize) {
+    LIVE.with(|l| l.set(l.get() - bytes as i64));
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters beside it are plain atomics.
+// the `GlobalAlloc` contract; the counters beside it are thread-local
+// cells that neither allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
+        allocated(layout.size());
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        freed(layout.size());
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        grew(new_size);
+        freed(layout.size());
+        allocated(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        grew(layout.size());
+        allocated(layout.size());
         System.alloc_zeroed(layout)
     }
 }
@@ -70,11 +89,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations performed while running `f`.
+/// Allocations this thread performed while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = read(&ALLOCATIONS);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    read(&ALLOCATIONS) - before
 }
 
 /// What running `f` did to the heap.
@@ -88,15 +107,15 @@ struct HeapDelta<T> {
 }
 
 fn heap_during<T>(f: impl FnOnce() -> T) -> HeapDelta<T> {
-    let live_before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live_before, Ordering::Relaxed);
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let live_before = read(&LIVE);
+    PEAK.with(|p| p.set(live_before));
+    let allocs_before = read(&ALLOCATIONS);
     let out = f();
     HeapDelta {
         out,
-        allocations: ALLOCATIONS.load(Ordering::Relaxed) - allocs_before,
-        retained: LIVE.load(Ordering::Relaxed).saturating_sub(live_before),
-        peak: PEAK.load(Ordering::Relaxed) - live_before,
+        allocations: read(&ALLOCATIONS) - allocs_before,
+        retained: (read(&LIVE) - live_before).max(0) as u64,
+        peak: (read(&PEAK) - live_before) as u64,
     }
 }
 

@@ -316,14 +316,14 @@ proptest! {
     }
 }
 
-/// Prints the script of a failing arms case: the in-tree proptest does
-/// not shrink, and a panic carries no inputs.
-struct ScriptOnPanic<'a>(u8, &'a [(u8, u8, i64, i64)]);
+/// Prints the script of a failing case: the in-tree proptest does not
+/// shrink, and a panic carries no inputs.
+struct ScriptOnPanic<'a>(&'a dyn std::fmt::Debug);
 
 impl Drop for ScriptOnPanic<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            eprintln!("domain {}, script {:?}", self.0, self.1);
+            eprintln!("script {:?}", self.0);
         }
     }
 }
@@ -338,7 +338,7 @@ impl Drop for ScriptOnPanic<'_> {
 /// (the dictionary is shared), 1 — values past that top (appended, the
 /// first time), 2 — anything, interior values included (rebased).
 fn run_arms_script(domain: u8, ops: &[(u8, u8, i64, i64)]) {
-    let _print = ScriptOnPanic(domain, ops);
+    let _print = ScriptOnPanic(&(domain, ops));
     let value = |a: i64| match domain {
         0 => 4 * a.rem_euclid(10),
         1 if a % 3 == 0 => 40 + a.abs(),
@@ -452,6 +452,143 @@ proptest! {
     ) {
         let _g = guard();
         run_arms_script(domain, &ops);
+    }
+}
+
+/// One relation as a multiset: each distinct tuple and its count.
+type Bag = std::collections::BTreeMap<Tuple, u64>;
+
+fn bag_of<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Bag {
+    let mut bag = Bag::new();
+    for t in tuples {
+        *bag.entry(t.clone()).or_default() += 1;
+    }
+    bag
+}
+
+/// The relation `name` of `db` as a multiset, if `db` holds it.
+fn held_bag(db: &Database, name: &str) -> Option<Bag> {
+    db.get(name).map(|r| bag_of(r.tuples()))
+}
+
+/// One script on one `Database`, checked against a multiset model of
+/// its relation `R` after every step. `delete_from` probes a row index
+/// that the bulk paths — `get_mut` (which may reorder the rows),
+/// `add`, `remove` and `normalize` — must drop, so every kind below
+/// runs on the same relation to make a stale index show. Each delete
+/// must return the model's count, and after every `freeze_delta` the
+/// generation must hold what a fresh `freeze` of the model holds.
+///
+/// Ops are (kind, a, b) over a four-value domain, so duplicates and
+/// hits are common and misses happen.
+fn run_bag_script(ops: &[(u8, i64, i64)]) {
+    let _print = ScriptOnPanic(&ops);
+    let base = Database::new()
+        .with_i64_rows("R", 2, vec![vec![0, 1], vec![0, 1], vec![1, 2], vec![3, 3]])
+        .with_i64_rows("T", 1, vec![vec![5]]); // never mutated
+    let mut parent = base.clone().freeze();
+    let mut db = base;
+    db.clear_mutation_log();
+    let mut model = held_bag(&db, "R");
+    // A clone that shares `db`'s relations, so a later mutation copies
+    // one out from under its row index.
+    let mut kept = Database::new();
+    let mut freeze = |db: &mut Database, model: &Option<Bag>| {
+        let child = parent.freeze_delta(db);
+        let mut fresh = Database::new().with_i64_rows("T", 1, vec![vec![5]]);
+        if let Some(bag) = model {
+            let tuples = bag
+                .iter()
+                .flat_map(|(t, &c)| std::iter::repeat_n(t.clone(), c as usize));
+            fresh.add(Relation::from_tuples("R", 2, tuples.collect()));
+        }
+        let fresh = fresh.freeze();
+        for name in ["R", "T"] {
+            assert_eq!(child.relation(name), fresh.relation(name), "{name}");
+        }
+        assert_eq!(child.relation_count(), fresh.relation_count());
+        parent = child;
+    };
+
+    for (step, &(kind, a, b)) in ops.iter().enumerate() {
+        let t = t2(a.rem_euclid(4), b.rem_euclid(4));
+        let Some(bag) = &mut model else {
+            // `R` is gone: only `remove`'s kind brings it back.
+            if kind == 7 {
+                let rows = vec![t.clone(), t];
+                model = Some(bag_of(&rows));
+                db.add(Relation::from_tuples("R", 2, rows));
+            }
+            continue;
+        };
+        match kind {
+            0 | 1 => {
+                db.insert_into("R", t.clone());
+                *bag.entry(t).or_default() += 1;
+            }
+            2 | 3 => {
+                // Kind 2 deletes a held row (a hit, counted twice over
+                // when held twice); kind 3 the drawn tuple (often a miss).
+                let victim = match db.get("R").unwrap().tuples() {
+                    held if kind == 2 && !held.is_empty() => {
+                        held[a.unsigned_abs() as usize % held.len()].clone()
+                    }
+                    _ => t,
+                };
+                let expect = bag.remove(&victim).unwrap_or(0);
+                assert_eq!(db.delete_from("R", &victim), expect, "step {step}");
+            }
+            4 => {
+                let rel = db.get_mut("R").unwrap();
+                match b % 3 {
+                    0 => {
+                        rel.normalize();
+                        bag.values_mut().for_each(|c| *c = 1);
+                    }
+                    1 => {
+                        rel.insert(t.clone());
+                        *bag.entry(t).or_default() += 1;
+                    }
+                    _ => {
+                        rel.remove(&t);
+                        bag.remove(&t);
+                    }
+                }
+            }
+            5 => {
+                let rows = vec![t.clone(), t2(b, a), t];
+                *bag = bag_of(&rows);
+                db.add(Relation::from_tuples("R", 2, rows));
+            }
+            6 => {
+                db.normalize();
+                bag.values_mut().for_each(|c| *c = 1);
+            }
+            7 => {
+                assert!(db.remove("R"));
+                model = None;
+            }
+            8 => kept = db.clone(),
+            _ => freeze(&mut db, &model),
+        }
+        assert_eq!(held_bag(&db, "R"), model, "step {step}");
+    }
+    freeze(&mut db, &model);
+    drop(kept);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `delete_from` answers what a multiset does, through every bulk
+    /// path that may invalidate its row index, and every generation
+    /// frozen from the database holds what the model holds.
+    #[test]
+    fn deletes_follow_a_bag_model_across_the_bulk_paths(
+        ops in proptest::collection::vec((0u8..10, 0i64..8, 0i64..8), 8..64),
+    ) {
+        let _g = guard();
+        run_bag_script(&ops);
     }
 }
 
