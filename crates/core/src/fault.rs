@@ -52,8 +52,8 @@ pub enum FaultAction {
     /// Panic at the site — exercises panic fences and poison
     /// recovery.
     Panic,
-    /// Sleep for the given duration — exercises deadlines, queue
-    /// backpressure, and retry backoff.
+    /// Sleep for the given duration — exercises deadlines and queue
+    /// backpressure.
     Delay(Duration),
     /// Return a typed spurious failure ([`InjectedFault`]) — exercises
     /// error propagation without unwinding.

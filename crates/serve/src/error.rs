@@ -68,7 +68,8 @@ pub enum ServeError {
     /// The pagination token failed to decode (see [`CursorError`]).
     BadCursor(CursorError),
     /// The token decoded but its sequence cannot be resumed (see
-    /// [`StaleReason`]).
+    /// [`StaleReason`]); [`Session::repair`](crate::Session::repair)
+    /// returns a cursor on the fresh sequence.
     CursorStale(StaleReason),
     /// The token names a request key this server never prepared (e.g.
     /// a token from a different server process).

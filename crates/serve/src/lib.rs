@@ -51,11 +51,12 @@
 //! recover from poisoning instead of propagating it
 //! ([`Server::stats`] counts the recoveries on the serving layer's own
 //! locks). Hostile build costs are
-//! contained by [`rda_core::BuildBudget`]; sustained overload is
-//! absorbed client-side by a [`RetryPolicy`] (decorrelated-jitter
-//! retry, stale-cursor repair, page-length degradation). Deterministic
-//! chaos schedules for all of it live
-//! in [`mod@fault`].
+//! contained by [`rda_core::BuildBudget`]. Every failure reaches the
+//! caller as a typed [`ServeError`], and the caller re-issues: one more
+//! call recovers from `Overloaded`, `DeadlineExceeded` or `Internal`,
+//! and [`Session::repair`] turns a stale cursor into one at the same
+//! rank of the fresh sequence. Deterministic chaos schedules for all
+//! of it live in [`mod@fault`].
 //!
 //! ```
 //! use rda_serve::{Server, ServerConfig};
@@ -95,11 +96,9 @@
 mod cursor;
 mod error;
 pub mod fault;
-mod retry;
 mod server;
 mod sync;
 
 pub use cursor::{Cursor, CursorError, Token};
 pub use error::{ServeError, StaleReason};
-pub use retry::RetryPolicy;
 pub use server::{PageOutcome, Prepared, Server, ServerConfig, Session, StatsSnapshot};

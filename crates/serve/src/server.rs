@@ -19,7 +19,6 @@ use rda_query::{Cq, FdSet};
 use crate::cursor::{Cursor, Token};
 use crate::error::{ServeError, StaleReason};
 use crate::fault;
-use crate::retry::{RetryPolicy, RetryState};
 use crate::sync;
 
 /// Tunables for a [`Server`].
@@ -169,7 +168,6 @@ impl Drop for Slot<'_> {
 }
 
 /// Which rows a page-shaped request asks for.
-#[derive(Clone, Copy)]
 enum Rows<'r> {
     /// `len` consecutive rows from rank `at` — `None` continues from
     /// the cursor's own next rank (the cursor still proves freshness
@@ -181,26 +179,12 @@ enum Rows<'r> {
     Batch(&'r [u64]),
 }
 
-impl Rows<'_> {
-    /// The request at the session's degradation level. Only a window
-    /// shrinks: a batch's ranks are explicit, so dropping some would
-    /// silently change the answer.
-    fn degraded(self, st: &RetryState) -> Self {
-        match self {
-            Rows::Window { at, len } => Rows::Window {
-                at,
-                len: st.effective_len(len),
-            },
-            batch => batch,
-        }
-    }
-}
-
 /// What [`Session::prepare`] returns: the opening cursor plus the
 /// plan's vitals.
 #[derive(Debug, Clone)]
 pub struct Prepared {
-    /// Opaque cursor at rank 0 of the prepared sequence.
+    /// Opaque cursor at rank 0 of the prepared sequence (at the stale
+    /// cursor's rank, from [`Session::repair`]).
     pub token: Token,
     /// Total number of ranked answers.
     pub len: u64,
@@ -224,11 +208,6 @@ pub struct PageOutcome {
     /// resumed cleanly on the current one (all plan dependencies
     /// unchanged).
     pub resumed: bool,
-    /// Whether a stale cursor was repaired under the session's
-    /// [`RetryPolicy`]: the query was re-prepared and the page served
-    /// from the *fresh* sequence at the requested rank (ranks may
-    /// shift when the data changed — that is what repair means).
-    pub repaired: bool,
 }
 
 /// The in-process serving front door.
@@ -237,7 +216,7 @@ pub struct PageOutcome {
 /// [`Engine`]. Clients talk to it through cheap per-client
 /// [`Session`]s; every call executes on the calling thread once it
 /// holds one of `workers` execution slots, so a spike of clients
-/// degrades into waiting and then into typed
+/// turns into waiting and then into typed
 /// [`ServeError::Overloaded`] rejections — never into unbounded
 /// memory growth.
 ///
@@ -288,7 +267,6 @@ impl Server {
             server: self,
             buf: WindowBuf::new(),
             deadline: self.default_deadline,
-            retry: None,
             pins: HashMap::new(),
         }
     }
@@ -388,10 +366,13 @@ impl Server {
         })
     }
 
+    /// Plan and register `spec`, pinning it with a cursor at
+    /// `next_rank`.
     fn prepare(
         &self,
         deadline: Duration,
         spec: &QuerySpec,
+        next_rank: u64,
         pins: &mut HashMap<String, Pin>,
     ) -> Result<Prepared, ServeError> {
         self.run(deadline, || {
@@ -404,6 +385,7 @@ impl Server {
                 .or_insert_with(|| Arc::new(spec.clone()));
             self.stats.prepares.fetch_add(1, Ordering::Relaxed);
             let pin = repin(pins, request_key, spec, &snap, &plan);
+            pin.cursor.next_rank = next_rank;
             Ok(Prepared {
                 token: pin.cursor.encode(),
                 len: plan.len(),
@@ -444,10 +426,7 @@ impl Server {
         fault::trip(fault::SITE_SERVE_PAGE).map_err(|f| ServeError::Internal {
             detail: f.to_string(),
         })?;
-        let cursor = Cursor::decode(token).map_err(|e| {
-            self.stats.bad_cursors.fetch_add(1, Ordering::Relaxed);
-            ServeError::BadCursor(e)
-        })?;
+        let cursor = self.decode(token)?;
         let uid = cursor.snapshot_uid;
         let warm = pins
             .get_mut(&cursor.request_key)
@@ -493,7 +472,14 @@ impl Server {
             next,
             generation: pin.cursor.generation,
             resumed,
-            repaired: false,
+        })
+    }
+
+    /// Decode `token`, counting a damaged one in `bad_cursors`.
+    fn decode(&self, token: &Token) -> Result<Cursor, ServeError> {
+        Cursor::decode(token).map_err(|e| {
+            self.stats.bad_cursors.fetch_add(1, Ordering::Relaxed);
+            ServeError::BadCursor(e)
         })
     }
 
@@ -553,7 +539,6 @@ pub struct Session<'a> {
     server: &'a Server,
     buf: WindowBuf,
     deadline: Duration,
-    retry: Option<RetryState>,
     pins: HashMap<String, Pin>,
 }
 
@@ -563,24 +548,9 @@ impl Session<'_> {
         self.deadline = deadline;
     }
 
-    /// Install a [`RetryPolicy`]: subsequent calls transparently retry
-    /// transient errors with decorrelated-jitter backoff, repair stale
-    /// cursors, and degrade page length under sustained overload.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = Some(RetryState::new(policy));
-    }
-
-    /// The session's current degradation level: page lengths are
-    /// halved this many times (0 = full pages; only ever non-zero
-    /// under a [`RetryPolicy`] with `degrade_after > 0`).
-    pub fn degrade_shift(&self) -> u32 {
-        self.retry.as_ref().map_or(0, |st| st.degrade_shift())
-    }
-
     /// Register and plan a (query, order, FDs, policy) request,
     /// returning the opening cursor. Memoized end to end: repeating an
-    /// equal request hits the engine's plan cache. Under a
-    /// [`RetryPolicy`], transient failures are absorbed here.
+    /// equal request hits the engine's plan cache.
     pub fn prepare(
         &mut self,
         q: &Cq,
@@ -594,24 +564,25 @@ impl Session<'_> {
             fds: fds.clone(),
             policy,
         };
-        let (server, deadline) = (self.server, self.deadline);
-        let Some(st) = &mut self.retry else {
-            return server.prepare(deadline, &spec, &mut self.pins);
-        };
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            match server.prepare(deadline, &spec, &mut self.pins) {
-                Ok(prepared) => {
-                    st.note_success();
-                    return Ok(prepared);
-                }
-                Err(e) if attempt < st.policy.max_attempts && st.policy.retryable(&e) => {
-                    st.back_off(&e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.server.prepare(self.deadline, &spec, 0, &mut self.pins)
+    }
+
+    /// Re-prepare the request `token` names on the engine's current
+    /// snapshot and return a cursor at the same rank of the fresh
+    /// sequence — what a caller does with a
+    /// [`ServeError::CursorStale`], since only the server still knows
+    /// the query behind a token. Ranks may shift when the data changed;
+    /// that is what repair means. A stream resumes from the returned
+    /// token; an explicit [`Session::page`] offset or
+    /// [`Session::page_batch`] ranks stand, because the caller passes
+    /// them again. Fails with [`ServeError::BadCursor`] for a damaged
+    /// token and [`ServeError::UnknownQuery`] for one this server never
+    /// prepared.
+    pub fn repair(&mut self, token: &Token) -> Result<Prepared, ServeError> {
+        let server = self.server;
+        let cursor = server.decode(token)?;
+        let spec = server.spec(&cursor.request_key)?;
+        server.prepare(self.deadline, &spec, cursor.next_rank, &mut self.pins)
     }
 
     /// Fetch the page of `len` rows starting at rank `offset`. The
@@ -641,71 +612,22 @@ impl Session<'_> {
     /// advances (see `DirectAccess::access_batch_into`), so scattered
     /// point lookups no longer pay the descent per row. The cursor is
     /// not advanced (a batch is random access, not streaming); at most
-    /// `max_page_rows` ranks are served per call. Under a
-    /// [`RetryPolicy`], transient errors retry with backoff and stale
-    /// cursors are repaired — but page-length degradation does not
-    /// apply: the ranks are explicit, so dropping some would silently
-    /// change the answer.
+    /// `max_page_rows` ranks are served per call.
     pub fn page_batch(&mut self, token: &Token, ranks: &[u64]) -> Result<PageOutcome, ServeError> {
         self.serve(token, Rows::Batch(ranks))
     }
 
-    /// Every page-shaped request, and under a [`RetryPolicy`] its retry
-    /// loop: backoff-resubmit on transient errors, degrade a window's
-    /// length under sustained overload, repair stale cursors.
-    fn serve(&mut self, token: &Token, mut what: Rows<'_>) -> Result<PageOutcome, ServeError> {
-        let (server, deadline) = (self.server, self.deadline);
-        let Some(st) = &mut self.retry else {
-            return server.rows(deadline, token, what, &mut self.buf, &mut self.pins);
-        };
-        // The opening token of the re-prepared sequence, once a stale
-        // cursor has been repaired.
-        let mut fresh: Option<Token> = None;
-        let mut attempt = 0;
-        loop {
-            attempt += 1;
-            let token = fresh.as_ref().unwrap_or(token);
-            let asked = what.degraded(st);
-            let e = match server.rows(deadline, token, asked, &mut self.buf, &mut self.pins) {
-                Ok(mut out) => {
-                    st.note_success();
-                    out.repaired = fresh.is_some();
-                    return Ok(out);
-                }
-                Err(e) if attempt >= st.policy.max_attempts => return Err(e),
-                Err(ServeError::CursorStale(reason)) if st.policy.repair_stale => {
-                    // Repair: the sequence this cursor indexed is gone,
-                    // but the server still knows the query. Re-prepare
-                    // (fresh sequence, fresh token) and ask again for
-                    // the rows the caller wanted — a stream resumes at
-                    // the stale cursor's rank, explicit ranks stand
-                    // (ranks may shift when the data changed — that is
-                    // what repair means).
-                    let resolved = Cursor::decode(token).map(|c| (server.spec(&c.request_key), c));
-                    let Ok((Ok(spec), cursor)) = resolved else {
-                        return Err(ServeError::CursorStale(reason));
-                    };
-                    match server.prepare(deadline, &spec, &mut self.pins) {
-                        Ok(prepared) => {
-                            if let Rows::Window { at, .. } = &mut what {
-                                at.get_or_insert(cursor.next_rank);
-                            }
-                            fresh = Some(prepared.token);
-                            continue;
-                        }
-                        Err(e) => e,
-                    }
-                }
-                Err(e) => e,
-            };
-            if !st.policy.retryable(&e) {
-                return Err(e);
-            }
-            st.back_off(&e);
-        }
+    /// Every page-shaped request.
+    fn serve(&mut self, token: &Token, what: Rows<'_>) -> Result<PageOutcome, ServeError> {
+        let (buf, pins) = (&mut self.buf, &mut self.pins);
+        self.server.rows(self.deadline, token, what, buf, pins)
     }
 
-    /// The rows of the most recent successful page, in rank order.
+    /// The rows of the most recent successful page, in rank order —
+    /// unless the last page failed with [`ServeError::Internal`]: a
+    /// panic may have cut a refill short, so that failure leaves the
+    /// buffer empty. Every other error leaves the last successful
+    /// page in place.
     pub fn rows(&self) -> &WindowBuf {
         &self.buf
     }

@@ -14,7 +14,7 @@ use rda_db::{Database, Snapshot, Tuple, Value};
 use rda_query::parser::parse;
 use rda_query::{Cq, FdSet};
 use rda_serve::fault::{self, FaultAction, FaultPlan};
-use rda_serve::{RetryPolicy, ServeError, Server, ServerConfig, Token};
+use rda_serve::{ServeError, Server, ServerConfig, Token};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -273,53 +273,10 @@ fn no_way_out_of_a_request_leaks_its_slot() {
     assert_eq!(stats.overloaded, 0, "one request at a time never sheds");
 }
 
-/// A session-level `RetryPolicy` absorbs a whole scheduled failure
-/// burst transparently: two prepare panics and two page panics in a
-/// row, yet every client-visible call succeeds on the first try.
-#[test]
-fn retry_policy_absorbs_scheduled_panic_bursts() {
-    let _s = serial();
-    quiet_injected_panics();
-    let db = chaos_db(36);
-    let snap = db.freeze();
-    let jq = join_q();
-    let lex_oracle = oracle(&snap, &jq, OrderSpec::lex(&jq, &["x", "y", "z"]));
-
-    let engine = Arc::new(Engine::new(Arc::clone(&snap)));
-    let server = Server::new(Arc::clone(&engine), ServerConfig::default());
-    let mut session = server.session();
-    session.set_retry_policy(RetryPolicy::default()); // 4 attempts
-
-    let _g = fault::install(
-        FaultPlan::new()
-            .inject(fault::SITE_ENGINE_PREPARE, 0, FaultAction::Panic)
-            .inject(fault::SITE_ENGINE_PREPARE, 1, FaultAction::Panic)
-            .inject(fault::SITE_SERVE_PAGE, 0, FaultAction::Panic)
-            .inject(fault::SITE_SERVE_PAGE, 1, FaultAction::Panic),
-    );
-
-    let prepared = session
-        .prepare(
-            &jq,
-            OrderSpec::lex(&jq, &["x", "y", "z"]),
-            &FdSet::empty(),
-            Policy::Reject,
-        )
-        .expect("two panics absorbed within four attempts");
-    assert_eq!(fault::hits(fault::SITE_ENGINE_PREPARE), 3);
-
-    let page = session
-        .page(&prepared.token, 0, prepared.len)
-        .expect("two page panics absorbed within four attempts");
-    assert!(!page.repaired);
-    assert_eq!(session.rows().to_tuples(), lex_oracle);
-    assert_eq!(server.stats().panics_caught, 4);
-}
-
 /// Stale repair: when a write dirties the scanned relation mid-
-/// pagination, a retrying session re-prepares under the covers and
-/// resumes at the same rank of the FRESH sequence, flagging the page
-/// as `repaired` — differentially checked against a fresh oracle.
+/// pagination, the next page fails typed, and `Session::repair`
+/// re-prepares the registered query at the same rank of the FRESH
+/// sequence — differentially checked against a fresh oracle.
 #[test]
 fn retry_policy_repairs_stale_cursors_on_the_fresh_sequence() {
     let _s = serial();
@@ -331,7 +288,6 @@ fn retry_policy_repairs_stale_cursors_on_the_fresh_sequence() {
     let server = Server::new(Arc::clone(&engine), ServerConfig::default());
 
     let mut session = server.session();
-    session.set_retry_policy(RetryPolicy::default());
     let prepared = session
         .prepare(
             &sq,
@@ -348,39 +304,57 @@ fn retry_policy_repairs_stale_cursors_on_the_fresh_sequence() {
     let snap1 = engine.advance_delta(&mut db);
     let fresh_oracle = oracle(&snap1, &sq, OrderSpec::lex(&sq, &["a", "b"]));
 
-    let page = session
-        .stream_next(&token, 5)
-        .expect("stale cursor repaired transparently");
-    assert!(page.repaired, "the outcome must disclose the repair");
+    match session.stream_next(&token, 5) {
+        Err(ServeError::CursorStale(_)) => {}
+        other => panic!("expected CursorStale, got {other:?}"),
+    }
+    let repaired = session.repair(&token).expect("stale cursor repairs");
+    assert_eq!(repaired.generation, 1);
+    let page = session.stream_next(&repaired.token, 5).unwrap();
     assert_eq!(page.generation, 1);
     // Resumed at rank 3 — of the fresh sequence.
     assert_eq!(session.rows().to_tuples(), fresh_oracle[3..8]);
-
-    // Without a retry policy the same staleness surfaces typed.
-    let mut bare = server.session();
-    match bare.stream_next(&token, 5) {
-        Err(ServeError::CursorStale(_)) => {}
-        other => panic!("expected CursorStale without repair, got {other:?}"),
-    }
 }
 
-/// The fault storm: three retrying clients page zipfian-popular
-/// requests while a seeded [`FaultPlan`] panics both build kernels, the
-/// prepare entry and in-flight pages, and writes alternately dirty the
-/// join input `S` (live join cursors go stale and are repaired) and
-/// `T`, which no request reads. Every fault must be absorbed: every
-/// client finishes, no error surfaces, and afterwards every request's
-/// served sequence equals a fresh single-threaded oracle on the final
-/// snapshot.
+/// A client's own retry loop: call `ask` again while it fails with an
+/// error that one more call can recover from, `attempts` calls at most.
+fn reissue<T>(
+    attempts: u32,
+    mut ask: impl FnMut() -> Result<T, ServeError>,
+) -> Result<T, ServeError> {
+    let mut result = ask();
+    for _ in 1..attempts {
+        match result {
+            Err(
+                ServeError::Overloaded { .. }
+                | ServeError::DeadlineExceeded
+                | ServeError::Internal { .. }
+                | ServeError::CursorStale(_),
+            ) => result = ask(),
+            _ => break,
+        }
+    }
+    result
+}
+
+/// The fault storm: three clients, each re-issuing its own calls
+/// ([`reissue`]), page zipfian-popular requests while a seeded
+/// [`FaultPlan`] panics both build kernels, the prepare entry and
+/// in-flight pages, and writes alternately dirty the join input `S`
+/// (live join cursors go stale and are repaired with
+/// `Session::repair`) and `T`, which no request reads. Every injected
+/// error must be retryable: every client finishes, no error surfaces,
+/// and afterwards every request's served sequence equals a fresh
+/// single-threaded oracle on the final snapshot.
 ///
 /// The writer is paced by client progress, not by a clock: whichever
 /// client completes the storm's every `PAGES_PER_BATCH`-th page lands
 /// the next batch while the other two keep paging, `BATCHES` in all.
 /// So no interleaving can exhaust a call's retries — an attempt fails
 /// only when a scheduled fault fires (each at most once, process-wide)
-/// or when the cursor went stale since the call's last prepare (at
-/// most once per batch), and `max_attempts` is one more than scheduled
-/// faults + `BATCHES`. Admission cannot shed: three clients, two
+/// or when the cursor went stale since the call's last prepare or
+/// repair (at most once per batch), and `max_attempts` is one more than
+/// scheduled faults + `BATCHES`. Admission cannot shed: three clients, two
 /// slots, a queue of 64.
 #[test]
 fn fault_storm_is_absorbed_by_retrying_clients() {
@@ -458,25 +432,29 @@ fn fault_storm_is_absorbed_by_retrying_clients() {
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(0xC4A0 + c as u64);
                 let mut session = server.session();
-                session.set_retry_policy(RetryPolicy {
-                    max_attempts,
-                    base_backoff: Duration::from_micros(200),
-                    max_backoff: Duration::from_millis(5),
-                    seed: 0xBEEF ^ c as u64,
-                    ..RetryPolicy::default()
-                });
                 let mut cursors: Vec<Option<Token>> = vec![None; specs.len()];
                 for _ in 0..PAGES_PER_CLIENT {
                     let i = zipf(&mut rng);
                     let (q, order) = &specs[i];
                     let token = match cursors[i].take() {
                         Some(token) => Ok(token),
-                        None => session
-                            .prepare(q, order.clone(), &FdSet::empty(), Policy::Reject)
-                            .map(|prepared| prepared.token),
+                        None => reissue(max_attempts, || {
+                            let prepared =
+                                session.prepare(q, order.clone(), &FdSet::empty(), Policy::Reject);
+                            prepared.map(|prepared| prepared.token)
+                        }),
                     };
                     let len = rng.random_range(8..64u64);
-                    match token.and_then(|token| session.stream_next(&token, len)) {
+                    let page = token.and_then(|mut token| {
+                        reissue(max_attempts, || match session.stream_next(&token, len) {
+                            Err(stale @ ServeError::CursorStale(_)) => {
+                                token = session.repair(&token)?.token;
+                                Err(stale)
+                            }
+                            page => page,
+                        })
+                    });
+                    match page {
                         Ok(page) => cursors[i] = page.next,
                         Err(e) => unrecovered.lock().unwrap().push(e),
                     }
@@ -507,7 +485,7 @@ fn fault_storm_is_absorbed_by_retrying_clients() {
     assert_eq!(
         unrecovered.into_inner().unwrap(),
         vec![],
-        "retry policies must absorb the whole schedule"
+        "the clients' retries must absorb the whole schedule"
     );
     assert!(server.stats().panics_caught > 0, "the storm never fired");
 

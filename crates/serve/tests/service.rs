@@ -10,7 +10,7 @@ use rda_core::{DirectAccess, Engine, OrderSpec, Policy};
 use rda_db::{Database, Snapshot, Tuple, Value};
 use rda_query::parser::parse;
 use rda_query::{Cq, FdSet};
-use rda_serve::{RetryPolicy, ServeError, Server, ServerConfig, StaleReason, Token};
+use rda_serve::{ServeError, Server, ServerConfig, StaleReason, Token};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
@@ -344,37 +344,6 @@ fn full_admission_queue_rejects_with_typed_overloaded() {
     });
 }
 
-/// Degradation end to end: a session with `degrade_after: 1` that
-/// meets the same saturated server exhausts its retries on typed
-/// `Overloaded` replies and digs one halving per rejection; once the
-/// pressure lifts it is served a shortened page (`32 >> shift` rows)
-/// instead of failing.
-#[test]
-fn degrading_session_is_served_a_shorter_page() {
-    saturated(|server, token, release| {
-        let mut degrading = server.session();
-        degrading.set_retry_policy(RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_micros(100),
-            max_backoff: Duration::from_millis(1),
-            degrade_after: 1,
-            ..RetryPolicy::default()
-        });
-        assert_eq!(
-            degrading.page(token, 0, 32).unwrap_err(),
-            ServeError::Overloaded { queue_limit: QUEUE }
-        );
-        let shift = degrading.degrade_shift();
-        assert!(shift > 0, "sustained overload must degrade");
-
-        // Asking while the parked fillers still fill the queue would be
-        // one more overload and one more halving.
-        release();
-        let page = degrading.page(token, 0, 32).unwrap();
-        assert_eq!(page.rows, 32 >> shift);
-    });
-}
-
 /// A request whose deadline has already passed when a worker picks it
 /// up is dropped with a typed error — and the session (buffer and
 /// all) stays usable.
@@ -598,7 +567,8 @@ fn stale_cursor_is_refused_without_building_a_plan() {
 }
 
 /// Tokens are server-scoped: a different server over the same engine
-/// never prepared the request, so the cursor names an unknown query.
+/// never prepared the request, so the cursor names an unknown query —
+/// to a page and to a repair alike.
 #[test]
 fn foreign_server_rejects_unknown_request_key() {
     let db = service_db(30);
@@ -615,14 +585,20 @@ fn foreign_server_rejects_unknown_request_key() {
             Policy::Reject,
         )
         .unwrap();
-    match server_b.session().stream_next(&prepared.token, 2) {
+    let mut session_b = server_b.session();
+    match session_b.stream_next(&prepared.token, 2) {
         Err(ServeError::UnknownQuery { .. }) => {}
         other => panic!("expected UnknownQuery, got {other:?}"),
+    }
+    match session_b.repair(&prepared.token) {
+        Err(ServeError::UnknownQuery { .. }) => {}
+        other => panic!("expected UnknownQuery from repair, got {other:?}"),
     }
 }
 
 /// Garbage bytes at the service boundary come back as a typed
-/// `BadCursor` — the worker, the session, and its buffer all survive.
+/// `BadCursor` — from a page and from a repair — and the worker, the
+/// session, and its buffer all survive.
 #[test]
 fn garbage_tokens_fail_typed_and_leave_the_session_usable() {
     let db = service_db(30);
@@ -644,8 +620,12 @@ fn garbage_tokens_fail_typed_and_leave_the_session_usable() {
             Err(ServeError::BadCursor(_)) => {}
             other => panic!("expected BadCursor for {garbage:?}, got {other:?}"),
         }
+        match session.repair(&Token::from_bytes(garbage)) {
+            Err(ServeError::BadCursor(_)) => {}
+            other => panic!("expected BadCursor from repair of {garbage:?}, got {other:?}"),
+        }
     }
-    assert_eq!(server.stats().bad_cursors, 3);
+    assert_eq!(server.stats().bad_cursors, 6);
     let page = session.stream_next(&prepared.token, 2).unwrap();
     assert_eq!(page.rows, 2);
 }
@@ -721,8 +701,9 @@ fn page_batch_clamps_rank_count_to_max_page_rows() {
     assert_eq!(session.rows().len(), 4);
 }
 
-/// Stale-cursor policy through the batch path: typed failure without
-/// a retry policy, transparent repair with one.
+/// Stale-cursor policy through the batch path: a typed failure, then
+/// `Session::repair` gives a token on the fresh sequence, where the
+/// same ranks serve the fresh answers.
 #[test]
 fn page_batch_stale_cursor_fails_typed_and_repairs_under_retry() {
     let mut db = service_db(40);
@@ -730,19 +711,15 @@ fn page_batch_stale_cursor_fails_typed_and_repairs_under_retry() {
     db.clear_mutation_log();
     let server = Server::with_defaults(Arc::clone(&engine));
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let order = OrderSpec::lex(&q, &["x", "y", "z"]);
     let mut session = server.session();
     let prepared = session
-        .prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "y", "z"]),
-            &FdSet::empty(),
-            Policy::Reject,
-        )
+        .prepare(&q, order.clone(), &FdSet::empty(), Policy::Reject)
         .unwrap();
 
     // Dirty a dependency: the sequence the cursor indexes is gone.
     db.insert_into("R", tup(2, 2));
-    engine.advance_delta(&mut db);
+    let fresh = oracle(&engine.advance_delta(&mut db), &q, order);
     match session.page_batch(&prepared.token, &[0, 1]) {
         Err(ServeError::CursorStale(StaleReason::DirtyDependency { relation, .. })) => {
             assert_eq!(relation, "R");
@@ -750,11 +727,11 @@ fn page_batch_stale_cursor_fails_typed_and_repairs_under_retry() {
         other => panic!("expected DirtyDependency, got {other:?}"),
     }
 
-    // With repair: re-prepare under the hood and serve the same ranks
-    // from the fresh sequence.
-    session.set_retry_policy(rda_serve::RetryPolicy::default());
-    let out = session.page_batch(&prepared.token, &[0, 1]).unwrap();
-    assert!(out.repaired, "stale batch must repair under the policy");
+    // Repair, then ask again: the explicit ranks stand, served from
+    // the fresh sequence.
+    let repaired = session.repair(&prepared.token).unwrap();
+    let out = session.page_batch(&repaired.token, &[0, 1]).unwrap();
     assert_eq!(out.rows, 2);
     assert_eq!(out.generation, 1);
+    assert_eq!(session.rows().to_tuples(), fresh[..2]);
 }
