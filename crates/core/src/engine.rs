@@ -66,6 +66,7 @@ use rda_query::{is_acyclic, Cq, FdSet, VarId};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// The order a prepared plan ranks answers by.
@@ -403,6 +404,9 @@ impl PlanCache {
 /// thing.
 pub struct Engine {
     snapshot: RwLock<Arc<Snapshot>>,
+    /// The served snapshot's uid, stored under `snapshot`'s write lock
+    /// and read without it ([`Engine::snapshot_uid`]).
+    snapshot_uid: AtomicU64,
     cache: Mutex<PlanCache>,
     build_budget: RwLock<BuildBudget>,
 }
@@ -442,6 +446,7 @@ impl Engine {
     /// disables memoization (every `prepare` builds afresh).
     pub fn with_plan_cache_capacity(snapshot: Arc<Snapshot>, capacity: usize) -> Self {
         Engine {
+            snapshot_uid: AtomicU64::new(snapshot.uid()),
             snapshot: RwLock::new(snapshot),
             cache: Mutex::new(PlanCache {
                 map: HashMap::new(),
@@ -491,6 +496,13 @@ impl Engine {
         Arc::clone(&guard)
     }
 
+    /// The uid of the snapshot this engine currently serves, read
+    /// without taking a lock or cloning the snapshot: what a caller
+    /// holding a uid needs to tell whether it is still current.
+    pub fn snapshot_uid(&self) -> u64 {
+        self.snapshot_uid.load(Ordering::Acquire)
+    }
+
     /// The generation of the currently served snapshot.
     pub fn generation(&self) -> u64 {
         self.snapshot().generation()
@@ -538,6 +550,7 @@ impl Engine {
                 }
             }
         }
+        self.snapshot_uid.store(snapshot.uid(), Ordering::Release);
         *slot = snapshot;
         carried
     }
@@ -1473,6 +1486,29 @@ mod tests {
         // Advancing to the snapshot already served is a no-op.
         assert_eq!(engine.advance(next), 0);
         assert_eq!(engine.plan_cache_len(), 2);
+    }
+
+    #[test]
+    fn snapshot_uid_tracks_the_served_snapshot() {
+        let mut db = Database::new().with_i64_rows("R", 2, vec![vec![1, 2]]);
+        let engine = Engine::new(db.clone().freeze());
+        db.clear_mutation_log();
+        assert_eq!(engine.snapshot_uid(), engine.snapshot().uid());
+
+        let dir = std::env::temp_dir().join(format!("rda-engine-uid-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        drop(SnapshotStore::create(&dir, &engine.snapshot()).unwrap());
+        let opened = Engine::open(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(opened.snapshot_uid(), opened.snapshot().uid());
+        assert_eq!(opened.snapshot_uid(), engine.snapshot_uid());
+
+        db.insert_into("R", tup![3, 4]);
+        let next = engine.advance_delta(&mut db);
+        assert_eq!(engine.snapshot_uid(), next.uid());
+        assert_eq!(engine.snapshot_uid(), engine.snapshot().uid());
+        assert_eq!(engine.advance(next), 0, "a no-op advance");
+        assert_eq!(engine.snapshot_uid(), engine.snapshot().uid());
     }
 
     #[test]

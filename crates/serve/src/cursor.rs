@@ -13,16 +13,35 @@
 //! bit-flips, wrong version, trailing garbage, non-UTF-8 keys) maps to
 //! a typed [`CursorError`].
 //!
-//! ## Wire format (version 1, little-endian)
+//! ## Wire format (version 2, little-endian)
 //!
 //! ```text
-//! u8  version (= 1)
+//! u8  version (= 2)
 //! u64 snapshot uid          u64 generation          u64 next rank
 //! u32 key length, then that many bytes of canonical request key
 //! u32 dependency count, then per dependency:
 //!     u32 name length, name bytes, u64 relation content version
-//! u64 FNV-1a checksum over every preceding byte
+//! u64 checksum over every preceding byte
 //! ```
+//!
+//! The checksum reads the bytes before it as little-endian u64 words,
+//! the last one zero-padded, and then the byte length as one more word:
+//!
+//! ```text
+//! h = 0xcbf2_9ce4_8422_2325
+//! for each word w:  h = (h ^ w) * 0x9e37_79b9_7f4a_7c15;  h ^= h >> 29
+//! checksum = fmix64(h)        (MurmurHash3's 64-bit finalizer)
+//! ```
+//!
+//! Every step is a bijection of `h` (xor, an odd multiply, an
+//! xor-shift), so two payloads that differ in one word never meet
+//! again; the shift carries the multiply's high bits down, so a flip of
+//! bit 63 — which an odd multiply leaves alone in bit 63 — spreads, and
+//! a second flip of the same bit in a later word does not cancel it by
+//! construction, as it does when a step is a bare multiply. The
+//! length word keeps a zero-padded tail apart from real zero bytes.
+//! Version-1 tokens (a byte-wise FNV-1a checksum) are refused as
+//! [`CursorError::UnsupportedVersion`]; there is no converter.
 //!
 //! The checksum is an integrity check against corruption and casual
 //! tampering, not an authentication mechanism: tokens carry no secret,
@@ -30,7 +49,7 @@
 //! could have prepared anyway.
 
 /// Current token wire-format version (the first byte of every token).
-pub(crate) const TOKEN_VERSION: u8 = 1;
+pub(crate) const TOKEN_VERSION: u8 = 2;
 
 /// Hard cap on accepted token size. Honest tokens are small (the
 /// canonical key plus a few dependency entries); anything larger is
@@ -40,8 +59,8 @@ pub(crate) const MAX_TOKEN_LEN: usize = 1 << 16;
 
 /// An opaque pagination token handed to clients.
 ///
-/// Clients hold it, copy it, and send it back; only
-/// [`Cursor::decode`] looks inside. `Debug` prints a length and a
+/// Clients hold it, copy it, and send it back; only the server and
+/// [`Cursor::decode`] look inside. `Debug` prints a length and a
 /// checksum-style prefix rather than the raw bytes, to keep logs from
 /// becoming an accidental wire-format contract.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -143,16 +162,35 @@ pub struct Cursor {
     pub deps: Vec<(String, u64)>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Bytes of a token with an empty key and no dependencies: the
+/// version, the three fixed u64s, the key length, the dependency count
+/// and the checksum.
+const FIXED_LEN: usize = 1 + 24 + 4 + 4 + 8;
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+/// The token checksum (see the module doc): one bijective mixing step
+/// per little-endian word, the tail zero-padded, the length folded in
+/// as a last word, then a final avalanche.
+fn checksum(bytes: &[u8]) -> u64 {
+    fn step(h: u64, w: u64) -> u64 {
+        let h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 29)
     }
-    h
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().unwrap()));
+    }
+    let rem = words.remainder();
+    if !rem.is_empty() {
+        let mut tail = [0u8; 8];
+        tail[..rem.len()].copy_from_slice(rem);
+        h = step(h, u64::from_le_bytes(tail));
+    }
+    h = step(h, bytes.len() as u64);
+    // MurmurHash3's fmix64.
+    h = (h ^ (h >> 33)).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h = (h ^ (h >> 33)).wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// A bounds-checked little-endian reader over a token payload.
@@ -180,18 +218,120 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn string(&mut self) -> Result<String, CursorError> {
+    fn str(&mut self) -> Result<&'a str, CursorError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CursorError::MalformedUtf8)
+        std::str::from_utf8(bytes).map_err(|_| CursorError::MalformedUtf8)
+    }
+}
+
+/// A verified token read in place: a [`Cursor`] whose strings borrow
+/// the token's bytes. The server reads tokens only through views, so a
+/// page allocates nothing to read its cursor; [`Cursor::decode`] is a
+/// view made owned.
+pub(crate) struct CursorView<'a> {
+    pub(crate) request_key: &'a str,
+    pub(crate) snapshot_uid: u64,
+    pub(crate) generation: u64,
+    pub(crate) next_rank: u64,
+    /// The dependency entries, after their count; checked by `parse`.
+    deps: &'a [u8],
+}
+
+impl<'a> CursorView<'a> {
+    /// Parse and verify a wire token. Rejects — never panics on — any
+    /// malformed input. The checks run in this order: size cap,
+    /// minimum length, version, checksum, then the fields in wire
+    /// order (truncation, UTF-8, a forged dependency count), then
+    /// trailing bytes.
+    pub(crate) fn parse(bytes: &'a [u8]) -> Result<Self, CursorError> {
+        if bytes.len() > MAX_TOKEN_LEN {
+            return Err(CursorError::Oversized(bytes.len()));
+        }
+        if bytes.len() < FIXED_LEN {
+            return Err(CursorError::Truncated {
+                needed: FIXED_LEN,
+                have: bytes.len(),
+            });
+        }
+        if bytes[0] != TOKEN_VERSION {
+            return Err(CursorError::UnsupportedVersion(bytes[0]));
+        }
+        // Verify integrity before trusting any length prefix.
+        let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
+        let claimed = u64::from_le_bytes(sum_bytes.try_into().unwrap());
+        if checksum(payload) != claimed {
+            return Err(CursorError::ChecksumMismatch);
+        }
+        let mut r = Reader {
+            buf: payload,
+            pos: 1,
+        };
+        let snapshot_uid = r.u64()?;
+        let generation = r.u64()?;
+        let next_rank = r.u64()?;
+        let request_key = r.str()?;
+        let dep_count = r.u32()? as usize;
+        // Each dependency costs at least 12 bytes on the wire; a count
+        // claiming more than the remaining bytes allow is truncation.
+        let remaining = payload.len() - r.pos;
+        if dep_count.saturating_mul(12) > remaining {
+            return Err(CursorError::Truncated {
+                needed: dep_count * 12,
+                have: remaining,
+            });
+        }
+        let deps = &payload[r.pos..];
+        for _ in 0..dep_count {
+            r.str()?;
+            r.u64()?;
+        }
+        if r.pos != payload.len() {
+            return Err(CursorError::TrailingBytes(payload.len() - r.pos));
+        }
+        Ok(CursorView {
+            request_key,
+            snapshot_uid,
+            generation,
+            next_rank,
+            deps,
+        })
+    }
+
+    /// The (relation name, content version) dependencies, in token
+    /// order.
+    pub(crate) fn deps(&self) -> impl Iterator<Item = (&'a str, u64)> {
+        let mut r = Reader {
+            buf: self.deps,
+            pos: 0,
+        };
+        // `parse` walked these entries, so no read below fails.
+        std::iter::from_fn(move || {
+            if r.pos == r.buf.len() {
+                return None;
+            }
+            Some((r.str().ok()?, r.u64().ok()?))
+        })
+    }
+
+    /// The owned cursor this view reads.
+    fn into_cursor(self) -> Cursor {
+        Cursor {
+            request_key: self.request_key.to_owned(),
+            snapshot_uid: self.snapshot_uid,
+            generation: self.generation,
+            next_rank: self.next_rank,
+            deps: self.deps().map(|(name, v)| (name.to_owned(), v)).collect(),
+        }
     }
 }
 
 impl Cursor {
     /// Serialize into an opaque wire token (version byte, payload,
-    /// FNV-1a checksum).
+    /// checksum), allocated once at its exact size.
     pub fn encode(&self) -> Token {
-        let mut out = Vec::with_capacity(64 + self.request_key.len());
+        let deps_len: usize = self.deps.iter().map(|(name, _)| 12 + name.len()).sum();
+        let mut out = Vec::with_capacity(FIXED_LEN + self.request_key.len() + deps_len);
         out.push(TOKEN_VERSION);
         out.extend_from_slice(&self.snapshot_uid.to_le_bytes());
         out.extend_from_slice(&self.generation.to_le_bytes());
@@ -202,7 +342,7 @@ impl Cursor {
             push_str(&mut out, name);
             out.extend_from_slice(&version.to_le_bytes());
         }
-        let sum = fnv1a(&out);
+        let sum = checksum(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         Token(out)
     }
@@ -216,60 +356,7 @@ impl Cursor {
 
     /// [`Cursor::decode`] over raw bytes.
     pub fn decode_bytes(bytes: &[u8]) -> Result<Cursor, CursorError> {
-        if bytes.len() > MAX_TOKEN_LEN {
-            return Err(CursorError::Oversized(bytes.len()));
-        }
-        // Version + the three fixed u64s + empty key + empty deps + checksum.
-        const MIN: usize = 1 + 24 + 4 + 4 + 8;
-        if bytes.len() < MIN {
-            return Err(CursorError::Truncated {
-                needed: MIN,
-                have: bytes.len(),
-            });
-        }
-        if bytes[0] != TOKEN_VERSION {
-            return Err(CursorError::UnsupportedVersion(bytes[0]));
-        }
-        // Verify integrity before trusting any length prefix.
-        let (payload, sum_bytes) = bytes.split_at(bytes.len() - 8);
-        let claimed = u64::from_le_bytes(sum_bytes.try_into().unwrap());
-        if fnv1a(payload) != claimed {
-            return Err(CursorError::ChecksumMismatch);
-        }
-        let mut r = Reader {
-            buf: payload,
-            pos: 1,
-        };
-        let snapshot_uid = r.u64()?;
-        let generation = r.u64()?;
-        let next_rank = r.u64()?;
-        let request_key = r.string()?;
-        let dep_count = r.u32()? as usize;
-        // Each dependency costs at least 12 bytes on the wire; a count
-        // claiming more than the remaining bytes allow is truncation.
-        let remaining = r.buf.len() - r.pos;
-        if dep_count.saturating_mul(12) > remaining {
-            return Err(CursorError::Truncated {
-                needed: dep_count * 12,
-                have: remaining,
-            });
-        }
-        let mut deps = Vec::with_capacity(dep_count);
-        for _ in 0..dep_count {
-            let name = r.string()?;
-            let version = r.u64()?;
-            deps.push((name, version));
-        }
-        if r.pos != payload.len() {
-            return Err(CursorError::TrailingBytes(payload.len() - r.pos));
-        }
-        Ok(Cursor {
-            request_key,
-            snapshot_uid,
-            generation,
-            next_rank,
-            deps,
-        })
+        CursorView::parse(bytes).map(CursorView::into_cursor)
     }
 }
 
@@ -369,11 +456,64 @@ mod tests {
         out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&0u32.to_le_bytes()); // empty key
         out.extend_from_slice(&u32::MAX.to_le_bytes()); // forged dep count
-        let sum = fnv1a(&out);
+        let sum = checksum(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         match Cursor::decode_bytes(&out) {
             Err(CursorError::Truncated { .. }) => {}
             other => panic!("expected Truncated, got {other:?}"),
+        }
+    }
+
+    /// Flip the same bit of two different words of a token, for every
+    /// bit and every pair of words (the checksum included): a step that
+    /// were a bare multiply would let two bit-63 flips cancel.
+    #[test]
+    fn paired_flips_at_one_bit_offset_are_rejected() {
+        let token = sample().encode();
+        let bits = 8 * token.as_bytes().len();
+        for first in 0..bits {
+            for second in (first + 64..bits).step_by(64) {
+                let mut bytes = token.as_bytes().to_vec();
+                for bit in [first, second] {
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+                let got = Cursor::decode_bytes(&bytes);
+                assert!(got.is_err(), "flips of bits {first} and {second}: {got:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn swapped_words_are_rejected() {
+        let token = sample().encode();
+        let words = token.as_bytes().len() / 8;
+        for i in 0..words {
+            for j in i + 1..words {
+                let mut bytes = token.as_bytes().to_vec();
+                let (head, tail) = bytes.split_at_mut(8 * j);
+                head[8 * i..8 * i + 8].swap_with_slice(&mut tail[..8]);
+                if bytes == token.as_bytes() {
+                    continue; // equal words: the swap changed nothing
+                }
+                let got = Cursor::decode_bytes(&bytes);
+                assert!(got.is_err(), "swap of words {i} and {j}: {got:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn appended_zero_bytes_are_rejected() {
+        let token = sample().encode();
+        let payload = &token.as_bytes()[..token.as_bytes().len() - 8];
+        for n in 1..=16 {
+            // The zero-padded tail word alone would not tell these
+            // apart; the length word does.
+            let mut longer = payload.to_vec();
+            longer.resize(payload.len() + n, 0);
+            assert_ne!(checksum(&longer), checksum(payload), "{n} zero bytes");
+            let mut bytes = token.as_bytes().to_vec();
+            bytes.resize(bytes.len() + n, 0);
+            assert!(Cursor::decode_bytes(&bytes).is_err(), "{n} zero bytes");
         }
     }
 }

@@ -16,7 +16,7 @@ use rda_core::{
 use rda_db::Snapshot;
 use rda_query::{Cq, FdSet};
 
-use crate::cursor::{Cursor, Token};
+use crate::cursor::{Cursor, CursorView, Token};
 use crate::error::{ServeError, StaleReason};
 use crate::fault;
 use crate::sync;
@@ -426,18 +426,18 @@ impl Server {
         fault::trip(fault::SITE_SERVE_PAGE).map_err(|f| ServeError::Internal {
             detail: f.to_string(),
         })?;
-        let cursor = self.decode(token)?;
+        let cursor = self.view(token)?;
         let uid = cursor.snapshot_uid;
         let warm = pins
-            .get_mut(&cursor.request_key)
-            .filter(|pin| pin.cursor.snapshot_uid == uid && self.engine.snapshot().uid() == uid)
+            .get_mut(cursor.request_key)
+            .filter(|pin| pin.cursor.snapshot_uid == uid && self.engine.snapshot_uid() == uid)
             .and_then(|pin| Some((pin.plan.upgrade()?, pin)));
         let (plan, pin, resumed) = match warm {
             Some((plan, pin)) => (plan, pin, false),
             None => {
-                let spec = self.spec(&cursor.request_key)?;
+                let spec = self.spec(cursor.request_key)?;
                 let (snap, plan, resumed) = self.pin_plan(&spec, &cursor)?;
-                let pin = repin(pins, cursor.request_key.clone(), &spec, &snap, &plan);
+                let pin = repin(pins, cursor.request_key.to_owned(), &spec, &snap, &plan);
                 (plan, pin, resumed)
             }
         };
@@ -475,9 +475,9 @@ impl Server {
         })
     }
 
-    /// Decode `token`, counting a damaged one in `bad_cursors`.
-    fn decode(&self, token: &Token) -> Result<Cursor, ServeError> {
-        Cursor::decode(token).map_err(|e| {
+    /// Read `token` in place, counting a damaged one in `bad_cursors`.
+    fn view<'t>(&self, token: &'t Token) -> Result<CursorView<'t>, ServeError> {
+        CursorView::parse(token.as_bytes()).map_err(|e| {
             self.stats.bad_cursors.fetch_add(1, Ordering::Relaxed);
             ServeError::BadCursor(e)
         })
@@ -505,7 +505,7 @@ impl Server {
     fn pin_plan(
         &self,
         spec: &QuerySpec,
-        cursor: &Cursor,
+        cursor: &CursorView<'_>,
     ) -> Result<(Arc<Snapshot>, Arc<AccessPlan>, bool), ServeError> {
         let pinned = validate_cursor(cursor, &self.engine.snapshot()).and_then(|_| {
             let (snap, plan) =
@@ -580,8 +580,8 @@ impl Session<'_> {
     /// prepared.
     pub fn repair(&mut self, token: &Token) -> Result<Prepared, ServeError> {
         let server = self.server;
-        let cursor = server.decode(token)?;
-        let spec = server.spec(&cursor.request_key)?;
+        let cursor = server.view(token)?;
+        let spec = server.spec(cursor.request_key)?;
         server.prepare(self.deadline, &spec, cursor.next_rank, &mut self.pins)
     }
 
@@ -664,7 +664,7 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 ///   ([`StaleReason::DirtyDependency`]);
 /// - not a descendant at all — no comparison is meaningful
 ///   ([`StaleReason::UnrelatedSnapshot`]).
-fn validate_cursor(cursor: &Cursor, snap: &Snapshot) -> Result<bool, ServeError> {
+fn validate_cursor(cursor: &CursorView<'_>, snap: &Snapshot) -> Result<bool, ServeError> {
     if snap.uid() == cursor.snapshot_uid {
         return Ok(false);
     }
@@ -673,12 +673,12 @@ fn validate_cursor(cursor: &Cursor, snap: &Snapshot) -> Result<bool, ServeError>
             cursor_uid: cursor.snapshot_uid,
         }));
     }
-    for (relation, cursor_version) in &cursor.deps {
+    for (relation, cursor_version) in cursor.deps() {
         let current = snap.relation_version(relation);
-        if current != Some(*cursor_version) {
+        if current != Some(cursor_version) {
             return Err(ServeError::CursorStale(StaleReason::DirtyDependency {
-                relation: relation.clone(),
-                cursor_version: *cursor_version,
+                relation: relation.to_owned(),
+                cursor_version,
                 current_version: current,
             }));
         }

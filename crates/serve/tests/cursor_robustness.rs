@@ -32,8 +32,8 @@ fn random_garbage_never_decodes() {
             .map(|_| rng.random_range(0..=255u64) as u8)
             .collect();
         // Must return a typed error — never panic, never succeed (a
-        // random string that passes the checksum would need an FNV-64
-        // collision).
+        // random string that passes the checksum would need a 64-bit
+        // checksum collision).
         assert!(Cursor::decode_bytes(&bytes).is_err());
     }
 }
@@ -134,6 +134,56 @@ fn server_survives_a_corrupted_token_storm() {
     // The untouched token still works.
     let page = session.stream_next(&prepared.token, 3).unwrap();
     assert_eq!(page.rows, 3);
+}
+
+/// A token in wire format 1: the same fields, sealed with a byte-wise
+/// FNV-1a checksum.
+fn version_1_token(c: &Cursor) -> Vec<u8> {
+    fn push_str(out: &mut Vec<u8>, s: &str) {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    }
+    let mut out = vec![1u8];
+    for field in [c.snapshot_uid, c.generation, c.next_rank] {
+        out.extend_from_slice(&field.to_le_bytes());
+    }
+    push_str(&mut out, &c.request_key);
+    out.extend_from_slice(&(c.deps.len() as u32).to_le_bytes());
+    for (name, version) in &c.deps {
+        push_str(&mut out, name);
+        out.extend_from_slice(&version.to_le_bytes());
+    }
+    let sum = out.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    out.extend_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// Tokens minted by an older build fail typed, with no converter, and
+/// the session that received one keeps serving.
+#[test]
+fn version_1_tokens_are_refused_typed() {
+    use rda_serve::CursorError::UnsupportedVersion;
+    let old = version_1_token(&sample_cursor());
+    assert_eq!(Cursor::decode_bytes(&old), Err(UnsupportedVersion(1)));
+
+    let db = Database::new().with_i64_rows("R", 2, (0..20i64).map(|i| vec![i % 3, i]));
+    let server = Server::with_defaults(Arc::new(Engine::new(db.freeze())));
+    let q = parse("Q(x, y) :- R(x, y)").unwrap();
+    let mut session = server.session();
+    let order = OrderSpec::lex(&q, &["x", "y"]);
+    let prepared = session
+        .prepare(&q, order, &FdSet::empty(), Policy::Reject)
+        .unwrap();
+    let live = Cursor::decode(&prepared.token).unwrap();
+    let old = Token::from_bytes(version_1_token(&live));
+    match session.stream_next(&old, 3) {
+        Err(ServeError::BadCursor(UnsupportedVersion(1))) => {}
+        other => panic!("a version-1 token: expected BadCursor, got {other:?}"),
+    }
+    assert_eq!(server.stats().bad_cursors, 1);
+    assert_eq!(session.stream_next(&prepared.token, 3).unwrap().rows, 3);
 }
 
 fn tup(a: i64, b: i64) -> Tuple {

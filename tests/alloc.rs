@@ -20,6 +20,10 @@
 //! A cold open is the same ledger again: it maps the columns and
 //! decodes no row, so what it allocates does not grow with the rows.
 //!
+//! A served page on a warm session reads its token in place and
+//! refills the session's buffer: the one allocation it makes is the
+//! `next` token it returns.
+//!
 //! The counters belong to the thread that allocates, so the test
 //! harness's own threads (the main thread reports results while a test
 //! runs) never leak into a measurement. None of the measured closures
@@ -30,6 +34,7 @@
 
 use ranked_access::prelude::*;
 use ranked_access::rda_db::{open_snapshot, relation_encode_count, save_snapshot, tup};
+use ranked_access::rda_serve::Server;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
@@ -519,4 +524,41 @@ fn access_hot_paths_do_not_allocate() {
         std::hint::black_box(&wbuf);
     });
     assert_eq!(n, 0, "SUM batched refills must not allocate");
+}
+
+#[test]
+fn a_warm_page_allocates_only_its_next_token() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let db = Database::new()
+        .with_i64_rows("R", 2, (0..60i64).map(|i| vec![i, i % 7]))
+        .with_i64_rows("S", 2, (0..60i64).map(|i| vec![i % 7, i]));
+    let server = Server::with_defaults(Arc::new(Engine::new(db.freeze())));
+    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let order = OrderSpec::lex(&q, &["x", "y", "z"]);
+    let mut session = server.session();
+    let prepared = session.prepare(&q, order, &FdSet::empty(), Policy::Reject);
+    let (token, total) = prepared.map(|p| (p.token, p.len)).unwrap();
+    assert!(total > 200, "the join fans out");
+    let ranks: Vec<u64> = (0..50u64).map(|i| (i * 37) % total).collect();
+    // Warm up: grow the page buffer and the batch kernel's scratch.
+    session.page(&token, 0, 50).unwrap();
+    session.page_batch(&token, &ranks).unwrap();
+
+    let mut next = None;
+    let n = allocations_during(|| next = session.page(&token, 100, 50).unwrap().next);
+    assert_eq!(n, 1, "page: the next token only");
+    let next = next.expect("mid-sequence");
+    let n = allocations_during(|| {
+        assert!(session.stream_next(&next, 50).unwrap().next.is_some());
+    });
+    assert_eq!(n, 1, "stream_next: the next token only");
+    let n = allocations_during(|| {
+        assert_eq!(session.page_batch(&next, &ranks).unwrap().rows, 50);
+    });
+    assert_eq!(n, 1, "page_batch: the re-stamped token only");
+    let n = allocations_during(|| {
+        let last = session.page(&token, total - 20, 50).unwrap();
+        assert_eq!((last.rows, last.next), (20, None));
+    });
+    assert_eq!(n, 0, "a page that ends the sequence returns no token");
 }
