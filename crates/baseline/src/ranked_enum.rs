@@ -14,6 +14,7 @@
 //! exactly once and bounds are monotone, so the pop order is the answer
 //! order.
 
+use crate::instance::normalize_instance;
 use rda_db::{Database, Relation, Tuple, Value};
 use rda_query::{Cq, VarId};
 use std::cmp::Reverse;
@@ -67,6 +68,10 @@ impl RankedEnumerator {
     /// an arity mismatches.
     pub fn new(q: &Cq, db: &Database, weight_of: impl Fn(VarId, &Value) -> f64) -> Self {
         assert!(q.is_full(), "the any-k baseline handles full CQs");
+        // Self-joins become copies and repeated variables in an atom
+        // filter its rows, so each atom below binds distinct variables.
+        let (q, db) = normalize_instance(q, db);
+        let (q, db) = (&q, &db);
         let tree = rda_query::join_tree(&q.hypergraph()).expect("acyclic CQ required");
         let (parent, order) = tree.rooted_at(0);
         // bfs_pos[node] = position in BFS order.
@@ -88,15 +93,7 @@ impl RankedEnumerator {
         let mut rels: Vec<Relation> = q
             .atoms()
             .iter()
-            .map(|a| {
-                let mut r = db
-                    .get(&a.relation)
-                    .unwrap_or_else(|| panic!("relation {} missing", a.relation))
-                    .clone();
-                assert_eq!(r.arity(), a.terms.len(), "arity mismatch on {}", a.relation);
-                r.normalize();
-                r
-            })
+            .map(|a| db.get(&a.relation).expect("one relation per atom").clone())
             .collect();
         tree.full_reduce(&atom_vars, &mut rels, Relation::semijoin);
 
@@ -104,11 +101,16 @@ impl RankedEnumerator {
         let mut nodes: Vec<Option<NodeData>> = (0..order.len()).map(|_| None).collect();
         for &n in order.iter().rev() {
             let vars = atom_vars[n].clone();
+            // A variable weighs once per head occurrence, as an answer's
+            // weight sums over its head positions.
             let own = |t: &Tuple| -> f64 {
                 vars.iter()
                     .enumerate()
                     .filter(|&(_, v)| var_owner[v] == n)
-                    .map(|(p, &v)| weight_of(v, &t[p]))
+                    .flat_map(|(p, &v)| {
+                        let occurrences = q.free().iter().filter(|&&f| f == v).count();
+                        std::iter::repeat_n(weight_of(v, &t[p]), occurrences)
+                    })
                     .sum()
             };
             let children: Vec<usize> = (0..order.len()).filter(|&c| parent[c] == n).collect();

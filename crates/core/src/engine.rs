@@ -56,7 +56,7 @@ use crate::plan::{
     describe_reason, AccessPlan, Explain, RankedAnswers, RankedEnumHandle, SelectionLexHandle,
     SelectionSumHandle,
 };
-use crate::snapprep::encoded_atoms;
+use crate::snapprep::{check_fds_apply, encoded_atoms};
 use crate::weights::Weights;
 use crate::{LexDirectAccess, SumDirectAccess};
 use rda_baseline::{MaterializedAccess, RankedEnumerator};
@@ -668,6 +668,7 @@ fn prepare_on(
     policy: Policy,
     budget: BuildBudget,
 ) -> Result<AccessPlan, PlanError> {
+    check_fds_apply(q, fds)?;
     let plan = match order {
         OrderSpec::Lex(lex) => {
             crate::lexda::validate_lex(q, &lex)?;

@@ -29,7 +29,8 @@
 //! [`FaultGuard`]); when nothing is armed, [`trip`] is a single relaxed
 //! atomic load. The hooks are compiled in unconditionally — they sit on
 //! build/prepare paths, never on the per-answer access hot path — and
-//! are intended for tests and the chaos bench harness only.
+//! are intended for tests only, chiefly `rda_serve`'s seeded fault
+//! storm (`crates/serve/tests/chaos.rs`).
 
 use std::collections::HashMap;
 use std::fmt;

@@ -435,6 +435,18 @@ pub(crate) fn key_ids<'a>(
     ids
 }
 
+/// FD reasoning (and so [`classify`] under FDs) assumes distinct
+/// relation symbols: a self-join query with a non-empty `fds` is
+/// refused here, before anything classifies it.
+pub(crate) fn check_fds_apply(q: &Cq, fds: &FdSet) -> Result<(), BuildError> {
+    if !fds.is_empty() && !q.is_self_join_free() {
+        return Err(BuildError::InvalidOrder(
+            "functional dependencies require a self-join-free query".to_string(),
+        ));
+    }
+    Ok(())
+}
+
 /// The instance prelude every build runs first: gate on the dichotomy
 /// for `problem`, then normalize, check the FDs, and extend query and
 /// instance by them — all in the snapshot's code space. Returns the
@@ -446,11 +458,7 @@ pub(crate) fn prepare_instance<'a>(
     fds: &FdSet,
     problem: &Problem,
 ) -> Result<(FdExtension, Vec<EncRel<'a>>), BuildError> {
-    if !fds.is_empty() && !q.is_self_join_free() {
-        return Err(BuildError::InvalidOrder(
-            "functional dependencies require a self-join-free query".to_string(),
-        ));
-    }
+    check_fds_apply(q, fds)?;
     match classify(q, fds, problem) {
         Verdict::Tractable { .. } => {}
         v => return Err(BuildError::NotTractable(v)),

@@ -124,23 +124,26 @@ impl SumSelection {
             .map(|&a| std::mem::replace(&mut all_rels[a], EncodedRelation::new(0)))
             .collect();
 
-        // Row weights. Every variable weighs in the first atom left that
-        // holds it; weights range over the original free variables, so
-        // promoted variables weigh nothing. One dense `code → weight`
-        // table per weighing column, alive while the column is summed.
+        // Row weights. Every head variable weighs in the first atom left
+        // that holds it, once per head occurrence, as
+        // `Weights::answer_weight` over the head counts it; promoted
+        // variables are not in the head and weigh nothing. One dense
+        // `code → weight` table per weighing column, alive while the
+        // column is summed.
         let head = q.free().to_vec();
-        let original: VarSet = head.iter().copied().collect();
         let dict = snap.dict();
         let mut weighed = VarSet::EMPTY;
         let mut row_weights: Vec<Vec<TotalF64>> = Vec::with_capacity(rels.len());
         for (&a, rel) in kept.iter().zip(&rels) {
             let mut sums = vec![TotalF64(0.0); rel.len()];
             for (p, &v) in atoms[a].terms.iter().enumerate() {
-                if weighed.contains(v) || !original.contains(v) {
+                if weighed.contains(v) {
                     continue;
                 }
                 weighed = weighed.with(v);
-                weights.add_column(v, rel.col(p), dict, &mut sums);
+                for _ in head.iter().filter(|&&h| h == v) {
+                    weights.add_column(v, rel.col(p), dict, &mut sums);
+                }
             }
             row_weights.push(sums);
         }

@@ -172,7 +172,8 @@ fn not_free_connex_reason(q_plus: &Cq, acyclic: bool) -> Reason {
 ///
 /// # Panics
 /// Panics if a lexicographic order mentions non-free or repeated
-/// variables.
+/// variables, or if `q` has self-joins and `fds` is non-empty (see
+/// [`fd_extension`]).
 pub fn classify(q: &Cq, fds: &FdSet, problem: &Problem) -> Verdict {
     match problem {
         Problem::DirectAccessLex(l) => classify_da_lex(q, fds, l),

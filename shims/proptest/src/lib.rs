@@ -6,8 +6,10 @@
 //! range strategies, tuple strategies, [`collection::vec`],
 //! `proptest::num::f64::NORMAL`, and the `prop_assert*` /
 //! `prop_assume!` macros. Cases are generated from a deterministic
-//! seed; there is **no shrinking** — failures report the sampled case
-//! number, and the fixed seed makes every run reproducible.
+//! seed; there is **no shrinking** — a failing case (a failed
+//! `prop_assert*` or a panic) reports its number and the `Debug` form
+//! of every sampled input, and the fixed seed makes every run
+//! reproducible.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -141,11 +143,14 @@ impl ProptestConfig {
 /// (assumption failed), `Ok(true)` passes.
 pub type CaseResult = Result<bool, String>;
 
+/// Runs `cfg.cases` cases of the property `name`. Each case samples
+/// its inputs, writes their `Debug` forms into the `String` it is
+/// handed, then runs the body; a failure or a panic reports them.
 #[doc(hidden)]
 pub fn __run_cases(
     cfg: &ProptestConfig,
     name: &str,
-    mut case: impl FnMut(&mut StdRng) -> CaseResult,
+    mut case: impl FnMut(&mut StdRng, &mut String) -> CaseResult,
 ) {
     // Deterministic per-property seed: stable across runs.
     let seed = name.bytes().fold(0xcbf29ce484222325u64, |h, b| {
@@ -153,10 +158,27 @@ pub fn __run_cases(
     });
     let mut rng = StdRng::seed_from_u64(seed);
     for i in 0..cfg.cases {
-        if let Err(msg) = case(&mut rng) {
-            panic!("property `{name}` failed on case {i}: {msg}");
+        let mut inputs = String::new();
+        let outcome =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| case(&mut rng, &mut inputs)));
+        match outcome {
+            Ok(Ok(_)) => {}
+            Ok(Err(msg)) => panic!("property `{name}` failed on case {i}: {msg}\ninputs:{inputs}"),
+            Err(payload) => {
+                eprintln!("property `{name}` panicked on case {i}\ninputs:{inputs}");
+                std::panic::resume_unwind(payload);
+            }
         }
     }
+}
+
+/// Records one sampled input as `pattern = value` for the failure
+/// report, then hands the value back.
+#[doc(hidden)]
+pub fn __record<T: std::fmt::Debug>(inputs: &mut String, pattern: &str, value: T) -> T {
+    use std::fmt::Write as _;
+    let _ = write!(inputs, "\n    {pattern} = {value:?}");
+    value
 }
 
 /// The prelude, mirroring `proptest::prelude::*`.
@@ -181,8 +203,12 @@ macro_rules! proptest {
         $(#[$meta])*
         fn $name() {
             let cfg: $crate::ProptestConfig = $cfg;
-            $crate::__run_cases(&cfg, stringify!($name), |__rng| {
-                $(let $pat = $crate::Strategy::sample(&($strat), __rng);)+
+            $crate::__run_cases(&cfg, stringify!($name), |__rng, __inputs| {
+                $(let $pat = $crate::__record(
+                    __inputs,
+                    stringify!($pat),
+                    $crate::Strategy::sample(&($strat), __rng),
+                );)+
                 let mut __case = || -> $crate::CaseResult { $body Ok(true) };
                 __case()
             });
@@ -270,6 +296,23 @@ mod tests {
             prop_assume!(a != b);
             prop_assert_ne!(a, b);
         }
+    }
+
+    #[test]
+    fn a_failing_case_reports_its_inputs() {
+        let report = std::panic::catch_unwind(|| {
+            crate::__run_cases(&ProptestConfig::with_cases(1), "p", |rng, inputs| {
+                let v = crate::__record(inputs, "v", (0u8..1).sample(rng));
+                prop_assert_eq!(v, 1);
+                Ok(true)
+            })
+        })
+        .unwrap_err();
+        let msg = report.downcast_ref::<String>().unwrap();
+        assert!(
+            msg.contains("failed on case 0") && msg.contains("v = 0"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -7,15 +7,12 @@
 //! descent per rank otherwise) are checked against the same oracle:
 //! batching is a performance choice, never a semantic one.
 
+#[allow(dead_code)]
+mod common;
+
+use common::{three_path_db, two_path_db};
 use proptest::prelude::*;
 use ranked_access::prelude::*;
-
-/// A 2-path instance with a few hundred answers.
-fn two_path_db() -> Database {
-    Database::new()
-        .with_i64_rows("R", 2, (0..60).map(|i| vec![i, i % 7]).collect::<Vec<_>>())
-        .with_i64_rows("S", 2, (0..60).map(|j| vec![j % 7, j]).collect::<Vec<_>>())
-}
 
 /// A 2-path instance whose `y` layer is one bucket of 5 000 entries —
 /// far above the size that gets a rank directory. Its first half has
@@ -27,18 +24,6 @@ fn wide_bucket_db() -> Database {
     Database::new()
         .with_i64_rows("R", 2, (0..5000).map(|y| vec![0, y]).collect::<Vec<_>>())
         .with_i64_rows("S", 2, s.collect::<Vec<_>>())
-}
-
-/// A 3-path instance (fmh = 3: any-k fallback territory).
-fn three_path_db() -> Database {
-    Database::new()
-        .with_i64_rows("R", 2, (0..40).map(|i| vec![i, i % 4]).collect::<Vec<_>>())
-        .with_i64_rows(
-            "S",
-            2,
-            (0..20).map(|j| vec![j % 4, j % 5]).collect::<Vec<_>>(),
-        )
-        .with_i64_rows("T", 2, (0..40).map(|k| vec![k % 5, k]).collect::<Vec<_>>())
 }
 
 /// The batch contract, spelled out.

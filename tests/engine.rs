@@ -5,132 +5,27 @@
 //! must round-trip, bounds must be respected, and routing must agree
 //! with the classifier.
 
+#[allow(dead_code)]
+mod common;
+
+use common::{backend_catalog, conforms, random_db};
 use proptest::prelude::*;
 use ranked_access::prelude::*;
-
-/// Fill every relation a query mentions with random rows over a small
-/// domain (forcing join hits).
-fn random_db(q: &Cq, rows: usize, domain: i64, seed: u64) -> Database {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    let mut seen = std::collections::HashSet::new();
-    for atom in q.atoms() {
-        if !seen.insert(atom.relation.clone()) {
-            continue; // self-join: one relation per symbol
-        }
-        let arity = atom.terms.len();
-        let tuples: Vec<Tuple> = (0..rows)
-            .map(|_| {
-                (0..arity)
-                    .map(|_| Value::int(rng.random_range(0..domain)))
-                    .collect()
-            })
-            .collect();
-        db.add(Relation::from_tuples(&atom.relation, arity, tuples));
-    }
-    db
-}
-
-/// One scenario per backend: (query, order factory, policy, expected
-/// backend). Spans all six `Backend` variants.
-fn backend_catalog() -> Vec<(&'static str, Vec<&'static str>, bool, Policy, Backend)> {
-    // (query, lex order or empty-for-sum, is_sum, policy, backend)
-    vec![
-        (
-            "Q(x, y, z) :- R(x, y), S(y, z)",
-            vec!["x", "y", "z"],
-            false,
-            Policy::Reject,
-            Backend::LexDirectAccess,
-        ),
-        (
-            "Q(x, y, z) :- R(x, y), S(y, z)",
-            vec!["x", "z", "y"],
-            false,
-            Policy::Reject,
-            Backend::SelectionLex,
-        ),
-        (
-            "Q(x, y) :- R(x, y), S(y, z)",
-            vec![],
-            true,
-            Policy::Reject,
-            Backend::SumDirectAccess,
-        ),
-        (
-            "Q(x, y, z) :- R(x, y), S(y, z)",
-            vec![],
-            true,
-            Policy::Reject,
-            Backend::SelectionSum,
-        ),
-        (
-            "Q(x, z) :- R(x, y), S(y, z)",
-            vec!["x", "z"],
-            false,
-            Policy::Materialize,
-            Backend::Materialized,
-        ),
-        (
-            "Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)",
-            vec![],
-            true,
-            Policy::RankedEnum,
-            Backend::RankedEnum,
-        ),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// `access(k)` → `inverted_access` round-trips to `k` for every
-    /// backend behind the `DirectAccess` trait, and out-of-bound /
-    /// not-an-answer probes are rejected.
+    /// Every backend behind the `DirectAccess` trait serves its
+    /// scenario's oracle on the whole access surface: `access(k)` →
+    /// `inverted_access` round-trips, out-of-bound and not-an-answer
+    /// probes miss, windows, batches and streams agree.
     #[test]
     fn access_inverted_access_round_trip(seed in 0u64..1_000_000, rows in 1usize..20, domain in 1i64..6) {
-        for (src, lex, is_sum, policy, backend) in backend_catalog() {
-            let q = parse(src).unwrap();
+        for sc in backend_catalog() {
+            let q = sc.query();
             let db = random_db(&q, rows, domain, seed);
-            let spec = if is_sum {
-                OrderSpec::sum_by_value()
-            } else {
-                OrderSpec::lex(&q, &lex)
-            };
-            let plan = Engine::new(db.clone().freeze()).prepare(&q, spec, &FdSet::empty(), policy).unwrap();
-            prop_assert_eq!(plan.backend(), backend, "{}", src);
-
-            let n = plan.len();
-            prop_assert_eq!(n == 0, plan.is_empty());
-            for k in 0..n {
-                let t = plan.access(k).unwrap();
-                prop_assert_eq!(
-                    plan.inverted_access(&t),
-                    Some(k),
-                    "backend {} on {} k={}", backend, src, k
-                );
-            }
-            // Out-of-bound access is None.
-            prop_assert_eq!(plan.access(n), None, "backend {} on {}", backend, src);
-            // A tuple outside every domain is not an answer.
-            let absent: Tuple = q.free().iter().map(|_| Value::int(domain + 99)).collect();
-            if !q.free().is_empty() {
-                prop_assert_eq!(plan.inverted_access(&absent), None, "backend {}", backend);
-            }
-            // iter() agrees with repeated access and is sorted per the
-            // backend's order (spot-check adjacent pairs through the
-            // plan itself).
-            let via_iter: Vec<Tuple> = plan.iter().collect();
-            let via_access: Vec<Tuple> = (0..n).map(|k| plan.access(k).unwrap()).collect();
-            prop_assert_eq!(&via_iter, &via_access, "backend {}", backend);
-            // access_range() is the matching slice.
-            if n >= 2 {
-                prop_assert_eq!(
-                    plan.access_range(1..n),
-                    via_access[1..].to_vec(),
-                    "backend {}", backend
-                );
+            if let Some(plan) = sc.prepare(&Engine::new(db.clone().freeze()), &q) {
+                conforms(sc.src, plan.answers(), sc.oracle(&q, &db).answers(), 0);
             }
         }
     }
@@ -139,20 +34,16 @@ proptest! {
     /// *answer set* (orders differ; sets must not).
     #[test]
     fn every_backend_serves_exactly_the_answer_set(seed in 0u64..1_000_000, rows in 1usize..15, domain in 1i64..5) {
-        for (src, lex, is_sum, policy, _) in backend_catalog() {
-            let q = parse(src).unwrap();
+        for sc in backend_catalog() {
+            let q = sc.query();
             let db = random_db(&q, rows, domain, seed);
-            let spec = if is_sum {
-                OrderSpec::sum_by_value()
-            } else {
-                OrderSpec::lex(&q, &lex)
+            let Some(plan) = sc.prepare(&Engine::new(db.clone().freeze()), &q) else {
+                continue;
             };
-            let plan = Engine::new(db.clone().freeze()).prepare(&q, spec, &FdSet::empty(), policy).unwrap();
             let mut got: Vec<Tuple> = plan.iter().collect();
             got.sort();
             got.dedup();
-            let expect = all_answers(&q, &db);
-            prop_assert_eq!(got, expect, "{}", src);
+            prop_assert_eq!(got, all_answers(&q, &db), "{}", sc.src);
         }
     }
 

@@ -2,6 +2,10 @@
 //! the materialize-and-sort oracle on randomized instances, across a
 //! catalog of queries covering the tractability landscape.
 
+#[allow(dead_code)]
+mod common;
+
+use common::random_db;
 use proptest::prelude::*;
 use ranked_access::prelude::*;
 use ranked_access::rda_baseline::HashLexDirectAccess;
@@ -57,30 +61,6 @@ fn lex_catalog() -> Vec<(Cq, Vec<VarId>)> {
         &["c", "a", "b", "d"],
     );
     out
-}
-
-/// Fill every relation a query mentions with random rows over a small
-/// domain (forcing join hits).
-fn random_db(q: &Cq, rows: usize, domain: i64, seed: u64) -> Database {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    let mut seen = std::collections::HashSet::new();
-    for atom in q.atoms() {
-        if !seen.insert(atom.relation.clone()) {
-            continue; // self-join: one relation per symbol
-        }
-        let arity = atom.terms.len();
-        let tuples: Vec<Tuple> = (0..rows)
-            .map(|_| {
-                (0..arity)
-                    .map(|_| Value::int(rng.random_range(0..domain)))
-                    .collect()
-            })
-            .collect();
-        db.add(Relation::from_tuples(&atom.relation, arity, tuples));
-    }
-    db
 }
 
 /// The oracle order matching `LexDirectAccess`'s internal completion:

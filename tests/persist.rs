@@ -1,16 +1,17 @@
 //! The persistence differential oracle: freeze → save → cold-open must
-//! be invisible to every consumer of a snapshot.
+//! be invisible to every consumer of a snapshot. (`tests/lifecycle.rs`
+//! also holds the answers served after a reopen to its model.)
 //!
 //! * **Round-trip identity** — a cold-opened base file reproduces the
 //!   in-memory snapshot exactly: uid, generation, ancestry, the full
 //!   dictionary, every encoded column, every per-relation version. And
 //!   it does so **zero-copy**: [`relation_encode_count`] must not move
-//!   across `open_snapshot` or a whole delta-chain replay — columns are
+//!   across `open_snapshot` or a delta-chain replay — columns are
 //!   served straight from the mapped file, never re-encoded.
-//! * **Backend differential** — for all six `Backend` variants, an
-//!   engine over the cold-opened snapshot serves bit-identical answers
-//!   to an engine over the original at every rank, window, batch,
-//!   inverted probe, and lower-bound probe.
+//! * **Backend differential** — for every scenario of the shared
+//!   catalog, an engine over the cold-opened snapshot serves the same
+//!   answers as an engine over the original, on the whole access
+//!   surface.
 //! * **Delta chains** — a [`SnapshotStore`] replays base + deltas
 //!   (append-only extension, interior rebase, deletion, relation
 //!   birth, no-op) to exactly the last in-memory generation, lineage
@@ -19,12 +20,14 @@
 //!   bit-flips, forged checksums, wrong kinds, and broken lineage all
 //!   fail with a typed [`PersistError`]; nothing panics.
 
+#[allow(dead_code)]
+mod common;
+
+use common::{backend_catalog, conforms, random_db, TempDir};
 use ranked_access::prelude::*;
 use ranked_access::rda_db::{
-    open_delta, open_snapshot, relation_encode_count, save_delta, save_snapshot,
+    open_delta, open_snapshot, relation_encode_count, save_delta, save_snapshot, tup,
 };
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// `relation_encode_count` is process-global, so every test here holds
@@ -36,46 +39,6 @@ fn guard() -> MutexGuard<'static, ()> {
         .get_or_init(|| Mutex::new(()))
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-}
-
-/// A unique scratch directory, removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(label: &str) -> TempDir {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let p = std::env::temp_dir().join(format!(
-            "rda-persist-{}-{}-{}",
-            std::process::id(),
-            label,
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&p);
-        std::fs::create_dir_all(&p).unwrap();
-        TempDir(p)
-    }
-
-    fn path(&self) -> &Path {
-        &self.0
-    }
-
-    fn file(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-fn t1(a: i64) -> Tuple {
-    [Value::int(a)].into_iter().collect()
-}
-
-fn t2(a: i64, b: i64) -> Tuple {
-    [Value::int(a), Value::int(b)].into_iter().collect()
 }
 
 /// A 2-path instance over a *gappy* domain (multiples of ten), so later
@@ -128,136 +91,6 @@ fn assert_snapshot_eq(a: &Snapshot, b: &Snapshot, ctx: &str) {
     }
 }
 
-/// One scenario per backend, as in `tests/engine.rs`: (query, lex order
-/// or empty-for-sum, is_sum, policy, expected backend).
-fn backend_catalog() -> Vec<(&'static str, Vec<&'static str>, bool, Policy, Backend)> {
-    vec![
-        (
-            "Q(x, y, z) :- R(x, y), S(y, z)",
-            vec!["x", "y", "z"],
-            false,
-            Policy::Reject,
-            Backend::LexDirectAccess,
-        ),
-        (
-            "Q(x, y, z) :- R(x, y), S(y, z)",
-            vec!["x", "z", "y"],
-            false,
-            Policy::Reject,
-            Backend::SelectionLex,
-        ),
-        (
-            "Q(x, y) :- R(x, y), S(y, z)",
-            vec![],
-            true,
-            Policy::Reject,
-            Backend::SumDirectAccess,
-        ),
-        (
-            "Q(x, y, z) :- R(x, y), S(y, z)",
-            vec![],
-            true,
-            Policy::Reject,
-            Backend::SelectionSum,
-        ),
-        (
-            "Q(x, z) :- R(x, y), S(y, z)",
-            vec!["x", "z"],
-            false,
-            Policy::Materialize,
-            Backend::Materialized,
-        ),
-        (
-            "Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)",
-            vec![],
-            true,
-            Policy::RankedEnum,
-            Backend::RankedEnum,
-        ),
-    ]
-}
-
-/// Fill every relation a query mentions with random rows over a small
-/// domain (forcing join hits).
-fn random_db(q: &Cq, rows: usize, domain: i64, seed: u64) -> Database {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut db = Database::new();
-    let mut seen = std::collections::HashSet::new();
-    for atom in q.atoms() {
-        if !seen.insert(atom.relation.clone()) {
-            continue;
-        }
-        let arity = atom.terms.len();
-        let tuples: Vec<Tuple> = (0..rows)
-            .map(|_| {
-                (0..arity)
-                    .map(|_| Value::int(rng.random_range(0..domain)))
-                    .collect()
-            })
-            .collect();
-        db.add(Relation::from_tuples(&atom.relation, arity, tuples));
-    }
-    db
-}
-
-/// The cold plan must match the hot plan on the whole access surface,
-/// with the hot plan's enumeration as the oracle.
-fn check_plan_pair(hot: &AccessPlan, cold: &AccessPlan, ctx: &str) {
-    let oracle: Vec<Tuple> = hot.iter().collect();
-    let len = cold.len();
-    assert_eq!(len, oracle.len() as u64, "{ctx}: answer count");
-    for (k, expect) in oracle.iter().enumerate() {
-        let k = k as u64;
-        assert_eq!(cold.access(k).as_ref(), Some(expect), "{ctx}: access({k})");
-        assert_eq!(
-            cold.inverted_access(expect),
-            Some(k),
-            "{ctx}: inverted_access at rank {k}"
-        );
-    }
-    assert_eq!(cold.access(len), None, "{ctx}: out of bounds");
-    let streamed: Vec<Tuple> = cold.stream().collect();
-    assert_eq!(streamed, oracle, "{ctx}: full stream");
-
-    for r in [0..len, 0..0, len / 3..(2 * len) / 3, len / 2..len + 7] {
-        let expect = &oracle[(r.start.min(len) as usize)..(r.end.min(len) as usize)];
-        assert_eq!(cold.access_range(r.clone()), expect, "{ctx}: window {r:?}");
-    }
-
-    let batches: Vec<Vec<u64>> = vec![
-        vec![],
-        (0..len).rev().collect(),
-        vec![len, len + 9, u64::MAX],
-        (0..64u64)
-            .map(|i| i.wrapping_mul(7919) % (len + 3))
-            .collect(),
-    ];
-    let mut buf = WindowBuf::new();
-    for ranks in &batches {
-        let expect: Vec<Tuple> = ranks
-            .iter()
-            .filter(|&&k| k < len)
-            .map(|&k| oracle[k as usize].clone())
-            .collect();
-        assert_eq!(cold.access_batch(ranks), expect, "{ctx}: batch {ranks:?}");
-        let n = cold.access_batch_into(ranks, &mut buf);
-        assert_eq!(n as usize, expect.len(), "{ctx}: batch_into count");
-        assert_eq!(buf.to_tuples(), expect, "{ctx}: batch_into rows");
-    }
-
-    // Native lex plans additionally expose lower-bound probes.
-    if let (RankedAnswers::Lex(h), RankedAnswers::Lex(c)) = (hot.answers(), cold.answers()) {
-        for probe in &oracle {
-            assert_eq!(
-                c.rank_of_lower_bound(probe),
-                h.rank_of_lower_bound(probe),
-                "{ctx}: lower bound of {probe}"
-            );
-        }
-    }
-}
-
 #[test]
 fn base_round_trip_is_exact_and_zero_copy() {
     let _g = guard();
@@ -300,36 +133,35 @@ fn base_round_trip_is_exact_and_zero_copy() {
     assert!(next.descends_from(cold.uid()));
 }
 
+/// The cold plan serves what the hot plan enumerates, on the whole
+/// access surface, for every scenario of the shared catalog.
 #[test]
 fn cold_open_serves_identical_answers_on_every_backend() {
     let _g = guard();
     let td = TempDir::new("backends");
-    for (i, (src, lex, is_sum, policy, backend)) in backend_catalog().into_iter().enumerate() {
-        let q = parse(src).unwrap();
-        let db = random_db(&q, 18, 5, 0xC0FFEE + i as u64);
-        let snap = db.freeze();
+    for (i, sc) in backend_catalog().into_iter().enumerate() {
+        let q = sc.query();
+        let snap = random_db(&q, 18, 5, 0xC0FFEE + i as u64).freeze();
         let path = td.file(&format!("b{i}.rdas"));
         save_snapshot(&snap, &path).unwrap();
         let before = relation_encode_count();
         let cold = open_snapshot(&path).unwrap();
-        assert_eq!(relation_encode_count(), before, "{src}: open re-encoded");
+        assert_eq!(
+            relation_encode_count(),
+            before,
+            "{}: open re-encoded",
+            sc.src
+        );
 
-        let spec = || {
-            if is_sum {
-                OrderSpec::sum_by_value()
-            } else {
-                OrderSpec::lex(&q, &lex)
-            }
-        };
-        let hot = Engine::new(snap)
-            .prepare(&q, spec(), &FdSet::empty(), policy)
-            .unwrap();
-        let cold = Engine::new(cold)
-            .prepare(&q, spec(), &FdSet::empty(), policy)
-            .unwrap();
-        assert_eq!(hot.backend(), backend, "{src}: hot routing");
-        assert_eq!(cold.backend(), backend, "{src}: cold routing");
-        check_plan_pair(&hot, &cold, src);
+        // `prepare` checks the routing of both: the expected backend,
+        // or the same typed refusal.
+        let hot = sc.prepare(&Engine::new(snap), &q);
+        let cold = sc.prepare(&Engine::new(cold), &q);
+        assert_eq!(hot.is_some(), cold.is_some(), "{}: routing", sc.src);
+        if let (Some(hot), Some(cold)) = (hot, cold) {
+            let want: Vec<Tuple> = hot.iter().collect();
+            conforms(sc.src, cold.answers(), &want, 0);
+        }
     }
 }
 
@@ -347,18 +179,22 @@ fn delta_chain_replays_to_the_live_snapshot() {
 
     // Generation 1: a value past the top of the domain — the
     // append-only dictionary extension path.
-    db.insert_into("R", t2(500, 510));
+    db.insert_into("R", tup![500, 510]);
     let g1 = store.freeze_delta(&base, &mut db).unwrap();
     assert_eq!(g1.generation(), 1);
 
     // Generation 2: a value in an interior domain gap (55 sorts between
     // 50 and 60) forces a dictionary *rebase*, alongside a deletion.
-    db.insert_into("S", t2(55, 60));
-    db.delete_from("T", &t1(0));
+    db.insert_into("S", tup![55, 60]);
+    db.delete_from("T", &tup![0]);
     let g2 = store.freeze_delta(&g1, &mut db).unwrap();
 
     // Generation 3: a brand-new relation is born mid-chain.
-    db.add(Relation::from_tuples("U", 2, vec![t2(55, 500), t2(1, 2)]));
+    db.add(Relation::from_tuples(
+        "U",
+        2,
+        vec![tup![55, 500], tup![1, 2]],
+    ));
     let g3 = store.freeze_delta(&g2, &mut db).unwrap();
 
     // Generation 4: a no-op delta (empty mutation log) shares
@@ -388,7 +224,8 @@ fn delta_chain_replays_to_the_live_snapshot() {
     let cold = Engine::new(replayed)
         .prepare(&q, spec(), &FdSet::empty(), Policy::Reject)
         .unwrap();
-    check_plan_pair(&hot, &cold, "replayed chain plan");
+    let want: Vec<Tuple> = hot.iter().collect();
+    conforms("replayed chain plan", cold.answers(), &want, 0);
 }
 
 #[test]
@@ -513,7 +350,7 @@ fn corrupted_files_fail_typed_and_never_panic() {
 
     // Kind confusion: a delta file is not a base file and vice versa.
     let mut db = snap.to_database();
-    db.insert_into("R", t2(7, 17));
+    db.insert_into("R", tup![7, 17]);
     let child = snap.freeze_delta(&mut db);
     let delta_path = td.file("delta.rdas");
     save_delta(&snap, &child, &delta_path).unwrap();

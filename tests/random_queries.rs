@@ -4,6 +4,10 @@
 //! whole pipeline against the oracle. This exercises layered-join-tree
 //! construction across shapes no hand-written catalog would cover.
 
+#[allow(dead_code)]
+mod common;
+
+use common::random_db;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -60,22 +64,6 @@ fn random_full_acyclic(rng: &mut StdRng, n_atoms: usize, max_vars: usize) -> Cq 
         );
     }
     b.build()
-}
-
-fn random_db(rng: &mut StdRng, q: &Cq, rows: usize, domain: i64) -> Database {
-    let mut db = Database::new();
-    for atom in q.atoms() {
-        let arity = atom.terms.len();
-        let tuples: Vec<Tuple> = (0..rows)
-            .map(|_| {
-                (0..arity)
-                    .map(|_| Value::int(rng.random_range(0..domain)))
-                    .collect()
-            })
-            .collect();
-        db.add(Relation::from_tuples(&atom.relation, arity, tuples));
-    }
-    db
 }
 
 /// Pick a random order; retry until the classifier accepts one under
@@ -167,7 +155,7 @@ fn random_acyclic_full_queries_match_oracle() {
     let mut tractable_hits = 0;
     for round in 0..120 {
         let q = random_full_acyclic(&mut rng, 1 + (round % 5), 8);
-        let db = random_db(&mut rng, &q, 1 + (round % 12), 4);
+        let db = random_db(&q, 1 + (round % 12), 4, rng.next_u64());
         let lex = random_tractable_order(&mut rng, &q);
         let da = LexDirectAccess::build(&q, &db, &lex, &FdSet::empty())
             .unwrap_or_else(|e| panic!("round {round}: {q} with {lex:?}: {e}"));
@@ -231,7 +219,7 @@ fn random_queries_with_fds_windows_and_streams_match_oracle() {
     let mut fd_rescued = 0;
     for round in 0..150 {
         let q = random_full_acyclic(&mut rng, 1 + (round % 4), 7);
-        let mut db = random_db(&mut rng, &q, 2 + (round % 10), 5);
+        let mut db = random_db(&q, 2 + (round % 10), 5, rng.next_u64());
         let fds = random_fd_set(&mut rng, &q);
         repair_fds(&mut db, &q, &fds);
         if !fds.is_empty() {
@@ -325,7 +313,7 @@ fn random_queries_sum_selection_matches_oracle() {
             continue;
         }
         checked += 1;
-        let db = random_db(&mut rng, &q, 1 + (round % 10), 4);
+        let db = random_db(&q, 1 + (round % 10), 4, rng.next_u64());
         let oracle =
             MaterializedAccess::by_sum(&q, &db, |_, v| v.as_int().map_or(0.0, |i| i as f64));
         let handle = SelectionSumHandle::new(
@@ -379,7 +367,7 @@ fn random_cyclic_queries_via_decomposition() {
             b = b.atom(&format!("E{i}"), &[&names[x], &names[y]]);
         }
         let q = b.build();
-        let db = random_db(&mut rng, &q, 12, 3);
+        let db = random_db(&q, 12, 3, rng.next_u64());
         let dec = rewrite_by_decomposition(&q, &db);
         let da = LexDirectAccess::build(&dec.query, &dec.db, &[], &FdSet::empty())
             .unwrap_or_else(|e| panic!("round {round}: {q}: {e}"));

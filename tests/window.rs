@@ -8,140 +8,67 @@
 //! generic check holds every provided `DirectAccess` method to its
 //! definition over the five core methods, on all seven backends.
 
+#[allow(dead_code)]
+mod common;
+
+use common::{conforms, positional_weights, three_path_db, two_path_db};
 use ranked_access::prelude::*;
-use ranked_access::rda_db::Value;
-use ranked_access::rda_query::VarId;
-use std::ops::Range;
+use std::sync::Arc;
 
 fn ident(_: VarId, v: &Value) -> f64 {
     v.as_int().map_or(0.0, |i| i as f64)
 }
 
-/// A 2-path instance with a few hundred answers.
-fn two_path_db() -> Database {
-    Database::new()
-        .with_i64_rows("R", 2, (0..60).map(|i| vec![i, i % 7]).collect::<Vec<_>>())
-        .with_i64_rows("S", 2, (0..60).map(|j| vec![j % 7, j]).collect::<Vec<_>>())
-}
-
-/// A 3-path instance (fmh = 3: the any-k fallback territory) with a
-/// few thousand answers.
-fn three_path_db() -> Database {
-    Database::new()
-        .with_i64_rows("R", 2, (0..40).map(|i| vec![i, i % 4]).collect::<Vec<_>>())
-        .with_i64_rows(
-            "S",
-            2,
-            (0..20).map(|j| vec![j % 4, j % 5]).collect::<Vec<_>>(),
-        )
-        .with_i64_rows("T", 2, (0..40).map(|k| vec![k % 5, k]).collect::<Vec<_>>())
-}
-
-/// The windowed contract, checked against repeated single access: every
-/// window shape — empty, full-span, clamped, inverted, fully
-/// out-of-bounds — plus `top_k` / `page`, the `*_into` twins, and the
-/// stream, on one prepared plan.
+/// The windowed contract: every window, batch, page and stream shape
+/// equals repeated single access (the shared full-surface check, with
+/// the plan's own `access` as its oracle), and so do the facade's
+/// `window` and one buffer reused across a paged scan.
 fn assert_windows(label: &str, plan: &AccessPlan) {
-    let len = plan.len();
-    let singles =
-        |lo: u64, hi: u64| -> Vec<Tuple> { (lo..hi).map_while(|k| plan.access(k)).collect() };
-
-    let windows: Vec<(u64, u64)> = vec![
-        (0, 0),                           // empty at the start
-        (len, len),                       // empty at the end
-        (0, len),                         // full span
-        (0, len + 100),                   // clamped full span
-        (len, len + 5),                   // entirely out of bounds
-        (len + 3, len + 7),               // far out of bounds
-        (len.saturating_sub(1), len + 5), // straddling the end
-        (0, 1),
-        (len / 2, len / 2 + 7),
-        (len / 3, (2 * len) / 3),
-        (7, 3), // inverted ⇒ empty
-    ];
-    for &(lo, hi) in &windows {
-        let expect = singles(lo, hi);
-        assert_eq!(
-            plan.access_range(lo..hi),
-            expect,
-            "{label}: access_range({lo}..{hi})"
-        );
-        let mut buf = WindowBuf::new();
-        let n = plan.window_into(lo..hi, &mut buf);
-        assert_eq!(n as usize, expect.len(), "{label}: window_into({lo}..{hi})");
-        assert_eq!(buf.len(), expect.len(), "{label}: buffer rows");
-        assert_eq!(
-            buf.to_tuples(),
-            expect,
-            "{label}: window_into({lo}..{hi}) rows"
-        );
-        assert_eq!(
-            plan.window(lo..hi).to_tuples(),
-            expect,
-            "{label}: window({lo}..{hi})"
-        );
-    }
-
-    // One buffer across many pages: reuse must not leak rows between
-    // fills.
+    let singles: Vec<Tuple> = (0..plan.len()).map_while(|k| plan.access(k)).collect();
+    conforms(label, plan.answers(), &singles, 0);
+    let (len, all) = (plan.len(), singles.as_slice());
+    assert_eq!(
+        plan.window(1..len + 9).to_tuples(),
+        all[len.min(1) as usize..]
+    );
     let mut buf = WindowBuf::new();
     let mut paged: Vec<Tuple> = Vec::new();
-    let page = 7u64;
-    let mut offset = 0u64;
-    loop {
-        let n = plan.window_into(offset..offset + page, &mut buf);
+    while plan.window_into(paged.len() as u64..paged.len() as u64 + 7, &mut buf) > 0 {
         paged.extend(buf.to_tuples());
-        offset += n;
-        if n < page {
-            break;
-        }
     }
-    assert_eq!(paged, singles(0, len), "{label}: paged scan");
+    assert_eq!(paged, singles, "{label}: paged scan");
+}
 
-    assert_eq!(plan.top_k(3), singles(0, 3), "{label}: top_k");
-    assert_eq!(
-        plan.top_k(len + 10),
-        singles(0, len),
-        "{label}: top_k clamp"
-    );
-    assert_eq!(plan.page(2, 4), singles(2, 6), "{label}: page");
-    assert_eq!(
-        plan.page(len.saturating_sub(2), u64::MAX),
-        singles(len.saturating_sub(2), len),
-        "{label}: page saturates"
-    );
-    let mut buf = WindowBuf::new();
-    assert_eq!(plan.top_k_into(4, &mut buf), singles(0, 4).len() as u64);
-    assert_eq!(buf.to_tuples(), singles(0, 4), "{label}: top_k_into");
-    assert_eq!(plan.page_into(3, 4, &mut buf), singles(3, 7).len() as u64);
-    assert_eq!(buf.to_tuples(), singles(3, 7), "{label}: page_into");
-
-    // The stream is the whole answer sequence, resumable anywhere.
-    let streamed: Vec<Tuple> = plan.stream().collect();
-    assert_eq!(streamed, singles(0, len), "{label}: stream");
-    let prefix: Vec<Tuple> = plan.stream().take(5).collect();
-    assert_eq!(prefix, singles(0, 5.min(len)), "{label}: stream prefix");
-    let tail: Vec<Tuple> = plan.stream_from(len / 2).collect();
-    assert_eq!(tail, singles(len / 2, len), "{label}: stream_from");
-    let mut s = plan.stream();
-    s.next();
-    s.next();
-    assert_eq!(s.position(), 2.min(len), "{label}: stream position");
+/// `src` over `db`, ordered by `lex` (by value sums when empty) under
+/// `policy`; it must route to `backend`.
+fn plan(
+    db: Database,
+    src: &str,
+    lex: &[&str],
+    policy: Policy,
+    backend: Backend,
+) -> Arc<AccessPlan> {
+    let q = parse(src).unwrap();
+    let spec = match lex {
+        [] => OrderSpec::sum_by_value(),
+        _ => OrderSpec::lex(&q, lex),
+    };
+    let plan = Engine::new(db.freeze()).prepare(&q, spec, &FdSet::empty(), policy);
+    let plan = plan.unwrap();
+    assert_eq!(plan.backend(), backend, "{src}");
+    plan
 }
 
 #[test]
 fn windows_on_native_lex_direct_access() {
-    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
-    let engine = Engine::new(two_path_db().freeze());
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "y", "z"]),
-            &FdSet::empty(),
-            Policy::Reject,
-        )
-        .unwrap();
-    assert_eq!(plan.backend(), Backend::LexDirectAccess);
+    let (q, xyz) = ("Q(x, y, z) :- R(x, y), S(y, z)", ["x", "y", "z"]);
+    let plan = plan(
+        two_path_db(),
+        q,
+        &xyz,
+        Policy::Reject,
+        Backend::LexDirectAccess,
+    );
     assert!(plan.len() > 300, "workload big enough to page through");
     assert_windows("lex-da", &plan);
 }
@@ -196,89 +123,53 @@ fn windows_on_partial_order_and_product_shape() {
 
 #[test]
 fn windows_on_native_sum_direct_access() {
-    let q = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
-    let engine = Engine::new(two_path_db().freeze());
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::sum_by_value(),
-            &FdSet::empty(),
-            Policy::Reject,
-        )
-        .unwrap();
-    assert_eq!(plan.backend(), Backend::SumDirectAccess);
+    let (db, q) = (two_path_db(), "Q(x, y) :- R(x, y), S(y, z)");
+    let plan = plan(db, q, &[], Policy::Reject, Backend::SumDirectAccess);
     assert_windows("sum-da", &plan);
 }
 
 #[test]
 fn windows_on_selection_lex() {
-    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     // Small instance: selection pays O(n) per access and the contract
     // check runs many singles.
     let db = Database::new()
         .with_i64_rows("R", 2, (0..12).map(|i| vec![i, i % 3]).collect::<Vec<_>>())
         .with_i64_rows("S", 2, (0..12).map(|j| vec![j % 3, j]).collect::<Vec<_>>());
-    let engine = Engine::new(db.freeze());
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "z", "y"]),
-            &FdSet::empty(),
-            Policy::Reject,
-        )
-        .unwrap();
-    assert_eq!(plan.backend(), Backend::SelectionLex);
+    let (q, xzy) = ("Q(x, y, z) :- R(x, y), S(y, z)", ["x", "z", "y"]);
+    let plan = plan(db, q, &xzy, Policy::Reject, Backend::SelectionLex);
     assert_windows("selection-lex", &plan);
 }
 
 #[test]
 fn windows_on_selection_sum() {
-    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let db = Database::new()
         .with_i64_rows("R", 2, (0..10).map(|i| vec![i, i % 3]).collect::<Vec<_>>())
         .with_i64_rows("S", 2, (0..10).map(|j| vec![j % 3, j]).collect::<Vec<_>>());
-    let engine = Engine::new(db.freeze());
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::sum_by_value(),
-            &FdSet::empty(),
-            Policy::Reject,
-        )
-        .unwrap();
-    assert_eq!(plan.backend(), Backend::SelectionSum);
+    let q = "Q(x, y, z) :- R(x, y), S(y, z)";
+    let plan = plan(db, q, &[], Policy::Reject, Backend::SelectionSum);
     assert_windows("selection-sum", &plan);
 }
 
 #[test]
 fn windows_on_materialized_fallback() {
-    let q = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
-    let engine = Engine::new(two_path_db().freeze());
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "z"]),
-            &FdSet::empty(),
-            Policy::Materialize,
-        )
-        .unwrap();
-    assert_eq!(plan.backend(), Backend::Materialized);
+    let (db, q) = (two_path_db(), "Q(x, z) :- R(x, y), S(y, z)");
+    let plan = plan(
+        db,
+        q,
+        &["x", "z"],
+        Policy::Materialize,
+        Backend::Materialized,
+    );
     assert_windows("materialized", &plan);
 }
 
 #[test]
 fn windows_on_ranked_enum_fallback() {
-    let q = parse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)").unwrap();
-    let engine = Engine::new(three_path_db().freeze());
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::sum_by_value(),
-            &FdSet::empty(),
-            Policy::RankedEnum,
-        )
-        .unwrap();
-    assert_eq!(plan.backend(), Backend::RankedEnum);
+    let (db, q) = (
+        three_path_db(),
+        "Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)",
+    );
+    let plan = plan(db, q, &[], Policy::RankedEnum, Backend::RankedEnum);
     assert_windows("ranked-enum", &plan);
 }
 
@@ -463,95 +354,6 @@ fn selection_sum_windows_stay_lazy_on_distinct_weights() {
     );
 }
 
-/// Weights that encode an answer positionally — variable `i` of `vars`
-/// weighs `value · 100^(n-1-i)` — so distinct answers over values
-/// below 100 have distinct weights and a sum order is total.
-fn positional_weights(q: &Cq, vars: &[&str]) -> Weights {
-    let mut w = Weights::zero();
-    for (i, var) in vars.iter().enumerate() {
-        let scale = 100f64.powi((vars.len() - 1 - i) as i32);
-        for val in 0..100 {
-            w.set(q.var(var).unwrap(), val, val as f64 * scale);
-        }
-    }
-    w
-}
-
-/// The contract of the [`DirectAccess`] trait on one backend: the core
-/// (`len`, `access_into`, `inverted_access`) serves exactly the
-/// oracle's array, both kernels equal a loop of `access_into`, and
-/// every provided method equals its definition over those five.
-fn conforms(label: &str, a: &dyn DirectAccess, oracle: &MaterializedAccess) {
-    let len = a.len();
-    assert_eq!(len, oracle.len(), "{label}: len");
-    assert!(
-        len >= 8,
-        "{label}: instance big enough for the windows below"
-    );
-    let mut row = Vec::new();
-    for (k, t) in oracle.answers().iter().enumerate() {
-        assert!(a.access_into(k as u64, &mut row), "{label}: rank {k}");
-        assert_eq!(row, t.values(), "{label}: rank {k}");
-        assert_eq!(a.inverted_access(t), Some(k as u64), "{label}: rank {k}");
-    }
-    assert!(!a.access_into(len, &mut row), "{label}: out of bound");
-    assert!(row.is_empty(), "{label}: a miss clears the buffer");
-
-    let one = |k: u64| oracle.answers().get(k as usize).cloned();
-    let singles = |r: Range<u64>| -> Vec<Tuple> { r.map_while(one).collect() };
-    let mut buf = WindowBuf::new();
-    let inverted = Range { start: 7, end: 3 };
-    let windows = [
-        0..0,
-        0..len,
-        0..len + 9,
-        len..len + 5,
-        len - 1..len + 5,
-        3..7,
-        inverted,
-    ];
-    for r in windows {
-        let expect = singles(r.clone());
-        assert_eq!(
-            a.access_range_into(r.clone(), &mut buf),
-            expect.len() as u64
-        );
-        assert_eq!(buf.to_tuples(), expect, "{label}: access_range_into({r:?})");
-        assert_eq!(
-            a.access_range(r.clone()),
-            expect,
-            "{label}: access_range({r:?})"
-        );
-    }
-    let ranks: Vec<u64> = (0..40u64)
-        .map(|i| i.wrapping_mul(7919) % (len + 3))
-        .chain([u64::MAX, 0, 0])
-        .collect();
-    let expect: Vec<Tuple> = ranks.iter().filter_map(|&k| one(k)).collect();
-    assert_eq!(a.access_batch_into(&ranks, &mut buf), expect.len() as u64);
-    assert_eq!(buf.to_tuples(), expect, "{label}: access_batch_into");
-    assert_eq!(a.access_batch(&ranks), expect, "{label}: access_batch");
-
-    assert!(!a.is_empty(), "{label}: is_empty");
-    for k in [0, len / 2, len - 1, len, u64::MAX] {
-        assert_eq!(a.access(k), one(k), "{label}: access({k})");
-    }
-    assert_eq!(a.top_k(3), singles(0..3), "{label}: top_k");
-    assert_eq!(a.top_k(len + 10), singles(0..len), "{label}: top_k clamps");
-    assert_eq!(a.top_k_into(4, &mut buf), 4);
-    assert_eq!(buf.to_tuples(), singles(0..4), "{label}: top_k_into");
-    assert_eq!(a.page(2, 4), singles(2..6), "{label}: page");
-    assert_eq!(
-        a.page(len - 2, u64::MAX),
-        singles(len - 2..len),
-        "{label}: page saturates"
-    );
-    assert_eq!(a.page_into(3, 4, &mut buf), 4);
-    assert_eq!(buf.to_tuples(), singles(3..7), "{label}: page_into");
-    let all: Vec<Tuple> = a.iter().collect();
-    assert_eq!(all, oracle.answers(), "{label}: iter");
-}
-
 #[test]
 fn provided_methods_conform_on_every_backend() {
     let db = Database::new()
@@ -564,14 +366,15 @@ fn provided_methods_conform_on_every_backend() {
     let by_xyz = MaterializedAccess::by_lex(&q, &db, &xyz);
 
     let lex = RankedAnswers::Lex(LexDirectAccess::build_on(&q, &snap, &xyz, &no_fds).unwrap());
-    conforms("lex", &lex, &by_xyz);
+    conforms("lex", &lex, by_xyz.answers(), 8);
 
     let qcov = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
     let sum = SumDirectAccess::build_on(&qcov, &snap, &Weights::identity(), &no_fds).unwrap();
     conforms(
         "sum",
         &RankedAnswers::Sum(sum),
-        &MaterializedAccess::by_sum(&qcov, &db, ident),
+        MaterializedAccess::by_sum(&qcov, &db, ident).answers(),
+        8,
     );
 
     let xzy = q.vars(&["x", "z", "y"]);
@@ -579,12 +382,13 @@ fn provided_methods_conform_on_every_backend() {
     conforms(
         "selection-lex",
         &RankedAnswers::SelectionLex(handle),
-        &MaterializedAccess::by_lex(&q, &db, &xzy),
+        MaterializedAccess::by_lex(&q, &db, &xzy).answers(),
+        8,
     );
 
     // Distinct weights: a window stays off the lazily built tie index
     // (`iter` is the one method that builds it, by design).
-    let w = positional_weights(&q, &["x", "y", "z"]);
+    let w = positional_weights(&q.vars(&["x", "y", "z"]));
     let by_w = MaterializedAccess::by_sum(&q, &db, |v, val| w.get(v, val).0);
     let handle = SelectionSumHandle::new(&q, &snap, w, &no_fds).unwrap();
     let answers = RankedAnswers::SelectionSum(handle);
@@ -596,14 +400,15 @@ fn provided_methods_conform_on_every_backend() {
         !handle.tie_index_built(),
         "a window must not build the tie index"
     );
-    conforms("selection-sum", &answers, &by_w);
+    conforms("selection-sum", &answers, by_w.answers(), 8);
 
     let qproj = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
     let xz = qproj.vars(&["x", "z"]);
     conforms(
         "materialized",
         &RankedAnswers::Materialized(MaterializedAccess::by_lex(&qproj, &db, &xz)),
-        &MaterializedAccess::by_lex(&qproj, &db, &xz),
+        MaterializedAccess::by_lex(&qproj, &db, &xz).answers(),
+        8,
     );
 
     // The any-k fallback, through the plan facade: `is_empty` and
@@ -611,7 +416,7 @@ fn provided_methods_conform_on_every_backend() {
     // fetch a whole batch), and only `len` enumerates everything.
     let q3 = parse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)").unwrap();
     let db3 = three_path_db();
-    let w = positional_weights(&q3, &["x", "y", "z", "u"]);
+    let w = positional_weights(&q3.vars(&["x", "y", "z", "u"]));
     let by_w = MaterializedAccess::by_sum(&q3, &db3, |v, val| w.get(v, val).0);
     let plan = Engine::new(db3.freeze())
         .prepare(&q3, OrderSpec::sum(w), &no_fds, Policy::RankedEnum)
@@ -623,5 +428,5 @@ fn provided_methods_conform_on_every_backend() {
     assert!(handle.cached_prefix_len() <= 1, "is_empty pops one answer");
     assert_eq!(plan.iter().take(5).count(), 5);
     assert!(handle.cached_prefix_len() <= 5, "iter().take(5) pops five");
-    conforms("ranked-enum", plan.answers(), &by_w);
+    conforms("ranked-enum", plan.answers(), by_w.answers(), 8);
 }
