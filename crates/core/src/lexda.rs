@@ -16,17 +16,17 @@
 //!    globally consistent, so no layer needs another semijoin), bucket
 //!    by the preceding variables, order each bucket by the layer
 //!    variable, and run the counting DP (Figure 4). Codes are dense
-//!    ranks, and every kernel of the build leans on that: single-column
-//!    semijoins test a membership bitmap, wider ones merge packed
-//!    integer keys, projections first check — in one linear scan —
-//!    whether the rows already ascend (snapshot relations arrive
-//!    normalized, so they mostly do), a layer whose variable is its
-//!    node's last column is already in bucket order, and every other
-//!    order is a stable LSD radix sort over the codes — so the paper's
-//!    ⟨n log n⟩ sorting step is linear here. The DP links a row to its
-//!    child bucket through a dense `code → bucket` table when the
-//!    child's bucket key is one variable, and counts in `u64` under
-//!    checked arithmetic. What each phase cost is kept on the structure
+//!    ranks, and every kernel of the build leans on that: rows that
+//!    share a join key get one dense id ([`rda_db::key_ids`]; a
+//!    one-variable key is its own code), projections first check — in
+//!    one linear scan — whether the rows already ascend (snapshot
+//!    relations arrive normalized, so they mostly do), a layer whose
+//!    variable is its node's last column is already in bucket order,
+//!    and every other order is a stable LSD radix sort over the codes —
+//!    so the paper's ⟨n log n⟩ sorting step is linear here. The DP
+//!    links a row to its child bucket through one `key id → bucket`
+//!    table per child, and counts in `u64` under checked arithmetic.
+//!    What each phase cost is kept on the structure
 //!    ([`LexDirectAccess::build_cost`]);
 //! 6. answer accesses with Algorithm 1 — one descent (a division and a
 //!    directory-bracketed search per layer) behind single accesses,
@@ -60,13 +60,13 @@ use crate::snapprep::{
     build_derivations_encoded, prepare_instance, reduce_to_full_encoded, Derivation,
 };
 use crate::window::WindowBuf;
-use rda_db::{Database, EncodedRelation, Snapshot, Tuple, Value};
+use rda_db::{key_ids, Database, EncodedRelation, Snapshot, Tuple, Value};
 use rda_query::classify::Problem;
 use rda_query::{
     complete_order, fd_reordered_order, layered_join_tree, positions_of, Cq, FdSet, VarId,
 };
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -108,9 +108,9 @@ struct BucketMeta {
 /// One layer's arena: the struct-of-arrays form of Figure 4's bucketed,
 /// weighted, sorted runs.
 ///
-/// Entries are grouped into buckets (one bucket per assignment of
-/// `key_vars`), buckets are stored back to back sorted by their key
-/// codes, and entries within a bucket ascend by `value_codes`. All
+/// Entries are grouped into buckets (one bucket per assignment of the
+/// bucket-key variables), buckets are stored back to back sorted by
+/// their key codes, and entries within a bucket ascend by `value_codes`. All
 /// rank arithmetic on this data is exact: construction fails with
 /// [`BuildError::CountOverflow`] rather than letting a count exceed
 /// `u64`, so every `start × factor` product during an access is a
@@ -130,9 +130,6 @@ struct BucketMeta {
 /// touch of one or two cache lines per layer.
 #[derive(Debug, Clone)]
 struct Layer {
-    /// Bucket-key variables (ascending); `key_cols[j]` holds the codes
-    /// of `key_vars[j]`, one per bucket.
-    key_vars: Vec<VarId>,
     /// Child layers in the layered join tree.
     children: Vec<usize>,
     /// Per entry: the rank-descent hot data, packed to 16 bytes so one
@@ -149,9 +146,6 @@ struct Layer {
     buckets: Vec<BucketMeta>,
     /// Backing store for the rank directories.
     dir_pool: Vec<u32>,
-    /// Per key variable: one code column over the buckets, sorted
-    /// lexicographically — the build-time linking index for parents.
-    key_cols: Vec<Vec<u32>>,
 }
 
 /// One arena entry's hot data (16 bytes).
@@ -172,26 +166,8 @@ impl Layer {
         use std::mem::size_of;
         (self.entries.len() * size_of::<Entry>()
             + self.buckets.len() * size_of::<BucketMeta>()
-            + 4 * (self.value_codes.len()
-                + self.extra_children.len()
-                + self.dir_pool.len()
-                + self.key_cols.iter().map(Vec::len).sum::<usize>())) as u64
-    }
-
-    /// Binary-search the bucket whose key codes equal `probe(j)` for
-    /// every key position `j`. Allocation-free.
-    fn find_bucket(&self, probe: impl Fn(usize) -> u32) -> Option<usize> {
-        let (mut lo, mut hi) = (0usize, self.buckets.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let key = self.key_cols.iter().map(|col| col[mid]);
-            match key.cmp((0..self.key_cols.len()).map(&probe)) {
-                Ordering::Less => lo = mid + 1,
-                Ordering::Greater => hi = mid,
-                Ordering::Equal => return Some(mid),
-            }
-        }
-        None
+            + 4 * (self.value_codes.len() + self.extra_children.len() + self.dir_pool.len()))
+            as u64
     }
 
     /// Algorithm 1's layer search: the absolute index of the last entry
@@ -266,61 +242,49 @@ impl Trace for &mut [Carry] {
     }
 }
 
-/// Marks a key code no bucket of the child carries in a
-/// [`ChildLink::Dense`] table.
+/// Marks, in a [`ChildLink`] table, a key id no child bucket carries.
 const NO_BUCKET: u32 = u32::MAX;
 
 /// How the counting DP finds, for a row of a parent layer, the bucket
-/// of one child layer that agrees with it on the child's bucket key.
-/// Build-time scratch: dropped when the parent layer is done.
+/// of one child layer that agrees with it on the child's bucket key:
+/// `table[id]` is the bucket whose key has [`key_ids`] id `id`, and
+/// `ids` holds the parent rows' ids. Build-time scratch: dropped when
+/// the parent layer is done.
 struct ChildLink<'a> {
     child: &'a Layer,
-    lookup: ChildLookup<'a>,
-}
-
-enum ChildLookup<'a> {
-    /// The child's bucket key is one variable: `table[code]` is the
-    /// bucket whose key is `code` (or [`NO_BUCKET`]), indexed by the
-    /// parent's column of that variable. Codes are dense dictionary
-    /// ranks, so the table is no longer than the dictionary.
-    Dense { col: &'a [u32], table: Vec<u32> },
-    /// Any other key width: binary search over the child's sorted
-    /// bucket keys, probing the parent's columns `cols`.
-    Search { cols: Vec<&'a [u32]> },
+    ids: Cow<'a, [u32]>,
+    table: Vec<u32>,
 }
 
 impl<'a> ChildLink<'a> {
-    /// Link rows of `parent` to `child`; `positions` are the parent's
-    /// columns holding the child's bucket-key variables, in key order.
-    fn new(child: &'a Layer, parent: &'a EncodedRelation, positions: &[usize]) -> Self {
-        let lookup = match (positions, child.key_cols.as_slice()) {
-            (&[p], [keys]) => {
-                // Bucket keys ascend, so the last one is the largest.
-                let mut table = vec![NO_BUCKET; keys.last().map_or(0, |&k| k as usize + 1)];
-                for (b, &k) in keys.iter().enumerate() {
-                    table[k as usize] = b as u32;
-                }
-                ChildLookup::Dense {
-                    col: parent.col(p),
-                    table,
-                }
-            }
-            _ => ChildLookup::Search {
-                cols: positions.iter().map(|&p| parent.col(p)).collect(),
-            },
-        };
-        ChildLink { child, lookup }
+    /// Link rows of `parent` to `child`, whose buckets' key codes are
+    /// the rows of `keys`; `positions` are the parent's columns holding
+    /// the child's bucket-key variables, in key order.
+    fn new(
+        child: &'a Layer,
+        keys: &'a EncodedRelation,
+        parent: &'a EncodedRelation,
+        positions: &[usize],
+    ) -> Self {
+        let all: Vec<usize> = (0..keys.arity()).collect();
+        let ids = key_ids(parent, positions, keys, &all);
+        let mut table = vec![NO_BUCKET; ids.len];
+        for (b, &id) in ids.build.iter().enumerate() {
+            table[id as usize] = b as u32;
+        }
+        ChildLink {
+            child,
+            ids: ids.probe,
+            table,
+        }
     }
 
     /// The child bucket agreeing with `row` of the parent, if any.
     fn bucket_of(&self, row: usize) -> Option<usize> {
-        match &self.lookup {
-            ChildLookup::Dense { col, table } => table
-                .get(col[row] as usize)
-                .filter(|&&b| b != NO_BUCKET)
-                .map(|&b| b as usize),
-            ChildLookup::Search { cols } => self.child.find_bucket(|j| cols[j][row]),
-        }
+        self.table
+            .get(self.ids[row] as usize)
+            .filter(|&&b| b != NO_BUCKET)
+            .map(|&b| b as usize)
     }
 }
 
@@ -716,6 +680,10 @@ impl LexDirectAccess {
         // u64::MAX.
         let f = order.len();
         let mut layers: Vec<Option<Layer>> = (0..f).map(|_| None).collect();
+        // Per built layer: its bucket-key variables and their codes, one
+        // row per bucket — what its parent links to, dropped with the DP.
+        let mut bucket_keys: Vec<(Vec<VarId>, EncodedRelation)> =
+            vec![(Vec::new(), EncodedRelation::new(0)); f];
         for (i, enc) in enc_layers.into_iter().enumerate().rev() {
             let vars = &layer_vars[i];
             let var = order[i];
@@ -734,7 +702,8 @@ impl LexDirectAccess {
                 .iter()
                 .map(|&c| {
                     let child = layers[c].as_ref().expect("children already built");
-                    ChildLink::new(child, &enc, &positions_of(vars, &child.key_vars))
+                    let (child_vars, child_keys) = &bucket_keys[c];
+                    ChildLink::new(child, child_keys, &enc, &positions_of(vars, child_vars))
                 })
                 .collect();
 
@@ -750,18 +719,18 @@ impl LexDirectAccess {
             // entry.)
             let entry_bytes = (std::mem::size_of::<Entry>() + 4 + extra * 4) as u64;
             meter.charge(entry_bytes * rows as u64, rows as u64)?;
+            let mut keys = EncodedRelation::new(key_positions.len());
             let mut layer = Layer {
-                key_vars,
                 children: kids,
                 entries: Vec::with_capacity(rows),
                 value_codes: Vec::with_capacity(rows),
                 extra_children: Vec::with_capacity(rows * extra),
                 buckets: Vec::new(),
                 dir_pool: Vec::new(),
-                key_cols: key_positions.iter().map(|_| Vec::new()).collect(),
             };
             let value_col = enc.col(value_pos);
             let key_src: Vec<&[u32]> = key_positions.iter().map(|&p| enc.col(p)).collect();
+            let mut key_row: Vec<u32> = Vec::with_capacity(key_src.len());
             // Scratch for one row's child-bucket indices.
             let mut row_children: Vec<u32> = Vec::with_capacity(links.len());
             // The row that opened the current bucket, if one is open.
@@ -789,9 +758,9 @@ impl LexDirectAccess {
                         close_bucket(&mut layer, &mut meter)?;
                     }
                     opened_by = Some(row);
-                    for (dst, src) in layer.key_cols.iter_mut().zip(&key_src) {
-                        dst.push(src[row]);
-                    }
+                    key_row.clear();
+                    key_row.extend(key_src.iter().map(|c| c[row]));
+                    keys.push_row(&key_row);
                 }
                 let value = value_col[row];
                 layer.entries.push(Entry {
@@ -810,6 +779,7 @@ impl LexDirectAccess {
             }
             drop(links);
             layers[i] = Some(layer);
+            bucket_keys[i] = (key_vars, keys);
         }
         let layers: Vec<Layer> = layers.into_iter().map(|l| l.expect("all built")).collect();
         let total = layers[0].buckets.first().map_or(0, |b| b.total);

@@ -22,8 +22,8 @@
 
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
-use crate::snapprep::{dense_len, key_ids, prepare_reduced};
-use rda_db::{EncodedRelation, Snapshot, Tuple};
+use crate::snapprep::{dense_len, prepare_reduced};
+use rda_db::{key_ids, EncodedRelation, Snapshot, Tuple};
 use rda_query::classify::Problem;
 use rda_query::{
     complete_order, fd_reordered_order, shared_positions, Cq, FdExtension, FdSet, Hypergraph,

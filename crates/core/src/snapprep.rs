@@ -372,77 +372,23 @@ pub(crate) fn reduce_to_full_encoded(
     })
 }
 
-/// The id of a probe row whose join key no build row carries.
-const NO_KEY: u32 = u32::MAX;
-
-/// Dense ids for the join keys of two relations: a row of `probe` and a
-/// row of `build` get the same id exactly when they agree on the key
-/// columns, and every id of `build` is below `len` — so anything keyed
-/// by the join key is a flat table, whatever the key's width. A probe
-/// row without a partner gets an id no build row has.
-pub(crate) struct KeyIds<'a> {
-    pub(crate) probe: Cow<'a, [u32]>,
-    pub(crate) build: Cow<'a, [u32]>,
-    pub(crate) len: usize,
-}
-
-/// [`KeyIds`] of `probe` and `build` over their key columns. A
-/// one-column key is its own id (codes are dense dictionary ranks, so
-/// `len` stays below the dictionary's length) and nothing is copied;
-/// every further column is folded in by ranking `build`'s
-/// `(id so far, code)` words — one sort of `u64`s per extra column,
-/// whatever the width.
-pub(crate) fn key_ids<'a>(
-    probe: &'a EncodedRelation,
-    probe_keys: &[usize],
-    build: &'a EncodedRelation,
-    build_keys: &[usize],
-) -> KeyIds<'a> {
-    let (Some((&p0, p_rest)), Some((&b0, b_rest))) =
-        (probe_keys.split_first(), build_keys.split_first())
-    else {
-        // The empty key of a cross product: every row agrees.
-        return KeyIds {
-            probe: vec![0; probe.len()].into(),
-            build: vec![0; build.len()].into(),
-            len: 1,
-        };
-    };
-    let mut ids = KeyIds {
-        probe: Cow::Borrowed(probe.col(p0)),
-        build: Cow::Borrowed(build.col(b0)),
-        len: dense_len(build.col(b0)),
-    };
-    let word = |(&id, &code): (&u32, &u32)| u64::from(id) << 32 | u64::from(code);
-    for (&p, &b) in p_rest.iter().zip(b_rest) {
-        let words: Vec<u64> = ids.build.iter().zip(build.col(b)).map(word).collect();
-        let mut distinct = words.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let rank = |w: u64| distinct.binary_search(&w).map_or(NO_KEY, |i| i as u32);
-        ids = KeyIds {
-            probe: ids
-                .probe
-                .iter()
-                .zip(probe.col(p))
-                .map(word)
-                .map(rank)
-                .collect(),
-            build: words.iter().copied().map(rank).collect(),
-            len: distinct.len(),
-        };
-    }
-    ids
-}
-
 /// FD reasoning (and so [`classify`] under FDs) assumes distinct
-/// relation symbols: a self-join query with a non-empty `fds` is
-/// refused here, before anything classifies it.
+/// relation symbols, and an FD's variables in its relation's atom: a
+/// self-join query with a non-empty `fds`, or an FD naming a variable
+/// its atom lacks, is refused here, before anything classifies it.
 pub(crate) fn check_fds_apply(q: &Cq, fds: &FdSet) -> Result<(), BuildError> {
     if !fds.is_empty() && !q.is_self_join_free() {
         return Err(BuildError::InvalidOrder(
             "functional dependencies require a self-join-free query".to_string(),
         ));
+    }
+    for fd in fds.iter() {
+        let atom = q.atoms().iter().find(|a| a.relation == fd.relation);
+        if atom.is_some_and(|a| !a.var_set().contains(fd.lhs) || !a.var_set().contains(fd.rhs)) {
+            return Err(BuildError::InvalidOrder(format!(
+                "FD {fd} names a variable its atom does not contain"
+            )));
+        }
     }
     Ok(())
 }
@@ -692,9 +638,10 @@ mod tests {
         }
     }
 
-    /// Join-key ids against their definition, for every key width from
-    /// the empty key to six columns: equal ids iff equal keys, build
-    /// ids below `len`, and a probe row without a partner matches none.
+    /// Join-key ids, as the join kernels here consume them, against
+    /// their definition for every key width from the empty key to six
+    /// columns: equal ids iff equal keys, build ids below `len`, and a
+    /// probe row without a partner matches none.
     #[test]
     fn key_ids_are_equal_exactly_on_equal_keys() {
         let rows = |seed: u32, n: u32| {
@@ -710,7 +657,7 @@ mod tests {
         let (probe, build) = (rows(1, 40), rows(2, 25));
         for width in 0..=6 {
             let keys: Vec<usize> = (6 - width..6).collect();
-            let ids = key_ids(&probe, &keys, &build, &keys);
+            let ids = rda_db::key_ids(&probe, &keys, &build, &keys);
             let key = |rel: &EncodedRelation, r: usize| -> Vec<u32> {
                 keys.iter().map(|&p| rel.code(r, p)).collect()
             };

@@ -25,9 +25,9 @@
 
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
-use crate::snapprep::{key_ids, prepare_reduced};
+use crate::snapprep::prepare_reduced;
 use crate::weights::Weights;
-use rda_db::{EncodedRelation, Snapshot, Tuple};
+use rda_db::{key_ids, EncodedRelation, Snapshot, Tuple};
 use rda_orderstat::{select_nth_by, MatrixUnion, SortedMatrix, TotalF64};
 use rda_query::classify::Problem;
 use rda_query::{
@@ -110,7 +110,9 @@ impl SumSelection {
                 let all: Vec<usize> = (0..atoms[r].terms.len()).collect();
                 // The absorbed atom leaves the query: move its rows out.
                 let absorbed = std::mem::replace(&mut all_rels[r], EncodedRelation::new(0));
-                all_rels[i].semijoin(&keys, &absorbed, &all);
+                if let Some(keep) = all_rels[i].semijoin_plan(&keys, &absorbed, &all) {
+                    all_rels[i].retain_rows(&keep);
+                }
             }
         }
         let kept: Vec<usize> = contraction

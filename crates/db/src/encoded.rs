@@ -16,6 +16,7 @@ use crate::dict::Dictionary;
 use crate::persist::MappedSlice;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -159,48 +160,6 @@ pub fn radix_sort_rows(rows: &mut Vec<u32>, key: impl Fn(u32) -> u64) {
     }
 }
 
-/// A row's codes over a column list, packed row-major into one
-/// comparable word: the semijoin merge then runs over a contiguous
-/// vector of integers instead of chasing a row index through the
-/// columns in a comparator. Words of equal width compare exactly as
-/// the code tuples they pack.
-trait PackedKey: Ord {
-    fn pack(cols: &[&[u32]], row: usize) -> Self;
-}
-
-/// Up to two columns.
-impl PackedKey for u64 {
-    fn pack(cols: &[&[u32]], row: usize) -> u64 {
-        cols.iter().fold(0, |k, c| (k << 32) | u64::from(c[row]))
-    }
-}
-
-/// Up to four columns.
-impl PackedKey for u128 {
-    fn pack(cols: &[&[u32]], row: usize) -> u128 {
-        cols.iter().fold(0, |k, c| (k << 32) | u128::from(c[row]))
-    }
-}
-
-/// Any width: the same kernel, one heap word-string per row.
-impl PackedKey for Vec<u32> {
-    fn pack(cols: &[&[u32]], row: usize) -> Vec<u32> {
-        cols.iter().map(|c| c[row]).collect()
-    }
-}
-
-/// Call `$f::<K>($args)` with the narrowest [`PackedKey`] that holds
-/// `$width` columns.
-macro_rules! by_key_width {
-    ($width:expr, $f:ident($($arg:expr),*)) => {
-        match $width {
-            0..=2 => $f::<u64>($($arg),*),
-            3..=4 => $f::<u128>($($arg),*),
-            _ => $f::<Vec<u32>>($($arg),*),
-        }
-    };
-}
-
 /// How rows `a` and `b` compare on the column sequence `cols`.
 fn cmp_on(cols: &[&[u32]], a: usize, b: usize) -> Ordering {
     cols.iter()
@@ -238,66 +197,19 @@ fn ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
     })
 }
 
-/// A membership bitmap of the non-empty `codes`, sized by their largest.
-fn code_bitmap(codes: &[u32]) -> Vec<u64> {
-    let max = *codes.iter().max().expect("caller checked non-empty");
-    let mut bits = vec![0u64; (max as usize >> 6) + 1];
+/// A membership bitmap of `codes`, all of them below `len`.
+fn code_bitmap(codes: &[u32], len: usize) -> Vec<u64> {
+    let mut bits = vec![0u64; len.div_ceil(64)];
     for &c in codes {
         bits[c as usize >> 6] |= 1 << (c & 63);
     }
     bits
 }
 
-/// The distinct codes of a non-empty column, ascending — sort-free.
-fn distinct_codes(codes: &[u32]) -> Vec<u32> {
-    ones(&code_bitmap(codes)).collect()
-}
-
-/// The rows of `0..rows` that `hit` (called once per row, in row
-/// order), or `None` when every row does — found without allocating.
-fn surviving_rows(rows: usize, mut hit: impl FnMut(usize) -> bool) -> Option<Vec<u32>> {
-    let first_miss = (0..rows).find(|&r| !hit(r))?;
-    let mut keep: Vec<u32> = (0..first_miss as u32).collect();
-    keep.extend((first_miss + 1..rows).filter(|&r| hit(r)).map(|r| r as u32));
-    Some(keep)
-}
-
-/// Single-column semijoin: mark `build`'s codes in a bitmap sized by
-/// its largest code, then test one bit per `probe` row.
-fn bitmap_survivors(probe: &[u32], build: &[u32]) -> Option<Vec<u32>> {
-    let bits = code_bitmap(build);
-    surviving_rows(probe.len(), |r| {
-        let c = probe[r];
-        bits.get(c as usize >> 6)
-            .is_some_and(|word| word >> (c & 63) & 1 == 1)
-    })
-}
-
-/// Multi-column semijoin over packed keys: sort `build`'s words unless
-/// they already ascend, then merge `probe` against them when its words
-/// ascend too, or binary-search each of them otherwise.
-fn merge_survivors<K: PackedKey>(
-    probe: &[&[u32]],
-    n: usize,
-    build: &[&[u32]],
-    m: usize,
-) -> Option<Vec<u32>> {
-    let mut keys: Vec<K> = (0..m).map(|r| K::pack(build, r)).collect();
-    if !keys.is_sorted() {
-        keys.sort_unstable();
-    }
-    let probes: Vec<K> = (0..n).map(|r| K::pack(probe, r)).collect();
-    if probes.is_sorted() {
-        let mut j = 0;
-        surviving_rows(n, |r| {
-            while j < m && keys[j] < probes[r] {
-                j += 1;
-            }
-            j < m && keys[j] == probes[r]
-        })
-    } else {
-        surviving_rows(n, |r| keys.binary_search(&probes[r]).is_ok())
-    }
+/// One past the largest of `codes`, 0 for none: the length of a table
+/// indexed by them.
+fn dense_len(codes: &[u32]) -> usize {
+    codes.iter().max().map_or(0, |&m| m as usize + 1)
 }
 
 /// Append `codes` to `out`, moved through `remap` when there is one.
@@ -471,7 +383,7 @@ impl EncodedRelation {
         }
         if let (&[p], true) = (order, dedup) {
             // One column to deduplicate: its distinct codes, sort-free.
-            let codes = distinct_codes(cols[0]);
+            let codes = ones(&code_bitmap(cols[0], dense_len(cols[0]))).collect::<Vec<_>>();
             self.rows = codes.len();
             self.cols[p] = Column::from(codes);
             return;
@@ -534,40 +446,16 @@ impl EncodedRelation {
         out
     }
 
-    /// Semijoin ⋉: keep rows of `self` whose key (codes at `self_keys`)
-    /// appears among `other`'s keys (codes at `other_keys`). See
-    /// [`EncodedRelation::semijoin_plan`] for the kernels and their
-    /// cost; no per-row hashing or allocation.
+    /// Semijoin ⋉: which rows of `self` have a key (codes at
+    /// `self_keys`) among `other`'s keys (codes at `other_keys`).
+    /// `None` when every row does — no row list and no copy, so a
+    /// caller holding a borrowed or mapped relation keeps it as it is —
+    /// and otherwise `Some(keep)`, the surviving rows ascending, for
+    /// [`EncodedRelation::retain_rows`]. With no key columns every row
+    /// survives iff `other` has one.
     ///
-    /// # Panics
-    /// Panics if the key lists have different lengths.
-    pub fn semijoin(&mut self, self_keys: &[usize], other: &EncodedRelation, other_keys: &[usize]) {
-        if let Some(keep) = self.semijoin_plan(self_keys, other, other_keys) {
-            self.apply_permutation(&keep);
-        }
-    }
-
-    /// The planning half of [`EncodedRelation::semijoin`]: compute which
-    /// rows survive, without mutating. Returns `None` when every row
-    /// survives (so callers holding a borrowed relation — e.g. through
-    /// a [`std::borrow::Cow`] — can skip cloning it entirely), and
-    /// `Some(keep)` (ascending row indices) otherwise, to be applied
-    /// with [`EncodedRelation::retain_rows`].
-    ///
-    /// With `n = self.len()` and `m = other.len()`:
-    ///
-    /// * **one key column** — a membership bitmap over `0..=max`, `max`
-    ///   the largest key code of `other`, then one bit test per row of
-    ///   `self`: O(n + m + max/64), no sort. Codes are dense dictionary
-    ///   ranks, so `max` is below the dictionary's length; a probe code
-    ///   above `max` is simply a miss.
-    /// * **wider keys** — both sides' keys are packed row-major into
-    ///   one integer word per row. `other`'s words are sorted unless
-    ///   they already ascend; `self` is then merged against them in
-    ///   O(n + m) when its own words ascend, and binary-searched in
-    ///   O(n log m) otherwise.
-    /// * **no key columns** — every row survives iff `other` is
-    ///   non-empty.
+    /// Cost: [`key_ids`] over the two key column lists, then one bitmap
+    /// of `other`'s ids (`len` bits) and one bit test per row of `self`.
     ///
     /// # Panics
     /// Panics if the key lists have different lengths.
@@ -582,19 +470,24 @@ impl EncodedRelation {
             other_keys.len(),
             "semijoin key length mismatch"
         );
-        if self.rows == 0 {
-            return None;
-        }
-        if other.rows == 0 {
+        if other.rows == 0 && self.rows > 0 {
             return Some(Vec::new());
         }
-        let probe: Vec<&[u32]> = self_keys.iter().map(|&p| &*self.cols[p]).collect();
-        let build: Vec<&[u32]> = other_keys.iter().map(|&p| &*other.cols[p]).collect();
-        match probe.len() {
-            0 => None,
-            1 => bitmap_survivors(probe[0], build[0]),
-            w => by_key_width!(w, merge_survivors(&probe, self.rows, &build, other.rows)),
+        if self.rows == 0 || self_keys.is_empty() {
+            return None;
         }
+        let ids = key_ids(self, self_keys, other, other_keys);
+        let (probe, bits) = (&*ids.probe, code_bitmap(&ids.build, ids.len));
+        let hit = |r: &u32| {
+            let id = probe[*r as usize];
+            bits.get(id as usize >> 6)
+                .is_some_and(|word| word >> (id & 63) & 1 == 1)
+        };
+        // Nothing is allocated until the first row that misses.
+        let first_miss = (0..self.rows as u32).find(|r| !hit(r))?;
+        let mut keep: Vec<u32> = (0..first_miss).collect();
+        keep.extend((first_miss + 1..self.rows as u32).filter(hit));
+        Some(keep)
     }
 
     /// Rebase every code through `remap` (`remap[old_code] = new_code`),
@@ -761,6 +654,115 @@ impl EncodedRelation {
     }
 }
 
+/// The id of a probe row whose join key no build row carries.
+const NO_KEY: u32 = u32::MAX;
+
+/// Dense ids for the join key of two relations, from [`key_ids`].
+#[derive(Debug)]
+pub struct KeyIds<'a> {
+    /// One id per probe row.
+    pub probe: Cow<'a, [u32]>,
+    /// One id per build row, each below `len`.
+    pub build: Cow<'a, [u32]>,
+    /// The length of a table indexed by build ids.
+    pub len: usize,
+}
+
+/// Ids for the join key of `probe`'s rows (codes at `probe_keys`) and
+/// `build`'s rows (codes at `build_keys`):
+///
+/// * rows that agree on every key column get equal ids, and a build
+///   row shares its id only with rows that agree with it;
+/// * every build id is below `len`, so anything keyed by the join key
+///   is a flat table;
+/// * a probe row that agrees with no build row gets an id no build
+///   row has;
+/// * no key columns: every row gets id 0, and `len` is 1;
+/// * one key column: the codes are the ids, **borrowed**, and `len` is
+///   one past the largest build code.
+///
+/// Cost, for `n` probe and `m` build rows: nothing for no key column,
+/// one scan of the build codes for one. Each further column is folded
+/// into the ids as `(id << 32) | code` words: `build`'s words are
+/// radix-sorted unless they already ascend and ranked in one walk,
+/// then `probe`'s words are merged against the distinct ones when they
+/// ascend, O(n + m), and binary-searched among them otherwise,
+/// O(n log m).
+///
+/// # Panics
+/// Panics if the key lists have different lengths.
+pub fn key_ids<'a>(
+    probe: &'a EncodedRelation,
+    probe_keys: &[usize],
+    build: &'a EncodedRelation,
+    build_keys: &[usize],
+) -> KeyIds<'a> {
+    assert_eq!(
+        probe_keys.len(),
+        build_keys.len(),
+        "join key length mismatch"
+    );
+    let (Some((&p0, p_rest)), Some((&b0, b_rest))) =
+        (probe_keys.split_first(), build_keys.split_first())
+    else {
+        return KeyIds {
+            probe: vec![0; probe.rows].into(),
+            build: vec![0; build.rows].into(),
+            len: 1,
+        };
+    };
+    let mut ids = KeyIds {
+        probe: Cow::Borrowed(probe.col(p0)),
+        build: Cow::Borrowed(build.col(b0)),
+        len: dense_len(build.col(b0)),
+    };
+    for (&p, &b) in p_rest.iter().zip(b_rest) {
+        ids = fold_column(&ids, probe.col(p), build.col(b));
+    }
+    ids
+}
+
+/// [`key_ids`]' step from a key to the key one column wider: each
+/// row's `(id, code)` word ranked among the build's distinct words.
+fn fold_column(ids: &KeyIds<'_>, probe: &[u32], build: &[u32]) -> KeyIds<'static> {
+    let word = |(&id, &code): (&u32, &u32)| u64::from(id) << 32 | u64::from(code);
+    let words: Vec<u64> = ids.build.iter().zip(build).map(word).collect();
+    let mut sorted: Vec<u32> = (0..words.len() as u32).collect();
+    if !words.is_sorted() {
+        radix_sort_rows(&mut sorted, |r| words[r as usize]);
+    }
+    let mut distinct: Vec<u64> = Vec::new();
+    let mut build_ids = vec![0u32; words.len()];
+    for &r in &sorted {
+        let w = words[r as usize];
+        if distinct.last() != Some(&w) {
+            distinct.push(w);
+        }
+        build_ids[r as usize] = distinct.len() as u32 - 1;
+    }
+    let probe_words: Vec<u64> = ids.probe.iter().zip(probe).map(word).collect();
+    let id_at = |at: usize, w: u64| match distinct.get(at) {
+        Some(&d) if d == w => at as u32,
+        _ => NO_KEY,
+    };
+    let probe_ids: Vec<u32> = if probe_words.is_sorted() {
+        let mut j = 0;
+        let mut merge = |w: u64| {
+            j += distinct[j..].iter().take_while(|&&d| d < w).count();
+            id_at(j, w)
+        };
+        probe_words.iter().map(|&w| merge(w)).collect()
+    } else {
+        let search = |w: u64| id_at(distinct.partition_point(|&d| d < w), w);
+        probe_words.iter().map(|&w| search(w)).collect()
+    };
+    KeyIds {
+        probe: probe_ids.into(),
+        build: build_ids.into(),
+        len: distinct.len(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -869,25 +871,36 @@ mod tests {
         let r = Relation::from_tuples("R", 2, vec![tup![1, 5], tup![1, 2], tup![6, 2], tup![1, 2]]);
         let s = Relation::from_tuples("S", 2, vec![tup![5, 3], tup![5, 4]]);
         let dict = Dictionary::from_relations([&r, &s]);
-        let mut enc = EncodedRelation::encode(&r, &dict);
+        let enc = EncodedRelation::encode(&r, &dict);
         let enc_s = EncodedRelation::encode(&s, &dict);
-        enc.semijoin(&[1], &enc_s, &[0]);
+        let enc = semijoined(&enc, &[1], &enc_s, &[0]);
         let decoded: Vec<Tuple> = (0..enc.len()).map(|r| enc.decode_row(r, &dict)).collect();
         assert_eq!(decoded, vec![tup![1, 5]]);
     }
 
     #[test]
     fn semijoin_on_empty_keys_keeps_all_iff_other_nonempty() {
-        let (_, mut enc) = setup();
+        let (_, enc) = setup();
         let other = EncodedRelation::new(0);
-        enc.semijoin(&[], &other, &[]);
-        assert!(enc.is_empty());
+        assert!(semijoined(&enc, &[], &other, &[]).is_empty());
 
-        let (_, mut enc) = setup();
         let mut other = EncodedRelation::new(0);
         other.push_row(&[]);
-        enc.semijoin(&[], &other, &[]);
-        assert_eq!(enc.len(), 4);
+        assert_eq!(enc.semijoin_plan(&[], &other, &[]), None);
+    }
+
+    /// `rel ⋉ other` on the given key columns.
+    fn semijoined(
+        rel: &EncodedRelation,
+        keys: &[usize],
+        other: &EncodedRelation,
+        other_keys: &[usize],
+    ) -> EncodedRelation {
+        let mut out = rel.clone();
+        if let Some(keep) = rel.semijoin_plan(keys, other, other_keys) {
+            out.retain_rows(&keep);
+        }
+        out
     }
 
     // ("remapped never bumps relation_encode_count" is asserted in
@@ -1085,33 +1098,94 @@ mod tests {
             "sort_by_cols {keys:?}, case {case}"
         );
 
-        // semijoin on 0..=3 key columns (0 only when a side has none).
-        let width = draw.below(4).min(a.arity()).min(b.arity());
+        // semijoin and key_ids on 0..=5 key columns, repeats allowed (0
+        // only when a side has none).
         let width = if a.arity() == 0 || b.arity() == 0 {
             0
         } else {
-            width
+            draw.below(6)
         };
         let self_keys = draw.positions(width, a.arity().max(1));
         let other_keys = draw.positions(width, b.arity().max(1));
+        let what = format!("{self_keys:?} ⋉ {other_keys:?}, case {case}");
         let wanted: BTreeSet<Vec<u32>> = rows_b.iter().map(|r| pick(r, &other_keys)).collect();
         let keep: Vec<u32> = (0..rows_a.len() as u32)
             .filter(|&r| wanted.contains(&pick(&rows_a[r as usize], &self_keys)))
             .collect();
         let plan = a.semijoin_plan(&self_keys, b, &other_keys);
-        let what = format!("semijoin {self_keys:?} ⋉ {other_keys:?}, case {case}");
         if keep.len() == rows_a.len() {
-            assert_eq!(plan, None, "{what}");
+            assert_eq!(plan, None, "semijoin {what}");
         } else {
-            assert_eq!(plan.as_deref(), Some(&keep[..]), "{what}");
+            assert_eq!(plan.as_deref(), Some(&keep[..]), "semijoin {what}");
         }
-        let mut joined = a.clone();
-        joined.semijoin(&self_keys, b, &other_keys);
+        let joined = semijoined(a, &self_keys, b, &other_keys);
         let model: Rows = keep.iter().map(|&r| rows_a[r as usize].clone()).collect();
-        assert_eq!(rows_of(&joined), model, "{what}");
+        assert_eq!(rows_of(&joined), model, "semijoin {what}");
         if keep.len() == rows_a.len() {
             // Nothing removed: nothing copied.
             assert_eq!(mapped_columns(&joined), mapped_columns(a), "{what}");
+        }
+
+        // key_ids as the columns come, and with both sides sorted by
+        // their key (the merge and sort-free paths).
+        check_key_ids(a, &self_keys, b, &other_keys, &what);
+        let by_key = |rel: &EncodedRelation, keys: &[usize]| {
+            let mut firsts = keys.to_vec();
+            firsts.dedup();
+            let mut sorted = rel.clone();
+            sorted.sort_by_cols(&firsts);
+            sorted
+        };
+        let (sa, sb) = (by_key(a, &self_keys), by_key(b, &other_keys));
+        check_key_ids(&sa, &self_keys, &sb, &other_keys, &format!("sorted {what}"));
+    }
+
+    /// [`key_ids`] against its contract, pair by pair of rows.
+    fn check_key_ids(
+        a: &EncodedRelation,
+        self_keys: &[usize],
+        b: &EncodedRelation,
+        other_keys: &[usize],
+        what: &str,
+    ) {
+        let ids = key_ids(a, self_keys, b, other_keys);
+        let (keys_a, keys_b): (Rows, Rows) = (
+            rows_of(a).iter().map(|r| pick(r, self_keys)).collect(),
+            rows_of(b).iter().map(|r| pick(r, other_keys)).collect(),
+        );
+        assert_eq!(ids.probe.len(), keys_a.len(), "key_ids {what}");
+        assert_eq!(ids.build.len(), keys_b.len(), "key_ids {what}");
+        assert!(
+            ids.build.iter().all(|&id| (id as usize) < ids.len),
+            "key_ids {what}"
+        );
+        match self_keys.len() {
+            0 => assert_eq!(ids.len, 1, "key_ids {what}"),
+            1 => assert!(
+                matches!(
+                    (&ids.probe, &ids.build),
+                    (Cow::Borrowed(_), Cow::Borrowed(_))
+                ),
+                "key_ids {what}: one column is borrowed"
+            ),
+            _ => {}
+        }
+        for (r, &id) in ids.probe.iter().enumerate() {
+            for (s, &other) in ids.build.iter().enumerate() {
+                let same = keys_a[r] == keys_b[s];
+                assert_eq!(id == other, same, "key_ids {what}: probe {r}, build {s}");
+            }
+            for (s, &other) in ids.probe.iter().enumerate() {
+                if keys_a[r] == keys_a[s] {
+                    assert_eq!(id, other, "key_ids {what}: probes {r}, {s}");
+                }
+            }
+        }
+        for (r, &id) in ids.build.iter().enumerate() {
+            for (s, &other) in ids.build.iter().enumerate() {
+                let same = keys_b[r] == keys_b[s];
+                assert_eq!(id == other, same, "key_ids {what}: builds {r}, {s}");
+            }
         }
     }
 
@@ -1243,7 +1317,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(600))]
 
         /// Owned columns straight from random code rows: arities 0–5,
-        /// key widths 0–3, duplicates, empty sides, sparse codes, codes
+        /// key widths 0–5, duplicates, empty sides, sparse codes, codes
         /// in all three radix digits, sorted, reverse-sorted and
         /// all-equal inputs.
         #[test]

@@ -25,7 +25,7 @@ mod value;
 
 pub use database::{Database, MutationLog, RelationDelta};
 pub use dict::Dictionary;
-pub use encoded::{radix_sort_rows, relation_encode_count, EncodedRelation};
+pub use encoded::{key_ids, radix_sort_rows, relation_encode_count, EncodedRelation, KeyIds};
 pub use persist::{
     open_delta, open_snapshot, save_delta, save_snapshot, PersistError, SnapshotStore,
 };

@@ -220,6 +220,31 @@ fn fd_with_self_join_is_rejected_not_panicking() {
 }
 
 #[test]
+fn fd_naming_a_variable_outside_its_atom_is_refused_typed() {
+    // `x` is not a variable of R's atom; `Fd`'s fields are public, so
+    // nothing but the engine stands between this FD and the build.
+    let q = parse("Q(z, x, w, y) :- R(w, y, w), S(x, w, y), T(z)").unwrap();
+    let db = Database::new()
+        .with_i64_rows("R", 3, vec![vec![1, 2, 1]])
+        .with_i64_rows("S", 3, vec![vec![3, 1, 2]])
+        .with_i64_rows("T", 1, vec![vec![4]]);
+    let fds = FdSet(vec![ranked_access::rda_query::Fd {
+        relation: "R".to_string(),
+        lhs: q.var("x").unwrap(),
+        rhs: q.var("w").unwrap(),
+    }]);
+    let engine = Engine::new(db.freeze());
+    for policy in [Policy::Reject, Policy::Materialize, Policy::RankedEnum] {
+        let got = engine.prepare(&q, OrderSpec::lex(&q, &["z", "x", "w", "y"]), &fds, policy);
+        assert!(
+            matches!(got, Err(PlanError::Build(BuildError::InvalidOrder(_)))),
+            "{policy:?}: {:?}",
+            got.map(|p| p.len())
+        );
+    }
+}
+
+#[test]
 fn string_heavy_workload() {
     let q = parse("Q(a, b) :- R(a, b), S(b)").unwrap();
     let words = ["delta", "alpha", "echo", "bravo", "charlie"];

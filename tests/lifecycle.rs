@@ -435,10 +435,11 @@ proptest! {
         let Ok(q) = parse(&text) else { return Ok(true) };
         let db = common::random_db(&q, rng.random_range(1..8), 4, rng.random_range(0..u64::MAX));
         let mut fds = FdSet::empty();
-        if rng.random_bool(0.3) {
-            // `Fd`'s contract: both variables occur in the named atom.
+        if q.var_count() > 0 && rng.random_bool(0.3) {
+            // Variables from the whole query: one outside the named
+            // atom breaks `Fd`'s contract and must be refused typed.
             let atom = &q.atoms()[rng.random_range(0..q.atoms().len())];
-            let mut var = || atom.terms[rng.random_range(0..atom.terms.len())];
+            let mut var = || VarId(rng.random_range(0..q.var_count() as u32));
             let (lhs, rhs) = (var(), var());
             fds.0.push(Fd { relation: atom.relation.clone(), lhs, rhs });
         }
