@@ -1,4 +1,4 @@
-//! Order-preserving value dictionaries.
+//! Order-preserving value dictionaries, and the freeze's kernel.
 //!
 //! The direct-access structures of the paper spend their whole life
 //! comparing domain values: every layer descent is a binary search and
@@ -10,10 +10,17 @@
 //! Downstream, relations become columnar `u32` arrays
 //! ([`crate::EncodedRelation`]) and the access structures never touch a
 //! [`Value`] again until an answer tuple is emitted.
+//!
+//! A code *is* a rank, so encoding is a sort, not a hash: the freeze
+//! ranks each column ([`RankedRelation`]), unions the columns' distinct
+//! runs into the dictionary — its sorted values and nothing else — and
+//! merges each run against it. No cell is hashed or cloned.
 
+use crate::encoded::radix_sort_rows;
+use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// An order-preserving interner for a static set of [`Value`]s.
 ///
@@ -40,56 +47,35 @@ use std::collections::HashMap;
 pub struct Dictionary {
     /// Interned values, ascending; the code of `values[i]` is `i`.
     values: Vec<Value>,
-    /// Reverse map for O(1) encoding.
-    codes: HashMap<Value, u32>,
 }
 
 impl Dictionary {
-    /// Intern the distinct values of `iter`. O(m log m).
+    /// Wrap values already sorted ascending and distinct — by
+    /// [`Dictionary::from_ranked`], or checked by the [`crate::persist`]
+    /// open path.
     ///
     /// # Panics
-    /// Panics if the number of distinct values exceeds `u32::MAX`
-    /// (the paper's `n` is a tuple count; domains that large do not fit
-    /// in memory long before the code space runs out).
-    pub(crate) fn from_values(iter: impl IntoIterator<Item = Value>) -> Self {
-        let mut values: Vec<Value> = iter.into_iter().collect();
-        values.sort_unstable();
-        values.dedup();
-        assert!(
-            values.len() <= u32::MAX as usize,
-            "active domain exceeds the u32 code space"
-        );
-        let codes = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), i as u32))
-            .collect();
-        Dictionary { values, codes }
-    }
-
-    /// Rebuild a dictionary from values already sorted ascending and
-    /// distinct — the [`crate::persist`] open path, which validates the
-    /// order before calling (skipping the O(m log m) re-sort).
+    /// Panics if there are more than `u32::MAX` values (the paper's `n`
+    /// is a tuple count; domains that large do not fit in memory long
+    /// before the code space runs out).
     pub(crate) fn from_sorted(values: Vec<Value>) -> Self {
         debug_assert!(values.windows(2).all(|w| w[0] < w[1]));
         assert!(
             values.len() <= u32::MAX as usize,
             "active domain exceeds the u32 code space"
         );
-        let codes = values
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), i as u32))
-            .collect();
-        Dictionary { values, codes }
+        Dictionary { values }
     }
 
-    /// Intern every value appearing in `rels`.
-    pub(crate) fn from_relations<'a>(rels: impl IntoIterator<Item = &'a crate::Relation>) -> Self {
-        Self::from_values(
-            rels.into_iter()
-                .flat_map(|r| r.tuples().iter().flat_map(|t| t.iter().cloned())),
-        )
+    /// Intern every value of the ranked relations: the union of their
+    /// columns' distinct runs, integers and strings apart. The runs
+    /// already ascend, so they are merged, never sorted.
+    pub(crate) fn from_ranked(rels: &[RankedRelation<'_>]) -> Self {
+        let cols = || rels.iter().flat_map(|r| &r.cols);
+        let ints = union(&cols().map(|c| &c.ints[..]).collect::<Vec<_>>());
+        let strs = union(&cols().map(|c| &c.strs[..]).collect::<Vec<_>>());
+        let strs = strs.into_iter().cloned();
+        Self::from_sorted(ints.into_iter().map(Value::Int).chain(strs).collect())
     }
 
     /// Number of interned values.
@@ -102,10 +88,12 @@ impl Dictionary {
         self.values.is_empty()
     }
 
-    /// The code of `v`, or `None` when `v` was not interned. O(1),
-    /// allocation-free.
+    /// The code of `v`, or `None` when `v` was not interned: a
+    /// [`Dictionary::lower_bound`] that must land on `v` exactly.
+    /// O(log m), allocation-free.
     pub fn code(&self, v: &Value) -> Option<u32> {
-        self.codes.get(v).copied()
+        let (code, exact) = self.lower_bound(v);
+        exact.then_some(code)
     }
 
     /// The value behind `code`.
@@ -164,11 +152,10 @@ impl Dictionary {
     ///   encodings be upgraded by a pure integer gather
     ///   ([`crate::EncodedRelation::remapped`]) — never by re-encoding.
     ///
-    /// Cost: O(|extra| log |extra| + m) — no re-sort of the old values
-    /// (they are merged, already ordered), no re-hash of any relation
-    /// cell and, on every arm, no re-hash of an old value: the code map
-    /// is copied as laid out (a rebase moves its codes through the
-    /// remap in place) and only `extra` is hashed into it.
+    /// Cost: O(|extra| log m) to find the values not yet interned, then
+    /// O(|extra| log |extra| + m): no re-sort of the old values (an
+    /// append copies them, a rebase merges them, already ordered) and
+    /// no relation cell is touched. There is no map to copy or rewrite.
     ///
     /// # Panics
     /// Panics if the union would exceed the `u32` code space.
@@ -188,42 +175,23 @@ impl Dictionary {
         );
         if self.values.last().is_none_or(|last| *last < add[0]) {
             // Monotone append: old codes stay stable.
-            let mut values = self.values.clone();
-            let mut codes = self.codes.clone();
-            for v in add {
-                codes.insert(v.clone(), values.len() as u32);
-                values.push(v);
+            let values = [&self.values[..], &add].concat();
+            return DictDelta::Extended(Dictionary { values });
+        }
+        // Interior values: an old code moves up by the number of new
+        // values below its value.
+        let mut below = 0;
+        let mut moved = |(c, v): (usize, &Value)| {
+            while add.get(below).is_some_and(|a| a < v) {
+                below += 1;
             }
-            return DictDelta::Extended(Dictionary { values, codes });
-        }
-        // Interior values: merge the two sorted runs and record where
-        // each old code moved and where each new value landed.
-        let mut values: Vec<Value> = Vec::with_capacity(self.values.len() + add.len());
-        let mut remap: Vec<u32> = Vec::with_capacity(self.values.len());
-        let mut added: Vec<u32> = Vec::with_capacity(add.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.values.len() || j < add.len() {
-            let take_old = j >= add.len() || (i < self.values.len() && self.values[i] < add[j]);
-            if take_old {
-                remap.push(values.len() as u32);
-                values.push(self.values[i].clone());
-                i += 1;
-            } else {
-                added.push(values.len() as u32);
-                values.push(add[j].clone());
-                j += 1;
-            }
-        }
-        // The old map keeps its layout: every old code moves through
-        // the remap in place, and only the new values are hashed.
-        let mut codes = self.codes.clone();
-        for c in codes.values_mut() {
-            *c = remap[*c as usize];
-        }
-        codes.extend(add.into_iter().zip(added));
+            (c + below) as u32
+        };
         DictDelta::Rebased {
-            dict: Dictionary { values, codes },
-            remap,
+            remap: self.values.iter().enumerate().map(&mut moved).collect(),
+            dict: Dictionary {
+                values: union(&[&self.values, &add]),
+            },
         }
     }
 }
@@ -248,31 +216,305 @@ pub(crate) enum DictDelta {
     },
 }
 
+/// The union of ascending, distinct runs: the two halves' unions
+/// merged, a branch-free step per item, O(t log r) for `t` items in
+/// `r` runs.
+fn union<T: Ord + Clone>(runs: &[&[T]]) -> Vec<T> {
+    let (a, b) = match runs {
+        [] => return Vec::new(),
+        [run] => return run.to_vec(),
+        _ => runs.split_at(runs.len() / 2),
+    };
+    let (a, b) = (union(a), union(b));
+    let (mut out, mut i, mut j) = (Vec::with_capacity(a.len() + b.len()), 0, 0);
+    while i < a.len() && j < b.len() {
+        out.push((&a[i]).min(&b[j]).clone());
+        (i, j) = (i + usize::from(a[i] <= b[j]), j + usize::from(b[j] <= a[i]));
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
+/// The code of `probe` in `values`, which ascend and hold it at or
+/// after `*at`, where it leaves `*at`: a galloping search, O(log
+/// distance).
+///
+/// # Panics
+/// Panics if `values` does not hold `probe` at or after `*at`.
+fn slot_of(values: &[Value], at: &mut usize, probe: &Value) -> u32 {
+    let mut step = 1;
+    while values.get(*at + step - 1).is_some_and(|v| v < probe) {
+        step *= 2;
+    }
+    let (lo, hi) = (*at + step / 2, (*at + step - 1).min(values.len()));
+    *at = lo + values[lo..hi].partition_point(|v| v < probe);
+    let found = values.get(*at) == Some(probe);
+    assert!(found, "dictionary covers the relation");
+    *at as u32
+}
+
+/// The sign bit: flipping it maps `i64` order onto `u64` order.
+const SIGN: u64 = 1 << 63;
+
+/// One column of a relation, ranked: its distinct values ascending —
+/// the integers, then the strings, where [`Value`]'s order puts them —
+/// and each row's rank among them.
+#[derive(Debug)]
+struct RankedColumn<'a> {
+    ints: Vec<i64>,
+    strs: Vec<&'a Value>,
+    ranks: Vec<u32>,
+}
+
+impl<'a> RankedColumn<'a> {
+    /// Rank column `p` of `tuples` and stably sort `rows` by it: a
+    /// [`radix_sort_rows`] of the integer rows over each `i64`'s
+    /// sign-flipped image (which sorts as the `i64` does), a stable
+    /// comparison sort of the string rows, and one walk.
+    fn new(rows: &mut Vec<u32>, tuples: &'a [Tuple], p: usize) -> Self {
+        let cell = |r: u32| &tuples[r as usize][p];
+        let mut any_str = false;
+        let mut key = |i: Option<i64>| {
+            any_str |= i.is_none();
+            i.map_or(0, |i| i as u64 ^ SIGN)
+        };
+        let keys: Vec<u64> = tuples.iter().map(|t| key(t[p].as_int())).collect();
+        let mut str_rows: Vec<(&Value, u32)> = Vec::new();
+        if any_str {
+            let (ints, strs): (Vec<u32>, Vec<u32>) =
+                rows.iter().partition(|&&r| cell(r).as_int().is_some());
+            str_rows = strs.into_iter().map(|r| (cell(r), r)).collect();
+            *rows = ints;
+        }
+        radix_sort_rows(rows, |r| keys[r as usize]);
+        str_rows.sort_by_key(|&(s, _)| s);
+        let (mut ints, mut strs, mut ranks) = (Vec::new(), Vec::new(), vec![0; tuples.len()]);
+        for &r in rows.iter() {
+            let i = (keys[r as usize] ^ SIGN) as i64;
+            if ints.last() != Some(&i) {
+                ints.push(i);
+            }
+            ranks[r as usize] = ints.len() as u32 - 1;
+        }
+        for (s, r) in str_rows {
+            if strs.last() != Some(&s) {
+                strs.push(s);
+            }
+            ranks[r as usize] = (ints.len() + strs.len()) as u32 - 1;
+            rows.push(r);
+        }
+        RankedColumn { ints, strs, ranks }
+    }
+}
+
+/// A relation ranked column by column, and its distinct rows in order:
+/// the first half of the freeze kernel. [`Dictionary::from_ranked`]
+/// unions the columns' distinct runs, and [`RankedRelation::codes`]
+/// encodes the relation under any dictionary that holds its values.
+#[derive(Debug)]
+pub(crate) struct RankedRelation<'a> {
+    /// One row per distinct tuple, ascending.
+    rows: Vec<u32>,
+    cols: Vec<RankedColumn<'a>>,
+}
+
+impl<'a> RankedRelation<'a> {
+    /// Rank every column of `rel`, last to first, each sort stable over
+    /// the order the later ones left: the rows end sorted by the whole
+    /// tuple, and one scan of the ranks drops duplicates. Linear in the
+    /// cells, plus the string sorts. Rows are indexed per relation.
+    ///
+    /// # Panics
+    /// Panics if `rel` holds more than `u32::MAX` rows.
+    pub(crate) fn new(rel: &'a Relation) -> Self {
+        assert!(rel.len() <= u32::MAX as usize, "relation exceeds u32 rows");
+        let mut rows: Vec<u32> = (0..rel.len() as u32).collect();
+        let mut cols: Vec<RankedColumn> = (0..rel.arity())
+            .rev()
+            .map(|p| RankedColumn::new(&mut rows, rel.tuples(), p))
+            .collect();
+        cols.reverse();
+        let same = |a: &mut u32, b: &mut u32| {
+            cols.iter()
+                .all(|c| c.ranks[*a as usize] == c.ranks[*b as usize])
+        };
+        rows.dedup_by(same);
+        RankedRelation { rows, cols }
+    }
+
+    /// How many distinct rows the relation holds.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// The distinct rows encoded under `dict`, ascending — normalized,
+    /// as a snapshot holds them. Each column's distinct run is merged
+    /// against the dictionary (both ascend) into a rank → code table,
+    /// O(d log(m / d)) for `d` distinct values, then gathered per row.
+    ///
+    /// # Panics
+    /// Panics if `dict` lacks a value of the relation.
+    pub(crate) fn codes(&self, dict: &Dictionary) -> Vec<Vec<u32>> {
+        let col_codes = |col: &RankedColumn| {
+            let ints = col.ints.iter().map(|&i| Cow::Owned(Value::Int(i)));
+            let run = ints.chain(col.strs.iter().map(|&v| Cow::Borrowed(v)));
+            let mut at = 0;
+            let table: Vec<u32> = (run.map(|v| slot_of(&dict.values, &mut at, &v))).collect();
+            let code = |r: &u32| table[col.ranks[*r as usize] as usize];
+            self.rows.iter().map(code).collect()
+        };
+        self.cols.iter().map(col_codes).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{tup, Database, Snapshot};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
-    fn dict() -> Dictionary {
-        Dictionary::from_values([
-            Value::int(5),
-            Value::int(1),
-            Value::str("a"),
-            Value::int(5), // duplicate
-        ])
+    /// The freeze kernel's dictionary over `rels`.
+    fn kernel_dict(rels: &[&Relation]) -> Dictionary {
+        let ranked: Vec<RankedRelation> = rels.iter().map(|r| RankedRelation::new(r)).collect();
+        Dictionary::from_ranked(&ranked)
     }
 
+    /// {1, 5, "a"}.
+    fn dict() -> Dictionary {
+        let d = Relation::from_tuples("D", 1, vec![tup![5], tup![1], tup!["a"], tup![5]]);
+        kernel_dict(&[&d])
+    }
+
+    /// One of `items`, uniformly.
+    fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
+        items[rng.random_range(0..items.len())]
+    }
+
+    /// A random cell, an integer with chance `ints`. Integers come from
+    /// the `i64` extremes, zero and the sign change, a small range
+    /// (repeats) or anywhere; strings are empty, share prefixes, or
+    /// are drawn.
+    fn cell(rng: &mut StdRng, ints: f64) -> Value {
+        if rng.random_bool(ints) {
+            match rng.random_range(0..3) {
+                0 => Value::int(pick(rng, &[i64::MIN, -1, 0, 1, i64::MAX])),
+                1 => Value::int(rng.random_range(-6..6)),
+                _ => Value::int(rng.next_u64() as i64),
+            }
+        } else if rng.random_bool(0.6) {
+            Value::str(pick(rng, &["", "a", "ab", "abc", "abd", "b", "ba", "é"]))
+        } else {
+            let len = rng.random_range(0..4);
+            Value::str(
+                (0..len)
+                    .map(|_| pick(rng, &['a', 'b', 'z']))
+                    .collect::<String>(),
+            )
+        }
+    }
+
+    /// A random relation of arity 0–3: empty, or up to 24 rows with
+    /// repeats; each column all integers, all strings or mixed. A
+    /// nullary relation holds its one tuple, perhaps several times.
+    fn relation(rng: &mut StdRng, name: &str) -> Relation {
+        let arity = rng.random_range(0..4);
+        let ints: Vec<f64> = (0..arity).map(|_| pick(rng, &[1.0, 0.0, 0.5])).collect();
+        let rows = if rng.random_bool(0.15) {
+            0
+        } else {
+            rng.random_range(1..25)
+        };
+        let mut tuples: Vec<Tuple> = Vec::new();
+        for _ in 0..rows {
+            let t = match tuples.len() {
+                n if n > 0 && rng.random_bool(0.25) => tuples[rng.random_range(0..n)].clone(),
+                _ => ints.iter().map(|&p| cell(rng, p)).collect(),
+            };
+            tuples.push(t);
+        }
+        Relation::from_tuples(name, arity, tuples)
+    }
+
+    /// Check `snap` against the set model: its dictionary is `domain`,
+    /// ascending, and each relation of `db` is encoded as its distinct
+    /// tuples, ascending, every cell coded by its value's rank in
+    /// `domain`.
+    fn assert_model(snap: &Snapshot, db: &Database, domain: &BTreeSet<Value>, ctx: &str) {
+        let values: Vec<&Value> = domain.iter().collect();
+        let dict: Vec<&Value> = (0..snap.dict().len() as u32)
+            .map(|c| snap.dict().value(c))
+            .collect();
+        assert_eq!(dict, values, "{ctx}: the dictionary");
+        let rank = |v: &Value| values.binary_search(&v).expect("in the domain") as u32;
+        for v in &values {
+            assert_eq!(snap.dict().code(v), Some(rank(v)), "{ctx}: code of {v}");
+        }
+        for r in db.relations() {
+            let model: BTreeSet<Vec<u32>> = r
+                .tuples()
+                .iter()
+                .map(|t| t.iter().map(rank).collect())
+                .collect();
+            let enc = snap.encoded(r.name()).expect("every relation encoded");
+            let rows: Vec<Vec<u32>> = (0..enc.len())
+                .map(|i| (0..enc.arity()).map(|p| enc.code(i, p)).collect())
+                .collect();
+            assert_eq!(enc.arity(), r.arity(), "{ctx}: {} arity", r.name());
+            assert!(
+                rows.iter().eq(&model),
+                "{ctx}: {} is {rows:?}, the model {model:?}",
+                r.name()
+            );
+        }
+    }
+
+    /// The freeze kernel against a `BTreeSet<Value>` model, through
+    /// every path that runs it: `Database::freeze`, `freeze_delta`'s
+    /// re-encode arm (one relation replaced, beside a logged insert
+    /// that debug builds cross-check with the kernel), and save → open.
     #[test]
     fn codes_are_dense_and_order_preserving() {
-        let d = dict();
-        assert_eq!(d.len(), 3);
-        // Ints precede strings (Value's total order).
-        assert_eq!(d.code(&Value::int(1)), Some(0));
-        assert_eq!(d.code(&Value::int(5)), Some(1));
-        assert_eq!(d.code(&Value::str("a")), Some(2));
-        assert_eq!(d.code(&Value::int(7)), None);
-        for c in 0..3u32 {
-            assert_eq!(d.code(d.value(c)), Some(c));
+        let dir = std::env::temp_dir().join(format!("rda-dict-model-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for case in 0..96u64 {
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut db = Database::new();
+            for i in 0..rng.random_range(1..5) {
+                db.add(relation(&mut rng, &format!("R{i}")));
+            }
+            db.clear_mutation_log();
+            let cells = |db: &Database| -> BTreeSet<Value> {
+                let tuples = db.relations().flat_map(|r| r.tuples());
+                tuples.flat_map(|t| t.iter().cloned()).collect()
+            };
+            let domain = cells(&db);
+            let snap = db.clone().freeze();
+            assert_model(&snap, &db, &domain, &format!("case {case} freeze"));
+
+            let path = dir.join(format!("case-{case}.rdas"));
+            crate::save_snapshot(&snap, &path).unwrap();
+            let opened = crate::open_snapshot(&path).unwrap();
+            assert_model(&opened, &db, &domain, &format!("case {case} open"));
+
+            // One relation replaced, one other gains a logged row.
+            let names: Vec<String> = db.relations().map(|r| r.name().to_string()).collect();
+            let replaced = &names[rng.random_range(0..names.len())];
+            db.add(relation(&mut rng, replaced));
+            let logged = names
+                .iter()
+                .find(|n| *n != replaced && db.get(n).unwrap().arity() > 0);
+            if let Some(name) = logged {
+                let arity = db.get(name).unwrap().arity();
+                db.insert_into(name, (0..arity).map(|_| cell(&mut rng, 0.5)).collect());
+            }
+            let domain = &domain | &cells(&db);
+            let next = snap.freeze_delta(&mut db.clone());
+            assert_model(&next, &db, &domain, &format!("case {case} delta"));
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -288,9 +530,9 @@ mod tests {
     fn encode_tuple_into_reports_unknown_values() {
         let d = dict();
         let mut buf = Vec::new();
-        assert!(d.encode_tuple_into(&crate::tup![5, 1], &mut buf));
+        assert!(d.encode_tuple_into(&tup![5, 1], &mut buf));
         assert_eq!(buf, vec![1, 0]);
-        assert!(!d.encode_tuple_into(&crate::tup![5, 99], &mut buf));
+        assert!(!d.encode_tuple_into(&tup![5, 99], &mut buf));
     }
 
     #[test]
@@ -344,9 +586,15 @@ mod tests {
 
     #[test]
     fn from_relations_unions_all_columns() {
-        let r = crate::Relation::from_tuples("R", 2, vec![crate::tup![1, 5], crate::tup![6, 2]]);
-        let d = Dictionary::from_relations([&r]);
-        assert_eq!(d.len(), 4);
-        assert_eq!(d.code(&Value::int(6)), Some(3));
+        let r = Relation::from_tuples("R", 2, vec![tup![1, 5], tup![6, 2]]);
+        let s = Relation::from_tuples("S", 2, vec![tup![6, "x"], tup![-3, 2]]);
+        let d = kernel_dict(&[&r, &s]);
+        assert_eq!(d.len(), 6);
+        assert_eq!(d.code(&Value::int(-3)), Some(0));
+        assert_eq!(d.code(&Value::int(6)), Some(4));
+        assert_eq!(d.code(&Value::str("x")), Some(5));
+        // S's rows come out encoded and sorted: (-3, 2) before (6, "x").
+        let codes = RankedRelation::new(&s).codes(&d);
+        assert_eq!(codes, vec![vec![0, 4], vec![2, 5]]);
     }
 }

@@ -1,7 +1,7 @@
 //! Columnar, dictionary-encoded relations.
 //!
-//! The struct-of-arrays twin of [`Relation`]: one `Vec<u32>` per
-//! attribute, every cell a [`Dictionary`] code.
+//! The struct-of-arrays twin of [`Relation`](crate::Relation): one
+//! `Vec<u32>` per attribute, every cell a [`Dictionary`] code.
 //! Because codes are order-preserving, sorting, deduplication, semijoin
 //! and grouping over codes produce exactly the results they would over
 //! the decoded [`Value`](crate::Value)s — at integer cost and with
@@ -14,7 +14,6 @@
 
 use crate::dict::Dictionary;
 use crate::persist::MappedSlice;
-use crate::relation::Relation;
 use crate::tuple::Tuple;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -223,10 +222,10 @@ fn extend_remapped(out: &mut Vec<u32>, codes: &[u32], remap: Option<&[u32]>) {
 /// A dictionary-encoded relation in columnar (struct-of-arrays) layout.
 ///
 /// Row `r`'s attribute `p` lives at `col(p)[r]`. Operations mirror the
-/// [`Relation`] operators the preprocessing phases use, restricted to
-/// what the builders need; all are linear or quasilinear. Equality is
-/// by content — an owned relation and a mapped view of the same rows
-/// compare equal.
+/// [`Relation`](crate::Relation) operators the preprocessing phases
+/// use, restricted to what the builders need; all are linear or
+/// quasilinear. Equality is by content — an owned relation and a mapped
+/// view of the same rows compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedRelation {
     rows: usize,
@@ -234,33 +233,6 @@ pub struct EncodedRelation {
 }
 
 impl EncodedRelation {
-    /// Encode `rel` column-wise under `dict`.
-    ///
-    /// # Panics
-    /// Panics if some value of `rel` is not interned in `dict` — the
-    /// builders construct the dictionary from the very relations they
-    /// encode, so a miss is a logic error.
-    pub(crate) fn encode(rel: &Relation, dict: &Dictionary) -> Self {
-        ENCODE_CALLS.fetch_add(1, AtomicOrdering::Relaxed);
-        Self::encode_uncounted(rel, dict)
-    }
-
-    /// [`EncodedRelation::encode`] without the count: the encoding
-    /// itself, and the reference debug builds hold every delta merge to.
-    pub(crate) fn encode_uncounted(rel: &Relation, dict: &Dictionary) -> Self {
-        let arity = rel.arity();
-        let mut cols: Vec<Vec<u32>> = (0..arity).map(|_| Vec::with_capacity(rel.len())).collect();
-        for t in rel.tuples() {
-            for (p, v) in t.iter().enumerate() {
-                cols[p].push(dict.code(v).expect("dictionary covers the relation"));
-            }
-        }
-        EncodedRelation {
-            rows: rel.len(),
-            cols: cols.into_iter().map(Column::from).collect(),
-        }
-    }
-
     /// An empty encoded relation of the given arity.
     pub fn new(arity: usize) -> Self {
         EncodedRelation {
@@ -280,11 +252,18 @@ impl EncodedRelation {
         }
     }
 
+    /// A relation over the columns the freeze kernel
+    /// ([`crate::dict::RankedRelation::codes`]) just encoded: counts as
+    /// one encoding in [`relation_encode_count`].
+    pub(crate) fn encoded(rows: usize, cols: Vec<Vec<u32>>) -> Self {
+        ENCODE_CALLS.fetch_add(1, AtomicOrdering::Relaxed);
+        Self::from_owned_columns(rows, cols)
+    }
+
     /// Assemble a relation over already-encoded owned columns — the
     /// materializing open path of [`crate::persist`] (big-endian hosts,
     /// where the file's little-endian cells cannot be viewed in place).
     /// Not an encoding: [`relation_encode_count`] does not move.
-    #[cfg_attr(target_endian = "little", allow(dead_code))]
     pub(crate) fn from_owned_columns(rows: usize, cols: Vec<Vec<u32>>) -> Self {
         debug_assert!(cols.iter().all(|c| c.len() == rows));
         EncodedRelation {
@@ -423,20 +402,20 @@ impl EncodedRelation {
     }
 
     /// Sort by the full row and remove duplicate rows (set semantics,
-    /// matching [`Relation::normalize`]). Linear — and copy-free — when
-    /// the rows are already sorted and distinct, as every snapshot
-    /// relation is.
+    /// matching [`Relation::normalize`](crate::Relation::normalize)).
+    /// Linear — and copy-free — when the rows are already sorted and
+    /// distinct, as every snapshot relation is.
     pub fn normalize(&mut self) {
         let order: Vec<usize> = (0..self.arity()).collect();
         self.order_rows(&order, true);
     }
 
     /// Projection π onto `positions` (sorted + deduplicated), matching
-    /// [`Relation::project`]. Projecting a normalized relation onto a
-    /// prefix of its columns (or onto all of them) needs no sort: the
-    /// rows already ascend, so at most a linear deduplication runs. Any
-    /// other projection is radix-sorted over its codes, then
-    /// deduplicated — linear as well.
+    /// [`Relation::project`](crate::Relation::project). Projecting a
+    /// normalized relation onto a prefix of its columns (or onto all of
+    /// them) needs no sort: the rows already ascend, so at most a linear
+    /// deduplication runs. Any other projection is radix-sorted over its
+    /// codes, then deduplicated — linear as well.
     pub fn project(&self, positions: &[usize]) -> EncodedRelation {
         let mut out = EncodedRelation {
             rows: self.rows,
@@ -766,14 +745,33 @@ fn fold_column(ids: &KeyIds<'_>, probe: &[u32], build: &[u32]) -> KeyIds<'static
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dict::RankedRelation;
+    use crate::relation::Relation;
     use crate::tup;
+
+    /// `rels` encoded cell by cell under the freeze kernel's dictionary
+    /// over them, rows in stored order, duplicates kept.
+    fn encode(rels: &[&Relation]) -> (Dictionary, Vec<EncodedRelation>) {
+        let ranked: Vec<RankedRelation> = rels.iter().map(|r| RankedRelation::new(r)).collect();
+        let dict = Dictionary::from_ranked(&ranked);
+        let encode = |r: &&Relation| {
+            let mut enc = EncodedRelation::new(r.arity());
+            let mut row = Vec::new();
+            for t in r.tuples() {
+                assert!(dict.encode_tuple_into(t, &mut row));
+                enc.push_row(&row);
+            }
+            enc
+        };
+        let encs = rels.iter().map(encode).collect();
+        (dict, encs)
+    }
 
     fn setup() -> (Dictionary, EncodedRelation) {
         let rel =
             Relation::from_tuples("R", 2, vec![tup![1, 5], tup![1, 2], tup![6, 2], tup![1, 2]]);
-        let dict = Dictionary::from_relations([&rel]);
-        let enc = EncodedRelation::encode(&rel, &dict);
-        (dict, enc)
+        let (dict, mut encs) = encode(&[&rel]);
+        (dict, encs.remove(0))
     }
 
     #[test]
@@ -870,10 +868,8 @@ mod tests {
         // The dictionary must cover both sides; build it over the union.
         let r = Relation::from_tuples("R", 2, vec![tup![1, 5], tup![1, 2], tup![6, 2], tup![1, 2]]);
         let s = Relation::from_tuples("S", 2, vec![tup![5, 3], tup![5, 4]]);
-        let dict = Dictionary::from_relations([&r, &s]);
-        let enc = EncodedRelation::encode(&r, &dict);
-        let enc_s = EncodedRelation::encode(&s, &dict);
-        let enc = semijoined(&enc, &[1], &enc_s, &[0]);
+        let (dict, encs) = encode(&[&r, &s]);
+        let enc = semijoined(&encs[0], &[1], &encs[1], &[0]);
         let decoded: Vec<Tuple> = (0..enc.len()).map(|r| enc.decode_row(r, &dict)).collect();
         assert_eq!(decoded, vec![tup![1, 5]]);
     }

@@ -2,8 +2,9 @@
 //! stages.
 //!
 //! Private to this crate: used by [`Snapshot`](crate::Snapshot)
-//! freezing (one encode per relation, one gather per clean relation on
-//! a rebase). Plain standard-library scoped threads, no runtime,
+//! freezing (one ranking and one encoding per relation, one merge or
+//! re-encode per dirty relation and one gather per clean relation on a
+//! rebase). Plain standard-library scoped threads, no runtime,
 //! deterministic results (output slot `i` always holds the result for
 //! input `i`), and a serial fast path when the work or the machine has
 //! no parallelism to offer.

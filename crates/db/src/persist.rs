@@ -847,7 +847,7 @@ fn read_relation(
 }
 
 /// Open a base snapshot file written by [`save_snapshot`]: map it,
-/// verify every checksum, rebuild the dictionary, and reconstruct an `Arc<Snapshot>` whose encoded columns
+/// verify every checksum and that the dictionary ascends (lookups binary-search it as read), and reconstruct an `Arc<Snapshot>` whose encoded columns
 /// read **directly from the mapped bytes**. No relation is re-encoded
 /// ([`crate::relation_encode_count`] does not move) and the persisted
 /// identity (generation, uid, lineage, per-relation versions) is

@@ -195,16 +195,6 @@ impl Relation {
             tuples,
         }
     }
-
-    /// The dictionary-encoded columnar view of this relation (see
-    /// [`crate::EncodedRelation`]): one `u32` column per attribute,
-    /// order-preserving codes, same row order.
-    ///
-    /// # Panics
-    /// Panics if `dict` does not cover every value of this relation.
-    pub(crate) fn encode(&self, dict: &crate::Dictionary) -> crate::EncodedRelation {
-        crate::EncodedRelation::encode(self, dict)
-    }
 }
 
 impl fmt::Display for Relation {

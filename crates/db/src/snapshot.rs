@@ -28,12 +28,13 @@
 //! engine uses to carry prepared plans across generations.
 //!
 //! The process-wide counter [`crate::relation_encode_count`] records
-//! every relation encoding produced, by `encode` or by a delta merge —
+//! every relation encoding produced, by the freeze kernel or by a delta
+//! merge —
 //! the hook the encode-once contract (and its delta extension: *clean
 //! relations are never re-encoded*) is tested against.
 
 use crate::database::Database;
-use crate::dict::{DictDelta, Dictionary};
+use crate::dict::{DictDelta, Dictionary, RankedRelation};
 use crate::encoded::EncodedRelation;
 use crate::relation::Relation;
 use crate::tuple::Tuple;
@@ -157,16 +158,17 @@ impl LoggedRows<'_> {
 impl Snapshot {
     /// Freeze `db` as a fresh generation-0 snapshot. Prefer calling
     /// [`Database::freeze`].
+    ///
+    /// Encoding is a sort, not a hash (`dict::RankedRelation`): its
+    /// stable column sorts also leave each relation normalized, and each
+    /// relation is encoded exactly once. Ranking and encoding fan out
+    /// over scoped workers, one relation each, positionally.
     pub fn new(db: Database) -> Arc<Snapshot> {
-        let dict = Dictionary::from_relations(db.relations());
-        // Encode each relation exactly once. The per-relation encodings
-        // are independent, so fan them out over scoped workers; results
-        // come back positionally, keeping the snapshot deterministic.
         let rels: Vec<&Relation> = db.relations().collect();
-        let encoded_rels: Vec<EncodedRelation> = crate::parallel::map_indexed(rels.len(), |i| {
-            let mut enc = rels[i].encode(&dict);
-            enc.normalize();
-            enc
+        let ranked = crate::parallel::map(&rels, |r| RankedRelation::new(r));
+        let dict = Dictionary::from_ranked(&ranked);
+        let encoded_rels: Vec<EncodedRelation> = crate::parallel::map(&ranked, |r| {
+            EncodedRelation::encoded(r.len(), r.codes(&dict))
         });
         let encoded = rels
             .iter()
@@ -212,8 +214,9 @@ impl Snapshot {
     ///    encoded, and one walk over the parent's columns rebases them,
     ///    drops the deleted rows and splices the inserted ones. A dirty
     ///    relation the log cannot bound (replaced, new since `self`,
-    ///    arity 0) is re-encoded and normalized instead; debug builds
-    ///    hold every merge to that result. Clean relations keep their
+    ///    arity 0) is re-encoded by the freeze's kernel instead, merged
+    ///    against the extended dictionary; debug builds hold every
+    ///    merge to that result. Clean relations keep their
     ///    encoding `Arc` verbatim (stable codes) or receive a pure
     ///    integer gather (rebase case).
     ///    Either way, [`crate::relation_encode_count`] moves by exactly
@@ -282,16 +285,16 @@ impl Snapshot {
                     // Debug builds hold every merge to the other arm.
                     #[cfg(debug_assertions)]
                     {
-                        let mut full = EncodedRelation::encode_uncounted(r, &dict);
-                        full.normalize();
-                        assert_eq!(merged, full, "delta merge of {}", r.name());
+                        let full = RankedRelation::new(r).codes(&dict);
+                        let cols: Vec<&[u32]> =
+                            (0..merged.arity()).map(|p| merged.col(p)).collect();
+                        assert_eq!(cols, full, "delta merge of {}", r.name());
                     }
                     merged
                 }
                 None => {
-                    let mut enc = r.encode(&dict);
-                    enc.normalize();
-                    enc
+                    let ranked = RankedRelation::new(r);
+                    EncodedRelation::encoded(ranked.len(), ranked.codes(&dict))
                 }
             });
         let mut encoded: BTreeMap<String, EncodedEntry> = dirty

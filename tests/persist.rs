@@ -455,6 +455,39 @@ fn forged_value_tag_fails_typed() {
     ));
 }
 
+/// A dictionary whose first two values are swapped, forged *with* a
+/// matching section checksum. `Dictionary::code` binary-searches the
+/// values and encoding merges against them, so both trust their order:
+/// the open must refuse values that do not ascend, typed. `seed_db`'s
+/// values are all integers, 9 bytes each (tag, then the `i64`).
+#[test]
+fn forged_dictionary_order_fails_typed() {
+    let _g = guard();
+    let td = TempDir::new("forged-order");
+    let path = td.file("victim.rdas");
+    save_snapshot(&seed_db().freeze(), &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+
+    let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+    let dict_header = 56 + (u64_at(40) as usize).next_multiple_of(8);
+    let dict_payload = dict_header + 24;
+    let dict_end = dict_payload + u64_at(dict_header + 8) as usize;
+    assert_eq!(
+        (bytes[dict_payload], bytes[dict_payload + 9]),
+        (0, 0),
+        "two integers"
+    );
+    let (first, second) = bytes[dict_payload..dict_payload + 18].split_at_mut(9);
+    first.swap_with_slice(second);
+    let sum = section_checksum(&bytes[dict_payload..dict_end]);
+    bytes[dict_header + 16..dict_payload].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        open_snapshot(&path).unwrap_err(),
+        PersistError::Corrupt("dictionary values not ascending")
+    ));
+}
+
 /// A checksum-clean `RMETA` whose relation has zero rows (so `RCOLS` is
 /// empty and bounds nothing) but claims an arity of 2⁴⁰: the open must
 /// refuse it typed rather than size a vector by it.
