@@ -53,16 +53,15 @@ use crate::budget::BuildBudget;
 use crate::error::BuildError;
 use crate::fault;
 use crate::plan::{
-    describe_reason, AccessPlan, Explain, RankedAnswers, RankedEnumHandle, SelectionLexHandle,
-    SelectionSumHandle,
+    describe_reason, AccessPlan, Explain, RankedAnswers, SelectionLexHandle, SelectionSumHandle,
 };
 use crate::snapprep::{check_fds_apply, encoded_atoms};
 use crate::weights::Weights;
 use crate::{LexDirectAccess, SumDirectAccess};
-use rda_baseline::{MaterializedAccess, RankedEnumerator};
+use rda_baseline::MaterializedAccess;
 use rda_db::{Database, Snapshot, SnapshotStore};
 use rda_query::classify::{classify, Problem, Verdict};
-use rda_query::{is_acyclic, Cq, FdSet, VarId};
+use rda_query::{Cq, FdSet, VarId};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -109,15 +108,6 @@ pub enum Policy {
     /// Materialize and sort the full answer set (Θ(|out|) memory) —
     /// always possible, including for cyclic queries.
     Materialize,
-    /// Never materialize the full answer set: serve answers as a lazy
-    /// ranked stream. Tractable queries stream straight from the
-    /// direct-access / selection structures the router prefers anyway
-    /// (batched window cursors — see [`crate::AccessPlan::stream`]);
-    /// outside both tractable regions the any-k enumerator takes over
-    /// (full acyclic CQs under SUM orders only), advancing exactly as
-    /// far as the stream is consumed — reaching index `k` costs
-    /// Θ(k log n) once, then it is cached.
-    RankedEnum,
 }
 
 /// Why [`Engine::prepare`] could not produce a plan.
@@ -134,12 +124,6 @@ pub enum PlanError {
     },
     /// Instance-level failure while building the chosen backend.
     Build(BuildError),
-    /// [`Policy::RankedEnum`] was requested where the any-k enumerator
-    /// does not apply.
-    RankedEnumUnsupported {
-        /// What disqualified the query/order pair.
-        reason: String,
-    },
 }
 
 impl fmt::Display for PlanError {
@@ -160,16 +144,9 @@ impl fmt::Display for PlanError {
                 if let Verdict::Intractable { assumptions, .. } = verdict {
                     write!(f, " assuming {}", assumptions.join(" + "))?;
                 }
-                write!(
-                    f,
-                    "; pass Policy::Materialize (or, for SUM orders over full acyclic \
-                     queries, Policy::RankedEnum) to fall back"
-                )
+                write!(f, "; pass Policy::Materialize to fall back")
             }
             PlanError::Build(e) => write!(f, "{e}"),
-            PlanError::RankedEnumUnsupported { reason } => {
-                write!(f, "ranked-enumeration fallback unavailable: {reason}")
-            }
         }
     }
 }
@@ -692,17 +669,9 @@ fn prepare_on(
                     select: |lex| {
                         SelectionLexHandle::new(q, snap, lex, fds).map(RankedAnswers::SelectionLex)
                     },
-                    fallback: |lex: Vec<VarId>, policy| match policy {
-                        Policy::RankedEnum => Err(PlanError::RankedEnumUnsupported {
-                            reason:
-                                "the any-k enumerator ranks by SUM, not by lexicographic orders; \
-                                 use Policy::Materialize"
-                                    .to_string(),
-                        }),
-                        _ => {
-                            let m = MaterializedAccess::by_lex(q, &decoded_atoms(q, snap)?, &lex);
-                            Ok(RankedAnswers::Materialized(m))
-                        }
+                    fallback: |lex: Vec<VarId>| {
+                        let m = MaterializedAccess::by_lex(q, &decoded_atoms(q, snap)?, &lex);
+                        Ok(RankedAnswers::Materialized(m))
                     },
                 },
             )
@@ -725,32 +694,10 @@ fn prepare_on(
                     select: |w| {
                         SelectionSumHandle::new(q, snap, w, fds).map(RankedAnswers::SelectionSum)
                     },
-                    fallback: |w: Weights, policy| {
-                        if policy == Policy::RankedEnum {
-                            if !q.is_full() {
-                                return Err(PlanError::RankedEnumUnsupported {
-                                    reason:
-                                        "the any-k enumerator requires a full CQ (no projection)"
-                                            .to_string(),
-                                });
-                            }
-                            if !is_acyclic(&q.hypergraph()) {
-                                return Err(PlanError::RankedEnumUnsupported {
-                                    reason: "the any-k enumerator requires an acyclic CQ"
-                                        .to_string(),
-                                });
-                            }
-                        }
+                    fallback: |w: Weights| {
                         let db = decoded_atoms(q, snap)?;
-                        let weight = |v, val: &_| w.get(v, val).0;
-                        Ok(match policy {
-                            Policy::RankedEnum => RankedAnswers::RankedEnum(RankedEnumHandle::new(
-                                RankedEnumerator::new(q, &db, weight),
-                            )),
-                            _ => RankedAnswers::Materialized(MaterializedAccess::by_sum(
-                                q, &db, weight,
-                            )),
-                        })
+                        let m = MaterializedAccess::by_sum(q, &db, |v, val| w.get(v, val).0);
+                        Ok(RankedAnswers::Materialized(m))
                     },
                 },
             )
@@ -781,14 +728,15 @@ struct Rungs<N, S, F> {
     native: N,
     /// The selection-backed handle.
     select: S,
-    /// The fallback a non-`Reject` policy asks for.
+    /// The fallback [`Policy::Materialize`] asks for.
     fallback: F,
 }
 
 /// The routing ladder every order climbs: native direct access when the
 /// direct-access verdict (`problems.0`) is tractable, else the selection
-/// handle when the selection verdict (`problems.1`) is, else whatever
-/// `policy` allows — `Reject` fails with the direct-access witness.
+/// handle when the selection verdict (`problems.1`) is, else the
+/// fallback under [`Policy::Materialize`] — `Reject` fails with the
+/// direct-access witness.
 fn route<O, N, S, F>(
     q: &Cq,
     fds: &FdSet,
@@ -801,7 +749,7 @@ fn route<O, N, S, F>(
 where
     N: FnOnce(O) -> Result<RankedAnswers, BuildError>,
     S: FnOnce(O) -> Result<RankedAnswers, BuildError>,
-    F: FnOnce(O, Policy) -> Result<RankedAnswers, PlanError>,
+    F: FnOnce(O) -> Result<RankedAnswers, BuildError>,
 {
     let verdict = classify(q, fds, &problems.0);
     let witness = verdict.reason().map(|r| describe_reason(q, r));
@@ -814,7 +762,7 @@ where
         } else if policy == Policy::Reject {
             return Err(PlanError::Intractable { verdict, witness });
         } else {
-            (rungs.fallback)(order, policy)?
+            (rungs.fallback)(order)?
         };
         (answers, Some(selection_verdict))
     };
@@ -823,7 +771,7 @@ where
         RankedAnswers::Sum(da) => Some(*da.build_cost()),
         RankedAnswers::SelectionLex(h) => Some(*h.build_cost()),
         RankedAnswers::SelectionSum(h) => Some(*h.build_cost()),
-        RankedAnswers::Materialized(_) | RankedAnswers::RankedEnum(_) => None,
+        RankedAnswers::Materialized(_) => None,
     };
     let explain = Explain {
         problem_desc,
@@ -1017,22 +965,6 @@ mod tests {
             err.verdict().and_then(Verdict::reason),
             Some(Reason::NoAtomCoversFree { .. })
         ));
-        // Ranked enumeration applies: the query is full and acyclic.
-        let plan = engine
-            .prepare(
-                &q3,
-                OrderSpec::sum_by_value(),
-                &FdSet::empty(),
-                Policy::RankedEnum,
-            )
-            .unwrap();
-        assert_eq!(plan.backend(), Backend::RankedEnum);
-        // Answers: (1,2,5,7)=15 and (3,4,6,8)=21.
-        assert_eq!(plan.access(0), Some(tup![1, 2, 5, 7]));
-        assert_eq!(plan.access(1), Some(tup![3, 4, 6, 8]));
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan.inverted_access(&tup![3, 4, 6, 8]), Some(1));
-        // Materialize agrees.
         let plan = engine
             .prepare(
                 &q3,
@@ -1042,51 +974,11 @@ mod tests {
             )
             .unwrap();
         assert_eq!(plan.backend(), Backend::Materialized);
+        // Answers: (1,2,5,7)=15 and (3,4,6,8)=21.
+        assert_eq!(plan.access(0), Some(tup![1, 2, 5, 7]));
+        assert_eq!(plan.access(1), Some(tup![3, 4, 6, 8]));
         assert_eq!(plan.len(), 2);
-    }
-
-    #[test]
-    fn ranked_enum_rejected_for_lex_and_projections() {
-        let q = two_path();
-        let engine = fig2_engine();
-        let r = engine.prepare(
-            &q,
-            OrderSpec::lex(&q, &["x", "z", "y"]),
-            &FdSet::empty(),
-            Policy::RankedEnum,
-        );
-        // Selection is tractable for the trio order, so RankedEnum is
-        // never consulted: routing prefers the paper's algorithms.
-        assert!(r.is_ok());
-        // A cyclic query under SUM with RankedEnum policy is refused.
-        let qc = parse("Q(x, y, z) :- R(x, y), S(y, z), T(z, x)").unwrap();
-        let cyclic = Engine::new(
-            Database::new()
-                .with_i64_rows("R", 2, vec![vec![1, 2]])
-                .with_i64_rows("S", 2, vec![vec![2, 3]])
-                .with_i64_rows("T", 2, vec![vec![3, 1]])
-                .freeze(),
-        );
-        let err = cyclic
-            .prepare(
-                &qc,
-                OrderSpec::sum_by_value(),
-                &FdSet::empty(),
-                Policy::RankedEnum,
-            )
-            .unwrap_err();
-        assert!(matches!(err, PlanError::RankedEnumUnsupported { .. }));
-        // Materialize handles even the cyclic case.
-        let plan = cyclic
-            .prepare(
-                &qc,
-                OrderSpec::sum_by_value(),
-                &FdSet::empty(),
-                Policy::Materialize,
-            )
-            .unwrap();
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan.access(0), Some(tup![1, 2, 3]));
+        assert_eq!(plan.inverted_access(&tup![3, 4, 6, 8]), Some(1));
     }
 
     /// {LEX, SUM} × {native region, selection-only region, neither} ×
@@ -1098,9 +990,8 @@ mod tests {
         enum Routed {
             To(Backend),
             Intractable,
-            Unsupported,
         }
-        use Routed::{Intractable, To, Unsupported};
+        use Routed::{Intractable, To};
         let engine = Engine::new(
             Database::new()
                 .with_i64_rows("R", 2, vec![vec![1, 2], vec![3, 4]])
@@ -1110,50 +1001,49 @@ mod tests {
         );
         let two_path = "Q(x, y, z) :- R(x, y), S(y, z)";
         // `Some(vars)` is a LEX order, `None` SUM by value; the outcomes
-        // are under Reject, Materialize and RankedEnum.
-        type Cell<'a> = (&'a str, Option<&'a [&'a str]>, [Routed; 3]);
+        // are under Reject and Materialize.
+        type Cell<'a> = (&'a str, Option<&'a [&'a str]>, [Routed; 2]);
         let cells: [Cell; 7] = [
             // LEX, native: no disruptive trio, free-connex.
-            (two_path, Some(&["x", "y", "z"]), [To(LexDirectAccess); 3]),
+            (two_path, Some(&["x", "y", "z"]), [To(LexDirectAccess); 2]),
             // LEX, selection only: the <x, z, y> trio.
-            (two_path, Some(&["x", "z", "y"]), [To(SelectionLex); 3]),
-            // LEX, neither: not free-connex; any-k does not rank by LEX.
+            (two_path, Some(&["x", "z", "y"]), [To(SelectionLex); 2]),
+            // LEX, neither: not free-connex.
             (
                 "Q(x, z) :- R(x, y), S(y, z)",
                 Some(&["x", "z"]),
-                [Intractable, To(Materialized), Unsupported],
+                [Intractable, To(Materialized)],
             ),
             // SUM, native: one atom covers the free variables.
             (
                 "Q(x, y) :- R(x, y), S(y, z)",
                 None,
-                [To(SumDirectAccess); 3],
+                [To(SumDirectAccess); 2],
             ),
             // SUM, selection only: fmh = 2.
-            (two_path, None, [To(SelectionSum); 3]),
+            (two_path, None, [To(SelectionSum); 2]),
             // SUM, neither: fmh = 3 on a full acyclic query.
             (
                 "Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)",
                 None,
-                [Intractable, To(Materialized), To(RankedEnum)],
+                [Intractable, To(Materialized)],
             ),
-            // SUM, neither and cyclic: any-k needs an acyclic query.
+            // SUM, neither, on a cyclic query.
             (
                 "Q(x, y, z) :- R(x, y), S(y, z), T(z, x)",
                 None,
-                [Intractable, To(Materialized), Unsupported],
+                [Intractable, To(Materialized)],
             ),
         ];
         for (text, lex, expect) in cells {
             let q = parse(text).unwrap();
-            let policies = [Policy::Reject, Policy::Materialize, Policy::RankedEnum];
+            let policies = [Policy::Reject, Policy::Materialize];
             for (policy, want) in policies.into_iter().zip(expect) {
                 let order =
                     lex.map_or_else(OrderSpec::sum_by_value, |vars| OrderSpec::lex(&q, vars));
                 let got = match engine.prepare(&q, order, &FdSet::empty(), policy) {
                     Ok(plan) => To(plan.backend()),
                     Err(PlanError::Intractable { .. }) => Intractable,
-                    Err(PlanError::RankedEnumUnsupported { .. }) => Unsupported,
                     Err(e) => panic!("{text} {lex:?} {policy:?}: {e}"),
                 };
                 assert_eq!(got, want, "{text} {lex:?} {policy:?}");

@@ -23,7 +23,13 @@ pub enum BuildError {
     },
     /// The database violates a declared functional dependency.
     FdViolated(Fd),
-    /// A lexicographic order mentioned a non-free or repeated variable.
+    /// The order cannot be served as asked: a lexicographic order names
+    /// a non-free or repeated variable; functional dependencies are
+    /// declared on a self-join query or name a variable outside their
+    /// atom; or a SUM order routed to selection has weights that
+    /// include both +∞ and −∞ (∞ − ∞ is a NaN whose sign depends on
+    /// the order of addition, so the selection's pair sums would not
+    /// be monotone).
     InvalidOrder(String),
     /// The answer count (or an intermediate layer weight) exceeds
     /// `u64::MAX`, so ranks cannot be represented. The counting DP
@@ -70,7 +76,7 @@ impl fmt::Display for BuildError {
                 )
             }
             BuildError::FdViolated(fd) => write!(f, "database violates FD {fd}"),
-            BuildError::InvalidOrder(msg) => write!(f, "invalid lexicographic order: {msg}"),
+            BuildError::InvalidOrder(msg) => write!(f, "invalid order: {msg}"),
             BuildError::CountOverflow => {
                 write!(
                     f,

@@ -32,7 +32,7 @@
 //! holds only that code-space pipeline. Its value-level oracle — the
 //! pre-arena hash-bucketed lexicographic structure and the value-level
 //! preprocessing it runs — lives in `rda_baseline`, beside the
-//! materialize-and-sort and any-k fallbacks.
+//! materialize-and-sort fallback.
 //!
 //! ## The front door
 //!
@@ -73,8 +73,8 @@ pub use fault::{
 };
 pub use lexda::LexDirectAccess;
 pub use plan::{
-    AccessPlan, Backend, DirectAccess, Explain, RankedAnswers, RankedEnumHandle,
-    SelectionLexHandle, SelectionSumHandle,
+    AccessPlan, Backend, DirectAccess, Explain, RankedAnswers, SelectionLexHandle,
+    SelectionSumHandle,
 };
 pub use random_order::{Quantiles, RandomOrderEnumerator};
 pub use sumda::SumDirectAccess;

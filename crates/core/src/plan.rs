@@ -14,7 +14,7 @@
 //!   `access_batch`, `top_k`, `page`, `iter` — is written once, here,
 //!   over those five. Implemented by [`LexDirectAccess`],
 //!   [`SumDirectAccess`], the [`MaterializedAccess`] baseline, and the
-//!   selection and any-k handles;
+//!   two selection handles;
 //! * [`RankedAnswers`] — the engine's routed backend, one enum over all
 //!   strategies including the selection-backed handles;
 //! * [`Explain`] — why the router chose what it chose: the verdict, the
@@ -48,7 +48,7 @@ use crate::sumsel::SumSelection;
 use crate::weights::Weights;
 use crate::window::{clamp_range, RankedStream, WindowBuf};
 use crate::{LexDirectAccess, SumDirectAccess};
-use rda_baseline::{MaterializedAccess, RankedEnumerator};
+use rda_baseline::MaterializedAccess;
 use rda_db::{Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
 use rda_query::classify::{Reason, Verdict};
@@ -57,7 +57,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// Position-indexed ranked access to a query's answers, with one owned
 /// return convention for every backend.
@@ -73,15 +73,11 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// [`access_range_into`](DirectAccess::access_range_into) and
 /// [`access_batch_into`](DirectAccess::access_batch_into), whose
 /// defaults loop `access_into`. Everything else is provided over those
-/// five and overridden only where laziness is the contract (the any-k
-/// handle's `is_empty` / `iter`).
+/// five and overridden only where a backend has a cheaper full scan
+/// (the selection-sum handle's `iter`).
 pub trait DirectAccess {
-    /// Number of answers (`|Q(I)|`).
-    ///
-    /// The ranked-enumeration fallback pays for the first call (it
-    /// drains the stream) and caches the result; every other backend,
-    /// the selection handles included, knows its count from
-    /// construction.
+    /// Number of answers (`|Q(I)|`). Every backend, the selection
+    /// handles included, knows its count from construction.
     fn len(&self) -> u64;
 
     /// Write the answer at index `k` of the sorted answer array into
@@ -477,130 +473,6 @@ fn first_rank(ranks: Range<u64>, reached: impl Fn(u64) -> bool) -> u64 {
     lo
 }
 
-/// Fallback handle over the any-k ranked enumerator (Tziavelis et al.):
-/// `access(k)` materializes the answer stream up to `k` and caches it,
-/// so sequential scans pay logarithmic delay per step while random
-/// access costs Θ(k log n) on first touch.
-///
-/// The enumerator state sits behind a [`Mutex`], so a shared plan stays
-/// usable from many threads — concurrent accesses serialize on the
-/// stream (it is inherently sequential) but serve cached prefixes
-/// without re-enumerating.
-pub struct RankedEnumHandle {
-    state: Mutex<EnumState>,
-}
-
-struct EnumState {
-    enumerator: RankedEnumerator,
-    cache: Vec<Tuple>,
-    exhausted: bool,
-}
-
-impl EnumState {
-    /// Extend the cached prefix to `target` answers (or exhaustion).
-    fn fill_to(&mut self, target: u64) {
-        if self.exhausted {
-            return;
-        }
-        while (self.cache.len() as u64) < target {
-            match self.enumerator.next() {
-                Some((_, t)) => self.cache.push(t),
-                None => {
-                    self.exhausted = true;
-                    break;
-                }
-            }
-        }
-    }
-}
-
-impl RankedEnumHandle {
-    pub(crate) fn new(enumerator: RankedEnumerator) -> Self {
-        RankedEnumHandle {
-            state: Mutex::new(EnumState {
-                enumerator,
-                cache: Vec::new(),
-                exhausted: false,
-            }),
-        }
-    }
-
-    fn state(&self) -> std::sync::MutexGuard<'_, EnumState> {
-        self.state.lock().expect("enumerator state not poisoned")
-    }
-
-    /// How many answers the underlying enumerator has produced so far —
-    /// the laziness meter: streaming a prefix must keep this close to
-    /// the prefix length, never the full answer count.
-    pub fn cached_prefix_len(&self) -> u64 {
-        self.state().cache.len() as u64
-    }
-}
-
-impl DirectAccess for RankedEnumHandle {
-    fn len(&self) -> u64 {
-        let mut s = self.state();
-        s.fill_to(u64::MAX);
-        s.cache.len() as u64
-    }
-
-    fn is_empty(&self) -> bool {
-        // The default would drain the whole stream via len(); popping
-        // one answer settles emptiness in O(log n).
-        let mut s = self.state();
-        s.fill_to(1);
-        s.cache.is_empty()
-    }
-
-    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
-        let mut s = self.state();
-        s.fill_to(k.saturating_add(1));
-        copy_into(s.cache.get(k as usize), out)
-    }
-
-    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        // The stream is only ordered by weight; without the weight of
-        // `answer` we scan — Θ(len) on first call, cached afterwards.
-        let mut s = self.state();
-        s.fill_to(u64::MAX);
-        s.cache.iter().position(|t| t == answer).map(|i| i as u64)
-    }
-
-    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        // One lock and one fill for the whole window; filling only to
-        // `range.end` (never via len()) keeps the pay-as-you-go
-        // guarantee.
-        out.clear();
-        let mut s = self.state();
-        s.fill_to(range.end);
-        let (lo, hi) = clamp_range(&range, s.cache.len() as u64);
-        for t in &s.cache[lo as usize..hi as usize] {
-            out.push_tuple(t);
-        }
-        hi - lo
-    }
-
-    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        // One lock and one fill (to the largest requested rank) for the
-        // whole batch, instead of a lock round trip per rank.
-        out.clear();
-        let mut s = self.state();
-        if let Some(&max) = ranks.iter().max() {
-            s.fill_to(max.saturating_add(1));
-        }
-        for t in ranks.iter().filter_map(|&k| s.cache.get(k as usize)) {
-            out.push_tuple(t);
-        }
-        out.len() as u64
-    }
-
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        // Not via len(): a partial consumer (`iter().take(5)`) must not
-        // drain the whole stream up front.
-        Box::new((0u64..).map_while(|k| self.access(k)))
-    }
-}
-
 /// The engine's routed backend: every strategy behind one enum, all
 /// implementing [`DirectAccess`]. Since the snapshot refactor every
 /// variant owns (or `Arc`-shares) its data, so a routed backend is
@@ -619,9 +491,6 @@ pub enum RankedAnswers {
     /// Materialize-and-sort fallback (Θ(|out| log |out|) preprocessing,
     /// O(1) access).
     Materialized(MaterializedAccess),
-    /// Ranked-enumeration fallback (any-k; Θ(k log n) to first reach
-    /// index `k`, cached).
-    RankedEnum(RankedEnumHandle),
 }
 
 // The concurrency contract of the serving core: a prepared plan is
@@ -640,7 +509,6 @@ macro_rules! dispatch {
             RankedAnswers::SelectionLex($inner) => $e,
             RankedAnswers::SelectionSum($inner) => $e,
             RankedAnswers::Materialized($inner) => $e,
-            RankedAnswers::RankedEnum($inner) => $e,
         }
     };
 }
@@ -661,11 +529,8 @@ impl DirectAccess for RankedAnswers {
     fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         dispatch!(self, b => b.access_batch_into(ranks, out))
     }
-    // is_empty and iter are forwarded (not provided) so the lazy
-    // overrides — the ranked-enum handle's — survive the facade.
-    fn is_empty(&self) -> bool {
-        dispatch!(self, b => DirectAccess::is_empty(b))
-    }
+    // iter is forwarded (not provided) so the selection-sum handle's
+    // override survives the facade.
     fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
         dispatch!(self, b => DirectAccess::iter(b))
     }
@@ -679,8 +544,8 @@ impl fmt::Debug for RankedAnswers {
 
 impl RankedAnswers {
     /// A lazy, batch-fetching ranked iterator over all answers (see
-    /// [`RankedStream`]): any-k-style enumeration with nothing
-    /// materialized beyond one batch.
+    /// [`RankedStream`]): ranked enumeration with nothing materialized
+    /// beyond one batch.
     pub fn stream(&self) -> RankedStream<'_> {
         self.stream_from(0)
     }
@@ -699,7 +564,6 @@ impl RankedAnswers {
             RankedAnswers::SelectionLex(_) => Backend::SelectionLex,
             RankedAnswers::SelectionSum(_) => Backend::SelectionSum,
             RankedAnswers::Materialized(_) => Backend::Materialized,
-            RankedAnswers::RankedEnum(_) => Backend::RankedEnum,
         }
     }
 }
@@ -717,8 +581,6 @@ pub enum Backend {
     SelectionSum,
     /// Materialize-and-sort baseline.
     Materialized,
-    /// Any-k ranked enumeration baseline.
-    RankedEnum,
 }
 
 impl Backend {
@@ -730,7 +592,6 @@ impl Backend {
             Backend::SelectionLex => "<1, n>",
             Backend::SelectionSum => "<1, n log n>",
             Backend::Materialized => "<|out| log |out|, 1>",
-            Backend::RankedEnum => "<n log n, k log n amortized>",
         }
     }
 
@@ -741,7 +602,7 @@ impl Backend {
 
     /// `true` for the explicit fallbacks outside the tractable regions.
     pub fn is_fallback(self) -> bool {
-        matches!(self, Backend::Materialized | Backend::RankedEnum)
+        self == Backend::Materialized
     }
 }
 
@@ -753,7 +614,6 @@ impl fmt::Display for Backend {
             Backend::SelectionLex => "selection-lex",
             Backend::SelectionSum => "selection-sum",
             Backend::Materialized => "materialized",
-            Backend::RankedEnum => "ranked-enum",
         };
         write!(f, "{name}")
     }
@@ -935,9 +795,9 @@ impl AccessPlan {
     }
 
     /// A lazy, batch-fetching ranked iterator over the plan's answers —
-    /// ranked enumeration in the any-k style: answers arrive in order,
-    /// the next-batch cursor lives in the stream, and nothing is
-    /// materialized beyond one batch (see [`RankedStream`]).
+    /// ranked enumeration: answers arrive in order, the next-batch
+    /// cursor lives in the stream, and nothing is materialized beyond
+    /// one batch (see [`RankedStream`]).
     pub fn stream(&self) -> RankedStream<'_> {
         self.answers.stream()
     }
@@ -966,9 +826,6 @@ impl DirectAccess for AccessPlan {
     fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         self.mark_served();
         self.answers.access_batch_into(ranks, out)
-    }
-    fn is_empty(&self) -> bool {
-        self.answers.is_empty()
     }
     fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
         self.answers.iter()
@@ -1050,30 +907,5 @@ mod tests {
             assert_eq!(handle.inverted_access(&t), Some(k), "k={k}");
         }
         assert_eq!(handle.inverted_access(&tup![0, 0, 0]), None);
-    }
-
-    /// The ranked-enum handle stays lazy under partial consumption.
-    #[test]
-    fn ranked_enum_iter_is_lazy() {
-        let q = parse("Q(x, y) :- R(x, y)").unwrap();
-        let db =
-            Database::new().with_i64_rows("R", 2, (0..100).map(|i| vec![i, i]).collect::<Vec<_>>());
-        let e = RankedEnumerator::new(&q, &db, |_, v| v.as_int().map_or(0.0, |i| i as f64));
-        let h = RankedEnumHandle::new(e);
-        let first3: Vec<Tuple> = h.iter().take(3).collect();
-        assert_eq!(first3.len(), 3);
-        assert!(
-            h.cached_prefix_len() < 100,
-            "iter().take(3) must not drain the stream (cached {})",
-            h.cached_prefix_len()
-        );
-        assert!(!h.is_empty());
-        assert!(h.cached_prefix_len() < 100, "is_empty must stay lazy");
-        assert_eq!(h.access_range(2..5).len(), 3);
-        let mut buf = WindowBuf::new();
-        assert_eq!(h.access_range_into(2..5, &mut buf), 3);
-        assert_eq!(buf.to_tuples(), h.access_range(2..5));
-        assert!(h.cached_prefix_len() < 100, "windows must stay lazy");
-        assert_eq!(h.len(), 100); // len() is the one that drains
     }
 }

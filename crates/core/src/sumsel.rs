@@ -78,9 +78,10 @@ pub(crate) struct SumSelection {
 impl SumSelection {
     /// Everything that does not depend on the rank. Fails on the
     /// intractable side of the dichotomy, on an instance that does not
-    /// fit the query or violates an FD, and with
-    /// [`BuildError::CountOverflow`] when the answer count does not fit
-    /// in `u64`.
+    /// fit the query or violates an FD, with
+    /// [`BuildError::InvalidOrder`] when the weights include both +∞
+    /// and −∞, and with [`BuildError::CountOverflow`] when the answer
+    /// count does not fit in `u64`.
     pub(crate) fn prepare(
         q: &Cq,
         snap: &Arc<Snapshot>,
@@ -88,6 +89,15 @@ impl SumSelection {
         fds: &FdSet,
     ) -> Result<Self, BuildError> {
         let (_, red, mut cost) = prepare_reduced(q, snap, fds, &Problem::SelectionSum)?;
+        // Selection adds two atoms' partial sums, in another order than
+        // `Weights::answer_weight`: with both infinities about, which NaN
+        // ∞ − ∞ yields depends on that order, and the pair sums stop
+        // being monotone.
+        if weights.mixes_infinities() {
+            return Err(BuildError::InvalidOrder(
+                "SUM selection cannot rank weights that include both +inf and -inf".to_string(),
+            ));
+        }
         let mut clock = PhaseClock::start();
         let atoms = red.query.atoms();
         let index_of = |name: &str| {
@@ -137,7 +147,9 @@ impl SumSelection {
         let mut weighed = VarSet::EMPTY;
         let mut row_weights: Vec<Vec<TotalF64>> = Vec::with_capacity(rels.len());
         for (&a, rel) in kept.iter().zip(&rels) {
-            let mut sums = vec![TotalF64(0.0); rel.len()];
+            // From -0.0, as `Iterator::sum`: an all -0.0 answer weighs
+            // -0.0 here too.
+            let mut sums = vec![TotalF64(-0.0); rel.len()];
             for (p, &v) in atoms[a].terms.iter().enumerate() {
                 if weighed.contains(v) {
                     continue;

@@ -10,9 +10,9 @@
 //! variants) fill whole rank ranges at once — natively on the arena
 //! structures, which pay the bracketing **once per window** and then
 //! walk entries in O(1) amortized per tuple; and [`RankedStream`] turns
-//! any prepared plan into a lazy, batch-fetching ranked iterator in the
-//! spirit of any-k enumeration: answers arrive in order with bounded
-//! delay and nothing is materialized beyond the current batch.
+//! any prepared plan into a lazy, batch-fetching ranked iterator:
+//! answers arrive in order with bounded delay and nothing is
+//! materialized beyond the current batch.
 //!
 //! ```
 //! use rda_core::{DirectAccess, Engine, OrderSpec, Policy};
@@ -159,8 +159,8 @@ pub(crate) fn clamp_range(range: &std::ops::Range<u64>, len: u64) -> (u64, u64) 
 const DEFAULT_STREAM_BATCH: u64 = 256;
 
 /// A lazy, batch-fetching iterator over the ranked answers of any
-/// [`DirectAccess`] backend — the any-k-style enumeration surface of
-/// the engine, and the iterator behind the provided
+/// [`DirectAccess`] backend — the ranked enumeration surface of the
+/// engine, and the iterator behind the provided
 /// [`DirectAccess::iter`].
 ///
 /// The stream holds a rank cursor and refills an internal [`WindowBuf`]
@@ -168,9 +168,7 @@ const DEFAULT_STREAM_BATCH: u64 = 256;
 /// structures a full enumeration pays the O(log n) rank bracketing once
 /// per **batch** (not once per tuple) and nothing is ever materialized
 /// beyond one batch. On the selection backends each batch costs what the
-/// backend's per-access guarantee says; on the any-k fallback the
-/// underlying enumerator advances exactly as far as the stream has been
-/// consumed.
+/// backend's per-access guarantee says.
 ///
 /// ## Generation pinning
 ///

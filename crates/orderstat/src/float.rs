@@ -7,8 +7,17 @@ use std::ops::{Add, Neg, Sub};
 /// An `f64` ordered by [`f64::total_cmp`], so it can key sorted
 /// structures. The paper's weight functions map domain values to reals;
 /// `TotalF64` is how those reals flow through the selection algorithms.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+///
+/// Equality is that order's: a NaN equals itself (bit for bit), and
+/// `-0.0` differs from `0.0`.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TotalF64(pub f64);
+
+impl PartialEq for TotalF64 {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
 
 impl Eq for TotalF64 {}
 
@@ -94,5 +103,8 @@ mod tests {
         // total_cmp puts -0.0 before 0.0; both directions must agree.
         assert!(TotalF64(-0.0) < TotalF64(0.0));
         assert!(TotalF64(0.0) > TotalF64(-0.0));
+        // Equality agrees with the order.
+        assert_ne!(TotalF64(-0.0), TotalF64(0.0));
+        assert_eq!(TotalF64(f64::NAN), TotalF64(f64::NAN));
     }
 }

@@ -12,6 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ranked_access::prelude::*;
+use ranked_access::rda_baseline::RankedEnumerator;
 use std::time::{Duration, Instant};
 
 fn ms(d: Duration) -> f64 {

@@ -122,8 +122,8 @@ fn main() {
         plan.inverted_access(&some_answer).unwrap()
     );
 
-    // And the whole ranked answer set as a lazy stream (any-k style:
-    // batched cursors, nothing materialized beyond one batch).
+    // And the whole ranked answer set as a lazy stream (ranked
+    // enumeration: batched cursors, nothing materialized beyond one batch).
     println!("\nfirst answers, streamed:");
     for t in plan.stream().take(3) {
         println!("  {t}");

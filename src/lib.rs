@@ -53,7 +53,7 @@
 //!
 //! // Pagination is native: a window pays the rank bracketing once and
 //! // walks the structure tuple by tuple, and `stream()` enumerates
-//! // lazily in batches (any-k style, nothing fully materialized).
+//! // lazily in batches (nothing fully materialized).
 //! assert_eq!(plan.top_k(2).len(), 2);
 //! assert_eq!(plan.page(3, 10), plan.access_range(3..5));
 //! let mut page = WindowBuf::new();                      // reusable, alloc-free refills
@@ -93,7 +93,7 @@
 //! assert_eq!(plan.backend(), Backend::SelectionSum);
 //!
 //! // Outside both tractable regions the policy decides: Reject fails
-//! // with the witness, Materialize/RankedEnum fall back explicitly.
+//! // with the witness, Materialize falls back explicitly.
 //! let qp = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
 //! let err = engine.prepare(
 //!     &qp,
@@ -214,7 +214,7 @@
 //! | [`rda_query`] | CQ AST/parser, hypergraphs, join trees, connexity, disruptive trios, layered join trees, contraction, FDs, classification |
 //! | [`rda_orderstat`] | quickselect, weighted selection, sorted-matrix selection |
 //! | [`rda_core`] | the `Engine`/`AccessPlan` serving core plus the paper's access/selection algorithms |
-//! | [`rda_baseline`] | materialize-and-sort, ranked enumeration (any-k), and the value-level oracle: preprocessing on `Relation`s, the pre-arena `HashLexDirectAccess`, decomposition rewrites |
+//! | [`rda_baseline`] | materialize-and-sort (the one fallback) and the value-level oracles: preprocessing on `Relation`s, the pre-arena `HashLexDirectAccess`, any-k ranked enumeration, decomposition rewrites |
 //! | [`rda_serve`] | in-process request front door: sessions, opaque resumable cursors, backpressure |
 
 pub use rda_baseline;
@@ -226,7 +226,7 @@ pub use rda_serve;
 
 /// The commonly used types and functions in one import.
 pub mod prelude {
-    pub use rda_baseline::{all_answers, ranked_prefix, MaterializedAccess, RankedEnumerator};
+    pub use rda_baseline::{all_answers, MaterializedAccess};
     pub use rda_core::{
         AccessPlan, Backend, BuildError, DirectAccess, Engine, LexDirectAccess, OrderSpec,
         PlanError, Policy, RankedAnswers, SelectionLexHandle, SelectionSumHandle, SumDirectAccess,

@@ -185,11 +185,11 @@ fn batches_on_materialized_and_ranked_enum_fallbacks() {
             &q,
             OrderSpec::sum_by_value(),
             &FdSet::empty(),
-            Policy::RankedEnum,
+            Policy::Materialize,
         )
         .unwrap();
-    assert_eq!(plan.backend(), Backend::RankedEnum);
-    assert_batches("ranked-enum", &plan);
+    assert_eq!(plan.backend(), Backend::Materialized);
+    assert_batches("materialized by sum", &plan);
 }
 
 /// The lex arena picks its batch path from the input's order alone —

@@ -69,7 +69,7 @@ pub fn two_path_db() -> Database {
         .with_i64_rows("S", 2, (0..60).map(|j| vec![j % 7, j]).collect::<Vec<_>>())
 }
 
-/// A 3-path instance (fmh = 3: the any-k fallback territory) with a
+/// A 3-path instance (fmh = 3: the materialize fallback territory) with a
 /// few thousand answers.
 pub fn three_path_db() -> Database {
     Database::new()
@@ -207,8 +207,8 @@ pub fn backend_catalog() -> Vec<Scenario> {
         s(
             "Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)",
             Order::Sum,
-            Policy::RankedEnum,
-            Backend::RankedEnum,
+            Policy::Materialize,
+            Backend::Materialized,
         ),
         s(
             "Q(x, y, z, x) :- U(x), R(y, z)",
@@ -219,8 +219,8 @@ pub fn backend_catalog() -> Vec<Scenario> {
         s(
             "Q(y, x, z, w) :- V(y, x, x), U(z), R(w, w)",
             Order::Sum,
-            Policy::RankedEnum,
-            Backend::RankedEnum,
+            Policy::Materialize,
+            Backend::Materialized,
         ),
         Scenario {
             src: "Q(x, y, z) :- R(x, y), R(y, z)",

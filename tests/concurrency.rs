@@ -118,69 +118,6 @@ fn shared_plans_agree_with_single_threaded_oracle_on_every_backend() {
     hammer(&plan);
 }
 
-/// The ranked-enumeration fallback serializes its stream behind a
-/// mutex; concurrent accesses must still all see the same answers.
-#[test]
-fn ranked_enum_fallback_is_thread_safe() {
-    let q3 = parse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)").unwrap();
-    let db = Database::new()
-        .with_i64_rows(
-            "R",
-            2,
-            (0..30).map(|i| vec![i % 7, i % 5]).collect::<Vec<_>>(),
-        )
-        .with_i64_rows(
-            "S",
-            2,
-            (0..30).map(|i| vec![i % 5, i % 6]).collect::<Vec<_>>(),
-        )
-        .with_i64_rows(
-            "T",
-            2,
-            (0..30).map(|i| vec![i % 6, i % 4]).collect::<Vec<_>>(),
-        );
-    let engine = Engine::new(db.freeze());
-    let plan = engine
-        .prepare(
-            &q3,
-            Spec::sum_by_value(),
-            &FdSet::empty(),
-            Policy::RankedEnum,
-        )
-        .unwrap();
-    assert_eq!(plan.backend(), Backend::RankedEnum);
-    // Let threads race the *first* materialization of the stream.
-    let len = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let plan = Arc::clone(&plan);
-                s.spawn(move || {
-                    let mut seen = Vec::new();
-                    for k in (0..64u64).skip(t % 4) {
-                        if let Some(tp) = plan.access(k) {
-                            seen.push((k, tp));
-                        }
-                    }
-                    seen
-                })
-            })
-            .collect();
-        let all: Vec<Vec<(u64, Tuple)>> = handles
-            .into_iter()
-            .map(|h| h.join().expect("no panic"))
-            .collect();
-        // Every thread saw a consistent (k → answer) mapping.
-        for views in &all {
-            for (k, t) in views {
-                assert_eq!(plan.access(*k).as_ref(), Some(t));
-            }
-        }
-        plan.len()
-    });
-    hammer(&plan);
-    assert!(len > 0);
-}
-
 /// `rank_of_lower_bound` (Remark 3) is only native on the lex arena:
 /// hammer it — answers and non-answer probes alike — from N threads
 /// against the single-threaded oracle.

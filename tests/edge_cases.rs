@@ -170,10 +170,10 @@ fn error_paths_are_reported() {
     let err = LexDirectAccess::build(&q, &empty, &q.vars(&["x"]), &no_fds()).unwrap_err();
     assert!(err.to_string().contains("missing"));
 
-    // The fallback arms validate the snapshot too: a non-free-connex
-    // projection under Policy::Materialize, and an fmh-3 SUM (the full
-    // 3-path) under Policy::RankedEnum, each over a snapshot missing `T`
-    // and over one whose `T` has the wrong arity.
+    // Both fallback arms validate the snapshot too: a non-free-connex
+    // projection by LEX and an fmh-3 SUM (the full 3-path), each under
+    // Policy::Materialize, over a snapshot missing `T` and over one
+    // whose `T` has the wrong arity.
     let projection = parse("Q(x, z) :- R(x, y), T(y, z)").unwrap();
     let three_path = parse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)").unwrap();
     let fallbacks = [
@@ -182,7 +182,7 @@ fn error_paths_are_reported() {
             OrderSpec::lex(&projection, &["x", "z"]),
             Policy::Materialize,
         ),
-        (&three_path, OrderSpec::sum_by_value(), Policy::RankedEnum),
+        (&three_path, OrderSpec::sum_by_value(), Policy::Materialize),
     ];
     let rs = || {
         Database::new()
@@ -234,7 +234,7 @@ fn fd_naming_a_variable_outside_its_atom_is_refused_typed() {
         rhs: q.var("w").unwrap(),
     }]);
     let engine = Engine::new(db.freeze());
-    for policy in [Policy::Reject, Policy::Materialize, Policy::RankedEnum] {
+    for policy in [Policy::Reject, Policy::Materialize] {
         let got = engine.prepare(&q, OrderSpec::lex(&q, &["z", "x", "w", "y"]), &fds, policy);
         assert!(
             matches!(got, Err(PlanError::Build(BuildError::InvalidOrder(_)))),

@@ -1,9 +1,8 @@
 //! The Engine/AccessPlan facade, property-tested end to end: for every
 //! backend reachable through `Engine::prepare` — native lex/sum direct
-//! access, both lazy selection handles, the materialize fallback, and
-//! the ranked-enumeration fallback — `access(k)` / `inverted_access`
-//! must round-trip, bounds must be respected, and routing must agree
-//! with the classifier.
+//! access, both lazy selection handles and the materialize fallback —
+//! `access(k)` / `inverted_access` must round-trip, bounds must be
+//! respected, and routing must agree with the classifier.
 
 #[allow(dead_code)]
 mod common;

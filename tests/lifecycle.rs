@@ -448,7 +448,7 @@ proptest! {
         lex.truncate(rng.random_range(0..=lex.len()));
         let engine = Engine::new(db.clone().freeze());
         for spec in [OrderSpec::Lex(lex), OrderSpec::sum_by_value()] {
-            for policy in [Policy::Reject, Policy::Materialize, Policy::RankedEnum] {
+            for policy in [Policy::Reject, Policy::Materialize] {
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     served_as_asked(&engine, &db, &q, &spec, &fds, policy)
                 }));

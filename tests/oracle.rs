@@ -5,10 +5,10 @@
 #[allow(dead_code)]
 mod common;
 
-use common::random_db;
+use common::{conforms, random_db};
 use proptest::prelude::*;
 use ranked_access::prelude::*;
-use ranked_access::rda_baseline::HashLexDirectAccess;
+use ranked_access::rda_baseline::{HashLexDirectAccess, RankedEnumerator};
 use std::sync::Arc;
 
 /// Queries with at least one tractable LEX order, with that order.
@@ -729,6 +729,79 @@ fn selection_refuses_counts_beyond_u64() {
     assert_eq!(last.values()[0], Value::int(6));
     assert!(last.values()[3..].iter().all(|v| *v == Value::int(127)));
     assert_eq!(handle.select_once(handle.len()), None);
+}
+
+/// SUM orders over weights IEEE 754 makes awkward: `-0.0` against
+/// `0.0` (an all `-0.0` answer weighs `-0.0`), a NaN (above `+∞` in the
+/// total order) and `+∞` — on even seeds the signed zeros alone, so
+/// zero-weight plateaus are common. Selection (the 2-path) and direct
+/// access (one atom covers the head) must serve exactly the
+/// materialized oracle's (weight, tuple) order. Weights holding both `+∞` and `−∞` make
+/// `∞ − ∞` a NaN whose sign depends on the order of addition, so SUM
+/// selection refuses them typed; direct access adds in head order, as
+/// the oracle does, and still serves them.
+#[test]
+fn sum_orders_rank_signed_zeros_nan_and_infinities_as_the_oracle() {
+    use rand::{Rng, SeedableRng};
+    let weights = [-0.0, 0.0, f64::NAN, f64::INFINITY, 1.0, -1.0, 2.5];
+    let cases = [
+        ("Q(x, y, z) :- R(x, y), S(y, z)", Backend::SelectionSum),
+        ("Q(x, y) :- R(x, y), S(y, z)", Backend::SumDirectAccess),
+    ];
+    for seed in 0..40u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let pool = &weights[..if seed % 2 == 0 { 2 } else { weights.len() }];
+        for (src, backend) in cases {
+            let q = parse(src).unwrap();
+            let db = random_db(&q, 12, 4, seed);
+            let mut w = Weights::zero();
+            for &v in q.free() {
+                for val in 0..4 {
+                    w.set(v, val, pool[rng.random_range(0..pool.len())]);
+                }
+            }
+            let oracle = MaterializedAccess::by_sum(&q, &db, |v, val| w.get(v, val).0);
+            let engine = Engine::new(db.clone().freeze());
+            let plan = engine
+                .prepare(
+                    &q,
+                    OrderSpec::sum(w.clone()),
+                    &FdSet::empty(),
+                    Policy::Reject,
+                )
+                .unwrap();
+            assert_eq!(plan.backend(), backend, "{src}");
+            conforms(
+                &format!("{src}, seed {seed}"),
+                plan.answers(),
+                oracle.answers(),
+                0,
+            );
+
+            w.set(q.free()[0], 0, f64::NEG_INFINITY);
+            w.set(q.free()[1], 0, f64::INFINITY);
+            let got = engine.prepare(
+                &q,
+                OrderSpec::sum(w.clone()),
+                &FdSet::empty(),
+                Policy::Reject,
+            );
+            if backend == Backend::SelectionSum {
+                assert!(
+                    matches!(got, Err(PlanError::Build(BuildError::InvalidOrder(_)))),
+                    "{src}, seed {seed}: {got:?}"
+                );
+            } else {
+                let oracle = MaterializedAccess::by_sum(&q, &db, |v, val| w.get(v, val).0);
+                conforms(
+                    &format!("{src} ±inf, seed {seed}"),
+                    got.unwrap().answers(),
+                    oracle.answers(),
+                    0,
+                );
+            }
+        }
+    }
 }
 
 /// Random-order enumeration (Section 1 / Carmeli et al. [15]): a uniform

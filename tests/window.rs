@@ -2,11 +2,10 @@
 //! backend, `access_range(lo..hi)` must equal the sequence of
 //! `access(k)` results (including empty, full-span, inverted, and
 //! out-of-bounds windows), the `*_into` variants must agree with their
-//! owned twins, `stream()` must enumerate exactly the answer sequence,
-//! and the lazy ranked-enumeration path must match the any-k baseline
-//! oracle prefix-for-prefix without materializing the answer set. One
-//! generic check holds every provided `DirectAccess` method to its
-//! definition over the five core methods, on all seven backends.
+//! owned twins, and `stream()` must enumerate exactly the answer
+//! sequence. One generic check holds every provided `DirectAccess`
+//! method to its definition over the five core methods, on every
+//! backend.
 
 #[allow(dead_code)]
 mod common;
@@ -164,16 +163,6 @@ fn windows_on_materialized_fallback() {
 }
 
 #[test]
-fn windows_on_ranked_enum_fallback() {
-    let (db, q) = (
-        three_path_db(),
-        "Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)",
-    );
-    let plan = plan(db, q, &[], Policy::RankedEnum, Backend::RankedEnum);
-    assert_windows("ranked-enum", &plan);
-}
-
-#[test]
 fn windows_on_boolean_and_empty_plans() {
     let q = parse("Q() :- R(x, y), S(y, z)").unwrap();
     let engine = Engine::new(two_path_db().freeze());
@@ -231,96 +220,6 @@ fn windows_under_fds_walk_the_reordered_arena() {
     assert_eq!(plan.backend(), Backend::LexDirectAccess);
     assert!(plan.len() > 100);
     assert_windows("lex-da under FDs", &plan);
-}
-
-#[test]
-fn lazy_ranked_enum_matches_the_baseline_oracle_prefix_for_prefix() {
-    let q = parse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)").unwrap();
-    let db = three_path_db();
-    let engine = Engine::new(db.clone().freeze());
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::sum_by_value(),
-            &FdSet::empty(),
-            Policy::RankedEnum,
-        )
-        .unwrap();
-    assert_eq!(plan.backend(), Backend::RankedEnum);
-
-    let oracle_total = ranked_prefix(&q, &db, ident, usize::MAX);
-    assert!(oracle_total.len() > 1000, "needs a non-trivial stream");
-    for k in [0usize, 1, 2, 7, 63, 256, 257, 1000, oracle_total.len()] {
-        let got: Vec<Tuple> = plan.stream().take(k).collect();
-        let expect: Vec<Tuple> = oracle_total
-            .iter()
-            .take(k)
-            .map(|(_, t)| t.clone())
-            .collect();
-        assert_eq!(got, expect, "prefix of length {k}");
-    }
-    // Weights agree with the materialize-and-sort oracle, rank by rank.
-    let mat = MaterializedAccess::by_sum(&q, &db, ident);
-    assert_eq!(mat.len() as usize, oracle_total.len());
-    for (k, (w, _)) in oracle_total.iter().enumerate() {
-        assert_eq!(*w, mat.weight_at(k as u64).unwrap(), "weight at rank {k}");
-    }
-}
-
-#[test]
-fn ranked_enum_policy_never_materializes() {
-    // (a) The fallback backend: streaming a prefix advances the any-k
-    // enumerator only as far as one batch, never the full answer set.
-    let q = parse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)").unwrap();
-    let db = three_path_db();
-    let total = MaterializedAccess::by_sum(&q, &db, ident).len();
-    assert!(total > 1000);
-    let engine = Engine::new(db.freeze());
-    let plan = engine
-        .prepare(
-            &q,
-            OrderSpec::sum_by_value(),
-            &FdSet::empty(),
-            Policy::RankedEnum,
-        )
-        .unwrap();
-    let first: Vec<Tuple> = plan.stream().take(10).collect();
-    assert_eq!(first.len(), 10);
-    let RankedAnswers::RankedEnum(handle) = plan.answers() else {
-        panic!("expected the any-k fallback backend");
-    };
-    let cached = handle.cached_prefix_len();
-    assert!(
-        (10..total / 2).contains(&cached),
-        "stream().take(10) must advance at most one batch \
-         (cached {cached} of {total})"
-    );
-
-    // (b) Tractable queries under the same policy route to the paper's
-    // structures — never to the materialize-and-sort fallback.
-    let qc = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
-    let engine2 = Engine::new(two_path_db().freeze());
-    let plan2 = engine2
-        .prepare(
-            &qc,
-            OrderSpec::sum_by_value(),
-            &FdSet::empty(),
-            Policy::RankedEnum,
-        )
-        .unwrap();
-    assert_eq!(plan2.backend(), Backend::SumDirectAccess);
-    assert!(!plan2.backend().is_fallback());
-    let ql = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
-    let plan3 = engine2
-        .prepare(
-            &ql,
-            OrderSpec::lex(&ql, &["x", "y", "z"]),
-            &FdSet::empty(),
-            Policy::RankedEnum,
-        )
-        .unwrap();
-    assert_eq!(plan3.backend(), Backend::LexDirectAccess);
-    assert_eq!(plan3.stream().take(4).count(), 4);
 }
 
 #[test]
@@ -411,22 +310,15 @@ fn provided_methods_conform_on_every_backend() {
         8,
     );
 
-    // The any-k fallback, through the plan facade: `is_empty` and
-    // `iter` stay lazy (the provided forms would drain the stream or
-    // fetch a whole batch), and only `len` enumerates everything.
+    // The SUM fallback, through the plan facade: the 3-path (fmh = 3)
+    // is outside both tractable regions.
     let q3 = parse("Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)").unwrap();
     let db3 = three_path_db();
     let w = positional_weights(&q3.vars(&["x", "y", "z", "u"]));
     let by_w = MaterializedAccess::by_sum(&q3, &db3, |v, val| w.get(v, val).0);
     let plan = Engine::new(db3.freeze())
-        .prepare(&q3, OrderSpec::sum(w), &no_fds, Policy::RankedEnum)
+        .prepare(&q3, OrderSpec::sum(w), &no_fds, Policy::Materialize)
         .unwrap();
-    let RankedAnswers::RankedEnum(handle) = plan.answers() else {
-        panic!("expected the any-k fallback backend");
-    };
-    assert!(!plan.is_empty());
-    assert!(handle.cached_prefix_len() <= 1, "is_empty pops one answer");
-    assert_eq!(plan.iter().take(5).count(), 5);
-    assert!(handle.cached_prefix_len() <= 5, "iter().take(5) pops five");
-    conforms("ranked-enum", plan.answers(), by_w.answers(), 8);
+    assert_eq!(plan.backend(), Backend::Materialized);
+    conforms("materialized by sum", plan.answers(), by_w.answers(), 8);
 }
