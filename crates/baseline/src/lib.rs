@@ -5,10 +5,10 @@
 //! The strategies the paper's structures are measured against, and the
 //! value-level pipeline they are checked against:
 //!
-//! * [`MaterializedAccess`] — compute and sort the full answer set, the only
-//!   general-purpose strategy on the intractable side of the dichotomies
-//!   (O(|out|) space, O(|out| log |out|) time, then O(1) access). Also
-//!   serves as the correctness oracle for the whole test suite.
+//! * [`MaterializedAccess`] — compute and sort the full answer set by
+//!   value-level hash joins (O(|out|) space, O(|out| log |out|) time,
+//!   then O(1) access): the correctness oracle for the whole test
+//!   suite, the engine's code-space materialize fallback included.
 //! * [`RankedEnumerator`] — ranked enumeration by SUM over full acyclic CQs
 //!   (a Lawler-style any-k algorithm in the spirit of \[41, 42, 44\]):
 //!   logarithmic delay after quasilinear preprocessing, but reaching the

@@ -1,10 +1,10 @@
 //! Materialize-and-sort: the general-purpose baseline and test oracle.
 //!
-//! Evaluates any CQ (cyclic included) by left-deep hash joins, projects
-//! onto the head, deduplicates, and sorts by the requested order. This
-//! is what an engine must fall back to on the intractable side of the
-//! paper's dichotomies; its Θ(|out|) cost is the quantity the
-//! direct-access structures avoid.
+//! Evaluates any CQ (cyclic included) by left-deep hash joins over
+//! values, projects onto the head, deduplicates, and sorts by the
+//! requested order — independently of `rda_core`, whose materialize
+//! fallback does the same in code space. Its Θ(|out|) cost is the
+//! quantity the direct-access structures avoid.
 
 use rda_db::{Database, Tuple, Value};
 use rda_query::{Cq, VarId};

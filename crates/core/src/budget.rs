@@ -2,10 +2,11 @@
 //!
 //! A hostile (or merely unlucky) query can ask the engine to build a
 //! direct-access structure whose preprocessing output is enormous —
-//! the layered-DP arenas of [`lexda`](crate::lexda) and the
-//! weight-sorted answer array of [`sumda`](crate::sumda) are both
+//! the layered-DP arenas of [`lexda`](crate::lexda) and the sorted
+//! answer array of [`sumda`](crate::sumda) are both
 //! `O(|answers|)`-sized, and the answer count can be polynomially
-//! larger than the input. A [`BuildBudget`] caps what a single build
+//! larger than the input; the materialized fallback's join steps can
+//! be larger still. A [`BuildBudget`] caps what a single build
 //! may allocate; the build kernels charge a [`BudgetMeter`] at their
 //! allocation sites and abort with the typed
 //! [`BuildError::BudgetExceeded`] instead of exhausting process
@@ -119,8 +120,11 @@ impl BudgetMeter {
 /// [`SumDirectAccess`](crate::SumDirectAccess) build maps onto the same rows: `reduce` is
 /// the same full reducer, `layers` the covering-atom projection, `sort`
 /// the weighing and weight sort, `dp` the answer-column materialization.
-/// A selection handle reports its constructor: `prep` and `reduce` as
-/// above, then `dp` (the counting pass of a lex handle) or `sort`
+/// The materialized fallback (a `SumDirectAccess` too) maps its own
+/// pipeline onto them: `prep` is normalization, `reduce` the full
+/// reducer and the join, `layers` the head projection, `sort` the sort
+/// by either order, `dp` the answer columns. A selection handle
+/// reports its constructor: `prep` and `reduce` as above, then `dp` (the counting pass of a lex handle) or `sort`
 /// (contraction, weighing and bucket sort of a sum handle); its entries
 /// and bytes are the rows of the prepared instance it holds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

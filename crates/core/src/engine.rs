@@ -55,10 +55,9 @@ use crate::fault;
 use crate::plan::{
     describe_reason, AccessPlan, Explain, RankedAnswers, SelectionLexHandle, SelectionSumHandle,
 };
-use crate::snapprep::{check_fds_apply, encoded_atoms};
+use crate::snapprep::check_fds_apply;
 use crate::weights::Weights;
 use crate::{LexDirectAccess, SumDirectAccess};
-use rda_baseline::MaterializedAccess;
 use rda_db::{Database, Snapshot, SnapshotStore};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::{Cq, FdSet, VarId};
@@ -646,6 +645,9 @@ fn prepare_on(
     budget: BuildBudget,
 ) -> Result<AccessPlan, PlanError> {
     check_fds_apply(q, fds)?;
+    let materialize = |order: OrderSpec| {
+        SumDirectAccess::materialize(q, snap, &order, budget).map(RankedAnswers::Materialized)
+    };
     let plan = match order {
         OrderSpec::Lex(lex) => {
             crate::lexda::validate_lex(q, &lex)?;
@@ -669,10 +671,7 @@ fn prepare_on(
                     select: |lex| {
                         SelectionLexHandle::new(q, snap, lex, fds).map(RankedAnswers::SelectionLex)
                     },
-                    fallback: |lex: Vec<VarId>| {
-                        let m = MaterializedAccess::by_lex(q, &decoded_atoms(q, snap)?, &lex);
-                        Ok(RankedAnswers::Materialized(m))
-                    },
+                    fallback: |lex| materialize(OrderSpec::Lex(lex)),
                 },
             )
         }
@@ -694,31 +693,12 @@ fn prepare_on(
                     select: |w| {
                         SelectionSumHandle::new(q, snap, w, fds).map(RankedAnswers::SelectionSum)
                     },
-                    fallback: |w: Weights| {
-                        let db = decoded_atoms(q, snap)?;
-                        let m = MaterializedAccess::by_sum(q, &db, |v, val| w.get(v, val).0);
-                        Ok(RankedAnswers::Materialized(m))
-                    },
+                    fallback: |w| materialize(OrderSpec::Sum(w)),
                 },
             )
         }
     }?;
     Ok(plan.with_generation(snap.generation()))
-}
-
-/// The relations `q` reads, decoded from the snapshot's code space:
-/// the input of the value-level fallbacks. The query is validated
-/// against the encoded relations first, so a missing relation or a
-/// wrong arity fails typed before any row is decoded.
-fn decoded_atoms(q: &Cq, snap: &Snapshot) -> Result<Database, BuildError> {
-    encoded_atoms(q, snap)?;
-    let mut db = Database::new();
-    for atom in q.atoms() {
-        if db.get(&atom.relation).is_none() {
-            db.add(snap.relation(&atom.relation).expect("validated above"));
-        }
-    }
-    Ok(db)
 }
 
 /// How one kind of order builds each rung of [`route`]'s ladder; each
@@ -766,12 +746,11 @@ where
         };
         (answers, Some(selection_verdict))
     };
-    let build = match &answers {
-        RankedAnswers::Lex(da) => Some(*da.build_cost()),
-        RankedAnswers::Sum(da) => Some(*da.build_cost()),
-        RankedAnswers::SelectionLex(h) => Some(*h.build_cost()),
-        RankedAnswers::SelectionSum(h) => Some(*h.build_cost()),
-        RankedAnswers::Materialized(_) => None,
+    let build = *match &answers {
+        RankedAnswers::Lex(da) => da.build_cost(),
+        RankedAnswers::Sum(da) | RankedAnswers::Materialized(da) => da.build_cost(),
+        RankedAnswers::SelectionLex(h) => h.build_cost(),
+        RankedAnswers::SelectionSum(h) => h.build_cost(),
     };
     let explain = Explain {
         problem_desc,

@@ -29,10 +29,11 @@
 //! ([`rda_db::Dictionary`]), layers are flat arenas with packed entries
 //! and per-bucket rank directories, and the access hot paths perform no
 //! heap allocation (see the `lexda`/`sumda` module docs). The crate
-//! holds only that code-space pipeline. Its value-level oracle — the
-//! pre-arena hash-bucketed lexicographic structure and the value-level
-//! preprocessing it runs — lives in `rda_baseline`, beside the
-//! materialize-and-sort fallback.
+//! holds only that code-space pipeline, the materialize-and-sort
+//! fallback included. Its value-level oracles — materialize-and-sort,
+//! the pre-arena hash-bucketed lexicographic structure and the
+//! value-level preprocessing it runs — live in `rda_baseline`, a
+//! dev-dependency: the serving stack does not link them.
 //!
 //! ## The front door
 //!

@@ -13,8 +13,8 @@
 //!   of accesses); every owned form — `access`, `access_range`,
 //!   `access_batch`, `top_k`, `page`, `iter` — is written once, here,
 //!   over those five. Implemented by [`LexDirectAccess`],
-//!   [`SumDirectAccess`], the [`MaterializedAccess`] baseline, and the
-//!   two selection handles;
+//!   [`SumDirectAccess`] (which also serves the materialized fallback)
+//!   and the two selection handles;
 //! * [`RankedAnswers`] — the engine's routed backend, one enum over all
 //!   strategies including the selection-backed handles;
 //! * [`Explain`] — why the router chose what it chose: the verdict, the
@@ -46,9 +46,8 @@ use crate::error::BuildError;
 use crate::lexsel::LexSelection;
 use crate::sumsel::SumSelection;
 use crate::weights::Weights;
-use crate::window::{clamp_range, RankedStream, WindowBuf};
+use crate::window::{RankedStream, WindowBuf};
 use crate::{LexDirectAccess, SumDirectAccess};
-use rda_baseline::MaterializedAccess;
 use rda_db::{Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
 use rda_query::classify::{Reason, Verdict};
@@ -233,26 +232,6 @@ macro_rules! forward_native {
 
 forward_native!(LexDirectAccess);
 forward_native!(SumDirectAccess);
-
-impl DirectAccess for MaterializedAccess {
-    fn len(&self) -> u64 {
-        MaterializedAccess::len(self)
-    }
-    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
-        copy_into(self.answers().get(k as usize), out)
-    }
-    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        MaterializedAccess::inverted_access(self, answer)
-    }
-    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        out.clear();
-        let (lo, hi) = clamp_range(&range, self.len());
-        for t in &self.answers()[lo as usize..hi as usize] {
-            out.push_tuple(t);
-        }
-        hi - lo
-    }
-}
 
 /// Selection-backed handle for lexicographic orders (Theorem 6.1):
 /// O(n) per access, answers ordered by the same completed internal
@@ -489,8 +468,9 @@ pub enum RankedAnswers {
     /// per access).
     SelectionSum(SelectionSumHandle),
     /// Materialize-and-sort fallback (Θ(|out| log |out|) preprocessing,
-    /// O(1) access).
-    Materialized(MaterializedAccess),
+    /// O(1) access): the same answer array as [`RankedAnswers::Sum`],
+    /// joined from every atom and sorted by either kind of order.
+    Materialized(SumDirectAccess),
 }
 
 // The concurrency contract of the serving core: a prepared plan is
@@ -579,7 +559,8 @@ pub enum Backend {
     SelectionLex,
     /// Per-access sum selection (Theorem 7.3).
     SelectionSum,
-    /// Materialize-and-sort baseline.
+    /// Materialize-and-sort: every atom joined in code space, the
+    /// answers sorted into a [`SumDirectAccess`] array.
     Materialized,
 }
 
@@ -652,7 +633,7 @@ pub struct Explain {
     pub(crate) selection_verdict: Option<Verdict>,
     pub(crate) witness: Option<String>,
     pub(crate) backend: Backend,
-    pub(crate) build: Option<BuildCost>,
+    pub(crate) build: BuildCost,
 }
 
 impl Explain {
@@ -675,9 +656,9 @@ impl Explain {
     /// What building the structure behind this plan paid — nanoseconds
     /// per phase, entries and bytes held: the arenas of the native
     /// direct-access backends, the prepared (reduced) instance of the
-    /// selection handles. `None` for the fallbacks.
-    pub fn build_cost(&self) -> Option<&BuildCost> {
-        self.build.as_ref()
+    /// selection handles, the answer array of the fallback.
+    pub fn build_cost(&self) -> &BuildCost {
+        &self.build
     }
 }
 
@@ -868,10 +849,7 @@ impl fmt::Display for Explain {
             self.backend,
             self.backend.guarantee()
         )?;
-        if let Some(b) = &self.build {
-            write!(f, "\nbuild:    {b}")?;
-        }
-        Ok(())
+        write!(f, "\nbuild:    {}", self.build)
     }
 }
 

@@ -35,13 +35,13 @@
 //! assert_eq!(relation_encode_count(), encoded_at_freeze);
 //! ```
 
-use crate::budget::{BuildCost, PhaseClock};
+use crate::budget::{BudgetMeter, BuildCost, PhaseClock};
 use crate::error::BuildError;
-use rda_db::{EncodedRelation, Snapshot};
+use rda_db::{radix_sort_rows, EncodedRelation, Snapshot};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::{
-    ext_connex_tree, fd_extension, positions_of, Atom, Cq, ExtConnexTree, ExtensionStep, Fd,
-    FdExtension, FdSet, VarId, VarSet,
+    ext_connex_tree, fd_extension, positions_of, shared_positions, Atom, Cq, ExtConnexTree,
+    ExtensionStep, Fd, FdExtension, FdSet, VarId, VarSet,
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -103,15 +103,18 @@ impl Derivation {
     }
 }
 
-/// The snapshot's encoded relation of every atom of `q`, in atom order —
-/// the instance validation behind every build and every fallback: fails
-/// with [`BuildError::MissingRelation`] or [`BuildError::ArityMismatch`]
-/// when the snapshot does not fit the query.
-pub(crate) fn encoded_atoms<'a>(
+/// Normalize in code space: validate the query against the snapshot
+/// ([`BuildError::MissingRelation`], [`BuildError::ArityMismatch`]) and
+/// produce, per atom of [`Cq::normalized`], its encoded relation.
+/// Self-join occurrences *borrow the same snapshot relation*; atoms
+/// with repeated variables get a filtered, projected copy.
+pub(crate) fn normalize_encoded<'a>(
     q: &Cq,
     snap: &'a Snapshot,
-) -> Result<Vec<&'a EncodedRelation>, BuildError> {
-    q.atoms()
+) -> Result<(Cq, Vec<EncRel<'a>>), BuildError> {
+    let nq = q.normalized();
+    let encs = q
+        .atoms()
         .iter()
         .map(|atom| {
             let enc = snap
@@ -126,20 +129,7 @@ pub(crate) fn encoded_atoms<'a>(
             }
             Ok(enc)
         })
-        .collect()
-}
-
-/// Normalize in code space: validate the query against the snapshot
-/// ([`encoded_atoms`]) and produce, per atom of [`Cq::normalized`], its
-/// encoded relation. Self-join occurrences *borrow the same snapshot
-/// relation*; atoms with repeated variables get a filtered, projected
-/// copy.
-pub(crate) fn normalize_encoded<'a>(
-    q: &Cq,
-    snap: &'a Snapshot,
-) -> Result<(Cq, Vec<EncRel<'a>>), BuildError> {
-    let nq = q.normalized();
-    let encs = encoded_atoms(q, snap)?;
+        .collect::<Result<Vec<_>, _>>()?;
     let mut rels: Vec<EncRel<'a>> = Vec::with_capacity(q.atoms().len());
     for ((atom, natom), enc) in q.atoms().iter().zip(nq.atoms()).zip(encs) {
         if natom.terms.len() == atom.terms.len() {
@@ -331,6 +321,63 @@ pub(crate) fn reduce_atoms(q: &Cq, rels: &mut [EncRel<'_>]) {
             target.to_mut().retain_rows(&keep);
         }
     });
+}
+
+/// The join of every atom of the normalized `nq` (`rels` as
+/// [`normalize_encoded`] returns them) and the variables naming its
+/// columns: the materialized fallback's input, cyclic queries included.
+/// An acyclic query is fully reduced, then joined along its join tree;
+/// a cyclic one joins in atom order. Each step matches rows through
+/// [`rda_db::key_ids`] and charges its output to `meter` first.
+pub(crate) fn join_atoms(
+    nq: &Cq,
+    mut rels: Vec<EncRel<'_>>,
+    meter: &mut BudgetMeter,
+) -> Result<(Vec<VarId>, EncodedRelation), BuildError> {
+    let order: Vec<usize> = match rda_query::join_tree(&nq.hypergraph()) {
+        Some(tree) => {
+            reduce_atoms(nq, &mut rels);
+            tree.rooted_at(0).1
+        }
+        None => (0..rels.len()).collect(),
+    };
+    // Start from the one empty assignment.
+    let mut vars: Vec<VarId> = Vec::new();
+    let mut acc = EncodedRelation::new(0);
+    acc.push_row(&[]);
+    for i in order {
+        let (terms, rel) = (&nq.atoms()[i].terms, &*rels[i]);
+        let (acc_keys, keys) = shared_positions(&vars, terms);
+        let fresh: Vec<usize> = (0..terms.len()).filter(|p| !keys.contains(p)).collect();
+        let ids = rda_db::key_ids(&acc, &acc_keys, rel, &keys);
+        // The atom's rows grouped by key id: id `k`'s rows are
+        // `by_id[start[k]..start[k + 1]]`.
+        let mut by_id: Vec<u32> = (0..rel.len() as u32).collect();
+        radix_sort_rows(&mut by_id, |s| u64::from(ids.build[s as usize]));
+        let start: Vec<u32> = (0..=ids.len as u32)
+            .map(|k| by_id.partition_point(|&s| ids.build[s as usize] < k) as u32)
+            .collect();
+        let partners = |id: u32| match start.get(id as usize + 1) {
+            Some(&hi) => &by_id[start[id as usize] as usize..hi as usize],
+            None => &[],
+        };
+        let rows: u64 = ids.probe.iter().map(|&id| partners(id).len() as u64).sum();
+        let arity = vars.len() + fresh.len();
+        meter.charge(rows * 4 * arity as u64, rows)?;
+        let mut joined = EncodedRelation::new(arity);
+        let mut row: Vec<u32> = Vec::with_capacity(arity);
+        for (r, &id) in ids.probe.iter().enumerate() {
+            for &s in partners(id) {
+                row.clear();
+                row.extend((0..vars.len()).map(|p| acc.code(r, p)));
+                row.extend(fresh.iter().map(|&p| rel.code(s as usize, p)));
+                joined.push_row(&row);
+            }
+        }
+        vars.extend(fresh.iter().map(|&p| terms[p]));
+        acc = joined;
+    }
+    Ok((vars, acc))
 }
 
 /// Proposition 2.3 / Lemma 3.10 in code space: reduce a free-connex `q`

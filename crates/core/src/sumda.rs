@@ -15,17 +15,18 @@
 //! O(log n), no tuple hashing, no heap allocation (the pre-arena layout
 //! kept a `HashMap<Tuple, u64>` shadow copy of every answer).
 
-use crate::budget::{BuildBudget, BuildCost, PhaseClock};
+use crate::budget::{BudgetMeter, BuildBudget, BuildCost, PhaseClock};
+use crate::engine::OrderSpec;
 use crate::error::BuildError;
 use crate::fault;
 use crate::plan::DirectAccess;
-use crate::snapprep::{prepare_instance, reduce_atoms};
+use crate::snapprep::{join_atoms, normalize_encoded, prepare_instance, reduce_atoms};
 use crate::weights::Weights;
 use crate::window::WindowBuf;
-use rda_db::{radix_sort_rows, Database, Snapshot, Tuple, Value};
+use rda_db::{radix_sort_rows, Database, EncodedRelation, Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
 use rda_query::classify::Problem;
-use rda_query::{positions_of, Cq, FdSet};
+use rda_query::{positions_of, Cq, FdSet, VarId};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -42,7 +43,9 @@ thread_local! {
 /// positive side).
 ///
 /// Ties on weight are broken by the answer tuple itself, making the
-/// order deterministic.
+/// order deterministic. The same array, joined from every atom and
+/// sorted by weight or lexicographically (ties again by the tuple),
+/// serves the [`Policy::Materialize`](crate::Policy) fallback.
 #[derive(Debug, Clone)]
 pub struct SumDirectAccess {
     /// The shared snapshot the structure was built over; its dictionary
@@ -51,9 +54,9 @@ pub struct SumDirectAccess {
     /// Number of answers.
     len: usize,
     /// One code column per head position; row `k` is answer `k` in
-    /// ascending (weight, tuple) order.
+    /// the array's order.
     cols: Vec<Vec<u32>>,
-    /// Answer weights, parallel to the rows.
+    /// Answer weights, parallel to the rows; empty when lexicographic.
     weights: Vec<TotalF64>,
     /// Row indices sorted by the encoded tuple — the binary-search
     /// index behind [`SumDirectAccess::inverted_access`].
@@ -74,11 +77,12 @@ fn total_order_bits(w: TotalF64) -> u64 {
     }
 }
 
-/// Bytes a finished structure of `len` answers over `arity` head
-/// positions holds: one weight, one tuple-index slot and `arity` codes
-/// per answer.
-fn answer_bytes(len: usize, arity: usize) -> u64 {
-    len as u64 * (std::mem::size_of::<TotalF64>() as u64 + 4 + 4 * arity as u64)
+/// What the shared tail of [`SumDirectAccess`]'s builds sorts by.
+enum ArrayOrder<'a> {
+    /// Ascending (weight, tuple) under these weights.
+    Sum(&'a Weights),
+    /// These head variables lexicographically, ties by the tuple.
+    Lex(&'a [VarId]),
 }
 
 impl SumDirectAccess {
@@ -134,78 +138,105 @@ impl SumDirectAccess {
         reduce_atoms(&qp, &mut rels);
         cost.reduce_ns = clock.lap();
 
-        // Boolean queries: one empty answer iff the join is non-empty.
-        let out_vars = q.free().to_vec();
-        if out_vars.is_empty() {
-            let empty = rels.iter().any(|r| r.is_empty());
-            cost.arena_entries = u64::from(!empty);
-            cost.arena_bytes = answer_bytes(usize::from(!empty), 0);
-            return Ok(SumDirectAccess {
-                snap: Arc::clone(snap),
-                len: usize::from(!empty),
-                cols: Vec::new(),
-                weights: if empty {
-                    Vec::new()
-                } else {
-                    vec![TotalF64(0.0)]
-                },
-                by_tuple: if empty { Vec::new() } else { vec![0] },
-                cost,
-            });
-        }
-
         // Project the covering atom onto the *original* head (weights
         // range over the original free variables; promoted variables are
         // determined and weightless — Lemma 8.5). `project` sorts and
         // deduplicates, so the rows are the distinct answers in tuple
-        // order.
+        // order; projecting onto an empty head leaves one row or none.
         let free_plus = qp.free_set();
         let cover = qp
             .atoms()
             .iter()
             .position(|a| free_plus.is_subset(a.var_set()))
             .expect("classification guarantees a covering atom");
-        let answers = rels[cover].project(&positions_of(&qp.atoms()[cover].terms, &out_vars));
+        let answers = rels[cover].project(&positions_of(&qp.atoms()[cover].terms, q.free()));
         cost.layers_ns = clock.lap();
+        let (order, mut meter) = (ArrayOrder::Sum(w), budget.meter());
+        Self::sorted(snap, &answers, q.free(), order, &mut meter, clock, cost)
+    }
 
-        // Weigh each answer through one dense `code → weight` table per
-        // head column, as `sumsel` does. Summing the columns left to
-        // right from -0.0 is exactly `Iterator::sum` over an answer's
-        // weights, so every weight keeps its bits. Then order the rows
-        // by a stable radix sort over the order-preserving image of each
-        // weight: ties keep row order, and rows already ascend in tuple
-        // order, so this is exactly the (weight, tuple) order.
-        let dict = snap.dict();
+    /// The [`Policy::Materialize`](crate::Policy) fallback, for any query
+    /// and order: join every atom in code space ([`join_atoms`]), project
+    /// onto the head and sort, all under `budget`. FDs play no part.
+    pub(crate) fn materialize(
+        q: &Cq,
+        snap: &Arc<Snapshot>,
+        order: &OrderSpec,
+        budget: BuildBudget,
+    ) -> Result<Self, BuildError> {
+        let mut clock = PhaseClock::start();
+        let mut cost = BuildCost::default();
+        let mut meter = budget.meter();
+        let (nq, rels) = normalize_encoded(q, snap)?;
+        cost.prep_ns = clock.lap();
+        let (vars, joined) = join_atoms(&nq, rels, &mut meter)?;
+        cost.reduce_ns = clock.lap();
+        let answers = joined.project(&positions_of(&vars, q.free()));
+        cost.layers_ns = clock.lap();
+        let order = match order {
+            OrderSpec::Sum(w) => ArrayOrder::Sum(w),
+            OrderSpec::Lex(lex) => ArrayOrder::Lex(lex),
+        };
+        Self::sorted(snap, &answers, q.free(), order, &mut meter, clock, cost)
+    }
+
+    /// Both builds' tail: sort `answers` (distinct, over `head`, in tuple
+    /// order) by `order` into columns beside the tuple-sorted index,
+    /// charged to `meter` in one step before any of them is allocated.
+    fn sorted(
+        snap: &Arc<Snapshot>,
+        answers: &EncodedRelation,
+        head: &[VarId],
+        order: ArrayOrder<'_>,
+        meter: &mut BudgetMeter,
+        mut clock: PhaseClock,
+        mut cost: BuildCost,
+    ) -> Result<Self, BuildError> {
         let len = answers.len();
-        // The entire remaining build is Θ(len): per answer, one weight
-        // (16B), two permutation slots (8B), one column code per head
-        // position (4B each). Charge it all here, before the first big
-        // allocation.
-        budget.meter().charge(
-            len as u64 * (16 + 8 + 4 * out_vars.len() as u64),
-            len as u64,
-        )?;
-        let mut row_weights = vec![TotalF64(-0.0); len];
-        for (p, &v) in out_vars.iter().enumerate() {
-            w.add_column(v, answers.col(p), dict, &mut row_weights);
-        }
+        // Per answer: a weight (16B, SUM only), two permutation slots, a
+        // code per head position.
+        let weight_bytes = 16 * u64::from(matches!(order, ArrayOrder::Sum(_)));
+        let bytes = len as u64 * (weight_bytes + 8 + 4 * head.len() as u64);
+        meter.charge(bytes, len as u64)?;
         let mut perm: Vec<u32> = (0..len as u32).collect();
-        radix_sort_rows(&mut perm, |r| total_order_bits(row_weights[r as usize]));
+        let weights: Vec<TotalF64> = match order {
+            // Weigh each answer through one dense `code → weight` table
+            // per head column, as `sumsel` does: summing from -0.0, left to
+            // right, is `Iterator::sum`, bit for bit. A stable radix sort
+            // on order-preserving bits keeps ties in tuple order.
+            ArrayOrder::Sum(w) => {
+                let mut row_weights = vec![TotalF64(-0.0); len];
+                for (p, &v) in head.iter().enumerate() {
+                    w.add_column(v, answers.col(p), snap.dict(), &mut row_weights);
+                }
+                radix_sort_rows(&mut perm, |r| total_order_bits(row_weights[r as usize]));
+                perm.iter().map(|&r| row_weights[r as usize]).collect()
+            }
+            // One stable pass per lex position, last first: ties keep
+            // tuple order, as `MaterializedAccess::by_lex` breaks them.
+            ArrayOrder::Lex(lex) => {
+                for p in positions_of(head, lex).into_iter().rev() {
+                    let col = answers.col(p);
+                    radix_sort_rows(&mut perm, |r| u64::from(col[r as usize]));
+                }
+                Vec::new()
+            }
+        };
         cost.sort_ns = clock.lap();
 
-        let cols: Vec<Vec<u32>> = (0..out_vars.len())
+        let cols: Vec<Vec<u32>> = (0..head.len())
             .map(|p| perm.iter().map(|&r| answers.code(r as usize, p)).collect())
             .collect();
-        let weights: Vec<TotalF64> = perm.iter().map(|&r| row_weights[r as usize]).collect();
         // Row j in tuple order sits at position inverse_perm[j] of the
-        // weight order — exactly the tuple-sorted index.
+        // sorted order — exactly the tuple-sorted index.
         let mut by_tuple: Vec<u32> = vec![0; len];
         for (k, &r) in perm.iter().enumerate() {
             by_tuple[r as usize] = k as u32;
         }
         cost.dp_ns = clock.lap();
         cost.arena_entries = len as u64;
-        cost.arena_bytes = answer_bytes(len, out_vars.len());
+        cost.arena_bytes =
+            (4 * (1 + head.len()) * len + std::mem::size_of_val(&weights[..])) as u64;
         Ok(SumDirectAccess {
             snap: Arc::clone(snap),
             len,
@@ -257,9 +288,11 @@ impl SumDirectAccess {
         true
     }
 
-    /// The answer at index `k` together with its weight.
+    /// The answer at index `k` together with its weight; `None` out of
+    /// bounds and on a lexicographic array, which keeps no weights.
     pub fn access_weighted(&self, k: u64) -> Option<(TotalF64, Tuple)> {
-        self.access(k).map(|t| (self.weights[k as usize], t))
+        let w = *self.weights.get(k as usize)?;
+        self.access(k).map(|t| (w, t))
     }
 
     /// The rank of `answer` in the weight order, or `None` when it is

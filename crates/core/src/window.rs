@@ -119,11 +119,6 @@ impl WindowBuf {
         self.rows += 1;
     }
 
-    /// Append a tuple's values as a row.
-    pub fn push_tuple(&mut self, t: &Tuple) {
-        self.push_row(t.values());
-    }
-
     /// Clear and pre-announce the arity of the rows about to be pushed
     /// — the native fill paths call this before their walk.
     pub(crate) fn begin(&mut self, arity: usize) {

@@ -552,6 +552,18 @@ fn build_budget_rejects_typed_and_lifts_cleanly() {
         Err(ServeError::Plan(PlanError::Build(BuildError::BudgetExceeded { .. }))) => {}
         other => panic!("expected BudgetExceeded from sumda, got {other:?}"),
     }
+    // So is the materialized fallback: a projection past both
+    // tractable regions, joined and sorted under the same cap.
+    let pq = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
+    match session.prepare(
+        &pq,
+        OrderSpec::lex(&pq, &["x", "z"]),
+        &FdSet::empty(),
+        Policy::Materialize,
+    ) {
+        Err(ServeError::Plan(PlanError::Build(BuildError::BudgetExceeded { .. }))) => {}
+        other => panic!("expected BudgetExceeded from the fallback, got {other:?}"),
+    }
     // Byte caps trip independently of entry caps.
     engine.set_build_budget(BuildBudget {
         max_arena_bytes: Some(64),

@@ -214,7 +214,7 @@
 //! | [`rda_query`] | CQ AST/parser, hypergraphs, join trees, connexity, disruptive trios, layered join trees, contraction, FDs, classification |
 //! | [`rda_orderstat`] | quickselect, weighted selection, sorted-matrix selection |
 //! | [`rda_core`] | the `Engine`/`AccessPlan` serving core plus the paper's access/selection algorithms |
-//! | [`rda_baseline`] | materialize-and-sort (the one fallback) and the value-level oracles: preprocessing on `Relation`s, the pre-arena `HashLexDirectAccess`, any-k ranked enumeration, decomposition rewrites |
+//! | [`rda_baseline`] | the value-level oracles: materialize-and-sort, preprocessing on `Relation`s, the pre-arena `HashLexDirectAccess`, any-k ranked enumeration, decomposition rewrites |
 //! | [`rda_serve`] | in-process request front door: sessions, opaque resumable cursors, backpressure |
 
 pub use rda_baseline;

@@ -156,6 +156,8 @@ fn builds_are_encode_free_and_leave_no_scratch_behind() {
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let qcov = parse("Q(x, y) :- R(x, y), S(y, z)").unwrap();
     let lex = q.vars(&["z", "y", "x"]);
+    let qproj = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
+    let xz = || OrderSpec::lex(&qproj, &["x", "z"]);
     let mut allocations = Vec::new();
     for n in [400i64, 3200] {
         let snap = sparse_snapshot(n);
@@ -208,6 +210,25 @@ fn builds_are_encode_free_and_leave_no_scratch_behind() {
         );
         allocations.push(built.allocations);
 
+        // The materialized fallback joins, projects and sorts in the
+        // same code space, and keeps two codes and one index slot per
+        // answer.
+        let engine = Engine::new(Arc::clone(&snap));
+        let built = heap_during(|| {
+            engine
+                .prepare_uncached(&qproj, xz(), &FdSet::empty(), Policy::Materialize)
+                .unwrap()
+        });
+        assert_eq!(built.out.backend(), Backend::Materialized);
+        let answers = 16 * built.out.len() + 4096;
+        assert!(
+            built.retained <= answers,
+            "materialized build of {n} rows retains {} bytes for {} answers",
+            built.retained,
+            built.out.len()
+        );
+        allocations.push(built.allocations);
+
         assert_eq!(
             relation_encode_count(),
             encodes,
@@ -216,9 +237,13 @@ fn builds_are_encode_free_and_leave_no_scratch_behind() {
     }
     // Eight times the rows: the same allocations plus a few vector
     // doublings — nothing is allocated per row.
-    let [lex_small, sum_small, lex_large, sum_large] = allocations[..] else {
-        unreachable!("two sizes, two builds each");
+    let [lex_small, sum_small, mat_small, lex_large, sum_large, mat_large] = allocations[..] else {
+        unreachable!("two sizes, three builds each");
     };
+    assert!(
+        mat_large <= mat_small + 64,
+        "materialized build allocations grew {mat_small} -> {mat_large}"
+    );
     assert!(
         lex_large <= lex_small + 64,
         "lex build allocations grew {lex_small} -> {lex_large}"
@@ -524,6 +549,43 @@ fn access_hot_paths_do_not_allocate() {
         std::hint::black_box(&wbuf);
     });
     assert_eq!(n, 0, "SUM batched refills must not allocate");
+
+    // The materialized fallback serves from the same answer array. No
+    // warm-up inverted access: the first one must not build anything.
+    let qproj = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
+    let mat = Engine::new(db.freeze())
+        .prepare_uncached(
+            &qproj,
+            OrderSpec::lex(&qproj, &["x", "z"]),
+            &FdSet::empty(),
+            Policy::Materialize,
+        )
+        .unwrap();
+    assert_eq!(mat.backend(), Backend::Materialized);
+    let answers: Vec<Tuple> = mat.iter().collect();
+    assert!(answers.len() > 1000, "workload big enough to matter");
+    mat.access_into(0, &mut out); // warm the buffer for arity 2
+    mat.window_into(0..100, &mut wbuf);
+    let n = allocations_during(|| {
+        for k in 0..mat.len() {
+            assert!(mat.access_into(k, &mut out));
+            std::hint::black_box(&out);
+        }
+    });
+    assert_eq!(n, 0, "materialized access_into must not allocate");
+    let n = allocations_during(|| {
+        for lo in [0u64, 17, 500] {
+            assert_eq!(mat.window_into(lo..lo + 100, &mut wbuf), 100);
+            std::hint::black_box(&wbuf);
+        }
+    });
+    assert_eq!(n, 0, "materialized windowed refills must not allocate");
+    let n = allocations_during(|| {
+        for (k, t) in answers.iter().enumerate() {
+            assert_eq!(mat.inverted_access(t), Some(k as u64));
+        }
+    });
+    assert_eq!(n, 0, "materialized inverted_access must not allocate");
 }
 
 #[test]

@@ -334,7 +334,7 @@ fn window_edges_top_k_zero_pages_past_end_stream_at_len() {
 
         assert_eq!(plan.top_k(0), Vec::<Tuple>::new(), "{backend}: top_k(0)");
         let mut buf = WindowBuf::new();
-        buf.push_tuple(&plan.access(0).unwrap()); // pre-dirty the buffer
+        plan.window_into(0..1, &mut buf); // pre-dirty the buffer
         assert_eq!(plan.window_into(0..0, &mut buf), 0, "{backend}");
         assert!(buf.is_empty(), "{backend}: empty refill clears the buffer");
 

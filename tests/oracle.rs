@@ -734,12 +734,14 @@ fn selection_refuses_counts_beyond_u64() {
 /// SUM orders over weights IEEE 754 makes awkward: `-0.0` against
 /// `0.0` (an all `-0.0` answer weighs `-0.0`), a NaN (above `+∞` in the
 /// total order) and `+∞` — on even seeds the signed zeros alone, so
-/// zero-weight plateaus are common. Selection (the 2-path) and direct
-/// access (one atom covers the head) must serve exactly the
-/// materialized oracle's (weight, tuple) order. Weights holding both `+∞` and `−∞` make
-/// `∞ − ∞` a NaN whose sign depends on the order of addition, so SUM
-/// selection refuses them typed; direct access adds in head order, as
-/// the oracle does, and still serves them.
+/// zero-weight plateaus are common. Selection (the 2-path), direct
+/// access (one atom covers the head) and the materialized fallback (the
+/// 3-path and the triangle) must serve exactly the materialized
+/// oracle's (weight, tuple) order. Weights holding both `+∞` and `−∞`
+/// make `∞ − ∞` a NaN whose sign depends on the order of addition, so
+/// SUM selection refuses them typed; direct access and the fallback add
+/// in head order, as the oracle does, and still serve them (ranked
+/// against the oracle wherever Rust defines the NaN a sum keeps).
 #[test]
 fn sum_orders_rank_signed_zeros_nan_and_infinities_as_the_oracle() {
     use rand::{Rng, SeedableRng};
@@ -747,6 +749,14 @@ fn sum_orders_rank_signed_zeros_nan_and_infinities_as_the_oracle() {
     let cases = [
         ("Q(x, y, z) :- R(x, y), S(y, z)", Backend::SelectionSum),
         ("Q(x, y) :- R(x, y), S(y, z)", Backend::SumDirectAccess),
+        (
+            "Q(x, y, z, u) :- R(x, y), S(y, z), T(z, u)",
+            Backend::Materialized,
+        ),
+        (
+            "Q(x, y, z) :- R(x, y), S(y, z), T(z, x)",
+            Backend::Materialized,
+        ),
     ];
     for seed in 0..40u64 {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -762,13 +772,13 @@ fn sum_orders_rank_signed_zeros_nan_and_infinities_as_the_oracle() {
             }
             let oracle = MaterializedAccess::by_sum(&q, &db, |v, val| w.get(v, val).0);
             let engine = Engine::new(db.clone().freeze());
+            let policy = if backend.is_fallback() {
+                Policy::Materialize
+            } else {
+                Policy::Reject
+            };
             let plan = engine
-                .prepare(
-                    &q,
-                    OrderSpec::sum(w.clone()),
-                    &FdSet::empty(),
-                    Policy::Reject,
-                )
+                .prepare(&q, OrderSpec::sum(w.clone()), &FdSet::empty(), policy)
                 .unwrap();
             assert_eq!(plan.backend(), backend, "{src}");
             conforms(
@@ -780,25 +790,28 @@ fn sum_orders_rank_signed_zeros_nan_and_infinities_as_the_oracle() {
 
             w.set(q.free()[0], 0, f64::NEG_INFINITY);
             w.set(q.free()[1], 0, f64::INFINITY);
-            let got = engine.prepare(
-                &q,
-                OrderSpec::sum(w.clone()),
-                &FdSet::empty(),
-                Policy::Reject,
-            );
+            let got = engine.prepare(&q, OrderSpec::sum(w.clone()), &FdSet::empty(), policy);
             if backend == Backend::SelectionSum {
                 assert!(
                     matches!(got, Err(PlanError::Build(BuildError::InvalidOrder(_)))),
                     "{src}, seed {seed}: {got:?}"
                 );
             } else {
-                let oracle = MaterializedAccess::by_sum(&q, &db, |v, val| w.get(v, val).0);
-                conforms(
-                    &format!("{src} ±inf, seed {seed}"),
-                    got.unwrap().answers(),
-                    oracle.answers(),
-                    0,
-                );
+                let plan = got.unwrap();
+                // With more than two head variables a NaN weight can meet
+                // the NaN of ∞ − ∞. Which of the two a sum keeps, and so
+                // its sign and rank, is unspecified in Rust (an optimized
+                // build may swap an addition's operands), in the oracle as
+                // much as here: those seeds are served, not ranked.
+                if q.free().len() <= 2 || !pool.iter().any(|w| w.is_nan()) {
+                    let oracle = MaterializedAccess::by_sum(&q, &db, |v, val| w.get(v, val).0);
+                    conforms(
+                        &format!("{src} ±inf, seed {seed}"),
+                        plan.answers(),
+                        oracle.answers(),
+                        0,
+                    );
+                }
             }
         }
     }

@@ -303,9 +303,18 @@ fn provided_methods_conform_on_every_backend() {
 
     let qproj = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
     let xz = qproj.vars(&["x", "z"]);
+    let plan = Engine::new(Arc::clone(&snap))
+        .prepare(
+            &qproj,
+            OrderSpec::Lex(xz.clone()),
+            &no_fds,
+            Policy::Materialize,
+        )
+        .unwrap();
+    assert_eq!(plan.backend(), Backend::Materialized);
     conforms(
         "materialized",
-        &RankedAnswers::Materialized(MaterializedAccess::by_lex(&qproj, &db, &xz)),
+        plan.answers(),
         MaterializedAccess::by_lex(&qproj, &db, &xz).answers(),
         8,
     );
