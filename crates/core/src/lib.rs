@@ -16,7 +16,8 @@
 //!   ⟨n log n, 1⟩ when one atom covers the free variables (Section 5,
 //!   Lemma 5.9);
 //! * [`SelectionSumHandle`] — selection by sum-of-weights in ⟨1, n log n⟩
-//!   when `fmh(Q) ≤ 2` (Section 7, Lemmas 7.8/7.10);
+//!   when `fmh(Q) ≤ 2` (Section 7, Lemmas 7.8/7.10); ties by tuple cost
+//!   the plateau of p answers at the rank's weight, ⟨1, n log n + p log p⟩;
 //! * all four transparently handle unary functional dependencies via
 //!   the FD-(reordered-)extension (Section 8).
 //!

@@ -56,7 +56,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Position-indexed ranked access to a query's answers, with one owned
 /// return convention for every backend.
@@ -308,7 +308,8 @@ impl DirectAccess for SelectionLexHandle {
 }
 
 /// Selection-backed handle for sum-of-weights orders (Theorem 7.3):
-/// O(n log n) per access.
+/// ⟨1, n log n + p log p⟩ per access, where p is the number of answers
+/// that share the rank's weight (p = 1 for a unique weight).
 ///
 /// Construction prepares the instance once, in the snapshot's code
 /// space: reduction, contraction, row weights
@@ -318,16 +319,17 @@ impl DirectAccess for SelectionLexHandle {
 /// The underlying selection algorithm only pins answers down by weight
 /// (ties are broken arbitrarily, and the same representative can come
 /// back for every rank of an equal-weight plateau), so this handle
-/// defines its order as **(weight, then tuple)**: ranks whose weight is
-/// unique are served straight from selection, while ranks inside a tie
-/// plateau are served from a lazily materialized tie-break index — every
-/// answer's rows, sorted in code space — built on first contact with a
-/// tie. Workloads with distinct weights never pay for that index.
+/// defines its order as **(weight, then tuple)**, the weight summed as
+/// the selection sums it (each atom's partial sum, then one addition).
+/// An access selects the rank's weight, counts the answers below it and
+/// ranks only the plateau at that weight; a window ranks the answers
+/// from its first rank's weight to its last's; inverted access counts
+/// the answers below the answer's weight and its place in its plateau.
+/// Nothing is cached between calls.
 pub struct SelectionSumHandle {
     /// Boxed: the prepared instance is several times the size of any
     /// other [`RankedAnswers`] variant.
     sel: Box<SumSelection>,
-    tie_index: OnceLock<Vec<[u32; 2]>>,
 }
 
 impl SelectionSumHandle {
@@ -341,13 +343,12 @@ impl SelectionSumHandle {
     ) -> Result<Self, BuildError> {
         Ok(SelectionSumHandle {
             sel: Box::new(SumSelection::prepare(q, snap, weights, fds)?),
-            tie_index: OnceLock::new(),
         })
     }
 
     /// Run exactly one weighted selection (Theorem 7.3) for rank `k` —
-    /// the raw ⟨1, n log n⟩ operation: ties broken arbitrarily, no tie
-    /// index, no caching. `None` means out-of-bound.
+    /// the raw ⟨1, n log n⟩ operation: ties broken arbitrarily.
+    /// `None` means out-of-bound.
     pub fn select_once(&self, k: u64) -> Option<(TotalF64, Tuple)> {
         self.sel.select(k)
     }
@@ -358,38 +359,9 @@ impl SelectionSumHandle {
         self.sel.cost()
     }
 
-    /// `true` when rank `k` (with weight `w`) shares its weight with a
-    /// neighboring rank — two selections.
-    fn is_tied(&self, k: u64, w: TotalF64) -> bool {
-        (k > 0 && self.sel.select(k - 1).map(|(p, _)| p) == Some(w))
-            || self.sel.select(k + 1).map(|(n, _)| n) == Some(w)
-    }
-
-    /// The (weight, tuple)-sorted array serving tie plateaus; built
-    /// once, on the first access that hits a tie.
-    fn tie_index(&self) -> &[[u32; 2]] {
-        self.tie_index.get_or_init(|| self.sel.ranked_rows())
-    }
-
-    /// `true` once a tie forced the lazily materialized tie-break index
-    /// into existence — the materialization meter for laziness tests:
-    /// windowed scans over distinct-weight workloads must never flip it.
-    pub fn tie_index_built(&self) -> bool {
-        self.tie_index.get().is_some()
-    }
-
     /// The answer at index `k` together with its weight.
     pub fn access_weighted(&self, k: u64) -> Option<(TotalF64, Tuple)> {
-        // Once the tie index exists it is strictly cheaper than
-        // selection — serve everything from it.
-        if let Some(idx) = self.tie_index.get() {
-            return idx.get(k as usize).map(|&rows| self.sel.answer(rows));
-        }
-        let (w, mut t) = self.sel.select(k)?;
-        if self.is_tied(k, w) {
-            t = self.sel.answer(self.tie_index()[k as usize]).1;
-        }
-        Some((w, t))
+        self.sel.rows_at(k).map(|rows| self.sel.answer(rows))
     }
 }
 
@@ -399,41 +371,32 @@ impl DirectAccess for SelectionSumHandle {
     }
 
     fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
-        copy_into(self.access_weighted(k).as_ref().map(|(_, t)| t), out)
+        out.clear();
+        let Some(rows) = self.sel.rows_at(k) else {
+            return false;
+        };
+        // Sized exactly, as `copy_into` sizes it.
+        out.reserve_exact(self.sel.arity());
+        out.extend(self.sel.values(rows));
+        true
     }
 
     fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        let w = self.sel.weight_of(answer)?; // wrong arity is never an answer
-        let at = |k| self.access_weighted(k).expect("k < len");
-        // The first rank at the answer's weight: a unique weight pins
-        // the rank; a plateau ascends by tuple, so search on inside it.
-        let weight_at = |k| match self.tie_index.get() {
-            Some(_) => at(k).0,
-            None => self.sel.select(k).expect("k < len").0,
-        };
-        let lo = first_rank(0..self.len(), |k| weight_at(k) >= w);
-        let (wl, tl) = self.access_weighted(lo)?;
-        if wl != w || tl > *answer {
-            return None;
+        self.sel.rank_of(answer)
+    }
+
+    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
+        out.begin(self.sel.arity());
+        for (_, rows) in self.sel.ranked_window(range) {
+            out.push_with(|vals| vals.extend(self.sel.values(rows)));
         }
-        if tl == *answer {
-            return Some(lo);
-        }
-        // `lo` holds a smaller tuple of the same weight. Alone at its
-        // weight (no tie index yet), it was the only candidate;
-        // otherwise search on through its plateau.
-        self.tie_index.get()?;
-        let hi = first_rank(lo..self.len(), |k| at(k).0 > w);
-        let pos = first_rank(lo..hi, |k| at(k).1 >= *answer);
-        (pos < hi && at(pos).1 == *answer).then_some(pos)
+        out.len() as u64
     }
 
     fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        // A full scan by repeated selection would cost ~3 selections per
-        // rank; the tie index serves the identical (weight, tuple) order
-        // in one O(|out| log |out|) build and O(1) per element.
-        let rows = self.tie_index().iter();
-        Box::new(rows.map(|&rows| self.sel.answer(rows).1))
+        // One ranked array over every weight, decoded as it goes.
+        let rows = self.sel.ranked_rows(None, None).into_iter();
+        Box::new(rows.map(|(_, rows)| self.sel.values(rows).collect()))
     }
 }
 
@@ -464,8 +427,9 @@ pub enum RankedAnswers {
     /// Lexicographic selection over a prepared instance (⟨1, n⟩ per
     /// access).
     SelectionLex(SelectionLexHandle),
-    /// Sum-of-weights selection over a prepared instance (⟨1, n log n⟩
-    /// per access).
+    /// Sum-of-weights selection over a prepared instance
+    /// (⟨1, n log n + p log p⟩ per access, p the answers tied at the
+    /// rank's weight).
     SelectionSum(SelectionSumHandle),
     /// Materialize-and-sort fallback (Θ(|out| log |out|) preprocessing,
     /// O(1) access): the same answer array as [`RankedAnswers::Sum`],

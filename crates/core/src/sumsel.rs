@@ -22,22 +22,38 @@
 //! [`crate::SelectionSumHandle::new`]) computes them once and a
 //! selection ([`crate::SelectionSumHandle::select_once`]) is steps 3–4
 //! alone.
+//!
+//! The handle breaks the paper's arbitrary ties by tuple. Every read it
+//! serves goes through one primitive, [`SumSelection::ranked_rows`]:
+//! the answers whose pair weight lies in a closed weight interval,
+//! ranked by (weight, head codes). An access at rank k selects the
+//! k-th weight, counts the answers below it and ranks only the plateau
+//! of p answers at that weight — ⟨1, n log n + p log p⟩, with p = 1 for
+//! a unique weight — and a window spans the interval from its first
+//! rank's weight to its last's.
 
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::snapprep::prepare_reduced;
 use crate::weights::Weights;
-use rda_db::{key_ids, EncodedRelation, Snapshot, Tuple};
+use rda_db::{key_ids, radix_sort_rows, EncodedRelation, Snapshot, Tuple, Value};
 use rda_orderstat::{select_nth_by, MatrixUnion, SortedMatrix, TotalF64};
 use rda_query::classify::Problem;
 use rda_query::{
     maximal_contraction, positions_of, shared_positions, ContractionStep, Cq, FdSet, VarId, VarSet,
 };
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Rows of one relation as `(weight, row)`, ascending.
 type WeightedRows = Vec<(TotalF64, u32)>;
+
+/// An answer as its pair weight and its rows in the atoms left.
+pub(crate) type RankedRow = (TotalF64, [u32; 2]);
+
+/// The weight of the empty sum, as `Iterator::sum` starts it.
+const EMPTY_SUM: TotalF64 = TotalF64(-0.0);
 
 /// What is left of the query after the maximal contraction.
 enum Shape {
@@ -70,6 +86,9 @@ pub(crate) struct SumSelection {
     /// Per head position: the atom of `rels` and the column it decodes
     /// from.
     out: Vec<(usize, usize)>,
+    /// Per atom of `rels`: the variables its row weight sums, in the
+    /// order it sums them, each with a head position holding its value.
+    addends: Vec<Vec<(VarId, usize)>>,
     shape: Shape,
     total: u64,
     cost: BuildCost,
@@ -146,20 +165,24 @@ impl SumSelection {
         let dict = snap.dict();
         let mut weighed = VarSet::EMPTY;
         let mut row_weights: Vec<Vec<TotalF64>> = Vec::with_capacity(rels.len());
+        let mut addends = Vec::with_capacity(rels.len());
         for (&a, rel) in kept.iter().zip(&rels) {
             // From -0.0, as `Iterator::sum`: an all -0.0 answer weighs
             // -0.0 here too.
-            let mut sums = vec![TotalF64(-0.0); rel.len()];
+            let mut sums = vec![EMPTY_SUM; rel.len()];
+            let mut adds = Vec::new();
             for (p, &v) in atoms[a].terms.iter().enumerate() {
                 if weighed.contains(v) {
                     continue;
                 }
                 weighed = weighed.with(v);
-                for _ in head.iter().filter(|&&h| h == v) {
+                for h in (0..head.len()).filter(|&h| head[h] == v) {
                     weights.add_column(v, rel.col(p), dict, &mut sums);
+                    adds.push((v, h));
                 }
             }
             row_weights.push(sums);
+            addends.push(adds);
         }
         let first_holder = |v: &VarId| {
             let at = |(side, &a): (usize, &usize)| Some((side, atoms[a].position_of(*v)?));
@@ -191,6 +214,7 @@ impl SumSelection {
             weights,
             rels,
             out,
+            addends,
             shape,
             total: u64::try_from(total).map_err(|_| BuildError::CountOverflow)?,
             cost,
@@ -202,10 +226,9 @@ impl SumSelection {
         self.total
     }
 
-    /// The weight of `answer` (one value per head variable).
-    pub(crate) fn weight_of(&self, answer: &Tuple) -> Option<TotalF64> {
-        (answer.arity() == self.head.len())
-            .then(|| self.weights.answer_weight(&self.head, answer.values()))
+    /// The head arity.
+    pub(crate) fn arity(&self) -> usize {
+        self.head.len()
     }
 
     /// What [`SumSelection::prepare`] paid: `prep`, `reduce`, the
@@ -256,62 +279,194 @@ impl SumSelection {
     /// The answer made of row `rows[i]` of the i-th atom left, and its
     /// weight: [`Weights::answer_weight`] of the decoded answer.
     pub(crate) fn answer(&self, rows: [u32; 2]) -> (TotalF64, Tuple) {
-        let decode = |&(side, p): &(usize, usize)| {
-            let code = self.rels[side].code(rows[side] as usize, p);
-            self.snap.dict().value(code).clone()
-        };
-        let answer: Tuple = self.out.iter().map(decode).collect();
+        let answer: Tuple = self.values(rows).collect();
         (
             self.weights.answer_weight(&self.head, answer.values()),
             answer,
         )
     }
 
-    /// Every answer, as its rows in the atoms left, ascending by
-    /// (weight, answer) — the array tie plateaus are served from. The
-    /// one Θ(|out| log |out|) operation here; answers compare by their
-    /// codes, which order as their values do.
-    pub(crate) fn ranked_rows(&self) -> Vec<[u32; 2]> {
-        let mut all: Vec<(TotalF64, [u32; 2])> = match &self.shape {
-            Shape::Empty => vec![(TotalF64(0.0), [0, 0]); self.total as usize],
+    /// The values of the answer made of row `rows[i]` of the i-th atom
+    /// left, in head order.
+    pub(crate) fn values(&self, rows: [u32; 2]) -> impl Iterator<Item = Value> + '_ {
+        let dict = self.snap.dict();
+        self.codes(rows).map(|code| dict.value(code).clone())
+    }
+
+    /// The head codes of the answer made of `rows` — they order as its
+    /// values do.
+    fn codes(&self, rows: [u32; 2]) -> impl Iterator<Item = u32> + '_ {
+        let code = move |&(side, p): &(usize, usize)| self.rels[side].code(rows[side] as usize, p);
+        self.out.iter().map(code)
+    }
+
+    /// The handle's order: pair weight, then head codes.
+    fn by_rank(&self, x: &RankedRow, y: &RankedRow) -> Ordering {
+        x.0.cmp(&y.0)
+            .then_with(|| self.codes(x.1).cmp(self.codes(y.1)))
+    }
+
+    /// The answers whose pair weight lies in `lo..=hi` (`None`:
+    /// unbounded), ascending by (weight, head codes): the one array
+    /// every read of the handle is served from.
+    pub(crate) fn ranked_rows(&self, lo: Option<TotalF64>, hi: Option<TotalF64>) -> Vec<RankedRow> {
+        let mut rows = self.rows_between(lo, hi);
+        rows.sort_unstable_by(|x, y| self.by_rank(x, y));
+        rows
+    }
+
+    /// The rows of the answer at rank `k` of (weight, head codes), or
+    /// `None` when `k ≥ len()`. Two atoms: one selection, one count
+    /// below its weight, and a quickselect by codes inside the plateau
+    /// at that weight. One atom: a quickselect by (weight, codes) over
+    /// the rows.
+    pub(crate) fn rows_at(&self, k: u64) -> Option<[u32; 2]> {
+        if k >= self.total {
+            return None;
+        }
+        let (mut rows, at) = match &self.shape {
+            Shape::Pair { union, .. } => {
+                let w = union.select(k).expect("the rank is below the cell count");
+                (self.rows_between(Some(w), Some(w)), k - union.count_lt(w))
+            }
+            Shape::Empty | Shape::Single(_) => (self.rows_between(None, None), k),
+        };
+        let nth = select_nth_by(&mut rows, at as usize, |x, y| self.by_rank(x, y));
+        Some(nth.expect("the rank lies in its plateau").1)
+    }
+
+    /// The answers at the ranks in `ranks` (clamped to `len()`), in
+    /// order: those weighing from the first rank's weight to the last
+    /// rank's, ranked, less the ones below the first rank.
+    pub(crate) fn ranked_window(&self, ranks: Range<u64>) -> Vec<RankedRow> {
+        let (lo, hi) = crate::window::clamp_range(&ranks, self.total);
+        if lo == hi {
+            return Vec::new();
+        }
+        let (first, last) = self.weights_at(lo, hi - 1);
+        let skip = (lo - self.count_lt(first)) as usize;
+        let mut rows = self.ranked_rows(Some(first), Some(last));
+        rows.truncate(skip + (hi - lo) as usize);
+        rows.drain(..skip);
+        rows
+    }
+
+    /// The rank of `answer`, or `None` when it is not an answer: the
+    /// answers weighing less, plus its place in its plateau. Its weight
+    /// is summed as the selection sums it — each atom's partial sum,
+    /// then one addition — so a near-tie rounds as the plateau does.
+    pub(crate) fn rank_of(&self, answer: &Tuple) -> Option<u64> {
+        if answer.arity() != self.head.len() {
+            return None;
+        }
+        let mut probe = Vec::with_capacity(answer.arity());
+        if !self.snap.dict().encode_tuple_into(answer, &mut probe) {
+            return None;
+        }
+        let side = |adds: &Vec<(VarId, usize)>| {
+            let weigh = |&(v, h): &(VarId, usize)| self.weights.get(v, &answer[h]);
+            adds.iter().map(weigh).fold(EMPTY_SUM, |sum, w| sum + w)
+        };
+        let w = self.addends.iter().map(side).reduce(|a, b| a + b);
+        let w = w.unwrap_or(EMPTY_SUM);
+        let (mut rank, mut found) = (self.count_lt(w), false);
+        for (_, rows) in self.rows_between(Some(w), Some(w)) {
+            match self.codes(rows).cmp(probe.iter().copied()) {
+                Ordering::Less => rank += 1,
+                Ordering::Equal => found = true,
+                Ordering::Greater => {}
+            }
+        }
+        found.then_some(rank)
+    }
+
+    /// The `first`-th and the `last`-th smallest answer weights,
+    /// `first ≤ last < len()`, from one selection.
+    fn weights_at(&self, first: u64, last: u64) -> (TotalF64, TotalF64) {
+        match &self.shape {
+            Shape::Empty => (EMPTY_SUM, EMPTY_SUM),
             Shape::Single(weights) => {
-                let rows = weights.iter().zip(0..);
-                rows.map(|(&w, row)| (w, [row, 0])).collect()
+                // The quickselect leaves rank `first` in its place and
+                // everything after it no lighter.
+                let mut weights = weights.clone();
+                let (first, last) = (first as usize, last as usize);
+                let a = *select_nth_by(&mut weights, first, Ord::cmp).expect("first < len");
+                let tail = &mut weights[first..];
+                (
+                    a,
+                    *select_nth_by(tail, last - first, Ord::cmp).expect("last < len"),
+                )
             }
-            Shape::Pair { sides, buckets, .. } => {
-                let [a, b] = sides;
-                let pairs = buckets.iter().flat_map(|[ra, rb]| {
+            Shape::Pair { union, .. } => union.select_pair(first, last).expect("last < len"),
+        }
+    }
+
+    /// The number of answers weighing less than `w`.
+    fn count_lt(&self, w: TotalF64) -> u64 {
+        match &self.shape {
+            Shape::Empty => 0,
+            Shape::Single(weights) => weights.iter().filter(|&&x| x < w).count() as u64,
+            Shape::Pair { union, .. } => union.count_lt(w),
+        }
+    }
+
+    /// The answers whose pair weight lies in `lo..=hi` (`None`:
+    /// unbounded), in no particular order. Over two atoms, one
+    /// staircase walk per join-key bucket: as the first side's weight
+    /// grows, both ends of the second side's run inside the interval
+    /// move left. O(n) plus one step per answer in the interval.
+    fn rows_between(&self, lo: Option<TotalF64>, hi: Option<TotalF64>) -> Vec<RankedRow> {
+        let inside = |w: TotalF64| lo.is_none_or(|lo| lo <= w) && hi.is_none_or(|hi| w <= hi);
+        let mut found = Vec::new();
+        match &self.shape {
+            Shape::Empty => {
+                if self.total > 0 && inside(EMPTY_SUM) {
+                    found.push((EMPTY_SUM, [0, 0]));
+                }
+            }
+            Shape::Single(weights) => {
+                let rows = weights.iter().zip(0..).filter(|&(&w, _)| inside(w));
+                found.extend(rows.map(|(&w, row)| (w, [row, 0])));
+            }
+            Shape::Pair {
+                sides: [a, b],
+                buckets,
+                ..
+            } => {
+                for [ra, rb] in buckets {
                     let bs = &b[rb.clone()];
-                    a[ra.clone()].iter().flat_map(move |&(wa, row_a)| {
-                        bs.iter().map(move |&(wb, row_b)| (wa + wb, [row_a, row_b]))
-                    })
-                });
-                pairs.collect()
+                    let (mut start, mut end) = (bs.len(), bs.len());
+                    for &(wa, row_a) in &a[ra.clone()] {
+                        while start > 0 && lo.is_none_or(|lo| wa + bs[start - 1].0 >= lo) {
+                            start -= 1;
+                        }
+                        while end > start && hi.is_some_and(|hi| wa + bs[end - 1].0 > hi) {
+                            end -= 1;
+                        }
+                        let run = bs[start..end].iter();
+                        found.extend(run.map(|&(wb, row_b)| (wa + wb, [row_a, row_b])));
+                    }
+                }
             }
-        };
-        let codes = |rows: [u32; 2]| {
-            let code =
-                move |&(side, p): &(usize, usize)| self.rels[side].code(rows[side] as usize, p);
-            self.out.iter().map(code)
-        };
-        all.sort_unstable_by(|x, y| x.0.cmp(&y.0).then_with(|| codes(x.1).cmp(codes(y.1))));
-        all.into_iter().map(|(_, rows)| rows).collect()
+        }
+        found
     }
 }
 
 /// Lemma 7.10's bucketing: sort each side's rows by (join-key id,
-/// weight), pair up the id runs present on both sides, and give each
-/// pair an implicit sorted matrix. Also the number of cells — the
-/// answer count.
+/// weight, row) — two stable radix passes, weight first —, pair up the
+/// id runs present on both sides, and give each pair an implicit sorted
+/// matrix. Also the number of cells — the answer count.
 fn pair_shape(sides: [(&[u32], &[TotalF64]); 2]) -> (Shape, u128) {
     let [a, b] = sides.map(|(ids, weights)| {
-        let mut rows: Vec<(u32, TotalF64, u32)> = ids
-            .iter()
-            .zip(weights)
-            .zip(0..)
-            .map(|((&id, &w), row)| (id, w, row))
+        let mut order: Vec<u32> = (0..ids.len() as u32).collect();
+        radix_sort_rows(&mut order, |r| weight_key(weights[r as usize]));
+        radix_sort_rows(&mut order, |r| u64::from(ids[r as usize]));
+        let rows: Vec<(u32, TotalF64, u32)> = order
+            .into_iter()
+            .map(|r| (ids[r as usize], weights[r as usize], r))
             .collect();
-        rows.sort_unstable();
+        debug_assert!(rows.is_sorted(), "the order of a sort by (id, weight, row)");
         rows
     });
     let (mut buckets, mut matrices, mut total) = (Vec::new(), Vec::new(), 0u128);
@@ -342,6 +497,17 @@ fn pair_shape(sides: [(&[u32], &[TotalF64]); 2]) -> (Shape, u128) {
         union: MatrixUnion::new(matrices),
     };
     (shape, total)
+}
+
+/// A `u64` that sorts as `w` does under [`f64::total_cmp`]: a
+/// negative's bits all flipped, any other's sign bit set.
+fn weight_key(w: TotalF64) -> u64 {
+    let bits = w.0.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 #[cfg(test)]

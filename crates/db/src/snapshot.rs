@@ -345,8 +345,12 @@ impl Snapshot {
     /// Decodes every cell, so it is paid only by those who ask.
     pub fn to_database(&self) -> Database {
         let mut db = Database::new();
-        for name in self.encoded.keys() {
-            db.add(self.relation(name).expect("a listed relation"));
+        for (name, e) in &self.encoded {
+            // Its distinct tuples, ascending.
+            let tuples = (0..e.rel.len())
+                .map(|r| e.rel.decode_row(r, &self.dict))
+                .collect();
+            db.add(Relation::from_tuples(name, e.rel.arity(), tuples));
         }
         db.clear_mutation_log();
         db
@@ -362,15 +366,6 @@ impl Snapshot {
     /// delta freeze shared rather than rebuilt it.
     pub fn dict_arc(&self) -> &Arc<Dictionary> {
         &self.dict
-    }
-
-    /// A relation decoded to values: its distinct tuples, ascending.
-    pub fn relation(&self, name: &str) -> Option<Relation> {
-        let enc = self.encoded(name)?;
-        let tuples = (0..enc.len())
-            .map(|r| enc.decode_row(r, &self.dict))
-            .collect();
-        Some(Relation::from_tuples(name, enc.arity(), tuples))
     }
 
     /// The relation names, ascending.
@@ -521,18 +516,17 @@ mod tests {
     #[test]
     fn decodes_to_a_set_database() {
         let s = snap();
+        let db = s.to_database();
         // The duplicate (1,2) is gone; the rest decodes ascending.
-        let r = s.relation("R").unwrap();
+        let r = db.get("R").unwrap();
         assert_eq!((r.name(), r.arity()), ("R", 2));
         assert_eq!(r.tuples(), [tup![1, 2], tup![1, 5], tup![6, 2]]);
         assert_eq!(s.size(), 4);
         assert_eq!(s.relation_count(), 2);
         assert!(s.encoded("T").is_none());
-        assert!(s.relation("T").is_none());
+        assert!(db.get("T").is_none());
         assert!(s.relation_version("T").is_none());
-        let db = s.to_database();
         assert_eq!(db.relation_count(), 2);
-        assert_eq!(db.get("R"), Some(&r));
         assert!(db.mutation_log().is_empty());
     }
 

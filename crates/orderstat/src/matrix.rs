@@ -46,68 +46,47 @@ impl<W: Copy + Ord + Add<Output = W>> SortedMatrix<W> {
         self.rows.len() as u64 * self.cols.len() as u64
     }
 
-    /// Count cells with value ≤ `bound` (or < `bound` when
-    /// `strict`): one staircase walk, O(rows + cols).
-    fn count_below(&self, bound: W, strict: bool) -> u64 {
-        let mut count = 0u64;
-        let mut j = self.cols.len();
+    /// Count cells < `bound` and cells ≤ `bound` in one staircase walk
+    /// with two fronts, O(rows + cols).
+    fn count_split(&self, bound: W) -> (u64, u64) {
+        let (mut lt, mut leq) = (0u64, 0u64);
+        // First columns with value ≥ bound and > bound: both fronts
+        // only move left as the row value grows, `jl` never right of
+        // `je`.
+        let (mut jl, mut je) = (self.cols.len(), self.cols.len());
         for &r in &self.rows {
-            // Shrink j until rows[i] + cols[j-1] fits the bound.
-            while j > 0 && {
-                let v = r + self.cols[j - 1];
-                if strict {
-                    v >= bound
-                } else {
-                    v > bound
-                }
-            } {
-                j -= 1;
+            while je > 0 && r + self.cols[je - 1] > bound {
+                je -= 1;
             }
-            if j == 0 {
+            jl = jl.min(je);
+            while jl > 0 && r + self.cols[jl - 1] >= bound {
+                jl -= 1;
+            }
+            if je == 0 {
                 break;
             }
-            count += j as u64;
+            lt += jl as u64;
+            leq += je as u64;
         }
-        count
+        (lt, leq)
     }
 
-    /// Per-row half-open column ranges `[a_i, b_i)` of cells with value
-    /// in `(lo, hi]`; `None` bounds mean unbounded.
-    fn row_ranges(&self, lo: Option<W>, hi: Option<W>) -> Vec<(usize, usize)> {
-        let mut ranges = Vec::with_capacity(self.rows.len());
-        // Staircases are monotone: as the row value grows, both
-        // boundaries move left.
+    /// Write into `out` (one slot per row) the half-open column ranges
+    /// `[a_i, b_i)` of the cells with value in `(lo, hi]`; `None` bounds
+    /// mean unbounded. Staircases are monotone: as the row value grows,
+    /// both boundaries move left, so this is one walk, O(rows + cols).
+    fn row_ranges(&self, lo: Option<W>, hi: Option<W>, out: &mut [(usize, usize)]) {
         let mut a = self.cols.len(); // first col with value > lo
         let mut b = self.cols.len(); // first col with value > hi
-        let mut prev_inited = false;
-        for &r in &self.rows {
-            if !prev_inited {
-                a = match lo {
-                    None => 0,
-                    Some(lo) => self.cols.partition_point(|&c| r + c <= lo),
-                };
-                b = match hi {
-                    None => self.cols.len(),
-                    Some(hi) => self.cols.partition_point(|&c| r + c <= hi),
-                };
-                prev_inited = true;
-            } else {
-                while a > 0 && lo.is_none_or(|lo| r + self.cols[a - 1] > lo) {
-                    a -= 1;
-                }
-                while a < self.cols.len() && lo.is_some_and(|lo| r + self.cols[a] <= lo) {
-                    a += 1;
-                }
-                while b > 0 && hi.is_some_and(|hi| r + self.cols[b - 1] > hi) {
-                    b -= 1;
-                }
-                while b < self.cols.len() && hi.is_none_or(|hi| r + self.cols[b] <= hi) {
-                    b += 1;
-                }
+        for (&r, range) in self.rows.iter().zip(out) {
+            while a > 0 && lo.is_none_or(|lo| r + self.cols[a - 1] > lo) {
+                a -= 1;
             }
-            ranges.push((a.min(b), b));
+            while b > 0 && hi.is_some_and(|hi| r + self.cols[b - 1] > hi) {
+                b -= 1;
+            }
+            *range = (a.min(b), b);
         }
-        ranges
     }
 
     /// Value of cell `(i, j)`.
@@ -126,6 +105,14 @@ pub struct MatrixUnion<W> {
 /// When at most this many candidate cells remain, enumerate and sort.
 const ENUMERATE_THRESHOLD: u64 = 1024;
 
+/// The buffers one selection reuses across its pivot rounds.
+struct Scratch<W> {
+    /// A column range per row of every matrix, matrix after matrix.
+    ranges: Vec<(usize, usize)>,
+    /// The candidate values of the last round.
+    values: Vec<W>,
+}
+
 impl<W: Copy + Ord + Add<Output = W>> MatrixUnion<W> {
     /// Build from matrices (empty ones are allowed and ignored).
     pub fn new(matrices: Vec<SortedMatrix<W>>) -> Self {
@@ -139,73 +126,132 @@ impl<W: Copy + Ord + Add<Output = W>> MatrixUnion<W> {
 
     /// Count cells ≤ `bound` across the union.
     pub fn count_leq(&self, bound: W) -> u64 {
-        self.matrices
-            .iter()
-            .map(|m| m.count_below(bound, false))
-            .sum()
+        self.count_split(bound).1
     }
 
     /// Count cells < `bound` across the union.
     pub fn count_lt(&self, bound: W) -> u64 {
-        self.matrices
-            .iter()
-            .map(|m| m.count_below(bound, true))
-            .sum()
+        self.count_split(bound).0
     }
 
     /// The k-th smallest cell value (0-indexed) across the union, or
     /// `None` if `k ≥ cell_count()`. Expected `O((rows+cols) · log N)`.
     pub fn select(&self, k: u64) -> Option<W> {
-        if k >= self.cell_count() {
+        self.select_pair(k, k).map(|(w, _)| w)
+    }
+
+    /// The `first`-th and the `last`-th smallest cell values — the two
+    /// ends of a window of ranks —, or `None` unless
+    /// `first ≤ last < cell_count()`. One selection: the pivot rounds
+    /// that do not separate the two ranks serve both.
+    ///
+    /// Two allocations whatever the number of pivot rounds: one flat
+    /// buffer of column ranges, a slot per row of every matrix, matrix
+    /// after matrix, refilled each round; and the candidate values of
+    /// the last round.
+    pub fn select_pair(&self, first: u64, last: u64) -> Option<(W, W)> {
+        if first > last || last >= self.cell_count() {
             return None;
         }
+        let mut scratch = Scratch {
+            ranges: vec![(0, 0); self.matrices.iter().map(|m| m.rows.len()).sum()],
+            values: Vec::with_capacity(ENUMERATE_THRESHOLD as usize),
+        };
+        let [a, b] = self.select_within([first, last], None, 0, None, &mut scratch);
+        Some((a, b))
+    }
+
+    /// The cell values at ranks `ks` (ascending), all known to lie in
+    /// `(lo, hi]` (`None`: unbounded), with `below` cells at or under
+    /// `lo`: randomized pivot rounds narrow the bracket until at most
+    /// [`ENUMERATE_THRESHOLD`] candidates remain, which are sorted. A
+    /// pivot that separates the two ranks finishes each on its own side.
+    fn select_within(
+        &self,
+        ks: [u64; 2],
+        mut lo: Option<W>,
+        mut below: u64,
+        mut hi: Option<W>,
+        scratch: &mut Scratch<W>,
+    ) -> [W; 2] {
         let mut rng = rand::rng();
-        let mut lo: Option<W> = None; // count_leq(lo) ≤ k
-        let mut hi: Option<W> = None; // count_leq(hi) > k (None = +∞)
         loop {
-            let ranges: Vec<Vec<(usize, usize)>> =
-                self.matrices.iter().map(|m| m.row_ranges(lo, hi)).collect();
-            let candidates: u64 = ranges.iter().flatten().map(|&(a, b)| (b - a) as u64).sum();
+            let ranges = &mut scratch.ranges;
+            let mut at = 0;
+            for m in &self.matrices {
+                m.row_ranges(lo, hi, &mut ranges[at..at + m.rows.len()]);
+                at += m.rows.len();
+            }
+            let candidates: u64 = ranges.iter().map(|&(a, b)| (b - a) as u64).sum();
             debug_assert!(candidates > 0, "the answer lies strictly above lo");
             if candidates <= ENUMERATE_THRESHOLD {
-                let mut values: Vec<W> = Vec::with_capacity(candidates as usize);
-                for (m, mr) in self.matrices.iter().zip(&ranges) {
-                    for (i, &(a, b)) in mr.iter().enumerate() {
-                        for j in a..b {
-                            values.push(m.cell(i, j));
-                        }
-                    }
+                let values = &mut scratch.values;
+                values.clear();
+                for (m, i, (a, b)) in self.spans(ranges) {
+                    values.extend((a..b).map(|j| m.cell(i, j)));
                 }
                 values.sort_unstable();
-                let below = match lo {
-                    None => 0,
-                    Some(lo) => self.count_leq(lo),
-                };
-                return Some(values[(k - below) as usize]);
+                return ks.map(|k| values[(k - below) as usize]);
             }
             // Random pivot among candidate cells.
-            let mut target = rng.random_range(0..candidates);
-            let mut pivot: Option<W> = None;
-            'outer: for (m, mr) in self.matrices.iter().zip(&ranges) {
-                for (i, &(a, b)) in mr.iter().enumerate() {
-                    let len = (b - a) as u64;
-                    if target < len {
-                        pivot = Some(m.cell(i, a + target as usize));
-                        break 'outer;
+            let mut target = rng.random_range(0..candidates) as usize;
+            let (m, i, a) = self
+                .spans(ranges)
+                .find_map(|(m, i, (a, b))| match target.checked_sub(b - a) {
+                    Some(rest) => {
+                        target = rest;
+                        None
                     }
-                    target -= len;
-                }
-            }
-            let p = pivot.expect("target < candidates");
-            let c_leq = self.count_leq(p);
-            if c_leq <= k {
-                lo = Some(p);
-            } else if self.count_lt(p) <= k {
-                return Some(p); // rank k falls inside p's run of equals
-            } else {
+                    None => Some((m, i, a)),
+                })
+                .expect("target < candidates");
+            let p = m.cell(i, a + target);
+            let (lt, leq) = self.count_split(p);
+            let [first, last] = ks;
+            if leq <= first {
+                (lo, below) = (Some(p), leq);
+            } else if lt > last {
                 hi = Some(p);
+            } else if lt <= first && last < leq {
+                return [p, p]; // both ranks fall inside p's run of equals
+            } else {
+                // p separates the ranks: each is p itself, or lies on
+                // its own side of p.
+                let first = if lt <= first {
+                    p
+                } else {
+                    self.select_within([first; 2], lo, below, Some(p), scratch)[0]
+                };
+                let last = if last < leq {
+                    p
+                } else {
+                    self.select_within([last; 2], Some(p), leq, hi, scratch)[0]
+                };
+                return [first, last];
             }
         }
+    }
+
+    /// Count cells < `bound` and ≤ `bound` across the union, one walk
+    /// per matrix.
+    fn count_split(&self, bound: W) -> (u64, u64) {
+        let counts = self.matrices.iter().map(|m| m.count_split(bound));
+        counts.fold((0, 0), |(lt, leq), (l, e)| (lt + l, leq + e))
+    }
+
+    /// The column range of every row of every matrix in `ranges` (laid
+    /// out as [`MatrixUnion::select`] fills them), as (matrix, row,
+    /// range).
+    fn spans<'a>(
+        &'a self,
+        ranges: &'a [(usize, usize)],
+    ) -> impl Iterator<Item = (&'a SortedMatrix<W>, usize, (usize, usize))> + 'a {
+        let per_matrix = self.matrices.iter().scan(0, move |at, m| {
+            let mine = &ranges[*at..*at + m.rows.len()];
+            *at += m.rows.len();
+            Some((m, mine))
+        });
+        per_matrix.flat_map(|(m, mine)| mine.iter().enumerate().map(move |(i, &r)| (m, i, r)))
     }
 }
 
@@ -321,6 +367,43 @@ mod tests {
                 assert_eq!(u.select(k), Some(all[k as usize]));
             }
             assert_eq!(u.select(all.len() as u64), None);
+        }
+    }
+
+    #[test]
+    fn pairs_of_ranks_match_single_selections() {
+        // 120 x 90 cells with long runs of equal values: pivots land
+        // between, on and beside the two ranks.
+        let rows: Vec<i64> = (0..120).map(|i| i / 7).collect();
+        let cols: Vec<i64> = (0..90).map(|j| j / 5).collect();
+        let u = MatrixUnion::new(vec![
+            SortedMatrix::new(rows.clone(), cols.clone()),
+            SortedMatrix::new(cols, rows),
+        ]);
+        let all = naive_union(&[
+            (&u.matrices[0].rows, &u.matrices[0].cols),
+            (&u.matrices[1].rows, &u.matrices[1].cols),
+        ]);
+        for (first, last) in [
+            (0, 0),
+            (0, 50),
+            (5_000, 5_049),
+            (3_000, 18_000),
+            (21_599, 21_599),
+        ] {
+            assert_eq!(
+                u.select_pair(first, last),
+                Some((all[first as usize], all[last as usize])),
+                "{first}..={last}"
+            );
+        }
+        assert_eq!(u.select_pair(7, 6), None);
+        assert_eq!(u.select_pair(0, all.len() as u64), None);
+        for bound in [-1, 0, 3, 17, 40, 100] {
+            let below =
+                |keep: fn(i64, i64) -> bool| all.iter().filter(|&&v| keep(v, bound)).count();
+            assert_eq!(u.count_lt(bound), below(|v, b| v < b) as u64, "{bound}");
+            assert_eq!(u.count_leq(bound), below(|v, b| v <= b) as u64, "{bound}");
         }
     }
 

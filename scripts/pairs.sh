@@ -9,8 +9,13 @@
 # script prints both sides' medians and quartiles, the change's delta,
 # how many of the N pairs the change won, and whether the change's
 # inter-quartile range stays within 25 % of the parent's median (the
-# spread a claimed gain must hold). It also prints the failed-op counts
-# and whether every run reported the same answer checksum.
+# spread a claimed gain must hold). Its claim column reads `yes` when
+# the change wins at least 9 in 10 pairs and its median beats the
+# parent's by more than the parent's inter-quartile range (a gain that
+# can be claimed), `WORSE` when its median is more than 25 % worse than
+# the parent's (past BENCHMARK.json's bound), and `-` otherwise. It
+# also prints the failed-op counts and whether every run reported the
+# same answer checksum.
 #
 # Build each side's rdabench once, into its own --target-dir, and copy
 # the binaries out before running this: nothing may compile while the
@@ -87,8 +92,9 @@ END {
     split("setup_s ops_per_s rows_per_s read_us heavy_us peak_rss_mb", names, " ")
     split("lower higher higher lower lower lower", better, " ")
     printf "%s, seed %s, %d pairs\n", workload, seed, n
-    printf "%-12s %12s %12s %12s   %12s %12s %12s %8s %6s %s\n", "metric", \
-        "parent q1", "median", "q3", "change q1", "median", "q3", "delta", "wins", "spread"
+    printf "%-12s %12s %12s %12s   %12s %12s %12s %8s %6s %6s %s\n", "metric", \
+        "parent q1", "median", "q3", "change q1", "median", "q3", "delta", "wins", "spread", \
+        "claim"
     for (m = 1; m in names; m++) {
         k = 0; wins = 0
         for (i = 1; i <= n; i++) {
@@ -101,11 +107,18 @@ END {
         sort(P, k); sort(C, k)
         pm = quantile(P, k, 0.5); cm = quantile(C, k, 0.5)
         iqr = quantile(C, k, 0.75) - quantile(C, k, 0.25)
-        printf "%-12s %12.6g %12.6g %12.6g   %12.6g %12.6g %12.6g %+7.1f%% %3d/%-2d %s\n", \
+        piqr = quantile(P, k, 0.75) - quantile(P, k, 0.25)
+        # How much the median of the change beats the parent median by,
+        # in the direction of the metric (negative: worse).
+        gain = better[m] == "lower" ? pm - cm : cm - pm
+        claim = "-"
+        if (wins >= 0.9 * k && gain > piqr) claim = "yes"
+        if (-gain > 0.25 * (pm < 0 ? -pm : pm)) claim = "WORSE"
+        printf "%-12s %12.6g %12.6g %12.6g   %12.6g %12.6g %12.6g %+7.1f%% %3d/%-2d %6s %s\n", \
             names[m], quantile(P, k, 0.25), pm, quantile(P, k, 0.75), \
             quantile(C, k, 0.25), cm, quantile(C, k, 0.75), \
             pm ? 100 * (cm - pm) / pm : 0, wins, k, \
-            (iqr <= 0.25 * pm) ? "ok" : "WIDE"
+            (iqr <= 0.25 * pm) ? "ok" : "WIDE", claim
     }
     c = 0; for (s in sums) c++
     printf "failed ops: parent %d, change %d; answer checksums %s\n", \

@@ -410,7 +410,7 @@ fn check_selection_sum(q: &Cq, db: &Database, snap: &Arc<Snapshot>, fds: &FdSet,
     }
     assert!(handle.select_once(oracle.len()).is_none(), "at len: {ctx}");
     // Inverted access on a handle of its own, last rank first: it meets
-    // unique weights and plateaus before any access built the tie index.
+    // unique weights and plateaus on a handle that served no access.
     let inverse = SelectionSumHandle::new(q, snap, Weights::identity(), fds).unwrap();
     for k in (0..oracle.len()).rev() {
         let t = handle.access(k);

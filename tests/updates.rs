@@ -215,8 +215,9 @@ fn run_bag_script(ops: &[(u8, i64, i64)]) {
             fresh.add(Relation::from_tuples("R", 2, tuples.collect()));
         }
         let fresh = fresh.freeze();
+        let (decoded, expected) = (child.to_database(), fresh.to_database());
         for name in ["R", "T"] {
-            assert_eq!(child.relation(name), fresh.relation(name), "{name}");
+            assert_eq!(decoded.get(name), expected.get(name), "{name}");
         }
         assert_eq!(child.relation_count(), fresh.relation_count());
         parent = child;

@@ -224,9 +224,9 @@ fn windows_under_fds_walk_the_reordered_arena() {
 
 #[test]
 fn selection_sum_windows_stay_lazy_on_distinct_weights() {
-    // Distinct answer weights (positional encoding) keep the selection
-    // handle off its tie-breaking materialized index: paging through a
-    // window must not build it.
+    // Distinct answer weights (positional encoding): every window is
+    // the interval between two selected weights, each plateau one
+    // answer wide, and every page equals the oracle's slice.
     let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
     let db = Database::new()
         .with_i64_rows("R", 2, (0..10).map(|i| vec![i, i % 3]).collect::<Vec<_>>())
@@ -237,20 +237,19 @@ fn selection_sum_windows_stay_lazy_on_distinct_weights() {
         w.set(q.var("y").unwrap(), val, val as f64 * 100.0);
         w.set(q.var("z").unwrap(), val, val as f64);
     }
+    let oracle = MaterializedAccess::by_sum(&q, &db, |v, val| w.get(v, val).0);
     let engine = Engine::new(db.freeze());
     let plan = engine
         .prepare(&q, OrderSpec::sum(w), &FdSet::empty(), Policy::Reject)
         .unwrap();
     assert_eq!(plan.backend(), Backend::SelectionSum);
-    let page = plan.page(2, 5);
-    assert_eq!(page.len(), 5);
-    let RankedAnswers::SelectionSum(handle) = plan.answers() else {
-        panic!("expected the selection-sum backend");
-    };
-    assert!(
-        !handle.tie_index_built(),
-        "distinct-weight windows must not materialize the tie index"
-    );
+    let want = oracle.answers();
+    let len = plan.len() as usize;
+    assert_eq!(len, want.len());
+    for offset in [0, 2, len / 2, len - 5] {
+        let page = plan.page(offset as u64, 5);
+        assert_eq!(page, want[offset..offset + 5], "page at {offset}");
+    }
 }
 
 #[test]
@@ -285,21 +284,31 @@ fn provided_methods_conform_on_every_backend() {
         8,
     );
 
-    // Distinct weights: a window stays off the lazily built tie index
-    // (`iter` is the one method that builds it, by design).
+    // Distinct weights: every plateau is one answer wide.
     let w = positional_weights(&q.vars(&["x", "y", "z"]));
     let by_w = MaterializedAccess::by_sum(&q, &db, |v, val| w.get(v, val).0);
     let handle = SelectionSumHandle::new(&q, &snap, w, &no_fds).unwrap();
-    let answers = RankedAnswers::SelectionSum(handle);
-    assert_eq!(answers.page(2, 5).len(), 5);
-    let RankedAnswers::SelectionSum(handle) = &answers else {
-        unreachable!()
-    };
-    assert!(
-        !handle.tie_index_built(),
-        "a window must not build the tie index"
+    conforms(
+        "selection-sum",
+        &RankedAnswers::SelectionSum(handle),
+        by_w.answers(),
+        8,
     );
-    conforms("selection-sum", &answers, by_w.answers(), 8);
+
+    // Identity weights: integer sums tie, so windows, inverted access
+    // and the stream all cross plateaus of several answers.
+    let by_value = MaterializedAccess::by_sum(&q, &db, ident);
+    let handle = SelectionSumHandle::new(&q, &snap, Weights::identity(), &no_fds).unwrap();
+    assert!(
+        (0..by_value.len() - 1).any(|k| by_value.weight_at(k) == by_value.weight_at(k + 1)),
+        "the instance ties"
+    );
+    conforms(
+        "selection-sum ties",
+        &RankedAnswers::SelectionSum(handle),
+        by_value.answers(),
+        8,
+    );
 
     let qproj = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
     let xz = qproj.vars(&["x", "z"]);
