@@ -136,7 +136,10 @@ impl MaterializedAccess {
                 (w, t)
             })
             .collect();
-        pairs.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        // Every NaN is one weight, above +∞ (the engine's SUM order):
+        // which NaN a sum keeps is unspecified in Rust.
+        let key = |w: f64| if w.is_nan() { f64::NAN } else { w };
+        pairs.sort_by(|a, b| key(a.0).total_cmp(&key(b.0)).then_with(|| a.1.cmp(&b.1)));
         let (weights, answers): (Vec<f64>, Vec<Tuple>) = pairs.into_iter().unzip();
         MaterializedAccess {
             rank: std::sync::OnceLock::new(),

@@ -1208,7 +1208,7 @@ mod tests {
         };
         let paged = prepare(&["x", "y", "z"]).unwrap();
         let idle = prepare(&["x", "y"]).unwrap();
-        paged.window_into(0..2, &mut crate::WindowBuf::new());
+        paged.access_range_into(0..2, &mut crate::WindowBuf::new());
         prepare(&["y"]).unwrap();
         assert!(Arc::ptr_eq(&paged, &prepare(&["x", "y", "z"]).unwrap()));
         assert!(!Arc::ptr_eq(&idle, &prepare(&["x", "y"]).unwrap()));

@@ -807,16 +807,6 @@ impl LexDirectAccess {
         &self.cost
     }
 
-    /// Number of answers (`|Q(I)|`).
-    pub(crate) fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// `true` when the query has no answers.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// The complete internal order over `free(Q⁺)` (the requested prefix
     /// completed per Lemma 4.4, FD-reordered per Definition 8.13).
     pub fn internal_order(&self) -> &[VarId] {
@@ -826,100 +816,6 @@ impl LexDirectAccess {
     /// The snapshot the structure was built over.
     pub fn snapshot(&self) -> &Arc<Snapshot> {
         &self.snap
-    }
-
-    /// Algorithm 1: write the answer at index `k` of the sorted answer
-    /// array into `out` (in head order, reusing its capacity) and
-    /// return `true`, or return `false` ("out-of-bound") when
-    /// `k ≥ len()`. O(log n); after `out` has grown to the head arity
-    /// once, calls perform **zero** heap allocations.
-    pub(crate) fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
-        out.clear();
-        if k >= self.total {
-            return false;
-        }
-        // Exactly the head arity: the owned `DirectAccess::access`
-        // turns a fresh buffer into its tuple without reallocating.
-        out.reserve_exact(self.out_layers.len());
-        self.with_cursor(|cur| {
-            self.descend(k, self.total, 0, cur);
-            self.emit_into(cur.entry, out);
-        });
-        true
-    }
-
-    /// Batched access: fill `out` with the answers at the given ranks
-    /// — in **input order**, out-of-range ranks skipped, equivalent to
-    /// `ranks.iter().filter_map(|&k| self.access(k))` — and return how
-    /// many rows were written.
-    ///
-    /// When the in-range ranks already ascend (a client walking rank
-    /// order), the arenas are descended **once** with shared bracketing
-    /// — a generalized odometer walk keeping one cursor per layer: each
-    /// next rank re-enters the previous descent at its shallowest carry
-    /// point (the first layer whose chosen entry no longer contains the
-    /// rank's residual) and re-derives sibling buckets only from there
-    /// down. Dense ascending batches approach the O(1)-amortized cost
-    /// of the window walk. The walk's contract is sorted input only:
-    /// any other batch pays one independent descent per rank —
-    /// scattered ranks share too little of a descent for sorting them
-    /// first to pay.
-    ///
-    /// After `out` and the per-thread scratch have grown to the batch's
-    /// size once, calls perform **zero** heap allocations.
-    pub fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-        out.begin(self.out_vars.len());
-        let in_range = || ranks.iter().copied().filter(|&k| k < self.total);
-        if !in_range().is_sorted() {
-            self.with_cursor(|cur| {
-                for k in in_range() {
-                    self.descend(k, self.total, 0, cur);
-                    out.push_with(|vals| self.emit_into(cur.entry, vals));
-                }
-            });
-            return out.len() as u64;
-        }
-        let mut rest = in_range();
-        let Some(mut prev) = rest.next() else {
-            return 0;
-        };
-        SCRATCH.with(|s| {
-            let mut s = s.borrow_mut();
-            s.ensure(self.var_slots, self.layers.len(), self.order.len());
-            let Scratch {
-                chosen,
-                entry,
-                carry,
-                ..
-            } = &mut *s;
-            let cur = &mut Cursor {
-                chosen,
-                entry,
-                trace: &mut carry[..self.layers.len()],
-            };
-            self.descend(prev, self.total, 0, cur);
-            out.push_with(|vals| self.emit_into(cur.entry, vals));
-            for k in rest {
-                let delta = k - prev;
-                if delta > 0 {
-                    // Shallowest carry point: the first layer whose
-                    // previous entry no longer contains the residual —
-                    // the deepest layer at the latest, whose entries hold
-                    // one answer each (resuming at the root would still
-                    // be right). Layers above it keep their cursors
-                    // (residuals shifted by `delta`); the rest re-descend.
-                    let carries = |c: &Carry| c.k_in + delta >= c.upper;
-                    let d = cur.trace.iter().position(carries).unwrap_or(0);
-                    cur.trace[..d].iter_mut().for_each(|c| c.k_in += delta);
-                    self.resume(d, cur.trace[d].k_in + delta, cur);
-                    #[cfg(debug_assertions)]
-                    self.assert_resume_is_fresh(k, cur.entry);
-                    prev = k;
-                }
-                out.push_with(|vals| self.emit_into(cur.entry, vals));
-            }
-        });
-        out.len() as u64
     }
 
     /// Algorithm 1's descent: from layer `from` down, pick in every
@@ -1074,14 +970,6 @@ impl LexDirectAccess {
         }));
     }
 
-    /// Algorithm 2: the index of `answer` in the sorted answer array, or
-    /// `None` ("not-an-answer"). `answer` is a tuple over the original
-    /// query's head variables. O(log n), allocation-free.
-    pub(crate) fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        self.probe(answer)
-            .and_then(|(rank, exact)| exact.then_some(rank))
-    }
-
     /// Remark 3: the number of answers strictly before `answer` in the
     /// order, whether or not `answer` itself is an answer. Combined with
     /// [`DirectAccess::access_into`](crate::DirectAccess::access_into)
@@ -1205,24 +1093,6 @@ impl LexDirectAccess {
         }
     }
 
-    /// Windowed access: write the answers at ranks `range` (clamped to
-    /// `len()`) into `out` in order, returning how many were written.
-    ///
-    /// The O(log n) rank bracketing of [`LexDirectAccess::access_into`] is
-    /// paid **once** for the whole window; every further tuple is an
-    /// O(1) amortized arena step. After `out` has grown to the window's
-    /// size once, refills perform **zero** heap allocations.
-    pub(crate) fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        out.begin(self.out_vars.len());
-        let (lo, hi) = crate::window::clamp_range(&range, self.total);
-        if lo >= hi {
-            return 0;
-        }
-        let n = hi - lo;
-        self.with_cursor(|cur| self.walk_emit(lo, n, cur, out));
-        n
-    }
-
     /// Core of Algorithm 2 and Remark 3: count answers strictly before
     /// the (possibly absent) tuple with the given order bounds; the
     /// boolean reports whether the tuple is an actual answer. Pure
@@ -1259,6 +1129,133 @@ impl LexDirectAccess {
             factor *= self.child_step::<true>(layer, idx, chosen);
         }
         (rank, true)
+    }
+}
+
+impl DirectAccess for LexDirectAccess {
+    /// Number of answers (`|Q(I)|`).
+    fn len(&self) -> u64 {
+        self.total
+    }
+
+    /// Algorithm 1: write the answer at index `k` of the sorted answer
+    /// array into `out` (in head order, reusing its capacity) and
+    /// return `true`, or return `false` ("out-of-bound") when
+    /// `k ≥ len()`. O(log n); after `out` has grown to the head arity
+    /// once, calls perform **zero** heap allocations.
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+        out.clear();
+        if k >= self.total {
+            return false;
+        }
+        // Exactly the head arity: the owned `DirectAccess::access`
+        // turns a fresh buffer into its tuple without reallocating.
+        out.reserve_exact(self.out_layers.len());
+        self.with_cursor(|cur| {
+            self.descend(k, self.total, 0, cur);
+            self.emit_into(cur.entry, out);
+        });
+        true
+    }
+
+    /// Algorithm 2: the index of `answer` in the sorted answer array, or
+    /// `None` ("not-an-answer"). `answer` is a tuple over the original
+    /// query's head variables. O(log n), allocation-free.
+    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
+        self.probe(answer)
+            .and_then(|(rank, exact)| exact.then_some(rank))
+    }
+
+    /// Windowed access: write the answers at ranks `range` (clamped to
+    /// `len()`) into `out` in order, returning how many were written.
+    ///
+    /// The O(log n) rank bracketing of [`LexDirectAccess::access_into`] is
+    /// paid **once** for the whole window; every further tuple is an
+    /// O(1) amortized arena step. After `out` has grown to the window's
+    /// size once, refills perform **zero** heap allocations.
+    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
+        out.begin(self.out_vars.len());
+        let (lo, hi) = crate::window::clamp_range(&range, self.total);
+        if lo >= hi {
+            return 0;
+        }
+        let n = hi - lo;
+        self.with_cursor(|cur| self.walk_emit(lo, n, cur, out));
+        n
+    }
+
+    /// Batched access: fill `out` with the answers at the given ranks
+    /// — in **input order**, out-of-range ranks skipped, equivalent to
+    /// `ranks.iter().filter_map(|&k| self.access(k))` — and return how
+    /// many rows were written.
+    ///
+    /// When the in-range ranks already ascend (a client walking rank
+    /// order), the arenas are descended **once** with shared bracketing
+    /// — a generalized odometer walk keeping one cursor per layer: each
+    /// next rank re-enters the previous descent at its shallowest carry
+    /// point (the first layer whose chosen entry no longer contains the
+    /// rank's residual) and re-derives sibling buckets only from there
+    /// down. Dense ascending batches approach the O(1)-amortized cost
+    /// of the window walk. The walk's contract is sorted input only:
+    /// any other batch pays one independent descent per rank —
+    /// scattered ranks share too little of a descent for sorting them
+    /// first to pay.
+    ///
+    /// After `out` and the per-thread scratch have grown to the batch's
+    /// size once, calls perform **zero** heap allocations.
+    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
+        out.begin(self.out_vars.len());
+        let in_range = || ranks.iter().copied().filter(|&k| k < self.total);
+        if !in_range().is_sorted() {
+            self.with_cursor(|cur| {
+                for k in in_range() {
+                    self.descend(k, self.total, 0, cur);
+                    out.push_with(|vals| self.emit_into(cur.entry, vals));
+                }
+            });
+            return out.len() as u64;
+        }
+        let mut rest = in_range();
+        let Some(mut prev) = rest.next() else {
+            return 0;
+        };
+        SCRATCH.with(|s| {
+            let mut s = s.borrow_mut();
+            s.ensure(self.var_slots, self.layers.len(), self.order.len());
+            let Scratch {
+                chosen,
+                entry,
+                carry,
+                ..
+            } = &mut *s;
+            let cur = &mut Cursor {
+                chosen,
+                entry,
+                trace: &mut carry[..self.layers.len()],
+            };
+            self.descend(prev, self.total, 0, cur);
+            out.push_with(|vals| self.emit_into(cur.entry, vals));
+            for k in rest {
+                let delta = k - prev;
+                if delta > 0 {
+                    // Shallowest carry point: the first layer whose
+                    // previous entry no longer contains the residual —
+                    // the deepest layer at the latest, whose entries hold
+                    // one answer each (resuming at the root would still
+                    // be right). Layers above it keep their cursors
+                    // (residuals shifted by `delta`); the rest re-descend.
+                    let carries = |c: &Carry| c.k_in + delta >= c.upper;
+                    let d = cur.trace.iter().position(carries).unwrap_or(0);
+                    cur.trace[..d].iter_mut().for_each(|c| c.k_in += delta);
+                    self.resume(d, cur.trace[d].k_in + delta, cur);
+                    #[cfg(debug_assertions)]
+                    self.assert_resume_is_fresh(k, cur.entry);
+                    prev = k;
+                }
+                out.push_with(|vals| self.emit_into(cur.entry, vals));
+            }
+        });
+        out.len() as u64
     }
 }
 

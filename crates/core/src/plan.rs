@@ -11,10 +11,10 @@
 //!   `inverted_access` (and overrides the window and batch kernels
 //!   `access_range_into` / `access_batch_into` when it can beat a loop
 //!   of accesses); every owned form — `access`, `access_range`,
-//!   `access_batch`, `top_k`, `page`, `iter` — is written once, here,
-//!   over those five. Implemented by [`LexDirectAccess`],
-//!   [`SumDirectAccess`] (which also serves the materialized fallback)
-//!   and the two selection handles;
+//!   `access_batch`, `iter` — is written once, here, over those five.
+//!   Implemented by [`LexDirectAccess`], [`SumDirectAccess`] (which
+//!   also serves the materialized fallback) and the two selection
+//!   handles;
 //! * [`RankedAnswers`] — the engine's routed backend, one enum over all
 //!   strategies including the selection-backed handles;
 //! * [`Explain`] — why the router chose what it chose: the verdict, the
@@ -36,9 +36,9 @@
 //! let plan = Engine::new(db.freeze())
 //!     .prepare(&q, OrderSpec::lex(&q, &["x", "y", "z"]), &FdSet::empty(), Policy::Reject)
 //!     .unwrap();
-//! assert_eq!(plan.access(2), plan.page(2, 1).pop());       // one rank …
-//! assert_eq!(plan.top_k(3), plan.access_range(0..3));      // … or a window
-//! assert_eq!(plan.stream().count() as u64, plan.len());    // … or a stream
+//! assert_eq!(plan.access(2), plan.access_range(2..3).pop()); // one rank …
+//! assert_eq!(plan.access_range(0..9).len() as u64, plan.len()); // … or a window
+//! assert_eq!(plan.iter().nth(2), plan.access(2));            // … or a stream
 //! ```
 
 use crate::budget::BuildCost;
@@ -72,8 +72,7 @@ use std::sync::Arc;
 /// [`access_range_into`](DirectAccess::access_range_into) and
 /// [`access_batch_into`](DirectAccess::access_batch_into), whose
 /// defaults loop `access_into`. Everything else is provided over those
-/// five and overridden only where a backend has a cheaper full scan
-/// (the selection-sum handle's `iter`).
+/// five.
 pub trait DirectAccess {
     /// Number of answers (`|Q(I)|`). Every backend, the selection
     /// handles included, knows its count from construction.
@@ -165,32 +164,22 @@ pub trait DirectAccess {
         out.to_tuples()
     }
 
-    /// The `k` first answers (fewer when the query has fewer).
-    fn top_k(&self, k: u64) -> Vec<Tuple> {
-        self.access_range(0..k)
-    }
-
-    /// Allocation-free [`DirectAccess::top_k`].
+    /// [`DirectAccess::access_range_into`] over the `k` first ranks.
+    /// Kept for the benchmark's first-page calls; new code names the
+    /// range.
     fn top_k_into(&self, k: u64, out: &mut WindowBuf) -> u64 {
         self.access_range_into(0..k, out)
     }
 
-    /// Page `offset..offset + len` of the answers (clamped) — the
-    /// pagination shape of [`DirectAccess::access_range`].
-    fn page(&self, offset: u64, len: u64) -> Vec<Tuple> {
-        self.access_range(offset..offset.saturating_add(len))
-    }
-
-    /// Allocation-free [`DirectAccess::page`].
-    fn page_into(&self, offset: u64, len: u64, out: &mut WindowBuf) -> u64 {
-        self.access_range_into(offset..offset.saturating_add(len), out)
-    }
-
     /// Iterate all answers in order: a [`RankedStream`] over the window
     /// kernel, so the native structures pay one rank bracketing per
-    /// batch, not per tuple.
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        Box::new(RankedStream::new(self, 0))
+    /// batch, not per tuple. `iter().skip(k)` starts at rank `k` with
+    /// one window fetch.
+    fn iter(&self) -> RankedStream<'_, Self>
+    where
+        Self: Sized,
+    {
+        RankedStream::new(self)
     }
 }
 
@@ -205,33 +194,6 @@ fn copy_into(answer: Option<&Tuple>, out: &mut Vec<Value>) -> bool {
     out.extend_from_slice(t.values());
     true
 }
-
-/// Forward the trait's required methods and both kernels to the
-/// inherent methods of a native structure.
-macro_rules! forward_native {
-    ($ty:ty) => {
-        impl DirectAccess for $ty {
-            fn len(&self) -> u64 {
-                <$ty>::len(self)
-            }
-            fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
-                <$ty>::access_into(self, k, out)
-            }
-            fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-                <$ty>::inverted_access(self, answer)
-            }
-            fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-                <$ty>::access_range_into(self, range, out)
-            }
-            fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
-                <$ty>::access_batch_into(self, ranks, out)
-            }
-        }
-    };
-}
-
-forward_native!(LexDirectAccess);
-forward_native!(SumDirectAccess);
 
 /// Selection-backed handle for lexicographic orders (Theorem 6.1):
 /// O(n) per access, answers ordered by the same completed internal
@@ -392,12 +354,6 @@ impl DirectAccess for SelectionSumHandle {
         }
         out.len() as u64
     }
-
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        // One ranked array over every weight, decoded as it goes.
-        let rows = self.sel.ranked_rows(None, None).into_iter();
-        Box::new(rows.map(|(_, rows)| self.sel.values(rows).collect()))
-    }
 }
 
 /// The first rank in `ranks` at which `reached` holds, or `ranks.end`
@@ -473,11 +429,6 @@ impl DirectAccess for RankedAnswers {
     fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         dispatch!(self, b => b.access_batch_into(ranks, out))
     }
-    // iter is forwarded (not provided) so the selection-sum handle's
-    // override survives the facade.
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        dispatch!(self, b => DirectAccess::iter(b))
-    }
 }
 
 impl fmt::Debug for RankedAnswers {
@@ -487,19 +438,6 @@ impl fmt::Debug for RankedAnswers {
 }
 
 impl RankedAnswers {
-    /// A lazy, batch-fetching ranked iterator over all answers (see
-    /// [`RankedStream`]): ranked enumeration with nothing materialized
-    /// beyond one batch.
-    pub fn stream(&self) -> RankedStream<'_> {
-        self.stream_from(0)
-    }
-
-    /// [`RankedAnswers::stream`] starting at rank `start` — resume a
-    /// paginated scan exactly where the previous page ended.
-    pub fn stream_from(&self, start: u64) -> RankedStream<'_> {
-        RankedStream::new(self, start)
-    }
-
     /// Which backend the router chose.
     pub fn backend(&self) -> Backend {
         match self {
@@ -535,7 +473,7 @@ impl Backend {
             Backend::LexDirectAccess => "<n log n, log n>",
             Backend::SumDirectAccess => "<n log n, 1>",
             Backend::SelectionLex => "<1, n>",
-            Backend::SelectionSum => "<1, n log n>",
+            Backend::SelectionSum => "<1, n log n + p log p>",
             Backend::Materialized => "<|out| log |out|, 1>",
         }
     }
@@ -705,52 +643,23 @@ impl AccessPlan {
         &self.explain
     }
 
-    /// Which backend serves this plan (shorthand for
-    /// `explain().backend()`).
+    // The three inherent methods below restate `explain().backend()`
+    // and the trait's window and batch kernels. They stay while the
+    // benchmark calls them by these names (ROADMAP item 3a).
+
+    /// `explain().backend()`.
     pub fn backend(&self) -> Backend {
         self.explain.backend
     }
 
-    /// The window of answers at the ranks in `range`, as a reusable
-    /// batch buffer — [`DirectAccess::access_range`]'s rows without the
-    /// per-tuple `Tuple` allocations. See [`AccessPlan::window_into`]
-    /// to reuse a caller-owned buffer across pages.
-    pub fn window(&self, range: Range<u64>) -> WindowBuf {
-        let mut out = WindowBuf::new();
-        self.answers.access_range_into(range, &mut out);
-        out
-    }
-
-    /// Fill `out` with the window of answers at the ranks in `range`
-    /// (clamped), returning how many rows were written. On the native
-    /// direct-access backends this pays the rank bracketing once per
-    /// window and performs **zero** heap allocations once `out` has
-    /// grown to the window's size.
+    /// [`DirectAccess::access_range_into`].
     pub fn window_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
         DirectAccess::access_range_into(self, range, out)
     }
 
-    /// Fill `out` with the answers at `ranks` (any order, duplicates
-    /// allowed, out-of-range ranks skipped), in request order,
-    /// returning how many were in range. On the lex arena backend an
-    /// ascending batch costs **one** rank descent plus O(k) local
-    /// cursor advances (see [`DirectAccess::access_batch_into`]).
+    /// [`DirectAccess::access_batch_into`].
     pub fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         DirectAccess::access_batch_into(self, ranks, out)
-    }
-
-    /// A lazy, batch-fetching ranked iterator over the plan's answers —
-    /// ranked enumeration: answers arrive in order, the next-batch
-    /// cursor lives in the stream, and nothing is materialized beyond
-    /// one batch (see [`RankedStream`]).
-    pub fn stream(&self) -> RankedStream<'_> {
-        self.answers.stream()
-    }
-
-    /// [`AccessPlan::stream`] starting at rank `start` — resume a
-    /// paginated scan exactly where the previous page ended.
-    pub fn stream_from(&self, start: u64) -> RankedStream<'_> {
-        self.answers.stream_from(start)
     }
 }
 
@@ -771,9 +680,6 @@ impl DirectAccess for AccessPlan {
     fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         self.mark_served();
         self.answers.access_batch_into(ranks, out)
-    }
-    fn iter(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
-        self.answers.iter()
     }
 }
 

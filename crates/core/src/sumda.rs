@@ -21,7 +21,7 @@ use crate::error::BuildError;
 use crate::fault;
 use crate::plan::DirectAccess;
 use crate::snapprep::{join_atoms, normalize_encoded, prepare_instance, reduce_atoms};
-use crate::weights::Weights;
+use crate::weights::{weight_key, Weights};
 use crate::window::WindowBuf;
 use rda_db::{radix_sort_rows, Database, EncodedRelation, Snapshot, Tuple, Value};
 use rda_orderstat::TotalF64;
@@ -63,18 +63,6 @@ pub struct SumDirectAccess {
     by_tuple: Vec<u32>,
     /// What the build paid, per phase (see [`BuildCost`]).
     cost: BuildCost,
-}
-
-/// `w`'s bits mapped so that unsigned integer order is
-/// [`f64::total_cmp`]'s order: negative weights (sign bit set) have
-/// every bit flipped, the others only the sign bit.
-fn total_order_bits(w: TotalF64) -> u64 {
-    let b = w.0.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | 1 << 63
-    }
 }
 
 /// What the shared tail of [`SumDirectAccess`]'s builds sorts by.
@@ -209,7 +197,7 @@ impl SumDirectAccess {
                 for (p, &v) in head.iter().enumerate() {
                     w.add_column(v, answers.col(p), snap.dict(), &mut row_weights);
                 }
-                radix_sort_rows(&mut perm, |r| total_order_bits(row_weights[r as usize]));
+                radix_sort_rows(&mut perm, |r| weight_key(row_weights[r as usize]));
                 perm.iter().map(|&r| row_weights[r as usize]).collect()
             }
             // One stable pass per lex position, last first: ties keep
@@ -266,8 +254,17 @@ impl SumDirectAccess {
         &self.snap
     }
 
+    /// The answer at index `k` together with its weight; `None` out of
+    /// bounds and on a lexicographic array, which keeps no weights.
+    pub fn access_weighted(&self, k: u64) -> Option<(TotalF64, Tuple)> {
+        let w = *self.weights.get(k as usize)?;
+        self.access(k).map(|t| (w, t))
+    }
+}
+
+impl DirectAccess for SumDirectAccess {
     /// Number of answers.
-    pub(crate) fn len(&self) -> u64 {
+    fn len(&self) -> u64 {
         self.len as u64
     }
 
@@ -275,7 +272,7 @@ impl SumDirectAccess {
     /// `out` (reusing its capacity) and report whether `k` was in
     /// bounds. O(1), and **zero** heap allocations once `out` has grown
     /// to the head arity.
-    pub(crate) fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
         out.clear();
         if k >= self.len as u64 {
             return false;
@@ -288,18 +285,11 @@ impl SumDirectAccess {
         true
     }
 
-    /// The answer at index `k` together with its weight; `None` out of
-    /// bounds and on a lexicographic array, which keeps no weights.
-    pub fn access_weighted(&self, k: u64) -> Option<(TotalF64, Tuple)> {
-        let w = *self.weights.get(k as usize)?;
-        self.access(k).map(|t| (w, t))
-    }
-
     /// The rank of `answer` in the weight order, or `None` when it is
     /// not an answer. O(log n), allocation-free: the probe is encoded
     /// through the dictionary (a miss proves non-membership) and
     /// binary-searched against the tuple-sorted row index.
-    pub(crate) fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
+    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
         if answer.arity() != self.cols.len() {
             return None;
         }
@@ -326,7 +316,7 @@ impl SumDirectAccess {
     /// `len()`) into `out` in order, returning how many were written.
     /// A straight columnar scan: O(1) per tuple, and **zero** heap
     /// allocations once `out` has grown to the window's size.
-    pub(crate) fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
+    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
         out.begin(self.cols.len());
         let (lo, hi) = crate::window::clamp_range(&range, self.len as u64);
         let dict = self.snap.dict();
@@ -341,7 +331,7 @@ impl SumDirectAccess {
     /// rows were written. A columnar
     /// gather — O(1) per rank in any order, so no sorting pass is
     /// needed; **zero** heap allocations once `out` has grown.
-    pub fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
+    fn access_batch_into(&self, ranks: &[u64], out: &mut WindowBuf) -> u64 {
         out.begin(self.cols.len());
         let dict = self.snap.dict();
         let mut n = 0;

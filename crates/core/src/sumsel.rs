@@ -35,7 +35,7 @@
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::snapprep::prepare_reduced;
-use crate::weights::Weights;
+use crate::weights::{weight_key, Weights};
 use rda_db::{key_ids, radix_sort_rows, EncodedRelation, Snapshot, Tuple, Value};
 use rda_orderstat::{select_nth_by, MatrixUnion, SortedMatrix, TotalF64};
 use rda_query::classify::Problem;
@@ -108,10 +108,9 @@ impl SumSelection {
         fds: &FdSet,
     ) -> Result<Self, BuildError> {
         let (_, red, mut cost) = prepare_reduced(q, snap, fds, &Problem::SelectionSum)?;
-        // Selection adds two atoms' partial sums, in another order than
-        // `Weights::answer_weight`: with both infinities about, which NaN
-        // ∞ − ∞ yields depends on that order, and the pair sums stop
-        // being monotone.
+        // Selection searches sorted rows for pair sums, which must be
+        // monotone along a row: with +∞ in one atom's partial sums and
+        // −∞ in the other's, a row's sums run NaN, +∞, +∞.
         if weights.mixes_infinities() {
             return Err(BuildError::InvalidOrder(
                 "SUM selection cannot rank weights that include both +inf and -inf".to_string(),
@@ -497,17 +496,6 @@ fn pair_shape(sides: [(&[u32], &[TotalF64]); 2]) -> (Shape, u128) {
         union: MatrixUnion::new(matrices),
     };
     (shape, total)
-}
-
-/// A `u64` that sorts as `w` does under [`f64::total_cmp`]: a
-/// negative's bits all flipped, any other's sign bit set.
-fn weight_key(w: TotalF64) -> u64 {
-    let bits = w.0.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
 }
 
 #[cfg(test)]

@@ -30,7 +30,9 @@ pub(crate) enum DefaultWeight {
 /// An answer weighs [`Weights::answer_weight`]: its head's weights
 /// summed left to right from `-0.0`, as `Iterator::sum` does, and
 /// answers rank by that sum under [`f64::total_cmp`] (so `-0.0` sorts
-/// before `0.0`, and a positive NaN above `+∞`), ties by tuple.
+/// before `0.0`), ties by tuple. Every NaN sum is one weight, above
+/// `+∞` ([`TotalF64`]'s arithmetic), so a sum is NaN exactly when a
+/// term is NaN or both infinities occur, in every build profile.
 ///
 /// Every backend serves the same order when each answer's weight sum is
 /// exact in `f64` — integers of moderate size, say, or binary fractions.
@@ -41,8 +43,9 @@ pub(crate) enum DefaultWeight {
 /// the materialized oracle on 25 of 40 random instances, and on none
 /// under head order `x, y, z`, where the two groupings agree. Weights
 /// that hold both `+∞` and `−∞` are refused by SUM selection
-/// ([`crate::BuildError::InvalidOrder`]): `∞ − ∞` is a NaN whose sign
-/// depends on the order of addition.
+/// ([`crate::BuildError::InvalidOrder`]): with `+∞` in one atom's
+/// partial sums and `−∞` in the other's, the pair sums along a sorted
+/// row run NaN, `+∞`, `+∞`, which is not monotone.
 #[derive(Debug, Clone, Default)]
 pub struct Weights {
     map: HashMap<(VarId, Value), f64>,
@@ -105,7 +108,8 @@ impl Weights {
     }
 
     /// `true` when some weight is +∞ and another −∞: adding the two
-    /// gives a NaN whose sign depends on the order of addition.
+    /// gives a NaN, which breaks the monotone pair sums SUM selection
+    /// searches.
     pub(crate) fn mixes_infinities(&self) -> bool {
         let has = |inf: f64| self.map.values().any(|&w| w == inf);
         has(f64::INFINITY) && has(f64::NEG_INFINITY)
@@ -140,6 +144,18 @@ impl Weights {
             .zip(values)
             .map(|(&v, val)| self.get(v, val))
             .sum()
+    }
+}
+
+/// A `u64` that sorts as `w` does under [`f64::total_cmp`]: a
+/// negative's bits all flipped, any other's sign bit set. The radix key
+/// of every weight sort.
+pub(crate) fn weight_key(w: TotalF64) -> u64 {
+    let bits = w.0.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 

@@ -6,11 +6,11 @@
 //! paging through ranked answers pays the O(log n) rank bracketing on
 //! every row. This module batches that work. [`WindowBuf`] is a
 //! reusable, flat, row-major answer buffer; the window methods on
-//! [`DirectAccess`] (`access_range`, `top_k`, `page` and their `*_into`
-//! variants) fill whole rank ranges at once — natively on the arena
-//! structures, which pay the bracketing **once per window** and then
-//! walk entries in O(1) amortized per tuple; and [`RankedStream`] turns
-//! any prepared plan into a lazy, batch-fetching ranked iterator:
+//! [`DirectAccess`] (`access_range` and `access_range_into`) fill whole
+//! rank ranges at once — natively on the arena structures, which pay
+//! the bracketing **once per window** and then walk entries in O(1)
+//! amortized per tuple; and [`RankedStream`] ([`DirectAccess::iter`])
+//! turns any prepared plan into a lazy, batch-fetching ranked iterator:
 //! answers arrive in order with bounded delay and nothing is
 //! materialized beyond the current batch.
 //!
@@ -27,9 +27,10 @@
 //! let plan = engine
 //!     .prepare(&q, OrderSpec::lex(&q, &["x", "y", "z"]), &FdSet::empty(), Policy::Reject)
 //!     .unwrap();
-//! assert_eq!(plan.top_k(2).len(), 2);           // first page, one bracketing
-//! assert_eq!(plan.page(3, 10).len(), 2);        // clamped at len() = 5
-//! assert_eq!(plan.stream().count(), 5);         // lazy ranked enumeration
+//! assert_eq!(plan.access_range(0..2).len(), 2);  // first page, one bracketing
+//! assert_eq!(plan.access_range(3..13).len(), 2); // clamped at len() = 5
+//! assert_eq!(plan.iter().count(), 5);            // lazy ranked enumeration
+//! assert_eq!(plan.iter().skip(3).count(), 2);    // resumed at rank 3
 //! ```
 
 use crate::plan::DirectAccess;
@@ -155,8 +156,7 @@ const DEFAULT_STREAM_BATCH: u64 = 256;
 
 /// A lazy, batch-fetching iterator over the ranked answers of any
 /// [`DirectAccess`] backend — the ranked enumeration surface of the
-/// engine, and the iterator behind the provided
-/// [`DirectAccess::iter`].
+/// engine, returned by [`DirectAccess::iter`].
 ///
 /// The stream holds a rank cursor and refills an internal [`WindowBuf`]
 /// through the backend's windowed access path, so on the native arena
@@ -164,6 +164,11 @@ const DEFAULT_STREAM_BATCH: u64 = 256;
 /// per **batch** (not once per tuple) and nothing is ever materialized
 /// beyond one batch. On the selection backends each batch costs what the
 /// backend's per-access guarantee says.
+///
+/// [`Iterator::nth`] (and so [`Iterator::skip`]) jumps: skipping past
+/// the current batch fetches the batch at the target rank, one window
+/// fetch however far the jump. That is how a paginated scan resumes
+/// where its previous page ended: `plan.iter().skip(k)`.
 ///
 /// ## Generation pinning
 ///
@@ -176,7 +181,7 @@ const DEFAULT_STREAM_BATCH: u64 = 256;
 /// engine for a fresh plan and open a new stream (resuming a rank
 /// position across generations is the service layer's job — see the
 /// `rda_serve` cursor contract).
-pub struct RankedStream<'a, A: DirectAccess + ?Sized = dyn DirectAccess + 'a> {
+pub struct RankedStream<'a, A: DirectAccess> {
     answers: &'a A,
     batch: WindowBuf,
     /// Next unread row within `batch`.
@@ -186,13 +191,13 @@ pub struct RankedStream<'a, A: DirectAccess + ?Sized = dyn DirectAccess + 'a> {
     exhausted: bool,
 }
 
-impl<'a, A: DirectAccess + ?Sized> RankedStream<'a, A> {
-    pub(crate) fn new(answers: &'a A, start: u64) -> Self {
+impl<'a, A: DirectAccess> RankedStream<'a, A> {
+    pub(crate) fn new(answers: &'a A) -> Self {
         RankedStream {
             answers,
             batch: WindowBuf::new(),
             pos: 0,
-            next_rank: start,
+            next_rank: 0,
             exhausted: false,
         }
     }
@@ -226,7 +231,7 @@ impl<'a, A: DirectAccess + ?Sized> RankedStream<'a, A> {
     }
 }
 
-impl<A: DirectAccess + ?Sized> Iterator for RankedStream<'_, A> {
+impl<A: DirectAccess> Iterator for RankedStream<'_, A> {
     type Item = Tuple;
 
     fn next(&mut self) -> Option<Tuple> {
@@ -236,6 +241,19 @@ impl<A: DirectAccess + ?Sized> Iterator for RankedStream<'_, A> {
         let t = self.batch.tuple(self.pos);
         self.pos += 1;
         Some(t)
+    }
+
+    fn nth(&mut self, n: usize) -> Option<Tuple> {
+        let unread = self.batch.len() - self.pos;
+        if n < unread || self.exhausted {
+            // Within the batch, or past the last answer.
+            self.pos += n.min(unread);
+        } else {
+            // Drop the batch; the refill fetches from the target rank.
+            self.next_rank = RankedStream::position(self).saturating_add(n as u64);
+            self.pos = self.batch.len();
+        }
+        self.next()
     }
 }
 

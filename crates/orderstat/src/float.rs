@@ -10,6 +10,14 @@ use std::ops::{Add, Neg, Sub};
 ///
 /// Equality is that order's: a NaN equals itself (bit for bit), and
 /// `-0.0` differs from `0.0`.
+///
+/// Arithmetic yields one NaN: `+` and `-` return [`f64::NAN`] for every
+/// NaN result, and [`Sum`] folds `+` from `-0.0`. Rust leaves unspecified
+/// which NaN an addition of two NaNs keeps, and an optimized build may
+/// swap its operands, so a raw sum's sign, and with it its place under
+/// `total_cmp`, could differ between build profiles. With one NaN, a sum
+/// is NaN exactly when a term is NaN or both infinities occur, however
+/// the terms are grouped, and it sorts above `+∞`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TotalF64(pub f64);
 
@@ -33,17 +41,25 @@ impl Ord for TotalF64 {
     }
 }
 
+/// `v`, or [`f64::NAN`] when `v` is any NaN.
+#[inline]
+fn one_nan(v: f64) -> TotalF64 {
+    TotalF64(if v.is_nan() { f64::NAN } else { v })
+}
+
 impl Add for TotalF64 {
     type Output = TotalF64;
+    #[inline]
     fn add(self, rhs: TotalF64) -> TotalF64 {
-        TotalF64(self.0 + rhs.0)
+        one_nan(self.0 + rhs.0)
     }
 }
 
 impl Sub for TotalF64 {
     type Output = TotalF64;
+    #[inline]
     fn sub(self, rhs: TotalF64) -> TotalF64 {
-        TotalF64(self.0 - rhs.0)
+        one_nan(self.0 - rhs.0)
     }
 }
 
@@ -56,7 +72,7 @@ impl Neg for TotalF64 {
 
 impl Sum for TotalF64 {
     fn sum<I: Iterator<Item = TotalF64>>(iter: I) -> TotalF64 {
-        TotalF64(iter.map(|w| w.0).sum())
+        iter.fold(TotalF64(-0.0), Add::add)
     }
 }
 
@@ -106,5 +122,24 @@ mod tests {
         // Equality agrees with the order.
         assert_ne!(TotalF64(-0.0), TotalF64(0.0));
         assert_eq!(TotalF64(f64::NAN), TotalF64(f64::NAN));
+    }
+
+    #[test]
+    fn every_nan_sum_is_one_nan() {
+        let (neg, pos) = (TotalF64(-f64::NAN), TotalF64(f64::NAN));
+        assert!(neg.0.is_sign_negative() && pos.0.is_sign_positive());
+        for (a, b) in [(neg, pos), (pos, neg), (neg, neg), (neg, TotalF64(1.0))] {
+            assert_eq!((a + b).0.to_bits(), f64::NAN.to_bits());
+            assert_eq!((b + a).0.to_bits(), f64::NAN.to_bits());
+            assert_eq!((a - b).0.to_bits(), f64::NAN.to_bits());
+        }
+        let inf = TotalF64(f64::INFINITY);
+        assert_eq!((inf + -inf).0.to_bits(), f64::NAN.to_bits());
+        assert_eq!((inf - inf).0.to_bits(), f64::NAN.to_bits());
+        let s: TotalF64 = [TotalF64(1.0), neg].into_iter().sum();
+        assert_eq!(s.0.to_bits(), f64::NAN.to_bits());
+        assert!(s > inf, "the one NaN sorts above +∞");
+        let empty: TotalF64 = std::iter::empty().sum();
+        assert_eq!(empty.0.to_bits(), (-0.0f64).to_bits());
     }
 }

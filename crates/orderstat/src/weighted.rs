@@ -3,10 +3,16 @@
 //! Given items with non-negative integer weights, find the item at
 //! *weighted rank* `k`: thinking of each item as occupying a run of
 //! `weight` consecutive indices when items are laid out in `cmp` order,
-//! return the item whose run contains index `k`. Lemma 6.6 uses this to
-//! pick the value of the next lexicographic variable from a histogram of
-//! answer counts in linear time — sorting the active domain first would
-//! already blow the `O(n)` budget.
+//! return the item whose run contains index `k`. In the paper, Lemma 6.6
+//! uses this to pick the value of the next lexicographic variable from a
+//! histogram of answer counts in linear time — sorting the active domain
+//! first would already blow the `O(n)` budget. This crate's LEX
+//! selection needs neither: over dense order-preserving codes its
+//! histogram is a table already in value order, and one prefix scan
+//! finds the value (`rda_core`'s `lexsel`). The one caller left is the
+//! benchmark harness, which times one call beside its host calibration
+//! (`rdabench/src/harness.rs`); ROADMAP item 10 deletes this module once
+//! item 3a moves that timing onto a kernel of its own.
 
 use rand::Rng;
 use std::cmp::Ordering;

@@ -445,7 +445,7 @@ impl Server {
             Rows::Window { at, len } => {
                 let start = at.unwrap_or(cursor.next_rank);
                 let len = len.min(self.max_page_rows);
-                let served = plan.window_into(start..start.saturating_add(len), buf);
+                let served = plan.access_range_into(start..start.saturating_add(len), buf);
                 (served, &self.stats.pages, start + served)
             }
             Rows::Batch(ranks) => {

@@ -94,11 +94,11 @@ fn main() {
     // … but pages come batched: one window pays the rank bracketing
     // once and walks the structure tuple by tuple.
     println!("\ntop 3 by (cases, city, age):");
-    for t in plan.top_k(3) {
+    for t in plan.access_range(0..3) {
         println!("  {t}");
     }
     println!("\npage 2 (offset 2, length 2):");
-    for t in plan.page(2, 2) {
+    for t in plan.access_range(2..4) {
         println!("  {t}");
     }
 
@@ -107,7 +107,7 @@ fn main() {
     let mut page = WindowBuf::new();
     let mut offset = 0;
     loop {
-        let n = plan.window_into(offset..offset + 2, &mut page);
+        let n = plan.access_range_into(offset..offset + 2, &mut page);
         if n == 0 {
             break;
         }
@@ -125,7 +125,7 @@ fn main() {
     // And the whole ranked answer set as a lazy stream (ranked
     // enumeration: batched cursors, nothing materialized beyond one batch).
     println!("\nfirst answers, streamed:");
-    for t in plan.stream().take(3) {
+    for t in plan.iter().take(3) {
         println!("  {t}");
     }
 }

@@ -46,14 +46,15 @@ fn main() {
     // The lowest-weight answers come as one batched window — no
     // hand-rolled access loop, one rank bracketing for the whole page.
     println!("  {} answers; top 5 by x + y:", plan.len());
-    for t in plan.top_k(5) {
+    for t in plan.access_range(0..5) {
         println!("    weight {:>6}  answer {t}", weight(&t));
     }
     // Pagination is rank arithmetic: any page of the sorted answer
     // array, at the same cost shape.
     let mid = plan.len() / 2;
     println!("  the 3 answers straddling the median (page at {mid}):");
-    for t in plan.page(mid.saturating_sub(1), 3) {
+    let lo = mid.saturating_sub(1);
+    for t in plan.access_range(lo..lo + 3) {
         println!("    weight {:>6}  answer {t}", weight(&t));
     }
 
@@ -123,7 +124,7 @@ fn main() {
         "  {} answers by ascending risk, streamed lazily:",
         planv.len()
     );
-    for (k, t) in planv.stream().enumerate() {
+    for (k, t) in planv.iter().enumerate() {
         let r = risk.answer_weight(qv.free(), t.values()).0;
         println!("    #{k}: risk {r:>6.1}  {t}");
     }

@@ -13,8 +13,11 @@
 # the change wins at least 9 in 10 pairs and its median beats the
 # parent's by more than the parent's inter-quartile range (a gain that
 # can be claimed), `WORSE` when its median is more than 25 % worse than
-# the parent's (past BENCHMARK.json's bound), and `-` otherwise. It
-# also prints the failed-op counts and whether every run reported the
+# the parent's (past BENCHMARK.json's bound), `unresolved` when either
+# side's inter-quartile range exceeds 25 % of the parent's median and
+# the change's worst run does not beat the parent's best (too noisy to
+# call unchanged, or to claim), and `-` otherwise. `WORSE` wins over
+# `unresolved`, which wins over `yes`. It also prints the failed-op counts and whether every run reported the
 # same answer checksum.
 #
 # Build each side's rdabench once, into its own --target-dir, and copy
@@ -111,9 +114,13 @@ END {
         # How much the median of the change beats the parent median by,
         # in the direction of the metric (negative: worse).
         gain = better[m] == "lower" ? pm - cm : cm - pm
+        bound = 0.25 * (pm < 0 ? -pm : pm)
+        # Every change run beats every parent run: the worst against the best.
+        apart = better[m] == "lower" ? C[k] < P[1] : C[1] > P[k]
         claim = "-"
         if (wins >= 0.9 * k && gain > piqr) claim = "yes"
-        if (-gain > 0.25 * (pm < 0 ? -pm : pm)) claim = "WORSE"
+        if ((iqr > bound || piqr > bound) && !apart) claim = "unresolved"
+        if (-gain > bound) claim = "WORSE"
         printf "%-12s %12.6g %12.6g %12.6g   %12.6g %12.6g %12.6g %+7.1f%% %3d/%-2d %6s %s\n", \
             names[m], quantile(P, k, 0.25), pm, quantile(P, k, 0.75), \
             quantile(C, k, 0.25), cm, quantile(C, k, 0.75), \

@@ -52,13 +52,14 @@
 //! assert_eq!(plan.inverted_access(&median), Some(2));   // O(log n)
 //!
 //! // Pagination is native: a window pays the rank bracketing once and
-//! // walks the structure tuple by tuple, and `stream()` enumerates
+//! // walks the structure tuple by tuple, and `iter()` enumerates
 //! // lazily in batches (nothing fully materialized).
-//! assert_eq!(plan.top_k(2).len(), 2);
-//! assert_eq!(plan.page(3, 10), plan.access_range(3..5));
+//! assert_eq!(plan.access_range(0..2).len(), 2);
+//! assert_eq!(plan.access_range(3..13), plan.access_range(3..5)); // clamped
 //! let mut page = WindowBuf::new();                      // reusable, alloc-free refills
-//! assert_eq!(plan.window_into(1..4, &mut page), 3);
-//! assert_eq!(plan.stream().count(), 5);
+//! assert_eq!(plan.access_range_into(1..4, &mut page), 3);
+//! assert_eq!(plan.iter().count(), 5);
+//! assert_eq!(plan.iter().skip(3).next(), plan.access(3)); // resumes with one fetch
 //!
 //! // Preparing the same request again is a cache hit: the same
 //! // Arc<AccessPlan> comes back, nothing is re-classified or rebuilt.

@@ -561,7 +561,8 @@ fn access_hot_paths_do_not_allocate() {
     // The materialized fallback serves from the same answer array. No
     // warm-up inverted access: the first one must not build anything.
     let qproj = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
-    let mat = Engine::new(db.freeze())
+    let engine = Engine::new(db.freeze());
+    let mat = engine
         .prepare_uncached(
             &qproj,
             OrderSpec::lex(&qproj, &["x", "z"]),
@@ -573,7 +574,7 @@ fn access_hot_paths_do_not_allocate() {
     let answers: Vec<Tuple> = mat.iter().collect();
     assert!(answers.len() > 1000, "workload big enough to matter");
     mat.access_into(0, &mut out); // warm the buffer for arity 2
-    mat.window_into(0..100, &mut wbuf);
+    mat.access_range_into(0..100, &mut wbuf);
     let n = allocations_during(|| {
         for k in 0..mat.len() {
             assert!(mat.access_into(k, &mut out));
@@ -583,7 +584,7 @@ fn access_hot_paths_do_not_allocate() {
     assert_eq!(n, 0, "materialized access_into must not allocate");
     let n = allocations_during(|| {
         for lo in [0u64, 17, 500] {
-            assert_eq!(mat.window_into(lo..lo + 100, &mut wbuf), 100);
+            assert_eq!(mat.access_range_into(lo..lo + 100, &mut wbuf), 100);
             std::hint::black_box(&wbuf);
         }
     });
@@ -594,6 +595,31 @@ fn access_hot_paths_do_not_allocate() {
         }
     });
     assert_eq!(n, 0, "materialized inverted_access must not allocate");
+
+    // Ranked enumeration through `iter()` on a warm native plan: once
+    // the first batch has grown the stream's buffer, every answer costs
+    // exactly its returned tuple, batch refills included.
+    let plan = engine
+        .prepare_uncached(
+            &q,
+            OrderSpec::lex(&q, &["x", "y", "z"]),
+            &FdSet::empty(),
+            Policy::Reject,
+        )
+        .unwrap();
+    assert_eq!(plan.backend(), Backend::LexDirectAccess);
+    let mut stream = plan.iter();
+    assert!(stream.next().is_some());
+    let n = allocations_during(|| {
+        for t in stream.by_ref() {
+            std::hint::black_box(t);
+        }
+    });
+    assert_eq!(
+        n,
+        plan.len() - 1,
+        "iter() must allocate exactly the returned tuples"
+    );
 }
 
 #[test]

@@ -451,7 +451,7 @@ fn ranked_stream_stays_pinned_to_its_generation_across_advance() {
 
     // Consume a prefix of the first batch, then advance the engine
     // mid-stream.
-    let mut stream = plan.stream_from(0);
+    let mut stream = plan.iter();
     let mut got: Vec<Tuple> = vec![stream.next().unwrap(), stream.next().unwrap()];
     db.insert_into(
         "R",
@@ -482,6 +482,6 @@ fn ranked_stream_stays_pinned_to_its_generation_across_advance() {
     assert_eq!(plan.generation(), 0);
 
     // A stream opened on the old plan even now still serves gen 0.
-    let replay: Vec<Tuple> = plan.stream_from(0).collect();
+    let replay: Vec<Tuple> = plan.iter().collect();
     assert_eq!(replay, expected);
 }

@@ -332,25 +332,29 @@ fn window_edges_top_k_zero_pages_past_end_stream_at_len() {
         let backend = plan.backend();
         assert!(len > 0, "{backend}: non-degenerate fixture");
 
-        assert_eq!(plan.top_k(0), Vec::<Tuple>::new(), "{backend}: top_k(0)");
+        assert_eq!(
+            plan.access_range(0..0),
+            Vec::<Tuple>::new(),
+            "{backend}: top_k(0)"
+        );
         let mut buf = WindowBuf::new();
-        plan.window_into(0..1, &mut buf); // pre-dirty the buffer
-        assert_eq!(plan.window_into(0..0, &mut buf), 0, "{backend}");
+        plan.access_range_into(0..1, &mut buf); // pre-dirty the buffer
+        assert_eq!(plan.access_range_into(0..0, &mut buf), 0, "{backend}");
         assert!(buf.is_empty(), "{backend}: empty refill clears the buffer");
 
         // Pages starting at the end, fully past it, and overflowing.
         assert_eq!(
-            plan.page(len, 3),
+            plan.access_range(len..len + 3),
             Vec::<Tuple>::new(),
             "{backend}: page at len"
         );
         assert_eq!(
-            plan.page(len + 10, 3),
+            plan.access_range(len + 10..len + 13),
             Vec::<Tuple>::new(),
             "{backend}: page past end"
         );
         assert_eq!(
-            plan.page(u64::MAX, 5),
+            plan.access_range(u64::MAX..u64::MAX),
             Vec::<Tuple>::new(),
             "{backend}: page at u64::MAX"
         );
@@ -369,22 +373,22 @@ fn window_edges_top_k_zero_pages_past_end_stream_at_len() {
 
         // Streams resumed at (and past) the end are immediately done;
         // resumed one before the end, they yield exactly the last row.
-        let mut at_end = plan.stream_from(len);
+        let mut at_end = plan.iter().skip(len as usize);
         assert_eq!(at_end.next(), None, "{backend}: stream at len()");
-        let mut past_end = plan.stream_from(len + 7);
+        let mut past_end = plan.iter().skip(len as usize + 7);
         assert_eq!(past_end.next(), None, "{backend}: stream past len()");
         // The next batch's end saturates: a start within one batch of
         // u64::MAX does not overflow the rank.
-        let mut far = plan.stream_from(u64::MAX - 3);
+        let mut far = plan.iter().skip(usize::MAX - 3);
         assert_eq!(far.next(), None, "{backend}: stream near u64::MAX");
-        let mut top = plan.stream_from(u64::MAX);
+        let mut top = plan.iter().skip(usize::MAX);
         assert_eq!(top.next(), None, "{backend}: stream at u64::MAX");
         assert_eq!(
-            plan.stream_from(1).count() as u64,
+            plan.iter().skip(1).count() as u64,
             len - 1,
             "{backend}: stream from rank 1"
         );
-        let tail: Vec<Tuple> = plan.stream_from(len - 1).collect();
+        let tail: Vec<Tuple> = plan.iter().skip(len as usize - 1).collect();
         assert_eq!(tail, vec![plan.access(len - 1).unwrap()], "{backend}");
     }
 }
@@ -440,11 +444,11 @@ fn zero_sized_requests_on_engine_plans() {
             Policy::Reject,
         )
         .unwrap();
-    assert_eq!(plan.top_k(0), Vec::<Tuple>::new());
-    assert_eq!(plan.page(4, 0), Vec::<Tuple>::new());
+    assert_eq!(plan.access_range(0..0), Vec::<Tuple>::new());
+    assert_eq!(plan.access_range(4..4), Vec::<Tuple>::new());
     assert_eq!(plan.access_range(9..9), Vec::<Tuple>::new());
     assert_eq!(plan.access_batch(&[]), Vec::<Tuple>::new());
     let mut buf = WindowBuf::new();
-    assert_eq!(plan.window_into(2..2, &mut buf), 0);
+    assert_eq!(plan.access_range_into(2..2, &mut buf), 0);
     assert_eq!(plan.access_batch_into(&[], &mut buf), 0);
 }

@@ -209,9 +209,9 @@ fn random_acyclic_full_queries_match_oracle() {
 
 /// Random queries with random FD sets and random *windowed* access:
 /// the classifier's FD-extension path, and the pagination surface
-/// (`access_range` / `top_k` / `page` / resumable streams), both under
-/// differential test against the sorted-oracle — previously only plain
-/// per-rank access was fuzzed, and only without FDs.
+/// (`access_range` windows and pages, resumable `iter()` streams),
+/// both under differential test against the sorted-oracle — previously
+/// only plain per-rank access was fuzzed, and only without FDs.
 #[test]
 fn random_queries_with_fds_windows_and_streams_match_oracle() {
     let mut rng = StdRng::seed_from_u64(20260729);
@@ -274,9 +274,13 @@ fn random_queries_with_fds_windows_and_streams_match_oracle() {
                 "round {round}: window {lo}..{hi} of {q}"
             );
         }
-        assert_eq!(da.top_k(4), oracle[..len.min(4) as usize], "round {round}");
         assert_eq!(
-            da.page(len / 2, 3),
+            da.access_range(0..4),
+            oracle[..len.min(4) as usize],
+            "round {round}"
+        );
+        assert_eq!(
+            da.access_range(len / 2..len / 2 + 3),
             oracle[(len / 2) as usize..(len / 2 + 3).min(len) as usize],
             "round {round}"
         );
@@ -289,11 +293,11 @@ fn random_queries_with_fds_windows_and_streams_match_oracle() {
 
         // Streams: full, resumed mid-way, and partially consumed.
         let answers = RankedAnswers::Lex(da);
-        let streamed: Vec<Tuple> = answers.stream().collect();
+        let streamed: Vec<Tuple> = answers.iter().collect();
         assert_eq!(streamed, oracle, "round {round}: stream of {q}");
-        let resumed: Vec<Tuple> = answers.stream_from(len / 2).collect();
+        let resumed: Vec<Tuple> = answers.iter().skip(len as usize / 2).collect();
         assert_eq!(resumed, oracle[(len / 2) as usize..], "round {round}");
-        let prefix: Vec<Tuple> = answers.stream().take(3).collect();
+        let prefix: Vec<Tuple> = answers.iter().take(3).collect();
         assert_eq!(prefix, oracle[..len.min(3) as usize], "round {round}");
     }
     assert!(fd_rounds > 40, "FD sets must be drawn often ({fd_rounds})");

@@ -537,8 +537,8 @@ fn relation_emptied_by_deletes_then_refrozen() {
         )
         .unwrap();
     assert!(plan.is_empty());
-    assert_eq!(plan.top_k(3), Vec::<Tuple>::new());
-    let mut stream = plan.stream();
+    assert_eq!(plan.access_range(0..3), Vec::<Tuple>::new());
+    let mut stream = plan.iter();
     assert_eq!(stream.next(), None);
 
     // Refill and refreeze: answers return, the old empty generation is

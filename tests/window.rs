@@ -2,7 +2,7 @@
 //! backend, `access_range(lo..hi)` must equal the sequence of
 //! `access(k)` results (including empty, full-span, inverted, and
 //! out-of-bounds windows), the `*_into` variants must agree with their
-//! owned twins, and `stream()` must enumerate exactly the answer
+//! owned twins, and `iter()` must enumerate exactly the answer
 //! sequence. One generic check holds every provided `DirectAccess`
 //! method to its definition over the five core methods, on every
 //! backend.
@@ -10,7 +10,7 @@
 #[allow(dead_code)]
 mod common;
 
-use common::{conforms, positional_weights, three_path_db, two_path_db};
+use common::{conforms, positional_weights, three_path_db, two_path_db, CountingAccess};
 use ranked_access::prelude::*;
 use std::sync::Arc;
 
@@ -20,19 +20,16 @@ fn ident(_: VarId, v: &Value) -> f64 {
 
 /// The windowed contract: every window, batch, page and stream shape
 /// equals repeated single access (the shared full-surface check, with
-/// the plan's own `access` as its oracle), and so do the facade's
-/// `window` and one buffer reused across a paged scan.
+/// the plan's own `access` as its oracle), and so does one buffer
+/// reused across a paged scan.
 fn assert_windows(label: &str, plan: &AccessPlan) {
     let singles: Vec<Tuple> = (0..plan.len()).map_while(|k| plan.access(k)).collect();
     conforms(label, plan.answers(), &singles, 0);
     let (len, all) = (plan.len(), singles.as_slice());
-    assert_eq!(
-        plan.window(1..len + 9).to_tuples(),
-        all[len.min(1) as usize..]
-    );
+    assert_eq!(plan.access_range(1..len + 9), all[len.min(1) as usize..]);
     let mut buf = WindowBuf::new();
     let mut paged: Vec<Tuple> = Vec::new();
-    while plan.window_into(paged.len() as u64..paged.len() as u64 + 7, &mut buf) > 0 {
+    while plan.access_range_into(paged.len() as u64..paged.len() as u64 + 7, &mut buf) > 0 {
         paged.extend(buf.to_tuples());
     }
     assert_eq!(paged, singles, "{label}: paged scan");
@@ -172,7 +169,7 @@ fn windows_on_boolean_and_empty_plans() {
     assert_eq!(plan.len(), 1);
     assert_eq!(plan.access_range(0..5), vec![Tuple::new(vec![])]);
     let mut buf = WindowBuf::new();
-    assert_eq!(plan.window_into(0..5, &mut buf), 1);
+    assert_eq!(plan.access_range_into(0..5, &mut buf), 1);
     assert_eq!(buf.arity(), 0);
     assert_eq!(buf.to_tuples(), vec![Tuple::new(vec![])]);
     assert_windows("boolean", &plan);
@@ -193,7 +190,7 @@ fn windows_on_boolean_and_empty_plans() {
             .unwrap();
         assert!(plan.is_empty());
         assert!(plan.access_range(0..10).is_empty());
-        assert_eq!(plan.stream().count(), 0);
+        assert_eq!(plan.iter().count(), 0);
         assert_windows("empty", &plan);
     }
 }
@@ -247,8 +244,56 @@ fn selection_sum_windows_stay_lazy_on_distinct_weights() {
     let len = plan.len() as usize;
     assert_eq!(len, want.len());
     for offset in [0, 2, len / 2, len - 5] {
-        let page = plan.page(offset as u64, 5);
+        let page = plan.access_range(offset as u64..offset as u64 + 5);
         assert_eq!(page, want[offset..offset + 5], "page at {offset}");
+    }
+}
+
+/// `iter().skip(k)` resumes a ranked scan at rank `k` with one window
+/// fetch, not k steps, on a native and a selection backend; a step
+/// within the fetched batch fetches nothing.
+#[test]
+fn iter_skip_jumps_to_its_rank_with_one_window_fetch() {
+    let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+    let r: Vec<Vec<i64>> = (0..400i64).map(|i| vec![i, i % 40]).collect();
+    let s: Vec<Vec<i64>> = (0..160i64).map(|j| vec![j % 40, j]).collect();
+    let db = Database::new()
+        .with_i64_rows("R", 2, r)
+        .with_i64_rows("S", 2, s);
+    let engine = Engine::new(db.freeze());
+    let prepare = |order: &[&str]| {
+        let spec = OrderSpec::lex(&q, order);
+        engine.prepare(&q, spec, &FdSet::empty(), Policy::Reject)
+    };
+    let plans = [
+        (prepare(&["x", "y", "z"]), Backend::LexDirectAccess),
+        (prepare(&["x", "z", "y"]), Backend::SelectionLex),
+    ];
+    for (plan, backend) in plans {
+        let plan = plan.unwrap();
+        let len = plan.len();
+        assert_eq!(plan.backend(), backend);
+        assert_eq!(len, 1600, "{backend}");
+        for k in [1000, len / 2 + 7, len - 1, len, len + 5] {
+            let counted = CountingAccess::new(&*plan);
+            let mut rest = counted.iter().skip(k as usize);
+            assert_eq!(rest.next(), plan.access(k), "{backend}: rank {k}");
+            assert_eq!(
+                counted.windows.get(),
+                1,
+                "{backend}: skip({k}) fetches once"
+            );
+        }
+        let counted = CountingAccess::new(&*plan);
+        let mut s = counted.iter();
+        assert_eq!(s.nth(1000), plan.access(1000), "{backend}");
+        assert_eq!(s.nth(9), plan.access(1010), "{backend}");
+        assert_eq!(s.position(), 1011, "{backend}");
+        assert_eq!(
+            counted.windows.get(),
+            1,
+            "{backend}: a step within the batch"
+        );
     }
 }
 
