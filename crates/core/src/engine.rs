@@ -52,12 +52,10 @@
 use crate::budget::BuildBudget;
 use crate::error::BuildError;
 use crate::fault;
-use crate::plan::{
-    describe_reason, AccessPlan, Explain, RankedAnswers, SelectionLexHandle, SelectionSumHandle,
-};
+use crate::plan::{describe_reason, AccessPlan, Explain, RankedAnswers};
 use crate::snapprep::check_fds_apply;
 use crate::weights::Weights;
-use crate::{LexDirectAccess, SumDirectAccess};
+use crate::{LexDirectAccess, SelectionLexHandle, SelectionSumHandle, SumDirectAccess};
 use rda_db::{Database, Snapshot, SnapshotStore};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::{Cq, FdSet, VarId};

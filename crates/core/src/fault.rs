@@ -13,8 +13,8 @@
 //! define more — a site is just a string.)
 //!
 //! Each site keeps a monotone **hit counter** while a plan is armed,
-//! and the plan maps `(site, nth hit)` to a [`FaultAction`]: panic,
-//! delay, or a typed spurious failure ([`InjectedFault`]). Because the
+//! and the plan maps `(site, nth hit)` to a [`FaultAction`]: a panic
+//! or a typed spurious failure ([`InjectedFault`]). Because the
 //! schedule is keyed by hit index — not by wall clock or thread
 //! timing — the exact same failure sequence replays on a 1-core CI
 //! host as on a 64-core workstation, which is what makes recovery
@@ -36,7 +36,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
 
 /// Fault site: entry of [`Engine::prepare_pinned`](crate::Engine::prepare_pinned).
 pub const SITE_ENGINE_PREPARE: &str = "engine::prepare";
@@ -53,9 +52,6 @@ pub enum FaultAction {
     /// Panic at the site — exercises panic fences and poison
     /// recovery.
     Panic,
-    /// Sleep for the given duration — exercises deadlines and queue
-    /// backpressure.
-    Delay(Duration),
     /// Return a typed spurious failure ([`InjectedFault`]) — exercises
     /// error propagation without unwinding.
     Fail,
@@ -220,10 +216,9 @@ impl Drop for FaultGuard {
 /// plan's scheduled action, if any.
 ///
 /// Disarmed (the steady state), this is a single relaxed atomic load.
-/// Armed, it may sleep ([`FaultAction::Delay`]), return a typed
-/// [`InjectedFault`] ([`FaultAction::Fail`]), or panic
-/// ([`FaultAction::Panic`]) — the caller's fences, not this function,
-/// decide what a panic means.
+/// Armed, it may return a typed [`InjectedFault`] ([`FaultAction::Fail`])
+/// or panic ([`FaultAction::Panic`]) — the caller's fences, not this
+/// function, decide what a panic means.
 pub fn trip(site: &str) -> Result<(), InjectedFault> {
     if !ANY_ARMED.load(Ordering::Acquire) {
         return Ok(());
@@ -256,10 +251,6 @@ pub fn trip(site: &str) -> Result<(), InjectedFault> {
     };
     match action {
         FaultAction::Panic => panic!("injected panic at {site} (hit {hit})"),
-        FaultAction::Delay(d) => {
-            std::thread::sleep(d);
-            Ok(())
-        }
         FaultAction::Fail => Err(InjectedFault {
             site: site.to_string(),
             hit,

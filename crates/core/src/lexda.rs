@@ -110,7 +110,7 @@ struct BucketMeta {
 ///
 /// Entries are grouped into buckets (one bucket per assignment of the
 /// bucket-key variables), buckets are stored back to back sorted by
-/// their key codes, and entries within a bucket ascend by `value_codes`. All
+/// their key codes, and entries within a bucket ascend by value code. All
 /// rank arithmetic on this data is exact: construction fails with
 /// [`BuildError::CountOverflow`] rather than letting a count exceed
 /// `u64`, so every `start × factor` product during an access is a
@@ -133,11 +133,9 @@ struct Layer {
     /// Child layers in the layered join tree.
     children: Vec<usize>,
     /// Per entry: the rank-descent hot data, packed to 16 bytes so one
-    /// directory window touches one cache line.
+    /// directory window touches one cache line. Algorithm 2's
+    /// value-keyed searches run over the same array.
     entries: Vec<Entry>,
-    /// Per entry: the code of the layer variable's value, kept as a
-    /// dense column for the value-keyed searches of Algorithm 2.
-    value_codes: Vec<u32>,
     /// Per entry × extra child beyond the first: the agreeing bucket
     /// (`extra_children[e * (children.len() - 1) + (c - 1)]`) — only
     /// branching layered trees populate this.
@@ -166,8 +164,7 @@ impl Layer {
         use std::mem::size_of;
         (self.entries.len() * size_of::<Entry>()
             + self.buckets.len() * size_of::<BucketMeta>()
-            + 4 * (self.value_codes.len() + self.extra_children.len() + self.dir_pool.len()))
-            as u64
+            + 4 * (self.extra_children.len() + self.dir_pool.len())) as u64
     }
 
     /// Algorithm 1's layer search: the absolute index of the last entry
@@ -717,13 +714,12 @@ impl LexDirectAccess {
             // a capped build stops before reserving the layer, not after.
             // (The instance is fully reduced, so every row becomes an
             // entry.)
-            let entry_bytes = (std::mem::size_of::<Entry>() + 4 + extra * 4) as u64;
+            let entry_bytes = (std::mem::size_of::<Entry>() + extra * 4) as u64;
             meter.charge(entry_bytes * rows as u64, rows as u64)?;
             let mut keys = EncodedRelation::new(key_positions.len());
             let mut layer = Layer {
                 children: kids,
                 entries: Vec::with_capacity(rows),
-                value_codes: Vec::with_capacity(rows),
                 extra_children: Vec::with_capacity(rows * extra),
                 buckets: Vec::new(),
                 dir_pool: Vec::new(),
@@ -762,13 +758,11 @@ impl LexDirectAccess {
                     key_row.extend(key_src.iter().map(|c| c[row]));
                     keys.push_row(&key_row);
                 }
-                let value = value_col[row];
                 layer.entries.push(Entry {
                     start: w, // the weight until the bucket's close
-                    value,
+                    value: value_col[row],
                     child0: row_children.first().copied().unwrap_or(0),
                 });
-                layer.value_codes.push(value);
                 layer
                     .extra_children
                     .extend(row_children.iter().skip(1).copied());
@@ -1116,14 +1110,14 @@ impl LexDirectAccess {
             // First entry with value ≥ the probe value: codes below the
             // probe's lower-bound code decode to strictly smaller values.
             let idx =
-                rankdir::bracketed_partition_point(&layer.value_codes[..hi], lo, hi, |&e| e < code);
+                rankdir::bracketed_partition_point(&layer.entries, lo, hi, |e| e.value < code);
             let before = if idx < hi {
                 layer.entries[idx].start
             } else {
                 m.total
             };
             rank += before * factor;
-            if !(can_exact && idx < hi && layer.value_codes[idx] == code) {
+            if !(can_exact && idx < hi && layer.entries[idx].value == code) {
                 return (rank, false);
             }
             factor *= self.child_step::<true>(layer, idx, chosen);

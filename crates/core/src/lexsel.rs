@@ -10,11 +10,13 @@
 //! many rounds, giving the paper's ⟨1, n⟩.
 //!
 //! Everything runs on the snapshot's dictionary-encoded relations.
-//! Preparing (behind [`crate::SelectionLexHandle::new`]) does what does
-//! not depend on `k` once — validation, classification, FD check and
-//! extension, the reduction to a full query ([`crate::snapprep`]), the
-//! join tree, one counting pass for the answer count — and a selection
-//! ([`crate::SelectionLexHandle::select_once`]) is only the rounds.
+//! [`SelectionLexHandle::new`] does what does not depend on `k` once —
+//! validation, classification, FD check and extension, the reduction to
+//! a full query ([`crate::snapprep`]), the join tree, one counting pass
+//! for the answer count — and a selection
+//! ([`SelectionLexHandle::select_once`]) is only the rounds. The handle
+//! is the engine's `SelectionLex` backend, and implements
+//! [`DirectAccess`] here.
 //! Codes are dense order-preserving ranks, so a histogram is a dense
 //! `code → count` table that comes out already in value order: the
 //! value holding rank `k` is one prefix scan, no weighted selection and
@@ -22,14 +24,17 @@
 
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
+use crate::plan::DirectAccess;
 use crate::snapprep::{dense_len, prepare_reduced};
-use rda_db::{key_ids, EncodedRelation, Snapshot, Tuple};
+use rda_db::{key_ids, EncodedRelation, Snapshot, Tuple, Value};
 use rda_query::classify::Problem;
 use rda_query::{
     complete_order, fd_reordered_order, shared_positions, Cq, FdExtension, FdSet, Hypergraph,
     JoinTree, VarId, VarSet,
 };
 use std::borrow::Cow;
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Lemma 6.5: for each code `c` of `var`, the number of answers of the
@@ -132,13 +137,18 @@ fn complete_over_free(qp: &Cq, l_plus: &[VarId]) -> Vec<VarId> {
     })
 }
 
-/// A query prepared for selection by a (possibly partial) lexicographic
-/// order (Theorem 6.1 / 8.22): the fully reduced instance in code
-/// space, its join tree, the completed order and the answer count.
-/// Ties of a partial order are broken by the fixed completion. The raw
-/// operation behind the engine's [`crate::SelectionLexHandle`], which
-/// is the public route to it.
-pub(crate) struct LexSelection {
+/// Selection-backed handle for lexicographic orders (Theorem 6.1 /
+/// 8.22): O(n) per access, answers ordered by the completed internal
+/// order the selection uses — ties of a partial order broken by the
+/// fixed completion.
+///
+/// Construction does everything that does not depend on the rank —
+/// validation, classification, FD check and extension, the reduction to
+/// a full query in the snapshot's code space, the join tree, one
+/// counting pass for `len()` — and holds the fully reduced instance; an
+/// access is then only the selection rounds of Lemma 6.6, and cannot
+/// fail.
+pub struct SelectionLexHandle {
     snap: Arc<Snapshot>,
     head: Vec<VarId>,
     /// The completed order over `free(Q⁺)`.
@@ -154,23 +164,24 @@ pub(crate) struct LexSelection {
     cost: BuildCost,
 }
 
-impl LexSelection {
-    /// Everything that does not depend on the rank. Fails on an
-    /// invalid order, on the intractable side of the dichotomy, on an
-    /// instance that does not fit the query or violates an FD, and with
+impl SelectionLexHandle {
+    /// Prepare `q` over the snapshot's encoded relations for selection
+    /// by `lex`. Fails on an invalid order, on the intractable side of
+    /// the dichotomy, on an instance that does not fit the query
+    /// (missing relation, arity mismatch) or violates an FD, and with
     /// [`BuildError::CountOverflow`] when the answer count does not fit
     /// in `u64`.
-    pub(crate) fn prepare(
+    pub fn new(
         q: &Cq,
         snap: &Arc<Snapshot>,
-        lex: &[VarId],
+        lex: Vec<VarId>,
         fds: &FdSet,
     ) -> Result<Self, BuildError> {
-        crate::lexda::validate_lex(q, lex)?;
+        crate::lexda::validate_lex(q, &lex)?;
         let (ext, red, mut cost) =
-            prepare_reduced(q, snap, fds, &Problem::SelectionLex(lex.to_vec()))?;
+            prepare_reduced(q, snap, fds, &Problem::SelectionLex(lex.clone()))?;
         let mut clock = PhaseClock::start();
-        let order = complete_over_free(&ext.query, &fd_reordered_order(&ext, lex));
+        let order = complete_over_free(&ext.query, &fd_reordered_order(&ext, &lex));
         let atom_vars: Vec<Vec<VarId>> =
             red.query.atoms().iter().map(|a| a.terms.clone()).collect();
         let edges = red.query.atoms().iter().map(|a| a.var_set()).collect();
@@ -187,7 +198,7 @@ impl LexSelection {
         };
         cost.dp_ns = clock.lap();
         cost.hold(&red.rels);
-        Ok(LexSelection {
+        Ok(SelectionLexHandle {
             snap: Arc::clone(snap),
             head: q.free().to_vec(),
             cmp_positions: comparator_positions(&ext, &order),
@@ -201,28 +212,32 @@ impl LexSelection {
         })
     }
 
-    /// Number of answers.
-    pub(crate) fn len(&self) -> u64 {
+    /// Run exactly one selection (Theorem 6.1) for rank `k` — the raw
+    /// ⟨1, n⟩ operation, with no caching. `None` means out-of-bound.
+    pub fn select_once(&self, k: u64) -> Option<Tuple> {
+        self.access(k)
+    }
+
+    /// What construction paid — `prep`, `reduce`, the counting pass as
+    /// `dp` — and the rows and bytes of the reduced instance it holds.
+    pub fn build_cost(&self) -> &BuildCost {
+        &self.cost
+    }
+}
+
+impl DirectAccess for SelectionLexHandle {
+    /// Number of answers, counted at construction.
+    fn len(&self) -> u64 {
         self.total
     }
 
-    /// Arity of an answer.
-    pub(crate) fn arity(&self) -> usize {
-        self.head.len()
-    }
-
-    /// What [`LexSelection::prepare`] paid: `prep`, `reduce`, the
-    /// counting pass as `dp`, and the rows and bytes it holds.
-    pub(crate) fn cost(&self) -> &BuildCost {
-        &self.cost
-    }
-
-    /// The answer at index `k` of the completed order, or `None`
-    /// ("out-of-bound") when `k ≥ len()`: one histogram, one prefix scan
-    /// and one filter per order variable. All scratch is per call.
-    pub(crate) fn select(&self, k: u64) -> Option<Tuple> {
+    /// Lemma 6.6: the answer at index `k` of the completed order, from
+    /// one histogram, one prefix scan and one filter per order
+    /// variable. All scratch is per call.
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+        out.clear();
         if k >= self.total {
-            return None;
+            return false;
         }
         let mut k = u128::from(k);
         let mut rels: Vec<Cow<'_, EncodedRelation>> = self.rels.iter().map(Cow::Borrowed).collect();
@@ -243,9 +258,54 @@ impl LexSelection {
                 }
             }
         }
-        let decode = |v: &VarId| self.snap.dict().value(chosen[v.index()]).clone();
-        Some(self.head.iter().map(decode).collect())
+        // Exactly the head arity: the owned `DirectAccess::access`
+        // turns a fresh buffer into its tuple without reallocating.
+        out.reserve_exact(self.head.len());
+        let dict = self.snap.dict();
+        out.extend(
+            self.head
+                .iter()
+                .map(|v| dict.value(chosen[v.index()]).clone()),
+        );
+        true
     }
+
+    /// The rank of `answer`: a binary search over ranks with O(log n)
+    /// selections, or a scan of every rank when the completed order has
+    /// no sound restriction to the head (see `comparator_positions`).
+    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
+        if answer.arity() != self.head.len() {
+            return None; // wrong arity is never an answer
+        }
+        let Some(positions) = &self.cmp_positions else {
+            return (0..self.total).find(|&k| self.access(k).as_ref() == Some(answer));
+        };
+        // The completed order is total on answers, so the binary search
+        // finds the only candidate rank.
+        let by_order = |t: Tuple| {
+            let on_positions = positions.iter().map(|&p| t[p].cmp(&answer[p]));
+            on_positions.fold(Ordering::Equal, Ordering::then)
+        };
+        let pos = first_rank(0..self.total, |k| {
+            by_order(self.access(k).expect("k < len")).is_ge()
+        });
+        (self.access(pos).as_ref() == Some(answer)).then_some(pos)
+    }
+}
+
+/// The first rank in `ranks` at which `reached` holds, or `ranks.end`
+/// — `reached` must be monotone over the ranks.
+fn first_rank(ranks: Range<u64>, reached: impl Fn(u64) -> bool) -> u64 {
+    let (mut lo, mut hi) = (ranks.start, ranks.end);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if reached(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -260,12 +320,12 @@ mod tests {
             .with_i64_rows("S", 2, vec![vec![5, 3], vec![5, 4], vec![5, 6], vec![2, 5]])
     }
 
-    fn prepare(q: &Cq, db: &Database, lex: &[&str], fds: &FdSet) -> LexSelection {
-        LexSelection::prepare(q, &db.clone().freeze(), &q.vars(lex), fds).unwrap()
+    fn prepare(q: &Cq, db: &Database, lex: &[&str], fds: &FdSet) -> SelectionLexHandle {
+        SelectionLexHandle::new(q, &db.clone().freeze(), q.vars(lex), fds).unwrap()
     }
 
     fn sel(q: &Cq, db: &Database, lex: &[&str], k: u64) -> Option<Tuple> {
-        prepare(q, db, lex, &FdSet::empty()).select(k)
+        prepare(q, db, lex, &FdSet::empty()).select_once(k)
     }
 
     #[test]
@@ -332,10 +392,10 @@ mod tests {
     #[test]
     fn non_free_connex_rejected() {
         let q = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
-        let r = LexSelection::prepare(
+        let r = SelectionLexHandle::new(
             &q,
             &fig2_db().freeze(),
-            &q.vars(&["x", "z"]),
+            q.vars(&["x", "z"]),
             &FdSet::empty(),
         );
         assert!(matches!(r, Err(BuildError::NotTractable(_))));
@@ -352,9 +412,9 @@ mod tests {
             .with_i64_rows("S", 2, vec![vec![10, 7], vec![20, 8]]);
         // Answers: (1,7), (2,8), (2,7); by <x,z>: (1,7), (2,7), (2,8).
         let sel = prepare(&q, &db, &["x", "z"], &fds);
-        let got: Vec<Tuple> = (0..3).map(|k| sel.select(k).unwrap()).collect();
+        let got: Vec<Tuple> = (0..3).map(|k| sel.select_once(k).unwrap()).collect();
         assert_eq!(got, vec![tup![1, 7], tup![2, 7], tup![2, 8]]);
-        assert_eq!((sel.len(), sel.select(3)), (3, None));
+        assert_eq!((sel.len(), sel.select_once(3)), (3, None));
     }
 
     #[test]

@@ -15,11 +15,16 @@
 //! * [`SumDirectAccess`] — direct access by sum-of-weights in
 //!   ⟨n log n, 1⟩ when one atom covers the free variables (Section 5,
 //!   Lemma 5.9);
-//! * [`SelectionSumHandle`] — selection by sum-of-weights in ⟨1, n log n⟩
-//!   when `fmh(Q) ≤ 2` (Section 7, Lemmas 7.8/7.10); ties by tuple cost
-//!   the plateau of p answers at the rank's weight, ⟨1, n log n + p log p⟩;
+//! * [`SelectionSumHandle`] — selection by sum-of-weights when
+//!   `fmh(Q) ≤ 2` (Section 7, Lemmas 7.8/7.10), ties ordered by tuple,
+//!   in ⟨1, n log n + p log p⟩ with p the answers at the rank's weight;
 //! * all four transparently handle unary functional dependencies via
 //!   the FD-(reordered-)extension (Section 8).
+//!
+//! Each of the four is one type in one module (`lexda`, `lexsel`,
+//! `sumda`, `sumsel`) that implements [`DirectAccess`] there, so the
+//! engine serves a selection handle exactly as it serves a native
+//! structure; [`RankedAnswers`] is the enum the router picks among them.
 //!
 //! Builders verify the paper's tractability criteria and return
 //! [`BuildError::NotTractable`] with the structural witness otherwise;
@@ -74,11 +79,10 @@ pub use fault::{
     SITE_LEXDA_BUILD, SITE_SUMDA_BUILD,
 };
 pub use lexda::LexDirectAccess;
-pub use plan::{
-    AccessPlan, Backend, DirectAccess, Explain, RankedAnswers, SelectionLexHandle,
-    SelectionSumHandle,
-};
+pub use lexsel::SelectionLexHandle;
+pub use plan::{AccessPlan, Backend, DirectAccess, Explain, RankedAnswers};
 pub use random_order::{Quantiles, RandomOrderEnumerator};
 pub use sumda::SumDirectAccess;
+pub use sumsel::SelectionSumHandle;
 pub use weights::Weights;
 pub use window::{RankedStream, WindowBuf};

@@ -1,20 +1,22 @@
-//! The uniform access layer behind [`crate::Engine`]: the
-//! [`DirectAccess`] trait, the [`RankedAnswers`] handle, and the
-//! [`Explain`] report.
+//! The router's types behind [`crate::Engine`]: the [`DirectAccess`]
+//! trait, the [`RankedAnswers`] enum with its [`Backend`] tag, the
+//! [`Explain`] report and the [`AccessPlan`] that pairs them.
 //!
 //! The paper's dichotomies sort every (query, order) pair into one of
 //! three regimes — native direct access, selection-only, or provably
-//! hard. Each regime historically had its own entry point with its own
-//! signature; this module gives them one shape:
+//! hard. This module gives them one shape; the backends themselves
+//! live elsewhere, each one type in its own module with its
+//! `impl DirectAccess` beside it:
 //!
 //! * [`DirectAccess`] — a backend implements `len`, `access_into` and
 //!   `inverted_access` (and overrides the window and batch kernels
 //!   `access_range_into` / `access_batch_into` when it can beat a loop
 //!   of accesses); every owned form — `access`, `access_range`,
 //!   `access_batch`, `iter` — is written once, here, over those five.
-//!   Implemented by [`LexDirectAccess`], [`SumDirectAccess`] (which
-//!   also serves the materialized fallback) and the two selection
-//!   handles;
+//!   Implemented by [`LexDirectAccess`] (`lexda`), [`SumDirectAccess`]
+//!   (`sumda`, which also serves the materialized fallback),
+//!   [`SelectionLexHandle`] (`lexsel`) and [`SelectionSumHandle`]
+//!   (`sumsel`);
 //! * [`RankedAnswers`] — the engine's routed backend, one enum over all
 //!   strategies including the selection-backed handles;
 //! * [`Explain`] — why the router chose what it chose: the verdict, the
@@ -42,21 +44,14 @@
 //! ```
 
 use crate::budget::BuildCost;
-use crate::error::BuildError;
-use crate::lexsel::LexSelection;
-use crate::sumsel::SumSelection;
-use crate::weights::Weights;
 use crate::window::{RankedStream, WindowBuf};
-use crate::{LexDirectAccess, SumDirectAccess};
-use rda_db::{Snapshot, Tuple, Value};
-use rda_orderstat::TotalF64;
+use crate::{LexDirectAccess, SelectionLexHandle, SelectionSumHandle, SumDirectAccess};
+use rda_db::{Tuple, Value};
 use rda_query::classify::{Reason, Verdict};
-use rda_query::{Cq, FdSet, VarId};
-use std::cmp::Ordering;
+use rda_query::{Cq, VarId};
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::Arc;
 
 /// Position-indexed ranked access to a query's answers, with one owned
 /// return convention for every backend.
@@ -181,194 +176,6 @@ pub trait DirectAccess {
     {
         RankedStream::new(self)
     }
-}
-
-/// `access_into` for a backend that holds (or just computed) the answer
-/// as a tuple: copy it into `out`, sized exactly so the provided
-/// [`DirectAccess::access`] turns the buffer into a tuple without a
-/// second allocation.
-fn copy_into(answer: Option<&Tuple>, out: &mut Vec<Value>) -> bool {
-    out.clear();
-    let Some(t) = answer else { return false };
-    out.reserve_exact(t.arity());
-    out.extend_from_slice(t.values());
-    true
-}
-
-/// Selection-backed handle for lexicographic orders (Theorem 6.1):
-/// O(n) per access, answers ordered by the same completed internal
-/// order the selection algorithm uses.
-///
-/// Construction does everything that does not depend on the rank —
-/// validation, classification, FD check and extension, the reduction to
-/// a full query in the snapshot's code space, one counting pass for
-/// `len()` — and holds the reduced instance; an access is then only the
-/// selection rounds of Lemma 6.6, and cannot fail.
-pub struct SelectionLexHandle {
-    sel: LexSelection,
-}
-
-impl SelectionLexHandle {
-    /// Prepare `q` over the snapshot's encoded relations for selection
-    /// by `lex`. Instance-level errors (missing relation, arity
-    /// mismatch, FD violation) and an answer count above `u64::MAX`
-    /// ([`BuildError::CountOverflow`]) surface here.
-    pub fn new(
-        q: &Cq,
-        snap: &Arc<Snapshot>,
-        lex: Vec<VarId>,
-        fds: &FdSet,
-    ) -> Result<Self, BuildError> {
-        let sel = LexSelection::prepare(q, snap, &lex, fds)?;
-        Ok(SelectionLexHandle { sel })
-    }
-
-    /// Run exactly one selection (Theorem 6.1) for rank `k` — the raw
-    /// ⟨1, n⟩ operation, with no caching. `None` means out-of-bound.
-    pub fn select_once(&self, k: u64) -> Option<Tuple> {
-        self.sel.select(k)
-    }
-
-    /// What construction paid and how much the handle holds (rows and
-    /// bytes of the reduced instance).
-    pub fn build_cost(&self) -> &BuildCost {
-        self.sel.cost()
-    }
-}
-
-impl DirectAccess for SelectionLexHandle {
-    fn len(&self) -> u64 {
-        self.sel.len()
-    }
-
-    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
-        copy_into(self.sel.select(k).as_ref(), out)
-    }
-
-    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        if answer.arity() != self.sel.arity() {
-            return None; // wrong arity is never an answer
-        }
-        // Head positions realizing the completed internal order —
-        // `None` when the head restriction is unsound (an FD-promoted
-        // variable precedes its determiner in the completion tail; see
-        // `lexsel::comparator_positions`): scan ranks then.
-        let Some(positions) = &self.sel.cmp_positions else {
-            return (0..self.len()).find(|&k| self.access(k).as_ref() == Some(answer));
-        };
-        // The completed order is total on answers, so binary search with
-        // O(log n) selection calls finds the only candidate rank.
-        let by_order = |t: Tuple| {
-            let on_positions = positions.iter().map(|&p| t[p].cmp(&answer[p]));
-            on_positions.fold(Ordering::Equal, Ordering::then)
-        };
-        let pos = first_rank(0..self.len(), |k| {
-            by_order(self.access(k).expect("k < len")).is_ge()
-        });
-        (self.access(pos).as_ref() == Some(answer)).then_some(pos)
-    }
-}
-
-/// Selection-backed handle for sum-of-weights orders (Theorem 7.3):
-/// ⟨1, n log n + p log p⟩ per access, where p is the number of answers
-/// that share the rank's weight (p = 1 for a unique weight).
-///
-/// Construction prepares the instance once, in the snapshot's code
-/// space: reduction, contraction, row weights
-/// and the weight-sorted join-key buckets, whose sizes give `len()`.
-/// An access is then only the selection over them, and cannot fail.
-///
-/// The underlying selection algorithm only pins answers down by weight
-/// (ties are broken arbitrarily, and the same representative can come
-/// back for every rank of an equal-weight plateau), so this handle
-/// defines its order as **(weight, then tuple)**, the weight summed as
-/// the selection sums it (each atom's partial sum, then one addition).
-/// An access selects the rank's weight, counts the answers below it and
-/// ranks only the plateau at that weight; a window ranks the answers
-/// from its first rank's weight to its last's; inverted access counts
-/// the answers below the answer's weight and its place in its plateau.
-/// Nothing is cached between calls.
-pub struct SelectionSumHandle {
-    /// Boxed: the prepared instance is several times the size of any
-    /// other [`RankedAnswers`] variant.
-    sel: Box<SumSelection>,
-}
-
-impl SelectionSumHandle {
-    /// Prepare `q` over the snapshot's encoded relations for selection
-    /// by `weights`. Instance-level errors surface here.
-    pub fn new(
-        q: &Cq,
-        snap: &Arc<Snapshot>,
-        weights: Weights,
-        fds: &FdSet,
-    ) -> Result<Self, BuildError> {
-        Ok(SelectionSumHandle {
-            sel: Box::new(SumSelection::prepare(q, snap, weights, fds)?),
-        })
-    }
-
-    /// Run exactly one weighted selection (Theorem 7.3) for rank `k` —
-    /// the raw ⟨1, n log n⟩ operation: ties broken arbitrarily.
-    /// `None` means out-of-bound.
-    pub fn select_once(&self, k: u64) -> Option<(TotalF64, Tuple)> {
-        self.sel.select(k)
-    }
-
-    /// What construction paid and how much the handle holds (rows and
-    /// bytes of the contracted instance).
-    pub fn build_cost(&self) -> &BuildCost {
-        self.sel.cost()
-    }
-
-    /// The answer at index `k` together with its weight.
-    pub fn access_weighted(&self, k: u64) -> Option<(TotalF64, Tuple)> {
-        self.sel.rows_at(k).map(|rows| self.sel.answer(rows))
-    }
-}
-
-impl DirectAccess for SelectionSumHandle {
-    fn len(&self) -> u64 {
-        self.sel.len()
-    }
-
-    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
-        out.clear();
-        let Some(rows) = self.sel.rows_at(k) else {
-            return false;
-        };
-        // Sized exactly, as `copy_into` sizes it.
-        out.reserve_exact(self.sel.arity());
-        out.extend(self.sel.values(rows));
-        true
-    }
-
-    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
-        self.sel.rank_of(answer)
-    }
-
-    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
-        out.begin(self.sel.arity());
-        for (_, rows) in self.sel.ranked_window(range) {
-            out.push_with(|vals| vals.extend(self.sel.values(rows)));
-        }
-        out.len() as u64
-    }
-}
-
-/// The first rank in `ranks` at which `reached` holds, or `ranks.end`
-/// — `reached` must be monotone over the ranks.
-fn first_rank(ranks: Range<u64>, reached: impl Fn(u64) -> bool) -> u64 {
-    let (mut lo, mut hi) = (ranks.start, ranks.end);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if reached(mid) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    lo
 }
 
 /// The engine's routed backend: every strategy behind one enum, all
@@ -726,8 +533,10 @@ impl fmt::Display for Explain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rda_db::{tup, Database};
+    use rda_db::{tup, Database, Snapshot};
     use rda_query::parser::parse;
+    use rda_query::FdSet;
+    use std::sync::Arc;
 
     fn fig2_snap() -> Arc<Snapshot> {
         Database::new()
@@ -746,10 +555,10 @@ mod tests {
         let mut handle =
             SelectionLexHandle::new(&q, &snap, q.vars(&["x", "z", "y"]), &FdSet::empty()).unwrap();
         assert!(
-            handle.sel.cmp_positions.is_some(),
+            handle.cmp_positions.is_some(),
             "parse-built queries are sound"
         );
-        handle.sel.cmp_positions = None; // force the fallback path
+        handle.cmp_positions = None; // force the fallback path
         for k in 0..handle.len() {
             let t = handle.access(k).unwrap();
             assert_eq!(handle.inverted_access(&t), Some(k), "k={k}");

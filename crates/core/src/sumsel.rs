@@ -18,24 +18,26 @@
 //! 4. decode the chosen rows into an answer.
 //!
 //! Steps 1–2, the row weights and the weight-sorted buckets do not
-//! depend on the rank: preparing (behind
-//! [`crate::SelectionSumHandle::new`]) computes them once and a
-//! selection ([`crate::SelectionSumHandle::select_once`]) is steps 3–4
-//! alone.
+//! depend on the rank: [`SelectionSumHandle::new`] computes them once
+//! and a selection ([`SelectionSumHandle::select_once`]) is steps 3–4
+//! alone. The handle is the engine's `SelectionSum` backend, and
+//! implements [`DirectAccess`] here.
 //!
 //! The handle breaks the paper's arbitrary ties by tuple. Every read it
-//! serves goes through one primitive, [`SumSelection::ranked_rows`]:
-//! the answers whose pair weight lies in a closed weight interval,
-//! ranked by (weight, head codes). An access at rank k selects the
-//! k-th weight, counts the answers below it and ranks only the plateau
-//! of p answers at that weight — ⟨1, n log n + p log p⟩, with p = 1 for
-//! a unique weight — and a window spans the interval from its first
-//! rank's weight to its last's.
+//! serves starts from one primitive, `rows_between`: the answers whose
+//! pair weight lies in a closed weight interval. An access at rank k
+//! selects the k-th weight, counts the answers below it and ranks only
+//! the plateau of p answers at that weight by head codes —
+//! ⟨1, n log n + p log p⟩, with p = 1 for a unique weight — and a
+//! window ranks the interval from its first rank's weight to its
+//! last's.
 
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
+use crate::plan::DirectAccess;
 use crate::snapprep::prepare_reduced;
 use crate::weights::{weight_key, Weights};
+use crate::window::WindowBuf;
 use rda_db::{key_ids, radix_sort_rows, EncodedRelation, Snapshot, Tuple, Value};
 use rda_orderstat::{select_nth_by, MatrixUnion, SortedMatrix, TotalF64};
 use rda_query::classify::Problem;
@@ -50,7 +52,7 @@ use std::sync::Arc;
 type WeightedRows = Vec<(TotalF64, u32)>;
 
 /// An answer as its pair weight and its rows in the atoms left.
-pub(crate) type RankedRow = (TotalF64, [u32; 2]);
+type RankedRow = (TotalF64, [u32; 2]);
 
 /// The weight of the empty sum, as `Iterator::sum` starts it.
 const EMPTY_SUM: TotalF64 = TotalF64(-0.0);
@@ -72,12 +74,27 @@ enum Shape {
     },
 }
 
-/// A query prepared for selection by the sum of its attribute weights
-/// (Theorem 7.3 / 8.10). Ties on equal weight are broken arbitrarily:
-/// the selected answer is guaranteed to have the k-th smallest answer
-/// weight. The raw operation behind the engine's
-/// [`crate::SelectionSumHandle`], which is the public route to it.
-pub(crate) struct SumSelection {
+/// Selection-backed handle for sum-of-weights orders (Theorem 7.3 /
+/// 8.10): ⟨1, n log n + p log p⟩ per access, where p is the number of
+/// answers that share the rank's weight (p = 1 for a unique weight).
+///
+/// Construction prepares the instance once, in the snapshot's code
+/// space: reduction, contraction, row weights and the weight-sorted
+/// join-key buckets, whose sizes give `len()`. An access is then only
+/// the selection over them, and cannot fail.
+///
+/// The selection algorithm only pins answers down by weight (ties are
+/// broken arbitrarily, and the same representative can come back for
+/// every rank of an equal-weight plateau; that is
+/// [`SelectionSumHandle::select_once`]), so the handle defines its
+/// order as **(weight, then tuple)**, the weight summed as the
+/// selection sums it (each atom's partial sum, then one addition). An
+/// access selects the rank's weight, counts the answers below it and
+/// ranks only the plateau at that weight; a window ranks the answers
+/// from its first rank's weight to its last's; inverted access counts
+/// the answers below the answer's weight and its place in its plateau.
+/// Nothing is cached between calls.
+pub struct SelectionSumHandle {
     snap: Arc<Snapshot>,
     head: Vec<VarId>,
     weights: Weights,
@@ -94,14 +111,14 @@ pub(crate) struct SumSelection {
     cost: BuildCost,
 }
 
-impl SumSelection {
-    /// Everything that does not depend on the rank. Fails on the
-    /// intractable side of the dichotomy, on an instance that does not
-    /// fit the query or violates an FD, with
+impl SelectionSumHandle {
+    /// Prepare `q` over the snapshot's encoded relations for selection
+    /// by `weights`. Fails on the intractable side of the dichotomy, on
+    /// an instance that does not fit the query or violates an FD, with
     /// [`BuildError::InvalidOrder`] when the weights include both +∞
     /// and −∞, and with [`BuildError::CountOverflow`] when the answer
     /// count does not fit in `u64`.
-    pub(crate) fn prepare(
+    pub fn new(
         q: &Cq,
         snap: &Arc<Snapshot>,
         weights: Weights,
@@ -207,7 +224,7 @@ impl SumSelection {
         };
         cost.sort_ns = clock.lap();
         cost.hold(&rels);
-        Ok(SumSelection {
+        Ok(SelectionSumHandle {
             snap: Arc::clone(snap),
             head,
             weights,
@@ -220,26 +237,11 @@ impl SumSelection {
         })
     }
 
-    /// Number of answers.
-    pub(crate) fn len(&self) -> u64 {
-        self.total
-    }
-
-    /// The head arity.
-    pub(crate) fn arity(&self) -> usize {
-        self.head.len()
-    }
-
-    /// What [`SumSelection::prepare`] paid: `prep`, `reduce`, the
-    /// contraction, weighing and bucket sort as `sort`, and the rows and
-    /// bytes it holds.
-    pub(crate) fn cost(&self) -> &BuildCost {
-        &self.cost
-    }
-
-    /// An answer with the k-th smallest weight, and that weight — or
-    /// `None` ("out-of-bound") when `k ≥ len()`.
-    pub(crate) fn select(&self, k: u64) -> Option<(TotalF64, Tuple)> {
+    /// Run exactly one weighted selection (Theorem 7.3) for rank `k` —
+    /// the raw ⟨1, n log n⟩ operation: an answer with the k-th smallest
+    /// weight, and that weight, ties broken arbitrarily. `None` means
+    /// out-of-bound.
+    pub fn select_once(&self, k: u64) -> Option<(TotalF64, Tuple)> {
         if k >= self.total {
             return None;
         }
@@ -275,9 +277,21 @@ impl SumSelection {
         Some(self.answer(rows))
     }
 
+    /// What construction paid — `prep`, `reduce`, the contraction,
+    /// weighing and bucket sort as `sort` — and the rows and bytes of
+    /// the contracted instance it holds.
+    pub fn build_cost(&self) -> &BuildCost {
+        &self.cost
+    }
+
+    /// The answer at index `k` together with its weight.
+    pub fn access_weighted(&self, k: u64) -> Option<(TotalF64, Tuple)> {
+        self.rows_at(k).map(|rows| self.answer(rows))
+    }
+
     /// The answer made of row `rows[i]` of the i-th atom left, and its
     /// weight: [`Weights::answer_weight`] of the decoded answer.
-    pub(crate) fn answer(&self, rows: [u32; 2]) -> (TotalF64, Tuple) {
+    fn answer(&self, rows: [u32; 2]) -> (TotalF64, Tuple) {
         let answer: Tuple = self.values(rows).collect();
         (
             self.weights.answer_weight(&self.head, answer.values()),
@@ -287,7 +301,7 @@ impl SumSelection {
 
     /// The values of the answer made of row `rows[i]` of the i-th atom
     /// left, in head order.
-    pub(crate) fn values(&self, rows: [u32; 2]) -> impl Iterator<Item = Value> + '_ {
+    fn values(&self, rows: [u32; 2]) -> impl Iterator<Item = Value> + '_ {
         let dict = self.snap.dict();
         self.codes(rows).map(|code| dict.value(code).clone())
     }
@@ -305,21 +319,12 @@ impl SumSelection {
             .then_with(|| self.codes(x.1).cmp(self.codes(y.1)))
     }
 
-    /// The answers whose pair weight lies in `lo..=hi` (`None`:
-    /// unbounded), ascending by (weight, head codes): the one array
-    /// every read of the handle is served from.
-    pub(crate) fn ranked_rows(&self, lo: Option<TotalF64>, hi: Option<TotalF64>) -> Vec<RankedRow> {
-        let mut rows = self.rows_between(lo, hi);
-        rows.sort_unstable_by(|x, y| self.by_rank(x, y));
-        rows
-    }
-
     /// The rows of the answer at rank `k` of (weight, head codes), or
     /// `None` when `k ≥ len()`. Two atoms: one selection, one count
     /// below its weight, and a quickselect by codes inside the plateau
     /// at that weight. One atom: a quickselect by (weight, codes) over
     /// the rows.
-    pub(crate) fn rows_at(&self, k: u64) -> Option<[u32; 2]> {
+    fn rows_at(&self, k: u64) -> Option<[u32; 2]> {
         if k >= self.total {
             return None;
         }
@@ -332,51 +337,6 @@ impl SumSelection {
         };
         let nth = select_nth_by(&mut rows, at as usize, |x, y| self.by_rank(x, y));
         Some(nth.expect("the rank lies in its plateau").1)
-    }
-
-    /// The answers at the ranks in `ranks` (clamped to `len()`), in
-    /// order: those weighing from the first rank's weight to the last
-    /// rank's, ranked, less the ones below the first rank.
-    pub(crate) fn ranked_window(&self, ranks: Range<u64>) -> Vec<RankedRow> {
-        let (lo, hi) = crate::window::clamp_range(&ranks, self.total);
-        if lo == hi {
-            return Vec::new();
-        }
-        let (first, last) = self.weights_at(lo, hi - 1);
-        let skip = (lo - self.count_lt(first)) as usize;
-        let mut rows = self.ranked_rows(Some(first), Some(last));
-        rows.truncate(skip + (hi - lo) as usize);
-        rows.drain(..skip);
-        rows
-    }
-
-    /// The rank of `answer`, or `None` when it is not an answer: the
-    /// answers weighing less, plus its place in its plateau. Its weight
-    /// is summed as the selection sums it — each atom's partial sum,
-    /// then one addition — so a near-tie rounds as the plateau does.
-    pub(crate) fn rank_of(&self, answer: &Tuple) -> Option<u64> {
-        if answer.arity() != self.head.len() {
-            return None;
-        }
-        let mut probe = Vec::with_capacity(answer.arity());
-        if !self.snap.dict().encode_tuple_into(answer, &mut probe) {
-            return None;
-        }
-        let side = |adds: &Vec<(VarId, usize)>| {
-            let weigh = |&(v, h): &(VarId, usize)| self.weights.get(v, &answer[h]);
-            adds.iter().map(weigh).fold(EMPTY_SUM, |sum, w| sum + w)
-        };
-        let w = self.addends.iter().map(side).reduce(|a, b| a + b);
-        let w = w.unwrap_or(EMPTY_SUM);
-        let (mut rank, mut found) = (self.count_lt(w), false);
-        for (_, rows) in self.rows_between(Some(w), Some(w)) {
-            match self.codes(rows).cmp(probe.iter().copied()) {
-                Ordering::Less => rank += 1,
-                Ordering::Equal => found = true,
-                Ordering::Greater => {}
-            }
-        }
-        found.then_some(rank)
     }
 
     /// The `first`-th and the `last`-th smallest answer weights,
@@ -452,6 +412,76 @@ impl SumSelection {
     }
 }
 
+impl DirectAccess for SelectionSumHandle {
+    /// Number of answers, counted at construction.
+    fn len(&self) -> u64 {
+        self.total
+    }
+
+    /// The answer at index `k` of (weight, tuple): one selection, one
+    /// count below its weight, and a quickselect inside its plateau.
+    fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
+        out.clear();
+        let Some(rows) = self.rows_at(k) else {
+            return false;
+        };
+        // Exactly the head arity: the owned `DirectAccess::access`
+        // turns a fresh buffer into its tuple without reallocating.
+        out.reserve_exact(self.head.len());
+        out.extend(self.values(rows));
+        true
+    }
+
+    /// The rank of `answer`, or `None` when it is not an answer: the
+    /// answers weighing less, plus its place in its plateau. Its weight
+    /// is summed as the selection sums it — each atom's partial sum,
+    /// then one addition — so a near-tie rounds as the plateau does.
+    fn inverted_access(&self, answer: &Tuple) -> Option<u64> {
+        if answer.arity() != self.head.len() {
+            return None;
+        }
+        let mut probe = Vec::with_capacity(answer.arity());
+        if !self.snap.dict().encode_tuple_into(answer, &mut probe) {
+            return None;
+        }
+        let side = |adds: &Vec<(VarId, usize)>| {
+            let weigh = |&(v, h): &(VarId, usize)| self.weights.get(v, &answer[h]);
+            adds.iter().map(weigh).fold(EMPTY_SUM, |sum, w| sum + w)
+        };
+        let w = self.addends.iter().map(side).reduce(|a, b| a + b);
+        let w = w.unwrap_or(EMPTY_SUM);
+        let (mut rank, mut found) = (self.count_lt(w), false);
+        for (_, rows) in self.rows_between(Some(w), Some(w)) {
+            match self.codes(rows).cmp(probe.iter().copied()) {
+                Ordering::Less => rank += 1,
+                Ordering::Equal => found = true,
+                Ordering::Greater => {}
+            }
+        }
+        found.then_some(rank)
+    }
+
+    /// The answers at the ranks in `range` (clamped to `len()`), in
+    /// order: one selection of the first and the last rank's weights,
+    /// then the answers weighing between them, ranked, less the ones
+    /// below the first rank.
+    fn access_range_into(&self, range: Range<u64>, out: &mut WindowBuf) -> u64 {
+        out.begin(self.head.len());
+        let (lo, hi) = crate::window::clamp_range(&range, self.total);
+        if lo == hi {
+            return 0;
+        }
+        let (first, last) = self.weights_at(lo, hi - 1);
+        let skip = (lo - self.count_lt(first)) as usize;
+        let mut rows = self.rows_between(Some(first), Some(last));
+        rows.sort_unstable_by(|x, y| self.by_rank(x, y));
+        for &(_, rows) in rows.iter().skip(skip).take((hi - lo) as usize) {
+            out.push_with(|vals| vals.extend(self.values(rows)));
+        }
+        out.len() as u64
+    }
+}
+
 /// Lemma 7.10's bucketing: sort each side's rows by (join-key id,
 /// weight, row) — two stable radix passes, weight first —, pair up the
 /// id runs present on both sides, and give each pair an implicit sorted
@@ -512,7 +542,7 @@ mod tests {
         k: u64,
         fds: &FdSet,
     ) -> Result<Option<(TotalF64, Tuple)>, BuildError> {
-        Ok(SumSelection::prepare(q, &db.clone().freeze(), w.clone(), fds)?.select(k))
+        Ok(SelectionSumHandle::new(q, &db.clone().freeze(), w.clone(), fds)?.select_once(k))
     }
 
     fn fig2_db() -> Database {
