@@ -18,15 +18,20 @@
 //!    variable, and run the counting DP (Figure 4). Codes are dense
 //!    ranks, and every kernel of the build leans on that: rows that
 //!    share a join key get one dense id ([`rda_db::key_ids`]; a
-//!    one-variable key is its own code), projections first check — in
-//!    one linear scan — whether the rows already ascend (snapshot
-//!    relations arrive normalized, so they mostly do), a layer whose
-//!    variable is its node's last column is already in bucket order,
-//!    and every other order is a stable LSD radix sort over the codes —
-//!    so the paper's ⟨n log n⟩ sorting step is linear here. The DP
-//!    links a row to its child bucket through one `key id → bucket`
-//!    table per child, and counts in `u64` under checked arithmetic.
-//!    What each phase cost is kept on the structure
+//!    one-variable key is its own code). Every relation here is
+//!    normalized by construction, so a layer that is all of its atom's
+//!    columns *is* that atom's relation — read in place, from the
+//!    snapshot when nothing dangled, mapped columns included — and one
+//!    onto a prefix of them is one deduplicating pass. A layer whose
+//!    variable is its node's last column is already in bucket order;
+//!    rows that ascend on the order's leading column are sorted within
+//!    its runs only (a comparison sort per run), and every other order
+//!    is a stable LSD radix sort over the codes — linear, where the
+//!    paper's sorting step is ⟨n log n⟩. The DP first finds, in one pass
+//!    per child, every row's child bucket through a `key id → bucket`
+//!    table and folds that bucket's count into the row's weight; one
+//!    walk of the rows then appends the entries. Counts are `u64` under
+//!    checked arithmetic. What each phase cost is kept on the structure
 //!    ([`LexDirectAccess::build_cost`]);
 //! 6. answer accesses with Algorithm 1 — one descent (a division and a
 //!    directory-bracketed search per layer) behind single accesses,
@@ -57,7 +62,8 @@ use crate::fault;
 use crate::plan::DirectAccess;
 use crate::rankdir::{self, NO_DIR};
 use crate::snapprep::{
-    build_derivations_encoded, prepare_instance, reduce_to_full_encoded, Derivation,
+    build_derivations_encoded, prepare_instance, project_view, reduce_to_full_encoded, Derivation,
+    EncRel,
 };
 use crate::window::WindowBuf;
 use rda_db::{key_ids, Database, EncodedRelation, Snapshot, Tuple, Value};
@@ -65,7 +71,6 @@ use rda_query::classify::Problem;
 use rda_query::{
     complete_order, fd_reordered_order, layered_join_tree, positions_of, Cq, FdSet, VarId,
 };
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
@@ -239,50 +244,29 @@ impl Trace for &mut [Carry] {
     }
 }
 
-/// Marks, in a [`ChildLink`] table, a key id no child bucket carries.
+/// Marks, in a child-bucket column, a row no child bucket agrees with.
 const NO_BUCKET: u32 = u32::MAX;
 
-/// How the counting DP finds, for a row of a parent layer, the bucket
-/// of one child layer that agrees with it on the child's bucket key:
-/// `table[id]` is the bucket whose key has [`key_ids`] id `id`, and
-/// `ids` holds the parent rows' ids. Build-time scratch: dropped when
-/// the parent layer is done.
-struct ChildLink<'a> {
-    child: &'a Layer,
-    ids: Cow<'a, [u32]>,
-    table: Vec<u32>,
-}
-
-impl<'a> ChildLink<'a> {
-    /// Link rows of `parent` to `child`, whose buckets' key codes are
-    /// the rows of `keys`; `positions` are the parent's columns holding
-    /// the child's bucket-key variables, in key order.
-    fn new(
-        child: &'a Layer,
-        keys: &'a EncodedRelation,
-        parent: &'a EncodedRelation,
-        positions: &[usize],
-    ) -> Self {
-        let all: Vec<usize> = (0..keys.arity()).collect();
-        let ids = key_ids(parent, positions, keys, &all);
-        let mut table = vec![NO_BUCKET; ids.len];
-        for (b, &id) in ids.build.iter().enumerate() {
-            table[id as usize] = b as u32;
-        }
-        ChildLink {
-            child,
-            ids: ids.probe,
-            table,
-        }
+/// The counting DP's link from a parent layer to one child layer: per
+/// row of `parent`, the child bucket that agrees with it on the child's
+/// bucket key, [`NO_BUCKET`] where none does. The key's codes sit in the
+/// parent's columns `positions` and in the child's `child_keys`, and
+/// `opened` lists the row that opened each child bucket. One
+/// [`key_ids`] pass, then one read of a `key id → bucket` table per row.
+fn child_buckets(
+    parent: &EncodedRelation,
+    positions: &[usize],
+    child: &EncodedRelation,
+    child_keys: &[usize],
+    opened: &[(u32, u32)],
+) -> Vec<u32> {
+    let ids = key_ids(parent, positions, child, child_keys);
+    let mut table = vec![NO_BUCKET; ids.len];
+    for (b, &(row, _)) in opened.iter().enumerate() {
+        table[ids.build[row as usize] as usize] = b as u32;
     }
-
-    /// The child bucket agreeing with `row` of the parent, if any.
-    fn bucket_of(&self, row: usize) -> Option<usize> {
-        self.table
-            .get(self.ids[row] as usize)
-            .filter(|&&b| b != NO_BUCKET)
-            .map(|&b| b as usize)
-    }
+    let bucket = |&id: &u32| table.get(id as usize).copied().unwrap_or(NO_BUCKET);
+    ids.probe.iter().map(bucket).collect()
 }
 
 /// Everything the preprocessing pipeline (steps 1–4 plus the encoded
@@ -292,7 +276,7 @@ impl<'a> ChildLink<'a> {
 /// (The pre-arena oracle in `rda_baseline::reference` does *not*
 /// consume this: it runs the value-level pipeline, so the differential
 /// tests compare two genuinely independent builds.)
-pub(crate) struct LayerPrep {
+pub(crate) struct LayerPrep<'a> {
     pub(crate) out_vars: Vec<VarId>,
     pub(crate) order: Vec<VarId>,
     pub(crate) var_slots: usize,
@@ -300,9 +284,10 @@ pub(crate) struct LayerPrep {
     /// Fully reduced layer relations under the snapshot's dictionary
     /// (columns in ascending [`VarId`] order per `layer_vars`), already
     /// sorted by (bucket key, layer value) — the arena construction
-    /// consumes them in one pass. Empty exactly in the boolean /
-    /// fully-implied case.
-    pub(crate) enc_layers: Vec<EncodedRelation>,
+    /// consumes them in one pass. A layer that is all of its reduced
+    /// atom is that atom's relation, the snapshot's own when nothing
+    /// dangled. Empty exactly in the boolean / fully-implied case.
+    pub(crate) enc_layers: Vec<EncRel<'a>>,
     pub(crate) layer_vars: Vec<Vec<VarId>>,
     pub(crate) children: Vec<Vec<usize>>,
     /// Answer count for the boolean case (`enc_layers.is_empty()`).
@@ -312,16 +297,15 @@ pub(crate) struct LayerPrep {
     pub(crate) cost: BuildCost,
 }
 
-/// Sort-key positions of layer `i`: the bucket-key columns (every
-/// column but the layer variable's), then the layer variable's column.
-fn layer_sort_keys(vars: &[VarId], layer_var: VarId) -> Vec<usize> {
+/// A layer's columns (`vars`) by role: its bucket-key columns (every
+/// column but the layer variable's), and the layer variable's column.
+fn layer_columns(vars: &[VarId], layer_var: VarId) -> (Vec<usize>, usize) {
     let value_pos = vars
         .iter()
         .position(|&v| v == layer_var)
         .expect("layer var in node");
-    let mut keys: Vec<usize> = (0..vars.len()).filter(|&p| p != value_pos).collect();
-    keys.push(value_pos);
-    keys
+    let keys: Vec<usize> = (0..vars.len()).filter(|&p| p != value_pos).collect();
+    (keys, value_pos)
 }
 
 /// Steps 1–5a of [`LexDirectAccess::build_on`]: classify, then run the
@@ -336,12 +320,12 @@ fn layer_sort_keys(vars: &[VarId], layer_var: VarId) -> Vec<usize> {
 /// tiers, less than a scoped-thread spawn per layer pays back (and a
 /// fan-out measured no gain up to 400 k tuples per relation on the
 /// 2-vCPU reference host).
-pub(crate) fn prepare_layers(
+pub(crate) fn prepare_layers<'a>(
     q: &Cq,
-    snap: &Snapshot,
+    snap: &'a Snapshot,
     lex: &[VarId],
     fds: &FdSet,
-) -> Result<LayerPrep, BuildError> {
+) -> Result<LayerPrep<'a>, BuildError> {
     let mut clock = PhaseClock::start();
     let mut cost = BuildCost::default();
     validate_lex(q, lex)?;
@@ -386,20 +370,21 @@ pub(crate) fn prepare_layers(
         .iter()
         .map(|node| node.vars.iter().collect())
         .collect();
-    let mut enc_layers: Vec<EncodedRelation> = (0..f)
+    let mut enc_layers: Vec<EncRel<'a>> = (0..f)
         .map(|i| {
             let e = layered.layers[i].defining_edge;
-            red.rels[e].project(&positions_of(&atoms[e].terms, &layer_vars[i]))
+            project_view(&red.rels[e], &positions_of(&atoms[e].terms, &layer_vars[i]))
         })
         .collect();
     cost.layers_ns = clock.lap();
 
     // Bucket-sort every layer. When the layer variable is the node's
     // last column, (bucket key, layer value) is the storage order the
-    // projection already left the rows in: nothing to do. Otherwise one
-    // stable radix sort over the layer's codes.
+    // projection already left the rows in: nothing to do. Otherwise
+    // `sort_by_cols` orders the layer's codes — a borrowed layer's copy.
     for (i, enc) in enc_layers.iter_mut().enumerate() {
-        let keys = layer_sort_keys(&layer_vars[i], order[i]);
+        let (mut keys, value_pos) = layer_columns(&layer_vars[i], order[i]);
+        keys.push(value_pos);
         if layer_vars[i].last() == Some(&order[i]) {
             debug_assert!(
                 (1..enc.len()).all(|r| enc.cmp_rows_on(r - 1, r, &keys).is_lt()),
@@ -407,7 +392,7 @@ pub(crate) fn prepare_layers(
             );
             continue;
         }
-        enc.sort_by_cols(&keys);
+        enc.to_mut().sort_by_cols(&keys);
     }
     cost.sort_ns = clock.lap();
     #[cfg(debug_assertions)]
@@ -437,7 +422,7 @@ fn assert_layers_consistent(
     layered: &rda_query::LayeredJoinTree,
     layer_vars: &[Vec<VarId>],
     red: &crate::snapprep::EncodedReduction,
-    enc_layers: &[EncodedRelation],
+    enc_layers: &[EncRel<'_>],
 ) {
     let keeps_all = |rel: &EncodedRelation, vars: &[VarId], other, other_vars: &[VarId]| {
         let (keys, other_keys) = rda_query::shared_positions(vars, other_vars);
@@ -670,55 +655,56 @@ impl LexDirectAccess {
 
         // Counting DP, deepest layer first (children have larger index):
         // each encoded layer arrives sorted by (bucket key, layer value)
-        // from the sort stage of `prepare_layers`; walk it
-        // once, linking every entry to its child buckets and closing
-        // buckets at key boundaries. Weights are u64 under checked
-        // arithmetic: construction fails rather than store a count above
-        // u64::MAX.
+        // from the sort stage of `prepare_layers`. One pass per child
+        // finds every row's agreeing bucket there and multiplies its
+        // total into the row's weight (0: a dangling row, dropped); one
+        // walk of the rows then appends the entries, opening a bucket
+        // where the key changes, and the buckets are closed after it.
+        // Weights are u64 under checked arithmetic: construction fails
+        // rather than store a count above u64::MAX.
         let f = order.len();
         let mut layers: Vec<Option<Layer>> = (0..f).map(|_| None).collect();
-        // Per built layer: its bucket-key variables and their codes, one
-        // row per bucket — what its parent links to, dropped with the DP.
-        let mut bucket_keys: Vec<(Vec<VarId>, EncodedRelation)> =
-            vec![(Vec::new(), EncodedRelation::new(0)); f];
-        for (i, enc) in enc_layers.into_iter().enumerate().rev() {
-            let vars = &layer_vars[i];
-            let var = order[i];
-            let value_pos = vars
-                .iter()
-                .position(|&v| v == var)
-                .expect("layer var in node");
-            let key_positions: Vec<usize> = (0..vars.len()).filter(|&p| p != value_pos).collect();
-            let key_vars: Vec<VarId> = key_positions.iter().map(|&p| vars[p]).collect();
-            let kids = children[i].clone();
-            // Per child: how a row of this layer finds its agreeing
-            // bucket there. The child's bucket-key variables are
-            // contained in this layer's by the running intersection
-            // property.
-            let links: Vec<ChildLink<'_>> = kids
-                .iter()
-                .map(|&c| {
-                    let child = layers[c].as_ref().expect("children already built");
-                    let (child_vars, child_keys) = &bucket_keys[c];
-                    ChildLink::new(child, child_keys, &enc, &positions_of(vars, child_vars))
-                })
-                .collect();
-
+        // Per built layer, per bucket: the row that opened it and its
+        // first entry — what its parent links to, and its extent.
+        let mut opened: Vec<Vec<(u32, u32)>> = vec![Vec::new(); f];
+        for i in (0..f).rev() {
+            let (enc, vars) = (&enc_layers[i], &layer_vars[i]);
+            let (key_positions, value_pos) = layer_columns(vars, order[i]);
             let rows = enc.len();
             assert!(
                 rows <= u32::MAX as usize,
                 "layer relation exceeds the u32 entry space"
             );
-            let extra = kids.len().saturating_sub(1);
+            // Per child: every row's agreeing bucket there. The child's
+            // bucket-key variables are contained in this layer's by the
+            // running intersection property.
+            let mut weights = vec![1u64; rows];
+            let links = children[i]
+                .iter()
+                .map(|&c| {
+                    let (child_keys, _) = layer_columns(&layer_vars[c], order[c]);
+                    let key_vars: Vec<VarId> =
+                        child_keys.iter().map(|&p| layer_vars[c][p]).collect();
+                    let (parent_keys, child) = (positions_of(vars, &key_vars), &enc_layers[c]);
+                    let col = child_buckets(enc, &parent_keys, child, &child_keys, &opened[c]);
+                    let buckets = &layers[c].as_ref().expect("children already built").buckets;
+                    for (w, &b) in weights.iter_mut().zip(&col) {
+                        let total = buckets.get(b as usize).map_or(0, |m| m.total);
+                        *w = w.checked_mul(total).ok_or(BuildError::CountOverflow)?;
+                    }
+                    Ok(col)
+                })
+                .collect::<Result<Vec<Vec<u32>>, BuildError>>()?;
+
+            let extra = links.len().saturating_sub(1);
             // Budget charge precedes the arena growth it accounts for:
             // a capped build stops before reserving the layer, not after.
             // (The instance is fully reduced, so every row becomes an
             // entry.)
             let entry_bytes = (std::mem::size_of::<Entry>() + extra * 4) as u64;
             meter.charge(entry_bytes * rows as u64, rows as u64)?;
-            let mut keys = EncodedRelation::new(key_positions.len());
             let mut layer = Layer {
-                children: kids,
+                children: children[i].clone(),
                 entries: Vec::with_capacity(rows),
                 extra_children: Vec::with_capacity(rows * extra),
                 buckets: Vec::new(),
@@ -726,54 +712,35 @@ impl LexDirectAccess {
             };
             let value_col = enc.col(value_pos);
             let key_src: Vec<&[u32]> = key_positions.iter().map(|&p| enc.col(p)).collect();
-            let mut key_row: Vec<u32> = Vec::with_capacity(key_src.len());
-            // Scratch for one row's child-bucket indices.
-            let mut row_children: Vec<u32> = Vec::with_capacity(links.len());
-            // The row that opened the current bucket, if one is open.
-            let mut opened_by: Option<usize> = None;
-            'rows: for row in 0..rows {
-                // Weight = product over children of the agreeing
-                // bucket's total; dangling rows are dropped.
-                row_children.clear();
-                for link in &links {
-                    let Some(b) = link.bucket_of(row) else {
-                        continue 'rows;
-                    };
-                    row_children.push(b as u32);
+            let mut buckets: Vec<(u32, u32)> = Vec::new();
+            for (row, &w) in weights.iter().enumerate() {
+                if w == 0 {
+                    continue;
                 }
-                let mut w: u64 = 1;
-                for (link, &b) in links.iter().zip(&row_children) {
-                    w = w
-                        .checked_mul(link.child.buckets[b as usize].total)
-                        .ok_or(BuildError::CountOverflow)?;
-                }
-                let key_changed =
-                    opened_by.is_none_or(|first| key_src.iter().any(|c| c[row] != c[first]));
-                if key_changed {
-                    if opened_by.is_some() {
-                        close_bucket(&mut layer, &mut meter)?;
-                    }
-                    opened_by = Some(row);
-                    key_row.clear();
-                    key_row.extend(key_src.iter().map(|c| c[row]));
-                    keys.push_row(&key_row);
+                let same_key =
+                    |&(first, _): &(u32, u32)| key_src.iter().all(|c| c[row] == c[first as usize]);
+                if !buckets.last().is_some_and(same_key) {
+                    buckets.push((row as u32, layer.entries.len() as u32));
                 }
                 layer.entries.push(Entry {
                     start: w, // the weight until the bucket's close
                     value: value_col[row],
-                    child0: row_children.first().copied().unwrap_or(0),
+                    child0: links.first().map_or(0, |col| col[row]),
                 });
-                layer
-                    .extra_children
-                    .extend(row_children.iter().skip(1).copied());
-                debug_assert_eq!(layer.extra_children.len(), layer.entries.len() * extra);
+                for col in links.iter().skip(1) {
+                    layer.extra_children.push(col[row]);
+                }
             }
-            if opened_by.is_some() {
-                close_bucket(&mut layer, &mut meter)?;
+            debug_assert_eq!(layer.extra_children.len(), layer.entries.len() * extra);
+            layer.buckets.reserve_exact(buckets.len());
+            for (j, &(_, at)) in buckets.iter().enumerate() {
+                let end = buckets
+                    .get(j + 1)
+                    .map_or(layer.entries.len(), |&(_, e)| e as usize);
+                close_bucket(&mut layer, at as usize..end, &mut meter)?;
             }
-            drop(links);
             layers[i] = Some(layer);
-            bucket_keys[i] = (key_vars, keys);
+            opened[i] = buckets;
         }
         let layers: Vec<Layer> = layers.into_iter().map(|l| l.expect("all built")).collect();
         let total = layers[0].buckets.first().map_or(0, |b| b.total);
@@ -1266,19 +1233,19 @@ fn per_unit(factor: u64, total: u64) -> u64 {
     }
 }
 
-/// Close the currently open bucket — the entries after the last closed
-/// one, whose `start` fields hold their weights: turn the weights into
-/// prefix sums, record the bucket metadata, and build its rank
+/// Close the bucket of the entries in `range`, right after the last
+/// closed one, whose `start` fields hold their weights: turn the weights
+/// into prefix sums, record the bucket metadata, and build its rank
 /// directory — rejecting counts above `u64::MAX` and charging the
 /// directory pool's growth against the build budget.
-fn close_bucket(layer: &mut Layer, meter: &mut BudgetMeter) -> Result<(), BuildError> {
-    let offset = layer
-        .buckets
-        .last()
-        .map_or(0, |b| (b.offset + b.len) as usize);
-    let len = layer.entries.len() - offset;
+fn close_bucket(
+    layer: &mut Layer,
+    range: Range<usize>,
+    meter: &mut BudgetMeter,
+) -> Result<(), BuildError> {
+    let (offset, len) = (range.start, range.len());
     let mut total: u64 = 0;
-    for e in &mut layer.entries[offset..] {
+    for e in &mut layer.entries[range] {
         let w = e.start;
         e.start = total;
         total = total.checked_add(w).ok_or(BuildError::CountOverflow)?;
@@ -1305,7 +1272,7 @@ fn close_bucket(layer: &mut Layer, meter: &mut BudgetMeter) -> Result<(), BuildE
             let at = layer.dir_pool.len();
             (dir, dir_log) = (at as u32, log);
             layer.dir_pool.resize(at + slots, 0);
-            let entries = &layer.entries[offset..];
+            let entries = &layer.entries[offset..offset + len];
             rankdir::fill_directory(
                 &mut layer.dir_pool[at..],
                 |e| entries[e].start,
@@ -1377,6 +1344,33 @@ mod tests {
             tup![6, 2, 5],
         ];
         assert_eq!(got, expect);
+    }
+
+    /// A layer that is all of its atom reads the snapshot's own columns,
+    /// in memory and in a cold-opened file (mapped in place).
+    #[test]
+    fn identity_layers_are_the_snapshot_relations() {
+        let q = parse("Q(x, y, z) :- R(x, y), S(y, z)").unwrap();
+        // Every y of R meets S and the other way round: nothing dangles.
+        let db = Database::new()
+            .with_i64_rows("R", 2, vec![vec![1, 5], vec![1, 2], vec![6, 2]])
+            .with_i64_rows("S", 2, vec![vec![5, 3], vec![5, 4], vec![2, 5]]);
+        let path = std::env::temp_dir().join(format!("rda-lexda-views-{}", std::process::id()));
+        rda_db::save_snapshot(&db.clone().freeze(), &path).unwrap();
+        let opened = rda_db::open_snapshot(&path);
+        std::fs::remove_file(&path).unwrap();
+        for snap in [db.freeze(), opened.unwrap()] {
+            let lex = q.vars(&["x", "y", "z"]);
+            let prep = prepare_layers(&q, &snap, &lex, &FdSet::empty()).unwrap();
+            for (rel, vars) in [("R", ["x", "y"]), ("S", ["y", "z"])] {
+                let i = prep.layer_vars.iter().position(|v| *v == q.vars(&vars));
+                let layer = &prep.enc_layers[i.expect("one layer per atom")];
+                let stored = snap.encoded(rel).unwrap();
+                for p in 0..2 {
+                    assert_eq!(layer.col(p).as_ptr(), stored.col(p).as_ptr(), "{rel}.{p}");
+                }
+            }
+        }
     }
 
     #[test]

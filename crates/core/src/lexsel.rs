@@ -189,15 +189,13 @@ impl SelectionLexHandle {
         let total = match order.first() {
             // Boolean head: one (empty) answer iff the join is non-empty.
             None => u128::from(!red.known_empty),
-            Some(&v) => {
-                let rels: Vec<_> = red.rels.iter().map(Cow::Borrowed).collect();
-                histogram(&tree, &atom_vars, &rels, v)
-                    .iter()
-                    .fold(0, |n: u128, &c| n.saturating_add(c))
-            }
+            Some(&v) => histogram(&tree, &atom_vars, &red.rels, v)
+                .iter()
+                .fold(0, |n: u128, &c| n.saturating_add(c)),
         };
         cost.dp_ns = clock.lap();
-        cost.hold(&red.rels);
+        let rels: Vec<EncodedRelation> = red.rels.into_iter().map(Cow::into_owned).collect();
+        cost.hold(&rels);
         Ok(SelectionLexHandle {
             snap: Arc::clone(snap),
             head: q.free().to_vec(),
@@ -205,7 +203,7 @@ impl SelectionLexHandle {
             order,
             var_slots: ext.query.var_count(),
             atom_vars,
-            rels: red.rels,
+            rels,
             tree,
             total: u64::try_from(total).map_err(|_| BuildError::CountOverflow)?,
             cost,

@@ -297,11 +297,13 @@ pub(crate) fn build_derivations_encoded(
 /// Result of the code-space free-connex-to-full reduction: the full
 /// query `Q'` with one encoded relation per atom, positionally aligned
 /// with `query.atoms()`.
-pub(crate) struct EncodedReduction {
+pub(crate) struct EncodedReduction<'a> {
     /// The full CQ `Q'` (atoms `N0, N1, …` over exactly `free(Q)`).
     pub(crate) query: Cq,
-    /// One fully reduced encoded relation per atom of `query`.
-    pub(crate) rels: Vec<EncodedRelation>,
+    /// One fully reduced encoded relation per atom of `query`: still
+    /// the snapshot's own when neither the reducer nor a projection
+    /// changed it.
+    pub(crate) rels: Vec<EncRel<'a>>,
     /// `true` when the semijoin reduction already proves `Q(I) = ∅`.
     pub(crate) known_empty: bool,
 }
@@ -380,17 +382,34 @@ pub(crate) fn join_atoms(
     Ok((vars, acc))
 }
 
+/// π onto `positions` of `rel`, a normalized relation: `rel` itself
+/// when they are all its columns in storage order — a borrowed relation
+/// stays borrowed, mapped columns included — and
+/// [`EncodedRelation::project`] otherwise.
+pub(crate) fn project_view<'a>(rel: &EncRel<'a>, positions: &[usize]) -> EncRel<'a> {
+    let all: Vec<usize> = (0..rel.arity()).collect();
+    debug_assert!(
+        (1..rel.len()).all(|r| rel.cmp_rows_on(r - 1, r, &all).is_lt()),
+        "a projected relation is normalized"
+    );
+    if positions == all {
+        return rel.clone();
+    }
+    Cow::Owned(rel.project(positions))
+}
+
 /// Proposition 2.3 / Lemma 3.10 in code space: reduce a free-connex `q`
 /// (with encoded relations `rels`, positionally per atom) to a full
 /// acyclic query over `free(q)` with the same answers. Returns `None` if
 /// `q` is not free-connex.
 /// One full reducer runs, over `q`'s own join tree; each marked ext-tree
 /// node is then the projection of its reduced source atom — what
-/// reducing the whole ext tree (projections of atoms) would give.
-pub(crate) fn reduce_to_full_encoded(
+/// reducing the whole ext tree (projections of atoms) would give — and
+/// a node that is all of its atom is that atom's relation.
+pub(crate) fn reduce_to_full_encoded<'a>(
     q: &Cq,
-    mut rels: Vec<EncRel<'_>>,
-) -> Option<EncodedReduction> {
+    mut rels: Vec<EncRel<'a>>,
+) -> Option<EncodedReduction<'a>> {
     let ext: ExtConnexTree = ext_connex_tree(&q.hypergraph(), q.free_set())?;
     reduce_atoms(q, &mut rels);
     // Emptiness propagates through the full reducer.
@@ -406,7 +425,10 @@ pub(crate) fn reduce_to_full_encoded(
             continue;
         }
         let src = ext.source_atom(i);
-        out_rels.push(rels[src].project(&positions_of(&q.atoms()[src].terms, &vars)));
+        out_rels.push(project_view(
+            &rels[src],
+            &positions_of(&q.atoms()[src].terms, &vars),
+        ));
         atoms.push(Atom {
             relation: format!("N{i}"),
             terms: vars,
@@ -467,12 +489,12 @@ pub(crate) fn prepare_instance<'a>(
 /// depending on the rank asked for: [`prepare_instance`], then reduce
 /// to a full acyclic query. Returns the FD-extension, the reduction,
 /// and the `prep`/`reduce` phase times.
-pub(crate) fn prepare_reduced(
+pub(crate) fn prepare_reduced<'a>(
     q: &Cq,
-    snap: &Snapshot,
+    snap: &'a Snapshot,
     fds: &FdSet,
     problem: &Problem,
-) -> Result<(FdExtension, EncodedReduction, BuildCost), BuildError> {
+) -> Result<(FdExtension, EncodedReduction<'a>, BuildCost), BuildError> {
     let mut clock = PhaseClock::start();
     let (ext, rels) = prepare_instance(q, snap, fds, problem)?;
     let mut cost = BuildCost {

@@ -20,7 +20,9 @@ use crate::engine::OrderSpec;
 use crate::error::BuildError;
 use crate::fault;
 use crate::plan::DirectAccess;
-use crate::snapprep::{join_atoms, normalize_encoded, prepare_instance, reduce_atoms};
+use crate::snapprep::{
+    join_atoms, normalize_encoded, prepare_instance, project_view, reduce_atoms,
+};
 use crate::weights::{weight_key, Weights};
 use crate::window::WindowBuf;
 use rda_db::{radix_sort_rows, Database, EncodedRelation, Snapshot, Tuple, Value};
@@ -128,16 +130,19 @@ impl SumDirectAccess {
 
         // Project the covering atom onto the *original* head (weights
         // range over the original free variables; promoted variables are
-        // determined and weightless — Lemma 8.5). `project` sorts and
-        // deduplicates, so the rows are the distinct answers in tuple
-        // order; projecting onto an empty head leaves one row or none.
+        // determined and weightless — Lemma 8.5): the distinct answers
+        // in tuple order, the atom's own rows when the head is all of it;
+        // projecting onto an empty head leaves one row or none.
         let free_plus = qp.free_set();
         let cover = qp
             .atoms()
             .iter()
             .position(|a| free_plus.is_subset(a.var_set()))
             .expect("classification guarantees a covering atom");
-        let answers = rels[cover].project(&positions_of(&qp.atoms()[cover].terms, q.free()));
+        let answers = project_view(
+            &rels[cover],
+            &positions_of(&qp.atoms()[cover].terms, q.free()),
+        );
         cost.layers_ns = clock.lap();
         let (order, mut meter) = (ArrayOrder::Sum(w), budget.meter());
         Self::sorted(snap, &answers, q.free(), order, &mut meter, clock, cost)
@@ -200,10 +205,17 @@ impl SumDirectAccess {
                 radix_sort_rows(&mut perm, |r| weight_key(row_weights[r as usize]));
                 perm.iter().map(|&r| row_weights[r as usize]).collect()
             }
-            // One stable pass per lex position, last first: ties keep
-            // tuple order, as `MaterializedAccess::by_lex` breaks them.
+            // The order is `lex`, ties by the tuple (as
+            // `MaterializedAccess::by_lex` breaks them): one stable pass
+            // per position, last first. The rows arrive in tuple order, so
+            // the order's tail that ascends in storage order needs no
+            // pass — and a prefix of the head none at all.
             ArrayOrder::Lex(lex) => {
-                for p in positions_of(head, lex).into_iter().rev() {
+                let lead = positions_of(head, lex);
+                let rest = (0..head.len()).filter(|p| !lead.contains(p));
+                let order: Vec<usize> = lead.iter().copied().chain(rest).collect();
+                let tail = 1 + order.windows(2).rev().take_while(|w| w[0] < w[1]).count();
+                for &p in order[..order.len().saturating_sub(tail)].iter().rev() {
                     let col = answers.col(p);
                     radix_sort_rows(&mut perm, |r| u64::from(col[r as usize]));
                 }

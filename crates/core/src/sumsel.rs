@@ -44,6 +44,7 @@ use rda_query::classify::Problem;
 use rda_query::{
     maximal_contraction, positions_of, shared_positions, ContractionStep, Cq, FdSet, VarId, VarSet,
 };
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
@@ -154,9 +155,10 @@ impl SelectionSumHandle {
                 let keys = positions_of(&atoms[i].terms, &atoms[r].terms);
                 let all: Vec<usize> = (0..atoms[r].terms.len()).collect();
                 // The absorbed atom leaves the query: move its rows out.
-                let absorbed = std::mem::replace(&mut all_rels[r], EncodedRelation::new(0));
+                let absorbed =
+                    std::mem::replace(&mut all_rels[r], Cow::Owned(EncodedRelation::new(0)));
                 if let Some(keep) = all_rels[i].semijoin_plan(&keys, &absorbed, &all) {
-                    all_rels[i].retain_rows(&keep);
+                    all_rels[i].to_mut().retain_rows(&keep);
                 }
             }
         }
@@ -168,7 +170,10 @@ impl SelectionSumHandle {
             .collect();
         let rels: Vec<EncodedRelation> = kept
             .iter()
-            .map(|&a| std::mem::replace(&mut all_rels[a], EncodedRelation::new(0)))
+            .map(|&a| {
+                std::mem::replace(&mut all_rels[a], Cow::Owned(EncodedRelation::new(0)))
+                    .into_owned()
+            })
             .collect();
 
         // Row weights. Every head variable weighs in the first atom left

@@ -182,6 +182,23 @@ fn ascent(cols: &[&[u32]], rows: usize) -> (bool, bool) {
     (true, distinct)
 }
 
+/// The rows `0..rows` of the columns `cols` that differ from their
+/// predecessor, as a relation, or `None` at the first row below its
+/// predecessor: the deduplication of rows that ascend, in one pass.
+fn dedup_ascending(cols: &[&[u32]], rows: usize) -> Option<EncodedRelation> {
+    let mut keep: Vec<u32> = Vec::with_capacity(rows);
+    for r in 0..rows {
+        match (r > 0).then(|| cmp_on(cols, r - 1, r)) {
+            Some(Ordering::Greater) => return None,
+            Some(Ordering::Equal) => {}
+            _ => keep.push(r as u32),
+        }
+    }
+    let gather = |c: &&[u32]| keep.iter().map(|&r| c[r as usize]).collect();
+    let cols = cols.iter().map(gather).collect();
+    Some(EncodedRelation::from_owned_columns(keep.len(), cols))
+}
+
 /// The set bits of `bits`, ascending.
 fn ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
     bits.iter().enumerate().flat_map(|(i, &word)| {
@@ -344,10 +361,12 @@ impl EncodedRelation {
     /// copy, so a mapped column stays mapped. Rows that ascend but
     /// repeat are deduplicated in a second linear pass, and the
     /// distinct codes of a single column are read off a membership
-    /// bitmap. Only otherwise are the rows sorted: one stable
-    /// [`radix_sort_rows`] per column of `order`, last column first,
-    /// then the same linear deduplication when it is asked. Linear
-    /// throughout.
+    /// bitmap. Only otherwise are the rows sorted, then deduplicated in
+    /// that linear pass when it is asked. Rows that ascend on the
+    /// leading column of `order` are out of order within its runs only:
+    /// each run is sorted by the other columns, O(r log r) for r rows.
+    /// Otherwise one stable [`radix_sort_rows`] runs per column of
+    /// `order`, last column first — linear.
     ///
     /// Stability keeps rows that tie on the columns sorted so far in
     /// storage order. So when the rows already ascend in storage order
@@ -368,7 +387,13 @@ impl EncodedRelation {
             return;
         }
         let mut perm: Vec<u32> = (0..self.rows as u32).collect();
-        if !ascending {
+        if !ascending && cols[0].is_sorted() {
+            // Only the runs of the leading column are out of order.
+            let lead = |a: &u32, b: &u32| cols[0][*a as usize] == cols[0][*b as usize];
+            for run in perm.chunk_by_mut(lead) {
+                run.sort_unstable_by(|&a, &b| cmp_on(&cols[1..], a as usize, b as usize));
+            }
+        } else if !ascending {
             // Rows that ascend in storage order but not in `order` mean
             // `order` is not the storage order: its ascending tail is
             // shorter than it.
@@ -390,8 +415,8 @@ impl EncodedRelation {
     }
 
     /// Sort rows by the given key columns, ties broken by the full row
-    /// (deterministic).
-    /// Linear: a scan when the rows already ascend in that order,
+    /// (deterministic): a scan when the rows already ascend in that
+    /// order, a sort of each run when they ascend on its first column,
     /// otherwise a stable radix sort over their codes.
     pub fn sort_by_cols(&mut self, keys: &[usize]) {
         // Key columns first, then every other column in storage order:
@@ -411,12 +436,19 @@ impl EncodedRelation {
     }
 
     /// Projection π onto `positions` (sorted + deduplicated), matching
-    /// [`Relation::project`](crate::Relation::project). Projecting a
-    /// normalized relation onto a prefix of its columns (or onto all of
-    /// them) needs no sort: the rows already ascend, so at most a linear
-    /// deduplication runs. Any other projection is radix-sorted over its
-    /// codes, then deduplicated — linear as well.
+    /// [`Relation::project`](crate::Relation::project), for rows in any
+    /// order. Onto a proper prefix of the columns of rows that ascend —
+    /// a normalized relation's — it is one pass keeping each row that
+    /// differs from its predecessor (a descent met on the way falls
+    /// back). Any other projection copies its columns and
+    /// [`normalizes`](EncodedRelation::normalize) them.
     pub fn project(&self, positions: &[usize]) -> EncodedRelation {
+        if positions.len() < self.arity() && positions.iter().copied().eq(0..positions.len()) {
+            let cols: Vec<&[u32]> = positions.iter().map(|&p| &*self.cols[p]).collect();
+            if let Some(out) = dedup_ascending(&cols, self.rows) {
+                return out;
+            }
+        }
         let mut out = EncodedRelation {
             rows: self.rows,
             cols: positions.iter().map(|&p| self.cols[p].clone()).collect(),

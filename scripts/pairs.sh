@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Compare two rdabench binaries over N alternating, untraced runs.
 #
-#   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD N [SEED]
+#   scripts/pairs.sh PARENT_BIN CHANGE_BIN WORKLOAD N [SEED [METRIC...]]
 #
 # Pair i runs both binaries on WORKLOAD (seed SEED, default 7), the
 # parent first on odd pairs and the change first on even ones. Each
@@ -17,8 +17,15 @@
 # side's inter-quartile range exceeds 25 % of the parent's median and
 # the change's worst run does not beat the parent's best (too noisy to
 # call unchanged, or to claim), and `-` otherwise. `WORSE` wins over
-# `unresolved`, which wins over `yes`. It also prints the failed-op counts and whether every run reported the
-# same answer checksum.
+# `unresolved`, which wins over `yes`. It also prints the failed-op
+# counts and whether every run reported the same answer checksum.
+#
+# Per-layer metrics named after SEED (for example
+# `core.lexda.build_ms core.engine.prepare_miss_ms`) locate a change:
+# each pair then also runs both binaries once with `--trace 1`, in the
+# same order, and a second table gives those metrics' quartiles, delta
+# and wins from the traced runs' result lines, each metric's better
+# direction read from BENCHMARK.json (lower when it is not listed).
 #
 # Build each side's rdabench once, into its own --target-dir, and copy
 # the binaries out before running this: nothing may compile while the
@@ -26,8 +33,8 @@
 # directory, removed on exit. Needs only bash and awk.
 set -euo pipefail
 
-if [[ $# -lt 4 || $# -gt 5 ]]; then
-    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD N [SEED]" >&2
+if [[ $# -lt 4 ]]; then
+    echo "usage: $0 PARENT_BIN CHANGE_BIN WORKLOAD N [SEED [METRIC...]]" >&2
     exit 2
 fi
 parent=$(realpath "$1")
@@ -35,32 +42,49 @@ change=$(realpath "$2")
 workload=$3
 n=$4
 seed=${5:-7}
+layers="${*:6}"
+contract="$(dirname "$(realpath "$0")")/../BENCHMARK.json"
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
-# run SIDE BIN: one untraced run, its checksum and result line appended
-# to the side's log as "checksum<TAB>json".
+# run LOG BIN TRACE: one run, its checksum and result line appended to
+# the log LOG as "checksum<TAB>json".
 run() {
     local out
-    out=$(cd "$work" && "$2" run --workload "$workload" --seed "$seed" --trace 0)
+    out=$(cd "$work" && "$2" run --workload "$workload" --seed "$seed" --trace "$3")
     local sum
     sum=$(awk '/answer_checksum/ { for (i = 1; i < NF; i++) if ($i == "answer_checksum") print $(i + 1) }' <<<"$out")
     printf '%s\t%s\n' "$sum" "$(tail -n 1 <<<"$out")" >>"$work/$1"
 }
 
-for ((i = 1; i <= n; i++)); do
+# pair SUFFIX TRACE: both sides once, in this pair's order.
+pair() {
     if ((i % 2)); then
-        run parent "$parent"
-        run change "$change"
+        run "parent$1" "$parent" "$2"
+        run "change$1" "$change" "$2"
     else
-        run change "$change"
-        run parent "$parent"
+        run "change$1" "$change" "$2"
+        run "parent$1" "$parent" "$2"
+    fi
+}
+
+for ((i = 1; i <= n; i++)); do
+    pair "" 0
+    if [[ -n $layers ]]; then
+        pair .traced 1
     fi
     echo "pair $i/$n done" >&2
 done
 
-awk -F '\t' -v n="$n" -v workload="$workload" -v seed="$seed" '
+# table LOG_SUFFIX NAMES BETTER CLAIMS: the table over the runs in the
+# logs parentLOG_SUFFIX and changeLOG_SUFFIX, one row per metric of the
+# space-separated NAMES (better in the direction of the same word of
+# BETTER); CLAIMS set adds the spread and claim columns and the
+# failed-op and checksum summary.
+table() {
+awk -F '\t' -v n="$n" -v workload="$workload" -v seed="$seed" \
+    -v namelist="$2" -v betterlist="$3" -v claims="$4" '
 # The value of metric m in a result line, or "" when absent.
 function value(json, m,    at, rest) {
     at = index(json, "\"" m "\": {\"value\": ")
@@ -85,19 +109,24 @@ function sort(a, k,    i, j, t) {
         a[j + 1] = t
     }
 }
-FNR == 1 { side = (FILENAME ~ /parent$/) ? "p" : "c" }
+FNR == 1 { side = (FILENAME ~ /parent[^\/]*$/) ? "p" : "c" }
 {
     row[side, FNR] = $2
     sums[$1] = 1
     fails[side] += failed($2)
 }
 END {
-    split("setup_s ops_per_s rows_per_s read_us heavy_us peak_rss_mb", names, " ")
-    split("lower higher higher lower lower lower", better, " ")
-    printf "%s, seed %s, %d pairs\n", workload, seed, n
-    printf "%-12s %12s %12s %12s   %12s %12s %12s %8s %6s %6s %s\n", "metric", \
-        "parent q1", "median", "q3", "change q1", "median", "q3", "delta", "wins", "spread", \
-        "claim"
+    split(namelist, names, " ")
+    split(betterlist, better, " ")
+    w = 12
+    for (m = 1; m in names; m++) if (length(names[m]) > w) w = length(names[m])
+    name = "%-" w "s"
+    if (claims) printf "%s, seed %s, %d pairs\n", workload, seed, n
+    else printf "%s, seed %s, %d traced pairs, per layer\n", workload, seed, n
+    printf name " %12s %12s %12s   %12s %12s %12s %8s %6s", "metric", \
+        "parent q1", "median", "q3", "change q1", "median", "q3", "delta", "wins"
+    if (claims) printf " %6s %s", "spread", "claim"
+    printf "\n"
     for (m = 1; m in names; m++) {
         k = 0; wins = 0
         for (i = 1; i <= n; i++) {
@@ -121,13 +150,28 @@ END {
         if (wins >= 0.9 * k && gain > piqr) claim = "yes"
         if ((iqr > bound || piqr > bound) && !apart) claim = "unresolved"
         if (-gain > bound) claim = "WORSE"
-        printf "%-12s %12.6g %12.6g %12.6g   %12.6g %12.6g %12.6g %+7.1f%% %3d/%-2d %6s %s\n", \
+        printf name " %12.6g %12.6g %12.6g   %12.6g %12.6g %12.6g %+7.1f%% %3d/%-2d", \
             names[m], quantile(P, k, 0.25), pm, quantile(P, k, 0.75), \
             quantile(C, k, 0.25), cm, quantile(C, k, 0.75), \
-            pm ? 100 * (cm - pm) / pm : 0, wins, k, \
-            (iqr <= 0.25 * pm) ? "ok" : "WIDE", claim
+            pm ? 100 * (cm - pm) / pm : 0, wins, k
+        if (claims) printf " %6s %s", (iqr <= 0.25 * pm) ? "ok" : "WIDE", claim
+        printf "\n"
     }
+    if (!claims) exit
     c = 0; for (s in sums) c++
     printf "failed ops: parent %d, change %d; answer checksums %s\n", \
         fails["p"], fails["c"], c == 1 ? "all equal" : "DIFFER"
-}' "$work/parent" "$work/change"
+}' "$work/parent$1" "$work/change$1"
+}
+
+table "" "setup_s ops_per_s rows_per_s read_us heavy_us peak_rss_mb" \
+    "lower higher higher lower lower lower" 1
+if [[ -n $layers ]]; then
+    # Each metric's direction: the "better" line after its "name" line.
+    better=$(for m in $layers; do
+        awk -v m="$m" '$0 ~ "\"name\": \"" m "\"" { hit = 1 }
+            hit && /"better"/ { gsub(/[",]/, ""); print $2; found = 1; exit }
+            END { if (!found) print "lower" }' "$contract"
+    done | tr '\n' ' ')
+    table .traced "$layers" "$better" 0
+fi

@@ -181,15 +181,28 @@ fn builds_are_encode_free_and_leave_no_scratch_behind() {
         if n == 400 {
             assert!(dict_bytes > arena, "a leaked table would show here");
         }
-        // At its fullest the build holds the arena, the layer relations
-        // it was cut from, and a few code-indexed tables and bitmaps.
+        // At its fullest a build holds its arena, one code-indexed table,
+        // and the layer relations it made beside the snapshot's, with a
+        // few per-row columns of scratch (a relation here is at most
+        // `rows_bytes`). Under ⟨z, y, x⟩ both atoms' layers are re-sorted
+        // copies. Under ⟨x, y, z⟩ only the {x} layer is new: the others
+        // are the snapshot's relations, and copying one crosses the bound.
         let rows_bytes = 8 * n as u64;
+        let fullest = |arena_bytes, copies| arena_bytes + copies * rows_bytes + dict_bytes;
         assert!(
-            built.peak <= arena + 24 * rows_bytes + 4 * dict_bytes,
+            built.peak <= fullest(cost.arena_bytes, 4),
             "lex build of {n} rows peaks at {} bytes",
             built.peak
         );
         allocations.push(built.allocations);
+        let xyz = q.vars(&["x", "y", "z"]);
+        let views =
+            heap_during(|| LexDirectAccess::build_on(&q, &snap, &xyz, &FdSet::empty()).unwrap());
+        assert!(
+            views.peak <= fullest(views.out.build_cost().arena_bytes, 2),
+            "lex build of {n} rows by x, y, z peaks at {} bytes",
+            views.peak
+        );
 
         let built = heap_during(|| {
             SumDirectAccess::build_on(&qcov, &snap, &Weights::identity(), &FdSet::empty()).unwrap()
