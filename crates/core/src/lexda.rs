@@ -21,11 +21,10 @@
 //!    one-variable key is its own code). Every relation here is
 //!    normalized by construction, so a layer that is all of its atom's
 //!    columns *is* that atom's relation — read in place, from the
-//!    snapshot when nothing dangled, mapped columns included — and one
-//!    onto a prefix of them is one deduplicating pass. A layer whose
-//!    variable is its node's last column is already in bucket order;
-//!    rows that ascend on the order's leading column are sorted within
-//!    its runs only (a comparison sort per run), and every other order
+//!    snapshot when nothing dangled, mapped columns included, and moved,
+//!    not copied, when the reducer made it — and one onto a prefix of
+//!    them is one deduplicating pass. A layer whose variable is its
+//!    node's last column is already in bucket order; every other order
 //!    is a stable LSD radix sort over the codes — linear, where the
 //!    paper's sorting step is ⟨n log n⟩. The DP first finds, in one pass
 //!    per child, every row's child bucket through a `key id → bucket`
@@ -335,7 +334,7 @@ pub(crate) fn prepare_layers<'a>(
     let derivations = build_derivations_encoded(&ext, &rels)?;
     cost.prep_ns = clock.lap();
 
-    let red = reduce_to_full_encoded(&qp, rels)
+    let mut red = reduce_to_full_encoded(&qp, rels)
         .expect("classification guarantees the extension is free-connex");
     cost.reduce_ns = clock.lap();
 
@@ -370,10 +369,12 @@ pub(crate) fn prepare_layers<'a>(
         .iter()
         .map(|node| node.vars.iter().collect())
         .collect();
+    let edge = |i: usize| layered.layers[i].defining_edge;
     let mut enc_layers: Vec<EncRel<'a>> = (0..f)
         .map(|i| {
-            let e = layered.layers[i].defining_edge;
-            project_view(&red.rels[e], &positions_of(&atoms[e].terms, &layer_vars[i]))
+            let (e, last) = (edge(i), (i + 1..f).all(|j| edge(j) != edge(i)));
+            let positions = positions_of(&atoms[e].terms, &layer_vars[i]);
+            project_view(&mut red.rels[e], &positions, last)
         })
         .collect();
     cost.layers_ns = clock.lap();
@@ -432,7 +433,10 @@ fn assert_layers_consistent(
         let (rel, vars) = (&enc_layers[i], &layer_vars[i]);
         for &e in &node.assigned_edges {
             let atom_vars = &red.query.atoms()[e].terms;
-            debug_assert!(keeps_all(rel, vars, &red.rels[e], atom_vars));
+            // An atom a layer took whole is that layer.
+            let whole = (0..layer_vars.len()).find(|&j| layer_vars[j] == *atom_vars);
+            let atom = whole.map_or(&*red.rels[e], |j| &*enc_layers[j]);
+            debug_assert!(keeps_all(rel, vars, atom, atom_vars));
         }
         if let Some(p) = node.parent {
             debug_assert!(keeps_all(rel, vars, &enc_layers[p], &layer_vars[p]));

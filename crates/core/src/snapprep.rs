@@ -382,20 +382,28 @@ pub(crate) fn join_atoms(
     Ok((vars, acc))
 }
 
-/// π onto `positions` of `rel`, a normalized relation: `rel` itself
-/// when they are all its columns in storage order — a borrowed relation
-/// stays borrowed, mapped columns included — and
-/// [`EncodedRelation::project`] otherwise.
-pub(crate) fn project_view<'a>(rel: &EncRel<'a>, positions: &[usize]) -> EncRel<'a> {
-    let all: Vec<usize> = (0..rel.arity()).collect();
+/// π onto `positions` of `rel`, a normalized relation:
+/// [`EncodedRelation::project`], unless they are all its columns in
+/// storage order. Then it is `rel` itself: a borrowed relation stays
+/// borrowed, mapped columns included, and an owned one is moved out
+/// when `last` (no later projection reads `rel`; an empty relation is
+/// left in its place), copied otherwise.
+pub(crate) fn project_view<'a>(
+    rel: &mut EncRel<'a>,
+    positions: &[usize],
+    last: bool,
+) -> EncRel<'a> {
+    if !positions.iter().copied().eq(0..rel.arity()) {
+        return Cow::Owned(rel.project(positions));
+    }
     debug_assert!(
-        (1..rel.len()).all(|r| rel.cmp_rows_on(r - 1, r, &all).is_lt()),
+        (1..rel.len()).all(|r| rel.cmp_rows_on(r - 1, r, positions).is_lt()),
         "a projected relation is normalized"
     );
-    if positions == all {
-        return rel.clone();
+    match last {
+        true => std::mem::replace(rel, Cow::Owned(EncodedRelation::new(0))),
+        false => rel.clone(),
     }
-    Cow::Owned(rel.project(positions))
 }
 
 /// Proposition 2.3 / Lemma 3.10 in code space: reduce a free-connex `q`
@@ -419,16 +427,18 @@ pub(crate) fn reduce_to_full_encoded<'a>(
     // projection (sorted, deduplicated) of its reduced source atom.
     let mut atoms = Vec::new();
     let mut out_rels = Vec::new();
-    for &i in &ext.marked {
+    for (k, &i) in ext.marked.iter().enumerate() {
         let vars: Vec<VarId> = ext.tree.node(i).vars.iter().collect();
         if vars.is_empty() {
             continue;
         }
         let src = ext.source_atom(i);
-        out_rels.push(project_view(
-            &rels[src],
-            &positions_of(&q.atoms()[src].terms, &vars),
-        ));
+        // The atom's last node takes it whole rather than a copy.
+        let last = ext.marked[k + 1..]
+            .iter()
+            .all(|&j| ext.source_atom(j) != src);
+        let positions = positions_of(&q.atoms()[src].terms, &vars);
+        out_rels.push(project_view(&mut rels[src], &positions, last));
         atoms.push(Atom {
             relation: format!("N{i}"),
             terms: vars,

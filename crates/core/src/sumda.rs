@@ -139,10 +139,8 @@ impl SumDirectAccess {
             .iter()
             .position(|a| free_plus.is_subset(a.var_set()))
             .expect("classification guarantees a covering atom");
-        let answers = project_view(
-            &rels[cover],
-            &positions_of(&qp.atoms()[cover].terms, q.free()),
-        );
+        let positions = positions_of(&qp.atoms()[cover].terms, q.free());
+        let answers = project_view(&mut rels[cover], &positions, true);
         cost.layers_ns = clock.lap();
         let (order, mut meter) = (ArrayOrder::Sum(w), budget.meter());
         Self::sorted(snap, &answers, q.free(), order, &mut meter, clock, cost)

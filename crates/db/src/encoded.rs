@@ -182,23 +182,6 @@ fn ascent(cols: &[&[u32]], rows: usize) -> (bool, bool) {
     (true, distinct)
 }
 
-/// The rows `0..rows` of the columns `cols` that differ from their
-/// predecessor, as a relation, or `None` at the first row below its
-/// predecessor: the deduplication of rows that ascend, in one pass.
-fn dedup_ascending(cols: &[&[u32]], rows: usize) -> Option<EncodedRelation> {
-    let mut keep: Vec<u32> = Vec::with_capacity(rows);
-    for r in 0..rows {
-        match (r > 0).then(|| cmp_on(cols, r - 1, r)) {
-            Some(Ordering::Greater) => return None,
-            Some(Ordering::Equal) => {}
-            _ => keep.push(r as u32),
-        }
-    }
-    let gather = |c: &&[u32]| keep.iter().map(|&r| c[r as usize]).collect();
-    let cols = cols.iter().map(gather).collect();
-    Some(EncodedRelation::from_owned_columns(keep.len(), cols))
-}
-
 /// The set bits of `bits`, ascending.
 fn ones(bits: &[u64]) -> impl Iterator<Item = u32> + '_ {
     bits.iter().enumerate().flat_map(|(i, &word)| {
@@ -361,12 +344,10 @@ impl EncodedRelation {
     /// copy, so a mapped column stays mapped. Rows that ascend but
     /// repeat are deduplicated in a second linear pass, and the
     /// distinct codes of a single column are read off a membership
-    /// bitmap. Only otherwise are the rows sorted, then deduplicated in
-    /// that linear pass when it is asked. Rows that ascend on the
-    /// leading column of `order` are out of order within its runs only:
-    /// each run is sorted by the other columns, O(r log r) for r rows.
-    /// Otherwise one stable [`radix_sort_rows`] runs per column of
-    /// `order`, last column first — linear.
+    /// bitmap. Only otherwise are the rows sorted: one stable
+    /// [`radix_sort_rows`] per column of `order`, last column first,
+    /// then the same linear deduplication when it is asked. Linear
+    /// throughout.
     ///
     /// Stability keeps rows that tie on the columns sorted so far in
     /// storage order. So when the rows already ascend in storage order
@@ -387,13 +368,7 @@ impl EncodedRelation {
             return;
         }
         let mut perm: Vec<u32> = (0..self.rows as u32).collect();
-        if !ascending && cols[0].is_sorted() {
-            // Only the runs of the leading column are out of order.
-            let lead = |a: &u32, b: &u32| cols[0][*a as usize] == cols[0][*b as usize];
-            for run in perm.chunk_by_mut(lead) {
-                run.sort_unstable_by(|&a, &b| cmp_on(&cols[1..], a as usize, b as usize));
-            }
-        } else if !ascending {
+        if !ascending {
             // Rows that ascend in storage order but not in `order` mean
             // `order` is not the storage order: its ascending tail is
             // shorter than it.
@@ -415,8 +390,8 @@ impl EncodedRelation {
     }
 
     /// Sort rows by the given key columns, ties broken by the full row
-    /// (deterministic): a scan when the rows already ascend in that
-    /// order, a sort of each run when they ascend on its first column,
+    /// (deterministic).
+    /// Linear: a scan when the rows already ascend in that order,
     /// otherwise a stable radix sort over their codes.
     pub fn sort_by_cols(&mut self, keys: &[usize]) {
         // Key columns first, then every other column in storage order:
@@ -437,17 +412,21 @@ impl EncodedRelation {
 
     /// Projection π onto `positions` (sorted + deduplicated), matching
     /// [`Relation::project`](crate::Relation::project), for rows in any
-    /// order. Onto a proper prefix of the columns of rows that ascend —
-    /// a normalized relation's — it is one pass keeping each row that
-    /// differs from its predecessor (a descent met on the way falls
-    /// back). Any other projection copies its columns and
-    /// [`normalizes`](EncodedRelation::normalize) them.
+    /// order. Onto a prefix of the columns of rows that ascend and repeat
+    /// there — a normalized relation's — one pass keeps each row that
+    /// differs from its predecessor. Any other projection copies its
+    /// columns and [`normalizes`](EncodedRelation::normalize) them: rows
+    /// that already ascend, distinct, stay as they are (a mapped column
+    /// stays mapped).
     pub fn project(&self, positions: &[usize]) -> EncodedRelation {
-        if positions.len() < self.arity() && positions.iter().copied().eq(0..positions.len()) {
-            let cols: Vec<&[u32]> = positions.iter().map(|&p| &*self.cols[p]).collect();
-            if let Some(out) = dedup_ascending(&cols, self.rows) {
-                return out;
-            }
+        let cols: Vec<&[u32]> = positions.iter().map(|&p| &*self.cols[p]).collect();
+        let prefix = positions.iter().copied().eq(0..positions.len());
+        if prefix && ascent(&cols, self.rows) == (true, false) {
+            let first = |&r: &u32| r == 0 || cmp_on(&cols, r as usize - 1, r as usize).is_ne();
+            let keep: Vec<u32> = (0..self.rows as u32).filter(first).collect();
+            let gather = |c: &&[u32]| keep.iter().map(|&r| c[r as usize]).collect();
+            let cols = cols.iter().map(gather).collect();
+            return EncodedRelation::from_owned_columns(keep.len(), cols);
         }
         let mut out = EncodedRelation {
             rows: self.rows,
@@ -1339,6 +1318,48 @@ mod tests {
             .map(|r| r.iter().map(|&c| crate::Value::int(i64::from(c))).collect())
             .collect();
         Relation::from_tuples(name, arity, tuples)
+    }
+
+    /// A prefix projection that repeats no row is the prefix's own
+    /// columns, so a mapped column stays the file's; one that repeats a
+    /// row keeps each first row.
+    #[test]
+    fn distinct_prefix_projection_stays_mapped() {
+        // F(y, z) keyed on y: neither π_y nor π_{y, z} repeats a row.
+        let (f_rows, g_rows) = (
+            vec![vec![1, 7], vec![2, 7], vec![3, 4]],
+            vec![vec![1, 7], vec![1, 8], vec![3, 4]],
+        );
+        let db = crate::Database::new()
+            .with(value_relation("F", 2, &f_rows))
+            .with(value_relation("G", 2, &g_rows));
+        let path = std::env::temp_dir().join(format!("rda-prefix-{}.rdas", std::process::id()));
+        crate::persist::save_snapshot(&db.freeze(), &path).unwrap();
+        let opened = crate::persist::open_snapshot(&path);
+        let _ = std::fs::remove_file(&path);
+        let snap = opened.unwrap();
+        let f = snap.encoded("F").unwrap();
+        for positions in [&[0][..], &[0, 1]] {
+            let pi = f.project(positions);
+            assert_eq!(
+                rows_of(&pi),
+                rows_of(f)
+                    .iter()
+                    .map(|r| pick(r, positions))
+                    .collect::<Rows>()
+            );
+            if cfg!(target_endian = "little") {
+                assert_eq!(mapped_columns(&pi), positions.len());
+                for &p in positions {
+                    assert_eq!(pi.col(p).as_ptr(), f.col(p).as_ptr(), "{positions:?}.{p}");
+                }
+            }
+        }
+        let g = snap.encoded("G").unwrap();
+        assert_eq!(
+            rows_of(&g.project(&[0])),
+            vec![vec![g.code(0, 0)], vec![g.code(2, 0)]]
+        );
     }
 
     proptest! {
