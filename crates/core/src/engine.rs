@@ -51,19 +51,21 @@
 
 use crate::budget::BuildBudget;
 use crate::error::BuildError;
-use crate::fault;
 use crate::plan::{describe_reason, AccessPlan, Explain, RankedAnswers};
 use crate::snapprep::check_fds_apply;
 use crate::weights::Weights;
 use crate::{LexDirectAccess, SelectionLexHandle, SelectionSumHandle, SumDirectAccess};
-use rda_db::{Database, Snapshot, SnapshotStore};
+use rda_db::{recover, Database, Snapshot, SnapshotStore};
 use rda_query::classify::{classify, Problem, Verdict};
 use rda_query::{Cq, FdSet, VarId};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
+
+/// Fault site: entry of [`Engine::prepare_pinned`].
+pub const SITE_ENGINE_PREPARE: &str = "engine::prepare";
 
 /// The order a prepared plan ranks answers by.
 #[derive(Debug, Clone)]
@@ -377,22 +379,19 @@ impl PlanCache {
 /// forward** — re-keyed into the new generation without rebuilding a
 /// thing.
 pub struct Engine {
+    // Every lock here is taken through `rda_db::recover`, which takes a
+    // poisoned guard back and counts it: every shared slot is either
+    // swapped atomically (the `Arc<Snapshot>` slot) or re-validated on
+    // read (the plan cache is keyed by snapshot uid and checked against
+    // it), so a panic while a lock was held cannot leave state a later
+    // reader could misinterpret — recovering the guard is strictly
+    // better than propagating the poison to every future caller.
     snapshot: RwLock<Arc<Snapshot>>,
     /// The served snapshot's uid, stored under `snapshot`'s write lock
     /// and read without it ([`Engine::snapshot_uid`]).
     snapshot_uid: AtomicU64,
     cache: Mutex<PlanCache>,
     build_budget: RwLock<BuildBudget>,
-}
-
-// Poison recovery: every shared slot in the engine is either swapped
-// atomically (the `Arc<Snapshot>` slot) or re-validated on read (the
-// plan cache is keyed by snapshot uid and checked against it), so a
-// panic while a lock was held cannot leave state a later reader could
-// misinterpret — recovering the guard is strictly better than
-// propagating the poison to every future caller.
-fn relock<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(PoisonError::into_inner)
 }
 
 impl fmt::Debug for Engine {
@@ -447,7 +446,7 @@ impl Engine {
     /// The budget applied to subsequent structure builds (default:
     /// [`BuildBudget::UNLIMITED`]).
     pub(crate) fn build_budget(&self) -> BuildBudget {
-        *relock(self.build_budget.read())
+        *recover(self.build_budget.read())
     }
 
     /// Cap what any single structure build may allocate: builds that
@@ -459,14 +458,14 @@ impl Engine {
     /// that finished under an old budget is evidence it fit, so serving
     /// it after a tightening is sound containment-wise).
     pub fn set_build_budget(&self, budget: BuildBudget) {
-        *relock(self.build_budget.write()) = budget;
+        *recover(self.build_budget.write()) = budget;
     }
 
     /// The snapshot this engine currently serves. New
     /// [`Engine::prepare`] calls are answered over exactly this
     /// generation until the next [`Engine::advance`].
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        let guard = relock(self.snapshot.read());
+        let guard = recover(self.snapshot.read());
         Arc::clone(&guard)
     }
 
@@ -498,8 +497,8 @@ impl Engine {
     ///
     /// Returns how many plans were carried forward.
     pub fn advance(&self, snapshot: Arc<Snapshot>) -> usize {
-        let mut cache = relock(self.cache.lock());
-        let mut slot = relock(self.snapshot.write());
+        let mut cache = recover(self.cache.lock());
+        let mut slot = recover(self.snapshot.write());
         if slot.uid() == snapshot.uid() {
             return 0; // advancing to the current snapshot is a no-op
         }
@@ -541,12 +540,12 @@ impl Engine {
 
     /// Number of plans currently memoized.
     pub fn plan_cache_len(&self) -> usize {
-        relock(self.cache.lock()).map.len()
+        recover(self.cache.lock()).map.len()
     }
 
     /// Drop every memoized plan (already-shared `Arc`s stay alive).
     pub fn clear_plan_cache(&self) {
-        relock(self.cache.lock()).map.clear();
+        recover(self.cache.lock()).map.clear();
     }
 
     /// Classify `(q, order)` under `fds` and serve the best plan the
@@ -587,13 +586,13 @@ impl Engine {
         // Chaos hook: fires before any shared state is touched, so an
         // injected panic here proves the serve-side fence alone keeps
         // the engine usable. Disarmed, this is one atomic load.
-        fault::trip(fault::SITE_ENGINE_PREPARE)
+        rda_db::trip(SITE_ENGINE_PREPARE)
             .map_err(|f| PlanError::Build(BuildError::FaultInjected { site: f.site }))?;
         // Pin the generation first: the whole prepare runs against one
         // snapshot, however many `advance` calls race it.
         let snap = self.snapshot();
         let key = plan_key(snap.uid(), q, &order, fds, policy);
-        if let Some(plan) = relock(self.cache.lock()).get(&key) {
+        if let Some(plan) = recover(self.cache.lock()).get(&key) {
             // A hit under `snap`'s uid is consistent with `snap` even
             // if the plan was carried forward from an older
             // generation: carrying requires every dependency's content
@@ -610,8 +609,8 @@ impl Engine {
         // evicting live entries from) the bounded cache under a key no
         // future prepare can hit. Lock order (cache, then snapshot)
         // matches `advance`.
-        let mut cache = relock(self.cache.lock());
-        let current_uid = relock(self.snapshot.read()).uid();
+        let mut cache = recover(self.cache.lock());
+        let current_uid = recover(self.snapshot.read()).uid();
         if key.snapshot_uid != current_uid {
             return Ok((snap, plan));
         }
@@ -1228,6 +1227,29 @@ mod tests {
             .unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(engine.plan_cache_len(), 0);
+    }
+
+    #[test]
+    fn a_poisoned_plan_cache_is_recovered_and_counted() {
+        let q = two_path();
+        let engine = fig2_engine();
+        let spec = || OrderSpec::lex(&q, &["x", "y", "z"]);
+        engine
+            .prepare(&q, spec(), &FdSet::empty(), Policy::Reject)
+            .unwrap();
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _held = engine.cache.lock();
+                panic!("poison the plan cache");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(engine.cache.is_poisoned());
+        let before = rda_db::poison_recoveries();
+        assert_eq!(engine.plan_cache_len(), 1);
+        let plan = engine.prepare(&q, spec(), &FdSet::empty(), Policy::Reject);
+        assert_eq!(plan.unwrap().len(), 5);
+        assert!(rda_db::poison_recoveries() > before);
     }
 
     #[test]

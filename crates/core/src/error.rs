@@ -48,7 +48,7 @@ pub enum BuildError {
         /// The configured cap.
         limit: u64,
     },
-    /// An armed [`FaultPlan`](crate::fault::FaultPlan) injected a
+    /// An armed [`FaultPlan`](rda_db::FaultPlan) injected a
     /// spurious failure at a build/prepare site (chaos testing only;
     /// never produced in production configurations).
     FaultInjected {

@@ -57,7 +57,6 @@
 
 use crate::budget::{BudgetMeter, BuildBudget, BuildCost, PhaseClock};
 use crate::error::BuildError;
-use crate::fault;
 use crate::plan::DirectAccess;
 use crate::rankdir::{self, NO_DIR};
 use crate::snapprep::{
@@ -73,6 +72,10 @@ use rda_query::{
 use std::cell::RefCell;
 use std::ops::Range;
 use std::sync::Arc;
+
+/// Fault site: entry of the lexicographic build kernel
+/// ([`LexDirectAccess::build_on`]).
+pub const SITE_LEXDA_BUILD: &str = "lexda::build";
 
 /// Buckets smaller than this skip the rank directory: a binary search
 /// over so few entries is already one or two cache lines.
@@ -578,8 +581,7 @@ impl LexDirectAccess {
         fds: &FdSet,
         budget: BuildBudget,
     ) -> Result<Self, BuildError> {
-        fault::trip(fault::SITE_LEXDA_BUILD)
-            .map_err(|f| BuildError::FaultInjected { site: f.site })?;
+        rda_db::trip(SITE_LEXDA_BUILD).map_err(|f| BuildError::FaultInjected { site: f.site })?;
         let prep = prepare_layers(q, snap, lex, fds)?;
         Self::from_prep(prep, Arc::clone(snap), budget)
     }

@@ -59,7 +59,6 @@
 mod budget;
 mod engine;
 mod error;
-mod fault;
 mod lexda;
 mod lexsel;
 mod plan;
@@ -72,17 +71,16 @@ mod weights;
 mod window;
 
 pub use budget::{BuildBudget, BuildCost};
-pub use engine::{canonical_request_key, plan_dependencies, Engine, OrderSpec, PlanError, Policy};
-pub use error::BuildError;
-pub use fault::{
-    hits, install, trip, FaultAction, FaultGuard, FaultPlan, InjectedFault, SITE_ENGINE_PREPARE,
-    SITE_LEXDA_BUILD, SITE_SUMDA_BUILD,
+pub use engine::{
+    canonical_request_key, plan_dependencies, Engine, OrderSpec, PlanError, Policy,
+    SITE_ENGINE_PREPARE,
 };
-pub use lexda::LexDirectAccess;
+pub use error::BuildError;
+pub use lexda::{LexDirectAccess, SITE_LEXDA_BUILD};
 pub use lexsel::SelectionLexHandle;
 pub use plan::{AccessPlan, Backend, DirectAccess, Explain, RankedAnswers};
 pub use random_order::{Quantiles, RandomOrderEnumerator};
-pub use sumda::SumDirectAccess;
+pub use sumda::{SumDirectAccess, SITE_SUMDA_BUILD};
 pub use sumsel::SelectionSumHandle;
 pub use weights::Weights;
 pub use window::{RankedStream, WindowBuf};

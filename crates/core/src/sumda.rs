@@ -18,7 +18,6 @@
 use crate::budget::{BudgetMeter, BuildBudget, BuildCost, PhaseClock};
 use crate::engine::OrderSpec;
 use crate::error::BuildError;
-use crate::fault;
 use crate::plan::DirectAccess;
 use crate::snapprep::{
     join_atoms, normalize_encoded, prepare_instance, project_view, reduce_atoms,
@@ -33,6 +32,10 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
+
+/// Fault site: entry of the sum build kernel
+/// ([`SumDirectAccess::build_on`]).
+pub const SITE_SUMDA_BUILD: &str = "sumda::build";
 
 thread_local! {
     /// Reusable probe-encoding buffer; keeps `inverted_access`
@@ -104,13 +107,12 @@ impl SumDirectAccess {
         fds: &FdSet,
         budget: BuildBudget,
     ) -> Result<Self, BuildError> {
-        fault::trip(fault::SITE_SUMDA_BUILD)
-            .map_err(|f| BuildError::FaultInjected { site: f.site })?;
+        rda_db::trip(SITE_SUMDA_BUILD).map_err(|f| BuildError::FaultInjected { site: f.site })?;
         Self::build_inner(q, snap, w, fds, budget)
     }
 
     /// The build pipeline behind [`SumDirectAccess::build_on_budgeted`]
-    /// (no fault trip — the caller trips [`fault::SITE_SUMDA_BUILD`]
+    /// (no fault trip — the caller trips [`SITE_SUMDA_BUILD`]
     /// exactly once).
     fn build_inner(
         q: &Cq,

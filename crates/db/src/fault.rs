@@ -1,24 +1,26 @@
-//! Deterministic fault injection for chaos testing.
+//! The fault substrate: deterministic fault injection for chaos
+//! testing, and the one poison-recovery helper every lock above this
+//! crate goes through.
 //!
 //! A [`FaultPlan`] schedules faults at named **sites** — fixed points
-//! on the serving path that call [`trip`] every time they execute:
+//! that call [`trip`] every time they execute. A site is just a
+//! string, and each crate keeps its site's constant beside the call:
 //!
 //! | site | constant | where it fires |
 //! |------|----------|----------------|
-//! | `engine::prepare` | [`SITE_ENGINE_PREPARE`] | entry of [`Engine::prepare_pinned`](crate::Engine::prepare_pinned) |
-//! | `lexda::build` | [`SITE_LEXDA_BUILD`] | entry of [`LexDirectAccess::build_on`](crate::LexDirectAccess::build_on) |
-//! | `sumda::build` | [`SITE_SUMDA_BUILD`] | entry of [`SumDirectAccess::build_on`](crate::SumDirectAccess::build_on) |
+//! | `engine::prepare` | `rda_core::SITE_ENGINE_PREPARE` | entry of `Engine::prepare_pinned` |
+//! | `lexda::build` | `rda_core::SITE_LEXDA_BUILD` | entry of `LexDirectAccess::build_on` |
+//! | `sumda::build` | `rda_core::SITE_SUMDA_BUILD` | entry of `SumDirectAccess::build_on` |
+//! | `serve::page` | `rda_serve::SITE_SERVE_PAGE` | entry of page execution, inside the request's panic fence |
 //!
-//! (`rda_serve` adds its own site for in-flight pages; any crate may
-//! define more — a site is just a string.)
-//!
-//! Each site keeps a monotone **hit counter** while a plan is armed,
-//! and the plan maps `(site, nth hit)` to a [`FaultAction`]: a panic
-//! or a typed spurious failure ([`InjectedFault`]). Because the
-//! schedule is keyed by hit index — not by wall clock or thread
-//! timing — the exact same failure sequence replays on a 1-core CI
-//! host as on a 64-core workstation, which is what makes recovery
-//! *provable* rather than merely observed.
+//! Each site the armed plan schedules keeps a monotone **hit
+//! counter**, and the plan maps `(site, nth hit)` to a
+//! [`FaultAction`]: a panic or a typed spurious failure
+//! ([`InjectedFault`]). Because the schedule is keyed by hit index —
+//! not by wall clock or thread timing — the exact same failure
+//! sequence replays on a 1-core CI host as on a 64-core workstation,
+//! which is what makes recovery *provable* rather than merely
+//! observed.
 //!
 //! Scheduling is either explicit ([`FaultPlan::inject`]) or derived
 //! from a seed ([`FaultPlan::inject_seeded`]): the seed expands to
@@ -26,25 +28,47 @@
 //! can name an entire failure schedule with one number.
 //!
 //! The plan is installed process-globally ([`install`] returns an RAII
-//! [`FaultGuard`]); when nothing is armed, [`trip`] is a single relaxed
-//! atomic load. The hooks are compiled in unconditionally — they sit on
-//! build/prepare paths, never on the per-answer access hot path — and
-//! are intended for tests only, chiefly `rda_serve`'s seeded fault
-//! storm (`crates/serve/tests/chaos.rs`).
+//! [`FaultGuard`]); when nothing is armed, [`trip`] is a single
+//! `Acquire` atomic load. The hooks are compiled in unconditionally —
+//! they sit on build/prepare paths and once per served page, never on
+//! the per-answer access hot path — and are intended for tests only,
+//! chiefly `rda_serve`'s seeded fault storm
+//! (`crates/serve/tests/chaos.rs`).
+//!
+//! A `std` lock is *poisoned* when a thread panics while holding it;
+//! every later acquisition then returns `Err` forever. Where the
+//! guarded state is valid at every point a panic can leave it,
+//! propagating poison would turn one contained failure into a dead
+//! lock for no integrity gain. [`recover`] takes the guard back
+//! instead and counts the recovery ([`poison_recoveries`]), so chaos
+//! tests and `rda_serve`'s stats can assert that poison was seen and
+//! survived rather than silently impossible. Each lock's owner says
+//! why its state survives a panic; this module's own locks are never
+//! held across one.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// Fault site: entry of [`Engine::prepare_pinned`](crate::Engine::prepare_pinned).
-pub const SITE_ENGINE_PREPARE: &str = "engine::prepare";
-/// Fault site: entry of the lexicographic build kernel
-/// ([`LexDirectAccess::build_on`](crate::LexDirectAccess::build_on)).
-pub const SITE_LEXDA_BUILD: &str = "lexda::build";
-/// Fault site: entry of the sum build kernel
-/// ([`SumDirectAccess::build_on`](crate::SumDirectAccess::build_on)).
-pub const SITE_SUMDA_BUILD: &str = "sumda::build";
+/// Process-wide count of poisoned guards recovered (a lock poisoned
+/// once reports a recovery per subsequent acquisition).
+static RECOVERIES: AtomicU64 = AtomicU64::new(0);
+
+/// The guard of a lock acquisition, poisoned or not: a poisoned guard
+/// is taken back and counted in [`poison_recoveries`]. Use it only on
+/// locks whose state stays valid when a holder panics.
+pub fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
+    r.unwrap_or_else(|e| {
+        RECOVERIES.fetch_add(1, Ordering::Relaxed);
+        e.into_inner()
+    })
+}
+
+/// Poisoned guards [`recover`] has taken back in this process.
+pub fn poison_recoveries() -> u64 {
+    RECOVERIES.load(Ordering::Relaxed)
+}
 
 /// What an armed fault does when its scheduled hit arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +201,7 @@ struct Armed {
     counters: Mutex<HashMap<String, u64>>,
 }
 
-/// Cheap disarmed-path flag: [`trip`] is one relaxed load when clear.
+/// Cheap disarmed-path flag: [`trip`] is one `Acquire` load when clear.
 static ANY_ARMED: AtomicBool = AtomicBool::new(false);
 static ACTIVE: RwLock<Option<Arc<Armed>>> = RwLock::new(None);
 
@@ -192,9 +216,7 @@ pub fn install(plan: FaultPlan) -> FaultGuard {
         plan,
         counters: Mutex::new(HashMap::new()),
     });
-    *ACTIVE
-        .write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(armed);
+    *recover(ACTIVE.write()) = Some(armed);
     ANY_ARMED.store(true, Ordering::Release);
     FaultGuard(())
 }
@@ -206,16 +228,14 @@ pub struct FaultGuard(());
 impl Drop for FaultGuard {
     fn drop(&mut self) {
         ANY_ARMED.store(false, Ordering::Release);
-        *ACTIVE
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+        *recover(ACTIVE.write()) = None;
     }
 }
 
 /// Pass through fault site `site`: count the hit and apply the armed
 /// plan's scheduled action, if any.
 ///
-/// Disarmed (the steady state), this is a single relaxed atomic load.
+/// Disarmed (the steady state), this is a single `Acquire` atomic load.
 /// Armed, it may return a typed [`InjectedFault`] ([`FaultAction::Fail`])
 /// or panic ([`FaultAction::Panic`]) — the caller's fences, not this
 /// function, decide what a panic means.
@@ -224,10 +244,7 @@ pub fn trip(site: &str) -> Result<(), InjectedFault> {
         return Ok(());
     }
     let armed = {
-        let guard = ACTIVE
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        match &*guard {
+        match &*recover(ACTIVE.read()) {
             Some(a) => Arc::clone(a),
             None => return Ok(()),
         }
@@ -237,10 +254,7 @@ pub fn trip(site: &str) -> Result<(), InjectedFault> {
         return Ok(());
     }
     let hit = {
-        let mut counters = armed
-            .counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut counters = recover(armed.counters.lock());
         let c = counters.entry(site.to_string()).or_insert(0);
         let hit = *c;
         *c += 1;
@@ -259,21 +273,15 @@ pub fn trip(site: &str) -> Result<(), InjectedFault> {
 }
 
 /// The number of times `site` has been hit under the currently armed
-/// plan (0 when disarmed) — lets tests assert a schedule actually ran.
+/// plan — lets tests assert a schedule actually ran. Only a site the
+/// plan schedules is counted: [`trip`] returns before counting at any
+/// other, so `hits` reads 0 there, as it does when nothing is armed.
 pub fn hits(site: &str) -> u64 {
     if !ANY_ARMED.load(Ordering::Acquire) {
         return 0;
     }
-    let guard = ACTIVE
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    match &*guard {
-        Some(a) => *a
-            .counters
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(site)
-            .unwrap_or(&0),
+    match &*recover(ACTIVE.read()) {
+        Some(a) => *recover(a.counters.lock()).get(site).unwrap_or(&0),
         None => 0,
     }
 }
@@ -308,6 +316,7 @@ mod tests {
         assert_eq!(trip("site"), Ok(()), "hit 2 passes — the script ran out");
         assert_eq!(hits("site"), 3);
         assert_eq!(trip("other"), Ok(()), "unscheduled sites never fire");
+        assert_eq!(hits("other"), 0, "nor are they counted");
     }
 
     #[test]
@@ -343,5 +352,14 @@ mod tests {
         nths.sort_unstable();
         nths.dedup();
         assert_eq!(nths.len(), 5);
+        // The chaos storm's schedule (`crates/serve/tests/chaos.rs`),
+        // by value: a change to the seed expansion fails here first.
+        let storm = FaultPlan::seeded(0xC4A0_5EED)
+            .inject("serve::page", 1, FaultAction::Panic)
+            .inject_seeded("serve::page", 4, 90, FaultAction::Panic)
+            .inject_seeded("engine::prepare", 3, 90, FaultAction::Panic);
+        let nths = |site| -> Vec<u64> { storm.scheduled(site).iter().map(|&(n, _)| n).collect() };
+        assert_eq!(nths("serve::page"), [1, 21, 69, 29, 15]);
+        assert_eq!(nths("engine::prepare"), [29, 19, 55]);
     }
 }

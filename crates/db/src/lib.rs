@@ -12,10 +12,15 @@
 //!
 //! Nothing in this crate knows about queries; see `rda-query` for the
 //! query/hypergraph layer and `rda-core` for the access structures.
+//!
+//! It also holds the fault substrate every crate above it shares: the
+//! deterministic fault registry ([`FaultPlan`], [`install`], [`trip`])
+//! and the one poison-recovery helper ([`recover`]).
 
 mod database;
 mod dict;
 mod encoded;
+mod fault;
 mod parallel;
 mod persist;
 mod relation;
@@ -26,6 +31,10 @@ mod value;
 pub use database::{Database, MutationLog, RelationDelta};
 pub use dict::Dictionary;
 pub use encoded::{key_ids, radix_sort_rows, relation_encode_count, EncodedRelation, KeyIds};
+pub use fault::{
+    hits, install, poison_recoveries, recover, trip, FaultAction, FaultGuard, FaultPlan,
+    InjectedFault,
+};
 pub use persist::{
     open_delta, open_snapshot, save_delta, save_snapshot, PersistError, SnapshotStore,
 };

@@ -49,14 +49,15 @@
 //! on the session that asked, which stays usable; the execution slot
 //! is released on every path out, unwinding included; and all locks
 //! recover from poisoning instead of propagating it
-//! ([`Server::stats`] counts the recoveries on the serving layer's own
-//! locks). Hostile build costs are
-//! contained by [`rda_core::BuildBudget`]. Every failure reaches the
-//! caller as a typed [`ServeError`], and the caller re-issues: one more
-//! call recovers from `Overloaded`, `DeadlineExceeded` or `Internal`,
-//! and [`Session::repair`] turns a stale cursor into one at the same
-//! rank of the fresh sequence. Deterministic chaos schedules for all
-//! of it live in [`mod@fault`].
+//! ([`Server::stats`] counts the recoveries, the engine's included).
+//! Hostile build costs are contained by [`rda_core::BuildBudget`].
+//! Every failure reaches the caller as a typed [`ServeError`], and the
+//! caller re-issues: one more call recovers from `Overloaded`,
+//! `DeadlineExceeded` or `Internal`, and [`Session::repair`] turns a
+//! stale cursor into one at the same rank of the fresh sequence.
+//! Deterministic chaos schedules for all of it arm an
+//! [`rda_db::FaultPlan`] over the engine's build and prepare sites and
+//! this crate's [`SITE_SERVE_PAGE`].
 //!
 //! ```
 //! use rda_serve::{Server, ServerConfig};
@@ -95,10 +96,11 @@
 
 mod cursor;
 mod error;
-pub mod fault;
 mod server;
 mod sync;
 
 pub use cursor::{Cursor, CursorError, Token};
 pub use error::{ServeError, StaleReason};
-pub use server::{PageOutcome, Prepared, Server, ServerConfig, Session, StatsSnapshot};
+pub use server::{
+    PageOutcome, Prepared, Server, ServerConfig, Session, StatsSnapshot, SITE_SERVE_PAGE,
+};

@@ -18,8 +18,13 @@ use rda_query::{Cq, FdSet};
 
 use crate::cursor::{Cursor, CursorView, Token};
 use crate::error::{ServeError, StaleReason};
-use crate::fault;
 use crate::sync;
+
+/// Fault site: entry of page execution (`page`, `stream_next`,
+/// `page_batch`), within the request's panic fence — a scheduled panic
+/// here simulates a bug in page execution and must surface as a typed
+/// error with the execution slot released.
+pub const SITE_SERVE_PAGE: &str = "serve::page";
 
 /// Tunables for a [`Server`].
 #[derive(Debug, Clone)]
@@ -129,12 +134,11 @@ pub struct StatsSnapshot {
     /// Panics converted into typed [`ServeError::Internal`] replies by
     /// the per-request fence.
     pub panics_caught: u64,
-    /// Poisoned guards recovered instead of propagated on `rda_serve`'s
-    /// own locks: the admission mutex and request registry of every
-    /// [`Server`] in the process (the count is process-wide, not per
-    /// server). Poison the [`Engine`] recovers on its plan-cache,
-    /// snapshot and build-budget locks is not counted. 0 in a healthy
-    /// process.
+    /// Poisoned guards recovered instead of propagated, process-wide
+    /// ([`rda_db::poison_recoveries`], not per server): the admission
+    /// mutex and request registry of every [`Server`], and the
+    /// [`Engine`]'s plan-cache, snapshot and build-budget locks. 0 in a
+    /// healthy process.
     pub poison_recoveries: u64,
 }
 
@@ -307,7 +311,7 @@ impl Server {
             stale_cursors: load(&s.stale_cursors),
             bad_cursors: load(&s.bad_cursors),
             panics_caught: load(&s.panics_caught),
-            poison_recoveries: sync::poison_recoveries(),
+            poison_recoveries: rda_db::poison_recoveries(),
         }
     }
 
@@ -423,7 +427,7 @@ impl Server {
     ) -> Result<PageOutcome, ServeError> {
         // Chaos site INSIDE the fence: an injected panic here simulates
         // a bug in page execution and must come back as a typed error.
-        fault::trip(fault::SITE_SERVE_PAGE).map_err(|f| ServeError::Internal {
+        rda_db::trip(SITE_SERVE_PAGE).map_err(|f| ServeError::Internal {
             detail: f.to_string(),
         })?;
         let cursor = self.view(token)?;
@@ -689,7 +693,8 @@ fn validate_cursor(cursor: &CursorView<'_>, snap: &Snapshot) -> Result<bool, Ser
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{self, FaultAction, FaultPlan, SITE_ENGINE_PREPARE as PREPARE};
+    use rda_core::SITE_ENGINE_PREPARE as PREPARE;
+    use rda_db::{self as fault, FaultAction, FaultPlan};
 
     /// The lock-count contract: on a warm session a clean page, stream
     /// and batch each take the admission mutex twice (slot in, slot

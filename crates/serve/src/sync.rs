@@ -7,30 +7,14 @@
 //! all times mid-critical-section from another thread's perspective
 //! (map inserts of `Arc`s, the admission counts and pause flag) — so
 //! propagating poison would convert one contained failure into a
-//! permanently dead server for no integrity gain. These helpers
-//! recover the guard instead, and count every recovery so chaos tests
-//! (and [`StatsSnapshot`](crate::StatsSnapshot)) can assert that
-//! poison was seen and survived rather than silently impossible.
+//! permanently dead server for no integrity gain. These helpers take
+//! the guard back through [`rda_db::recover`], which counts every
+//! recovery so chaos tests (and [`StatsSnapshot`](crate::StatsSnapshot))
+//! can assert that poison was seen and survived rather than silently
+//! impossible.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{
-    Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
-};
-
-/// Process-wide count of poisoned guards recovered (a lock poisoned
-/// once reports a recovery per subsequent acquisition).
-static RECOVERIES: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn poison_recoveries() -> u64 {
-    RECOVERIES.load(Ordering::Relaxed)
-}
-
-fn recover<T>(r: Result<T, PoisonError<T>>) -> T {
-    r.unwrap_or_else(|e| {
-        RECOVERIES.fetch_add(1, Ordering::Relaxed);
-        e.into_inner()
-    })
-}
+use rda_db::recover;
+use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 // The locks this thread took through these helpers, by address.
 #[cfg(test)]
@@ -61,6 +45,7 @@ pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rda_db::poison_recoveries;
 
     #[test]
     fn poisoned_mutex_is_recovered_and_counted() {

@@ -10,14 +10,21 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rda_core::{BuildBudget, BuildError, DirectAccess, Engine, OrderSpec, PlanError, Policy};
-use rda_db::{Database, Snapshot, Tuple, Value};
+use rda_db::{Database, FaultAction, FaultPlan, Snapshot, Tuple, Value};
 use rda_query::parser::parse;
 use rda_query::{Cq, FdSet};
-use rda_serve::fault::{self, FaultAction, FaultPlan};
 use rda_serve::{ServeError, Server, ServerConfig, Token};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
+
+/// The fault items this suite names, in one place: the registry is
+/// `rda_db`'s, each site its own crate's.
+mod fault {
+    pub(crate) use rda_core::{SITE_ENGINE_PREPARE, SITE_LEXDA_BUILD, SITE_SUMDA_BUILD};
+    pub(crate) use rda_db::{hits, install};
+    pub(crate) use rda_serve::SITE_SERVE_PAGE;
+}
 
 static SERIAL: Mutex<()> = Mutex::new(());
 

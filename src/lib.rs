@@ -211,7 +211,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`rda_db`] | values, tuples, relations, databases, frozen dictionary-encoded snapshots, the checksummed on-disk snapshot format |
+//! | [`rda_db`] | values, tuples, relations, databases, frozen dictionary-encoded snapshots, the checksummed on-disk snapshot format, the fault registry and poison recovery every crate above shares |
 //! | [`rda_query`] | CQ AST/parser, hypergraphs, join trees, connexity, disruptive trios, layered join trees, contraction, FDs, classification |
 //! | [`rda_orderstat`] | quickselect, weighted selection, sorted-matrix selection |
 //! | [`rda_core`] | the `Engine`/`AccessPlan` serving core plus the paper's access/selection algorithms |
