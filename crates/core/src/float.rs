@@ -97,6 +97,7 @@ impl fmt::Display for TotalF64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn total_order_sorts() {
@@ -141,5 +142,16 @@ mod tests {
         assert!(s > inf, "the one NaN sorts above +∞");
         let empty: TotalF64 = std::iter::empty().sum();
         assert_eq!(empty.0.to_bits(), (-0.0f64).to_bits());
+    }
+
+    proptest! {
+        #[test]
+        fn total_f64_ordering_is_total(a in proptest::num::f64::NORMAL, b in proptest::num::f64::NORMAL) {
+            let (x, y) = (TotalF64(a), TotalF64(b));
+            // Antisymmetry + totality.
+            prop_assert_eq!(x < y, y > x);
+            prop_assert!(x <= y || y <= x);
+            prop_assert_eq!(x == y, a == b);
+        }
     }
 }

@@ -59,8 +59,10 @@
 mod budget;
 mod engine;
 mod error;
+mod float;
 mod lexda;
 mod lexsel;
+mod matrix;
 mod plan;
 mod random_order;
 mod rankdir;
@@ -76,6 +78,7 @@ pub use engine::{
     SITE_ENGINE_PREPARE,
 };
 pub use error::BuildError;
+pub use float::TotalF64;
 pub use lexda::{LexDirectAccess, SITE_LEXDA_BUILD};
 pub use lexsel::SelectionLexHandle;
 pub use plan::{AccessPlan, Backend, DirectAccess, Explain, RankedAnswers};

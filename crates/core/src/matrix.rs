@@ -9,7 +9,7 @@
 //! is exactly the SUM-selection subproblem of Lemma 7.10 (one matrix per
 //! join-key bucket).
 //!
-//! ## Substitution note (documented in DESIGN.md)
+//! ## Substitution note
 //!
 //! Frederickson–Johnson 1984 achieves the bound deterministically with
 //! an intricate pruning scheme. We use randomized pivoting instead: pick
@@ -25,7 +25,7 @@ use std::ops::Add;
 /// An implicit sorted matrix: cell `(i, j)` has value
 /// `rows[i] + cols[j]`.
 #[derive(Debug, Clone)]
-pub struct SortedMatrix<W> {
+pub(crate) struct SortedMatrix<W> {
     rows: Vec<W>,
     cols: Vec<W>,
 }
@@ -35,7 +35,7 @@ impl<W: Copy + Ord + Add<Output = W>> SortedMatrix<W> {
     ///
     /// # Panics
     /// Panics (debug only) if a vector is not sorted.
-    pub fn new(rows: Vec<W>, cols: Vec<W>) -> Self {
+    pub(crate) fn new(rows: Vec<W>, cols: Vec<W>) -> Self {
         debug_assert!(rows.windows(2).all(|w| w[0] <= w[1]), "rows must be sorted");
         debug_assert!(cols.windows(2).all(|w| w[0] <= w[1]), "cols must be sorted");
         SortedMatrix { rows, cols }
@@ -98,7 +98,7 @@ impl<W: Copy + Ord + Add<Output = W>> SortedMatrix<W> {
 /// A union of implicit sorted matrices supporting k-th smallest
 /// selection across all cells.
 #[derive(Debug, Clone)]
-pub struct MatrixUnion<W> {
+pub(crate) struct MatrixUnion<W> {
     matrices: Vec<SortedMatrix<W>>,
 }
 
@@ -115,28 +115,23 @@ struct Scratch<W> {
 
 impl<W: Copy + Ord + Add<Output = W>> MatrixUnion<W> {
     /// Build from matrices (empty ones are allowed and ignored).
-    pub fn new(matrices: Vec<SortedMatrix<W>>) -> Self {
+    pub(crate) fn new(matrices: Vec<SortedMatrix<W>>) -> Self {
         MatrixUnion { matrices }
     }
 
     /// Total number of cells.
-    pub fn cell_count(&self) -> u64 {
+    pub(crate) fn cell_count(&self) -> u64 {
         self.matrices.iter().map(SortedMatrix::cell_count).sum()
     }
 
-    /// Count cells ≤ `bound` across the union.
-    pub fn count_leq(&self, bound: W) -> u64 {
-        self.count_split(bound).1
-    }
-
     /// Count cells < `bound` across the union.
-    pub fn count_lt(&self, bound: W) -> u64 {
+    pub(crate) fn count_lt(&self, bound: W) -> u64 {
         self.count_split(bound).0
     }
 
     /// The k-th smallest cell value (0-indexed) across the union, or
     /// `None` if `k ≥ cell_count()`. Expected `O((rows+cols) · log N)`.
-    pub fn select(&self, k: u64) -> Option<W> {
+    pub(crate) fn select(&self, k: u64) -> Option<W> {
         self.select_pair(k, k).map(|(w, _)| w)
     }
 
@@ -149,7 +144,7 @@ impl<W: Copy + Ord + Add<Output = W>> MatrixUnion<W> {
     /// buffer of column ranges, a slot per row of every matrix, matrix
     /// after matrix, refilled each round; and the candidate values of
     /// the last round.
-    pub fn select_pair(&self, first: u64, last: u64) -> Option<(W, W)> {
+    pub(crate) fn select_pair(&self, first: u64, last: u64) -> Option<(W, W)> {
         if first > last || last >= self.cell_count() {
             return None;
         }
@@ -259,6 +254,7 @@ impl<W: Copy + Ord + Add<Output = W>> MatrixUnion<W> {
 mod tests {
     use super::*;
     use crate::float::TotalF64;
+    use proptest::prelude::*;
 
     fn naive_union(mats: &[(&[i64], &[i64])]) -> Vec<i64> {
         let mut all = Vec::new();
@@ -314,12 +310,12 @@ mod tests {
     #[test]
     fn count_leq_and_lt() {
         let u = union_of(&[(&[1, 2], &[10, 20])]);
-        // cells: 11, 21, 12, 22
-        assert_eq!(u.count_leq(11), 1);
+        // cells: 11, 21, 12, 22; (cells < bound, cells ≤ bound)
+        assert_eq!(u.count_split(11), (0, 1));
         assert_eq!(u.count_lt(11), 0);
-        assert_eq!(u.count_leq(21), 3);
+        assert_eq!(u.count_split(21), (2, 3));
         assert_eq!(u.count_lt(21), 2);
-        assert_eq!(u.count_leq(100), 4);
+        assert_eq!(u.count_split(100), (4, 4));
     }
 
     #[test]
@@ -402,8 +398,9 @@ mod tests {
         for bound in [-1, 0, 3, 17, 40, 100] {
             let below =
                 |keep: fn(i64, i64) -> bool| all.iter().filter(|&&v| keep(v, bound)).count();
-            assert_eq!(u.count_lt(bound), below(|v, b| v < b) as u64, "{bound}");
-            assert_eq!(u.count_leq(bound), below(|v, b| v <= b) as u64, "{bound}");
+            let (lt, leq) = (below(|v, b| v < b) as u64, below(|v, b| v <= b) as u64);
+            assert_eq!(u.count_split(bound), (lt, leq), "{bound}");
+            assert_eq!(u.count_lt(bound), lt, "{bound}");
         }
     }
 
@@ -420,6 +417,56 @@ mod tests {
         all.sort_unstable();
         for k in [0usize, 1, 777, 20_000, 39_999] {
             assert_eq!(u.select(k as u64), Some(all[k]), "k={k}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn matrix_union_select_matches_enumeration(
+            specs in proptest::collection::vec(
+                (proptest::collection::vec(-50i64..50, 1..12),
+                 proptest::collection::vec(-50i64..50, 1..12)),
+                1..4,
+            ),
+            k_frac in 0.0f64..1.0,
+        ) {
+            let mut cells: Vec<i64> = Vec::new();
+            let mats: Vec<SortedMatrix<i64>> = specs
+                .into_iter()
+                .map(|(mut rows, mut cols)| {
+                    rows.sort_unstable();
+                    cols.sort_unstable();
+                    for &r in &rows {
+                        for &c in &cols {
+                            cells.push(r + c);
+                        }
+                    }
+                    SortedMatrix::new(rows, cols)
+                })
+                .collect();
+            cells.sort_unstable();
+            let u = MatrixUnion::new(mats);
+            prop_assert_eq!(u.cell_count(), cells.len() as u64);
+            let k = ((cells.len() - 1) as f64 * k_frac) as u64;
+            prop_assert_eq!(u.select(k), Some(cells[k as usize]));
+            prop_assert_eq!(u.select(cells.len() as u64), None);
+        }
+
+        #[test]
+        fn matrix_counts_match_enumeration(
+            rows in proptest::collection::vec(-20i64..20, 1..15),
+            cols in proptest::collection::vec(-20i64..20, 1..15),
+            bound in -45i64..45,
+        ) {
+            let mut r = rows.clone();
+            let mut c = cols.clone();
+            r.sort_unstable();
+            c.sort_unstable();
+            let u = MatrixUnion::new(vec![SortedMatrix::new(r.clone(), c.clone())]);
+            let leq = r.iter().flat_map(|&x| c.iter().map(move |&y| x + y)).filter(|&s| s <= bound).count() as u64;
+            let lt = r.iter().flat_map(|&x| c.iter().map(move |&y| x + y)).filter(|&s| s < bound).count() as u64;
+            prop_assert_eq!(u.count_split(bound), (lt, leq));
+            prop_assert_eq!(u.count_lt(bound), lt);
         }
     }
 }

@@ -18,6 +18,7 @@
 use crate::budget::{BudgetMeter, BuildBudget, BuildCost, PhaseClock};
 use crate::engine::OrderSpec;
 use crate::error::BuildError;
+use crate::float::TotalF64;
 use crate::plan::DirectAccess;
 use crate::snapprep::{
     join_atoms, normalize_encoded, prepare_instance, project_view, reduce_atoms,
@@ -25,7 +26,6 @@ use crate::snapprep::{
 use crate::weights::{weight_key, Weights};
 use crate::window::WindowBuf;
 use rda_db::{radix_sort_rows, Database, EncodedRelation, Snapshot, Tuple, Value};
-use rda_orderstat::TotalF64;
 use rda_query::classify::Problem;
 use rda_query::{positions_of, Cq, FdSet, VarId};
 use std::cell::RefCell;

@@ -12,9 +12,11 @@
 //!    travels with its absorber, and a row's weight is the sum of the
 //!    weights of the columns assigned to its atom, read from a dense
 //!    `code → weight` table per column;
-//! 3. one atom left (Lemma 7.8): expected-linear quickselect on row
-//!    weights; two atoms left (Lemma 7.10): bucket both by the join key
-//!    and select over a union of implicit sorted matrices (Theorem 7.9);
+//! 3. one atom left (Lemma 7.8): worst-case linear selection on row
+//!    weights (the standard library's `select_nth_unstable`, in the
+//!    role of Blum et al. \[10\]); two atoms left (Lemma 7.10): bucket
+//!    both by the join key and select over a union of implicit sorted
+//!    matrices (Theorem 7.9);
 //! 4. decode the chosen rows into an answer.
 //!
 //! Steps 1–2, the row weights and the weight-sorted buckets do not
@@ -34,12 +36,13 @@
 
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
+use crate::float::TotalF64;
+use crate::matrix::{MatrixUnion, SortedMatrix};
 use crate::plan::DirectAccess;
 use crate::snapprep::prepare_reduced;
 use crate::weights::{weight_key, Weights};
 use crate::window::WindowBuf;
 use rda_db::{key_ids, radix_sort_rows, EncodedRelation, Snapshot, Tuple, Value};
-use rda_orderstat::{select_nth_by, MatrixUnion, SortedMatrix, TotalF64};
 use rda_query::classify::Problem;
 use rda_query::{
     maximal_contraction, positions_of, shared_positions, ContractionStep, Cq, FdSet, VarId, VarSet,
@@ -255,8 +258,8 @@ impl SelectionSumHandle {
             Shape::Empty => [0, 0],
             Shape::Single(weights) => {
                 let mut items: WeightedRows = weights.iter().copied().zip(0..).collect();
-                let nth = select_nth_by(&mut items, k as usize, Ord::cmp);
-                [nth.expect("the rank is below the row count").1, 0]
+                let (_, nth, _) = items.select_nth_unstable(k as usize);
+                [nth.1, 0]
             }
             Shape::Pair {
                 sides: [a, b],
@@ -326,9 +329,9 @@ impl SelectionSumHandle {
 
     /// The rows of the answer at rank `k` of (weight, head codes), or
     /// `None` when `k ≥ len()`. Two atoms: one selection, one count
-    /// below its weight, and a quickselect by codes inside the plateau
-    /// at that weight. One atom: a quickselect by (weight, codes) over
-    /// the rows.
+    /// below its weight, and a linear-time selection by codes inside
+    /// the plateau at that weight. One atom: a linear-time selection by
+    /// (weight, codes) over the rows.
     fn rows_at(&self, k: u64) -> Option<[u32; 2]> {
         if k >= self.total {
             return None;
@@ -340,8 +343,8 @@ impl SelectionSumHandle {
             }
             Shape::Empty | Shape::Single(_) => (self.rows_between(None, None), k),
         };
-        let nth = select_nth_by(&mut rows, at as usize, |x, y| self.by_rank(x, y));
-        Some(nth.expect("the rank lies in its plateau").1)
+        let (_, nth, _) = rows.select_nth_unstable_by(at as usize, |x, y| self.by_rank(x, y));
+        Some(nth.1)
     }
 
     /// The `first`-th and the `last`-th smallest answer weights,
@@ -350,16 +353,12 @@ impl SelectionSumHandle {
         match &self.shape {
             Shape::Empty => (EMPTY_SUM, EMPTY_SUM),
             Shape::Single(weights) => {
-                // The quickselect leaves rank `first` in its place and
-                // everything after it no lighter.
+                // `select_nth_unstable` leaves rank `first` in its place
+                // and everything after it no lighter, as it documents.
                 let mut weights = weights.clone();
                 let (first, last) = (first as usize, last as usize);
-                let a = *select_nth_by(&mut weights, first, Ord::cmp).expect("first < len");
-                let tail = &mut weights[first..];
-                (
-                    a,
-                    *select_nth_by(tail, last - first, Ord::cmp).expect("last < len"),
-                )
+                let a = *weights.select_nth_unstable(first).1;
+                (a, *weights[first..].select_nth_unstable(last - first).1)
             }
             Shape::Pair { union, .. } => union.select_pair(first, last).expect("last < len"),
         }
@@ -424,7 +423,8 @@ impl DirectAccess for SelectionSumHandle {
     }
 
     /// The answer at index `k` of (weight, tuple): one selection, one
-    /// count below its weight, and a quickselect inside its plateau.
+    /// count below its weight, and a linear-time selection inside its
+    /// plateau.
     fn access_into(&self, k: u64, out: &mut Vec<Value>) -> bool {
         out.clear();
         let Some(rows) = self.rows_at(k) else {
@@ -683,5 +683,57 @@ mod tests {
             .with_i64_rows("S", 2, vec![vec![5, 3]]);
         let r = select_at(&q, &db, &Weights::identity(), 0, &FdSet::empty()).unwrap();
         assert!(r.is_none());
+    }
+
+    #[test]
+    fn single_atom_plateaus_rank_by_weight_then_codes() {
+        // One atom whose weights x + y form plateaus of 1 to 6 equal
+        // weights, rows inserted out of order: every selection by weight
+        // alone lands inside or at the edge of a plateau.
+        let q = parse("Q(x, y) :- R(x, y)").unwrap();
+        let cells = (0..36).map(|i| (i * 13) % 36);
+        let db = Database::new().with_i64_rows("R", 2, cells.map(|c| vec![c / 6, c % 6]));
+        let handle =
+            SelectionSumHandle::new(&q, &db.freeze(), Weights::identity(), &FdSet::empty())
+                .unwrap();
+        assert!(matches!(handle.shape, Shape::Single(_)));
+        // The handle's order: a full sort by (weight, codes).
+        let mut sorted: Vec<(i64, [i64; 2])> = (0..6)
+            .flat_map(|x| (0..6).map(move |y| (x + y, [x, y])))
+            .collect();
+        sorted.sort_unstable();
+        let tuple =
+            |[x, y]: [i64; 2]| -> Tuple { [Value::int(x), Value::int(y)].into_iter().collect() };
+        let expect: Vec<(TotalF64, Tuple)> = sorted
+            .iter()
+            .map(|&(w, xy)| (TotalF64(w as f64), tuple(xy)))
+            .collect();
+        assert_eq!(handle.len(), 36);
+        for (k, want) in expect.iter().enumerate() {
+            let (w, t) = handle.select_once(k as u64).unwrap();
+            assert_eq!(w, want.0, "select_once({k})");
+            let sum: i64 = t.values().iter().map(|v| v.as_int().unwrap()).sum();
+            assert_eq!(TotalF64(sum as f64), w, "select_once({k}) witness");
+            assert_eq!(
+                handle.access_weighted(k as u64).as_ref(),
+                Some(want),
+                "access_weighted({k})"
+            );
+        }
+        assert!(handle.select_once(36).is_none());
+        assert!(handle.access_weighted(36).is_none());
+        // Every window, those that start and end inside plateaus
+        // included: both ends' weights come from `weights_at`.
+        let mut out = WindowBuf::new();
+        for a in 0..36 {
+            for b in a + 1..=37 {
+                handle.access_range_into(a..b, &mut out);
+                let want: Vec<Tuple> = expect[a as usize..b.min(36) as usize]
+                    .iter()
+                    .map(|(_, t)| t.clone())
+                    .collect();
+                assert_eq!(out.to_tuples(), want, "window {a}..{b}");
+            }
+        }
     }
 }

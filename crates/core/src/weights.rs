@@ -7,9 +7,9 @@
 //! running examples where "the weights are assumed to be identical to
 //! the attribute values" (Figure 2d).
 
+use crate::float::TotalF64;
 use crate::snapprep::dense_len;
 use rda_db::{Dictionary, Value};
-use rda_orderstat::TotalF64;
 use rda_query::{Cq, VarId};
 use std::collections::HashMap;
 

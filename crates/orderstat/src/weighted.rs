@@ -6,7 +6,7 @@
 //! return the item whose run contains index `k`. In the paper, Lemma 6.6
 //! uses this to pick the value of the next lexicographic variable from a
 //! histogram of answer counts in linear time — sorting the active domain
-//! first would already blow the `O(n)` budget. This crate's LEX
+//! first would already blow the `O(n)` budget. The workspace's LEX
 //! selection needs neither: over dense order-preserving codes its
 //! histogram is a table already in value order, and one prefix scan
 //! finds the value (`rda_core`'s `lexsel`). The one caller left is the

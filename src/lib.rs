@@ -213,28 +213,24 @@
 //! |---|---|
 //! | [`rda_db`] | values, tuples, relations, databases, frozen dictionary-encoded snapshots, the checksummed on-disk snapshot format, the fault registry and poison recovery every crate above shares |
 //! | [`rda_query`] | CQ AST/parser, hypergraphs, join trees, connexity, disruptive trios, layered join trees, contraction, FDs, classification |
-//! | [`rda_orderstat`] | quickselect, weighted selection, sorted-matrix selection |
-//! | [`rda_core`] | the `Engine`/`AccessPlan` serving core plus the paper's access/selection algorithms |
+//! | [`rda_core`] | the `Engine`/`AccessPlan` serving core plus the paper's access/selection algorithms and their order statistics |
 //! | [`rda_baseline`] | the value-level oracles: materialize-and-sort, preprocessing on `Relation`s, the pre-arena `HashLexDirectAccess`, any-k ranked enumeration, decomposition rewrites |
 //! | [`rda_serve`] | in-process request front door: sessions, opaque resumable cursors, backpressure |
 
 pub use rda_baseline;
 pub use rda_core;
 pub use rda_db;
-pub use rda_orderstat;
 pub use rda_query;
 pub use rda_serve;
 
 /// The commonly used types and functions in one import.
 pub mod prelude {
-    pub use rda_baseline::{all_answers, MaterializedAccess};
     pub use rda_core::{
         AccessPlan, Backend, BuildError, DirectAccess, Engine, LexDirectAccess, OrderSpec,
         PlanError, Policy, RankedAnswers, SelectionLexHandle, SelectionSumHandle, SumDirectAccess,
-        Weights, WindowBuf,
+        TotalF64, Weights, WindowBuf,
     };
     pub use rda_db::{Database, PersistError, Relation, Snapshot, SnapshotStore, Tuple, Value};
-    pub use rda_orderstat::TotalF64;
     pub use rda_query::classify::{classify, Problem, Reason, Verdict};
     pub use rda_query::parser::parse;
     pub use rda_query::{Cq, CqBuilder, FdSet, VarId, VarSet};

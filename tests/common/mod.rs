@@ -4,6 +4,7 @@
 //! sequence against its oracle. A suite takes it with `mod common;`.
 
 use ranked_access::prelude::*;
+use ranked_access::rda_baseline::MaterializedAccess;
 use std::cell::Cell;
 use std::ops::Range;
 use std::path::{Path, PathBuf};

@@ -2,6 +2,7 @@
 //! instances, mixed value types, deep structures, and every error path.
 
 use ranked_access::prelude::*;
+use ranked_access::rda_baseline::all_answers;
 
 fn no_fds() -> FdSet {
     FdSet::empty()

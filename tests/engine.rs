@@ -10,6 +10,7 @@ mod common;
 use common::{backend_catalog, conforms, random_db};
 use proptest::prelude::*;
 use ranked_access::prelude::*;
+use ranked_access::rda_baseline::all_answers;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]

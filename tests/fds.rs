@@ -3,6 +3,7 @@
 //! problems.
 
 use ranked_access::prelude::*;
+use ranked_access::rda_baseline::all_answers;
 
 fn tup(vals: &[i64]) -> Tuple {
     vals.iter().map(|&v| Value::int(v)).collect()

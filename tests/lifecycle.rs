@@ -27,6 +27,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use ranked_access::prelude::*;
+use ranked_access::rda_baseline::{all_answers, MaterializedAccess};
 use ranked_access::rda_query::Fd;
 use ranked_access::rda_serve::{PageOutcome, ServeError, Server, Session, StaleReason, Token};
 use std::collections::{BTreeSet, HashMap};

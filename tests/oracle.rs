@@ -8,7 +8,9 @@ mod common;
 use common::{conforms, random_db};
 use proptest::prelude::*;
 use ranked_access::prelude::*;
-use ranked_access::rda_baseline::{HashLexDirectAccess, RankedEnumerator};
+use ranked_access::rda_baseline::{
+    all_answers, HashLexDirectAccess, MaterializedAccess, RankedEnumerator,
+};
 use std::sync::Arc;
 
 /// Queries with at least one tractable LEX order, with that order.

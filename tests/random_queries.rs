@@ -12,6 +12,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use ranked_access::prelude::*;
+use ranked_access::rda_baseline::{all_answers, MaterializedAccess};
 
 /// Build a random full acyclic CQ with `n_atoms` atoms over at most
 /// `max_vars` variables. Construction: atom 0 takes fresh variables;

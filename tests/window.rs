@@ -12,6 +12,7 @@ mod common;
 
 use common::{conforms, positional_weights, three_path_db, two_path_db, CountingAccess};
 use ranked_access::prelude::*;
+use ranked_access::rda_baseline::MaterializedAccess;
 use std::sync::Arc;
 
 fn ident(_: VarId, v: &Value) -> f64 {
