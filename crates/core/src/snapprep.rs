@@ -52,7 +52,7 @@ use std::collections::HashMap;
 pub(crate) type EncRel<'a> = Cow<'a, EncodedRelation>;
 
 /// Marks, in a dense FD table, a determinant code no row carries.
-const NO_CODE: u32 = u32::MAX;
+const NONE: u32 = u32::MAX;
 
 /// The length of a dense table indexed by the codes of `codes`: one
 /// past the largest. Codes are dictionary ranks, so this stays at or
@@ -62,27 +62,36 @@ pub(crate) fn dense_len(codes: &[u32]) -> usize {
 }
 
 /// The FD `lhs → rhs` of `rel` (columns `lp`, `rp`) as a dense
-/// code-indexed table: `table[code(u)] = code(v)` for every row
-/// `(u, v)`, [`NO_CODE`] elsewhere. Codes are dense dictionary ranks,
-/// so the table is no longer than the dictionary and a lookup is one
-/// array read. Fails with [`BuildError::FdViolated`] when two rows
-/// disagree on a determinant's image.
+/// code-indexed table of rows: `table[code(u)]` is the first row whose
+/// determinant is `u`, [`NONE`] for a code no row carries. Codes are
+/// dense dictionary ranks, so the table is no longer than the
+/// dictionary and a lookup is one array read. Fails with
+/// [`BuildError::FdViolated`] when two rows disagree on a determinant's
+/// image.
 fn fd_table(rel: &EncodedRelation, lp: usize, rp: usize, fd: &Fd) -> Result<Vec<u32>, BuildError> {
     let (lhs, rhs) = (rel.col(lp), rel.col(rp));
-    let mut table = vec![NO_CODE; dense_len(lhs)];
-    for (&u, &v) in lhs.iter().zip(rhs) {
+    let mut table = vec![NONE; dense_len(lhs)];
+    for (r, (&u, &v)) in (0u32..).zip(lhs.iter().zip(rhs)) {
         let slot = &mut table[u as usize];
-        if *slot != NO_CODE && *slot != v {
+        if *slot == NONE {
+            *slot = r;
+        } else if rhs[*slot as usize] != v {
             return Err(BuildError::FdViolated(fd.clone()));
         }
-        *slot = v;
     }
     Ok(table)
 }
 
-/// The image of determinant code `u` under a table of [`fd_table`].
-fn fd_image(table: &[u32], u: u32) -> Option<u32> {
-    table.get(u as usize).copied().filter(|&v| v != NO_CODE)
+/// The entry for code `u` of a dense table of [`fd_table`] or of a
+/// [`Derivation`], `None` where no row carries it.
+fn fd_entry(table: &[u32], u: u32) -> Option<u32> {
+    table.get(u as usize).copied().filter(|&v| v != NONE)
+}
+
+/// Whether `rel`'s rows ascend strictly over all its columns.
+fn is_normalized(rel: &EncodedRelation) -> bool {
+    let all: Vec<usize> = (0..rel.arity()).collect();
+    (1..rel.len()).all(|r| rel.cmp_rows_on(r - 1, r, &all).is_lt())
 }
 
 /// Code-keyed FD derivation for the FD `from → var`, under the
@@ -99,67 +108,52 @@ impl Derivation {
     /// The code of `var` implied by the code `from_code` of `from`, or
     /// `None` when no row carries that determinant.
     pub(crate) fn image(&self, from_code: u32) -> Option<u32> {
-        fd_image(&self.table, from_code)
+        fd_entry(&self.table, from_code)
     }
 }
 
 /// Normalize in code space: validate the query against the snapshot
 /// ([`BuildError::MissingRelation`], [`BuildError::ArityMismatch`]) and
 /// produce, per atom of [`Cq::normalized`], its encoded relation.
-/// Self-join occurrences *borrow the same snapshot relation*; atoms
-/// with repeated variables get a filtered, projected copy.
+/// Self-join occurrences *borrow the same snapshot relation*. An atom
+/// with repeated variables keeps the rows that agree with each
+/// variable's first occurrence, gathered onto the first occurrences:
+/// [`Cq::normalized`] keeps those in order, so the kept rows stay
+/// distinct and ascending, unsorted.
 pub(crate) fn normalize_encoded<'a>(
     q: &Cq,
     snap: &'a Snapshot,
 ) -> Result<(Cq, Vec<EncRel<'a>>), BuildError> {
     let nq = q.normalized();
-    let encs = q
-        .atoms()
-        .iter()
-        .map(|atom| {
-            let enc = snap
-                .encoded(&atom.relation)
-                .ok_or_else(|| BuildError::MissingRelation(atom.relation.clone()))?;
-            if enc.arity() != atom.terms.len() {
-                return Err(BuildError::ArityMismatch {
-                    relation: atom.relation.clone(),
-                    expected: atom.terms.len(),
-                    found: enc.arity(),
-                });
-            }
-            Ok(enc)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
     let mut rels: Vec<EncRel<'a>> = Vec::with_capacity(q.atoms().len());
-    for ((atom, natom), enc) in q.atoms().iter().zip(nq.atoms()).zip(encs) {
+    for (atom, natom) in q.atoms().iter().zip(nq.atoms()) {
+        let enc = snap
+            .encoded(&atom.relation)
+            .ok_or_else(|| BuildError::MissingRelation(atom.relation.clone()))?;
+        if enc.arity() != atom.terms.len() {
+            return Err(BuildError::ArityMismatch {
+                relation: atom.relation.clone(),
+                expected: atom.terms.len(),
+                found: enc.arity(),
+            });
+        }
         if natom.terms.len() == atom.terms.len() {
             // No repeated variables; the snapshot's normalized encoding
             // is exactly the normalized relation.
             rels.push(Cow::Borrowed(enc));
             continue;
         }
-        // Repeated variables: keep rows whose repeated positions agree
-        // (first occurrence is the witness), drop duplicate columns.
-        let keep_positions: Vec<usize> = natom
-            .terms
-            .iter()
-            .map(|t| atom.terms.iter().position(|x| x == t).expect("present"))
+        let firsts = positions_of(&atom.terms, &atom.terms);
+        let repeats: Vec<(&[u32], &[u32])> = (0..firsts.len())
+            .filter(|&p| firsts[p] != p)
+            .map(|p| (enc.col(p), enc.col(firsts[p])))
             .collect();
-        let firsts: Vec<usize> = atom
-            .terms
-            .iter()
-            .map(|t| atom.terms.iter().position(|x| x == t).expect("present"))
+        let keep: Vec<u32> = (0..enc.len() as u32)
+            .filter(|&r| repeats.iter().all(|(c, f)| c[r as usize] == f[r as usize]))
             .collect();
-        let mut out = EncodedRelation::new(keep_positions.len());
-        let mut row_buf: Vec<u32> = Vec::with_capacity(keep_positions.len());
-        for row in 0..enc.len() {
-            if (0..atom.terms.len()).all(|p| enc.code(row, p) == enc.code(row, firsts[p])) {
-                row_buf.clear();
-                row_buf.extend(keep_positions.iter().map(|&p| enc.code(row, p)));
-                out.push_row(&row_buf);
-            }
-        }
-        out.normalize();
+        let onto = (0..firsts.len()).filter(|&p| firsts[p] == p);
+        let out = enc.gather(&keep, onto);
+        debug_assert!(is_normalized(&out), "kept rows on first occurrences ascend");
         rels.push(Cow::Owned(out));
     }
     Ok((nq, rels))
@@ -186,9 +180,12 @@ pub(crate) fn check_fds_encoded(
     Ok(())
 }
 
-/// Replay the FD-extension steps on the encoded relations (Lemma 8.5),
-/// widening atoms by their implied columns and dropping dangling rows.
-/// Atoms no step touches keep their borrowed snapshot relation.
+/// Replay the FD-extension steps on the encoded relations (Lemma 8.5).
+/// A step keeps the rows whose determinant the FD's relation (`via`, as
+/// it stands at that step) carries, each gathered beside the `via` row
+/// [`fd_table`] names, read at the implied column; a dangling row is
+/// dropped. Distinct ascending rows widened by a column stay so,
+/// unsorted. Atoms no step touches keep their borrowed relation.
 pub(crate) fn extend_instance_encoded<'a>(
     ext: &FdExtension,
     nq: &Cq,
@@ -207,42 +204,31 @@ pub(crate) fn extend_instance_encoded<'a>(
         let ExtensionStep::ExtendAtom { atom, added, via } = step else {
             continue; // PromoteVar has no instance effect.
         };
-        // The `lhs code → rhs code` map of the FD, from its relation's
+        // The `lhs code → row` table of the FD, from its relation's
         // current contents.
         let vi = *index_of
             .get(via.relation.as_str())
             .ok_or_else(|| BuildError::MissingRelation(via.relation.clone()))?;
-        let vlp = schema[vi]
-            .iter()
-            .position(|&t| t == via.lhs)
-            .expect("FD lhs in relation schema");
-        let vrp = schema[vi]
-            .iter()
-            .position(|&t| t == via.rhs)
-            .expect("FD rhs in relation schema");
-        let lookup = fd_table(&rels[vi], vlp, vrp, via)?;
+        let vp = positions_of(&schema[vi], &[via.lhs, via.rhs]);
+        let lookup = fd_table(&rels[vi], vp[0], vp[1], via)?;
 
         let ti = *index_of
             .get(atom.as_str())
             .expect("extension step names a known atom");
-        let lp = schema[ti]
-            .iter()
-            .position(|&t| t == via.lhs)
-            .expect("target atom contains the FD's lhs");
+        let lp = positions_of(&schema[ti], &[via.lhs])[0];
         schema[ti].push(*added);
         let src = &rels[ti];
-        let mut out = EncodedRelation::new(src.arity() + 1);
-        let mut row_buf: Vec<u32> = Vec::with_capacity(src.arity() + 1);
-        for row in 0..src.len() {
-            if let Some(rhs) = fd_image(&lookup, src.code(row, lp)) {
-                row_buf.clear();
-                row_buf.extend((0..src.arity()).map(|p| src.code(row, p)));
-                row_buf.push(rhs);
-                out.push_row(&row_buf);
-            }
-            // else: dangling row, dropped.
-        }
-        out.normalize();
+        let (keep, partners): (Vec<u32>, Vec<u32>) = (0u32..)
+            .zip(src.col(lp))
+            .filter_map(|(r, &u)| Some((r, fd_entry(&lookup, u)?)))
+            .unzip();
+        let out = src
+            .gather(&keep, 0..src.arity())
+            .beside(rels[vi].gather(&partners, [vp[1]]));
+        debug_assert!(
+            is_normalized(&out),
+            "a column added to distinct ascending rows"
+        );
         rels[ti] = Cow::Owned(out);
     }
     debug_assert!(
@@ -284,10 +270,14 @@ pub(crate) fn build_derivations_encoded(
             .ok_or_else(|| BuildError::MissingRelation(fd.relation.clone()))?;
         let lp = atom.position_of(fd.lhs).expect("lhs in atom");
         let rp = atom.position_of(fd.rhs).expect("rhs in atom");
+        // Each determinant's row, read at `rhs` (`NONE` is past them all).
+        let rows = fd_table(&rels[ai], lp, rp, fd)?.into_iter();
+        let rhs = rels[ai].col(rp);
+        let table = rows.map(|r| rhs.get(r as usize).map_or(NONE, |&v| v));
         out.push(Derivation {
             var: *var,
             from: fd.lhs,
-            table: fd_table(&rels[ai], lp, rp, fd)?,
+            table: table.collect(),
         });
         known = known.with(*var);
     }
@@ -329,8 +319,10 @@ pub(crate) fn reduce_atoms(q: &Cq, rels: &mut [EncRel<'_>]) {
 /// [`normalize_encoded`] returns them) and the variables naming its
 /// columns: the materialized fallback's input, cyclic queries included.
 /// An acyclic query is fully reduced, then joined along its join tree;
-/// a cyclic one joins in atom order. Each step matches rows through
-/// [`rda_db::key_ids`] and charges its output to `meter` first.
+/// a cyclic one joins in atom order, from the first atom's relation.
+/// Each step matches rows through [`rda_db::key_ids`] into (probe row,
+/// partner row) lists, charging its output to `meter` before they are
+/// allocated, and gathers both sides.
 pub(crate) fn join_atoms(
     nq: &Cq,
     mut rels: Vec<EncRel<'_>>,
@@ -343,11 +335,13 @@ pub(crate) fn join_atoms(
         }
         None => (0..rels.len()).collect(),
     };
-    // Start from the one empty assignment.
-    let mut vars: Vec<VarId> = Vec::new();
-    let mut acc = EncodedRelation::new(0);
-    acc.push_row(&[]);
-    for i in order {
+    let (&first, rest) = order.split_first().expect("a query has an atom");
+    let mut vars: Vec<VarId> = nq.atoms()[first].terms.clone();
+    let rows = rels[first].len() as u64;
+    meter.charge(rows * 4 * vars.len() as u64, rows)?;
+    let mut acc =
+        std::mem::replace(&mut rels[first], Cow::Owned(EncodedRelation::new(0))).into_owned();
+    for &i in rest {
         let (terms, rel) = (&nq.atoms()[i].terms, &*rels[i]);
         let (acc_keys, keys) = shared_positions(&vars, terms);
         let fresh: Vec<usize> = (0..terms.len()).filter(|p| !keys.contains(p)).collect();
@@ -366,18 +360,18 @@ pub(crate) fn join_atoms(
         let rows: u64 = ids.probe.iter().map(|&id| partners(id).len() as u64).sum();
         let arity = vars.len() + fresh.len();
         meter.charge(rows * 4 * arity as u64, rows)?;
-        let mut joined = EncodedRelation::new(arity);
-        let mut row: Vec<u32> = Vec::with_capacity(arity);
-        for (r, &id) in ids.probe.iter().enumerate() {
+        let mut left = Vec::with_capacity(rows as usize);
+        let mut right = Vec::with_capacity(rows as usize);
+        for (r, &id) in (0u32..).zip(ids.probe.iter()) {
             for &s in partners(id) {
-                row.clear();
-                row.extend((0..vars.len()).map(|p| acc.code(r, p)));
-                row.extend(fresh.iter().map(|&p| rel.code(s as usize, p)));
-                joined.push_row(&row);
+                left.push(r);
+                right.push(s);
             }
         }
+        acc = acc
+            .gather(&left, 0..vars.len())
+            .beside(rel.gather(&right, fresh.iter().copied()));
         vars.extend(fresh.iter().map(|&p| terms[p]));
-        acc = joined;
     }
     Ok((vars, acc))
 }
@@ -396,10 +390,7 @@ pub(crate) fn project_view<'a>(
     if !positions.iter().copied().eq(0..rel.arity()) {
         return Cow::Owned(rel.project(positions));
     }
-    debug_assert!(
-        (1..rel.len()).all(|r| rel.cmp_rows_on(r - 1, r, positions).is_lt()),
-        "a projected relation is normalized"
-    );
+    debug_assert!(is_normalized(rel), "a projected relation is normalized");
     match last {
         true => std::mem::replace(rel, Cow::Owned(EncodedRelation::new(0))),
         false => rel.clone(),
@@ -520,6 +511,8 @@ pub(crate) fn prepare_reduced<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
     use rda_db::{tup, Database, Tuple};
     use rda_query::parser::parse;
 
@@ -717,39 +710,198 @@ mod tests {
         }
     }
 
+    /// Random rows: `n` of them, `arity` wide, each value below `dom`.
+    fn random_rows(rng: &mut StdRng, arity: usize, n: usize, dom: i64) -> Vec<Vec<i64>> {
+        (0..n)
+            .map(|_| (0..arity).map(|_| rng.random_range(0..dom)).collect())
+            .collect()
+    }
+
+    /// A random relation satisfying the FD `0 → 1`: most values below
+    /// `dom` get one image, the rest none (their rows dangle).
+    fn random_fd_rows(rng: &mut StdRng, dom: i64) -> Vec<Vec<i64>> {
+        (0..dom)
+            .filter_map(|u| {
+                let image = rng.random_range(0..dom);
+                (rng.random_range(0..4) > 0).then(|| vec![u, image])
+            })
+            .collect()
+    }
+
+    /// The prelude's relations before reduction — normalized and
+    /// FD-extended in code space — against `rda_baseline`'s value-level
+    /// `normalize_instance` / `extend_instance`, atom by atom and row by
+    /// row (so also ascending and distinct), on random instances: a
+    /// repeated variable at each position and twice, dangling rows, and
+    /// an FD chain whose `via` relation an earlier step already
+    /// extended. An FD violation fails typed in code space, on the
+    /// check and on the extension, where the value level panics.
+    /// `join_atoms` is checked against the value-level join of an
+    /// acyclic query, a self-join and a triangle.
+    #[test]
+    fn prelude_and_join_match_value_level() {
+        use rand::SeedableRng;
+
+        type Case<'a> = (&'a str, &'a [(&'a str, &'a str, &'a str)]);
+        let prelude: [Case; 7] = [
+            ("Q(x, y) :- R(x, x, y)", &[]),
+            ("Q(x, y) :- R(y, x, x)", &[]),
+            ("Q(x, y) :- R(x, y, x)", &[]),
+            ("Q(x) :- R(x, x, x)", &[]),
+            ("Q(x, y, z) :- R(x, y, x), S(y, z)", &[]),
+            ("Q(x, z) :- R(x, y), S(y, z)", &[("S", "y", "z")]),
+            // T's FD comes first: S is extended by w through T, then R
+            // by z through the already extended (and filtered) S.
+            (
+                "Q(x, w) :- R(x, y), S(y, z), T(z, w)",
+                &[("T", "z", "w"), ("S", "y", "z")],
+            ),
+        ];
+        let joins = [
+            "Q(x, y, z, w) :- R(x, y), S(y, z), T(z, w)",
+            "Q(x, y, z) :- R(x, y), R(y, z)",
+            "Q(x, y, z) :- R(x, y), S(y, z), T(z, x)",
+        ];
+        let mut chained = false;
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let dom = 3 + seed as i64 % 4;
+            let (r3, r2) = (
+                random_rows(&mut rng, 3, 24, dom),
+                random_rows(&mut rng, 2, 12, dom),
+            );
+            let (s, t) = (random_fd_rows(&mut rng, dom), random_fd_rows(&mut rng, dom));
+            let db = |r: &Vec<Vec<i64>>| {
+                Database::new()
+                    .with_i64_rows("R", r[0].len(), r.clone())
+                    .with_i64_rows("S", 2, s.clone())
+                    .with_i64_rows("T", 2, t.clone())
+            };
+            for (text, fd_list) in prelude {
+                let q = parse(text).unwrap();
+                let db = db(if q.atoms()[0].terms.len() == 3 {
+                    &r3
+                } else {
+                    &r2
+                });
+                let snap = db.clone().freeze();
+                let fds = FdSet::parse(&q, fd_list);
+                let (nq, rels) = normalize_encoded(&q, &snap).unwrap();
+                check_fds_encoded(&nq, &rels, &fds).unwrap();
+                let ext = fd_extension(&nq, &fds);
+                let rels = extend_instance_encoded(&ext, &nq, rels).unwrap();
+
+                let (vq, vdb) = rda_baseline::normalize_instance(&q, &db);
+                assert_eq!(vq.atoms(), nq.atoms(), "{text}");
+                let vdb = rda_baseline::extend_instance(&fd_extension(&vq, &fds), &vdb);
+                for (atom, enc) in ext.query.atoms().iter().zip(&rels) {
+                    let mut expect = vdb.get(&atom.relation).unwrap().tuples().to_vec();
+                    expect.sort();
+                    assert_eq!(enc.arity(), atom.terms.len(), "{text}, seed {seed}");
+                    assert_eq!(
+                        decoded(enc, &snap),
+                        expect,
+                        "{text}, seed {seed}: atom {}",
+                        atom.relation
+                    );
+                }
+                let mut extended = Vec::new();
+                for step in &ext.steps {
+                    if let ExtensionStep::ExtendAtom { atom, via, .. } = step {
+                        chained |= extended.contains(&&via.relation);
+                        extended.push(atom);
+                    }
+                }
+            }
+
+            for text in joins {
+                let q = parse(text).unwrap();
+                let db = db(&r2);
+                let snap = db.clone().freeze();
+                let (nq, rels) = normalize_encoded(&q, &snap).unwrap();
+                let mut meter = crate::BuildBudget::UNLIMITED.meter();
+                let (vars, joined) = join_atoms(&nq, rels, &mut meter).unwrap();
+                let head = positions_of(&vars, q.free());
+                let mut got: Vec<Tuple> = decoded(&joined, &snap)
+                    .iter()
+                    .map(|t| t.project(&head))
+                    .collect();
+                got.sort();
+                let mut expect = rda_baseline::all_answers(&q, &db);
+                expect.sort();
+                assert_eq!(got, expect, "{text}, seed {seed}");
+            }
+        }
+        assert!(
+            chained,
+            "some FD step reads a relation an earlier one extended"
+        );
+
+        // S violates y → z: both code-space steps refuse it, typed.
+        let q = parse("Q(x, z) :- R(x, y), S(y, z)").unwrap();
+        let fds = FdSet::parse(&q, &[("S", "y", "z")]);
+        let db = Database::new()
+            .with_i64_rows("R", 2, vec![vec![1, 10], vec![2, 20]])
+            .with_i64_rows("S", 2, vec![vec![10, 7], vec![10, 8], vec![20, 9]]);
+        let snap = db.clone().freeze();
+        let (nq, rels) = normalize_encoded(&q, &snap).unwrap();
+        assert!(matches!(
+            check_fds_encoded(&nq, &rels, &fds),
+            Err(BuildError::FdViolated(_))
+        ));
+        let ext = fd_extension(&nq, &fds);
+        assert!(matches!(
+            extend_instance_encoded(&ext, &nq, rels),
+            Err(BuildError::FdViolated(_))
+        ));
+        let (vq, vdb) = rda_baseline::normalize_instance(&q, &db);
+        let vext = fd_extension(&vq, &fds);
+        let value_level = std::panic::catch_unwind(|| rda_baseline::extend_instance(&vext, &vdb));
+        assert!(
+            value_level.is_err(),
+            "the value level panics on a violation"
+        );
+    }
+
     /// Join-key ids, as the join kernels here consume them, against
     /// their definition for every key width from the empty key to six
     /// columns: equal ids iff equal keys, build ids below `len`, and a
     /// probe row without a partner matches none.
     #[test]
     fn key_ids_are_equal_exactly_on_equal_keys() {
-        let rows = |seed: u32, n: u32| {
-            let mut rel = EncodedRelation::new(6);
-            for i in 0..n {
-                let x = i.wrapping_mul(2654435761).wrapping_add(seed);
-                // The last column reaches 9 on the probe side only.
-                let last = if seed == 1 { x % 10 } else { x % 3 };
-                rel.push_row(&[x % 3, (x >> 3) % 2, 7, (x >> 5) % 3, (x >> 7) % 2, last]);
-            }
-            rel
+        let rows = |seed: u32, n: u32| -> Vec<Vec<i64>> {
+            (0..n)
+                .map(|i| {
+                    let x = i.wrapping_mul(2654435761).wrapping_add(seed);
+                    // The last column reaches 9 on the probe side only.
+                    let last = if seed == 1 { x % 10 } else { x % 3 };
+                    [x % 3, (x >> 3) % 2, 7, (x >> 5) % 3, (x >> 7) % 2, last]
+                        .map(i64::from)
+                        .to_vec()
+                })
+                .collect()
         };
-        let (probe, build) = (rows(1, 40), rows(2, 25));
+        let snap = Database::new()
+            .with_i64_rows("P", 6, rows(1, 40))
+            .with_i64_rows("B", 6, rows(2, 25))
+            .freeze();
+        let (probe, build) = (snap.encoded("P").unwrap(), snap.encoded("B").unwrap());
         for width in 0..=6 {
             let keys: Vec<usize> = (6 - width..6).collect();
-            let ids = rda_db::key_ids(&probe, &keys, &build, &keys);
+            let ids = rda_db::key_ids(probe, &keys, build, &keys);
             let key = |rel: &EncodedRelation, r: usize| -> Vec<u32> {
                 keys.iter().map(|&p| rel.code(r, p)).collect()
             };
             assert!(ids.build.iter().all(|&id| (id as usize) < ids.len));
             for (r, &id) in ids.probe.iter().enumerate() {
                 for (s, &other) in ids.build.iter().enumerate() {
-                    let same = key(&probe, r) == key(&build, s);
+                    let same = key(probe, r) == key(build, s);
                     assert_eq!(id == other, same, "width {width} rows {r}/{s}");
                 }
             }
             for (r, &id) in ids.build.iter().enumerate() {
                 for (s, &other) in ids.build.iter().enumerate() {
-                    assert_eq!(id == other, key(&build, r) == key(&build, s));
+                    assert_eq!(id == other, key(build, r) == key(build, s));
                 }
             }
         }

@@ -39,10 +39,7 @@ pub fn relation_encode_count() -> u64 {
 /// One encoded column: a run of `u32` codes, either owned by this
 /// process or a **zero-copy view** into a persisted snapshot's mapped
 /// bytes (see [`crate::persist`]). Reading is uniform through `Deref`;
-/// the first mutation of a mapped column copies it out of the map
-/// ([`Column::make_mut`]) — snapshot columns are immutable after
-/// normalization, so in practice mapped columns are never copied by
-/// the serving paths.
+/// no column is written in place.
 #[derive(Clone)]
 enum Column {
     /// Codes owned in process memory.
@@ -52,17 +49,6 @@ enum Column {
 }
 
 impl Column {
-    /// Mutable access, copying a mapped column into owned memory first.
-    fn make_mut(&mut self) -> &mut Vec<u32> {
-        if let Column::Mapped(m) = self {
-            *self = Column::Owned(m.as_slice().to_vec());
-        }
-        match self {
-            Column::Owned(v) => v,
-            Column::Mapped(_) => unreachable!("just converted to owned"),
-        }
-    }
-
     /// The sub-column `lo..hi`: a copy for owned columns, a narrowed
     /// view (no copy at all) for mapped ones.
     fn slice(&self, lo: usize, hi: usize) -> Column {
@@ -224,8 +210,10 @@ fn extend_remapped(out: &mut Vec<u32>, codes: &[u32], remap: Option<&[u32]>) {
 /// Row `r`'s attribute `p` lives at `col(p)[r]`. Operations mirror the
 /// [`Relation`](crate::Relation) operators the preprocessing phases
 /// use, restricted to what the builders need; all are linear or
-/// quasilinear. Equality is by content — an owned relation and a mapped
-/// view of the same rows compare equal.
+/// quasilinear. A relation derived from another by picking rows — a
+/// filter, a reordering, a join step's side — goes through the one
+/// [gather](EncodedRelation::gather). Equality is by content — an
+/// owned relation and a mapped view of the same rows compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedRelation {
     rows: usize,
@@ -297,18 +285,6 @@ impl EncodedRelation {
         self.cols[col][row]
     }
 
-    /// Append one row of codes.
-    ///
-    /// # Panics
-    /// Panics on arity mismatch.
-    pub fn push_row(&mut self, codes: &[u32]) {
-        assert_eq!(codes.len(), self.arity(), "arity mismatch");
-        for (c, &v) in self.cols.iter_mut().zip(codes) {
-            c.make_mut().push(v);
-        }
-        self.rows += 1;
-    }
-
     /// Compare two rows on the given columns, in order.
     pub fn cmp_rows_on(&self, a: usize, b: usize, positions: &[usize]) -> Ordering {
         for &p in positions {
@@ -320,19 +296,40 @@ impl EncodedRelation {
         Ordering::Equal
     }
 
-    /// Keep exactly the rows listed in `keep` (ascending, distinct),
-    /// e.g. a plan produced by [`EncodedRelation::semijoin_plan`].
-    pub fn retain_rows(&mut self, keep: &[u32]) {
-        self.apply_permutation(keep);
+    /// The rows listed in `rows` onto the columns listed in `cols`, in
+    /// any order and with repeats: row `i` is row `rows[i]` read at
+    /// `cols`. One pass per column; not an encoding.
+    ///
+    /// # Panics
+    /// Panics if a listed column, or (with any column listed) a listed
+    /// row, is out of range.
+    pub fn gather(&self, rows: &[u32], cols: impl IntoIterator<Item = usize>) -> EncodedRelation {
+        debug_assert!(rows.iter().all(|&r| (r as usize) < self.rows));
+        let gather = |p: usize| {
+            let col = &*self.cols[p];
+            Column::from(rows.iter().map(|&r| col[r as usize]).collect::<Vec<u32>>())
+        };
+        EncodedRelation {
+            rows: rows.len(),
+            cols: cols.into_iter().map(gather).collect(),
+        }
     }
 
-    /// Reorder rows to the given permutation (`perm[new] = old`).
-    fn apply_permutation(&mut self, perm: &[u32]) {
-        for c in self.cols.iter_mut() {
-            let reordered: Vec<u32> = perm.iter().map(|&old| c[old as usize]).collect();
-            *c = Column::from(reordered);
-        }
-        self.rows = perm.len();
+    /// This relation's columns, then `other`'s, row beside row.
+    ///
+    /// # Panics
+    /// Panics if the two row counts differ.
+    pub fn beside(mut self, other: EncodedRelation) -> EncodedRelation {
+        assert_eq!(self.rows, other.rows, "row count mismatch");
+        self.cols.extend(other.cols);
+        self
+    }
+
+    /// Keep exactly the rows listed in `keep` (ascending, distinct),
+    /// e.g. a plan produced by [`EncodedRelation::semijoin_plan`]: a
+    /// [gather](EncodedRelation::gather) onto every column.
+    pub fn retain_rows(&mut self, keep: &[u32]) {
+        *self = self.gather(keep, 0..self.arity());
     }
 
     /// Put the rows in ascending order of the column sequence `order`
@@ -386,7 +383,7 @@ impl EncodedRelation {
         if dedup {
             perm.dedup_by(|later, first| cmp_on(&cols, *first as usize, *later as usize).is_eq());
         }
-        self.apply_permutation(&perm);
+        *self = self.gather(&perm, 0..self.arity());
     }
 
     /// Sort rows by the given key columns, ties broken by the full row
@@ -424,9 +421,7 @@ impl EncodedRelation {
         if prefix && ascent(&cols, self.rows) == (true, false) {
             let first = |&r: &u32| r == 0 || cmp_on(&cols, r as usize - 1, r as usize).is_ne();
             let keep: Vec<u32> = (0..self.rows as u32).filter(first).collect();
-            let gather = |c: &&[u32]| keep.iter().map(|&r| c[r as usize]).collect();
-            let cols = cols.iter().map(gather).collect();
-            return EncodedRelation::from_owned_columns(keep.len(), cols);
+            return self.gather(&keep, positions.iter().copied());
         }
         let mut out = EncodedRelation {
             rows: self.rows,
@@ -626,13 +621,7 @@ impl EncodedRelation {
         let keep: Vec<u32> = (0..self.rows as u32)
             .filter(|&r| in_range(c[r as usize]))
             .collect();
-        let gather = |col: &Column| -> Column {
-            Column::from(keep.iter().map(|&r| col[r as usize]).collect::<Vec<u32>>())
-        };
-        EncodedRelation {
-            rows: keep.len(),
-            cols: self.cols.iter().map(gather).collect(),
-        }
+        self.gather(&keep, 0..self.arity())
     }
 
     /// Decode row `row` back into an owned [`Tuple`].
@@ -766,13 +755,16 @@ mod tests {
         let ranked: Vec<RankedRelation> = rels.iter().map(|r| RankedRelation::new(r)).collect();
         let dict = Dictionary::from_ranked(&ranked);
         let encode = |r: &&Relation| {
-            let mut enc = EncodedRelation::new(r.arity());
             let mut row = Vec::new();
-            for t in r.tuples() {
-                assert!(dict.encode_tuple_into(t, &mut row));
-                enc.push_row(&row);
-            }
-            enc
+            let rows: Rows = r
+                .tuples()
+                .iter()
+                .map(|t| {
+                    assert!(dict.encode_tuple_into(t, &mut row));
+                    row.clone()
+                })
+                .collect();
+            relation_of(r.arity(), &rows)
         };
         let encs = rels.iter().map(encode).collect();
         (dict, encs)
@@ -891,8 +883,7 @@ mod tests {
         let other = EncodedRelation::new(0);
         assert!(semijoined(&enc, &[], &other, &[]).is_empty());
 
-        let mut other = EncodedRelation::new(0);
-        other.push_row(&[]);
+        let other = EncodedRelation::from_owned_columns(1, Vec::new());
         assert_eq!(enc.semijoin_plan(&[], &other, &[]), None);
     }
 
@@ -956,16 +947,6 @@ mod tests {
         assert!(enc.slice_rows(3, 3).is_empty());
     }
 
-    #[test]
-    fn push_row_roundtrip() {
-        let mut enc = EncodedRelation::new(2);
-        enc.push_row(&[3, 1]);
-        enc.push_row(&[0, 2]);
-        assert_eq!(enc.len(), 2);
-        assert_eq!(enc.col(0), &[3, 0]);
-        assert_eq!(enc.code(1, 1), 2);
-    }
-
     // ---- The relation kernels against a naive set model ------------
 
     use proptest::prelude::*;
@@ -975,12 +956,12 @@ mod tests {
 
     type Rows = Vec<Vec<u32>>;
 
+    /// `rows` as a relation's owned columns, in the order given.
     fn relation_of(arity: usize, rows: &Rows) -> EncodedRelation {
-        let mut rel = EncodedRelation::new(arity);
-        for r in rows {
-            rel.push_row(r);
-        }
-        rel
+        let cols = (0..arity)
+            .map(|p| rows.iter().map(|r| r[p]).collect())
+            .collect();
+        EncodedRelation::from_owned_columns(rows.len(), cols)
     }
 
     fn rows_of(rel: &EncodedRelation) -> Rows {
@@ -1077,6 +1058,45 @@ mod tests {
         if rows_a == model {
             assert_eq!(mapped_columns(&n), mapped_columns(a), "case {case}");
         }
+
+        // gather: random rows (repeats, any order; none of an empty
+        // relation) onto random columns (repeats, any order; none for
+        // arity 0).
+        let picked: Vec<u32> = match rows_a.len() {
+            0 => Vec::new(),
+            n => (0..draw.below(2 * n + 2))
+                .map(|_| draw.below(n) as u32)
+                .collect(),
+        };
+        let width = if a.arity() == 0 {
+            0
+        } else {
+            draw.below(a.arity() + 3)
+        };
+        let onto = draw.positions(width, a.arity().max(1));
+        let model: Rows = picked
+            .iter()
+            .map(|&r| pick(&rows_a[r as usize], &onto))
+            .collect();
+        let gathered = a.gather(&picked, onto.iter().copied());
+        assert_eq!(
+            (gathered.len(), gathered.arity()),
+            (picked.len(), onto.len()),
+            "gather {picked:?} onto {onto:?}, case {case}"
+        );
+        assert_eq!(
+            rows_of(&gathered),
+            model,
+            "gather {picked:?} onto {onto:?}, case {case}"
+        );
+        assert_eq!(mapped_columns(&gathered), 0, "case {case}");
+        // beside: the same rows gathered onto two halves of the column
+        // list, put side by side.
+        let (first, second) = onto.split_at(draw.below(onto.len() + 1));
+        let halves = a
+            .gather(&picked, first.iter().copied())
+            .beside(a.gather(&picked, second.iter().copied()));
+        assert_eq!(halves, gathered, "beside at {}, case {case}", first.len());
 
         // project onto random positions (none at all for arity 0).
         let width = if a.arity() == 0 {

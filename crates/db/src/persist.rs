@@ -874,6 +874,12 @@ pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Arc<Snapshot>, PersistErr
     }
 
     let dict_sec = expect_tag(&sections, 1, TAG_DICT)?;
+    // Every value takes at least 5 bytes (a tag, then a string's length
+    // or an integer), so the payload bounds the count before anything
+    // is sized by it.
+    if dict_len > dict_sec.payload.len() / 5 {
+        return Err(PersistError::Truncated { what: "dictionary" });
+    }
     let mut r = Rd::new(dict_sec.payload, "dictionary");
     let mut values = Vec::with_capacity(dict_len);
     for _ in 0..dict_len {
@@ -885,7 +891,7 @@ pub fn open_snapshot(path: impl AsRef<Path>) -> Result<Arc<Snapshot>, PersistErr
     }
     let dict = Arc::new(Dictionary::from_sorted(values));
 
-    if sections.len() != 2 + 2 * relation_count {
+    if relation_count.checked_mul(2).and_then(|n| n.checked_add(2)) != Some(sections.len()) {
         return Err(PersistError::Corrupt("relation section count mismatch"));
     }
     let mut encoded: BTreeMap<String, (Arc<EncodedRelation>, u64)> = BTreeMap::new();
@@ -965,7 +971,7 @@ pub fn open_delta(
     }
     r.done()?;
 
-    if sections.len() != 3 + 2 * dirty_count {
+    if dirty_count.checked_mul(2).and_then(|n| n.checked_add(3)) != Some(sections.len()) {
         return Err(PersistError::Corrupt("relation section count mismatch"));
     }
 

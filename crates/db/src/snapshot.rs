@@ -82,7 +82,8 @@ struct EncodedEntry {
 /// It keeps no value-level copy of the database it was frozen from. A
 /// snapshot is a *set* database: duplicate tuples of the source
 /// collapse, and [`Snapshot::to_database`] decodes the sets back (what
-/// a writer resuming after a restart, or a value-level fallback, reads).
+/// a writer resuming after a restart reads; every build, the
+/// materialized fallback included, reads the codes).
 ///
 /// Snapshots form a lineage: [`Database::freeze`] starts one at
 /// [`Snapshot::generation`] 0 and every [`Snapshot::freeze_delta`]

@@ -13,9 +13,10 @@
 #           comments: every `panic!`, `.expect(`, `.unwrap()`,
 #           `unreachable!`, `assert!` and `assert_eq!` (a `debug_assert`
 #           is not one);
+#   pdocs   `/// # Panics` doc sections in the non-test lines;
 #
-# and a total row. The panic total counts product crates only, so it
-# leaves out rda_baseline, the test oracle.
+# and a total row. The panics and pdocs totals count product crates
+# only, so they leave out rda_baseline, the test oracle.
 #
 # With TESTS_OUT it also runs `cargo test -- --list` over the default
 # members and writes the tier-1 test names there, sorted, one a line,
@@ -29,7 +30,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-printf '%-10s %7s %5s %7s\n' crate lines pub panics
+printf '%-10s %7s %5s %7s %6s\n' crate lines pub panics pdocs
 for dir in crates/*/; do
     awk -v crate="$(basename "$dir")" '
         FNR == 1 { live = 1 }
@@ -37,16 +38,18 @@ for dir in crates/*/; do
         /#\[cfg\(test\)\]/ { live = 0 }
         !live { next }
         { lines++ }
+        /^[[:space:]]*\/\/\/ # Panics[[:space:]]*$/ { pdocs++ }
         !/^[[:space:]]*\/\// {
             sub(/\/\/.*/, "")
             panics += gsub(/panic!|\.expect\(|\.unwrap\(\)|unreachable!/, "")
             panics += gsub(/(^|[^_[:alnum:]])assert(_eq)?!/, "")
         }
-        END { printf "%-10s %7d %5d %7d\n", crate, lines, pubs, panics }
+        END { printf "%-10s %7d %5d %7d %6d\n", crate, lines, pubs, panics, pdocs }
     ' "$dir"src/*.rs
 done | awk '
-    { print; lines += $2; pubs += $3; if ($1 != "baseline") panics += $4 }
-    END { printf "%-10s %7d %5d %7d\n", "total", lines, pubs, panics }'
+    { print; lines += $2; pubs += $3 }
+    $1 != "baseline" { panics += $4; pdocs += $5 }
+    END { printf "%-10s %7d %5d %7d %6d\n", "total", lines, pubs, panics, pdocs }'
 
 if [[ $# -ge 1 ]]; then
     out=$1

@@ -520,3 +520,47 @@ fn forged_relation_arity_fails_typed() {
         PersistError::Corrupt("relation arity exceeds the format")
     ));
 }
+
+/// `seed_db` saved, then its `META` field at `field` (a `u64`; the
+/// payload holds generation, uid, dictionary length, relation count)
+/// set to `value` *with* a matching section checksum, and opened. `META`
+/// is the first section: its header sits at 32, its payload at 56.
+fn open_with_forged_meta(name: &str, field: usize, value: u64) -> Result<(), PersistError> {
+    let td = TempDir::new(name);
+    let path = td.file("victim.rdas");
+    let mut db = Database::new();
+    db.add(seed_db().get("R").unwrap().clone());
+    save_snapshot(&db.freeze(), &path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+
+    let meta_end = 56 + u64::from_le_bytes(bytes[40..48].try_into().unwrap()) as usize;
+    let at = 56 + 8 * field;
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let sum = section_checksum(&bytes[56..meta_end]);
+    bytes[48..56].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    open_snapshot(&path).map(drop)
+}
+
+/// A dictionary length of `u32::MAX` — inside the code space, but far
+/// more values than the `DICT` payload can hold: the open must refuse
+/// it typed rather than reserve room for them all.
+#[test]
+fn forged_dictionary_length_fails_typed() {
+    let _g = guard();
+    assert!(matches!(
+        open_with_forged_meta("forged-dict-len", 2, u64::from(u32::MAX)),
+        Err(PersistError::Truncated { what: "dictionary" })
+    ));
+}
+
+/// A relation count whose section count overflows: the open must
+/// refuse it typed, in debug builds too.
+#[test]
+fn forged_relation_count_fails_typed() {
+    let _g = guard();
+    assert!(matches!(
+        open_with_forged_meta("forged-rel-count", 3, u64::MAX),
+        Err(PersistError::Corrupt("relation section count mismatch"))
+    ));
+}
