@@ -52,7 +52,7 @@
 use crate::budget::BuildBudget;
 use crate::error::BuildError;
 use crate::plan::{describe_reason, AccessPlan, Explain, RankedAnswers};
-use crate::snapprep::check_fds_apply;
+use crate::snapprep::check_query;
 use crate::weights::Weights;
 use crate::{LexDirectAccess, SelectionLexHandle, SelectionSumHandle, SumDirectAccess};
 use rda_db::{recover, Database, Snapshot, SnapshotStore};
@@ -641,7 +641,7 @@ fn prepare_on(
     policy: Policy,
     budget: BuildBudget,
 ) -> Result<AccessPlan, PlanError> {
-    check_fds_apply(q, fds)?;
+    check_query(q, fds)?;
     let materialize = |order: OrderSpec| {
         SumDirectAccess::materialize(q, snap, &order, budget).map(RankedAnswers::Materialized)
     };

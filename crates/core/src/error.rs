@@ -10,6 +10,9 @@ pub enum BuildError {
     /// The query/order combination is on the intractable side of the
     /// relevant dichotomy; the verdict carries the structural witness.
     NotTractable(Verdict),
+    /// The query has no atoms: a body the parser refuses is refused
+    /// here too.
+    NoAtoms,
     /// The database lacks a relation the query mentions.
     MissingRelation(String),
     /// A relation's arity differs from its atom's.
@@ -64,6 +67,7 @@ impl fmt::Display for BuildError {
                 Some(r) => write!(f, "intractable query/order combination: {r}"),
                 None => write!(f, "intractable query/order combination"),
             },
+            BuildError::NoAtoms => write!(f, "the query has no atoms"),
             BuildError::MissingRelation(r) => write!(f, "relation {r} missing from database"),
             BuildError::ArityMismatch {
                 relation,

@@ -1,105 +1,43 @@
 //! Selection on unions of implicit sorted matrices (the role of
 //! Frederickson & Johnson \[21\] in the paper's Theorem 7.9).
 //!
-//! A [`SortedMatrix`] represents all pairwise sums `rows[i] + cols[j]`
-//! of two ascending weight vectors without materializing them: rows and
-//! columns are non-decreasing, so "count cells ≤ λ" is a single
-//! staircase walk in O(rows + cols). A [`MatrixUnion`] is a collection
-//! of such matrices; selecting the k-th smallest cell across the union
-//! is exactly the SUM-selection subproblem of Lemma 7.10 (one matrix per
-//! join-key bucket).
+//! A [`MatrixUnion`] holds a vector of row weights and one of column
+//! weights, both cut into the same buckets and ascending inside each.
+//! A bucket stands for the matrix of all sums of one of its row weights
+//! and one of its column weights, never materialized. The cells of a
+//! row that lie between two ends form one run of columns, and both ends
+//! of the run move left as the row weight grows, so one staircase walk
+//! ([`MatrixUnion::staircase`], O(rows + cols)) finds every row's run:
+//! counting cells, narrowing the candidates and listing them are all
+//! that walk. Selecting the k-th smallest cell across the union is the
+//! SUM-selection subproblem of Lemma 7.10 (one bucket per join key);
+//! Lemma 7.8's single atom is a union whose one bucket has one column.
 //!
 //! ## Substitution note
 //!
 //! Frederickson–Johnson 1984 achieves the bound deterministically with
 //! an intricate pruning scheme. We use randomized pivoting instead: pick
-//! a uniformly random candidate cell, count cells below it (staircase
-//! walks), and halve the candidate set in expectation. With `N ≤ n²`
-//! cells this gives expected `O(n log n)` total — the same bound as the
-//! paper's usage, with the same "never materialize the matrix" access
-//! pattern.
+//! a random candidate cell, count cells below it (a staircase walk),
+//! and halve the candidate set in expectation. With `N ≤ n²` cells this
+//! gives expected `O(n log n)` total — the same bound as the paper's
+//! usage, with the same "never materialize the matrix" access pattern.
+//! The pivots come from a generator seeded by the ranks asked for, not
+//! from the clock, so a selection does the same work on every run.
 
-use rand::Rng;
-use std::ops::Add;
-
-/// An implicit sorted matrix: cell `(i, j)` has value
-/// `rows[i] + cols[j]`.
-#[derive(Debug, Clone)]
-pub(crate) struct SortedMatrix<W> {
-    rows: Vec<W>,
-    cols: Vec<W>,
-}
-
-impl<W: Copy + Ord + Add<Output = W>> SortedMatrix<W> {
-    /// Build from ascending row and column vectors.
-    ///
-    /// # Panics
-    /// Panics (debug only) if a vector is not sorted.
-    pub(crate) fn new(rows: Vec<W>, cols: Vec<W>) -> Self {
-        debug_assert!(rows.windows(2).all(|w| w[0] <= w[1]), "rows must be sorted");
-        debug_assert!(cols.windows(2).all(|w| w[0] <= w[1]), "cols must be sorted");
-        SortedMatrix { rows, cols }
-    }
-
-    /// Number of cells.
-    pub(crate) fn cell_count(&self) -> u64 {
-        self.rows.len() as u64 * self.cols.len() as u64
-    }
-
-    /// Count cells < `bound` and cells ≤ `bound` in one staircase walk
-    /// with two fronts, O(rows + cols).
-    fn count_split(&self, bound: W) -> (u64, u64) {
-        let (mut lt, mut leq) = (0u64, 0u64);
-        // First columns with value ≥ bound and > bound: both fronts
-        // only move left as the row value grows, `jl` never right of
-        // `je`.
-        let (mut jl, mut je) = (self.cols.len(), self.cols.len());
-        for &r in &self.rows {
-            while je > 0 && r + self.cols[je - 1] > bound {
-                je -= 1;
-            }
-            jl = jl.min(je);
-            while jl > 0 && r + self.cols[jl - 1] >= bound {
-                jl -= 1;
-            }
-            if je == 0 {
-                break;
-            }
-            lt += jl as u64;
-            leq += je as u64;
-        }
-        (lt, leq)
-    }
-
-    /// Write into `out` (one slot per row) the half-open column ranges
-    /// `[a_i, b_i)` of the cells with value in `(lo, hi]`; `None` bounds
-    /// mean unbounded. Staircases are monotone: as the row value grows,
-    /// both boundaries move left, so this is one walk, O(rows + cols).
-    fn row_ranges(&self, lo: Option<W>, hi: Option<W>, out: &mut [(usize, usize)]) {
-        let mut a = self.cols.len(); // first col with value > lo
-        let mut b = self.cols.len(); // first col with value > hi
-        for (&r, range) in self.rows.iter().zip(out) {
-            while a > 0 && lo.is_none_or(|lo| r + self.cols[a - 1] > lo) {
-                a -= 1;
-            }
-            while b > 0 && hi.is_some_and(|hi| r + self.cols[b - 1] > hi) {
-                b -= 1;
-            }
-            *range = (a.min(b), b);
-        }
-    }
-
-    /// Value of cell `(i, j)`.
-    fn cell(&self, i: usize, j: usize) -> W {
-        self.rows[i] + self.cols[j]
-    }
-}
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
+use std::ops::{Add, Range, RangeBounds};
 
 /// A union of implicit sorted matrices supporting k-th smallest
 /// selection across all cells.
-#[derive(Debug, Clone)]
 pub(crate) struct MatrixUnion<W> {
-    matrices: Vec<SortedMatrix<W>>,
+    /// The row weights and the column weights, each ascending inside a
+    /// bucket.
+    weights: [Vec<W>; 2],
+    /// Per bucket: the range of its row weights and of its column
+    /// weights.
+    buckets: Vec<[Range<usize>; 2]>,
 }
 
 /// When at most this many candidate cells remain, enumerate and sort.
@@ -107,21 +45,34 @@ const ENUMERATE_THRESHOLD: u64 = 1024;
 
 /// The buffers one selection reuses across its pivot rounds.
 struct Scratch<W> {
-    /// A column range per row of every matrix, matrix after matrix.
-    ranges: Vec<(usize, usize)>,
+    /// The run of candidate columns of every row.
+    runs: Vec<Range<usize>>,
     /// The candidate values of the last round.
     values: Vec<W>,
+    /// The pivots' generator, seeded by the ranks asked for.
+    rng: StdRng,
 }
 
 impl<W: Copy + Ord + Add<Output = W>> MatrixUnion<W> {
-    /// Build from matrices (empty ones are allowed and ignored).
-    pub(crate) fn new(matrices: Vec<SortedMatrix<W>>) -> Self {
-        MatrixUnion { matrices }
+    /// Build from the row and the column weights and, per bucket, the
+    /// range of each.
+    pub(crate) fn new(weights: [Vec<W>; 2], buckets: Vec<[Range<usize>; 2]>) -> Self {
+        debug_assert!(
+            (buckets.iter()).all(|b| (0..2).all(|s| weights[s][b[s].clone()].is_sorted())),
+            "a bucket's weights ascend"
+        );
+        MatrixUnion { weights, buckets }
     }
 
     /// Total number of cells.
-    pub(crate) fn cell_count(&self) -> u64 {
-        self.matrices.iter().map(SortedMatrix::cell_count).sum()
+    pub(crate) fn cell_count(&self) -> u128 {
+        let cells = |[rows, cols]: &[Range<usize>; 2]| rows.len() as u128 * cols.len() as u128;
+        self.buckets.iter().map(cells).sum()
+    }
+
+    /// Value of the cell of row `i` and column `j`.
+    pub(crate) fn cell(&self, i: usize, j: usize) -> W {
+        self.weights[0][i] + self.weights[1][j]
     }
 
     /// Count cells < `bound` across the union.
@@ -140,73 +91,101 @@ impl<W: Copy + Ord + Add<Output = W>> MatrixUnion<W> {
     /// `first ≤ last < cell_count()`. One selection: the pivot rounds
     /// that do not separate the two ranks serve both.
     ///
-    /// Two allocations whatever the number of pivot rounds: one flat
-    /// buffer of column ranges, a slot per row of every matrix, matrix
-    /// after matrix, refilled each round; and the candidate values of
-    /// the last round.
+    /// Two allocations whatever the number of pivot rounds: one run
+    /// per row, refilled each round, and the candidate values of the
+    /// last round.
     pub(crate) fn select_pair(&self, first: u64, last: u64) -> Option<(W, W)> {
-        if first > last || last >= self.cell_count() {
+        if first > last || u128::from(last) >= self.cell_count() {
             return None;
         }
         let mut scratch = Scratch {
-            ranges: vec![(0, 0); self.matrices.iter().map(|m| m.rows.len()).sum()],
+            runs: vec![0..0; self.weights[0].len()],
             values: Vec::with_capacity(ENUMERATE_THRESHOLD as usize),
+            rng: StdRng::seed_from_u64(first.rotate_left(32) ^ last),
         };
-        let [a, b] = self.select_within([first, last], None, 0, None, &mut scratch);
+        let [a, b] = self.select_within([first, last], Unbounded, 0, Unbounded, &mut scratch);
         Some((a, b))
     }
 
-    /// The cell values at ranks `ks` (ascending), all known to lie in
-    /// `(lo, hi]` (`None`: unbounded), with `below` cells at or under
-    /// `lo`: randomized pivot rounds narrow the bracket until at most
-    /// [`ENUMERATE_THRESHOLD`] candidates remain, which are sorted. A
-    /// pivot that separates the two ranks finishes each on its own side.
+    /// The staircase: for each row `i` of each bucket, the run of the
+    /// bucket's columns whose cells in row `i` lie between `lo` and
+    /// `hi`, as `each(i, run, before)`, `before` the number of the
+    /// bucket's columns left of the run. Both ends of the run move left
+    /// as the row weight grows, so the walk is O(rows + cols). A
+    /// bucket's walk stops at its first row whose run ends at the
+    /// bucket's first column: so does every later row's.
+    pub(crate) fn staircase(
+        &self,
+        lo: Bound<W>,
+        hi: Bound<W>,
+        mut each: impl FnMut(usize, Range<usize>, usize),
+    ) {
+        let [rows, cols] = &self.weights;
+        for [rs, cs] in &self.buckets {
+            let (mut start, mut end) = (cs.end, cs.end);
+            for i in rs.clone() {
+                let sum = |j: usize| rows[i] + cols[j];
+                while end > cs.start && !(Unbounded, hi).contains(&sum(end - 1)) {
+                    end -= 1;
+                }
+                start = start.min(end);
+                while start > cs.start && (lo, Unbounded).contains(&sum(start - 1)) {
+                    start -= 1;
+                }
+                if end == cs.start {
+                    break;
+                }
+                each(i, start..end, start - cs.start);
+            }
+        }
+    }
+
+    /// The cell values at ranks `ks` (ascending), all known to lie
+    /// between `lo` and `hi`, with `below` cells below `lo`: pivot
+    /// rounds narrow the bracket until at most [`ENUMERATE_THRESHOLD`]
+    /// candidates remain, which are sorted. A pivot that separates the
+    /// two ranks finishes each on its own side.
     fn select_within(
         &self,
         ks: [u64; 2],
-        mut lo: Option<W>,
+        mut lo: Bound<W>,
         mut below: u64,
-        mut hi: Option<W>,
+        mut hi: Bound<W>,
         scratch: &mut Scratch<W>,
     ) -> [W; 2] {
-        let mut rng = rand::rng();
         loop {
-            let ranges = &mut scratch.ranges;
-            let mut at = 0;
-            for m in &self.matrices {
-                m.row_ranges(lo, hi, &mut ranges[at..at + m.rows.len()]);
-                at += m.rows.len();
-            }
-            let candidates: u64 = ranges.iter().map(|&(a, b)| (b - a) as u64).sum();
+            let runs = &mut scratch.runs;
+            runs.fill(0..0);
+            self.staircase(lo, hi, |i, run, _| runs[i] = run);
+            let candidates: u64 = runs.iter().map(|run| run.len() as u64).sum();
             debug_assert!(candidates > 0, "the answer lies strictly above lo");
             if candidates <= ENUMERATE_THRESHOLD {
                 let values = &mut scratch.values;
                 values.clear();
-                for (m, i, (a, b)) in self.spans(ranges) {
-                    values.extend((a..b).map(|j| m.cell(i, j)));
+                for (i, run) in runs.iter().enumerate() {
+                    values.extend(run.clone().map(|j| self.cell(i, j)));
                 }
                 values.sort_unstable();
                 return ks.map(|k| values[(k - below) as usize]);
             }
-            // Random pivot among candidate cells.
-            let mut target = rng.random_range(0..candidates) as usize;
-            let (m, i, a) = self
-                .spans(ranges)
-                .find_map(|(m, i, (a, b))| match target.checked_sub(b - a) {
+            // A random pivot among the candidate cells.
+            let mut target = scratch.rng.random_range(0..candidates) as usize;
+            let (i, j) = (runs.iter().enumerate())
+                .find_map(|(i, run)| match target.checked_sub(run.len()) {
                     Some(rest) => {
                         target = rest;
                         None
                     }
-                    None => Some((m, i, a)),
+                    None => Some((i, run.start + target)),
                 })
                 .expect("target < candidates");
-            let p = m.cell(i, a + target);
+            let p = self.cell(i, j);
             let (lt, leq) = self.count_split(p);
             let [first, last] = ks;
             if leq <= first {
-                (lo, below) = (Some(p), leq);
+                (lo, below) = (Excluded(p), leq);
             } else if lt > last {
-                hi = Some(p);
+                hi = Included(p);
             } else if lt <= first && last < leq {
                 return [p, p]; // both ranks fall inside p's run of equals
             } else {
@@ -215,38 +194,28 @@ impl<W: Copy + Ord + Add<Output = W>> MatrixUnion<W> {
                 let first = if lt <= first {
                     p
                 } else {
-                    self.select_within([first; 2], lo, below, Some(p), scratch)[0]
+                    self.select_within([first; 2], lo, below, Included(p), scratch)[0]
                 };
                 let last = if last < leq {
                     p
                 } else {
-                    self.select_within([last; 2], Some(p), leq, hi, scratch)[0]
+                    self.select_within([last; 2], Excluded(p), leq, hi, scratch)[0]
                 };
                 return [first, last];
             }
         }
     }
 
-    /// Count cells < `bound` and ≤ `bound` across the union, one walk
-    /// per matrix.
+    /// Count cells < `bound` and ≤ `bound` across the union: per row,
+    /// the columns before its run of cells equal to `bound`, and those
+    /// up to the run's end.
     fn count_split(&self, bound: W) -> (u64, u64) {
-        let counts = self.matrices.iter().map(|m| m.count_split(bound));
-        counts.fold((0, 0), |(lt, leq), (l, e)| (lt + l, leq + e))
-    }
-
-    /// The column range of every row of every matrix in `ranges` (laid
-    /// out as [`MatrixUnion::select`] fills them), as (matrix, row,
-    /// range).
-    fn spans<'a>(
-        &'a self,
-        ranges: &'a [(usize, usize)],
-    ) -> impl Iterator<Item = (&'a SortedMatrix<W>, usize, (usize, usize))> + 'a {
-        let per_matrix = self.matrices.iter().scan(0, move |at, m| {
-            let mine = &ranges[*at..*at + m.rows.len()];
-            *at += m.rows.len();
-            Some((m, mine))
+        let (mut lt, mut leq) = (0, 0);
+        self.staircase(Included(bound), Included(bound), |_, run, before| {
+            lt += before as u64;
+            leq += (before + run.len()) as u64;
         });
-        per_matrix.flat_map(|(m, mine)| mine.iter().enumerate().map(move |(i, &r)| (m, i, r)))
+        (lt, leq)
     }
 }
 
@@ -269,12 +238,22 @@ mod tests {
         all
     }
 
+    /// The union of one bucket per `[rows, cols]`, laid out in order.
+    fn union_from<W: Copy + Ord + Add<Output = W>>(mats: Vec<[Vec<W>; 2]>) -> MatrixUnion<W> {
+        let (mut rows, mut cols) = (Vec::new(), Vec::new());
+        let place = |all: &mut Vec<W>, side: Vec<W>| {
+            let start = all.len();
+            all.extend(side);
+            start..all.len()
+        };
+        let buckets = (mats.into_iter())
+            .map(|[r, c]| [place(&mut rows, r), place(&mut cols, c)])
+            .collect();
+        MatrixUnion::new([rows, cols], buckets)
+    }
+
     fn union_of(mats: &[(&[i64], &[i64])]) -> MatrixUnion<i64> {
-        MatrixUnion::new(
-            mats.iter()
-                .map(|(r, c)| SortedMatrix::new(r.to_vec(), c.to_vec()))
-                .collect(),
-        )
+        union_from(mats.iter().map(|(r, c)| [r.to_vec(), c.to_vec()]).collect())
     }
 
     #[test]
@@ -322,7 +301,7 @@ mod tests {
     fn float_weights() {
         let rows: Vec<TotalF64> = [0.5, 1.5].iter().map(|&v| TotalF64(v)).collect();
         let cols: Vec<TotalF64> = [-1.0, 0.0, 2.0].iter().map(|&v| TotalF64(v)).collect();
-        let u = MatrixUnion::new(vec![SortedMatrix::new(rows, cols)]);
+        let u = union_from(vec![[rows, cols]]);
         // cells: -0.5, 0.5, 2.5, 0.5, 1.5, 3.5 sorted: -0.5, 0.5, 0.5, 1.5, 2.5, 3.5
         assert_eq!(u.select(0), Some(TotalF64(-0.5)));
         assert_eq!(u.select(2), Some(TotalF64(0.5)));
@@ -331,7 +310,7 @@ mod tests {
 
     #[test]
     fn large_random_cross_check() {
-        let mut rng = rand::rng();
+        let mut rng = StdRng::seed_from_u64(0x5eed_1a46e);
         for _ in 0..10 {
             let nm = 1 + rand::Rng::random_range(&mut rng, 0..4usize);
             let mut mats = Vec::new();
@@ -346,17 +325,17 @@ mod tests {
                     .collect();
                 rows.sort_unstable();
                 cols.sort_unstable();
-                mats.push(SortedMatrix::new(rows, cols));
+                mats.push([rows, cols]);
             }
-            let u = MatrixUnion::new(mats.clone());
             let mut all: Vec<i64> = Vec::new();
-            for m in &mats {
-                for i in 0..m.rows.len() {
-                    for j in 0..m.cols.len() {
-                        all.push(m.cell(i, j));
+            for [rows, cols] in &mats {
+                for r in rows {
+                    for c in cols {
+                        all.push(r + c);
                     }
                 }
             }
+            let u = union_from(mats);
             all.sort_unstable();
             for probe in 0..20 {
                 let k = (probe * all.len() / 20) as u64;
@@ -372,14 +351,8 @@ mod tests {
         // between, on and beside the two ranks.
         let rows: Vec<i64> = (0..120).map(|i| i / 7).collect();
         let cols: Vec<i64> = (0..90).map(|j| j / 5).collect();
-        let u = MatrixUnion::new(vec![
-            SortedMatrix::new(rows.clone(), cols.clone()),
-            SortedMatrix::new(cols, rows),
-        ]);
-        let all = naive_union(&[
-            (&u.matrices[0].rows, &u.matrices[0].cols),
-            (&u.matrices[1].rows, &u.matrices[1].cols),
-        ]);
+        let all = naive_union(&[(&rows, &cols), (&cols, &rows)]);
+        let u = union_from(vec![[rows.clone(), cols.clone()], [cols, rows]]);
         for (first, last) in [
             (0, 0),
             (0, 50),
@@ -409,7 +382,7 @@ mod tests {
         // 200 x 200 = 40_000 cells forces several pivot rounds.
         let rows: Vec<i64> = (0..200).map(|i| i * 3).collect();
         let cols: Vec<i64> = (0..200).map(|i| i * 7).collect();
-        let u = MatrixUnion::new(vec![SortedMatrix::new(rows.clone(), cols.clone())]);
+        let u = union_from(vec![[rows.clone(), cols.clone()]]);
         let mut all: Vec<i64> = rows
             .iter()
             .flat_map(|r| cols.iter().map(move |c| r + c))
@@ -431,7 +404,7 @@ mod tests {
             k_frac in 0.0f64..1.0,
         ) {
             let mut cells: Vec<i64> = Vec::new();
-            let mats: Vec<SortedMatrix<i64>> = specs
+            let mats: Vec<[Vec<i64>; 2]> = specs
                 .into_iter()
                 .map(|(mut rows, mut cols)| {
                     rows.sort_unstable();
@@ -441,12 +414,12 @@ mod tests {
                             cells.push(r + c);
                         }
                     }
-                    SortedMatrix::new(rows, cols)
+                    [rows, cols]
                 })
                 .collect();
             cells.sort_unstable();
-            let u = MatrixUnion::new(mats);
-            prop_assert_eq!(u.cell_count(), cells.len() as u64);
+            let u = union_from(mats);
+            prop_assert_eq!(u.cell_count(), cells.len() as u128);
             let k = ((cells.len() - 1) as f64 * k_frac) as u64;
             prop_assert_eq!(u.select(k), Some(cells[k as usize]));
             prop_assert_eq!(u.select(cells.len() as u64), None);
@@ -457,16 +430,41 @@ mod tests {
             rows in proptest::collection::vec(-20i64..20, 1..15),
             cols in proptest::collection::vec(-20i64..20, 1..15),
             bound in -45i64..45,
+            width in -10i64..30,
         ) {
             let mut r = rows.clone();
             let mut c = cols.clone();
             r.sort_unstable();
             c.sort_unstable();
-            let u = MatrixUnion::new(vec![SortedMatrix::new(r.clone(), c.clone())]);
+            let u = union_from(vec![[r.clone(), c.clone()]]);
             let leq = r.iter().flat_map(|&x| c.iter().map(move |&y| x + y)).filter(|&s| s <= bound).count() as u64;
             let lt = r.iter().flat_map(|&x| c.iter().map(move |&y| x + y)).filter(|&s| s < bound).count() as u64;
             prop_assert_eq!(u.count_split(bound), (lt, leq));
             prop_assert_eq!(u.count_lt(bound), lt);
+            // Each row's run against the row's cells, for every kind of
+            // end: `before` counts the cells below `lo` (those above
+            // `hi` when fewer), the run ends at the last cell not above
+            // `hi`, and a row the walk skips has no such cell.
+            let ends = |b: i64| [Included(b), Excluded(b), Unbounded];
+            for lo in ends(bound) {
+                for hi in ends(bound + width) {
+                    let mut runs = vec![None; r.len()];
+                    u.staircase(lo, hi, |i, run, before| runs[i] = Some((run, before)));
+                    for (i, got) in runs.into_iter().enumerate() {
+                        let count = |keep: &dyn Fn(i64) -> bool| c.iter().filter(|&&y| keep(r[i] + y)).count();
+                        let not_above = count(&|s| (Unbounded, hi).contains(&s));
+                        let below = count(&|s| !(lo, Unbounded).contains(&s)).min(not_above);
+                        let inside = count(&|s| (lo, hi).contains(&s));
+                        match got {
+                            Some((run, before)) => {
+                                prop_assert_eq!((run.clone(), before), (below..not_above, below));
+                                prop_assert_eq!(run.len(), inside);
+                            }
+                            None => prop_assert_eq!(not_above, 0),
+                        }
+                    }
+                }
+            }
         }
     }
 }

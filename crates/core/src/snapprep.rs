@@ -442,11 +442,17 @@ pub(crate) fn reduce_to_full_encoded<'a>(
     })
 }
 
-/// FD reasoning (and so [`classify`] under FDs) assumes distinct
+/// The checks on the query alone, which every build and the engine's
+/// routing run before anything classifies it. A query with no atoms is
+/// refused ([`BuildError::NoAtoms`]), as the parser refuses an empty
+/// body. FD reasoning (and so [`classify`] under FDs) assumes distinct
 /// relation symbols, and an FD's variables in its relation's atom: a
 /// self-join query with a non-empty `fds`, or an FD naming a variable
-/// its atom lacks, is refused here, before anything classifies it.
-pub(crate) fn check_fds_apply(q: &Cq, fds: &FdSet) -> Result<(), BuildError> {
+/// its atom lacks, is refused too.
+pub(crate) fn check_query(q: &Cq, fds: &FdSet) -> Result<(), BuildError> {
+    if q.atoms().is_empty() {
+        return Err(BuildError::NoAtoms);
+    }
     if !fds.is_empty() && !q.is_self_join_free() {
         return Err(BuildError::InvalidOrder(
             "functional dependencies require a self-join-free query".to_string(),
@@ -474,7 +480,7 @@ pub(crate) fn prepare_instance<'a>(
     fds: &FdSet,
     problem: &Problem,
 ) -> Result<(FdExtension, Vec<EncRel<'a>>), BuildError> {
-    check_fds_apply(q, fds)?;
+    check_query(q, fds)?;
     match classify(q, fds, problem) {
         Verdict::Tractable { .. } => {}
         v => return Err(BuildError::NotTractable(v)),

@@ -12,11 +12,11 @@
 //!    travels with its absorber, and a row's weight is the sum of the
 //!    weights of the columns assigned to its atom, read from a dense
 //!    `code → weight` table per column;
-//! 3. one atom left (Lemma 7.8): worst-case linear selection on row
-//!    weights (the standard library's `select_nth_unstable`, in the
-//!    role of Blum et al. \[10\]); two atoms left (Lemma 7.10): bucket
-//!    both by the join key and select over a union of implicit sorted
-//!    matrices (Theorem 7.9);
+//! 3. two atoms left (Lemma 7.10): bucket both by the join key and
+//!    select over a union of implicit sorted matrices (Theorem 7.9).
+//!    One atom left (Lemma 7.8) is a pair with a unit side — one row
+//!    weighing the empty sum, so a pair weighs its row — and no atom
+//!    left pairs two unit sides;
 //! 4. decode the chosen rows into an answer.
 //!
 //! Steps 1–2, the row weights and the weight-sorted buckets do not
@@ -37,7 +37,7 @@
 use crate::budget::{BuildCost, PhaseClock};
 use crate::error::BuildError;
 use crate::float::TotalF64;
-use crate::matrix::{MatrixUnion, SortedMatrix};
+use crate::matrix::MatrixUnion;
 use crate::plan::DirectAccess;
 use crate::snapprep::prepare_reduced;
 use crate::weights::{weight_key, Weights};
@@ -49,34 +49,15 @@ use rda_query::{
 };
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::ops::Bound::Included;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Rows of one relation as `(weight, row)`, ascending.
-type WeightedRows = Vec<(TotalF64, u32)>;
 
 /// An answer as its pair weight and its rows in the atoms left.
 type RankedRow = (TotalF64, [u32; 2]);
 
 /// The weight of the empty sum, as `Iterator::sum` starts it.
 const EMPTY_SUM: TotalF64 = TotalF64(-0.0);
-
-/// What is left of the query after the maximal contraction.
-enum Shape {
-    /// No atom: a Boolean head (one empty answer iff the join is not
-    /// empty).
-    Empty,
-    /// One atom (Lemma 7.8): its row weights.
-    Single(Vec<TotalF64>),
-    /// Two atoms (Lemma 7.10): both sides sorted by (join-key bucket,
-    /// weight), the row ranges of each bucket present on both sides,
-    /// and one implicit sorted matrix per bucket.
-    Pair {
-        sides: [WeightedRows; 2],
-        buckets: Vec<[Range<usize>; 2]>,
-        union: MatrixUnion<TotalF64>,
-    },
-}
 
 /// Selection-backed handle for sum-of-weights orders (Theorem 7.3 /
 /// 8.10): ⟨1, n log n + p log p⟩ per access, where p is the number of
@@ -110,7 +91,12 @@ pub struct SelectionSumHandle {
     /// Per atom of `rels`: the variables its row weight sums, in the
     /// order it sums them, each with a head position holding its value.
     addends: Vec<Vec<(VarId, usize)>>,
-    shape: Shape,
+    /// Per side, the atom's row behind each of `union`'s row (side 0)
+    /// and column (side 1) weights; a unit side's row is never read.
+    rows: [Vec<u32>; 2],
+    /// The pair weights: one bucket per join key present on both
+    /// sides, each side's weights ascending inside it.
+    union: MatrixUnion<TotalF64>,
     total: u64,
     cost: BuildCost,
 }
@@ -217,19 +203,22 @@ impl SelectionSumHandle {
             .map(|v| first_holder(v).expect("every head variable is in an atom left"))
             .collect();
 
-        let (shape, total) = match rels.as_slice() {
-            [] => (Shape::Empty, u128::from(!red.known_empty)),
-            [rel] => (Shape::Single(row_weights.remove(0)), rel.len() as u128),
+        // Lemma 7.10 pairs the two atoms left by join key. A lone atom
+        // pairs with a unit side, one row weighing the empty sum (`w +
+        // -0.0` is `w`), and no atom pairs two (rowless when the join is
+        // empty): all the rows of such a pair share one bucket.
+        debug_assert!(rels.len() <= 2, "fmh ≤ 2 leaves at most two atoms");
+        row_weights.resize(2, vec![EMPTY_SUM; usize::from(!red.known_empty)]);
+        let ids = match rels.as_slice() {
             [a, b] => {
                 let (ka, kb) = shared_positions(&atoms[kept[0]].terms, &atoms[kept[1]].terms);
                 let ids = key_ids(a, &ka, b, &kb);
-                pair_shape([
-                    (&ids.probe[..], &row_weights[0][..]),
-                    (&ids.build[..], &row_weights[1][..]),
-                ])
+                [ids.probe, ids.build]
             }
-            _ => unreachable!("fmh ≤ 2 leaves at most two atoms"),
+            _ => [0, 1].map(|s| Cow::Owned(vec![0; row_weights[s].len()])),
         };
+        let (rows, union) = pair_union([0, 1].map(|s| (&ids[s][..], &row_weights[s][..])));
+        let total = union.cell_count();
         cost.sort_ns = clock.lap();
         cost.hold(&rels);
         Ok(SelectionSumHandle {
@@ -239,7 +228,8 @@ impl SelectionSumHandle {
             rels,
             out,
             addends,
-            shape,
+            rows,
+            union,
             total: u64::try_from(total).map_err(|_| BuildError::CountOverflow)?,
             cost,
         })
@@ -250,39 +240,19 @@ impl SelectionSumHandle {
     /// weight, and that weight, ties broken arbitrarily. `None` means
     /// out-of-bound.
     pub fn select_once(&self, k: u64) -> Option<(TotalF64, Tuple)> {
-        if k >= self.total {
-            return None;
-        }
-        // The chosen row of each atom left.
-        let rows: [u32; 2] = match &self.shape {
-            Shape::Empty => [0, 0],
-            Shape::Single(weights) => {
-                let mut items: WeightedRows = weights.iter().copied().zip(0..).collect();
-                let (_, nth, _) = items.select_nth_unstable(k as usize);
-                [nth.1, 0]
-            }
-            Shape::Pair {
-                sides: [a, b],
-                buckets,
-                union,
-            } => {
-                let lambda = union.select(k).expect("the rank is below the cell count");
-                // Witness: one pair of rows summing to lambda. Compare
-                // the sum itself (not `lambda - wa`) so floating-point
-                // equality is exact — lambda is one of these very sums.
-                buckets
-                    .iter()
-                    .find_map(|[ra, rb]| {
-                        let bs = &b[rb.clone()];
-                        a[ra.clone()].iter().find_map(|&(wa, row_a)| {
-                            let i = bs.partition_point(|&(wb, _)| wa + wb < lambda);
-                            (i < bs.len() && wa + bs[i].0 == lambda).then(|| [row_a, bs[i].1])
-                        })
-                    })
-                    .expect("a selected weight always has a witness pair")
-            }
-        };
-        Some(self.answer(rows))
+        let lambda = self.union.select(k)?;
+        // Witness: the first row with a cell equal to lambda. The walk
+        // compares the sums themselves (not `lambda - wa`), so
+        // floating-point equality is exact — lambda is one of them.
+        let mut witness = None;
+        self.union
+            .staircase(Included(lambda), Included(lambda), |i, run, _| {
+                if !run.is_empty() {
+                    witness.get_or_insert([i, run.start]);
+                }
+            });
+        let [i, j] = witness.expect("a selected weight always has a witness pair");
+        Some(self.answer([self.rows[0][i], self.rows[1][j]]))
     }
 
     /// What construction paid — `prep`, `reduce`, the contraction,
@@ -328,90 +298,26 @@ impl SelectionSumHandle {
     }
 
     /// The rows of the answer at rank `k` of (weight, head codes), or
-    /// `None` when `k ≥ len()`. Two atoms: one selection, one count
-    /// below its weight, and a linear-time selection by codes inside
-    /// the plateau at that weight. One atom: a linear-time selection by
-    /// (weight, codes) over the rows.
+    /// `None` when `k ≥ len()`: one selection, one count below its
+    /// weight, and a linear-time selection by codes inside the plateau
+    /// at that weight.
     fn rows_at(&self, k: u64) -> Option<[u32; 2]> {
-        if k >= self.total {
-            return None;
-        }
-        let (mut rows, at) = match &self.shape {
-            Shape::Pair { union, .. } => {
-                let w = union.select(k).expect("the rank is below the cell count");
-                (self.rows_between(Some(w), Some(w)), k - union.count_lt(w))
-            }
-            Shape::Empty | Shape::Single(_) => (self.rows_between(None, None), k),
-        };
-        let (_, nth, _) = rows.select_nth_unstable_by(at as usize, |x, y| self.by_rank(x, y));
+        let w = self.union.select(k)?;
+        let at = (k - self.union.count_lt(w)) as usize;
+        let mut rows = self.rows_between(w, w);
+        let (_, nth, _) = rows.select_nth_unstable_by(at, |x, y| self.by_rank(x, y));
         Some(nth.1)
     }
 
-    /// The `first`-th and the `last`-th smallest answer weights,
-    /// `first ≤ last < len()`, from one selection.
-    fn weights_at(&self, first: u64, last: u64) -> (TotalF64, TotalF64) {
-        match &self.shape {
-            Shape::Empty => (EMPTY_SUM, EMPTY_SUM),
-            Shape::Single(weights) => {
-                // `select_nth_unstable` leaves rank `first` in its place
-                // and everything after it no lighter, as it documents.
-                let mut weights = weights.clone();
-                let (first, last) = (first as usize, last as usize);
-                let a = *weights.select_nth_unstable(first).1;
-                (a, *weights[first..].select_nth_unstable(last - first).1)
-            }
-            Shape::Pair { union, .. } => union.select_pair(first, last).expect("last < len"),
-        }
-    }
-
-    /// The number of answers weighing less than `w`.
-    fn count_lt(&self, w: TotalF64) -> u64 {
-        match &self.shape {
-            Shape::Empty => 0,
-            Shape::Single(weights) => weights.iter().filter(|&&x| x < w).count() as u64,
-            Shape::Pair { union, .. } => union.count_lt(w),
-        }
-    }
-
-    /// The answers whose pair weight lies in `lo..=hi` (`None`:
-    /// unbounded), in no particular order. Over two atoms, one
-    /// staircase walk per join-key bucket: as the first side's weight
-    /// grows, both ends of the second side's run inside the interval
-    /// move left. O(n) plus one step per answer in the interval.
-    fn rows_between(&self, lo: Option<TotalF64>, hi: Option<TotalF64>) -> Vec<RankedRow> {
-        let inside = |w: TotalF64| lo.is_none_or(|lo| lo <= w) && hi.is_none_or(|hi| w <= hi);
-        let mut found = Vec::new();
-        match &self.shape {
-            Shape::Empty => {
-                if self.total > 0 && inside(EMPTY_SUM) {
-                    found.push((EMPTY_SUM, [0, 0]));
-                }
-            }
-            Shape::Single(weights) => {
-                let rows = weights.iter().zip(0..).filter(|&(&w, _)| inside(w));
-                found.extend(rows.map(|(&w, row)| (w, [row, 0])));
-            }
-            Shape::Pair {
-                sides: [a, b],
-                buckets,
-                ..
-            } => {
-                for [ra, rb] in buckets {
-                    let bs = &b[rb.clone()];
-                    let (mut start, mut end) = (bs.len(), bs.len());
-                    for &(wa, row_a) in &a[ra.clone()] {
-                        while start > 0 && lo.is_none_or(|lo| wa + bs[start - 1].0 >= lo) {
-                            start -= 1;
-                        }
-                        while end > start && hi.is_some_and(|hi| wa + bs[end - 1].0 > hi) {
-                            end -= 1;
-                        }
-                        let run = bs[start..end].iter();
-                        found.extend(run.map(|&(wb, row_b)| (wa + wb, [row_a, row_b])));
-                    }
-                }
-            }
-        }
+    /// The answers whose pair weight lies in `lo..=hi`, in no
+    /// particular order: the runs of one staircase walk. O(n) plus one
+    /// step per answer in the interval.
+    fn rows_between(&self, lo: TotalF64, hi: TotalF64) -> Vec<RankedRow> {
+        let (mut found, [a, b]) = (Vec::new(), &self.rows);
+        self.union
+            .staircase(Included(lo), Included(hi), |i, run, _| {
+                found.extend(run.map(|j| (self.union.cell(i, j), [a[i], b[j]])));
+            });
         found
     }
 }
@@ -455,8 +361,8 @@ impl DirectAccess for SelectionSumHandle {
         };
         let w = self.addends.iter().map(side).reduce(|a, b| a + b);
         let w = w.unwrap_or(EMPTY_SUM);
-        let (mut rank, mut found) = (self.count_lt(w), false);
-        for (_, rows) in self.rows_between(Some(w), Some(w)) {
+        let (mut rank, mut found) = (self.union.count_lt(w), false);
+        for (_, rows) in self.rows_between(w, w) {
             match self.codes(rows).cmp(probe.iter().copied()) {
                 Ordering::Less => rank += 1,
                 Ordering::Equal => found = true,
@@ -476,9 +382,9 @@ impl DirectAccess for SelectionSumHandle {
         if lo == hi {
             return 0;
         }
-        let (first, last) = self.weights_at(lo, hi - 1);
-        let skip = (lo - self.count_lt(first)) as usize;
-        let mut rows = self.rows_between(Some(first), Some(last));
+        let (first, last) = self.union.select_pair(lo, hi - 1).expect("hi ≤ len()");
+        let skip = (lo - self.union.count_lt(first)) as usize;
+        let mut rows = self.rows_between(first, last);
         rows.sort_unstable_by(|x, y| self.by_rank(x, y));
         for &(_, rows) in rows.iter().skip(skip).take((hi - lo) as usize) {
             out.push_with(|vals| vals.extend(self.values(rows)));
@@ -488,49 +394,50 @@ impl DirectAccess for SelectionSumHandle {
 }
 
 /// Lemma 7.10's bucketing: sort each side's rows by (join-key id,
-/// weight, row) — two stable radix passes, weight first —, pair up the
-/// id runs present on both sides, and give each pair an implicit sorted
-/// matrix. Also the number of cells — the answer count.
-fn pair_shape(sides: [(&[u32], &[TotalF64]); 2]) -> (Shape, u128) {
-    let [a, b] = sides.map(|(ids, weights)| {
+/// weight, row) — two stable radix passes, weight first —, keep the id
+/// runs present on both sides, one bucket each, and lay their weights
+/// out as the union's. Also each weight's row.
+fn pair_union(sides: [(&[u32], &[TotalF64]); 2]) -> ([Vec<u32>; 2], MatrixUnion<TotalF64>) {
+    let mut rows = sides.map(|(ids, weights)| {
         let mut order: Vec<u32> = (0..ids.len() as u32).collect();
         radix_sort_rows(&mut order, |r| weight_key(weights[r as usize]));
         radix_sort_rows(&mut order, |r| u64::from(ids[r as usize]));
-        let rows: Vec<(u32, TotalF64, u32)> = order
-            .into_iter()
-            .map(|r| (ids[r as usize], weights[r as usize], r))
-            .collect();
-        debug_assert!(rows.is_sorted(), "the order of a sort by (id, weight, row)");
-        rows
+        order
     });
-    let (mut buckets, mut matrices, mut total) = (Vec::new(), Vec::new(), 0u128);
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let (ia, ib) = (a[i].0, b[j].0);
-        let i_end = i + a[i..].partition_point(|x| x.0 == ia);
-        let j_end = j + b[j..].partition_point(|x| x.0 == ib);
+    // The id at `at` on side `s`, and the end of its run.
+    let run = |s: usize, at: usize| {
+        let (ids, order) = (sides[s].0, &rows[s]);
+        let id = ids[order[at] as usize];
+        (
+            id,
+            at + order[at..].partition_point(|&r| ids[r as usize] == id),
+        )
+    };
+    let (mut buckets, mut at) = (Vec::new(), [0, 0]);
+    while at[0] < rows[0].len() && at[1] < rows[1].len() {
+        let [(ia, ea), (ib, eb)] = [0, 1].map(|s| run(s, at[s]));
         if ia == ib {
-            buckets.push([i..i_end, j..j_end]);
-            matrices.push(SortedMatrix::new(
-                a[i..i_end].iter().map(|x| x.1).collect(),
-                b[j..j_end].iter().map(|x| x.1).collect(),
-            ));
-            total += ((i_end - i) as u128) * ((j_end - j) as u128);
+            buckets.push([at[0]..ea, at[1]..eb]);
         }
         if ia <= ib {
-            i = i_end;
+            at[0] = ea;
         }
         if ib <= ia {
-            j = j_end;
+            at[1] = eb;
         }
     }
-    let strip = |rows: Vec<(u32, TotalF64, u32)>| rows.into_iter().map(|x| (x.1, x.2)).collect();
-    let shape = Shape::Pair {
-        sides: [strip(a), strip(b)],
-        buckets,
-        union: MatrixUnion::new(matrices),
-    };
-    (shape, total)
+    // Keep only the buckets' rows, moved down in place.
+    for (s, order) in rows.iter_mut().enumerate() {
+        let mut kept = 0;
+        for bucket in &mut buckets {
+            order.copy_within(bucket[s].clone(), kept);
+            bucket[s] = kept..kept + bucket[s].len();
+            kept = bucket[s].end;
+        }
+        order.truncate(kept);
+    }
+    let weights = [0, 1].map(|s| rows[s].iter().map(|&r| sides[s].1[r as usize]).collect());
+    (rows, MatrixUnion::new(weights, buckets))
 }
 
 #[cfg(test)]
@@ -696,7 +603,7 @@ mod tests {
         let handle =
             SelectionSumHandle::new(&q, &db.freeze(), Weights::identity(), &FdSet::empty())
                 .unwrap();
-        assert!(matches!(handle.shape, Shape::Single(_)));
+        assert_eq!(handle.rels.len(), 1, "one atom is left");
         // The handle's order: a full sort by (weight, codes).
         let mut sorted: Vec<(i64, [i64; 2])> = (0..6)
             .flat_map(|x| (0..6).map(move |y| (x + y, [x, y])))
@@ -723,7 +630,7 @@ mod tests {
         assert!(handle.select_once(36).is_none());
         assert!(handle.access_weighted(36).is_none());
         // Every window, those that start and end inside plateaus
-        // included: both ends' weights come from `weights_at`.
+        // included: both ends' weights come from one `select_pair`.
         let mut out = WindowBuf::new();
         for a in 0..36 {
             for b in a + 1..=37 {

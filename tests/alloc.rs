@@ -311,14 +311,16 @@ fn selections_are_encode_free_and_free_their_scratch() {
         );
         blocks.push(one.allocations);
 
-        // SUM: relations, weight-sorted sides and matrices — about four
-        // times the relations, and again no table sized by the dictionary.
+        // SUM: the relations, the selection's two weight columns (each
+        // weight kept once) and the row ids beside them — about 2.5 times
+        // the relations, so a second copy of the weights fails here — and
+        // again no table sized by the dictionary.
         let built = heap_during(|| {
             SelectionSumHandle::new(&q, &snap, Weights::identity(), &FdSet::empty()).unwrap()
         });
         constructions.push(built.allocations);
         let sum = built.out;
-        let held = 6 * sum.build_cost().arena_bytes + 4096;
+        let held = 3 * sum.build_cost().arena_bytes + 4096;
         assert!(
             built.retained <= held,
             "sum handle over {n} rows retains {} bytes for {} of relations",

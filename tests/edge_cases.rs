@@ -209,6 +209,36 @@ fn error_paths_are_reported() {
 }
 
 #[test]
+fn a_query_with_no_atoms_is_refused_typed() {
+    // The builder accepts an empty body, which the parser refuses; every
+    // door refuses it too, typed, under either policy and either order.
+    let q = CqBuilder::new("Q").build();
+    let snap = Database::new()
+        .with_i64_rows("R", 1, vec![vec![1]])
+        .freeze();
+    let engine = Engine::new(std::sync::Arc::clone(&snap));
+    for policy in [Policy::Reject, Policy::Materialize] {
+        for spec in [OrderSpec::Lex(Vec::new()), OrderSpec::sum_by_value()] {
+            assert!(matches!(
+                engine.prepare(&q, spec, &no_fds(), policy),
+                Err(PlanError::Build(BuildError::NoAtoms))
+            ));
+        }
+    }
+    let w = Weights::identity();
+    let refused = [
+        LexDirectAccess::build_on(&q, &snap, &[], &no_fds()).err(),
+        SumDirectAccess::build_on(&q, &snap, &w, &no_fds()).err(),
+        SelectionLexHandle::new(&q, &snap, Vec::new(), &no_fds()).err(),
+        SelectionSumHandle::new(&q, &snap, w.clone(), &no_fds()).err(),
+    ];
+    for err in refused {
+        assert_eq!(err, Some(BuildError::NoAtoms));
+    }
+    assert!(BuildError::NoAtoms.to_string().contains("no atoms"));
+}
+
+#[test]
 fn fd_with_self_join_is_rejected_not_panicking() {
     let q = parse("Q(x, y, z) :- R(x, y), R(y, z)").unwrap();
     let db = Database::new().with_i64_rows("R", 2, vec![vec![1, 2]]);
